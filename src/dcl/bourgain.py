@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .lattice import ModelParams, NormSpec, SpatialSpectrum, bracket, hs_norm
-from .symbols import dispersion_symbol
+from .symbols import dispersion_symbol, nonlocal_multiplier
 
 
 class RegionLabel(Enum):
@@ -475,14 +475,13 @@ def bilinear_output(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum, form: str) -> Sp
     if form not in BILINEAR_FORMS:
         raise ValueError(f"form must be one of {BILINEAR_FORMS}")
     ik = lambda k: 1j * k
-    smooth = lambda k: 1j * k / (1.0 + k * k)
     if form == "dxdx_smoothed":
         conv = st_convolve(u, v, pre1=ik, pre2=ik)
-        out = conv.apply_k(smooth)
+        out = conv.apply_k(nonlocal_multiplier)
     elif form == "product_dx":
         out = st_convolve(u, v).apply_k(ik)
     else:
-        out = st_convolve(u, v).apply_k(smooth)
+        out = st_convolve(u, v).apply_k(nonlocal_multiplier)
     return out.apply_sigma(lambda s: 1.0 / bracket(s))
 
 

@@ -38,7 +38,6 @@ DEFAULTS = {
     "kmax": None,
     "dt": 1e-3,
     "T": 1.0,
-    "dealias": True,
     "tau_step": 0.25,
     "N_list": [16, 32, 64, 128, 256, 512, 1024],
     "seed": None,
@@ -61,7 +60,7 @@ DEFAULTS = {
 _TYPES = {
     "j": int, "lambda": (int, float), "s": (int, float), "b": (int, float),
     "epsilon": (int, float, type(None)), "kmax": (int, float, type(None)),
-    "dt": (int, float), "T": (int, float), "dealias": bool,
+    "dt": (int, float), "T": (int, float),
     "tau_step": (int, float), "N_list": list, "seed": (int, type(None)),
     "output_dir": str, "u0": dict, "kdv": bool, "stride": int,
     "mu": (int, float), "iterations": int, "nt": int, "pairs": int,
@@ -93,8 +92,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
 def model_params(cfg: dict) -> ModelParams:
     try:
         return ModelParams(j=cfg["j"], lam=float(cfg["lambda"]),
-                           epsilon=cfg["epsilon"], kmax=cfg["kmax"],
-                           dealias=cfg["dealias"])
+                           epsilon=cfg["epsilon"], kmax=cfg["kmax"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -129,14 +127,21 @@ def _resolved(cfg: dict) -> dict:
     return {k: cfg[k] for k in sorted(cfg)}
 
 
+def _simulate(cfg: dict, u0: SpatialSpectrum, mode: str) -> evolve.Trajectory:
+    try:
+        return evolve.simulate(u0, float(cfg["T"]), float(cfg["dt"]), mode=mode,
+                               stride=cfg["stride"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_simulate(cfg: dict) -> int:
     params = model_params(cfg)
     u0 = initial_spectrum(cfg, params)
     mode = "kdv" if cfg["kdv"] else "full"
-    traj = evolve.simulate(u0, float(cfg["T"]), float(cfg["dt"]), mode=mode,
-                           stride=cfg["stride"])
+    traj = _simulate(cfg, u0, mode)
     outdir = Path(cfg["output_dir"])
     _write(outdir, "trajectory.csv", traj.diagnostics_csv())
     _write(outdir, "final_spectrum.json", spectrum_to_json(traj.states[-1].spec) + "\n")
@@ -256,8 +261,7 @@ def cmd_rescale_check(cfg: dict) -> int:
     params = model_params(cfg)
     u0 = initial_spectrum(cfg, params)
     mode = "kdv" if cfg["kdv"] else "full"
-    traj = evolve.simulate(u0, float(cfg["T"]), float(cfg["dt"]), mode=mode,
-                           stride=cfg["stride"])
+    traj = _simulate(cfg, u0, mode)
     mu = float(cfg["mu"])
     scaled = rescale.rescale_trajectory(traj, mu)
     resid = rescale.rescaled_residual(scaled, mu)
@@ -340,7 +344,6 @@ def _add_common(p: _Parser):
     p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--kdv", action="store_const", const=True, dest="kdv")
-    p.add_argument("--no-dealias", action="store_const", const=False, dest="dealias")
     p.add_argument("--stride", type=int, dest="stride")
     p.add_argument("--mu", type=float, dest="mu")
     p.add_argument("--iterations", type=int, dest="iterations")

@@ -22,9 +22,10 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import ModelParams, SpatialSpectrum, bracket, hs_norm
-from .symbols import MultiplierSet, dispersion_symbol, nonlinearity_F
+from .symbols import MultiplierSet, dispersion_symbol, mean_coupling, nonlinearity_block
 
 MODES = ("full", "kdv", "linear")
+RESIDUAL_CHUNK = 16  # states per F evaluation in pde_residual: bounds its scratch memory
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,8 @@ class IntegratingFactorRK4:
 
     mode selects the nonlinearity: "full" (both terms), "kdv" (local term
     only), "linear" (none).  A nonzero conserved mean c couples to the
-    mean-zero part through the exact linear multiplier 2*F(c, .) =
-    c * ik * (1 + 2/(1 + mu^2 k^2)) (kdv: c * ik), which is included so
-    nonzero-mean data evolve correctly while c itself never changes.
+    mean-zero part through the exact linear term 2*F(c, .) (mean_coupling),
+    so nonzero-mean data evolve correctly while c itself never changes.
     """
 
     def __init__(self, params: ModelParams, dt: float, mode: str = "full",
@@ -97,18 +97,14 @@ class IntegratingFactorRK4:
         self.phase_wrap_ok = self.phase_wrap < phase_wrap_threshold
         self.e_half = np.exp(1j * (dt / 2.0) * disp)
         self.e_full = self.e_half * self.e_half
-        ik = self.mults.derivative
-        if mode == "kdv":
-            self.mean_mult = ik
-        else:
-            self.mean_mult = ik * (1.0 + 2.0 * self.mults.helmholtz(mu))
+        self.mean_mult = mean_coupling(self.mults.k, mu, kdv=mode == "kdv")
 
     def _rhs(self, u_amps: np.ndarray, mean: float) -> np.ndarray:
         if self.mode == "linear":
             nl = np.zeros_like(u_amps)
         else:
-            nl = _batch_nonlinearity(u_amps[None, :], self.params, mu=self.mu,
-                                     kdv=self.mode == "kdv")[0]
+            nl = nonlinearity_block(u_amps, u_amps, self.params, mu=self.mu,
+                                    kdv=self.mode == "kdv")[0]
         if mean != 0.0:
             nl = nl + mean * self.mean_mult * u_amps
         return -nl
@@ -156,11 +152,15 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     """March the model from u0 to time T, collecting per-stride diagnostics.
 
     u0 must be mean-zero (the mean goes in via the `mean` scalar, which is
-    conserved exactly).  Early-stops with blown_up=True if the H^1 norm
-    grows by blowup_factor or amplitudes go nonfinite.
+    conserved exactly), and T a whole number of steps dt.  Early-stops with
+    blown_up=True if the H^1 norm grows by blowup_factor or amplitudes go
+    nonfinite.
     """
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
+    nsteps = int(round(T / dt))
+    if abs(T / dt - nsteps) > 1e-9:
+        raise ValueError(f"T={T!r} is not a whole number of steps dt={dt!r}")
     traj = Trajectory(u0.params, dt, mode)
     state = SolverState(0.0, u0, mean)
     traj.states.append(state)
@@ -168,7 +168,6 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     if T == 0:
         return traj
     stepper = IntegratingFactorRK4(u0.params, dt, mode=mode, mu=mu)
-    nsteps = int(round(T / dt))
     h1_0 = max(hs_norm(u0, 1.0), 1e-300)
     for n in range(1, nsteps + 1):
         try:
@@ -228,23 +227,21 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     p = states[0].spec.params
     amps = np.stack([s.spec.amps for s in states])
     ut, diff_err = _time_derivatives(amps, h)
-    mults = MultiplierSet(p)
-    disp = -1j * mults.dispersion  # symbol of d_x^(2j+1)
-    per_time = []
-    for i, row in enumerate(ut, start=2):
-        st = states[i]
-        u = st.spec
-        res = row + disp * u.amps
-        if mode != "linear":
-            res = res + nonlinearity_F(u, u, mu=mu, kdv=mode == "kdv").amps
-            if st.mean != 0.0:
-                mean_mult = mults.derivative * (
-                    1.0 if mode == "kdv" else (1.0 + 2.0 * mults.helmholtz(mu))
-                )
-                res = res + st.mean * mean_mult * u.amps
-        if forcing is not None:
-            res = res - forcing(st.t).amps
-        per_time.append(math.sqrt(float(np.sum(np.abs(res) ** 2)) / p.lam))
+    k = p.k_values()
+    inner = amps[2:-2]  # the states ut is known at
+    res = ut + (-1j * dispersion_symbol(k, p.j)) * inner  # d_x^(2j+1) has symbol -i P(k)
+    if mode != "linear":
+        kdv = mode == "kdv"
+        coupling = mean_coupling(k, mu, kdv)
+        means = np.array([st.mean for st in states[2:-2]])[:, None]
+        for lo in range(0, len(res), RESIDUAL_CHUNK):
+            hi = lo + RESIDUAL_CHUNK
+            u = inner[lo:hi]
+            res[lo:hi] += (nonlinearity_block(u, u, p, mu=mu, kdv=kdv)[0]
+                           + means[lo:hi] * coupling * u)
+    if forcing is not None:
+        res -= np.stack([forcing(st.t).amps for st in states[2:-2]])
+    per_time = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
     return {
         "max_residual": max(per_time),
         "differencing_error": diff_err,
@@ -260,42 +257,6 @@ def _cumulative_simpson_c(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     re = cumulative_simpson(y.real, x=x, axis=0, initial=0.0)
     im = cumulative_simpson(y.imag, x=x, axis=0, initial=0.0)
     return re + 1j * im
-
-
-def _batch_nonlinearity(block: np.ndarray, params: ModelParams, mu: float = 1.0,
-                        kdv: bool = False) -> np.ndarray:
-    """nonlinearity_F(u, u) applied to a whole (nt, modes) block at once.
-
-    Same math as the per-spectrum path (padded physical products), batched
-    along the time axis; the two are cross-checked in the tests.
-    """
-    m = params.nmax
-    nx = params.default_grid(pad=2)
-    k = params.k_values()
-    ik = 1j * k
-
-    def to_phys(b):
-        fh = np.zeros((b.shape[0], nx), dtype=complex)
-        fh[:, 1:m + 1] = b[:, m + 1:]
-        fh[:, nx - m:] = b[:, :m]
-        return np.fft.ifft(fh, axis=1) * (nx / (math.sqrt(2 * math.pi) * params.lam))
-
-    def to_spec(f):
-        fh = np.fft.fft(f, axis=1) * (math.sqrt(2 * math.pi) * params.lam / nx)
-        out = np.zeros((f.shape[0], 2 * m + 1), dtype=complex)
-        out[:, m + 1:] = fh[:, 1:m + 1]
-        out[:, :m] = fh[:, nx - m:]
-        return out
-
-    f = to_phys(block)
-    prod = to_spec(f * f)
-    out = 0.5 * ik * prod
-    if not kdv:
-        fx = to_phys(block * ik)
-        dprod = to_spec(fx * fx)
-        helm = 1.0 / (1.0 + (mu * k) ** 2)
-        out = out + ik * helm * (prod + 0.5 * mu * mu * dprod)
-    return out
 
 
 def bump_eta(t):
@@ -321,7 +282,6 @@ class PicardConfig:
     iterations: int = 8
     t_span: float = 2.0
     nt: int = 1025
-    quadrature: str = "simpson"
     eta: object = None  # callable t -> [0, 1]; None = the standard bump
     report_s: float = -0.25
     measure_zs: bool = True
@@ -358,8 +318,6 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     integral of S(-t') F(w,w)(t') is quadratured (composite Simpson).
     Divergence (ratio > 1 three times in a row) is flagged, not raised.
     """
-    if cfg.quadrature != "simpson":
-        raise ValueError("only composite Simpson quadrature is implemented")
     p = u0.params
     t = cfg.t_grid()
     if cfg.t_span < 2.0:
@@ -388,7 +346,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
             return zs_norm(from_time_samples(t, block, p, dtau=cfg.zs_dtau), cfg.report_s)
 
     for _ in range(cfg.iterations):
-        fw = _batch_nonlinearity(w, p, mu=mu, kdv=mode == "kdv")
+        fw = nonlinearity_block(w, w, p, mu=mu, kdv=mode == "kdv")[0]
         integrand = np.conj(phases) * fw  # S(-t') F(t')
         cum = _cumulative_simpson_c(integrand, t)
         cum = cum - cum[i0]  # integral from 0 to t

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bourgain import SpaceTimeSpectrum, st_convolve, ws_norm
 from .lattice import ModelParams, bracket
-from .symbols import dispersion_symbol
+from .symbols import dispersion_symbol, nonlinearity_multipliers
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,16 @@ def duhamel_weighted_bilinear(u1: SpaceTimeSpectrum, u2: SpaceTimeSpectrum,
                               s: float) -> float:
     """W^s size of <sigma>^(-1) F(u1, u2), F the model's bilinear symbol.
 
-    The multiplier is assembled from the nonlinearity directly:
-    1/2 ik on the plain convolution plus ik/(1+k^2) on (convolution +
-    1/2 convolution-of-derivatives).
+    F's two multipliers (mu = 1) act on the plain convolution and on the
+    convolution of derivatives.
     """
     conv = st_convolve(u1, u2)
     dconv = st_convolve(u1, u2, pre1=lambda k: 1j * k, pre2=lambda k: 1j * k)
     if conv.n_cells() == 0:
         warnings.warn("slab supports do not interact; returning 0", stacklevel=2)
         return 0.0
-    out = conv.apply_k(lambda k: 0.5j * k + 1j * k / (1.0 + k * k)) \
-        + dconv.apply_k(lambda k: 0.5j * k / (1.0 + k * k))
+    out = conv.apply_k(lambda k: nonlinearity_multipliers(k)[0]) \
+        + dconv.apply_k(lambda k: nonlinearity_multipliers(k)[1])
     out = out.apply_sigma(lambda sig: 1.0 / bracket(sig))
     return ws_norm(out, s)
 

@@ -12,8 +12,8 @@ and sums over the lattice always carry the normalized counting measure
 mean is reported (and, in the solver, carried) as a separate scalar.
 
 The raw FFT convention differs from the above by a fixed scaling, which is
-confined to `forward_transform` / `inverse_transform`; nothing else in the
-package touches an FFT normalization.
+confined to the packing pair `lattice_to_grid` / `grid_to_lattice`; nothing
+else in the package touches an FFT normalization or the FFT index order.
 """
 
 from __future__ import annotations
@@ -44,15 +44,12 @@ class ModelParams:
     epsilon sharpness margin for the admissible regularity window,
             0 < epsilon < 1/(100 j^5); defaults to half that ceiling
     kmax    frequency truncation K; kmax*lam must be a positive integer
-    dealias apply the 2/3-rule padded product route (spectral convolution
-            is used when False)
     """
 
     j: int
     lam: float = 1.0
     epsilon: float | None = None
     kmax: float | None = None
-    dealias: bool = True
 
     def __post_init__(self):
         if int(self.j) != self.j or self.j < 1:
@@ -193,6 +190,35 @@ def x_grid(params: ModelParams, nx: int) -> np.ndarray:
     return np.arange(nx) * (params.period() / nx)
 
 
+def lattice_to_grid(amps, params: ModelParams, nx: int) -> np.ndarray:
+    """Complex samples on nx >= 2*nmax+1 points of a (..., 2*nmax+1) amplitude block.
+
+    Each row is one field; the n=0 slot is ignored.
+    """
+    m = params.nmax
+    a = np.asarray(amps)
+    fhat = np.zeros(a.shape[:-1] + (nx,), dtype=complex)
+    fhat[..., 1:m + 1] = a[..., m + 1:]
+    fhat[..., nx - m:] = a[..., :m]
+    return np.fft.ifft(fhat, axis=-1) * (nx / (TWO_PI_SQRT * params.lam))
+
+
+def grid_to_lattice(samples, params: ModelParams):
+    """Inverse of lattice_to_grid, returning (amps, zero, tail) per row of samples.
+
+    amps has its n=0 slot zero; zero is the k=0 amplitude (sqrt(2*pi)*lam
+    times the mean); tail holds the amplitudes beyond kmax, which are dropped.
+    """
+    f = np.asarray(samples)
+    nx = f.shape[-1]
+    m = params.nmax
+    fhat = np.fft.fft(f, axis=-1) * (TWO_PI_SQRT * params.lam / nx)
+    amps = np.zeros(f.shape[:-1] + (2 * m + 1,), dtype=complex)
+    amps[..., m + 1:] = fhat[..., 1:m + 1]
+    amps[..., :m] = fhat[..., nx - m:]
+    return amps, fhat[..., 0], fhat[..., m + 1:nx - m]
+
+
 def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = False):
     """Transform uniform samples on [0, 2*pi*lam) to a truncated spectrum.
 
@@ -216,22 +242,16 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
             raise ValueError("sample grid is not uniform")
         if abs(x[0]) > 1e-12 or abs((x[-1] + dx[0]) - params.period()) > 1e-9 * params.period():
             raise ValueError("sample grid does not tile [0, 2*pi*lam)")
-    fhat = np.fft.fft(f)
-    scale = TWO_PI_SQRT * params.lam / nx
-    amps = np.zeros(2 * m + 1, dtype=complex)
-    amps[m + 1:] = scale * fhat[1:m + 1]
-    amps[:m] = scale * fhat[nx - m:]
-    mean = fhat[0] / nx
+    amps, zero, tail = grid_to_lattice(f, params)
+    mean = zero / (TWO_PI_SQRT * params.lam)
     if np.isrealobj(f):
         mean = mean.real
-    half = nx // 2
-    if half > m:
-        tail = np.abs(fhat[m + 1:nx - m]) * scale
-        total = max(np.abs(amps).max(), abs(mean), 1e-300)
-        if tail.size and tail.max() > 1e-10 * total:
+    if tail.size:
+        top = np.abs(tail).max()
+        if top > 1e-10 * max(np.abs(amps).max(), abs(mean), 1e-300):
             warnings.warn(
                 f"input carries energy above kmax={params.kmax} (max aliased amp "
-                f"{tail.max():.3g}); spectrum is truncated",
+                f"{top:.3g}); spectrum is truncated",
                 stacklevel=2,
             )
     spec = SpatialSpectrum(params, amps)
@@ -253,10 +273,7 @@ def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) ->
         nx = p.default_grid()
     if nx < 2 * m + 1:
         raise ValueError(f"nx={nx} cannot carry modes up to kmax; need >= {2 * m + 1}")
-    fhat = np.zeros(nx, dtype=complex)
-    fhat[1:m + 1] = spec.amps[m + 1:]
-    fhat[nx - m:] = spec.amps[:m]
-    f = np.fft.ifft(fhat) * (nx / (TWO_PI_SQRT * p.lam)) + mean
+    f = lattice_to_grid(spec.amps, p, nx) + mean
     if spec.is_hermitian() and np.isrealobj(np.asarray(mean)):
         return f.real
     return f
@@ -287,14 +304,6 @@ def hs_norm(spec: SpatialSpectrum, s: float) -> float:
     k = spec.k_values()
     w = bracket(k) ** (2.0 * s)
     return math.sqrt(float(np.sum(w * np.abs(spec.amps) ** 2)) / spec.params.lam)
-
-
-def norm_value(spec, ns: NormSpec) -> float:
-    """Evaluate a NormSpec against a spatial spectrum (Hs only; the
-    space-time kinds live in dcl.bourgain and dispatch from there)."""
-    if ns.kind != "Hs":
-        raise ValueError(f"{ns.kind} acts on space-time spectra, not spatial ones")
-    return hs_norm(spec, ns.s)
 
 
 # -- serialization ------------------------------------------------------------

@@ -31,7 +31,7 @@ class ScalingTransform:
 
 def rescale_params(params: ModelParams, mu: float) -> ModelParams:
     return ModelParams(j=params.j, lam=params.lam * mu, epsilon=params.epsilon,
-                       kmax=params.kmax / mu, dealias=params.dealias)
+                       kmax=params.kmax / mu)
 
 
 def rescale_field(u0: SpatialSpectrum, mu: float) -> SpatialSpectrum:

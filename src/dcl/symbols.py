@@ -16,7 +16,6 @@ side: u_t + d_x^(2j+1) u + F(u, u) = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,9 +25,8 @@ from .lattice import (
     TWO_PI_SQRT,
     ModelParams,
     SpatialSpectrum,
-    convolve,
-    forward_transform,
-    inverse_transform,
+    grid_to_lattice,
+    lattice_to_grid,
 )
 
 
@@ -63,10 +61,6 @@ class MultiplierSet:
         return dispersion_symbol(self.k, self.params.j)
 
     @cached_property
-    def derivative(self) -> np.ndarray:
-        return 1j * self.k
-
-    @cached_property
     def nonlocal_smoothing(self) -> np.ndarray:
         out = nonlocal_multiplier(self.k)
         out[self.params.nmax] = 0.0  # k=0 excluded
@@ -95,61 +89,99 @@ def derivative(spec: SpatialSpectrum, order: int = 1) -> SpatialSpectrum:
     return spec.with_amps(mult * spec.amps)
 
 
+def nonlinearity_multipliers(k, mu: float = 1.0, kdv: bool = False):
+    """F's symbol: F(u,v)^ = m_uv (u v)^ + m_dd (u_x v_x)^; returns (m_uv, m_dd).
+
+    m_uv = ik/2 + ik/(1 + mu^2 k^2) and m_dd = (mu^2/2) ik/(1 + mu^2 k^2);
+    kdv=True keeps only the local term, m_uv = ik/2, and m_dd is None.
+    """
+    k = np.asarray(k, dtype=float)
+    ik = 1j * k
+    if kdv:
+        return 0.5 * ik, None
+    smooth = ik / (1.0 + (mu * k) ** 2)
+    return 0.5 * ik + smooth, 0.5 * mu * mu * smooth
+
+
+def mean_coupling(k, mu: float = 1.0, kdv: bool = False):
+    """Symbol of u -> 2 F(c, u) / c for a constant c, how the mean drives the rest."""
+    return 2.0 * nonlinearity_multipliers(k, mu, kdv)[0]
+
+
+def padded_product(a, b, params: ModelParams):
+    """(amps, zero, tail) of the pointwise product of fields with amplitudes a and b.
+
+    a, b are (..., 2*nmax+1) blocks, one field per row, returned as
+    lattice.grid_to_lattice does; b = a saves a transform.  The pad=2 grid
+    resolves |k| <= 2*kmax, so the quadratic product is alias-free.
+    """
+    nx = params.default_grid(pad=2)
+    fa = lattice_to_grid(a, params, nx)
+    fb = fa if b is a else lattice_to_grid(b, params, nx)
+    return grid_to_lattice(fa * fb, params)
+
+
+def _convolved_product(a, b, params: ModelParams):
+    """padded_product of single fields via the lattice convolution (the reference route)."""
+    m = params.nmax
+    full = np.convolve(a, b) / (TWO_PI_SQRT * params.lam)  # n = -2m .. 2m
+    amps = full[m:3 * m + 1].copy()
+    amps[m] = 0.0
+    return amps, full[2 * m], np.concatenate([full[:m], full[3 * m + 1:]])
+
+
+def _dropped_mass(tail, lam: float):
+    return np.sqrt(np.sum(np.abs(tail) ** 2, axis=-1) / lam)
+
+
+def nonlinearity_block(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False,
+                       product=padded_product):
+    """(F(a, b), tails) for (..., 2*nmax+1) blocks; tails are the products' dropped tails.
+
+    b = a costs 4 FFTs.  Only nonlinearity_F's reference route changes product.
+    """
+    k = params.k_values()
+    m_uv, m_dd = nonlinearity_multipliers(k, mu, kdv)
+    prod, _, tail = product(a, b, params)
+    if m_dd is None:
+        return m_uv * prod, (tail,)
+    da = 1j * k * a
+    dprod, _, dtail = product(da, da if b is a else 1j * k * b, params)
+    return m_uv * prod + m_dd * dprod, (tail, dtail)
+
+
 def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum,
-                     dealias: bool | None = None) -> SpatialSpectrum:
+                     dealias: bool = True) -> SpatialSpectrum:
     """Spectrum of the pointwise product u1*u2, truncated at kmax.
 
-    dealias=True (default from params) runs the 2/3-rule route: zero-pad to
-    a grid that represents the quadratic product exactly, multiply in
-    physical space, transform back.  dealias=False evaluates the normalized
-    lattice convolution instead (times the 1/sqrt(2*pi) the symmetric
-    transform convention puts in front of a product).  Both are exact for
-    band-limited inputs and are cross-checked in the tests.
+    dealias=False takes the lattice convolution route, the tests' reference.
+    Content beyond kmax is recorded as truncation_loss, the k=0 value as zero_mode.
     """
+    u1._check_compatible(u2)
     p = u1.params
-    if dealias is None:
-        dealias = p.dealias
-    if not dealias:
-        out = convolve(u1, u2)
-        return out.with_amps(out.amps / TWO_PI_SQRT,
-                             truncation_loss=out.truncation_loss / TWO_PI_SQRT,
-                             zero_mode=out.zero_mode / TWO_PI_SQRT)
-    m = p.nmax
-    nx = p.default_grid(pad=2)  # resolves |k| <= 2*kmax: alias-free quadratic products
-    f1 = inverse_transform(u1, nx)
-    f2 = f1 if u2 is u1 else inverse_transform(u2, nx)
-    fhat = np.fft.fft(f1 * f2) * (TWO_PI_SQRT * p.lam / nx)
-    amps = np.zeros(2 * m + 1, dtype=complex)
-    amps[m + 1:] = fhat[1:m + 1]
-    amps[:m] = fhat[nx - m:]
-    tail = fhat[m + 1:nx - m]  # dropped: beyond kmax (by design for quadratics)
-    loss = math.sqrt(float(np.sum(np.abs(tail) ** 2)) / p.lam)
-    return SpatialSpectrum(p, amps, truncation_loss=loss, zero_mode=complex(fhat[0]))
+    product = padded_product if dealias else _convolved_product
+    amps, zero, tail = product(u1.amps, u2.amps, p)
+    return SpatialSpectrum(p, amps, truncation_loss=float(_dropped_mass(tail, p.lam)),
+                           zero_mode=complex(zero))
 
 
 def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
-                   kdv: bool = False, dealias: bool | None = None) -> SpatialSpectrum:
+                   kdv: bool = False, dealias: bool = True) -> SpatialSpectrum:
     """The symmetric bilinear nonlinearity; F(u,u) is the model's full nonlinear term.
 
     kdv=True keeps only 1/2 d_x(u1 u2), the local-dispersion comparison mode.
     Every term carries a d_x, so the output is mean-zero by construction and
-    real input yields real output.
+    real input yields real output.  dealias is as in product_spectrum.
     """
-    p = u1.params
     u1._check_compatible(u2)
-    mults = MultiplierSet(p)
-    prod = product_spectrum(u1, u2, dealias=dealias)
-    amps = 0.5 * mults.derivative * prod.amps
-    loss = prod.truncation_loss
-    if not kdv:
-        dprod = product_spectrum(derivative(u1), derivative(u2), dealias=dealias)
-        smooth = mults.derivative * mults.helmholtz(mu)
-        amps = amps + smooth * (prod.amps + 0.5 * mu * mu * dprod.amps)
-        loss = max(loss, dprod.truncation_loss)
+    p = u1.params
+    amps, tails = nonlinearity_block(u1.amps, u2.amps, p, mu=mu, kdv=kdv,
+                                     product=padded_product if dealias else _convolved_product)
+    loss = max(float(_dropped_mass(t, p.lam)) for t in tails)
     return SpatialSpectrum(p, amps, truncation_loss=loss)
 
 
-def local_form_rhs(u: SpatialSpectrum, dealias: bool | None = None) -> SpatialSpectrum:
+def local_form_rhs(u: SpatialSpectrum) -> SpatialSpectrum:
     """Time derivative of m = u - u_xx from the equivalent local form.
 
     Applying (1 - d_x^2) to the model turns it into
@@ -158,12 +190,11 @@ def local_form_rhs(u: SpatialSpectrum, dealias: bool | None = None) -> SpatialSp
     independent cross-check of nonlinearity_F.
     """
     p = u.params
-    mults = MultiplierSet(p)
-    k = mults.k
+    k = p.k_values()
     m_spec = u.with_amps((1.0 + k * k) * u.amps)
     mx_spec = derivative(m_spec)
     ux_spec = derivative(u)
-    adv = product_spectrum(u, mx_spec, dealias=dealias)
-    stretch = product_spectrum(ux_spec, m_spec, dealias=dealias)
+    adv = product_spectrum(u, mx_spec)
+    stretch = product_spectrum(ux_spec, m_spec)
     lin = dispersion_symbol(k, p.j) * 1j * m_spec.amps  # d_x^(2j+1) m has symbol -i P(k)
     return SpatialSpectrum(p, lin - adv.amps - 2.0 * stretch.amps)

@@ -27,6 +27,11 @@ class TestSimulate:
         spec = json.loads((tmp_path / "out" / "final_spectrum.json").read_text())
         assert set(spec) == {"lambda", "j", "modes"}
 
+    def test_T_not_a_multiple_of_dt_exit_one(self, tmp_path):
+        assert run(tmp_path, "simulate", "--T", "0.105", "--dt", "0.01", "--kmax", "8") == 1
+        assert run(tmp_path, "rescale-check", "--T", "0.105", "--dt", "0.01",
+                   "--kmax", "8") == 1
+
     def test_kdv_flag_switches_mode(self, tmp_path):
         assert run(tmp_path, "simulate", "--kdv", "--T", "0.02", "--dt", "0.01",
                    "--kmax", "8") == 0

@@ -10,7 +10,6 @@ from dcl.evolve import (
     PicardConfig,
     SolverState,
     Trajectory,
-    _batch_nonlinearity,
     bump_eta,
     energy,
     pde_residual,
@@ -19,7 +18,7 @@ from dcl.evolve import (
     step,
 )
 from dcl.lattice import ModelParams, SpatialSpectrum, forward_transform, hs_norm, inverse_transform, x_grid
-from dcl.symbols import dispersion_symbol, free_evolution, nonlinearity_F
+from dcl.symbols import dispersion_symbol, free_evolution, nonlinearity_block, nonlinearity_F
 
 from conftest import hermitian_spectrum
 
@@ -109,6 +108,14 @@ class TestSimulate:
         assert traj.blown_up
         assert len(traj.states) >= 1
 
+    def test_T_not_a_multiple_of_dt_rejected(self, params16):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate(hermitian_spectrum(params16, seed=4), T=0.105, dt=0.01)
+
+    def test_float_noisy_multiple_runs(self, params16):
+        traj = simulate(hermitian_spectrum(params16, seed=4), T=0.2, dt=1e-3, stride=200)
+        assert traj.states[-1].t == pytest.approx(0.2, abs=1e-15)
+
     def test_diagnostics_csv_header(self, params16):
         traj = simulate(hermitian_spectrum(params16, seed=4), T=0.01, dt=0.005)
         assert traj.diagnostics_csv().splitlines()[0] == "t,energy,mean,l2,hs,max_mode"
@@ -174,6 +181,17 @@ class TestResidual:
             traj = simulate(u0, T=0.4, dt=dt, stride=1)
             res.append(pde_residual(traj)["max_residual"])
         assert res[0] > res[1] > res[2]
+
+    def test_mean_coupling_in_residual(self):
+        # with the mean coupling the residual sits at the differencing error
+        # (~1e-9); dropping it leaves a residual of the coupling's size (~1e-2)
+        p = ModelParams(j=2, kmax=8.0)
+        u0 = cosine_data(p, amp=0.05)
+        traj = simulate(u0, T=0.08, dt=1e-3, mean=0.25, stride=2)
+        assert pde_residual(traj)["max_residual"] <= 1e-7
+        uncoupled = Trajectory(p, traj.dt, traj.mode, states=[
+            SolverState(s.t, s.spec, 0.0) for s in traj.states])
+        assert pde_residual(uncoupled)["max_residual"] > 1e-3
 
     def test_too_coarse_refused(self, params16):
         traj = simulate(hermitian_spectrum(params16, seed=7), T=0.02, dt=0.01)
@@ -242,7 +260,7 @@ class TestPicard:
         blk = 0.1 * (rng.standard_normal((3, 2 * params16.nmax + 1))
                      + 1j * rng.standard_normal((3, 2 * params16.nmax + 1)))
         blk[:, params16.nmax] = 0.0
-        out = _batch_nonlinearity(blk, params16, mu=1.5)
+        out = nonlinearity_block(blk, blk, params16, mu=1.5)[0]
         for i in range(3):
             u = SpatialSpectrum(params16, blk[i])
             ref = nonlinearity_F(u, u, mu=1.5).amps

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcl.lattice import ModelParams, SpatialSpectrum, forward_transform, hs_norm, inverse_transform, x_grid
 from dcl.symbols import (
@@ -12,6 +14,8 @@ from dcl.symbols import (
     dispersion_symbol,
     free_evolution,
     local_form_rhs,
+    mean_coupling,
+    nonlinearity_block,
     nonlinearity_F,
     nonlocal_multiplier,
     product_spectrum,
@@ -121,6 +125,48 @@ class TestNonlinearity:
         fast = nonlinearity_F(a, b, dealias=True)
         slow = nonlinearity_F(a, b, dealias=False)
         assert np.abs(fast.amps - slow.amps).max() < 1e-12
+
+
+class TestNonlinearityKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(j=st.sampled_from([1, 2, 3]), lam=st.sampled_from([1.0, 2.0, 3.0]),
+           mu=st.sampled_from([1.0, 1.5, 2.0]), kdv=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_block_matches_convolution_symmetric_real(self, j, lam, mu, kdv, seed):
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        a = [hermitian_spectrum(p, seed=seed + i, decay=0.3 / lam) for i in range(3)]
+        b = [hermitian_spectrum(p, seed=seed + 3 + i, decay=0.3 / lam) for i in range(3)]
+        blk_a = np.stack([u.amps for u in a])
+        blk_b = np.stack([u.amps for u in b])
+        ab = nonlinearity_block(blk_a, blk_b, p, mu=mu, kdv=kdv)[0]
+        ba = nonlinearity_block(blk_b, blk_a, p, mu=mu, kdv=kdv)[0]
+        aa = nonlinearity_block(blk_a, blk_a, p, mu=mu, kdv=kdv)[0]
+        assert np.abs(ab - ba).max() < 1e-15
+        k = p.k_values()
+        ik = 1j * k
+        for i in range(3):
+            # F spelled out on the convolution route: 1/2 d_x(uv) + d_x (1 - mu^2 d_x^2)^(-1)
+            # [uv + mu^2/2 u_x v_x]
+            uv = product_spectrum(a[i], b[i], dealias=False).amps
+            ref = 0.5 * ik * uv
+            if not kdv:
+                dd = product_spectrum(derivative(a[i]), derivative(b[i]), dealias=False).amps
+                ref = ref + ik / (1.0 + (mu * k) ** 2) * (uv + 0.5 * mu * mu * dd)
+            assert np.abs(ab[i] - ref).max() < 1e-12
+            for out in (ab[i], aa[i]):
+                spec = SpatialSpectrum(p, out)
+                assert out[p.nmax] == 0.0
+                assert spec.is_hermitian(tol=1e-12)
+
+
+class TestMeanCoupling:
+    def test_matches_F_with_a_constant(self, params16):
+        # a constant c has no derivative, so 2 F(c, u) = c [d_x u + 2 d_x (1 - mu^2 d_x^2)^(-1) u]
+        k = params16.k_values()
+        for mu in (1.0, 2.0):
+            want = 1j * k * (1.0 + 2.0 / (1.0 + (mu * k) ** 2))
+            assert np.abs(mean_coupling(k, mu) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(mean_coupling(k, kdv=True) - 1j * k).max() <= 1e-14 * k.max()
 
 
 class TestPhysicalProductOracle:
