@@ -13,7 +13,9 @@ flow.  With c_j = (2j+1) 4^(-j) / 3, the lattice splits into
 Boundary ties: the inequalities are closed/open exactly as written; where
 that leaves an overlap (|k| = 1, and sigma = c_j|k|^(2j) = c_j|k|^(2j+1)
 when |k| = 1), the large-k family D1/D2/D3 wins and D1 takes precedence
-over D3.  The composite norm is
+over D3.  These rules live only in region_codes, the one classifier;
+region_memberships keeps the raw inequalities as its oracle.  The composite
+norm, with its exponent pairs in zs_weights, is
 
     Z^s = X_{s,(2j-1)/(2j)} on D1+D5  +  X_{(1-2j)(s-1),s} on D2
         + X_{-(s-1)/j-1,(s-1)/j+1} on D3+D4  +  Y^s (unrestricted),
@@ -64,8 +66,9 @@ def sigma(k, tau, params: ModelParams):
 def region_memberships(k: float, tau: float, params: ModelParams) -> dict:
     """Raw membership of (k, tau) in each region, inequalities exactly as defined.
 
-    Boundary points can belong to several regions here; classify_region
-    applies the documented tie resolution.  Used by the partition tests.
+    Boundary points can belong to several regions here; region_codes
+    applies the documented tie resolution.  The independent oracle of the
+    partition tests and of the region-partition report.
     """
     j = params.j
     c = region_coefficient(j)
@@ -82,48 +85,41 @@ def region_memberships(k: float, tau: float, params: ModelParams) -> dict:
     }
 
 
+def region_thresholds(ak, j: int):
+    """The modulation thresholds (c_j |k|^(2j), c_j |k|^(2j+1)) at |k| = ak.
+
+    Arrays use np.float_power, which calls libm pow as float ** does; numpy's
+    SIMD ** can be an ulp off it, and array and scalar calls would disagree.
+    """
+    c = region_coefficient(j)
+    power = np.float_power if isinstance(ak, np.ndarray) else pow
+    return c * power(ak, 2 * j), c * power(ak, 2 * j + 1)
+
+
+def region_codes(k, abs_sigma, params: ModelParams):
+    """Region code of (k, |sigma|): 0 excluded, 1..5 for D1..D5; floats or broadcast arrays.
+
+    Tie rules: k = 0 is excluded, |k| within 1e-12 of 1/lam or kmax is
+    inside, and at |k| = 1 the large-k family wins with D1 before D3.
+    """
+    ak = abs(k)
+    lo, hi = region_thresholds(ak, params.j)
+    inside = (ak != 0.0) & (ak >= 1.0 / params.lam - 1e-12) & (ak <= params.kmax + 1e-12)
+    above_lo = abs_sigma > lo
+    large = (ak >= 1.0) * (1 + above_lo + (above_lo & (abs_sigma >= hi)))
+    small = (ak < 1.0) * (5 - (abs_sigma > hi))
+    return inside * (large + small)
+
+
+REGION_LABELS = (RegionLabel.EXCLUDED, RegionLabel.D1, RegionLabel.D2, RegionLabel.D3,
+                 RegionLabel.D4, RegionLabel.D5)  # indexed by region code
+
+
 def classify_region(k: float, tau: float, params: ModelParams) -> RegionLabel:
     """Assign the unique region of a lattice point; Excluded iff |k| outside [1/lam, kmax]."""
-    ak = abs(k)
-    if ak == 0.0 or ak < 1.0 / params.lam - 1e-12 or ak > params.kmax + 1e-12:
-        return RegionLabel.EXCLUDED
-    j = params.j
-    c = region_coefficient(j)
-    s = abs(sigma(k, tau, params))
-    if ak >= 1.0:
-        if s <= c * ak ** (2 * j):
-            return RegionLabel.D1
-        if s < c * ak ** (2 * j + 1):
-            return RegionLabel.D2
-        return RegionLabel.D3
-    if s <= c * ak ** (2 * j + 1):
-        return RegionLabel.D5
-    return RegionLabel.D4
-
-
-_D1, _D2, _D3, _D4, _D5 = 1, 2, 3, 4, 5
-
-
-def _classify_sigma_array(k: float, abs_sigma: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Vectorized classifier for a fixed k and an array of |sigma| values."""
-    ak = abs(k)
-    out = np.zeros(abs_sigma.shape, dtype=np.int8)
-    if ak == 0.0 or ak < 1.0 / params.lam - 1e-12 or ak > params.kmax + 1e-12:
-        return out
-    j = params.j
-    c = region_coefficient(j)
-    hi = c * ak ** (2 * j + 1)
-    if ak >= 1.0:
-        lo = c * ak ** (2 * j)
-        out[abs_sigma <= lo] = _D1
-        band = (abs_sigma > lo) & (abs_sigma < hi)
-        out[band] = _D2
-        out[abs_sigma >= hi] = _D3
-        out[abs_sigma <= lo] = _D1  # D1 precedence over D3 at |k| = 1
-    else:
-        out[abs_sigma <= hi] = _D5
-        out[abs_sigma > hi] = _D4
-    return out
+    # plain floats: region_codes on numpy scalars is several times slower
+    abs_sigma = float(abs(sigma(k, tau, params)))
+    return REGION_LABELS[region_codes(float(abs(k)), abs_sigma, params)]
 
 
 # -- space-time spectra ---------------------------------------------------------
@@ -217,9 +213,6 @@ class SpaceTimeSpectrum:
             return self.tau0 + self.dtau * (float(r0) + idx.astype(float))
         pk = dispersion_symbol(n / p.lam, p.j)
         return self.tau0 + (np.asarray(m0 + idx, dtype=float)) * self.dtau - pk
-
-    def tau_of(self, n: int, m0: int, length: int) -> np.ndarray:
-        return self.sigma_of(n, m0, length) + dispersion_symbol(n / self.params.lam, self.params.j)
 
     def cells(self):
         """Yield (n, m0, amps, sigma) per segment."""
@@ -365,19 +358,12 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
 
 # -- the five norms --------------------------------------------------------------
 
-def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float, region_codes=None) -> float:
-    """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}, optionally region-restricted."""
+def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
+    """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}."""
     total = 0.0
     for n, m0, arr, sig in u.cells():
-        w = np.abs(arr) ** 2
-        if region_codes is not None:
-            mask = np.isin(_classify_sigma_array(u.k_of(n), np.abs(sig), u.params),
-                           region_codes)
-            if not mask.any():
-                continue
-            w = w * mask
         kb = bracket(u.k_of(n)) ** (2.0 * s)
-        total += kb * float(np.sum(bracket(sig) ** (2.0 * b) * w))
+        total += kb * float(np.sum(bracket(sig) ** (2.0 * b) * np.abs(arr) ** 2))
     return math.sqrt(total * u.dtau / u.params.lam)
 
 
@@ -390,15 +376,34 @@ def ys_norm(u: SpaceTimeSpectrum, s: float) -> float:
     return math.sqrt(total / u.params.lam)
 
 
+def zs_weights(s: float, j: int):
+    """The Z^s exponent pairs (s', b') of X_{s',b'} on D1+D5, D2 and D3+D4, in that order."""
+    return ((s, (2 * j - 1) / (2 * j)),
+            ((1 - 2 * j) * (s - 1), s),
+            (-(s - 1) / j - 1, (s - 1) / j + 1))
+
+
+# region code -> index into zs_weights; excluded cells (code 0) collect in slot 3
+_ZS_TERM = np.array([3, 0, 1, 2, 2, 0])
+
+
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
-    """The four-term composite norm; the region decomposition needs j >= 2."""
+    """The four-term composite norm; the region decomposition needs j >= 2.
+
+    One pass: each cell is classified once and weighted by its region's term.
+    """
     j = u.params.j
     if j < 2:
         raise ValueError("the Z^s decomposition is specific to j >= 2")
-    t1 = xsb_norm(u, s, (2 * j - 1) / (2 * j), region_codes=(_D1, _D5))
-    t2 = xsb_norm(u, (1 - 2 * j) * (s - 1), s, region_codes=(_D2,))
-    t3 = xsb_norm(u, -(s - 1) / j - 1, (s - 1) / j + 1, region_codes=(_D3, _D4))
-    return t1 + t2 + t3 + ys_norm(u, s)
+    sk, sb = 2.0 * np.array([*zs_weights(s, j), (0.0, 0.0)]).T
+    totals = np.zeros(4)
+    for n, m0, arr, sig in u.cells():
+        k = u.k_of(n)
+        term = _ZS_TERM[region_codes(k, np.abs(sig), u.params)]
+        kb = bracket(k) ** sk
+        cell = kb[term] * bracket(sig) ** sb[term] * np.abs(arr) ** 2
+        totals += np.bincount(term, weights=cell, minlength=4)
+    return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + ys_norm(u, s)
 
 
 def ws_norm(u: SpaceTimeSpectrum, s: float) -> float:
@@ -500,22 +505,17 @@ def batch_bilinear_probe(params: ModelParams, s: float, form: str, count: int,
     """Seeded batch of random unit-Z^s pairs; reports max/median ratios."""
     if count < 1:
         raise ValueError("need at least one probe pair")
+    if workers != 1:
+        raise ValueError("workers must be 1: probe pairs run one after another")
     rng = np.random.default_rng(seed)
     pair_seeds = [int(x) for x in rng.integers(0, 2**63 - 1, size=count)]
 
-    def one(ps):
+    ratios = []
+    for ps in pair_seeds:
         r = np.random.default_rng(ps)
         u = random_spectrum(params, r, dtau=dtau)
         v = random_spectrum(params, r, dtau=dtau)
-        return bilinear_probe(u, v, s, form)["ratio"]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            ratios = list(ex.map(one, pair_seeds))
-    else:
-        ratios = [one(ps) for ps in pair_seeds]
+        ratios.append(bilinear_probe(u, v, s, form)["ratio"])
     return {
         "lemma": form,
         "params": {"j": params.j, "lambda": params.lam, "kmax": params.kmax,
@@ -545,26 +545,26 @@ def _embedding_scans(s: float, j: int):
     composite-norm weight; "upper" compares the region's weight against
     X_{s,(2j-1)/(2j)}; "half" is the X_{s,1/2}-on-D1+D2 variant.
     """
-    b_hi = (2 * j - 1) / (2 * j)
-    b_lo = 1.0 / (2 * j)
-    d2 = ((1 - 2 * j) * (s - 1), s)
-    d3 = (-(s - 1) / j - 1, (s - 1) / j + 1)
+    d1, d2, d3 = zs_weights(s, j)
+    uniform, half = (s, 1.0 / (2 * j)), (s, 0.5)
+
+    def quotient(num, den):
+        return (num[0] - den[0], num[1] - den[1])
+
     return {
-        ("D1D5", "lower"): (0.0, b_lo - b_hi),
-        ("D2", "lower"): (s - d2[0], b_lo - d2[1]),
-        ("D3D4", "lower"): (s - d3[0], b_lo - d3[1]),
-        ("D1D5", "upper"): (0.0, 0.0),
-        ("D2", "upper"): (d2[0] - s, d2[1] - b_hi),
-        ("D3D4", "upper"): (d3[0] - s, d3[1] - b_hi),
-        ("D1", "half"): (0.0, 0.5 - b_hi),
-        ("D2", "half"): (s - d2[0], 0.5 - d2[1]),
+        ("D1D5", "lower"): quotient(uniform, d1),
+        ("D2", "lower"): quotient(uniform, d2),
+        ("D3D4", "lower"): quotient(uniform, d3),
+        ("D1D5", "upper"): quotient(d1, d1),
+        ("D2", "upper"): quotient(d2, d1),
+        ("D3D4", "upper"): quotient(d3, d1),
+        ("D1", "half"): quotient(half, d1),
+        ("D2", "half"): quotient(half, d2),
     }
 
 
 def _region_sigma_ranges(k: float, j: int, sigma_cap: float):
-    c = region_coefficient(j)
-    a = c * abs(k) ** (2 * j)
-    b = c * abs(k) ** (2 * j + 1)
+    a, b = region_thresholds(abs(k), j)
     if abs(k) >= 1.0:
         return {"D1": (0.0, a), "D2": (a, b), "D3": (b, max(sigma_cap, 2 * b))}
     return {"D5": (0.0, b), "D4": (b, max(sigma_cap, 2 * b))}
@@ -577,8 +577,7 @@ def _scan_max(alpha: float, beta: float, group: str, params: ModelParams,
               kbound: float, n_sigma: int = 48):
     """Max of <k>^alpha <sigma>^beta over the group's cells with |k| <= kbound."""
     j = params.j
-    c = region_coefficient(j)
-    sigma_cap = 4.0 * c * kbound ** (2 * j + 1)
+    sigma_cap = 4.0 * region_thresholds(kbound, j)[1]
     best, arg = -math.inf, None
     nb = int(round(kbound * params.lam))
     for n in range(1, nb + 1):
@@ -668,8 +667,7 @@ def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) ->
     """Raw per-cell dump of the lower-chain weight ratios: k, sigma, region, ratio."""
     scans = _embedding_scans(s, params.j)
     rows = ["k,sigma,region,ratio"]
-    c = region_coefficient(params.j)
-    cap = 4.0 * c * kbound ** (2 * params.j + 1)
+    cap = 4.0 * region_thresholds(kbound, params.j)[1]
     nb = int(round(kbound * params.lam))
     for n in range(1, nb + 1):
         k = n / params.lam

@@ -5,7 +5,7 @@ Flags mirror the config keys; --config FILE merges a JSON document with the
 flags (flags win).  Every command is deterministic given (config, seed) and
 embeds the resolved config in its report.  Exit codes: 0 success/PASS,
 1 usage or validation error, 2 numerical failure or a FAIL verdict where
-the run asserted one.  DCL_THREADS caps worker threads for batch probes.
+the run asserted one.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -33,7 +32,6 @@ DEFAULTS = {
     "j": 2,
     "lambda": 1.0,
     "s": -0.25,
-    "b": 0.5,
     "epsilon": None,
     "kmax": None,
     "dt": 1e-3,
@@ -58,7 +56,7 @@ DEFAULTS = {
 }
 
 _TYPES = {
-    "j": int, "lambda": (int, float), "s": (int, float), "b": (int, float),
+    "j": int, "lambda": (int, float), "s": (int, float),
     "epsilon": (int, float, type(None)), "kmax": (int, float, type(None)),
     "dt": (int, float), "T": (int, float),
     "tau_step": (int, float), "N_list": list, "seed": (int, type(None)),
@@ -191,26 +189,27 @@ def cmd_verify(cfg: dict, target: str) -> int:
 
 def _region_partition_report(params: ModelParams, kbound: float = 64.0,
                              sigma_bound: float = 1e4, n_sigma: int = 65) -> dict:
-    from .bourgain import RegionLabel, classify_region, region_memberships
+    """Classify a (k, sigma) grid in one call and check each label against the oracle."""
+    from .bourgain import REGION_LABELS, region_codes, region_memberships
     from .symbols import dispersion_symbol
 
     kbound = min(kbound, params.kmax)
-    points = 0
-    bad = 0
     sigmas = np.concatenate([
         np.linspace(-sigma_bound, sigma_bound, n_sigma),
         np.geomspace(1e-3, sigma_bound, 16),
     ])
-    for n in range(1, int(round(kbound * params.lam)) + 1):
-        for k in (n / params.lam, -n / params.lam):
-            pk = dispersion_symbol(k, params.j)
-            for sig in sigmas:
-                label = classify_region(k, pk + sig, params)
-                members = region_memberships(k, pk + sig, params)
-                points += 1
-                if label is RegionLabel.EXCLUDED or not members[label]:
-                    bad += 1
-    return {"points": points, "mislabels": bad, "pass": bad == 0,
+    ks = [sign * n / params.lam
+          for n in range(1, int(round(kbound * params.lam)) + 1) for sign in (1, -1)]
+    # P(k) computed as the oracle computes it, so both see the same sigma
+    pk = np.array([dispersion_symbol(k, params.j) for k in ks])[:, None]
+    taus = pk + sigmas
+    codes = region_codes(np.array(ks)[:, None], np.abs(taus - pk), params)
+    bad = 0
+    for k, row_tau, row_code in zip(ks, taus.tolist(), codes.tolist()):
+        for tau, code in zip(row_tau, row_code):
+            if code == 0 or not region_memberships(k, tau, params)[REGION_LABELS[code]]:
+                bad += 1
+    return {"points": codes.size, "mislabels": bad, "pass": bad == 0,
             "kbound": kbound, "sigma_bound": sigma_bound}
 
 
@@ -246,10 +245,9 @@ def cmd_probe(cfg: dict) -> int:
     if cfg["form"] not in bourgain.BILINEAR_FORMS:
         raise UsageError(f"form must be one of {bourgain.BILINEAR_FORMS}")
     params = model_params(cfg)
-    workers = max(1, int(os.environ.get("DCL_THREADS", "1")))
     report = bourgain.batch_bilinear_probe(
         params, float(cfg["s"]), cfg["form"], cfg["pairs"], cfg["seed"],
-        dtau=float(cfg["tau_step"]), workers=workers)
+        dtau=float(cfg["tau_step"]))
     report["config"] = _resolved(cfg)
     _write(Path(cfg["output_dir"]), "probe.json", _dump(report))
     print(f"probe[{cfg['form']}]: max ratio {report['max_ratio']:.4f}, "
@@ -333,7 +331,6 @@ def _add_common(p: _Parser):
     p.add_argument("--j", type=int, dest="j")
     p.add_argument("--lambda", type=float, dest="lambda")
     p.add_argument("--s", type=float, dest="s")
-    p.add_argument("--b", type=float, dest="b")
     p.add_argument("--epsilon", type=float, dest="epsilon")
     p.add_argument("--kmax", type=float, dest="kmax")
     p.add_argument("--dt", type=float, dest="dt")

@@ -76,9 +76,10 @@ class IntegratingFactorRK4:
     """Classical 4th-order step on v = S(-t)u; exact on the linear flow.
 
     mode selects the nonlinearity: "full" (both terms), "kdv" (local term
-    only), "linear" (none).  A nonzero conserved mean c couples to the
-    mean-zero part through the exact linear term 2*F(c, .) (mean_coupling),
-    so nonzero-mean data evolve correctly while c itself never changes.
+    only), "linear" (none, hence no mean coupling).  A nonzero conserved mean
+    c couples to the mean-zero part through the exact linear term 2*F(c, .)
+    (mean_coupling), so nonzero-mean data evolve correctly while c itself
+    never changes.
     """
 
     def __init__(self, params: ModelParams, dt: float, mode: str = "full",
@@ -101,10 +102,9 @@ class IntegratingFactorRK4:
 
     def _rhs(self, u_amps: np.ndarray, mean: float) -> np.ndarray:
         if self.mode == "linear":
-            nl = np.zeros_like(u_amps)
-        else:
-            nl = nonlinearity_block(u_amps, u_amps, self.params, mu=self.mu,
-                                    kdv=self.mode == "kdv")[0]
+            return np.zeros_like(u_amps)
+        nl = nonlinearity_block(u_amps, u_amps, self.params, mu=self.mu,
+                                kdv=self.mode == "kdv")[0]
         if mean != 0.0:
             nl = nl + mean * self.mean_mult * u_amps
         return -nl
@@ -158,6 +158,8 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     """
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
+    if stride < 1:
+        raise ValueError(f"stride must be a positive number of steps, got {stride!r}")
     nsteps = int(round(T / dt))
     if abs(T / dt - nsteps) > 1e-9:
         raise ValueError(f"T={T!r} is not a whole number of steps dt={dt!r}")

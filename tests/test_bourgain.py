@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcl.bourgain import (
+    REGION_LABELS,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -19,6 +20,7 @@ from dcl.bourgain import (
     from_time_samples,
     norm,
     random_spectrum,
+    region_codes,
     region_coefficient,
     region_memberships,
     scan_csv,
@@ -121,6 +123,60 @@ class TestSigmaAndRegions:
             lab = classify_region(k, dispersion_symbol(k, 2), p)
             assert lab is RegionLabel.D5
 
+    @given(j=st.sampled_from([2, 3, 4]), lam=st.sampled_from([1.0, 2.0, 4.0]),
+           extra=st.lists(st.tuples(st.integers(-300, 300), st.floats(-1e7, 1e7)),
+                          max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_array_codes_match_scalar_classifier_and_oracle(self, j, lam, extra):
+        kmax = 64.0
+        p = ModelParams(j=j, lam=lam, kmax=kmax)
+        c = region_coefficient(j)
+        # |k| = 1/lam, 1, kmax, beyond kmax and 0, both signs, then random lattice points
+        special = [1 / lam, 1.0, kmax, kmax + 1 / lam, 0.0]
+        ks, taus = [], []
+        for k in special + [-k for k in special]:
+            pk = float(dispersion_symbol(k, j))
+            for thr in (c * abs(k) ** (2 * j), c * abs(k) ** (2 * j + 1)):
+                for tau in (pk + thr, pk - thr):
+                    # tau = P(k) +- threshold rounds; its float neighbours put
+                    # sigma on both sides of the threshold
+                    for t in (np.nextafter(tau, -np.inf), tau, np.nextafter(tau, np.inf)):
+                        ks.append(k)
+                        taus.append(float(t))
+        for n, sig in extra:
+            k = n / lam
+            ks.append(k)
+            taus.append(float(dispersion_symbol(k, j)) + sig)
+        abs_sigma = [abs(float(sigma(k, tau, p))) for k, tau in zip(ks, taus)]
+        codes = region_codes(np.array(ks), np.array(abs_sigma), p)
+        for k, tau, code in zip(ks, taus, codes.tolist()):
+            label = classify_region(k, tau, p)
+            assert REGION_LABELS[code] is label, (k, tau)
+            inside = 1 / lam - 1e-12 <= abs(k) <= kmax + 1e-12
+            if label is RegionLabel.EXCLUDED:
+                assert not inside or k == 0.0
+            else:
+                assert inside and region_memberships(k, tau, p)[label]
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0, 4.0])
+    def test_sigma_exactly_on_thresholds(self, j, lam):
+        # no tau rounds to sigma exactly on a threshold, so region_codes is fed
+        # |sigma| directly, at every lattice |k| <= kmax: the closed side wins
+        # (at |k| < 1 the lower threshold lies above the upper one, in D4), and
+        # the array call agrees with the per-point one
+        p = ModelParams(j=j, lam=lam, kmax=64.0)
+        c = region_coefficient(j)
+        ak = [n / lam for n in range(1, int(64 * lam) + 1)]
+        lo = [c * a ** (2 * j) for a in ak]
+        hi = [c * a ** (2 * j + 1) for a in ak]
+        want_lo = [4 if a < 1 else 1 for a in ak]
+        want_hi = [5 if a < 1 else 1 if a == 1 else 3 for a in ak]
+        for thr, want in ((lo, want_lo), (hi, want_hi)):
+            codes = region_codes(np.array(ak), np.array(thr), p).tolist()
+            assert codes == want
+            assert codes == [region_codes(a, s, p) for a, s in zip(ak, thr)]
+
 
 class TestSpaceTimeSpectrum:
     def test_single_cell_norms(self, params16):
@@ -185,6 +241,35 @@ class TestSpaceTimeSpectrum:
         s = -0.25
         want = xsb_norm(u, s, (2 * j - 1) / (2 * j)) + ys_norm(u, s)
         assert zs_norm(u, s) == pytest.approx(want, rel=1e-13)
+
+    def test_zs_matches_per_cell_sum_over_all_five_regions(self):
+        # lam = 2 puts k = 1/2 in D4/D5; the window +-8 reaches D1, D2 and D3 at k = 2
+        p = ModelParams(j=2, lam=2.0, kmax=4.0)
+        u = random_spectrum(p, np.random.default_rng(21), dtau=1 / 64, sigma_halfwidth=8.0)
+        s, j = -0.25, p.j
+        d1d5 = (s, (2 * j - 1) / (2 * j))
+        d2 = ((1 - 2 * j) * (s - 1), s)
+        d3d4 = (-(s - 1) / j - 1, (s - 1) / j + 1)
+        exponents = {RegionLabel.D1: d1d5, RegionLabel.D5: d1d5, RegionLabel.D2: d2,
+                     RegionLabel.D3: d3d4, RegionLabel.D4: d3d4}
+        sums = {d1d5: 0.0, d2: 0.0, d3d4: 0.0}
+        ys = 0.0
+        seen = set()
+        for n, segs in u.bands.items():
+            k = n / p.lam
+            l1 = 0.0
+            for m0, arr in segs:
+                sig = u.sigma_of(n, m0, len(arr))
+                for a, sv in zip(arr, sig):
+                    label = classify_region(k, sv + dispersion_symbol(k, j), p)
+                    seen.add(label)
+                    sp, bp = exponents[label]
+                    sums[exponents[label]] += (1 + k * k) ** sp * (1 + sv * sv) ** bp * abs(a) ** 2
+                    l1 += abs(a) * u.dtau
+            ys += (1 + k * k) ** s * l1 ** 2
+        assert seen == set(exponents)
+        want = sum(math.sqrt(v * u.dtau / p.lam) for v in sums.values()) + math.sqrt(ys / p.lam)
+        assert zs_norm(u, s) == pytest.approx(want, rel=1e-12)
 
     def test_zs_rejects_j1(self):
         p = ModelParams(j=1, kmax=8.0)
@@ -314,6 +399,10 @@ class TestBilinearProbe:
         again = batch_bilinear_probe(ModelParams(j=2, kmax=16.0), s, form, count=6, seed=seed)
         assert reps[16.0]["ratios"] == again["ratios"]
         assert reps[32.0]["max_ratio"] < 2.0 * reps[16.0]["max_ratio"]
+
+    def test_batch_runs_in_one_worker_only(self, params8):
+        with pytest.raises(ValueError, match="workers"):
+            batch_bilinear_probe(params8, -0.25, "product_dx", count=2, seed=1, workers=2)
 
     def test_bad_form_rejected(self, params8):
         u = random_spectrum(params8, np.random.default_rng(15))

@@ -32,6 +32,11 @@ class TestSimulate:
         assert run(tmp_path, "rescale-check", "--T", "0.105", "--dt", "0.01",
                    "--kmax", "8") == 1
 
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_stride_below_one_exit_one(self, tmp_path, stride):
+        assert run(tmp_path, "simulate", "--T", "0.02", "--dt", "0.01", "--kmax", "8",
+                   "--stride", stride) == 1
+
     def test_kdv_flag_switches_mode(self, tmp_path):
         assert run(tmp_path, "simulate", "--kdv", "--T", "0.02", "--dt", "0.01",
                    "--kmax", "8") == 0
@@ -140,6 +145,12 @@ class TestConfigHandling:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"Ts": 1.0}))
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    def test_removed_b_key_rejected(self, tmp_path):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"b": 0.5}))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert run(tmp_path, "simulate", "--b", "0.5") == 1
 
     def test_bad_params_exit_one(self, tmp_path):
         assert run(tmp_path, "simulate", "--j", "0") == 1

@@ -100,6 +100,22 @@ class TestSimulate:
         e = [d["energy"] for d in t_a.diagnostics]
         assert abs(e[-1] - e[0]) / e[0] < 1e-10
 
+    def test_linear_mode_ignores_the_mean(self):
+        # the mean coupling 2F(c, .) belongs to the nonlinearity that "linear" drops
+        p = ModelParams(j=2, kmax=4.0)
+        u0 = hermitian_spectrum(p, seed=6)
+        free, shifted = (simulate(u0, T=0.004, dt=2e-4, mode="linear", mean=c)
+                         for c in (0.0, 0.25))
+        for a, b in zip(free.states, shifted.states):
+            np.testing.assert_array_equal(a.spec.amps, b.spec.amps)
+        rep = pde_residual(shifted)
+        assert rep["max_residual"] <= 2 * rep["differencing_error"] + 1e-12
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, params16, stride):
+        with pytest.raises(ValueError, match="stride"):
+            simulate(hermitian_spectrum(params16, seed=4), T=0.02, dt=0.01, stride=stride)
+
     def test_blowup_flagged_with_partial_trajectory(self):
         p = ModelParams(j=1, kmax=16.0)
         u0 = cosine_data(p, amp=50.0)
