@@ -613,9 +613,13 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     weights (up to a constant); the scan reports, per region and chain side,
     the maximum weight ratio over the box |k| <= kbound and its location,
     repeated with the box doubled.  PASS means every maximum stayed finite
-    and did not grow with the box.  Outside the admissible regularity window
-    the dominance genuinely fails; scanning there must be requested
-    explicitly (allow_outside_window) and reports FAIL with the growth trend.
+    and did not grow with the box.  Scanning outside the admissible
+    regularity window must be requested explicitly (allow_outside_window).
+    Below the window, and far above it, the dominances fail and the scan
+    reports FAIL with the growth trend.  Outside the window a PASS only
+    means that the dominances hold on the scanned box; it certifies
+    nothing, because the window's ends also come from estimates other than
+    these dominances.
     """
     lo, hi = admissible_window(params)
     in_window = lo <= s <= hi

@@ -285,7 +285,10 @@ def cmd_picard(cfg: dict) -> int:
     pcfg = evolve.PicardConfig(iterations=cfg["iterations"], nt=cfg["nt"],
                                report_s=float(cfg["s"]),
                                measure_zs=params.j >= 2)
-    result = evolve.picard_iterate(u0, pcfg, mode="kdv" if cfg["kdv"] else "full")
+    try:
+        result = evolve.picard_iterate(u0, pcfg, mode="kdv" if cfg["kdv"] else "full")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = {
         "config": _resolved(cfg),
         "ratios_hs": result.ratios_hs,

@@ -22,7 +22,13 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import ModelParams, SpatialSpectrum, bracket, hs_norm
-from .symbols import MultiplierSet, dispersion_symbol, mean_coupling, nonlinearity_block
+from .symbols import (
+    MultiplierSet,
+    dispersion_symbol,
+    mean_coupling,
+    nonlinearity_block,
+    real_nonlinearity,
+)
 
 MODES = ("full", "kdv", "linear")
 RESIDUAL_CHUNK = 16  # states per F evaluation in pde_residual: bounds its scratch memory
@@ -80,6 +86,10 @@ class IntegratingFactorRK4:
     c couples to the mean-zero part through the exact linear term 2*F(c, .)
     (mean_coupling), so nonzero-mean data evolve correctly while c itself
     never changes.
+
+    The state must be a real field: F is evaluated by
+    symbols.real_nonlinearity, which reads only the n > 0 half of the
+    spectrum.  simulate and the one-off step check this on their input.
     """
 
     def __init__(self, params: ModelParams, dt: float, mode: str = "full",
@@ -98,13 +108,15 @@ class IntegratingFactorRK4:
         self.phase_wrap_ok = self.phase_wrap < phase_wrap_threshold
         self.e_half = np.exp(1j * (dt / 2.0) * disp)
         self.e_full = self.e_half * self.e_half
+        self.e_half_inv = np.conj(self.e_half)
+        self.e_full_inv = np.conj(self.e_full)
         self.mean_mult = mean_coupling(self.mults.k, mu, kdv=mode == "kdv")
 
     def _rhs(self, u_amps: np.ndarray, mean: float) -> np.ndarray:
         if self.mode == "linear":
             return np.zeros_like(u_amps)
-        nl = nonlinearity_block(u_amps, u_amps, self.params, mu=self.mu,
-                                kdv=self.mode == "kdv")[0]
+        nl = real_nonlinearity(u_amps, u_amps, self.params, mu=self.mu,
+                               kdv=self.mode == "kdv")[0]
         if mean != 0.0:
             nl = nl + mean * self.mean_mult * u_amps
         return -nl
@@ -114,9 +126,9 @@ class IntegratingFactorRK4:
         c = state.mean
         # stage evaluations of g(tau, v) = S(-tau) * rhs(S(tau) v) around state.t
         k1 = self._rhs(u0, c)
-        k2 = np.conj(self.e_half) * self._rhs(self.e_half * (u0 + 0.5 * self.dt * k1), c)
-        k3 = np.conj(self.e_half) * self._rhs(self.e_half * (u0 + 0.5 * self.dt * k2), c)
-        k4 = np.conj(self.e_full) * self._rhs(self.e_full * (u0 + self.dt * k3), c)
+        k2 = self.e_half_inv * self._rhs(self.e_half * (u0 + 0.5 * self.dt * k1), c)
+        k3 = self.e_half_inv * self._rhs(self.e_half * (u0 + 0.5 * self.dt * k2), c)
+        k4 = self.e_full_inv * self._rhs(self.e_full * (u0 + self.dt * k3), c)
         v = u0 + (self.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         u = self.e_full * v
         if not np.all(np.isfinite(u)):
@@ -129,6 +141,7 @@ class IntegratingFactorRK4:
 
 def step(state: SolverState, dt: float, mode: str = "full", mu: float = 1.0) -> SolverState:
     """One integrating-factor RK4 step (one-off API; loops should reuse the class)."""
+    _require_real(state.spec, "the state")
     return IntegratingFactorRK4(state.spec.params, dt, mode=mode, mu=mu).step(state)
 
 
@@ -146,16 +159,24 @@ def _diag_row(state: SolverState, hs_s: float) -> dict:
     }
 
 
+def _require_real(spec: SpatialSpectrum, what: str):
+    if not spec.is_hermitian():
+        raise ValueError(f"{what} must be a real field (a Hermitian spectrum, "
+                         "amps(-k) = conj(amps(k)))")
+
+
 def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
              mu: float = 1.0, mean: float = 0.0, stride: int = 1,
              hs_s: float = 1.0, blowup_factor: float = 1e6) -> Trajectory:
     """March the model from u0 to time T, collecting per-stride diagnostics.
 
-    u0 must be mean-zero (the mean goes in via the `mean` scalar, which is
-    conserved exactly), and T a whole number of steps dt.  Early-stops with
-    blown_up=True if the H^1 norm grows by blowup_factor or amplitudes go
-    nonfinite.
+    u0 must be a real field (a Hermitian spectrum, within is_hermitian's
+    tolerance; the stepper reads only its n > 0 half) and mean-zero (the
+    mean goes in via the `mean` scalar, which is conserved exactly), and T
+    a whole number of steps dt.  Early-stops with blown_up=True if the H^1
+    norm grows by blowup_factor or amplitudes go nonfinite.
     """
+    _require_real(u0, "u0")
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
     if stride < 1:
@@ -319,7 +340,9 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     The Duhamel integral uses S(t-t') = S(t) S(-t'), so only the cumulative
     integral of S(-t') F(w,w)(t') is quadratured (composite Simpson).
     Divergence (ratio > 1 three times in a row) is flagged, not raised.
+    u0 must be a real field, as for simulate: F reads only the n > 0 half.
     """
+    _require_real(u0, "u0")
     p = u0.params
     t = cfg.t_grid()
     if cfg.t_span < 2.0:
@@ -348,7 +371,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
             return zs_norm(from_time_samples(t, block, p, dtau=cfg.zs_dtau), cfg.report_s)
 
     for _ in range(cfg.iterations):
-        fw = nonlinearity_block(w, w, p, mu=mu, kdv=mode == "kdv")[0]
+        fw = real_nonlinearity(w, w, p, mu=mu, kdv=mode == "kdv")[0]
         integrand = np.conj(phases) * fw  # S(-t') F(t')
         cum = _cumulative_simpson_c(integrand, t)
         cum = cum - cum[i0]  # integral from 0 to t

@@ -132,16 +132,21 @@ def collision_scan(cfg: CounterexampleConfig) -> CollisionReport:
     constant can close the estimate from this family.  Within +-0.05 of the
     critical index the regression band cannot separate the slopes and the
     verdict is INCONCLUSIVE.  Fewer than 3 frequencies: raw table only.
+    A side that is not positive at some N (R underflows to 0 for very
+    negative s) has no logarithm to fit and raises ValueError.
     """
     rows = []
     for N in cfg.N_list:
         u1, u2 = build_counterexample(N, cfg.j, cfg.dtau)
         L = duhamel_weighted_bilinear(u1, u2, cfg.s)
         R = ws_norm(u1, cfg.s) * ws_norm(u2, cfg.s)
+        for side, value in (("L", L), ("R", R)):
+            if not value > 0:
+                raise ValueError(f"{side}(N={N}) = {value!r} at s={cfg.s} is not positive; "
+                                 "its log-log slope cannot be fitted")
         rows.append({
             "N": int(N), "L": L, "R": R,
-            "logN": math.log(N), "logL": math.log(L) if L > 0 else None,
-            "logR": math.log(R) if R > 0 else None,
+            "logN": math.log(N), "logL": math.log(L), "logR": math.log(R),
         })
     if len(rows) < 3:
         return CollisionReport(cfg.j, cfg.s, cfg.dtau, rows, None, None, None)

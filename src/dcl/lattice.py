@@ -11,9 +11,14 @@ and sums over the lattice always carry the normalized counting measure
 (1/lam) * sum.  The zero mode is excluded from every spectrum; the field
 mean is reported (and, in the solver, carried) as a separate scalar.
 
-The raw FFT convention differs from the above by a fixed scaling, which is
-confined to the packing pair `lattice_to_grid` / `grid_to_lattice`; nothing
-else in the package touches an FFT normalization or the FFT index order.
+Fields are real, so a spectrum's rows are Hermitian, amps(-k) =
+conj(amps(k)), and the grid transforms are real FFTs (rfft / irfft) that
+read and write only the n > 0 half of each row.  Complex data are handled
+as a real plus an imaginary part (`hermitian_parts`), each a real field.
+The raw FFT convention differs from the symmetric one by a fixed scaling,
+which is confined to the packing pair `lattice_to_grid` / `grid_to_lattice`;
+nothing else in the package touches an FFT normalization or the FFT index
+order.
 """
 
 from __future__ import annotations
@@ -191,32 +196,63 @@ def x_grid(params: ModelParams, nx: int) -> np.ndarray:
 
 
 def lattice_to_grid(amps, params: ModelParams, nx: int) -> np.ndarray:
-    """Complex samples on nx >= 2*nmax+1 points of a (..., 2*nmax+1) amplitude block.
+    """Real samples on nx >= 2*nmax+1 points of the fields with (..., 2*nmax+1) Hermitian rows.
 
-    Each row is one field; the n=0 slot is ignored.
+    Each row is one real field.  Only the n > 0 half of a row is read: the
+    n < 0 half of a real field's row is its mirror image, and n = 0 is
+    excluded.  Complex fields go through `hermitian_parts` first.
     """
     m = params.nmax
     a = np.asarray(amps)
-    fhat = np.zeros(a.shape[:-1] + (nx,), dtype=complex)
-    fhat[..., 1:m + 1] = a[..., m + 1:]
-    fhat[..., nx - m:] = a[..., :m]
-    return np.fft.ifft(fhat, axis=-1) * (nx / (TWO_PI_SQRT * params.lam))
+    half = np.zeros(a.shape[:-1] + (nx // 2 + 1,), dtype=complex)
+    np.multiply(a[..., m + 1:], 1.0 / (TWO_PI_SQRT * params.lam), out=half[..., 1:m + 1])
+    return np.fft.irfft(half, n=nx, axis=-1, norm="forward")
 
 
 def grid_to_lattice(samples, params: ModelParams):
-    """Inverse of lattice_to_grid, returning (amps, zero, tail) per row of samples.
+    """Inverse of lattice_to_grid on real samples, returning (amps, zero, tail) per row.
 
-    amps has its n=0 slot zero; zero is the k=0 amplitude (sqrt(2*pi)*lam
-    times the mean); tail holds the amplitudes beyond kmax, which are dropped.
+    amps is an exactly Hermitian row with its n=0 slot zero; zero is the k=0
+    amplitude (sqrt(2*pi)*lam times the mean); tail holds the real FFT's
+    bins beyond kmax (n = nmax+1 .. nx//2), which are dropped and whose
+    mass `dropped_mass` gives.
     """
     f = np.asarray(samples)
-    nx = f.shape[-1]
     m = params.nmax
-    fhat = np.fft.fft(f, axis=-1) * (TWO_PI_SQRT * params.lam / nx)
-    amps = np.zeros(f.shape[:-1] + (2 * m + 1,), dtype=complex)
-    amps[..., m + 1:] = fhat[..., 1:m + 1]
-    amps[..., :m] = fhat[..., nx - m:]
-    return amps, fhat[..., 0], fhat[..., m + 1:nx - m]
+    fhat = np.fft.rfft(f, axis=-1, norm="forward")
+    fhat *= TWO_PI_SQRT * params.lam
+    pos = fhat[..., 1:m + 1]
+    amps = np.empty(f.shape[:-1] + (2 * m + 1,), dtype=complex)
+    amps[..., m + 1:] = pos
+    amps[..., m] = 0.0
+    np.conjugate(pos[..., ::-1], out=amps[..., :m])
+    return amps, fhat[..., 0], fhat[..., m + 1:]
+
+
+def dropped_mass(tail, nx: int, lam: float):
+    """L2 mass (counting measure) per row of the tail grid_to_lattice drops on an nx grid.
+
+    Each tail bin stands for itself and its mirror at -n, except the Nyquist
+    bin n = nx/2 (the last one when nx is even), which is its own mirror.
+    """
+    w = np.abs(tail) ** 2
+    mass = 2.0 * np.sum(w, axis=-1)
+    if nx % 2 == 0 and w.shape[-1]:
+        mass -= w[..., -1]
+    return np.sqrt(mass / lam)
+
+
+def is_real_block(amps) -> bool:
+    """True iff every row is exactly Hermitian, amps(-k) == conj(amps(k)): real fields."""
+    a = np.asarray(amps)
+    return bool(np.array_equal(a[..., ::-1], np.conj(a)))
+
+
+def hermitian_parts(amps):
+    """(h, g): the Hermitian rows of the real and imaginary parts of each field, amps = h + i g."""
+    a = np.asarray(amps)
+    mirror = np.conj(a[..., ::-1])
+    return 0.5 * (a + mirror), -0.5j * (a - mirror)
 
 
 def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = False):
@@ -224,7 +260,9 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
 
     The trapezoid rule is exact for band-limited periodic data, so this is
     the continuum-convention transform up to machine precision whenever the
-    sample count resolves the content (>= 2*kmax*lam + 1 points).
+    sample count resolves the content (>= 2*kmax*lam + 1 points).  Real
+    samples give a Hermitian spectrum; complex samples are transformed as a
+    real and an imaginary part.
 
     The zero mode (field mean) is dropped from the spectrum; pass
     return_mean=True to receive (spectrum, mean).  A warning diagnostic is
@@ -242,10 +280,15 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
             raise ValueError("sample grid is not uniform")
         if abs(x[0]) > 1e-12 or abs((x[-1] + dx[0]) - params.period()) > 1e-9 * params.period():
             raise ValueError("sample grid does not tile [0, 2*pi*lam)")
-    amps, zero, tail = grid_to_lattice(f, params)
-    mean = zero / (TWO_PI_SQRT * params.lam)
     if np.isrealobj(f):
-        mean = mean.real
+        amps, zero, tail = grid_to_lattice(f, params)
+        mean = zero.real / (TWO_PI_SQRT * params.lam)
+    else:
+        (re, im), (zre, zim), (tre, tim) = grid_to_lattice(np.stack([f.real, f.imag]), params)
+        amps = re + 1j * im
+        mean = (zre + 1j * zim) / (TWO_PI_SQRT * params.lam)
+        # the complex tail at +n and at -n
+        tail = np.concatenate([tre + 1j * tim, np.conj(tre) + 1j * np.conj(tim)], axis=-1)
     if tail.size:
         top = np.abs(tail).max()
         if top > 1e-10 * max(np.abs(amps).max(), abs(mean), 1e-300):
@@ -266,17 +309,22 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
 
 
 def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) -> np.ndarray:
-    """Samples of the field on the uniform grid; real iff the spectrum is Hermitian."""
+    """Samples of the field on the uniform grid; real iff the spectrum is Hermitian.
+
+    A spectrum that is Hermitian within is_hermitian's tolerance gives the
+    samples of its real part.
+    """
     p = spec.params
     m = p.nmax
     if nx is None:
         nx = p.default_grid()
     if nx < 2 * m + 1:
         raise ValueError(f"nx={nx} cannot carry modes up to kmax; need >= {2 * m + 1}")
-    f = lattice_to_grid(spec.amps, p, nx) + mean
+    h, g = hermitian_parts(spec.amps)
     if spec.is_hermitian() and np.isrealobj(np.asarray(mean)):
-        return f.real
-    return f
+        return lattice_to_grid(h, p, nx) + mean
+    re, im = lattice_to_grid(np.stack([h, g]), p, nx)
+    return re + 1j * im + mean
 
 
 def convolve(a: SpatialSpectrum, b: SpatialSpectrum) -> SpatialSpectrum:

@@ -17,7 +17,7 @@ side: u_t + d_x^(2j+1) u + F(u, u) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -25,7 +25,10 @@ from .lattice import (
     TWO_PI_SQRT,
     ModelParams,
     SpatialSpectrum,
+    dropped_mass,
     grid_to_lattice,
+    hermitian_parts,
+    is_real_block,
     lattice_to_grid,
 )
 
@@ -109,45 +112,116 @@ def mean_coupling(k, mu: float = 1.0, kdv: bool = False):
 
 
 def padded_product(a, b, params: ModelParams):
-    """(amps, zero, tail) of the pointwise product of fields with amplitudes a and b.
+    """(amps, zero, tail) of the pointwise products of the real fields with rows a and b.
 
-    a, b are (..., 2*nmax+1) blocks, one field per row, returned as
-    lattice.grid_to_lattice does; b = a saves a transform.  The pad=2 grid
-    resolves |k| <= 2*kmax, so the quadratic product is alias-free.
+    a, b are (..., 2*nmax+1) blocks of Hermitian rows, one real field per
+    row; only their n > 0 halves are read (lattice.lattice_to_grid).  The
+    result is as lattice.grid_to_lattice returns it, on the pad=2 grid
+    nx = params.default_grid(pad=2): that grid resolves |k| <= 2*kmax, so
+    the quadratic product is alias-free and tail holds all of it beyond
+    kmax.  One irfft takes a and b together (b = a: a alone), one rfft the
+    products.
     """
     nx = params.default_grid(pad=2)
-    fa = lattice_to_grid(a, params, nx)
-    fb = fa if b is a else lattice_to_grid(b, params, nx)
-    return grid_to_lattice(fa * fb, params)
+    if b is a:
+        f = lattice_to_grid(a, params, nx)
+        f *= f
+    else:
+        fa, fb = lattice_to_grid(np.stack([a, b]), params, nx)
+        f = fa * fb
+    return grid_to_lattice(f, params)
 
 
 def _convolved_product(a, b, params: ModelParams):
-    """padded_product of single fields via the lattice convolution (the reference route)."""
+    """padded_product via the lattice convolution, row by row, for any complex rows.
+
+    The reference route; its tail is the full-width content beyond kmax.
+    """
     m = params.nmax
-    full = np.convolve(a, b) / (TWO_PI_SQRT * params.lam)  # n = -2m .. 2m
-    amps = full[m:3 * m + 1].copy()
-    amps[m] = 0.0
-    return amps, full[2 * m], np.concatenate([full[:m], full[3 * m + 1:]])
+    rows = zip(np.reshape(a, (-1, 2 * m + 1)), np.reshape(b, (-1, 2 * m + 1)))
+    full = np.array([np.convolve(x, y) for x, y in rows]) / (TWO_PI_SQRT * params.lam)
+    full = full.reshape(np.shape(a)[:-1] + (4 * m + 1,))  # n = -2m .. 2m
+    amps = full[..., m:3 * m + 1].copy()
+    amps[..., m] = 0.0
+    return amps, full[..., 2 * m], np.concatenate([full[..., :m], full[..., 3 * m + 1:]], axis=-1)
 
 
-def _dropped_mass(tail, lam: float):
+def _full_tail_mass(tail, lam: float):
     return np.sqrt(np.sum(np.abs(tail) ** 2, axis=-1) / lam)
 
 
-def nonlinearity_block(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False,
-                       product=padded_product):
-    """(F(a, b), tails) for (..., 2*nmax+1) blocks; tails are the products' dropped tails.
-
-    b = a costs 4 FFTs.  Only nonlinearity_F's reference route changes product.
-    """
+@lru_cache(maxsize=16)
+def _kernel_symbols(params: ModelParams, mu: float, kdv: bool):
+    """(ik, m_uv, m_dd) on the lattice, read-only; m_dd is None when kdv."""
     k = params.k_values()
+    ik = 1j * k
     m_uv, m_dd = nonlinearity_multipliers(k, mu, kdv)
-    prod, _, tail = product(a, b, params)
-    if m_dd is None:
-        return m_uv * prod, (tail,)
-    da = 1j * k * a
-    dprod, _, dtail = product(da, da if b is a else 1j * k * b, params)
-    return m_uv * prod + m_dd * dprod, (tail, dtail)
+    for arr in (ik, m_uv, m_dd):
+        if arr is not None:
+            arr.setflags(write=False)
+    return ik, m_uv, m_dd
+
+
+def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False,
+                      product=padded_product):
+    """(F(a, b), tails) for the real fields with (..., 2*nmax+1) Hermitian rows a and b.
+
+    The kernel under every F.  u and u_x (and v, v_x) go through one
+    stacked irfft and their products through one rfft; only the n > 0
+    halves of a and b are read, and the rows of F are exactly Hermitian.
+    tails[..., i, :] is the dropped tail of the i-th product, u v and then
+    (unless kdv) u_x v_x, for lattice.dropped_mass on the pad=2 grid.  The
+    stepper and Picard, whose data are real by construction, call this
+    directly; other callers use nonlinearity_block.  Only nonlinearity_F's
+    reference route changes product, to the convolution, which takes any
+    complex rows and returns full-width tails.
+    """
+    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv)
+
+    def fields(x):
+        return x[..., None, :] if kdv else np.stack([x, ik * x], axis=-2)
+
+    sa = fields(a)
+    prods, _, tails = product(sa, sa if b is a else fields(b), params)
+    out = m_uv * prods[..., 0, :]
+    if m_dd is not None:
+        out += m_dd * prods[..., 1, :]
+    return out, tails
+
+
+def _on_complex_rows(kernel, a, b, params: ModelParams):
+    """(*outputs, losses) of a bilinear kernel of real fields, applied to any rows a, b.
+
+    kernel(a, b, params) returns (*outputs, tails) for Hermitian rows, as
+    padded_product and real_nonlinearity do; losses are the tails' dropped
+    masses.  Rows that are not all exactly Hermitian are split, a = h + i g
+    (lattice.hermitian_parts), and the kernel runs once on the stacked cross
+    terms: by bilinearity a b = (h_a h_b - g_a g_b) + i (h_a g_b + g_a h_b).
+    A complex tail's mass is the root sum of squares of the masses of its
+    real and imaginary parts' tails.
+    """
+    nx = params.default_grid(pad=2)
+    if is_real_block(a) and (b is a or is_real_block(b)):
+        *outs, tails = kernel(a, b, params)
+        return (*outs, dropped_mass(tails, nx, params.lam))
+    ha, ga = hermitian_parts(a)
+    hb, gb = (ha, ga) if b is a else hermitian_parts(b)
+    *outs, t = kernel(np.stack([ha, ga, ha, ga]), np.stack([hb, gb, gb, hb]), params)
+    outs = [x[0] - x[1] + 1j * (x[2] + x[3]) for x in outs]
+    loss = np.hypot(dropped_mass(t[0] - t[1], nx, params.lam),
+                    dropped_mass(t[2] + t[3], nx, params.lam))
+    return (*outs, loss)
+
+
+def nonlinearity_block(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
+    """(F(a, b), losses) for (..., 2*nmax+1) blocks of any complex rows.
+
+    Exactly Hermitian rows (real fields) go straight to real_nonlinearity;
+    other rows go through it as real and imaginary parts, F being bilinear.
+    losses[..., i] is the truncation loss of F's i-th product (u v, then
+    u_x v_x unless kdv) per row.
+    """
+    return _on_complex_rows(partial(real_nonlinearity, mu=mu, kdv=kdv), a, b, params)
 
 
 def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum,
@@ -159,10 +233,12 @@ def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum,
     """
     u1._check_compatible(u2)
     p = u1.params
-    product = padded_product if dealias else _convolved_product
-    amps, zero, tail = product(u1.amps, u2.amps, p)
-    return SpatialSpectrum(p, amps, truncation_loss=float(_dropped_mass(tail, p.lam)),
-                           zero_mode=complex(zero))
+    if dealias:
+        amps, zero, loss = _on_complex_rows(padded_product, u1.amps, u2.amps, p)
+    else:
+        amps, zero, tail = _convolved_product(u1.amps, u2.amps, p)
+        loss = _full_tail_mass(tail, p.lam)
+    return SpatialSpectrum(p, amps, truncation_loss=float(loss), zero_mode=complex(zero))
 
 
 def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
@@ -175,10 +251,13 @@ def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
     """
     u1._check_compatible(u2)
     p = u1.params
-    amps, tails = nonlinearity_block(u1.amps, u2.amps, p, mu=mu, kdv=kdv,
-                                     product=padded_product if dealias else _convolved_product)
-    loss = max(float(_dropped_mass(t, p.lam)) for t in tails)
-    return SpatialSpectrum(p, amps, truncation_loss=loss)
+    if dealias:
+        amps, losses = nonlinearity_block(u1.amps, u2.amps, p, mu=mu, kdv=kdv)
+    else:
+        amps, tails = real_nonlinearity(u1.amps, u2.amps, p, mu=mu, kdv=kdv,
+                                        product=_convolved_product)
+        losses = _full_tail_mass(tails, p.lam)
+    return SpatialSpectrum(p, amps, truncation_loss=float(np.max(losses)))
 
 
 def local_form_rhs(u: SpatialSpectrum) -> SpatialSpectrum:

@@ -433,6 +433,12 @@ class TestEmbeddingScans:
         assert d2, "the D2 dominance must be the one that degrades"
         assert d2[0]["trend"][1] > d2[0]["trend"][0]
 
+    @pytest.mark.parametrize("s, passes", [(0.5, True), (-2.0, False), (0.9, False)])
+    def test_outside_window_verdicts(self, s, passes):
+        # above the window a scan can PASS; that only says the dominances hold on the box
+        rep = verify_embeddings(s, ModelParams(j=2), kbound=32.0, allow_outside_window=True)
+        assert rep["pass"] is passes and rep["in_window"] is False
+
     def test_window_formula(self):
         p = ModelParams(j=3, kmax=4.0)
         lo, hi = admissible_window(p)

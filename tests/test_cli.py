@@ -90,6 +90,9 @@ class TestIllposed:
     def test_missing_n_list_exit_one(self, tmp_path):
         assert run(tmp_path, "illposed", "--N-list", "") == 1
 
+    def test_nonpositive_side_exit_one(self, tmp_path):
+        assert run(tmp_path, "illposed", "--s", "-200", "--N-list", "16,32,64") == 1
+
 
 class TestProbe:
     def test_seed_mandatory(self, tmp_path):
@@ -128,6 +131,20 @@ class TestRescaleCheckAndPicard:
         doc = json.loads((tmp_path / "out" / "picard.json").read_text())
         assert doc["diverged"] is False
         assert len(doc["ratios_hs"]) == 3
+
+
+class TestRealInitialData:
+    @pytest.mark.parametrize("command", [["simulate", "--T", "0.02", "--dt", "0.01"],
+                                         ["picard", "--nt", "129", "--iterations", "1"]])
+    def test_non_hermitian_json_exit_one(self, tmp_path, command):
+        doc = {"lambda": 1.0, "j": 2, "modes": [{"k": 1.0, "re": 0.01, "im": 0.0},
+                                                {"k": -1.0, "re": 0.0, "im": 0.01}]}
+        path = tmp_path / "u0.json"
+        path.write_text(json.dumps(doc))
+        assert run(tmp_path, *command, "--kmax", "8", "--u0", f"json:{path}") == 1
+        doc["modes"][1]["re"], doc["modes"][1]["im"] = 0.01, 0.0  # now the mirror image
+        path.write_text(json.dumps(doc))
+        assert run(tmp_path, *command, "--kmax", "8", "--u0", f"json:{path}") == 0
 
 
 class TestConfigHandling:

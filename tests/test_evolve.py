@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcl.evolve import (
     IntegratingFactorRK4,
@@ -281,3 +283,38 @@ class TestPicard:
             u = SpatialSpectrum(params16, blk[i])
             ref = nonlinearity_F(u, u, mu=1.5).amps
             assert np.abs(out[i] - ref).max() < 1e-13
+
+
+def non_hermitian(params):
+    u = hermitian_spectrum(params, seed=30)
+    return u.with_amps(u.amps * np.exp(0.1j))  # a complex multiple of a real field
+
+
+class TestRealFields:
+    @settings(max_examples=12, deadline=None)
+    @given(j=st.sampled_from([2, 3]), lam=st.sampled_from([1.0, 2.0]),
+           kmax=st.sampled_from([6.0, 8.0]), seed=st.integers(0, 2**16),
+           decay=st.sampled_from([0.05, 0.5]))
+    def test_hermitian_data_stay_exactly_hermitian(self, j, lam, kmax, seed, decay):
+        p = ModelParams(j=j, lam=lam, kmax=kmax)
+        u0 = hermitian_spectrum(p, seed=seed, decay=decay)
+        for mode in ("full", "kdv", "linear"):
+            for mean in (0.0, 0.25):
+                traj = simulate(u0, T=0.04, dt=1e-3, mode=mode, mean=mean, stride=8)
+                assert not traj.blown_up
+                for st_ in traj.states:
+                    assert np.array_equal(st_.spec.amps[::-1], np.conj(st_.spec.amps))
+        res = picard_iterate(u0, PicardConfig(iterations=2, nt=129, measure_zs=False))
+        assert np.array_equal(res.iterates[..., ::-1], np.conj(res.iterates))
+
+    def test_simulate_rejects_complex_data(self, params16):
+        with pytest.raises(ValueError, match="real field"):
+            simulate(non_hermitian(params16), T=0.01, dt=1e-3)
+
+    def test_picard_rejects_complex_data(self, params16):
+        with pytest.raises(ValueError, match="real field"):
+            picard_iterate(non_hermitian(params16), PicardConfig(iterations=1, nt=129))
+
+    def test_one_off_step_rejects_complex_data(self, params16):
+        with pytest.raises(ValueError, match="real field"):
+            step(SolverState(0.0, non_hermitian(params16)), 1e-3)

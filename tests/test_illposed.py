@@ -130,6 +130,11 @@ class TestCollisionScan:
         assert rep.verdict is None and rep.slope_L is None
         assert len(rep.rows) == 2
 
+    def test_nonpositive_side_rejected(self):
+        # at s = -200 the weights underflow and R(N) is exactly 0: no log to fit
+        with pytest.raises(ValueError, match=r"R\(N=16\)"):
+            collision_scan(CounterexampleConfig(j=2, s=-200.0))
+
     def test_dtau_halving_stability(self):
         a = collision_scan(CounterexampleConfig(j=2, s=-0.25, N_list=(16, 64, 256), dtau=0.125))
         b = collision_scan(CounterexampleConfig(j=2, s=-0.25, N_list=(16, 64, 256), dtau=0.0625))

@@ -12,11 +12,17 @@ from dcl.lattice import (
     ModelParams,
     NormSpec,
     SpatialSpectrum,
+    TWO_PI_SQRT,
     convolve,
+    dropped_mass,
     field_to_csv,
     forward_transform,
+    grid_to_lattice,
+    hermitian_parts,
     hs_norm,
     inverse_transform,
+    is_real_block,
+    lattice_to_grid,
     spectrum_from_json,
     spectrum_to_json,
     x_grid,
@@ -250,3 +256,54 @@ class TestZeroModeExclusion:
         amps = np.ones(2 * params16.nmax + 1, dtype=complex)
         spec = SpatialSpectrum(params16, amps)
         assert spec.amps[params16.nmax] == 0.0
+
+
+# odd and even grids: params 8 has nx = 35, params 16 has nx = 66 at pad=2
+PACKING_PARAMS = [ModelParams(j=2, kmax=8.0), ModelParams(j=2, kmax=16.0),
+                  ModelParams(j=3, lam=2.0, kmax=8.0)]
+
+
+class TestRealPacking:
+    @pytest.mark.parametrize("p", PACKING_PARAMS, ids=["nx35", "nx66", "lam2j3"])
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_round_trip_hermitian_block(self, p, pad):
+        blk = np.stack([hermitian_spectrum(p, seed=s, decay=0.2).amps for s in range(4)])
+        blk = blk.reshape(2, 2, -1)
+        nx = p.default_grid(pad=pad)
+        f = lattice_to_grid(blk, p, nx)
+        assert f.shape == (2, 2, nx) and np.isrealobj(f)
+        amps, zero, tail = grid_to_lattice(f, p)
+        assert is_real_block(amps)
+        assert np.abs(amps - blk).max() < 1e-15 * np.abs(blk).max() * nx
+        assert np.abs(zero).max() < 1e-15 and np.abs(tail).max() < 1e-15
+
+    @pytest.mark.parametrize("nx", [34, 35, 66, 67])
+    def test_dropped_mass_matches_the_full_complex_tail(self, nx):
+        # oracle: the complex FFT, scaled to the lattice convention, over n = m+1 .. nx-m-1
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        m = p.nmax
+        f = np.random.default_rng(nx).standard_normal(nx)
+        full = np.fft.fft(f) * (TWO_PI_SQRT * p.lam / nx)
+        want = math.sqrt(float(np.sum(np.abs(full[m + 1:nx - m]) ** 2)) / p.lam)
+        amps, zero, tail = grid_to_lattice(f, p)
+        assert dropped_mass(tail, nx, p.lam) == pytest.approx(want, rel=1e-13)
+        assert np.abs(amps[m + 1:] - full[1:m + 1]).max() < 1e-14
+        assert np.abs(amps[:m] - full[nx - m:]).max() < 1e-14
+        assert zero == pytest.approx(full[0], abs=1e-14)
+
+    def test_hermitian_parts_recombine(self, params16):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((3, 2 * params16.nmax + 1)) * (1 + 1j)
+        h, g = hermitian_parts(a)
+        assert is_real_block(h) and is_real_block(g)
+        assert np.abs(h + 1j * g - a).max() < 1e-15
+        assert not is_real_block(a)
+
+    def test_complex_field_round_trip(self, params16):
+        x = x_grid(params16, params16.default_grid())
+        f = np.exp(2j * x) + 0.5 * np.cos(3 * x) - 0.25j * np.sin(x)
+        spec = forward_transform(f, params16)
+        assert not spec.is_hermitian()
+        assert spec.amp(2) == pytest.approx(TWO_PI_SQRT)
+        assert abs(spec.amp(-2)) < 1e-15
+        assert np.abs(inverse_transform(spec, len(x)) - f).max() < 1e-14

@@ -19,6 +19,7 @@ from dcl.symbols import (
     nonlinearity_F,
     nonlocal_multiplier,
     product_spectrum,
+    real_nonlinearity,
 )
 
 from conftest import hermitian_spectrum
@@ -224,3 +225,57 @@ class TestMultiplierSet:
         u = hermitian_spectrum(params16, seed=14)
         du = derivative(u)
         assert np.allclose(du.amps, 1j * params16.k_values() * u.amps)
+
+
+# pad=2 grids: nx = 35 (odd), 66 (even, a Nyquist bin), 66 at lam=2, j=3, 27 (odd)
+KERNEL_PARAMS = [ModelParams(j=2, kmax=8.0), ModelParams(j=2, kmax=16.0),
+                 ModelParams(j=3, lam=2.0, kmax=8.0), ModelParams(j=3, kmax=6.0)]
+KERNEL_IDS = ["nx35", "nx66", "lam2j3", "nx27"]
+
+
+def complex_spectrum(params, seed):
+    """A random complex field: the n < 0 half is not the mirror of the n > 0 half."""
+    a = hermitian_spectrum(params, seed=seed, decay=0.1)
+    b = hermitian_spectrum(params, seed=seed + 50, decay=0.1)
+    return SpatialSpectrum(params, a.amps + 0.7j * b.amps + 0.3 * np.roll(b.amps, 1))
+
+
+def assert_matches_convolution(fast, slow):
+    scale = np.abs(slow.amps).max()
+    assert np.abs(fast.amps - slow.amps).max() <= 1e-12 * scale
+    assert fast.truncation_loss == pytest.approx(slow.truncation_loss, rel=1e-12)
+    assert abs(fast.zero_mode - slow.zero_mode) <= 1e-12 * scale
+
+
+class TestRealKernel:
+    @pytest.mark.parametrize("p", KERNEL_PARAMS, ids=KERNEL_IDS)
+    def test_truncation_loss_matches_convolution_route(self, p):
+        a = hermitian_spectrum(p, seed=21, decay=0.05)
+        b = hermitian_spectrum(p, seed=22, decay=0.05)
+        for u, v in ((a, b), (a, a)):
+            slow = product_spectrum(u, v, dealias=False)
+            assert slow.truncation_loss > 1e-3 * hs_norm(slow, 0.0)
+            assert_matches_convolution(product_spectrum(u, v), slow)
+            for kdv in (False, True):
+                assert_matches_convolution(nonlinearity_F(u, v, mu=1.5, kdv=kdv),
+                                           nonlinearity_F(u, v, mu=1.5, kdv=kdv, dealias=False))
+
+    @pytest.mark.parametrize("p", KERNEL_PARAMS, ids=KERNEL_IDS)
+    def test_complex_rows_match_convolution_route(self, p):
+        c = complex_spectrum(p, seed=23)
+        d = complex_spectrum(p, seed=24)
+        real = hermitian_spectrum(p, seed=25, decay=0.1)
+        assert not c.is_hermitian() and not d.is_hermitian()
+        for u, v in ((c, d), (c, c), (c, real), (real, d)):
+            assert_matches_convolution(product_spectrum(u, v),
+                                       product_spectrum(u, v, dealias=False))
+            for kdv in (False, True):
+                assert_matches_convolution(nonlinearity_F(u, v, kdv=kdv),
+                                           nonlinearity_F(u, v, kdv=kdv, dealias=False))
+
+    def test_real_kernel_output_exactly_hermitian(self, params16):
+        blk = np.stack([hermitian_spectrum(params16, seed=s, decay=0.1).amps for s in range(3)])
+        for kdv in (False, True):
+            out, tails = real_nonlinearity(blk, blk, params16, mu=2.0, kdv=kdv)
+            assert np.array_equal(out[..., ::-1], np.conj(out))
+            assert tails.shape[:2] == (3, 1 if kdv else 2)
