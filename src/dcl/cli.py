@@ -294,6 +294,7 @@ def cmd_picard(cfg: dict) -> int:
         "ratios_hs": result.ratios_hs,
         "ratios_zs": result.ratios_zs,
         "diverged": result.diverged,
+        "telemetry": {"phase_s": result.phase_s},
     }
     _write(Path(cfg["output_dir"]), "picard.json", _dump(report))
     shown = ", ".join(f"{r:.3g}" for r in result.ratios_hs[:6])

@@ -10,16 +10,19 @@ The same free group + Duhamel structure powers the fixed-point iterator:
 
 whose iterates w^0 = eta S(t) u0, w^(n+1) = Phi(w^n) are reported together
 with their contraction ratios.  eta is the usual smooth bump: 1 on [-1,1],
-supported in [-2,2].
+supported in [-2,2].  The time integral is a composite cumulative Simpson
+rule on the uniform time grid (scipy's equal-interval formulas, one pass
+over complex rows); the grid has an odd number nt >= 3 of nodes, so t = 0
+is a node and the integral starts there.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .lattice import ModelParams, SpatialSpectrum, bracket, hs_norm
 from .symbols import (
@@ -275,11 +278,29 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
 
 # -- Picard / Duhamel fixed point ----------------------------------------------
 
-def _cumulative_simpson_c(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # scipy's cumulative_simpson casts complex input to real; split explicitly
-    re = cumulative_simpson(y.real, x=x, axis=0, initial=0.0)
-    im = cumulative_simpson(y.imag, x=x, axis=0, initial=0.0)
-    return re + 1j * im
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative integral along axis 0 of rows y sampled with step h, 0 at row 0.
+
+    Composite Simpson with scipy.integrate.cumulative_simpson's equal-interval
+    formulas: interval i (rows i..i+1) is h/12 (5 f_i + 8 f_{i+1} - f_{i+2})
+    when i is even and h/12 (-f_{i-1} + 8 f_i + 5 f_{i+1}) when i is odd.
+    y has an odd number >= 3 of rows, so the last interval is odd.  Complex
+    rows are integrated as they are.
+    """
+    n = y.shape[0]
+    sub = np.empty_like(y)
+    sub[0] = 0.0
+    a, b, c = y[0:n - 2:2], y[1:n - 1:2], y[2::2]
+    b8 = 8.0 * b
+    fwd, bwd = sub[1:n - 1:2], sub[2::2]
+    np.multiply(a, 5.0, out=fwd)
+    fwd += b8
+    fwd -= c
+    np.multiply(c, 5.0, out=bwd)
+    bwd += b8
+    bwd -= a
+    sub[1:] *= h / 12.0
+    return np.cumsum(sub, axis=0, out=sub)
 
 
 def bump_eta(t):
@@ -299,7 +320,9 @@ class PicardConfig:
 
     eta is the smooth time cutoff (1 on [-1,1], supported in [-2,2] for the
     default bump); the time grid is uniform on [-t_span, t_span] and must
-    cover its support; nt should be odd so composite Simpson panels close.
+    cover its support.  nt must be an odd integer >= 3: the composite
+    cumulative Simpson rule then closes its panels and t = 0 is a node, so
+    the Duhamel integral starts at 0 (with even nt it would start at +-h/2).
     """
 
     iterations: int = 8
@@ -325,6 +348,7 @@ class PicardResult:
     ratios_zs: list
     diverged: bool
     params: ModelParams
+    phase_s: dict = field(default_factory=dict)  # wall seconds: setup, iterate, zs
 
     def state_at(self, t: float) -> SpatialSpectrum:
         i = int(np.argmin(np.abs(self.t_grid - t)))
@@ -338,25 +362,35 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     """Run w^0 = eta S(t) u0, w^(n+1) = Phi(w^n) and report contraction ratios.
 
     The Duhamel integral uses S(t-t') = S(t) S(-t'), so only the cumulative
-    integral of S(-t') F(w,w)(t') is quadratured (composite Simpson).
+    integral of S(-t') F(w,w)(t') is quadratured: composite cumulative
+    Simpson on the uniform grid (scipy's equal-interval formulas), from the
+    node t = 0.  cfg.nt must be an odd integer >= 3 (ValueError otherwise).
     Divergence (ratio > 1 three times in a row) is flagged, not raised.
     u0 must be a real field, as for simulate: F reads only the n > 0 half.
+    phase_s holds the wall seconds of the setup (phases and free flow), the
+    iterations (F, quadrature and update) and the Z^s measurement.
     """
+    nt = cfg.nt
+    if not isinstance(nt, (int, np.integer)) or nt < 3 or nt % 2 == 0:
+        raise ValueError(f"nt must be an odd integer >= 3 (whole Simpson panels, "
+                         f"t = 0 on the grid), got nt={nt!r}")
     _require_real(u0, "u0")
-    p = u0.params
-    t = cfg.t_grid()
     if cfg.t_span < 2.0:
         raise ValueError("time grid must cover the support [-2, 2] of the cutoff")
+    clock = time.perf_counter()
+    phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
+    p = u0.params
+    t = cfg.t_grid()
+    i0 = nt // 2  # t = 0
     eta = np.asarray(cfg.cutoff()(t))[:, None]
-    if abs(eta[len(t) // 2, 0] - 1.0) > 1e-12 or eta.min() < 0 or eta.max() > 1:
+    if abs(eta[i0, 0] - 1.0) > 1e-12 or eta.min() < 0 or eta.max() > 1:
         raise ValueError("cutoff must satisfy eta(0) = 1 and 0 <= eta <= 1")
-    mults = MultiplierSet(p)
-    disp = mults.dispersion
-    phases = np.exp(1j * np.outer(t, disp))  # S(t) rows
+    phases = np.exp(1j * np.outer(t, MultiplierSet(p).dispersion))  # S(t) rows
+    phases_inv = np.conj(phases)
     free = eta * (phases * u0.amps[None, :])
-    i0 = int(np.argmin(np.abs(t)))  # index of t=0
-    w = free.copy()
-    saved = [w.copy()]
+    h = float(t[1] - t[0])
+    w = free
+    saved = [w]
     diffs_hs, diffs_zs = [], []
     kw = bracket(p.k_values()) ** (2.0 * cfg.report_s)
 
@@ -370,17 +404,27 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         def zs_of(block):
             return zs_norm(from_time_samples(t, block, p, dtau=cfg.zs_dtau), cfg.report_s)
 
+    phase_s["setup"] = time.perf_counter() - clock
     for _ in range(cfg.iterations):
-        fw = real_nonlinearity(w, w, p, mu=mu, kdv=mode == "kdv")[0]
-        integrand = np.conj(phases) * fw  # S(-t') F(t')
-        cum = _cumulative_simpson_c(integrand, t)
-        cum = cum - cum[i0]  # integral from 0 to t
-        w_next = free - eta * (phases * cum)
-        diffs_hs.append(hs_slicewise(w_next - w))
+        clock = time.perf_counter()
+        integrand = real_nonlinearity(w, w, p, mu=mu, kdv=mode == "kdv")[0]
+        # S(-t') F(t'); phases come first in both products because numpy's
+        # complex a*b and b*a can differ in the last bit
+        np.multiply(phases_inv, integrand, out=integrand)
+        cum = _cumulative_simpson(integrand, h)
+        cum -= cum[i0]  # integral from 0 to t
+        np.multiply(phases, cum, out=cum)
+        cum *= eta
+        w_next = free - cum
+        d = w_next - w
+        diffs_hs.append(hs_slicewise(d))
+        phase_s["iterate"] += time.perf_counter() - clock
         if zs_of is not None:
-            diffs_zs.append(zs_of(w_next - w))
+            clock = time.perf_counter()
+            diffs_zs.append(zs_of(d))
+            phase_s["zs"] += time.perf_counter() - clock
         w = w_next
-        saved.append(w.copy())
+        saved.append(w)
 
     def ratios(diffs):
         return [
@@ -397,4 +441,4 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         if run >= 3:
             diverged = True
             break
-    return PicardResult(t, np.stack(saved), r_hs, r_zs, diverged, p)
+    return PicardResult(t, np.stack(saved), r_hs, r_zs, diverged, p, phase_s)

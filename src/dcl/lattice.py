@@ -153,10 +153,13 @@ class SpatialSpectrum:
         return SpatialSpectrum(self.params, amps, **meta)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """amps(-k) == conj(amps(k)), the signature of a real underlying field."""
+        """amps(-k) == conj(amps(k)), the signature of a real underlying field.
+
+        tol is relative to the largest amplitude, so small data are judged
+        as strictly as large data; the zero spectrum is Hermitian.
+        """
         a = self.amps
-        scale = max(np.abs(a).max(), 1.0)
-        return bool(np.abs(a[::-1] - np.conj(a)).max() <= tol * scale)
+        return bool(np.abs(a[::-1] - np.conj(a)).max() <= tol * np.abs(a).max())
 
     def __add__(self, other):
         self._check_compatible(other)

@@ -132,6 +132,18 @@ class TestRescaleCheckAndPicard:
         assert doc["diverged"] is False
         assert len(doc["ratios_hs"]) == 3
 
+    def test_picard_report_phase_times(self, tmp_path):
+        assert run(tmp_path, "picard", "--kmax", "8", "--nt", "129",
+                   "--iterations", "2", "--u0-amplitude", "0.2") == 0
+        doc = json.loads((tmp_path / "out" / "picard.json").read_text())
+        phase_s = doc["telemetry"]["phase_s"]
+        assert set(phase_s) == {"setup", "iterate", "zs"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in phase_s.values())
+
+    def test_picard_even_nt_exit_one(self, tmp_path):
+        assert run(tmp_path, "picard", "--kmax", "8", "--nt", "1024",
+                   "--iterations", "1") == 1
+
 
 class TestRealInitialData:
     @pytest.mark.parametrize("command", [["simulate", "--T", "0.02", "--dt", "0.01"],

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
 from dcl.evolve import (
     IntegratingFactorRK4,
+    _cumulative_simpson,
     PicardConfig,
     SolverState,
     Trajectory,
@@ -285,6 +287,70 @@ class TestPicard:
             assert np.abs(out[i] - ref).max() < 1e-13
 
 
+class TestPicardQuadrature:
+    @pytest.mark.parametrize("nt", [3, 5, 129, 1025])
+    def test_matches_scipy_cumulative_simpson(self, nt):
+        rng = np.random.default_rng(nt)
+        y = rng.standard_normal((nt, 9)) + 1j * rng.standard_normal((nt, 9))
+        t = np.linspace(-2.0, 2.0, nt)
+        ref = (cumulative_simpson(y.real, x=t, axis=0, initial=0.0)
+               + 1j * cumulative_simpson(y.imag, x=t, axis=0, initial=0.0))
+        got = _cumulative_simpson(y, float(t[1] - t[0]))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nt", [3, 5, 129])
+    def test_exact_on_cubics_at_panel_ends(self, nt):
+        # a Simpson panel (two intervals) is exact on cubics; inside a panel
+        # each interval's three-point formula is exact on quadratics only
+        rng = np.random.default_rng(40 + nt)
+        c = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        t = np.linspace(-2.0, 2.0, nt)[:, None]
+        h = float(t[1, 0] - t[0, 0])
+        for degree, rows in ((3, slice(None, None, 2)), (2, slice(None))):
+            y = sum(c[i] * t**i for i in range(degree + 1))
+            prim = sum(c[i] * t**(i + 1) / (i + 1) for i in range(degree + 1))
+            exact = (prim - prim[0])[rows]
+            got = _cumulative_simpson(y, h)[rows]
+            assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+class TestPicardRecord:
+    def test_matches_recorded_values(self):
+        # recorded from the scipy cumulative_simpson(x=t) quadrature this replaced
+        p = ModelParams(j=2, kmax=8.0)
+        u0 = hermitian_spectrum(p, seed=11, scale=0.3)
+        res = picard_iterate(u0, PicardConfig(iterations=4, nt=129, report_s=-0.25))
+        ratios_hs = [0.15851652248794657, 0.04185605330746304, 0.08772559422067747]
+        ratios_zs = [0.19612379916454162, 0.03013442292282538, 0.15979847976120612]
+        at_half = [
+            0.07563403839104033 + 0.13049646684387545j,
+            -0.04124909411497927 + 0.033967674373202215j,
+            -0.00274586593135602 + 0.0073786492058209125j,
+            -0.0030801707848361806 - 7.336172187007511e-05j,
+            0.002733225203498872 + 0.002987918097396226j,
+            0.00041400666620524675 + 0.0011101078385990944j,
+            -0.000233423037860871 + 1.3303172857325717e-05j,
+            1.1426208856558076e-05 - 5.321857930347885e-05j,
+        ]
+        assert res.ratios_hs == pytest.approx(ratios_hs, rel=1e-12, abs=0)
+        assert res.ratios_zs == pytest.approx(ratios_zs, rel=1e-12, abs=0)
+        got = res.state_at(0.5).amps[p.nmax + 1:]
+        assert np.abs(got - at_half).max() <= 1e-12 * np.abs(at_half).max()
+
+    @pytest.mark.parametrize("nt", [0, 1, 2, 1024])
+    def test_even_or_tiny_nt_rejected(self, nt):
+        u0 = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=11)
+        with pytest.raises(ValueError, match="nt"):
+            picard_iterate(u0, PicardConfig(iterations=1, nt=nt))
+
+    @pytest.mark.parametrize("measure_zs", [True, False])
+    def test_phase_times_reported(self, measure_zs):
+        u0 = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=11)
+        res = picard_iterate(u0, PicardConfig(iterations=2, nt=129, measure_zs=measure_zs))
+        assert set(res.phase_s) == {"setup", "iterate", "zs"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in res.phase_s.values())
+
+
 def non_hermitian(params):
     u = hermitian_spectrum(params, seed=30)
     return u.with_amps(u.amps * np.exp(0.1j))  # a complex multiple of a real field
@@ -318,3 +384,12 @@ class TestRealFields:
     def test_one_off_step_rejects_complex_data(self, params16):
         with pytest.raises(ValueError, match="real field"):
             step(SolverState(0.0, non_hermitian(params16)), 1e-3)
+
+    def test_tiny_complex_data_rejected(self):
+        # max amplitude 6.4e-13: is_hermitian's tolerance is relative to it
+        u = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=30)
+        tiny = u.with_amps(u.amps * 1e-11 * np.exp(0.5j))
+        with pytest.raises(ValueError, match="real field"):
+            simulate(tiny, T=0.01, dt=1e-3)
+        with pytest.raises(ValueError, match="real field"):
+            picard_iterate(tiny, PicardConfig(iterations=1, nt=129))

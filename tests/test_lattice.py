@@ -307,3 +307,9 @@ class TestRealPacking:
         assert spec.amp(2) == pytest.approx(TWO_PI_SQRT)
         assert abs(spec.amp(-2)) < 1e-15
         assert np.abs(inverse_transform(spec, len(x)) - f).max() < 1e-14
+
+    def test_hermitian_tolerance_relative_to_the_data(self, params16):
+        u = hermitian_spectrum(params16, seed=30)
+        assert (1e-11 * u).is_hermitian()
+        assert not u.with_amps(u.amps * 1e-11 * np.exp(0.5j)).is_hermitian()
+        assert SpatialSpectrum.zeros(params16).is_hermitian()
