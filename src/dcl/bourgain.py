@@ -563,46 +563,92 @@ def _embedding_scans(s: float, j: int):
     }
 
 
-def _region_sigma_ranges(k: float, j: int, sigma_cap: float):
-    a, b = region_thresholds(abs(k), j)
-    if abs(k) >= 1.0:
-        return {"D1": (0.0, a), "D2": (a, b), "D3": (b, max(sigma_cap, 2 * b))}
-    return {"D5": (0.0, b), "D4": (b, max(sigma_cap, 2 * b))}
-
-
 _GROUPS = {"D1D5": ("D1", "D5"), "D2": ("D2",), "D3D4": ("D3", "D4"), "D1": ("D1",)}
 
 
-def _scan_max(alpha: float, beta: float, group: str, params: ModelParams,
-              kbound: float, n_sigma: int = 48):
-    """Max of <k>^alpha <sigma>^beta over the group's cells with |k| <= kbound."""
-    j = params.j
-    sigma_cap = 4.0 * region_thresholds(kbound, j)[1]
-    best, arg = -math.inf, None
-    nb = int(round(kbound * params.lam))
-    for n in range(1, nb + 1):
-        k = n / params.lam
-        for region, (lo, hi) in _region_sigma_ranges(k, j, sigma_cap).items():
-            if region not in _GROUPS[group]:
-                continue
-            lo_in = lo * (1 + 1e-9) if region in ("D2", "D4") else lo
-            hi_in = hi * (1 - 1e-9) if region == "D2" else hi
-            if hi_in <= lo_in:
-                continue
-            base = max(lo_in, 1e-6)
-            sig = np.unique(np.concatenate([
-                [lo_in, hi_in],
-                np.geomspace(base, hi_in, n_sigma) if hi_in > base else [],
-                np.linspace(lo_in, min(hi_in, 4.0), 8),
-            ]))
-            sig = sig[(sig >= lo_in) & (sig <= hi_in)]
-            if sig.size == 0:
-                continue
-            vals = bracket(k) ** alpha * bracket(sig) ** beta
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best, arg = float(vals[i]), (k, float(sig[i]))
-    return best, arg
+def _region_sigma_ranges(params: ModelParams, kbound: float):
+    """The lattice ks in (0, kbound], and each region's |sigma| range (lo, hi) at every k.
+
+    D1, D2, D3 hold the rows with k >= 1 and D5, D4 the rows with k < 1; a
+    region's rows of the other family are NaN.  D3 and D4 reach up to 4x
+    the upper threshold at kbound, and at least twice their own.
+    """
+    ks = np.arange(1, int(round(kbound * params.lam)) + 1) / params.lam
+    a, b = region_thresholds(ks, params.j)
+    top = np.maximum(4.0 * region_thresholds(kbound, params.j)[1], 2 * b)
+    big = ks >= 1.0
+
+    def rows(family, lo, hi):
+        return np.where(family, lo, np.nan), np.where(family, hi, np.nan)
+
+    return ks, {"D1": rows(big, 0.0, a), "D2": rows(big, a, b), "D3": rows(big, b, top),
+                "D5": rows(~big, 0.0, b), "D4": rows(~big, b, top)}
+
+
+def _geomspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """np.geomspace(start[i], stop[i], num) in row i, bit for bit.
+
+    np.geomspace over arrays rounds every row another way as soon as one row
+    has start == stop, so the batch is written out: num points equally
+    spaced in log10, with exact endpoints.
+    """
+    lo, hi = np.log10(start), np.log10(stop)
+    y = np.arange(num) * ((hi - lo) / (num - 1))[:, None] + lo[:, None]
+    y[:, -1] = hi
+    out = np.power(10.0, y)
+    out[:, 0], out[:, -1] = start, stop
+    return out
+
+
+def _sigma_grid(group: str, ranges: dict, n_sigma: int = 48) -> np.ndarray:
+    """The scan sigmas of a region group: one ascending row per k, NaN-padded.
+
+    A row holds the ends of the k's range in the group, n_sigma geometric
+    points from max(lo, 1e-6) and 8 linear points up to min(hi, 4), all
+    kept inside the range.  Open ends (D2 both, D4 below) are pulled in by a
+    relative 1e-9; a k whose range is empty gets an all-NaN row.
+    """
+    lo = hi = np.nan
+    for region in _GROUPS[group]:  # one member per k: fmax picks it
+        rlo, rhi = ranges[region]
+        lo = np.fmax(lo, rlo * (1 + 1e-9) if region in ("D2", "D4") else rlo)
+        hi = np.fmax(hi, rhi * (1 - 1e-9) if region == "D2" else rhi)
+    base = np.maximum(lo, 1e-6)
+    geo = np.full((lo.size, n_sigma), np.nan)
+    has_geo = hi > base
+    geo[has_geo] = _geomspace_rows(base[has_geo], hi[has_geo], n_sigma)
+    top = np.minimum(hi, 4.0)
+    lin = np.arange(8) * ((top - lo) / 7)[:, None] + lo[:, None]
+    lin[:, -1] = top
+    lo, hi = lo[:, None], hi[:, None]
+    sig = np.concatenate([lo, hi, geo, lin], axis=1)
+    sig[~((sig >= lo) & (sig <= hi) & (hi > lo))] = np.nan
+    sig.sort(axis=1)
+    return sig
+
+
+def _scan_maxima(scans: dict, params: ModelParams, kbound: float) -> dict:
+    """Per scan, the max of <k>^alpha <sigma>^beta over its group's cells with |k| <= kbound.
+
+    Returns (group, inequality) -> (max, (k, sigma)), or (-inf, None) for a
+    group with no cells.  Each group's sigma grid is built once and shared
+    by its scans.  Ties go to the smallest k, then the smallest sigma.
+    """
+    ks, ranges = _region_sigma_ranges(params, kbound)
+    grids = {group: _sigma_grid(group, ranges) for group in _GROUPS}
+    out = {}
+    for (group, ineq), (alpha, beta) in scans.items():
+        sig = grids[group]
+        # float_power is libm pow, as for a scalar; numpy's SIMD ** can be an ulp off
+        vals = np.float_power(bracket(ks), alpha)[:, None] * bracket(sig) ** beta
+        vals[np.isnan(sig)] = -np.inf
+        best = vals.max(initial=-np.inf)
+        if best == -np.inf:
+            out[(group, ineq)] = -math.inf, None
+            continue
+        i, c = np.unravel_index(np.argmax(vals), vals.shape)  # first max, row-major
+        out[(group, ineq)] = float(best), (float(ks[i]), float(sig[i, c]))
+    return out
 
 
 def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
@@ -620,6 +666,13 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     means that the dominances hold on the scanned box; it certifies
     nothing, because the window's ends also come from estimates other than
     these dominances.
+
+    Each box is scanned on one sigma grid per region group (D1+D5, D2,
+    D3+D4, D1), shared by all scans of that group: for every lattice k
+    <= kbound and the k's region in the group, the ends of its |sigma|
+    range, 48 geometric points from max(lo, 1e-6) and 8 linear points up
+    to min(hi, 4), with open ends pulled in by a relative 1e-9.  Of equal
+    maxima the smallest k, then the smallest sigma, is reported as argmax.
     """
     lo, hi = admissible_window(params)
     in_window = lo <= s <= hi
@@ -629,15 +682,13 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
             f"for j={params.j}; pass allow_outside_window=True to scan anyway"
         )
     bounds = [kbound * 2**i for i in range(doublings + 1)]
+    scans = _embedding_scans(s, params.j)
+    maxima = [_scan_maxima(scans, params, b) for b in bounds]
     entries = []
     overall = True
-    for (group, ineq), (alpha, beta) in _embedding_scans(s, params.j).items():
-        trend = []
-        argmax = None
-        for b in bounds:
-            mx, arg = _scan_max(alpha, beta, group, params, b)
-            trend.append(mx)
-            argmax = arg
+    for group, ineq in scans:
+        trend = [m[(group, ineq)][0] for m in maxima]
+        argmax = maxima[-1][(group, ineq)][1]
         growth = all(
             trend[i + 1] <= trend[i] * (1 + 1e-9) for i in range(len(trend) - 1)
         )
@@ -668,19 +719,30 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
 
 
 def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) -> str:
-    """Raw per-cell dump of the lower-chain weight ratios: k, sigma, region, ratio."""
+    """Raw per-cell dump of the lower-chain weight ratios: k, sigma, region, ratio.
+
+    Every lattice k <= kbound and each of its regions (D1, D2, D3 for
+    k >= 1, D5, D4 below) get n_sigma geometric sigmas from max(lo, 1e-6)
+    to max(hi, 2e-6) over the region's |sigma| range, the ranges the
+    verify_embeddings grid uses, without its linear points or pulled-in open
+    ends.  Rows run by k, then region, then ascending sigma; the ratios of
+    all cells are computed at once, and every column but region is a plain
+    number.
+    """
     scans = _embedding_scans(s, params.j)
+    ks, ranges = _region_sigma_ranges(params, kbound)
+    cells = []
+    for region, (lo, hi) in ranges.items():
+        group = next(g for g, members in _GROUPS.items()
+                     if region in members and (g, "lower") in scans)
+        alpha, beta = scans[(group, "lower")]
+        sig = _geomspace_rows(np.maximum(lo, 1e-6), np.maximum(hi, 2e-6), n_sigma)
+        # float_power is libm pow, as for scalars; numpy's SIMD ** can be an ulp off
+        ratio = np.float_power(bracket(ks), alpha)[:, None] * np.float_power(bracket(sig), beta)
+        cells.append((region, sig.tolist(), ratio.tolist()))
     rows = ["k,sigma,region,ratio"]
-    cap = 4.0 * region_thresholds(kbound, params.j)[1]
-    nb = int(round(kbound * params.lam))
-    for n in range(1, nb + 1):
-        k = n / params.lam
-        for region, (lo, hi) in _region_sigma_ranges(k, params.j, cap).items():
-            group = next(g for g, members in _GROUPS.items()
-                         if region in members and (g, "lower") in scans)
-            alpha, beta = scans[(group, "lower")]
-            sig = np.geomspace(max(lo, 1e-6), max(hi, 2e-6), n_sigma)
-            for sv in sig:
-                ratio = float(bracket(k) ** alpha * bracket(sv) ** beta)
-                rows.append(f"{k!r},{sv!r},{region},{ratio!r}")
+    for i, k in enumerate(ks.tolist()):
+        for region, sig, ratio in cells:
+            if not math.isnan(sig[i][0]):
+                rows.extend(f"{k!r},{sv!r},{region},{r!r}" for sv, r in zip(sig[i], ratio[i]))
     return "\n".join(rows) + "\n"

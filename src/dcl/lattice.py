@@ -23,13 +23,13 @@ order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 
@@ -92,7 +92,23 @@ class ModelParams:
 
     def default_grid(self, pad: int = 1) -> int:
         """FFT-friendly sample count resolving modes up to pad*kmax without aliasing."""
-        return next_fast_len(2 * pad * self.nmax + 2)
+        return _next_fast_len(2 * pad * self.nmax + 2)
+
+
+@functools.lru_cache(maxsize=64)  # default_grid runs on every nonlinearity evaluation
+def _next_fast_len(n: int) -> int:
+    """Smallest m >= n with no prime factor above 11, as scipy.fft.next_fast_len(n)."""
+    if n < 1:
+        raise ValueError(f"FFT length must be positive, got {n}")
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 @dataclass(frozen=True)

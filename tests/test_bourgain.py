@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dcl.bourgain import (
     REGION_LABELS,
+    _embedding_scans,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -23,6 +24,7 @@ from dcl.bourgain import (
     region_codes,
     region_coefficient,
     region_memberships,
+    region_thresholds,
     scan_csv,
     sigma,
     st_convolve,
@@ -451,3 +453,115 @@ class TestEmbeddingScans:
         lines = text.splitlines()
         assert lines[0] == "k,sigma,region,ratio"
         assert all(len(line.split(",")) == 4 for line in lines[1:])
+
+    def test_scan_csv_columns_are_plain_numbers(self):
+        p = ModelParams(j=3, lam=2.0, kmax=8.0)
+        lines = scan_csv(-1.0, p, kbound=8.0).splitlines()
+        assert lines[0] == "k,sigma,region,ratio"
+        regions = set()
+        for line in lines[1:]:
+            k, sv, region, ratio = line.split(",")
+            for cell in (k, sv, ratio):
+                float(cell)
+            regions.add(region)
+        assert regions == {"D1", "D2", "D3", "D4", "D5"}
+
+
+# -- per-(k, region) loop oracle for the embedding scans ------------------------------
+
+_ORACLE_GROUPS = {"D1D5": ("D1", "D5"), "D2": ("D2",), "D3D4": ("D3", "D4"), "D1": ("D1",)}
+
+
+def _oracle_ranges(k, j, sigma_cap):
+    a, b = region_thresholds(abs(k), j)
+    if abs(k) >= 1.0:
+        return {"D1": (0.0, a), "D2": (a, b), "D3": (b, max(sigma_cap, 2 * b))}
+    return {"D5": (0.0, b), "D4": (b, max(sigma_cap, 2 * b))}
+
+
+def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
+    """Loop over (k, region); the strict > keeps the first k, np.unique the smallest sigma."""
+    j = params.j
+    sigma_cap = 4.0 * region_thresholds(kbound, j)[1]
+    best, arg = -math.inf, None
+    for n in range(1, int(round(kbound * params.lam)) + 1):
+        k = n / params.lam
+        for region, (lo, hi) in _oracle_ranges(k, j, sigma_cap).items():
+            if region not in _ORACLE_GROUPS[group]:
+                continue
+            lo_in = lo * (1 + 1e-9) if region in ("D2", "D4") else lo
+            hi_in = hi * (1 - 1e-9) if region == "D2" else hi
+            if hi_in <= lo_in:
+                continue
+            base = max(lo_in, 1e-6)
+            sig = np.unique(np.concatenate([
+                [lo_in, hi_in],
+                np.geomspace(base, hi_in, n_sigma) if hi_in > base else [],
+                np.linspace(lo_in, min(hi_in, 4.0), 8),
+            ]))
+            sig = sig[(sig >= lo_in) & (sig <= hi_in)]
+            vals = bracket(k) ** alpha * bracket(sig) ** beta
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best, arg = float(vals[i]), (k, float(sig[i]))
+    return best, arg
+
+
+def _oracle_scan_csv(s, params, kbound, n_sigma=16):
+    scans = _embedding_scans(s, params.j)
+    rows = ["k,sigma,region,ratio"]
+    cap = 4.0 * region_thresholds(kbound, params.j)[1]
+    for n in range(1, int(round(kbound * params.lam)) + 1):
+        k = n / params.lam
+        for region, (lo, hi) in _oracle_ranges(k, params.j, cap).items():
+            group = next(g for g, members in _ORACLE_GROUPS.items()
+                         if region in members and (g, "lower") in scans)
+            alpha, beta = scans[(group, "lower")]
+            for sv in np.geomspace(max(lo, 1e-6), max(hi, 2e-6), n_sigma):
+                ratio = float(bracket(k) ** alpha * bracket(sv) ** beta)
+                rows.append(f"{k!r},{float(sv)!r},{region},{ratio!r}")
+    return "\n".join(rows) + "\n"
+
+
+# (j, lam, s): in the window, below it, and above it
+_SCAN_CASES = [(j, lam, s) for j in (2, 3, 4) for lam in (1.0, 2.0, 4.0)
+               for s in (sum(admissible_window(ModelParams(j=j))) / 2, -2.5, 0.5)]
+
+
+class TestEmbeddingScanOracle:
+    @pytest.mark.parametrize("j, lam, s", _SCAN_CASES)
+    def test_reports_equal_the_per_k_loop(self, j, lam, s):
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        rep = verify_embeddings(s, p, kbound=12.0, doublings=1, allow_outside_window=True)
+        for entry, ((group, ineq), (alpha, beta)) in zip(
+                rep["entries"], _embedding_scans(s, j).items()):
+            got = [_oracle_scan_max(alpha, beta, group, p, b) for b in rep["kbounds"]]
+            assert (entry["region"], entry["inequality"]) == (group, ineq)
+            assert entry["trend"] == [mx for mx, _ in got]
+            k, sv = got[-1][1]
+            assert entry["argmax"] == {"k": k, "sigma": sv}
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    def test_flat_ratio_ties_go_to_the_first_k_and_smallest_sigma(self, lam):
+        # D1D5 "upper" divides a weight by itself: beta = 0, every cell ties at 1
+        rep = verify_embeddings(-0.25, ModelParams(j=2, lam=lam, kmax=8.0), kbound=8.0)
+        entry = rep["entries"][3]
+        assert (entry["region"], entry["inequality"]) == ("D1D5", "upper")
+        assert entry["trend"] == [1.0, 1.0]
+        assert entry["argmax"] == {"k": 1.0 / lam, "sigma": 0.0}
+
+    def test_box_without_group_cells(self):
+        # below |k| = 1 there are no D1, D2 or D3 cells
+        rep = verify_embeddings(-0.25, ModelParams(j=2, lam=4.0, kmax=8.0), kbound=0.25,
+                                doublings=0)
+        by_key = {(e["region"], e["inequality"]): e for e in rep["entries"]}
+        assert by_key[("D2", "lower")]["trend"] == [-math.inf]
+        assert by_key[("D2", "lower")]["argmax"] is None
+        assert by_key[("D1D5", "lower")]["argmax"]["k"] == 0.25
+        assert not rep["pass"]
+
+    @pytest.mark.parametrize("j, lam, s", [(2, 1.0, -0.25), (3, 2.0, -1.0), (4, 4.0, -1.5),
+                                           (2, 4.0, 0.5)])
+    def test_csv_equals_the_per_cell_loop(self, j, lam, s):
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        assert scan_csv(s, p, kbound=12.0) == _oracle_scan_csv(s, p, kbound=12.0)

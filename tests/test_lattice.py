@@ -56,6 +56,15 @@ class TestModelParams:
         ModelParams(j=1)  # accepted for the local-dispersion comparison mode
 
 
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    def test_default_grid_is_scipys_fast_length(self, lam):
+        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+        for n in range(1, int(1024 * lam) + 1):
+            p = ModelParams(j=2, lam=lam, kmax=n / lam)
+            for pad in (1, 2):
+                assert p.default_grid(pad) == next_fast_len(2 * pad * n + 2), (n, pad)
+
+
 class TestForwardTransform:
     def test_cosine_amplitudes(self, params16):
         # (2*pi)^(-1/2) * int_0^{2pi} cos(x) e^{-+ix} dx = sqrt(pi/2)

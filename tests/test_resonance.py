@@ -1,6 +1,7 @@
 """Exact-arithmetic certificate for the interaction lower bound."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,68 @@ class TestCertificate:
         tau2 = 2 ** (2 * j + 1) * (-1) ** (j + 1)
         sig = (tau1 + tau2) - (-1) ** (j + 1) * 3 ** (2 * j + 1)
         assert abs(sig) == resonance_magnitude(t, j)
+
+
+def _oracle_triples(kmax_box):
+    """All interacting triples with |k|, |k1|, |k2| <= kmax_box, k1 then k2 ascending."""
+    rng = range(-kmax_box, kmax_box + 1)
+    for k1 in rng:
+        for k2 in rng:
+            if 0 not in (k1, k2, k1 + k2) and abs(k1 + k2) <= kmax_box:
+                yield Triple(k1 + k2, k1, k2)
+
+
+def _oracle_certificate(kmax_box, j, tau_trials=3, seed=7):
+    """One Triple per lattice point, powers recomputed per triple and per trial."""
+    rnd = random.Random(seed)
+    checked = violations = identity_failures = 0
+    min_slack, argmin = math.inf, None
+    den, e = 4**j, 2 * j + 1
+    sgn = 1 if j % 2 == 1 else -1
+    for t in _oracle_triples(kmax_box):
+        checked += 1
+        res = resonance_magnitude(t, j)
+        num = bound_num_den(t, j)[0]
+        if res * den < num:
+            violations += 1
+        slack = res * den / num
+        if slack < min_slack:
+            min_slack, argmin = slack, (t.k, t.k1, t.k2)
+        for _ in range(tau_trials):
+            tau1 = rnd.randint(-(kmax_box**e), kmax_box**e)
+            tau2 = rnd.randint(-(kmax_box**e), kmax_box**e)
+            s0 = tau1 + tau2 - sgn * t.k**e
+            s1 = tau1 - sgn * t.k1**e
+            s2 = tau2 - sgn * t.k2**e
+            if abs(s0 - s1 - s2) != res:
+                identity_failures += 1
+            if 3 * max(abs(s0), abs(s1), abs(s2)) * den < num:
+                identity_failures += 1
+    return {"j": j, "Kmax": kmax_box, "triples_checked": checked, "violations": violations,
+            "identity_failures": identity_failures, "min_slack": min_slack,
+            "argmin": list(argmin) if argmin else None}
+
+
+class TestCertificateOracle:
+    @pytest.mark.parametrize("box", [2, 8, 16])
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_report_equals_the_triple_walk(self, box, j):
+        assert verify_resonance_bound(box, j) == _oracle_certificate(box, j)
+
+    def test_tau_draws_follow_the_seed(self, monkeypatch):
+        draws = {}
+        for name, run in (("table", verify_resonance_bound), ("oracle", _oracle_certificate)):
+            class Recorder(random.Random):
+                def randrange(self, *args):
+                    value = super().randrange(*args)
+                    draws.setdefault(name, []).append(value)
+                    return value
+
+            monkeypatch.setattr(random, "Random", Recorder)
+            run(8, 3, tau_trials=2, seed=11)
+            monkeypatch.undo()
+        assert len(draws["table"]) == 2 * 2 * verify_resonance_bound(8, 3)["triples_checked"]
+        assert draws["table"] == draws["oracle"]
 
 
 class TestMaxCase:
