@@ -24,19 +24,27 @@ with X_{s,b} = ||<k>^s <sigma>^b F u||_{L2}, Y^s = ||<k>^s F u||_{L2_k L1_tau},
 and W^s = X_{s,1/2} + Y^s.
 
 Discretization: tau lives on a uniform grid tau = tau0 + m*dtau with global
-integer index m.  Spectra are stored as sparse per-k "bands": lists of
-(m0, amps) segments.  m0 is a Python int, so segments may sit at
-astronomically large tau (near P(k) for large k) without losing the exact
-integer offset; sigma is then reconstructed exactly before the single final
-float rounding.  L2(dtau) is realized as (sum |a|^2 dtau)^(1/2) and
-L1(dtau) as sum |a| dtau, with weights evaluated at cell centers.
+integer index m.  A spectrum is one flat layout, built once: a contiguous
+buffer amps of all its cells, and a segment table of runs of consecutive
+cells (band n with k = n/lam, first index m0, offsets into amps), sorted by
+(n, m0).  The per-k "bands" dict, n -> [(m0, amps)], is a view of that
+table whose arrays are slices of the buffer.  m0 is exact: int64 while it
+is small, Python ints beyond 2^62, so segments may sit at astronomically
+large tau (near P(k) for large k) without losing the exact integer offset;
+sigma is then reconstructed exactly before the single final float
+rounding.  Every operation (convolution, symbols, norms) runs on the whole
+buffer at once, with per-band factors (k symbols, <k> powers, region
+thresholds) computed once per band.  L2(dtau) is realized as
+(sum |a|^2 dtau)^(1/2) and L1(dtau) as sum |a| dtau, with weights evaluated
+at cell centers.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -96,18 +104,23 @@ def region_thresholds(ak, j: int):
     return c * power(ak, 2 * j), c * power(ak, 2 * j + 1)
 
 
-def region_codes(k, abs_sigma, params: ModelParams):
+def region_codes(k, abs_sigma, params: ModelParams, band=None):
     """Region code of (k, |sigma|): 0 excluded, 1..5 for D1..D5; floats or broadcast arrays.
 
+    With band, k holds one value per band and band[i] is the band of
+    abs_sigma[i]: the thresholds are then computed once per band.
     Tie rules: k = 0 is excluded, |k| within 1e-12 of 1/lam or kmax is
     inside, and at |k| = 1 the large-k family wins with D1 before D3.
     """
     ak = abs(k)
     lo, hi = region_thresholds(ak, params.j)
     inside = (ak != 0.0) & (ak >= 1.0 / params.lam - 1e-12) & (ak <= params.kmax + 1e-12)
+    big, small_k = ak >= 1.0, ak < 1.0
+    if band is not None:
+        lo, hi, inside, big, small_k = (x[band] for x in (lo, hi, inside, big, small_k))
     above_lo = abs_sigma > lo
-    large = (ak >= 1.0) * (1 + above_lo + (above_lo & (abs_sigma >= hi)))
-    small = (ak < 1.0) * (5 - (abs_sigma > hi))
+    large = big * (1 + above_lo + (above_lo & (abs_sigma >= hi)))
+    small = small_k * (5 - (abs_sigma > hi))
     return inside * (large + small)
 
 
@@ -124,55 +137,136 @@ def classify_region(k: float, tau: float, params: ModelParams) -> RegionLabel:
 
 # -- space-time spectra ---------------------------------------------------------
 
-def _merge_segments(segments):
-    """Sort (m0, amps) segments and sum overlaps into disjoint segments."""
-    if len(segments) <= 1:
-        return list(segments)
-    segments = sorted(segments, key=lambda s: s[0])
-    out = []
-    cur_m0, cur = segments[0][0], segments[0][1].copy()
-    for m0, arr in segments[1:]:
-        if m0 <= cur_m0 + len(cur):  # overlapping or touching
-            new_len = max(cur_m0 + len(cur), m0 + len(arr)) - cur_m0
-            if new_len > len(cur):
-                cur = np.concatenate([cur, np.zeros(new_len - len(cur), dtype=complex)])
-            off = int(m0 - cur_m0)
-            cur[off:off + len(arr)] += arr
-        else:
-            out.append((cur_m0, cur))
-            cur_m0, cur = m0, arr.copy()
-    out.append((cur_m0, cur))
-    return out
+def _ints(values) -> np.ndarray:
+    """Exact integers: int64 when every |value| < 2^62, Python ints (dtype object) otherwise.
+
+    Below 2^62 the sum or difference of two such arrays cannot overflow int64;
+    tau offsets near P(k) for large k (2^93 at k = 1024, j = 4) stay Python ints.
+    """
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+    if arr.size and (arr.max() >= 2**62 or arr.min() <= -2**62):
+        return arr.astype(object)
+    return arr
 
 
-@dataclass
+def _cell_offsets(offsets: np.ndarray) -> np.ndarray:
+    """Each cell's index inside its segment, for segments amps[offsets[i]:offsets[i+1]]."""
+    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], offsets[1:] - offsets[:-1])
+
+
+def _assemble(n, m0, length, buf, keep=None):
+    """The flat layout of segments that tile buf in order: (n[i], m0[i]) and length[i] cells.
+
+    The kept segments (all by default) are sorted by (n, m0); within a band,
+    segments that overlap or touch merge into one, summed where they
+    overlap.  Returns (seg_n, seg_m0, offsets, amps).
+    """
+    keep = length > 0 if keep is None else keep & (length > 0)
+    kept = np.flatnonzero(keep)[np.lexsort((m0[keep], n[keep]))]
+    if not kept.size:
+        return n[:0], m0[:0], np.zeros(1, dtype=np.int64), np.zeros(0, dtype=complex)
+    n_k, m0_k = n[kept], m0[kept]
+    end = m0_k + length[kept]
+    band_starts = n_k[1:] != n_k[:-1]
+    cuts = [0, *(np.flatnonzero(band_starts) + 1).tolist(), n_k.size]
+    reach = end.copy()  # the furthest end of the band so far
+    for a, b in zip(cuts, cuts[1:]):
+        reach[a:b] = np.maximum.accumulate(end[a:b])
+    new = np.ones(n_k.size, dtype=bool)
+    new[1:] = band_starts | (m0_k[1:] > reach[:-1])
+    first = np.flatnonzero(new)
+    seg = np.cumsum(new) - 1  # output segment of each kept segment
+    out_m0 = m0_k[first]
+    offsets = np.zeros(first.size + 1, dtype=np.int64)
+    last = np.append(first[1:], n_k.size) - 1
+    np.cumsum((reach[last] - out_m0).astype(np.int64), out=offsets[1:])
+    # where each kept segment's first cell lands; dropped ones land past the end, cut off below
+    at = np.full(n.size, offsets[-1])
+    at[kept] = offsets[seg] + (m0_k - out_m0[seg]).astype(np.int64)
+    dst = np.repeat(at - (np.cumsum(length) - length), length)
+    dst += np.arange(buf.size)
+    amps = np.zeros(offsets[-1] + length.max(), dtype=complex)
+    np.add.at(amps, dst, buf)
+    return n_k[first], _ints(out_m0), offsets, amps[:offsets[-1]]
+
+
 class SpaceTimeSpectrum:
-    """Sparse banded amplitudes over (k, tau) cells; see the module docstring.
+    """Sparse banded amplitudes over (k, tau) cells in one flat layout; see the module docstring.
 
-    bands maps the integer lattice index n (k = n/lam, n != 0) to a list of
-    disjoint (m0, amps) segments with cell centers tau = tau0 + m*dtau.
-    Treated as an immutable value after construction.
+    amps holds every cell.  Segment i covers amps[offsets[i]:offsets[i+1]]
+    in band seg_n[i] (k = n/lam, n != 0), with cell centers tau = tau0 +
+    m*dtau for m = seg_m0[i], seg_m0[i] + 1, ...; segments are sorted by
+    (n, m0) and neither overlap nor touch.  bands maps n to that band's
+    [(m0, view), ...], the views into amps.  The constructor takes such a
+    dict, with segments in any order, overlapping or touching, and sums
+    them.  Treated as an immutable value after construction.
     """
 
-    params: ModelParams
-    dtau: float
-    tau0: float = 0.0
-    bands: dict = field(default_factory=dict)
-    truncated_mass: float = field(default=0.0, compare=False)
-
-    def __post_init__(self):
-        if self.dtau <= 0:
+    def __init__(self, params: ModelParams, dtau: float, tau0: float = 0.0,
+                 bands: dict | None = None, truncated_mass: float = 0.0):
+        if dtau <= 0:
             raise ValueError("dtau must be positive")
-        clean = {}
-        for n, segs in self.bands.items():
+        ns, m0s, rows = [], [], []
+        for n, segs in (bands or {}).items():
             if n == 0:
                 raise ValueError("zero mode is excluded from spectra")
-            if isinstance(segs, tuple):
-                segs = [segs]
-            segs = _merge_segments([(int(m0), np.asarray(a, dtype=complex)) for m0, a in segs])
-            if any(len(a) for _, a in segs):
-                clean[n] = segs
-        self.bands = clean
+            for m0, a in [segs] if isinstance(segs, tuple) else segs:
+                ns.append(int(n))
+                m0s.append(int(m0))
+                rows.append(np.asarray(a, dtype=complex))
+        length = np.array([a.size for a in rows], dtype=np.int64)
+        buf = np.concatenate(rows) if rows else np.zeros(0, dtype=complex)
+        layout = _assemble(np.array(ns, dtype=np.int64), _ints(m0s), length, buf)
+        self._set_layout(params, dtau, tau0, *layout, truncated_mass)
+
+    def _set_layout(self, params, dtau, tau0, seg_n, seg_m0, offsets, amps, truncated_mass):
+        self.params, self.dtau, self.tau0 = params, dtau, tau0
+        self.seg_n, self.seg_m0, self.offsets, self.amps = seg_n, seg_m0, offsets, amps
+        self.truncated_mass = truncated_mass
+        new_band = np.ones(seg_n.size, dtype=bool)  # the band table: seg_n is sorted
+        new_band[1:] = seg_n[1:] != seg_n[:-1]
+        self._band_n, self._seg_band = seg_n[new_band], np.cumsum(new_band) - 1
+        self._band_k = self._band_n / params.lam
+
+    @classmethod
+    def _from_layout(cls, params, dtau, tau0, seg_n, seg_m0, offsets, amps,
+                     truncated_mass=0.0) -> "SpaceTimeSpectrum":
+        """Wrap a layout that is already sorted and disjoint, without copying it."""
+        out = cls.__new__(cls)
+        out._set_layout(params, dtau, tau0, seg_n, seg_m0, offsets, amps, truncated_mass)
+        return out
+
+    def _with_amps(self, amps) -> "SpaceTimeSpectrum":
+        """The same cells with new amplitudes; the segment table and cell arrays are shared."""
+        out = copy.copy(self)
+        out.__dict__.pop("bands", None)
+        out.amps, out.truncated_mass = amps, 0.0
+        return out
+
+    @cached_property
+    def bands(self) -> dict:
+        bands = {}
+        for n, m0, a, b in zip(self.seg_n.tolist(), self.seg_m0.tolist(),
+                               self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
+            bands.setdefault(n, []).append((m0, self.amps[a:b]))
+        return bands
+
+    @cached_property
+    def _cell_band(self) -> np.ndarray:
+        """Each cell's index into the band table _band_n."""
+        return np.repeat(self._seg_band, self.offsets[1:] - self.offsets[:-1])
+
+    @cached_property
+    def _sigma(self) -> np.ndarray:
+        """Every cell's modulation, in layout order."""
+        return self._segment_sigma(self._band_n, self._seg_band, self.seg_m0, self.offsets)
+
+    def _k_symbol(self, fn) -> np.ndarray:
+        """fn(k) per cell, fn called once per band with a scalar k."""
+        return np.array([fn(k) for k in self._band_k.tolist()])[self._cell_band]
 
     # -- construction helpers --
 
@@ -197,28 +291,37 @@ class SpaceTimeSpectrum:
         )
 
     def sigma_of(self, n: int, m0: int, length: int) -> np.ndarray:
-        """Cell-center modulations for a segment, exact integer path when possible.
+        """Cell-center modulations of the segment of length cells at (n, m0)."""
+        return self._segment_sigma(np.array([n]), np.zeros(1, dtype=np.intp), _ints([m0]),
+                                   np.array([0, length]))
+
+    def _segment_sigma(self, band_n, band, seg_m0, offsets) -> np.ndarray:
+        """Cell-center modulations of segments, exact integer path when possible.
 
         When P(k) and 1/dtau are integers (lam = 1 lattices with dyadic
         dtau), sigma = tau0 + dtau*(m0 - P*q + i) is assembled in exact
         integer arithmetic before the single float conversion, so even
         segments at tau ~ 1e20 keep full relative precision in sigma.
+        Segment i lies in band band_n[band[i]].
         """
         p = self.params
-        idx = np.arange(length)
+        length = offsets[1:] - offsets[:-1]
+        local = _cell_offsets(offsets)
         q = 1.0 / self.dtau
         if p.lam == 1.0 and abs(q - round(q)) < 1e-12:
-            pk = dispersion_symbol(int(n), p.j)
-            r0 = m0 - pk * int(round(q))  # exact; float conversion only at the end
-            return self.tau0 + self.dtau * (float(r0) + idx.astype(float))
-        pk = dispersion_symbol(n / p.lam, p.j)
-        return self.tau0 + (np.asarray(m0 + idx, dtype=float)) * self.dtau - pk
+            pq = _ints([dispersion_symbol(n, p.j) * int(round(q)) for n in band_n.tolist()])
+            r0 = (seg_m0 - pq[band]).astype(float)  # exact; float conversion only here
+            return self.tau0 + self.dtau * (np.repeat(r0, length) + local)
+        pk = dispersion_symbol(band_n / p.lam, p.j)
+        m = (np.repeat(seg_m0, length) + local).astype(float)
+        return self.tau0 + m * self.dtau - np.repeat(pk[band], length)
 
     def cells(self):
         """Yield (n, m0, amps, sigma) per segment."""
-        for n, segs in sorted(self.bands.items()):
-            for m0, arr in segs:
-                yield n, m0, arr, self.sigma_of(n, m0, len(arr))
+        sig = self._sigma
+        for n, m0, a, b in zip(self.seg_n.tolist(), self.seg_m0.tolist(),
+                               self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
+            yield n, m0, self.amps[a:b], sig[a:b]
 
     def value_at(self, n: int, m: int) -> complex:
         for m0, arr in self.bands.get(n, []):
@@ -227,55 +330,56 @@ class SpaceTimeSpectrum:
         return 0j
 
     def n_cells(self) -> int:
-        return sum(len(a) for segs in self.bands.values() for _, a in segs)
+        return int(self.amps.size)
 
     def is_hermitian(self, tol=1e-12) -> bool:
-        """F u(-k,-tau) == conj(F u(k,tau)): the underlying field is real."""
-        scale = max((np.abs(a).max() for segs in self.bands.values() for _, a in segs),
-                    default=0.0) or 1.0
-        for n, segs in self.bands.items():
-            for m0, arr in segs:
-                for i, v in enumerate(arr):
-                    # cell center tau = tau0 + m*dtau mirrors to -tau; on-grid iff
-                    # 2*tau0/dtau is integral, which holds for the grids we build
-                    mm = -(m0 + i) - int(round(2 * self.tau0 / self.dtau))
-                    if abs(self.value_at(-n, mm) - np.conj(v)) > tol * scale:
-                        return False
-        return True
+        """F u(-k,-tau) == conj(F u(k,tau)): the underlying field is real.
+
+        The cell center tau = tau0 + m*dtau mirrors to -tau, the cell
+        -m - 2*tau0/dtau, a grid cell when 2*tau0/dtau is an integer, as on
+        the grids built here.  One sort of the cells and their mirror points
+        puts each mirror point right after the cell it equals, if there is
+        one; a missing mirror cell counts as 0.
+        """
+        scale = float(np.abs(self.amps).max(initial=0.0)) or 1.0
+        size = self.amps.size
+        length = np.diff(self.offsets)
+        n = np.repeat(self.seg_n, length)
+        m = np.repeat(self.seg_m0, length) + _cell_offsets(self.offsets)
+        key_n = np.concatenate([n, -n])
+        key_m = np.concatenate([m, -m - int(round(2 * self.tau0 / self.dtau))])
+        order = np.lexsort((key_m, key_n))  # stable: a cell sorts before its equal mirror
+        key_n, key_m = key_n[order], key_m[order]
+        found = np.flatnonzero((order[1:] >= size) & (key_n[1:] == key_n[:-1])
+                               & (key_m[1:] == key_m[:-1])) + 1
+        mirror = np.zeros(size, dtype=complex)
+        mirror[order[found] - size] = self.amps[order[found - 1]]
+        return not np.any(np.abs(mirror - np.conj(self.amps)) > tol * scale)
 
     # -- algebra --
 
     def scaled(self, c) -> "SpaceTimeSpectrum":
-        bands = {n: [(m0, c * a) for m0, a in segs] for n, segs in self.bands.items()}
-        return SpaceTimeSpectrum(self.params, self.dtau, self.tau0, bands)
+        return self._with_amps(c * self.amps)
 
     def __add__(self, other) -> "SpaceTimeSpectrum":
         if not self.grids_match(other):
             raise ValueError("space-time grids do not match")
-        bands = {n: list(segs) for n, segs in self.bands.items()}
-        for n, segs in other.bands.items():
-            bands.setdefault(n, []).extend(segs)
-        return SpaceTimeSpectrum(self.params, self.dtau, self.tau0, bands)
+        layout = _assemble(np.concatenate([self.seg_n, other.seg_n]),
+                           _ints(np.concatenate([self.seg_m0, other.seg_m0])),
+                           np.concatenate([np.diff(self.offsets), np.diff(other.offsets)]),
+                           np.concatenate([self.amps, other.amps]))
+        return SpaceTimeSpectrum._from_layout(self.params, self.dtau, self.tau0, *layout)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def apply_k(self, fn) -> "SpaceTimeSpectrum":
         """Multiply each band by the symbol fn(k)."""
-        bands = {
-            n: [(m0, fn(self.k_of(n)) * a) for m0, a in segs]
-            for n, segs in self.bands.items()
-        }
-        return SpaceTimeSpectrum(self.params, self.dtau, self.tau0, bands)
+        return self._with_amps(self._k_symbol(fn) * self.amps)
 
     def apply_sigma(self, fn) -> "SpaceTimeSpectrum":
         """Multiply each cell by fn(sigma) at the cell center (midpoint rule)."""
-        bands = {}
-        for n, segs in self.bands.items():
-            bands[n] = [
-                (m0, fn(self.sigma_of(n, m0, len(a))) * a) for m0, a in segs
-            ]
-        return SpaceTimeSpectrum(self.params, self.dtau, self.tau0, bands)
+        return self._with_amps(fn(self._sigma) * self.amps)
 
 
 def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
@@ -290,19 +394,18 @@ def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
     w = int(round(sigma_halfwidth / dtau))
     q = 1.0 / dtau
     exact = p.lam == 1.0 and abs(q - round(q)) < 1e-12
-    bands = {}
+    n_all = np.arange(-p.nmax, p.nmax + 1)
+    carried = (n_all != 0) & (spec.amps != 0)
+    ns = n_all[carried]
+    if exact:
+        base = [dispersion_symbol(n, p.j) * int(round(q)) for n in ns.tolist()]
+    else:
+        base = [int(round(dispersion_symbol(n / p.lam, p.j) / dtau)) for n in ns.tolist()]
     offs = np.arange(-w, w + 1)
-    for i, a in enumerate(spec.amps):
-        n = i - p.nmax
-        if n == 0 or a == 0:
-            continue
-        if exact:
-            base = dispersion_symbol(int(n), p.j) * int(round(q))
-        else:
-            base = int(round(dispersion_symbol(n / p.lam, p.j) / dtau))
-        weights = np.ones(offs.size) if profile is None else profile(offs * dtau)
-        bands[n] = [(base - w, a * weights.astype(complex))]
-    return SpaceTimeSpectrum(p, dtau, 0.0, bands)
+    weights = np.ones(offs.size) if profile is None else profile(offs * dtau)
+    amps = spec.amps[carried][:, None] * weights.astype(complex)
+    return SpaceTimeSpectrum._from_layout(p, dtau, 0.0, ns, _ints([b - w for b in base]),
+                                          np.arange(ns.size + 1) * offs.size, amps.ravel())
 
 
 def random_spectrum(params: ModelParams, rng, dtau: float = 0.25,
@@ -312,14 +415,12 @@ def random_spectrum(params: ModelParams, rng, dtau: float = 0.25,
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amps[params.nmax] = 0.0
     spec = SpatialSpectrum(params, amps)
-    w = int(round(sigma_halfwidth / dtau))
+    width = 2 * int(round(sigma_halfwidth / dtau)) + 1
     out = from_characteristic(spec, dtau, sigma_halfwidth)
-    bands = {}
-    for nn, segs in out.bands.items():
-        m0, arr = segs[0]
-        noise = rng.standard_normal(arr.size) + 1j * rng.standard_normal(arr.size)
-        bands[nn] = [(m0, arr * noise / math.sqrt(2 * w + 1))]
-    return SpaceTimeSpectrum(params, dtau, 0.0, bands)
+    # per band: width real parts, then width imaginary parts
+    z = rng.standard_normal((out.seg_n.size, 2, width))
+    noise = (z[:, 0] + 1j * z[:, 1]).ravel()
+    return out._with_amps(out.amps * noise / math.sqrt(width))
 
 
 def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
@@ -328,7 +429,8 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
 
     block has shape (nt, 2*nmax+1) of spatial-spectrum values on the uniform
     grid t; returns the space-time spectrum on the tau grid the DFT induces
-    (dtau = 2*pi / (nt*dt)).
+    (dtau = 2*pi / (nt*dt)).  Each nonzero mode becomes one band of nt
+    cells, transformed straight into the flat layout.
     """
     t = np.asarray(t, dtype=float)
     nt = t.size
@@ -337,42 +439,36 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
     dtau_c = 2.0 * math.pi / span
     if dtau is not None and abs(dtau - dtau_c) > 1e-9:
         raise ValueError(f"requested dtau={dtau} inconsistent with grid ({dtau_c})")
-    fhat = np.fft.fft(block, axis=0) * (dt / math.sqrt(2.0 * math.pi))
+    ns = np.arange(block.shape[1]) - params.nmax
+    ns = ns[ns != 0]
+    fhat = np.fft.fft(block.T[ns + params.nmax], axis=1)  # one row per band
+    fhat *= dt / math.sqrt(2.0 * math.pi)
     ms = np.fft.fftfreq(nt, d=1.0 / nt).astype(int)  # integer tau indices
     order = np.argsort(ms)
-    ms = ms[order]
-    fhat = fhat[order]
-    phase = np.exp(-1j * (ms * dtau_c) * t[0])
-    fhat = fhat * phase[:, None]
-    bands = {}
-    for i in range(block.shape[1]):
-        n = i - params.nmax
-        if n == 0:
-            continue
-        col = fhat[:, i]
-        if np.abs(col).max() == 0.0:
-            continue
-        bands[n] = [(int(ms[0]), col)]
-    return SpaceTimeSpectrum(params, dtau_c, 0.0, bands)
+    fhat = fhat[:, order]
+    fhat *= np.exp(-1j * (ms[order] * dtau_c) * t[0])
+    nonzero = fhat.any(axis=1)
+    if not nonzero.all():
+        ns, fhat = ns[nonzero], fhat[nonzero]
+    return SpaceTimeSpectrum._from_layout(params, dtau_c, 0.0, ns,
+                                          np.full(ns.size, ms[order[0]], dtype=np.int64),
+                                          np.arange(ns.size + 1) * nt, fhat.ravel())
 
 
 # -- the five norms --------------------------------------------------------------
 
 def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
     """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}."""
-    total = 0.0
-    for n, m0, arr, sig in u.cells():
-        kb = bracket(u.k_of(n)) ** (2.0 * s)
-        total += kb * float(np.sum(bracket(sig) ** (2.0 * b) * np.abs(arr) ** 2))
+    cell = bracket(u._sigma) ** (2.0 * b) * np.abs(u.amps) ** 2
+    per_band = np.bincount(u._cell_band, cell, u._band_k.size)
+    total = float(per_band @ bracket(u._band_k) ** (2.0 * s))
     return math.sqrt(total * u.dtau / u.params.lam)
 
 
 def ys_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """||<k>^s F u||_{L2((dk)_lam) L1(dtau)}: L1 in tau first, then L2 in k."""
-    total = 0.0
-    for n, segs in u.bands.items():
-        l1 = sum(float(np.sum(np.abs(a))) for _, a in segs) * u.dtau
-        total += bracket(u.k_of(n)) ** (2.0 * s) * l1 * l1
+    l1 = np.bincount(u._cell_band, np.abs(u.amps), u._band_k.size) * u.dtau
+    total = float(np.sum(bracket(u._band_k) ** (2.0 * s) * l1 * l1))
     return math.sqrt(total / u.params.lam)
 
 
@@ -390,19 +486,18 @@ _ZS_TERM = np.array([3, 0, 1, 2, 2, 0])
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """The four-term composite norm; the region decomposition needs j >= 2.
 
-    One pass: each cell is classified once and weighted by its region's term.
+    One pass: each cell is classified once and weighted by its region's
+    <sigma> power; the <k> powers and region thresholds are taken per band.
     """
     j = u.params.j
     if j < 2:
         raise ValueError("the Z^s decomposition is specific to j >= 2")
     sk, sb = 2.0 * np.array([*zs_weights(s, j), (0.0, 0.0)]).T
-    totals = np.zeros(4)
-    for n, m0, arr, sig in u.cells():
-        k = u.k_of(n)
-        term = _ZS_TERM[region_codes(k, np.abs(sig), u.params)]
-        kb = bracket(k) ** sk
-        cell = kb[term] * bracket(sig) ** sb[term] * np.abs(arr) ** 2
-        totals += np.bincount(term, weights=cell, minlength=4)
+    k, band, sig = u._band_k, u._cell_band, u._sigma
+    term = _ZS_TERM[region_codes(k, np.abs(sig), u.params, band=band)]
+    cell = bracket(sig) ** sb[term] * np.abs(u.amps) ** 2
+    per_band = np.bincount(4 * band + term, cell, 4 * k.size).reshape(-1, 4)
+    totals = np.sum(per_band * bracket(k)[:, None] ** sk, axis=0)
     return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + ys_norm(u, s)
 
 
@@ -429,42 +524,65 @@ def norm(obj, ns: NormSpec) -> float:
 
 # -- bilinear machinery -----------------------------------------------------------
 
+def _pair_convolutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i*len(b) + j is np.convolve(a[i], b[j]): matrix products against b's Toeplitz rows.
+
+    The Toeplitz stack of b is len(a[0]) times b's size, so b is taken in
+    chunks that keep it near 2^22 cells.
+    """
+    (na, l1), (nb, l2) = a.shape, b.shape
+    lout = l1 + l2 - 1
+    lag = np.arange(lout)[:, None] - np.arange(l1)
+    lag = np.where((lag >= 0) & (lag < l2), lag, l2)  # column l2 of the padded rows is 0
+    padded = np.concatenate([b, np.zeros((nb, 1))], axis=1)
+    step = max(1, 2**22 // (lout * l1))
+    # column j*lout + t of a chunk's product is lag t of the chunk's row j
+    parts = [a @ padded[j:j + step, lag].reshape(-1, l1).T for j in range(0, nb, step)]
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)).reshape(na * nb, lout)
+
+
 def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
                 pre1=None, pre2=None) -> SpaceTimeSpectrum:
     """Normalized space-time convolution (1/lam) dtau sum_{k1,tau1} u(k-k1,..) v(k1,..).
 
     pre1/pre2 are optional per-k input symbols (e.g. ik for a derivative
-    hitting one factor).  Output beyond kmax, and the excluded k=0 column,
-    are dropped; their L2 mass is recorded as truncated_mass.
+    hitting one factor), each called once per band with a scalar k.  Output
+    beyond kmax, and the excluded k=0 column, are dropped; their L2 mass is
+    recorded as truncated_mass.  Segments are grouped by length, each pair
+    of groups convolves all its segment pairs at once, and _assemble lays
+    the kept rows out in one pass, summing rows that land on the same cells.
     """
     if not (u.params.lam == v.params.lam and u.dtau == v.dtau):
         raise ValueError("space-time grids do not match")
     p = u.params
     scale = u.dtau / p.lam
-    fu = {
-        n: [(m0, (pre1(u.k_of(n)) if pre1 else 1.0) * a) for m0, a in segs]
-        for n, segs in u.bands.items()
-    }
-    fv = {
-        n: [(m0, (pre2(v.k_of(n)) if pre2 else 1.0) * a) for m0, a in segs]
-        for n, segs in v.bands.items()
-    }
-    raw = {}
+    fu = u.amps if pre1 is None else u._k_symbol(pre1) * u.amps
+    fv = v.amps if pre2 is None else v._k_symbol(pre2) * v.amps
+    len_u, len_v = np.diff(u.offsets), np.diff(v.offsets)
+    rows, ns, m0s, lengths, kept = [], [], [], [], []
     dropped = 0.0
-    for n1, segs1 in fu.items():
-        for n2, segs2 in fv.items():
-            n = n1 + n2
-            outside = n == 0 or abs(n) > p.nmax
-            for m01, a1 in segs1:
-                for m02, a2 in segs2:
-                    arr = np.convolve(a1, a2) * scale
-                    if outside:
-                        dropped += float(np.sum(np.abs(arr) ** 2))
-                    else:
-                        raw.setdefault(n, []).append((m01 + m02, arr))
-    out = SpaceTimeSpectrum(p, u.dtau, u.tau0 + v.tau0, raw)
-    out.truncated_mass = math.sqrt(dropped * u.dtau / p.lam)
-    return out
+    for l1 in sorted(set(len_u.tolist())):
+        i = np.flatnonzero(len_u == l1)
+        a = fu[u.offsets[i][:, None] + np.arange(l1)] * scale
+        for l2 in sorted(set(len_v.tolist())):
+            j = np.flatnonzero(len_v == l2)
+            conv = _pair_convolutions(a, fv[v.offsets[j][:, None] + np.arange(l2)])
+            n = (u.seg_n[i][:, None] + v.seg_n[j]).ravel()
+            inside = (n != 0) & (np.abs(n) <= p.nmax)
+            dropped += float(np.sum(np.abs(conv[~inside]) ** 2))
+            rows.append(conv.ravel())
+            ns.append(n)
+            m0s.append((u.seg_m0[i][:, None] + v.seg_m0[j]).ravel())
+            lengths.append(np.full(n.size, l1 + l2 - 1))
+            kept.append(inside)
+    tau0 = u.tau0 + v.tau0
+    if not rows:
+        return SpaceTimeSpectrum(p, u.dtau, tau0)
+    buf = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    layout = _assemble(np.concatenate(ns), _ints(np.concatenate(m0s)),
+                       np.concatenate(lengths), buf, np.concatenate(kept))
+    return SpaceTimeSpectrum._from_layout(p, u.dtau, tau0, *layout,
+                                          math.sqrt(dropped * u.dtau / p.lam))
 
 
 BILINEAR_FORMS = ("dxdx_smoothed", "product_dx", "product_smoothed")
@@ -476,18 +594,19 @@ def bilinear_output(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum, form: str) -> Sp
     dxdx_smoothed:    <sigma>^(-1) d_x (1-d_x^2)^(-1) [(d_x u)(d_x v)]
     product_dx:       <sigma>^(-1) d_x (u v)
     product_smoothed: <sigma>^(-1) d_x (1-d_x^2)^(-1) (u v)
+
+    The output symbol and <sigma>^(-1) scale the convolution's cells in
+    place; truncated_mass is the convolution's, taken before them.
     """
     if form not in BILINEAR_FORMS:
         raise ValueError(f"form must be one of {BILINEAR_FORMS}")
     ik = lambda k: 1j * k
-    if form == "dxdx_smoothed":
-        conv = st_convolve(u, v, pre1=ik, pre2=ik)
-        out = conv.apply_k(nonlocal_multiplier)
-    elif form == "product_dx":
-        out = st_convolve(u, v).apply_k(ik)
-    else:
-        out = st_convolve(u, v).apply_k(nonlocal_multiplier)
-    return out.apply_sigma(lambda s: 1.0 / bracket(s))
+    pre, post = {"dxdx_smoothed": (ik, nonlocal_multiplier),
+                 "product_dx": (None, ik),
+                 "product_smoothed": (None, nonlocal_multiplier)}[form]
+    out = st_convolve(u, v, pre, pre)
+    out.amps *= out._k_symbol(post) / bracket(out._sigma)
+    return out
 
 
 def bilinear_probe(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum, s: float, form: str) -> dict:
@@ -722,12 +841,15 @@ def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) ->
     """Raw per-cell dump of the lower-chain weight ratios: k, sigma, region, ratio.
 
     Every lattice k <= kbound and each of its regions (D1, D2, D3 for
-    k >= 1, D5, D4 below) get n_sigma geometric sigmas from max(lo, 1e-6)
-    to max(hi, 2e-6) over the region's |sigma| range, the ranges the
-    verify_embeddings grid uses, without its linear points or pulled-in open
-    ends.  Rows run by k, then region, then ascending sigma; the ratios of
-    all cells are computed at once, and every column but region is a plain
-    number.
+    k >= 1, D5, D4 below) get n_sigma geometric sigmas over the region's
+    |sigma| range, the ranges the verify_embeddings grid uses, from
+    max(lo, 1e-6) (from max(lo, hi/2) when hi < 2e-6) up to hi.  An end
+    that region_codes puts in another region (the open ends, and D3's lower
+    end at |k| = 1, a D1 point) is pulled in by a relative 1e-9, and a range
+    left empty (D2 at |k| = 1) gets no rows, so every row's region is
+    region_codes(k, sigma).  Rows run by k, then region, then ascending
+    sigma; the ratios of all cells are computed at once, and every column
+    but region is a plain number.
     """
     scans = _embedding_scans(s, params.j)
     ks, ranges = _region_sigma_ranges(params, kbound)
@@ -736,7 +858,13 @@ def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) ->
         group = next(g for g, members in _GROUPS.items()
                      if region in members and (g, "lower") in scans)
         alpha, beta = scans[(group, "lower")]
-        sig = _geomspace_rows(np.maximum(lo, 1e-6), np.maximum(hi, 2e-6), n_sigma)
+        code = REGION_LABELS.index(RegionLabel(region))
+        lo = np.where(region_codes(ks, lo, params) == code, lo, lo * (1 + 1e-9))
+        hi = np.where(region_codes(ks, hi, params) == code, hi, hi * (1 - 1e-9))
+        rows = hi > lo  # False on the other family's NaN rows
+        sig = np.full((ks.size, n_sigma), np.nan)
+        sig[rows] = _geomspace_rows(np.maximum(lo, np.minimum(1e-6, hi / 2))[rows], hi[rows],
+                                    n_sigma)
         # float_power is libm pow, as for scalars; numpy's SIMD ** can be an ulp off
         ratio = np.float_power(bracket(ks), alpha)[:, None] * np.float_power(bracket(sig), beta)
         cells.append((region, sig.tolist(), ratio.tolist()))

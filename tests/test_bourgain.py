@@ -67,6 +67,68 @@ def brute_convolve(u, v, pre1=None, pre2=None):
     return out
 
 
+def merge_segments(segments):
+    """Sort (m0, amps) segments and sum overlapping or touching ones into disjoint segments."""
+    if len(segments) <= 1:
+        return list(segments)
+    segments = sorted(segments, key=lambda s: s[0])
+    out = []
+    cur_m0, cur = segments[0][0], segments[0][1].copy()
+    for m0, arr in segments[1:]:
+        if m0 <= cur_m0 + len(cur):
+            new_len = max(cur_m0 + len(cur), m0 + len(arr)) - cur_m0
+            if new_len > len(cur):
+                cur = np.concatenate([cur, np.zeros(new_len - len(cur), dtype=complex)])
+            off = int(m0 - cur_m0)
+            cur[off:off + len(arr)] += arr
+        else:
+            out.append((cur_m0, cur))
+            cur_m0, cur = m0, arr.copy()
+    out.append((cur_m0, cur))
+    return out
+
+
+def pairwise_convolve(u, v, pre1=None, pre2=None):
+    """One np.convolve per segment pair, merged per band: (bands, truncated_mass)."""
+    p = u.params
+    scale = u.dtau / p.lam
+    raw, dropped = {}, 0.0
+    for n1, segs1 in u.bands.items():
+        f1 = pre1(n1 / p.lam) if pre1 else 1.0
+        for n2, segs2 in v.bands.items():
+            f2 = pre2(n2 / p.lam) if pre2 else 1.0
+            n = n1 + n2
+            for m01, a1 in segs1:
+                for m02, a2 in segs2:
+                    arr = np.convolve(f1 * a1, f2 * a2) * scale
+                    if n == 0 or abs(n) > p.nmax:
+                        dropped += float(np.sum(np.abs(arr) ** 2))
+                    else:
+                        raw.setdefault(n, []).append((m01 + m02, arr))
+    bands = {n: merge_segments(segs) for n, segs in sorted(raw.items())}
+    return bands, math.sqrt(dropped * u.dtau / p.lam)
+
+
+def hermitian_by_cells(u, tol=1e-12):
+    """Each cell against its mirror cell, looked up one at a time."""
+    scale = max((np.abs(a).max() for segs in u.bands.values() for _, a in segs),
+                default=0.0) or 1.0
+    for n, segs in u.bands.items():
+        for m0, arr in segs:
+            for i, v in enumerate(arr):
+                mm = -(m0 + i) - int(round(2 * u.tau0 / u.dtau))
+                if abs(u.value_at(-n, mm) - np.conj(v)) > tol * scale:
+                    return False
+    return True
+
+
+def segmented_spectrum(params, rng, layout, dtau=0.25, tau0=0.0):
+    """Random complex amplitudes on {n: [(m0, length), ...]}."""
+    bands = {n: [(m0, rng.standard_normal(length) + 1j * rng.standard_normal(length))
+                 for m0, length in segs] for n, segs in layout.items()}
+    return SpaceTimeSpectrum(params, dtau, tau0, bands)
+
+
 class TestSigmaAndRegions:
     def test_sigma_values(self, params16):
         assert sigma(1, 0.0, params16) == pytest.approx(1.0)  # j=2: P(1) = -1
@@ -375,6 +437,121 @@ class TestConvolutionOracle:
         assert out.n_cells() == 0 and out.truncated_mass > 0.0
 
 
+# several segments of unequal length per band; outputs of band 2 in the third
+# case overlap ([0,6) and [4,10)), touch ([10,12)), nest ([2,3)) and stand apart
+_CONV_CASES = {
+    "unequal": (ModelParams(j=2, kmax=4.0),
+                {1: [(0, 3), (10, 5)], -2: [(4, 2)], 3: [(-7, 6), (0, 1)]},
+                {2: [(1, 4), (20, 2)], -1: [(0, 5)], -3: [(3, 3), (9, 1)]}),
+    "lambda2": (ModelParams(j=2, lam=2.0, kmax=2.0),
+                {1: [(-3, 4)], 2: [(0, 2), (5, 3)], -3: [(1, 4)]},
+                {-1: [(2, 4)], 1: [(0, 1), (2, 2)], 4: [(-5, 3)]}),
+    "overlap": (ModelParams(j=2, kmax=8.0),
+                {1: [(0, 4)], 3: [(4, 4)], 4: [(10, 2)], 5: [(100, 2)], -1: [(1, 1)]},
+                {1: [(0, 3)], -1: [(0, 3)], -2: [(0, 1)], -3: [(0, 1)], 3: [(1, 1)]}),
+}
+
+
+class TestBatchedConvolution:
+    @pytest.mark.parametrize("case", sorted(_CONV_CASES))
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_matches_the_pairwise_loop(self, case, derivative):
+        params, lay_u, lay_v = _CONV_CASES[case]
+        rng = np.random.default_rng(31)
+        u = segmented_spectrum(params, rng, lay_u)
+        v = segmented_spectrum(params, rng, lay_v, tau0=0.125)
+        pre = (lambda k: 1j * k) if derivative else None
+        out = st_convolve(u, v, pre1=pre, pre2=pre)
+        bands, mass = pairwise_convolve(u, v, pre, pre)
+        assert out.tau0 == u.tau0 + v.tau0
+        assert sorted(out.bands) == sorted(bands)
+        for n, segs in bands.items():
+            got = out.bands[n]
+            assert [(m0, len(a)) for m0, a in got] == [(m0, len(a)) for m0, a in segs]
+            for (_, a), (_, b) in zip(got, segs):
+                assert np.abs(a - b).max() < 1e-12
+        assert out.n_cells() == sum(len(a) for segs in bands.values() for _, a in segs)
+        assert out.seg_n.size == sum(len(segs) for segs in bands.values())
+        assert out.truncated_mass == pytest.approx(mass, rel=1e-12)
+        slow = brute_convolve(u, v, pre1=pre, pre2=pre)
+        assert max(abs(out.value_at(n, m) - a) for (n, m), a in slow.items()) < 1e-12
+
+    def test_long_segments_convolve_in_chunks(self, params8):
+        # 1100-cell rows: the Toeplitz stack of v is built one row at a time
+        rng = np.random.default_rng(34)
+        u = segmented_spectrum(params8, rng, {1: [(0, 1100)]})
+        v = segmented_spectrum(params8, rng, {1: [(0, 1100)], 2: [(5, 1100)], -3: [(7, 1100)]})
+        out = st_convolve(u, v)
+        bands, mass = pairwise_convolve(u, v)
+        assert sorted(out.bands) == sorted(bands) == [-2, 2, 3]
+        for n, segs in bands.items():
+            (m0, a), = out.bands[n]
+            assert m0 == segs[0][0] and np.abs(a - segs[0][1]).max() < 1e-12
+        assert out.truncated_mass == mass == 0.0
+
+    def test_overlapping_outputs_merge(self):
+        params, lay_u, lay_v = _CONV_CASES["overlap"]
+        rng = np.random.default_rng(32)
+        out = st_convolve(segmented_spectrum(params, rng, lay_u),
+                          segmented_spectrum(params, rng, lay_v))
+        assert [(m0, len(a)) for m0, a in out.bands[2]] == [(0, 12), (100, 2)]
+
+    def test_layout_is_the_view_behind_bands(self, params8):
+        rng = np.random.default_rng(33)
+        u = segmented_spectrum(params8, rng, {2: [(5, 3), (0, 2), (1, 2)], -1: [(0, 1)]})
+        assert [(m0, len(a)) for m0, a in u.bands[2]] == [(0, 3), (5, 3)]
+        assert list(u.seg_n) == [-1, 2, 2] and list(u.offsets) == [0, 1, 4, 7]
+        for n, m0, arr, sig in u.cells():
+            assert np.shares_memory(arr, u.amps)
+            assert np.array_equal(sig, u.sigma_of(n, m0, len(arr)))
+
+    def test_offsets_beyond_int64_stay_exact(self):
+        # m0 ~ 8 * 1024^9 ~ 2^93 needs Python ints; sigma is exact before rounding
+        p = ModelParams(j=4, kmax=2048.0)
+        big = dispersion_symbol(1024, 4) * 8
+        u = SpaceTimeSpectrum(p, 0.125, 0.0, {1024: [(big - 3, np.ones(7))]})
+        v = SpaceTimeSpectrum(p, 0.125, 0.0, {-1023: [(-big + 5, np.ones(2))]})
+        assert u.seg_m0.dtype == object and u.seg_m0[0] == big - 3
+        assert list(u.sigma_of(1024, big - 3, 7)) == [-0.375, -0.25, -0.125, 0.0, 0.125, 0.25, 0.375]
+        out = st_convolve(u, v)
+        assert out.bands[1][0][0] == 2 and out.n_cells() == 8
+        assert out.value_at(1, 3) == pytest.approx(2 * 0.125)
+
+
+class TestHermitianMirror:
+    def _cases(self, params8):
+        from dcl.illposed import build_counterexample
+
+        spec = hermitian_spectrum(params8, seed=40, scale=1.0)
+        flat = from_characteristic(spec, dtau=0.25)
+        smooth = from_characteristic(spec, dtau=0.125, profile=lambda sig: np.exp(-sig**2))
+        slab1, slab2 = build_counterexample(4, 2)  # tau0 = dtau/2
+        yield flat, smooth, slab1, slab2
+        n, m0, arr, _ = next(flat.cells())
+        nudged = flat + SpaceTimeSpectrum(params8, 0.25, 0.0, {n: [(m0 + 2, np.array([1e-9]))]})
+        extra = flat + SpaceTimeSpectrum(params8, 0.25, 0.0, {n: [(m0 - 5, np.array([1.0]))]})
+        shifted = SpaceTimeSpectrum(slab1.params, slab1.dtau, slab1.tau0,
+                                    {n: [(m + 1, a) for m, a in segs]
+                                     for n, segs in slab1.bands.items()})
+        yield (nudged, extra, flat.scaled(np.exp(0.3j)), shifted,
+               random_spectrum(params8, np.random.default_rng(41)))
+
+    def test_agrees_with_the_cell_by_cell_definition(self, params8):
+        hermitian, perturbed = self._cases(params8)
+        for u in hermitian:
+            assert u.is_hermitian() and hermitian_by_cells(u)
+        for u in perturbed:
+            assert not u.is_hermitian() and not hermitian_by_cells(u)
+        empty = SpaceTimeSpectrum(params8, 0.25)
+        assert empty.is_hermitian() and hermitian_by_cells(empty)
+
+    def test_tolerance_is_relative_to_the_largest_amplitude(self, params8):
+        _, (nudged, *_) = self._cases(params8)
+        for tol in (1e-12, 1e-6):
+            assert nudged.is_hermitian(tol) == hermitian_by_cells(nudged, tol)
+        assert nudged.is_hermitian(1e-6)
+
+
 class TestBilinearProbe:
     def test_zero_input_reported(self, params8):
         u = SpaceTimeSpectrum(params8, 0.25)
@@ -401,6 +578,21 @@ class TestBilinearProbe:
         again = batch_bilinear_probe(ModelParams(j=2, kmax=16.0), s, form, count=6, seed=seed)
         assert reps[16.0]["ratios"] == again["ratios"]
         assert reps[32.0]["max_ratio"] < 2.0 * reps[16.0]["max_ratio"]
+
+    # ratios of the per-pair np.convolve engine this one replaced (seed 99, kmax 16)
+    PINNED_RATIOS = {
+        "dxdx_smoothed": [0.0006201279591744804, 0.0008275585960507019,
+                          0.0009616491647401334, 0.000728043241517127],
+        "product_dx": [0.00039191566011284324, 0.000682791975534966,
+                       0.000893820705169819, 0.0006159255897203829],
+        "product_smoothed": [0.00013844635824789676, 0.00020985183980143,
+                             0.00028922702983803523, 0.00022367440423117163],
+    }
+
+    @pytest.mark.parametrize("form", sorted(PINNED_RATIOS))
+    def test_batch_ratios_pinned(self, form):
+        rep = batch_bilinear_probe(ModelParams(j=2, kmax=16.0), -0.25, form, count=4, seed=99)
+        assert rep["ratios"] == pytest.approx(self.PINNED_RATIOS[form], rel=1e-12, abs=0)
 
     def test_batch_runs_in_one_worker_only(self, params8):
         with pytest.raises(ValueError, match="workers"):
@@ -517,7 +709,14 @@ def _oracle_scan_csv(s, params, kbound, n_sigma=16):
             group = next(g for g, members in _ORACLE_GROUPS.items()
                          if region in members and (g, "lower") in scans)
             alpha, beta = scans[(group, "lower")]
-            for sv in np.geomspace(max(lo, 1e-6), max(hi, 2e-6), n_sigma):
+            label = RegionLabel(region)
+            if REGION_LABELS[region_codes(k, lo, params)] is not label:
+                lo *= 1 + 1e-9
+            if REGION_LABELS[region_codes(k, hi, params)] is not label:
+                hi *= 1 - 1e-9
+            if hi <= lo:
+                continue
+            for sv in np.geomspace(max(lo, min(1e-6, hi / 2)), hi, n_sigma):
                 ratio = float(bracket(k) ** alpha * bracket(sv) ** beta)
                 rows.append(f"{k!r},{float(sv)!r},{region},{ratio!r}")
     return "\n".join(rows) + "\n"
@@ -565,3 +764,16 @@ class TestEmbeddingScanOracle:
     def test_csv_equals_the_per_cell_loop(self, j, lam, s):
         p = ModelParams(j=j, lam=lam, kmax=8.0)
         assert scan_csv(s, p, kbound=12.0) == _oracle_scan_csv(s, p, kbound=12.0)
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    def test_csv_rows_lie_in_their_region(self, j, lam):
+        # open ends, the empty D2 range and D3's lower end at |k| = 1 are not
+        # rows of their region; at j = 4, lam = 4 the D5 range at k = 1/4 ends
+        # below 1e-6
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        lines = scan_csv(-0.25, p, kbound=4.0).splitlines()[1:]
+        assert lines
+        for line in lines:
+            k, sv, region, _ = line.split(",")
+            assert REGION_LABELS[region_codes(float(k), float(sv), p)].value == region, line

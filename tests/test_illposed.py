@@ -151,3 +151,26 @@ class TestCollisionScan:
         rep = collision_scan(CounterexampleConfig(j=2, s=-0.25, N_list=(16, 32, 64)))
         doc = rep.to_dict()
         assert {"j", "s", "slopeL", "slopeR", "verdict", "rows"} <= set(doc)
+
+
+# rows of the per-pair np.convolve engine this one replaced; at N = 1024, j = 4
+# the tau offsets (~2^93) are beyond int64
+PINNED_ROWS = {
+    -1.0: [(16, 0.0008104143992666647, 0.10252134387519332),
+           (64, 4.780490509517415e-05, 0.006126420980251225),
+           (256, 2.9510542736710306e-06, 0.0003784846520425659),
+           (1024, 1.838938464886379e-07, 2.358625918963372e-05)],
+    -0.5: [(16, 0.0009637514514256516, 1.5915661029715895),
+           (64, 5.684993346519027e-05, 0.389063916195256),
+           (256, 3.5094147390548886e-06, 0.09670338410680235),
+           (1024, 2.1868787064951753e-07, 0.024140544922359765)],
+}
+
+
+@pytest.mark.parametrize("s", sorted(PINNED_ROWS))
+def test_collision_rows_pinned(s):
+    rep = collision_scan(CounterexampleConfig(j=4, s=s, N_list=(16, 64, 256, 1024)))
+    for row, (N, L, R) in zip(rep.rows, PINNED_ROWS[s], strict=True):
+        assert row["N"] == N
+        assert row["L"] == pytest.approx(L, rel=1e-12, abs=0)
+        assert row["R"] == pytest.approx(R, rel=1e-12, abs=0)
