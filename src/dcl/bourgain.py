@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import replace
 from enum import Enum
 from functools import cached_property
 
@@ -690,18 +691,29 @@ def _region_sigma_ranges(params: ModelParams, kbound: float):
 
     D1, D2, D3 hold the rows with k >= 1 and D5, D4 the rows with k < 1; a
     region's rows of the other family are NaN.  D3 and D4 reach up to 4x
-    the upper threshold at kbound, and at least twice their own.
+    the upper threshold at kbound, and at least twice their own.  An end
+    that region_codes puts in another region (D2's ends, D4's lower end,
+    and D3's lower end at |k| = 1, a D1 point) is pulled in by a relative
+    1e-9, so every range is closed and every point of it lies in its
+    region; D2's range at |k| = 1 is then empty, lo > hi.  The ends are
+    classified as if kmax were kbound, since a scan box may reach past kmax.
     """
     ks = np.arange(1, int(round(kbound * params.lam)) + 1) / params.lam
     a, b = region_thresholds(ks, params.j)
     top = np.maximum(4.0 * region_thresholds(kbound, params.j)[1], 2 * b)
     big = ks >= 1.0
+    box = replace(params, kmax=max(ks.size, 1) / params.lam)
 
-    def rows(family, lo, hi):
-        return np.where(family, lo, np.nan), np.where(family, hi, np.nan)
+    def rows(region, family, lo, hi):
+        lo, hi = np.where(family, lo, np.nan), np.where(family, hi, np.nan)
+        code = REGION_LABELS.index(RegionLabel(region))
+        lo = np.where(region_codes(ks, lo, box) == code, lo, lo * (1 + 1e-9))
+        hi = np.where(region_codes(ks, hi, box) == code, hi, hi * (1 - 1e-9))
+        return lo, hi
 
-    return ks, {"D1": rows(big, 0.0, a), "D2": rows(big, a, b), "D3": rows(big, b, top),
-                "D5": rows(~big, 0.0, b), "D4": rows(~big, b, top)}
+    return ks, {"D1": rows("D1", big, 0.0, a), "D2": rows("D2", big, a, b),
+                "D3": rows("D3", big, b, top), "D5": rows("D5", ~big, 0.0, b),
+                "D4": rows("D4", ~big, b, top)}
 
 
 def _geomspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
@@ -722,16 +734,15 @@ def _geomspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray
 def _sigma_grid(group: str, ranges: dict, n_sigma: int = 48) -> np.ndarray:
     """The scan sigmas of a region group: one ascending row per k, NaN-padded.
 
-    A row holds the ends of the k's range in the group, n_sigma geometric
-    points from max(lo, 1e-6) and 8 linear points up to min(hi, 4), all
-    kept inside the range.  Open ends (D2 both, D4 below) are pulled in by a
-    relative 1e-9; a k whose range is empty gets an all-NaN row.
+    A row holds the ends of the k's range in the group (the closed ranges
+    of _region_sigma_ranges), n_sigma geometric points from max(lo, 1e-6)
+    and 8 linear points up to min(hi, 4), all kept inside the range; a k
+    whose range is empty gets an all-NaN row.
     """
     lo = hi = np.nan
     for region in _GROUPS[group]:  # one member per k: fmax picks it
         rlo, rhi = ranges[region]
-        lo = np.fmax(lo, rlo * (1 + 1e-9) if region in ("D2", "D4") else rlo)
-        hi = np.fmax(hi, rhi * (1 - 1e-9) if region == "D2" else rhi)
+        lo, hi = np.fmax(lo, rlo), np.fmax(hi, rhi)
     base = np.maximum(lo, 1e-6)
     geo = np.full((lo.size, n_sigma), np.nan)
     has_geo = hi > base
@@ -790,8 +801,11 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     D3+D4, D1), shared by all scans of that group: for every lattice k
     <= kbound and the k's region in the group, the ends of its |sigma|
     range, 48 geometric points from max(lo, 1e-6) and 8 linear points up
-    to min(hi, 4), with open ends pulled in by a relative 1e-9.  Of equal
-    maxima the smallest k, then the smallest sigma, is reported as argmax.
+    to min(hi, 4).  An end of a range that region_codes puts in another
+    region (D2's ends, D4's lower end, D3's lower end at |k| = 1) is pulled
+    in by a relative 1e-9, so every scanned point lies in its group.  Of
+    equal maxima the smallest k, then the smallest sigma, is reported as
+    argmax.
     """
     lo, hi = admissible_window(params)
     in_window = lo <= s <= hi
@@ -843,10 +857,9 @@ def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) ->
     Every lattice k <= kbound and each of its regions (D1, D2, D3 for
     k >= 1, D5, D4 below) get n_sigma geometric sigmas over the region's
     |sigma| range, the ranges the verify_embeddings grid uses, from
-    max(lo, 1e-6) (from max(lo, hi/2) when hi < 2e-6) up to hi.  An end
-    that region_codes puts in another region (the open ends, and D3's lower
-    end at |k| = 1, a D1 point) is pulled in by a relative 1e-9, and a range
-    left empty (D2 at |k| = 1) gets no rows, so every row's region is
+    max(lo, 1e-6) (from max(lo, hi/2) when hi < 2e-6) up to hi.  The
+    ranges are closed as _region_sigma_ranges says, and a range left empty
+    (D2 at |k| = 1) gets no rows, so every row's region is
     region_codes(k, sigma).  Rows run by k, then region, then ascending
     sigma; the ratios of all cells are computed at once, and every column
     but region is a plain number.
@@ -858,9 +871,6 @@ def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) ->
         group = next(g for g, members in _GROUPS.items()
                      if region in members and (g, "lower") in scans)
         alpha, beta = scans[(group, "lower")]
-        code = REGION_LABELS.index(RegionLabel(region))
-        lo = np.where(region_codes(ks, lo, params) == code, lo, lo * (1 + 1e-9))
-        hi = np.where(region_codes(ks, hi, params) == code, hi, hi * (1 - 1e-9))
         rows = hi > lo  # False on the other family's NaN rows
         sig = np.full((ks.size, n_sigma), np.nan)
         sig[rows] = _geomspace_rows(np.maximum(lo, np.minimum(1e-6, hi / 2))[rows], hi[rows],

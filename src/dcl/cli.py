@@ -148,6 +148,7 @@ def cmd_simulate(cfg: dict) -> int:
         "mode": mode,
         "steps": len(traj.states) - 1,
         "blown_up": traj.blown_up,
+        "phase_wrap": traj.phase_wrap,
         "energy_drift": abs(traj.diagnostics[-1]["energy"] - traj.diagnostics[0]["energy"])
         / max(traj.diagnostics[0]["energy"], 1e-300),
     }
@@ -262,8 +263,8 @@ def cmd_rescale_check(cfg: dict) -> int:
     traj = _simulate(cfg, u0, mode)
     mu = float(cfg["mu"])
     scaled = rescale.rescale_trajectory(traj, mu)
-    resid = rescale.rescaled_residual(scaled, mu)
     detail = evolve.pde_residual(scaled, mode=mode, mu=mu)
+    resid = detail["max_residual"]
     tol = 1e-6
     report = {
         "config": _resolved(cfg),

@@ -14,17 +14,31 @@ supported in [-2,2].  The time integral is a composite cumulative Simpson
 rule on the uniform time grid (scipy's equal-interval formulas, one pass
 over complex rows); the grid has an odd number nt >= 3 of nodes, so t = 0
 is a node and the integral starts there.
+
+The state of a real field is the n > 0 half of its spectrum (see lattice).
+The stepper keeps its phases and mean coupling on that half, and simulate
+carries the half from step to step, building a full SpatialSpectrum only
+at the states it records.  Picard's iterate block stays full-row: it
+mirrors the nonlinearity's output once per iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import ModelParams, SpatialSpectrum, bracket, hs_norm
+from .lattice import (
+    ModelParams,
+    SpatialSpectrum,
+    bracket,
+    hermitian_rows,
+    hs_norm,
+    sobolev_weights,
+)
 from .symbols import (
     MultiplierSet,
     dispersion_symbol,
@@ -54,6 +68,7 @@ class Trajectory:
     states: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     blown_up: bool = False
+    phase_wrap: float = 0.0  # dt * max |P(k)|, the stepper's phase-wrap number
 
     def times(self):
         return np.array([s.t for s in self.states])
@@ -77,8 +92,16 @@ def energy(spec: SpatialSpectrum) -> float:
     int u (u m_x + 2 u_x m) = int u^2 m_x + (u^2)_x m = 0 after one
     integration by parts.
     """
-    k = spec.k_values()
-    return float(np.sum((1.0 + k * k) * np.abs(spec.amps) ** 2)) / spec.params.lam
+    return float(np.sum(_energy_weights(spec.params) * np.abs(spec.amps) ** 2)) / spec.params.lam
+
+
+@functools.lru_cache(maxsize=16)  # energy runs on every diagnostic row
+def _energy_weights(params: ModelParams) -> np.ndarray:
+    """1 + k^2 on the lattice, read-only."""
+    k = params.k_values()
+    w = 1.0 + k * k
+    w.setflags(write=False)
+    return w
 
 
 class IntegratingFactorRK4:
@@ -90,9 +113,10 @@ class IntegratingFactorRK4:
     (mean_coupling), so nonzero-mean data evolve correctly while c itself
     never changes.
 
-    The state must be a real field: F is evaluated by
-    symbols.real_nonlinearity, which reads only the n > 0 half of the
-    spectrum.  simulate and the one-off step check this on their input.
+    The state must be a real field.  The stepper works on the n > 0 half of
+    its spectrum: phases, mean coupling and F (symbols.real_nonlinearity)
+    are all halves, and step mirrors the result into a full row once.
+    simulate and the one-off step check that their input is real.
     """
 
     def __init__(self, params: ModelParams, dt: float, mode: str = "full",
@@ -109,25 +133,25 @@ class IntegratingFactorRK4:
         disp = self.mults.dispersion
         self.phase_wrap = float(dt * np.abs(disp).max())
         self.phase_wrap_ok = self.phase_wrap < phase_wrap_threshold
-        self.e_half = np.exp(1j * (dt / 2.0) * disp)
+        # the n > 0 halves of the full-row multipliers, so they are the same numbers
+        half = slice(params.nmax + 1, None)
+        self.e_half = np.exp(1j * (dt / 2.0) * disp)[half]
         self.e_full = self.e_half * self.e_half
         self.e_half_inv = np.conj(self.e_half)
         self.e_full_inv = np.conj(self.e_full)
-        self.mean_mult = mean_coupling(self.mults.k, mu, kdv=mode == "kdv")
+        self.mean_mult = mean_coupling(self.mults.k, mu, kdv=mode == "kdv")[half]
 
-    def _rhs(self, u_amps: np.ndarray, mean: float) -> np.ndarray:
+    def _rhs(self, u: np.ndarray, mean: float) -> np.ndarray:
         if self.mode == "linear":
-            return np.zeros_like(u_amps)
-        nl = real_nonlinearity(u_amps, u_amps, self.params, mu=self.mu,
-                               kdv=self.mode == "kdv")[0]
+            return np.zeros_like(u)
+        nl = real_nonlinearity(u, u, self.params, mu=self.mu, kdv=self.mode == "kdv")[0]
         if mean != 0.0:
-            nl = nl + mean * self.mean_mult * u_amps
+            nl = nl + mean * self.mean_mult * u
         return -nl
 
-    def step(self, state: SolverState) -> SolverState:
-        u0 = state.spec.amps
-        c = state.mean
-        # stage evaluations of g(tau, v) = S(-tau) * rhs(S(tau) v) around state.t
+    def _advance(self, u0: np.ndarray, c: float, t: float) -> np.ndarray:
+        """The n > 0 half one step dt after the half u0 at time t, for mean c."""
+        # stage evaluations of g(tau, v) = S(-tau) * rhs(S(tau) v) around t
         k1 = self._rhs(u0, c)
         k2 = self.e_half_inv * self._rhs(self.e_half * (u0 + 0.5 * self.dt * k1), c)
         k3 = self.e_half_inv * self._rhs(self.e_half * (u0 + 0.5 * self.dt * k2), c)
@@ -136,10 +160,16 @@ class IntegratingFactorRK4:
         u = self.e_full * v
         if not np.all(np.isfinite(u)):
             raise FloatingPointError(
-                f"nonfinite amplitude at t={state.t + self.dt:.6g} "
+                f"nonfinite amplitude at t={t + self.dt:.6g} "
                 f"(max |u| before step {np.abs(u0).max():.3g})"
             )
-        return SolverState(state.t + self.dt, state.spec.with_amps(u), c)
+        return u
+
+    def step(self, state: SolverState) -> SolverState:
+        """state one step dt later; its n < 0 half is the mirror of the n > 0 half."""
+        p = self.params
+        u = self._advance(state.spec.amps[p.nmax + 1:], state.mean, state.t)
+        return SolverState(state.t + self.dt, SpatialSpectrum(p, hermitian_rows(u)), state.mean)
 
 
 def step(state: SolverState, dt: float, mode: str = "full", mu: float = 1.0) -> SolverState:
@@ -173,11 +203,16 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
              hs_s: float = 1.0, blowup_factor: float = 1e6) -> Trajectory:
     """March the model from u0 to time T, collecting per-stride diagnostics.
 
-    u0 must be a real field (a Hermitian spectrum, within is_hermitian's
-    tolerance; the stepper reads only its n > 0 half) and mean-zero (the
-    mean goes in via the `mean` scalar, which is conserved exactly), and T
-    a whole number of steps dt.  Early-stops with blown_up=True if the H^1
-    norm grows by blowup_factor or amplitudes go nonfinite.
+    u0 must be a real field (a Hermitian spectrum within is_hermitian's
+    tolerance) and mean-zero (the mean goes in via the `mean` scalar, which
+    is conserved exactly), and T a whole number of steps dt.  The stepper
+    advances only the n > 0 half of u0; every later state's n < 0 half is
+    its exact mirror, so for input that is Hermitian only within the
+    tolerance the input's tiny anti-Hermitian part is dropped after the
+    first step.  Early-stops with blown_up=True if the H^1 norm grows by
+    blowup_factor or amplitudes go nonfinite.  Stepping
+    IntegratingFactorRK4.step one call at a time gives the same states bit
+    for bit.
     """
     _require_real(u0, "u0")
     if T < 0 or dt <= 0:
@@ -187,25 +222,29 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     nsteps = int(round(T / dt))
     if abs(T / dt - nsteps) > 1e-9:
         raise ValueError(f"T={T!r} is not a whole number of steps dt={dt!r}")
-    traj = Trajectory(u0.params, dt, mode)
+    p = u0.params
+    stepper = IntegratingFactorRK4(p, dt, mode=mode, mu=mu)
+    traj = Trajectory(p, dt, mode, phase_wrap=stepper.phase_wrap)
     state = SolverState(0.0, u0, mean)
     traj.states.append(state)
     traj.diagnostics.append(_diag_row(state, hs_s))
     if T == 0:
         return traj
-    stepper = IntegratingFactorRK4(u0.params, dt, mode=mode, mu=mu)
-    h1_0 = max(hs_norm(u0, 1.0), 1e-300)
+    # blow-up check: the squared H^1 norm of a real field is (2/lam) sum over n > 0
+    h1_weights = sobolev_weights(p, 1.0)[p.nmax + 1:]
+    h1_limit = 0.5 * p.lam * (blowup_factor * max(hs_norm(u0, 1.0), 1e-300)) ** 2
+    u = u0.amps[p.nmax + 1:]
     for n in range(1, nsteps + 1):
         try:
-            state = stepper.step(state)
+            u = stepper._advance(u, mean, (n - 1) * dt)
         except FloatingPointError:
             traj.blown_up = True
             break
-        state = SolverState(n * dt, state.spec, state.mean)  # keep t exact
         if n % stride == 0 or n == nsteps:
+            state = SolverState(n * dt, SpatialSpectrum(p, hermitian_rows(u)), mean)
             traj.states.append(state)
             traj.diagnostics.append(_diag_row(state, hs_s))
-        if hs_norm(state.spec, 1.0) > blowup_factor * h1_0:
+        if h1_weights @ (u.real ** 2 + u.imag ** 2) > h1_limit:
             traj.blown_up = True
             break
     return traj
@@ -407,7 +446,8 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     phase_s["setup"] = time.perf_counter() - clock
     for _ in range(cfg.iterations):
         clock = time.perf_counter()
-        integrand = real_nonlinearity(w, w, p, mu=mu, kdv=mode == "kdv")[0]
+        half = w[:, p.nmax + 1:]
+        integrand = hermitian_rows(real_nonlinearity(half, half, p, mu=mu, kdv=mode == "kdv")[0])
         # S(-t') F(t'); phases come first in both products because numpy's
         # complex a*b and b*a can differ in the last bit
         np.multiply(phases_inv, integrand, out=integrand)

@@ -12,13 +12,16 @@ and sums over the lattice always carry the normalized counting measure
 mean is reported (and, in the solver, carried) as a separate scalar.
 
 Fields are real, so a spectrum's rows are Hermitian, amps(-k) =
-conj(amps(k)), and the grid transforms are real FFTs (rfft / irfft) that
-read and write only the n > 0 half of each row.  Complex data are handled
-as a real plus an imaginary part (`hermitian_parts`), each a real field.
-The raw FFT convention differs from the symmetric one by a fixed scaling,
-which is confined to the packing pair `lattice_to_grid` / `grid_to_lattice`;
-nothing else in the package touches an FFT normalization or the FFT index
-order.
+conj(amps(k)), and a real field is fully given by the n > 0 half of its
+row, amps[..., nmax+1:].  The grid transforms are real FFTs (rfft / irfft)
+and the packing pair `lattice_to_grid` / `grid_to_lattice` takes and
+returns such halves; the time engines compute on halves too.  Full
+Hermitian rows are built only where a spectrum leaves them, by
+`hermitian_rows`, the one place that turns halves into rows.  Complex
+data are handled as a real plus an imaginary part (`hermitian_parts`),
+each a real field.  The raw FFT convention differs from the symmetric one
+by a fixed scaling, which is confined to the packing pair; nothing else in
+the package touches an FFT normalization or the FFT index order.
 """
 
 from __future__ import annotations
@@ -195,6 +198,21 @@ class SpatialSpectrum:
             raise ValueError("spectra live on different lattices")
 
 
+@functools.cache
+def _pocketfft():
+    """numpy's gufuncs behind np.fft.irfft / rfft (numpy >= 2), else None; loaded on first use.
+
+    Called directly they give the same numbers without ~4 us of argument
+    handling per call, about a third of a transform at kmax = 128.
+    Without them the packing pair calls np.fft.
+    """
+    try:
+        from numpy.fft import _pocketfft_umath
+    except ImportError:  # numpy 1.x
+        return None
+    return _pocketfft_umath
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Selects one of the five norms: kind in {Hs, Xsb, Ys, Zs, Ws}."""
@@ -214,38 +232,62 @@ def x_grid(params: ModelParams, nx: int) -> np.ndarray:
     return np.arange(nx) * (params.period() / nx)
 
 
-def lattice_to_grid(amps, params: ModelParams, nx: int) -> np.ndarray:
-    """Real samples on nx >= 2*nmax+1 points of the fields with (..., 2*nmax+1) Hermitian rows.
+def lattice_to_grid(pos, params: ModelParams, nx: int) -> np.ndarray:
+    """Real samples on nx >= 2*nmax+1 points of the real fields with n > 0 halves pos.
 
-    Each row is one real field.  Only the n > 0 half of a row is read: the
-    n < 0 half of a real field's row is its mirror image, and n = 0 is
-    excluded.  Complex fields go through `hermitian_parts` first.
+    pos is a (..., nmax) block of halves, one field per row, or a sequence
+    of such blocks, whose fields come out stacked along a new axis -2 (the
+    nonlinearity's u and u_x) without being stacked first.  Complex fields
+    go through `hermitian_parts` first.
     """
     m = params.nmax
-    a = np.asarray(amps)
-    half = np.zeros(a.shape[:-1] + (nx // 2 + 1,), dtype=complex)
-    np.multiply(a[..., m + 1:], 1.0 / (TWO_PI_SQRT * params.lam), out=half[..., 1:m + 1])
-    return np.fft.irfft(half, n=nx, axis=-1, norm="forward")
+    scale = 1.0 / (TWO_PI_SQRT * params.lam)
+    if isinstance(pos, np.ndarray):
+        half = np.zeros(pos.shape[:-1] + (nx // 2 + 1,), dtype=complex)
+        np.multiply(pos, scale, out=half[..., 1:m + 1])
+    else:
+        half = np.zeros(np.shape(pos[0])[:-1] + (len(pos), nx // 2 + 1), dtype=complex)
+        for i, block in enumerate(pos):
+            np.multiply(block, scale, out=half[..., i, 1:m + 1])
+    fft = _pocketfft()
+    if fft is None:
+        return np.fft.irfft(half, n=nx, axis=-1, norm="forward")
+    return fft.irfft(half, 1.0, out=np.empty(half.shape[:-1] + (nx,)))
 
 
 def grid_to_lattice(samples, params: ModelParams):
-    """Inverse of lattice_to_grid on real samples, returning (amps, zero, tail) per row.
+    """Inverse of lattice_to_grid on real samples, returning (pos, zero, tail) per row.
 
-    amps is an exactly Hermitian row with its n=0 slot zero; zero is the k=0
-    amplitude (sqrt(2*pi)*lam times the mean); tail holds the real FFT's
-    bins beyond kmax (n = nmax+1 .. nx//2), which are dropped and whose
-    mass `dropped_mass` gives.
+    pos is the n > 0 half of the field's spectrum (`hermitian_rows` makes
+    it a full row); zero is the k=0 amplitude (sqrt(2*pi)*lam times the
+    mean); tail holds the real FFT's bins beyond kmax (n = nmax+1 .. nx//2),
+    which are dropped and whose mass `dropped_mass` gives.
     """
-    f = np.asarray(samples)
     m = params.nmax
-    fhat = np.fft.rfft(f, axis=-1, norm="forward")
+    f = np.asarray(samples)
+    nx = f.shape[-1]
+    fft = _pocketfft()
+    if fft is None or f.dtype != np.float64:
+        fhat = np.fft.rfft(f, axis=-1, norm="forward")
+    else:
+        rfft = fft.rfft_n_even if nx % 2 == 0 else fft.rfft_n_odd
+        fhat = rfft(f, 1.0 / nx, out=np.empty(f.shape[:-1] + (nx // 2 + 1,), dtype=complex))
     fhat *= TWO_PI_SQRT * params.lam
-    pos = fhat[..., 1:m + 1]
-    amps = np.empty(f.shape[:-1] + (2 * m + 1,), dtype=complex)
+    return fhat[..., 1:m + 1], fhat[..., 0], fhat[..., m + 1:]
+
+
+def hermitian_rows(pos) -> np.ndarray:
+    """The exactly Hermitian (..., 2*nmax+1) rows of the real fields with n > 0 halves pos.
+
+    The n < 0 half is the conjugate mirror of pos and the n = 0 slot is 0.
+    """
+    pos = np.asarray(pos)
+    m = pos.shape[-1]
+    amps = np.empty(pos.shape[:-1] + (2 * m + 1,), dtype=complex)
     amps[..., m + 1:] = pos
     amps[..., m] = 0.0
     np.conjugate(pos[..., ::-1], out=amps[..., :m])
-    return amps, fhat[..., 0], fhat[..., m + 1:]
+    return amps
 
 
 def dropped_mass(tail, nx: int, lam: float):
@@ -300,10 +342,12 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
         if abs(x[0]) > 1e-12 or abs((x[-1] + dx[0]) - params.period()) > 1e-9 * params.period():
             raise ValueError("sample grid does not tile [0, 2*pi*lam)")
     if np.isrealobj(f):
-        amps, zero, tail = grid_to_lattice(f, params)
+        pos, zero, tail = grid_to_lattice(f, params)
+        amps = hermitian_rows(pos)
         mean = zero.real / (TWO_PI_SQRT * params.lam)
     else:
-        (re, im), (zre, zim), (tre, tim) = grid_to_lattice(np.stack([f.real, f.imag]), params)
+        pos, (zre, zim), (tre, tim) = grid_to_lattice(np.stack([f.real, f.imag]), params)
+        re, im = hermitian_rows(pos)
         amps = re + 1j * im
         mean = (zre + 1j * zim) / (TWO_PI_SQRT * params.lam)
         # the complex tail at +n and at -n
@@ -341,8 +385,8 @@ def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) ->
         raise ValueError(f"nx={nx} cannot carry modes up to kmax; need >= {2 * m + 1}")
     h, g = hermitian_parts(spec.amps)
     if spec.is_hermitian() and np.isrealobj(np.asarray(mean)):
-        return lattice_to_grid(h, p, nx) + mean
-    re, im = lattice_to_grid(np.stack([h, g]), p, nx)
+        return lattice_to_grid(h[m + 1:], p, nx) + mean
+    re, im = lattice_to_grid((h[m + 1:], g[m + 1:]), p, nx)
     return re + 1j * im + mean
 
 
@@ -366,10 +410,17 @@ def convolve(a: SpatialSpectrum, b: SpatialSpectrum) -> SpatialSpectrum:
     return SpatialSpectrum(p, center, truncation_loss=loss, zero_mode=zero)
 
 
+@functools.lru_cache(maxsize=64)  # hs_norm runs on every diagnostic row
+def sobolev_weights(params: ModelParams, s: float) -> np.ndarray:
+    """<k>^(2s) on the lattice, n = -nmax..nmax; read-only."""
+    w = bracket(params.k_values()) ** (2.0 * s)
+    w.setflags(write=False)
+    return w
+
+
 def hs_norm(spec: SpatialSpectrum, s: float) -> float:
     """Sobolev norm ((1/lam) * sum <k>^(2s) |amps|^2)^(1/2)."""
-    k = spec.k_values()
-    w = bracket(k) ** (2.0 * s)
+    w = sobolev_weights(spec.params, s)
     return math.sqrt(float(np.sum(w * np.abs(spec.amps) ** 2)) / spec.params.lam)
 
 

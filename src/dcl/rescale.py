@@ -60,6 +60,7 @@ def rescale_trajectory(traj: Trajectory, mu: float) -> Trajectory:
         mode=traj.mode,
         states=[rescale_state(s, mu) for s in traj.states],
         blown_up=traj.blown_up,
+        phase_wrap=traj.phase_wrap,  # dt*kmax^(2j+1) is invariant under the dilation
     )
     return out
 

@@ -12,6 +12,11 @@ The nonlinearity enters through the symmetric bilinear map
 (mu = 1 is the unscaled model; the mu-dressed form appears after dilating
 the circle).  F(u, u) is the full nonlinearity moved to the right-hand
 side: u_t + d_x^(2j+1) u + F(u, u) = 0.
+
+A real field is its n > 0 half (see lattice), and the kernel under every F,
+`real_nonlinearity`, takes and returns halves.  Its callers that hand out
+full rows (`nonlinearity_block`, `product_spectrum`, `nonlinearity_F`, and
+Picard in evolve) mirror its output once, with lattice.hermitian_rows.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .lattice import (
     dropped_mass,
     grid_to_lattice,
     hermitian_parts,
+    hermitian_rows,
     is_real_block,
     lattice_to_grid,
 )
@@ -112,32 +118,33 @@ def mean_coupling(k, mu: float = 1.0, kdv: bool = False):
 
 
 def padded_product(a, b, params: ModelParams):
-    """(amps, zero, tail) of the pointwise products of the real fields with rows a and b.
+    """(pos, zero, tail) of the pointwise products of the real fields with n > 0 halves a and b.
 
-    a, b are (..., 2*nmax+1) blocks of Hermitian rows, one real field per
-    row; only their n > 0 halves are read (lattice.lattice_to_grid).  The
-    result is as lattice.grid_to_lattice returns it, on the pad=2 grid
+    a, b are (..., nmax) blocks of halves, one real field per row, or
+    sequences of such blocks (lattice.lattice_to_grid).  The result is as
+    lattice.grid_to_lattice returns it, on the pad=2 grid
     nx = params.default_grid(pad=2): that grid resolves |k| <= 2*kmax, so
     the quadratic product is alias-free and tail holds all of it beyond
-    kmax.  One irfft takes a and b together (b = a: a alone), one rfft the
-    products.
+    kmax.  One irfft per factor (b = a: a alone), one rfft the products.
     """
     nx = params.default_grid(pad=2)
+    f = lattice_to_grid(a, params, nx)
     if b is a:
-        f = lattice_to_grid(a, params, nx)
         f *= f
     else:
-        fa, fb = lattice_to_grid(np.stack([a, b]), params, nx)
-        f = fa * fb
+        f *= lattice_to_grid(b, params, nx)
     return grid_to_lattice(f, params)
 
 
 def _convolved_product(a, b, params: ModelParams):
-    """padded_product via the lattice convolution, row by row, for any complex rows.
+    """padded_product via the lattice convolution, row by row, for any complex full rows.
 
-    The reference route; its tail is the full-width content beyond kmax.
+    The reference route: a, b are (..., 2*nmax+1) blocks or sequences of
+    them, and the result's amps are full rows; its tail is the full-width
+    content beyond kmax.
     """
     m = params.nmax
+    a, b = (x if isinstance(x, np.ndarray) else np.stack(x, axis=-2) for x in (a, b))
     rows = zip(np.reshape(a, (-1, 2 * m + 1)), np.reshape(b, (-1, 2 * m + 1)))
     full = np.array([np.convolve(x, y) for x, y in rows]) / (TWO_PI_SQRT * params.lam)
     full = full.reshape(np.shape(a)[:-1] + (4 * m + 1,))  # n = -2m .. 2m
@@ -150,36 +157,34 @@ def _full_tail_mass(tail, lam: float):
     return np.sqrt(np.sum(np.abs(tail) ** 2, axis=-1) / lam)
 
 
-@lru_cache(maxsize=16)
-def _kernel_symbols(params: ModelParams, mu: float, kdv: bool):
-    """(ik, m_uv, m_dd) on the lattice, read-only; m_dd is None when kdv."""
+@lru_cache(maxsize=32)
+def _kernel_symbols(params: ModelParams, mu: float, kdv: bool, half: bool = True):
+    """(ik, m_uv, m_dd) on the lattice, read-only; m_dd is None when kdv.
+
+    half=True gives the n > 0 halves the real kernel works on, sliced from
+    the full rows so that they are the same numbers.
+    """
     k = params.k_values()
-    ik = 1j * k
-    m_uv, m_dd = nonlinearity_multipliers(k, mu, kdv)
+    cut = slice(params.nmax + 1, None) if half else slice(None)
+    ik = (1j * k)[cut]
+    m_uv, m_dd = (None if x is None else x[cut] for x in nonlinearity_multipliers(k, mu, kdv))
     for arr in (ik, m_uv, m_dd):
         if arr is not None:
             arr.setflags(write=False)
     return ik, m_uv, m_dd
 
 
-def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False,
-                      product=padded_product):
-    """(F(a, b), tails) for the real fields with (..., 2*nmax+1) Hermitian rows a and b.
+def _bilinear_F(product, symbols, a, b, params: ModelParams):
+    """(F(a, b), tails): F's two products, taken by product, combined by its symbol.
 
-    The kernel under every F.  u and u_x (and v, v_x) go through one
-    stacked irfft and their products through one rfft; only the n > 0
-    halves of a and b are read, and the rows of F are exactly Hermitian.
-    tails[..., i, :] is the dropped tail of the i-th product, u v and then
-    (unless kdv) u_x v_x, for lattice.dropped_mass on the pad=2 grid.  The
-    stepper and Picard, whose data are real by construction, call this
-    directly; other callers use nonlinearity_block.  Only nonlinearity_F's
-    reference route changes product, to the convolution, which takes any
-    complex rows and returns full-width tails.
+    The one formula for F: u and u_x (and v, v_x) go to product as one
+    sequence of fields, and F = m_uv (u v)^ + m_dd (u_x v_x)^.  symbols is
+    _kernel_symbols' triple, matching the row layout product works on.
     """
-    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv)
+    ik, m_uv, m_dd = symbols
 
     def fields(x):
-        return x[..., None, :] if kdv else np.stack([x, ik * x], axis=-2)
+        return (x,) if m_dd is None else (x, ik * x)
 
     sa = fields(a)
     prods, _, tails = product(sa, sa if b is a else fields(b), params)
@@ -189,35 +194,56 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     return out, tails
 
 
-def _on_complex_rows(kernel, a, b, params: ModelParams):
-    """(*outputs, losses) of a bilinear kernel of real fields, applied to any rows a, b.
+def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
+    """(F(a, b), tails) for the real fields with n > 0 halves a and b, (..., nmax) blocks.
 
-    kernel(a, b, params) returns (*outputs, tails) for Hermitian rows, as
-    padded_product and real_nonlinearity do; losses are the tails' dropped
-    masses.  Rows that are not all exactly Hermitian are split, a = h + i g
+    The kernel under every F; it takes and returns halves.  u and u_x (and
+    v, v_x) go through one irfft and their products through one rfft.
+    tails[..., i, :] is the dropped tail of the i-th product, u v and then
+    (unless kdv) u_x v_x, for lattice.dropped_mass on the pad=2 grid.  The
+    stepper, whose state is a half, and Picard, which mirrors the output
+    with lattice.hermitian_rows, call this directly; other callers use
+    nonlinearity_block.
+    """
+    return _bilinear_F(padded_product, _kernel_symbols(params, mu, kdv), a, b, params)
+
+
+def _on_complex_rows(kernel, a, b, params: ModelParams):
+    """(out, *extras, losses) of a bilinear kernel of real fields, applied to any full rows a, b.
+
+    kernel(a, b, params) takes n > 0 halves and returns (out, *extras,
+    tails), as padded_product and real_nonlinearity do: out a block of
+    halves, which is mirrored here to full rows, and extras one value per
+    row (padded_product's zero mode); losses are the tails' dropped masses.
+    Rows that are not all exactly Hermitian are split, a = h + i g
     (lattice.hermitian_parts), and the kernel runs once on the stacked cross
     terms: by bilinearity a b = (h_a h_b - g_a g_b) + i (h_a g_b + g_a h_b).
     A complex tail's mass is the root sum of squares of the masses of its
     real and imaginary parts' tails.
     """
     nx = params.default_grid(pad=2)
+    m = params.nmax
     if is_real_block(a) and (b is a or is_real_block(b)):
-        *outs, tails = kernel(a, b, params)
-        return (*outs, dropped_mass(tails, nx, params.lam))
+        pa = a[..., m + 1:]
+        out, *extras, tails = kernel(pa, pa if b is a else b[..., m + 1:], params)
+        return (hermitian_rows(out), *extras, dropped_mass(tails, nx, params.lam))
     ha, ga = hermitian_parts(a)
     hb, gb = (ha, ga) if b is a else hermitian_parts(b)
-    *outs, t = kernel(np.stack([ha, ga, ha, ga]), np.stack([hb, gb, gb, hb]), params)
-    outs = [x[0] - x[1] + 1j * (x[2] + x[3]) for x in outs]
+    out, *extras, t = kernel(np.stack([ha, ga, ha, ga])[..., m + 1:],
+                             np.stack([hb, gb, gb, hb])[..., m + 1:], params)
+    re, im = hermitian_rows(np.stack([out[0] - out[1], out[2] + out[3]]))
+    extras = [x[0] - x[1] + 1j * (x[2] + x[3]) for x in extras]
     loss = np.hypot(dropped_mass(t[0] - t[1], nx, params.lam),
                     dropped_mass(t[2] + t[3], nx, params.lam))
-    return (*outs, loss)
+    return (re + 1j * im, *extras, loss)
 
 
 def nonlinearity_block(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
     """(F(a, b), losses) for (..., 2*nmax+1) blocks of any complex rows.
 
-    Exactly Hermitian rows (real fields) go straight to real_nonlinearity;
-    other rows go through it as real and imaginary parts, F being bilinear.
+    Exactly Hermitian rows (real fields) go straight to real_nonlinearity
+    as halves; other rows go through it as real and imaginary parts, F
+    being bilinear.  The output rows are full, mirrored once.
     losses[..., i] is the truncation loss of F's i-th product (u v, then
     u_x v_x unless kdv) per row.
     """
@@ -254,8 +280,8 @@ def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
     if dealias:
         amps, losses = nonlinearity_block(u1.amps, u2.amps, p, mu=mu, kdv=kdv)
     else:
-        amps, tails = real_nonlinearity(u1.amps, u2.amps, p, mu=mu, kdv=kdv,
-                                        product=_convolved_product)
+        amps, tails = _bilinear_F(_convolved_product, _kernel_symbols(p, mu, kdv, half=False),
+                                  u1.amps, u2.amps, p)
         losses = _full_tail_mass(tails, p.lam)
     return SpatialSpectrum(p, amps, truncation_loss=float(np.max(losses)))
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from dcl.bourgain import (
     REGION_LABELS,
     _embedding_scans,
+    _region_sigma_ranges,
+    _sigma_grid,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -671,18 +673,33 @@ def _oracle_ranges(k, j, sigma_cap):
     return {"D5": (0.0, b), "D4": (b, max(sigma_cap, 2 * b))}
 
 
+def _oracle_box(params, kbound):
+    """The lattice of params reaching kbound: ends beyond kmax are classified as inside."""
+    return ModelParams(j=params.j, lam=params.lam, kmax=round(kbound * params.lam) / params.lam)
+
+
+def _oracle_closed(k, lo, hi, region, box):
+    """The range's ends, each pulled in by 1e-9 when region_codes puts it in another region."""
+    label = RegionLabel(region)
+    if REGION_LABELS[region_codes(k, lo, box)] is not label:
+        lo *= 1 + 1e-9
+    if REGION_LABELS[region_codes(k, hi, box)] is not label:
+        hi *= 1 - 1e-9
+    return lo, hi
+
+
 def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
     """Loop over (k, region); the strict > keeps the first k, np.unique the smallest sigma."""
     j = params.j
     sigma_cap = 4.0 * region_thresholds(kbound, j)[1]
+    box = _oracle_box(params, kbound)
     best, arg = -math.inf, None
     for n in range(1, int(round(kbound * params.lam)) + 1):
         k = n / params.lam
         for region, (lo, hi) in _oracle_ranges(k, j, sigma_cap).items():
             if region not in _ORACLE_GROUPS[group]:
                 continue
-            lo_in = lo * (1 + 1e-9) if region in ("D2", "D4") else lo
-            hi_in = hi * (1 - 1e-9) if region == "D2" else hi
+            lo_in, hi_in = _oracle_closed(k, lo, hi, region, box)
             if hi_in <= lo_in:
                 continue
             base = max(lo_in, 1e-6)
@@ -703,17 +720,14 @@ def _oracle_scan_csv(s, params, kbound, n_sigma=16):
     scans = _embedding_scans(s, params.j)
     rows = ["k,sigma,region,ratio"]
     cap = 4.0 * region_thresholds(kbound, params.j)[1]
+    box = _oracle_box(params, kbound)
     for n in range(1, int(round(kbound * params.lam)) + 1):
         k = n / params.lam
         for region, (lo, hi) in _oracle_ranges(k, params.j, cap).items():
             group = next(g for g, members in _ORACLE_GROUPS.items()
                          if region in members and (g, "lower") in scans)
             alpha, beta = scans[(group, "lower")]
-            label = RegionLabel(region)
-            if REGION_LABELS[region_codes(k, lo, params)] is not label:
-                lo *= 1 + 1e-9
-            if REGION_LABELS[region_codes(k, hi, params)] is not label:
-                hi *= 1 - 1e-9
+            lo, hi = _oracle_closed(k, lo, hi, region, box)
             if hi <= lo:
                 continue
             for sv in np.geomspace(max(lo, min(1e-6, hi / 2)), hi, n_sigma):
@@ -758,6 +772,22 @@ class TestEmbeddingScanOracle:
         assert by_key[("D2", "lower")]["argmax"] is None
         assert by_key[("D1D5", "lower")]["argmax"]["k"] == 0.25
         assert not rep["pass"]
+
+    @pytest.mark.parametrize("j", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_sigma_grid_points_lie_in_their_group(self, j, lam):
+        # (k = 1, sigma = c_j) ends D3's range but is a D1 point; boxes past kmax too
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        for kbound in (8.0, 16.0):
+            ks, ranges = _region_sigma_ranges(p, kbound)
+            box = ModelParams(j=j, lam=lam, kmax=kbound)
+            for group, members in _ORACLE_GROUPS.items():
+                sig = _sigma_grid(group, ranges)
+                inside = np.isfinite(sig)
+                codes = region_codes(np.broadcast_to(ks[:, None], sig.shape)[inside],
+                                     sig[inside], box)
+                allowed = [REGION_LABELS.index(RegionLabel(r)) for r in members]
+                assert inside.any() and np.isin(codes, allowed).all(), group
 
     @pytest.mark.parametrize("j, lam, s", [(2, 1.0, -0.25), (3, 2.0, -1.0), (4, 4.0, -1.5),
                                            (2, 4.0, 0.5)])

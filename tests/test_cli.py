@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dcl import evolve, rescale
 from dcl.cli import main
 
 
@@ -36,6 +37,12 @@ class TestSimulate:
     def test_stride_below_one_exit_one(self, tmp_path, stride):
         assert run(tmp_path, "simulate", "--T", "0.02", "--dt", "0.01", "--kmax", "8",
                    "--stride", stride) == 1
+
+    def test_run_reports_phase_wrap(self, tmp_path):
+        # dt * max |P(k)| = dt * kmax^(2j+1) at j = 2
+        assert run(tmp_path, "simulate", "--T", "0.004", "--dt", "0.002", "--kmax", "16") == 0
+        doc = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert doc["phase_wrap"] == 0.002 * 16.0**5
 
     def test_kdv_flag_switches_mode(self, tmp_path):
         assert run(tmp_path, "simulate", "--kdv", "--T", "0.02", "--dt", "0.01",
@@ -124,6 +131,23 @@ class TestRescaleCheckAndPicard:
                    "--stride", "2") == 0
         doc = json.loads((tmp_path / "out" / "rescale_check.json").read_text())
         assert doc["pass"] is True and doc["residual"] <= doc["tolerance"]
+
+    def test_rescale_check_evaluates_the_residual_once(self, tmp_path, monkeypatch):
+        calls = []
+        residual = evolve.pde_residual
+
+        def counting(*args, **kwargs):
+            calls.append(residual(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(evolve, "pde_residual", counting)
+        monkeypatch.setattr(rescale, "pde_residual", counting)
+        assert run(tmp_path, "rescale-check", "--T", "0.02", "--dt", "0.001",
+                   "--kmax", "8", "--u0-amplitude", "0.05") == 0
+        doc = json.loads((tmp_path / "out" / "rescale_check.json").read_text())
+        assert len(calls) == 1
+        assert doc["residual"] == calls[0]["max_residual"]
+        assert doc["differencing_error"] == calls[0]["differencing_error"]
 
     def test_picard_report(self, tmp_path):
         assert run(tmp_path, "picard", "--kmax", "8", "--nt", "513",

@@ -10,6 +10,7 @@ from scipy.integrate import cumulative_simpson
 
 from dcl.evolve import (
     IntegratingFactorRK4,
+    _energy_weights,
     _cumulative_simpson,
     PicardConfig,
     SolverState,
@@ -148,6 +149,15 @@ class TestEnergy:
 
     def test_zero(self, params16):
         assert energy(SpatialSpectrum.zeros(params16)) == 0.0
+
+    @pytest.mark.parametrize("p", [ModelParams(j=2, kmax=16.0), ModelParams(j=3, lam=2.0, kmax=8.0)])
+    def test_cached_weights_equal_the_formula(self, p):
+        k = p.k_values()
+        w = _energy_weights(p)
+        assert np.array_equal(w, 1.0 + k * k)
+        assert _energy_weights(p) is w and not w.flags.writeable
+        spec = hermitian_spectrum(p, seed=16)
+        assert energy(spec) == float(np.sum((1.0 + k * k) * np.abs(spec.amps) ** 2)) / p.lam
 
     def test_quadrature_oracle(self, params16):
         spec = hermitian_spectrum(params16, seed=5)

@@ -13,16 +13,19 @@ from dcl.lattice import (
     NormSpec,
     SpatialSpectrum,
     TWO_PI_SQRT,
+    bracket,
     convolve,
     dropped_mass,
     field_to_csv,
     forward_transform,
     grid_to_lattice,
     hermitian_parts,
+    hermitian_rows,
     hs_norm,
     inverse_transform,
     is_real_block,
     lattice_to_grid,
+    sobolev_weights,
     spectrum_from_json,
     spectrum_to_json,
     x_grid,
@@ -218,6 +221,17 @@ class TestHsNorm:
         l2 = math.sqrt(np.sum(np.abs(spec.amps) ** 2) / params16.lam)
         assert hs_norm(spec, 0.0) == pytest.approx(l2)
 
+    @pytest.mark.parametrize("p", [ModelParams(j=2, kmax=16.0), ModelParams(j=3, lam=2.0, kmax=8.0)])
+    def test_cached_weights_equal_the_formula(self, p):
+        spec = hermitian_spectrum(p, seed=15)
+        for s in (-0.25, 0.0, 1.0, 1.7):
+            formula = bracket(p.k_values()) ** (2.0 * s)
+            w = sobolev_weights(p, s)
+            assert np.array_equal(w, formula)
+            assert sobolev_weights(p, s) is w and not w.flags.writeable
+            want = math.sqrt(float(np.sum(formula * np.abs(spec.amps) ** 2)) / p.lam)
+            assert hs_norm(spec, s) == want
+
     @given(c=st.floats(-5, 5, allow_nan=False), s=st.floats(-2, 2))
     @settings(max_examples=25, deadline=None)
     def test_homogeneity_and_triangle(self, c, s):
@@ -279,9 +293,10 @@ class TestRealPacking:
         blk = np.stack([hermitian_spectrum(p, seed=s, decay=0.2).amps for s in range(4)])
         blk = blk.reshape(2, 2, -1)
         nx = p.default_grid(pad=pad)
-        f = lattice_to_grid(blk, p, nx)
+        f = lattice_to_grid(blk[..., p.nmax + 1:], p, nx)
         assert f.shape == (2, 2, nx) and np.isrealobj(f)
-        amps, zero, tail = grid_to_lattice(f, p)
+        pos, zero, tail = grid_to_lattice(f, p)
+        amps = hermitian_rows(pos)
         assert is_real_block(amps)
         assert np.abs(amps - blk).max() < 1e-15 * np.abs(blk).max() * nx
         assert np.abs(zero).max() < 1e-15 and np.abs(tail).max() < 1e-15
@@ -294,7 +309,8 @@ class TestRealPacking:
         f = np.random.default_rng(nx).standard_normal(nx)
         full = np.fft.fft(f) * (TWO_PI_SQRT * p.lam / nx)
         want = math.sqrt(float(np.sum(np.abs(full[m + 1:nx - m]) ** 2)) / p.lam)
-        amps, zero, tail = grid_to_lattice(f, p)
+        pos, zero, tail = grid_to_lattice(f, p)
+        amps = hermitian_rows(pos)
         assert dropped_mass(tail, nx, p.lam) == pytest.approx(want, rel=1e-13)
         assert np.abs(amps[m + 1:] - full[1:m + 1]).max() < 1e-14
         assert np.abs(amps[:m] - full[nx - m:]).max() < 1e-14
