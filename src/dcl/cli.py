@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -149,10 +150,14 @@ def cmd_simulate(cfg: dict) -> int:
         "steps": len(traj.states) - 1,
         "blown_up": traj.blown_up,
         "phase_wrap": traj.phase_wrap,
+        "phase_wrap_ok": traj.phase_wrap_ok,
         "energy_drift": abs(traj.diagnostics[-1]["energy"] - traj.diagnostics[0]["energy"])
         / max(traj.diagnostics[0]["energy"], 1e-300),
     }
     _write(outdir, "run.json", _dump(report))
+    if not traj.phase_wrap_ok:
+        print(f"warning: phase wrap dt*max|P(k)| = {traj.phase_wrap:.4g} rad is not below "
+              f"{evolve.PHASE_WRAP_LIMIT:g} rad; refine dt or kmax", file=sys.stderr)
     print(f"simulate: {report['steps']} steps, energy drift {report['energy_drift']:.3e}")
     return 2 if traj.blown_up else 0
 
@@ -161,11 +166,17 @@ def cmd_verify(cfg: dict, target: str) -> int:
     params = model_params(cfg)
     outdir = Path(cfg["output_dir"])
     if target == "resonance":
-        report = resonance.verify_resonance_bound(cfg["kmax_verify"], cfg["j"])
+        clock = time.perf_counter()
+        try:
+            report = resonance.verify_resonance_bound(cfg["kmax_verify"], cfg["j"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        wall = time.perf_counter() - clock
         _write(outdir, "resonance_certificate.json", resonance.certificate_json(report) + "\n")
         ok = report["violations"] == 0 and report["identity_failures"] == 0
         print(f"resonance: {report['triples_checked']} triples, "
-              f"{report['violations']} violations, min slack {report['min_slack']:.4f}")
+              f"{report['violations']} violations, min slack {report['min_slack']:.4f}, "
+              f"{wall:.3f} s ({report['triples_checked'] / wall:.3g} triples/s)")
         return 0 if ok else 2
     if target == "regions":
         report = _region_partition_report(params)
@@ -294,6 +305,7 @@ def cmd_picard(cfg: dict) -> int:
         "config": _resolved(cfg),
         "ratios_hs": result.ratios_hs,
         "ratios_zs": result.ratios_zs,
+        "ratios_at_floor": result.ratios_at_floor,
         "diverged": result.diverged,
         "telemetry": {"phase_s": result.phase_s},
     }

@@ -49,6 +49,8 @@ from .symbols import (
 
 MODES = ("full", "kdv", "linear")
 RESIDUAL_CHUNK = 16  # states per F evaluation in pde_residual: bounds its scratch memory
+PHASE_WRAP_LIMIT = 50.0  # rad: a step is trusted while dt * max |P(k)| stays below this
+PICARD_FLOOR = 1e-12  # an iterate difference at or below this share of the iterate is roundoff
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,10 @@ class Trajectory:
     diagnostics: list = field(default_factory=list)
     blown_up: bool = False
     phase_wrap: float = 0.0  # dt * max |P(k)|, the stepper's phase-wrap number
+
+    @property
+    def phase_wrap_ok(self) -> bool:
+        return self.phase_wrap < PHASE_WRAP_LIMIT
 
     def times(self):
         return np.array([s.t for s in self.states])
@@ -120,7 +126,7 @@ class IntegratingFactorRK4:
     """
 
     def __init__(self, params: ModelParams, dt: float, mode: str = "full",
-                 mu: float = 1.0, phase_wrap_threshold: float = 50.0):
+                 mu: float = 1.0):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if dt <= 0:
@@ -132,7 +138,7 @@ class IntegratingFactorRK4:
         self.mults = MultiplierSet(params)
         disp = self.mults.dispersion
         self.phase_wrap = float(dt * np.abs(disp).max())
-        self.phase_wrap_ok = self.phase_wrap < phase_wrap_threshold
+        self.phase_wrap_ok = self.phase_wrap < PHASE_WRAP_LIMIT
         # the n > 0 halves of the full-row multipliers, so they are the same numbers
         half = slice(params.nmax + 1, None)
         self.e_half = np.exp(1j * (dt / 2.0) * disp)[half]
@@ -385,6 +391,7 @@ class PicardResult:
     iterates: np.ndarray  # (n_saved, nt, n_modes), first axis ordered by iteration
     ratios_hs: list
     ratios_zs: list
+    ratios_at_floor: list  # per ratio (both lists): True if a difference in it is roundoff
     diverged: bool
     params: ModelParams
     phase_s: dict = field(default_factory=dict)  # wall seconds: setup, iterate, zs
@@ -404,7 +411,11 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     integral of S(-t') F(w,w)(t') is quadratured: composite cumulative
     Simpson on the uniform grid (scipy's equal-interval formulas), from the
     node t = 0.  cfg.nt must be an odd integer >= 3 (ValueError otherwise).
-    Divergence (ratio > 1 three times in a row) is flagged, not raised.
+    An iterate difference whose H^s norm is at or below PICARD_FLOOR times
+    the new iterate's marks the ratios it enters in ratios_at_floor (for
+    ratios_hs and ratios_zs alike): a ratio of two roundoff-sized
+    differences measures noise, not contraction.  Divergence (ratio > 1
+    three times in a row, marked ratios skipped) is flagged, not raised.
     u0 must be a real field, as for simulate: F reads only the n > 0 half.
     phase_s holds the wall seconds of the setup (phases and free flow), the
     iterations (F, quadrature and update) and the Z^s measurement.
@@ -430,12 +441,15 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     h = float(t[1] - t[0])
     w = free
     saved = [w]
-    diffs_hs, diffs_zs = [], []
+    diffs_hs, diffs_zs, at_floor = [], [], []
     kw = bracket(p.k_values()) ** (2.0 * cfg.report_s)
 
     def hs_slicewise(block):
         return np.sqrt(np.sum(kw[None, :] * np.abs(block) ** 2, axis=1) / p.lam).max()
 
+    # an upper bound on the newest iterate's H^s norm: the free flow's is u0's
+    # (|S(t)| = 1, max eta = 1), and each difference adds at most its own norm
+    amp = hs_norm(u0, cfg.report_s)
     zs_of = None
     if cfg.measure_zs and p.j >= 2:
         from .bourgain import from_time_samples, zs_norm
@@ -458,6 +472,10 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         w_next = free - cum
         d = w_next - w
         diffs_hs.append(hs_slicewise(d))
+        amp += diffs_hs[-1]
+        if diffs_hs[-1] <= PICARD_FLOOR * amp:  # near the floor: the exact norm decides
+            amp = hs_slicewise(w_next)
+        at_floor.append(bool(diffs_hs[-1] <= PICARD_FLOOR * amp))
         phase_s["iterate"] += time.perf_counter() - clock
         if zs_of is not None:
             clock = time.perf_counter()
@@ -474,11 +492,14 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
 
     r_hs = ratios(diffs_hs)
     r_zs = ratios(diffs_zs) if diffs_zs else []
+    r_floor = [at_floor[i - 1] or at_floor[i] for i in range(1, len(at_floor))]
     run = 0
     diverged = False
-    for r in r_hs:
+    for r, floor in zip(r_hs, r_floor):
+        if floor:
+            continue
         run = run + 1 if r > 1.0 else 0
         if run >= 3:
             diverged = True
             break
-    return PicardResult(t, np.stack(saved), r_hs, r_zs, diverged, p, phase_s)
+    return PicardResult(t, np.stack(saved), r_hs, r_zs, r_floor, diverged, p, phase_s)

@@ -6,13 +6,25 @@ from the characteristic surface; the certified bound is
 
     |k^(2j+1) - k1^(2j+1) - k2^(2j+1)| >= (2j+1) 4^(-j) |k_min| |k_max|^(2j),
 
-checked in exact integer arithmetic over a full lattice box (Python ints,
-so no overflow at any j or box size).  The certificate covers the box
-only: every triple in it is checked, and nothing is claimed beyond it.
-With tau = tau1 + tau2, the signed modulation identity
-sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2)) transfers the bound to
-3*max(|sigma|, |sigma1|, |sigma2|); the seeded random tau trials check that
-identity and the transferred bound, they do not cover every tau.
+checked in exact integer arithmetic over a full lattice box.  The
+certificate covers the box only: every triple in it is checked, and
+nothing is claimed beyond it.  With tau = tau1 + tau2, the signed
+modulation identity sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2))
+transfers the bound to 3*max(|sigma|, |sigma1|, |sigma2|); the seeded
+random tau trials check that identity and the transferred bound, they do
+not cover every tau.
+
+verify_resonance_bound walks the triples as arrays, a block of k1 rows at
+a time, over exact tables of P(k) and (2j+1)|k|^(2j).  Exactness is kept
+by the dtype: int64 when a bound computed in Python ints before the walk,
+max(7, 2j+1) * Kmax^(2j+1), shows that no intermediate can overflow, and
+otherwise object arrays of Python ints (never overflowing) running the
+same expressions; for j = 4 the switch is at Kmax = 101.  The bound is
+compared without multiplying by 4^j: res * 4^j < num is res < ceil(num / 4^j).
+The tau draws are the randrange(-Kmax^(2j+1), Kmax^(2j+1) + 1) stream of
+random.Random(seed), rebuilt in blocks from numpy's MT19937 seeded with
+that generator's state (TauDraws), so a certificate is the same as one
+made by a per-triple loop calling randrange.
 """
 
 from __future__ import annotations
@@ -22,7 +34,11 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .symbols import dispersion_symbol
+
+_CHUNK_ROWS = 32  # k1 rows per array step of the walk: bounds its scratch memory
 
 
 @dataclass(frozen=True)
@@ -71,62 +87,116 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
     sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2)) and the resulting
     3*max(|sigma|.) >= |resonance| >= bound.  Returns the violation count
     (must be 0), the minimum slack ratio resonance/bound, and the first
-    triple where it is attained.
+    triple where it is attained.  kmax_box must be an integer >= 2 and
+    tau_trials an integer >= 0 (ValueError otherwise).
     """
-    if kmax_box < 2:
-        raise ValueError("kmax_box must be >= 2")
-    rnd = random.Random(seed)
-    checked = 0
-    violations = 0
-    identity_failures = 0
-    min_slack = math.inf
-    argmin = None
+    if not _is_integer(kmax_box) or kmax_box < 2:
+        raise ValueError(f"kmax_box must be an integer >= 2, got {kmax_box!r}")
+    if not _is_integer(tau_trials) or tau_trials < 0:
+        raise ValueError(f"tau_trials must be an integer >= 0, got {tau_trials!r}")
+    box, tau_trials = int(kmax_box), int(tau_trials)
+    e = 2 * j + 1
+    span = box**e
     den = 4**j
-    box = range(-kmax_box, kmax_box + 1)
-    # exact Python-int tables: P(k), and (2j+1) |k|^(2j), so that the bound
+    # every intermediate below is at most max(7, 2j+1) * span in magnitude
+    # (|s0 - s1 - s2| <= 7 span before the abs, num <= (2j+1) span)
+    dtype = np.int64 if max(7, e) * span <= np.iinfo(np.int64).max else object
+    # exact tables: P(k), and (2j+1) |k|^(2j), so that the bound
     # (2j+1) |k_min| |k_max|^(2j) is |k_min| * weight[|k_max|]
-    disp = {k: dispersion_symbol(k, j) for k in box}
-    weight = [(2 * j + 1) * a ** (2 * j) for a in range(kmax_box + 1)]
-    span = kmax_box ** (2 * j + 1)
-    draw = rnd.randrange  # randint(a, b) is randrange(a, b + 1): the same draws
-    for k1 in box:
-        if k1 == 0:
-            continue
-        a1, q1 = abs(k1), disp[k1]
-        for k2 in range(max(-kmax_box, -kmax_box - k1), min(kmax_box, kmax_box - k1) + 1):
-            k = k1 + k2
-            if k2 == 0 or k == 0:
-                continue
-            checked += 1
-            q2, q0 = disp[k2], disp[k]
-            res = abs(q0 - q1 - q2)
-            a, a2 = abs(k), abs(k2)
-            num = min(a, a1, a2) * weight[max(a, a1, a2)]
-            if res * den < num:
-                violations += 1
-            slack = res * den / num
+    ks = np.arange(-box, box + 1)
+    disp = np.array([dispersion_symbol(int(k), j) for k in ks], dtype=dtype)
+    weight = np.array([e * a ** (2 * j) for a in range(box + 1)], dtype=dtype)
+    draws = TauDraws(seed, span)
+    rows = ks[ks != 0]
+    checked = violations = identity_failures = 0
+    min_slack, argmin = math.inf, None
+    for start in range(0, rows.size, _CHUNK_ROWS):
+        k1 = rows[start:start + _CHUNK_ROWS, None]
+        k = k1 + ks
+        keep = (ks != 0) & (k != 0) & (np.abs(k) <= box)
+        k1, k2 = np.broadcast_to(k1, keep.shape)[keep], np.broadcast_to(ks, keep.shape)[keep]
+        k = k[keep]
+        q0, q1, q2 = disp[k + box], disp[k1 + box], disp[k2 + box]
+        res = np.abs(q0 - q1 - q2)
+        mags = np.abs(np.stack([k, k1, k2]))
+        num = mags.min(axis=0).astype(dtype) * weight[mags.max(axis=0)]
+        # x * den < num  <=>  x < ceil(num / den) for integers x, den > 0
+        violations += int(np.count_nonzero(res < -(-num // den)))
+        # ratios rank in floats; Python's res * den / num decides near the minimum,
+        # where the k1 = -2 k2 family ties exactly
+        approx = (res / num).astype(float)
+        for i in np.flatnonzero(approx <= approx.min() * (1.0 + 1e-9)):
+            slack = int(res[i]) * den / int(num[i])
             if slack < min_slack:
-                min_slack = slack
-                argmin = (k, k1, k2)
-            for _ in range(tau_trials):
-                tau1 = draw(-span, span + 1)
-                tau2 = draw(-span, span + 1)
-                s0 = tau1 + tau2 - q0
-                s1 = tau1 - q1
-                s2 = tau2 - q2
-                if abs(s0 - s1 - s2) != res:
-                    identity_failures += 1
-                if 3 * max(abs(s0), abs(s1), abs(s2)) * den < num:
-                    identity_failures += 1
+                min_slack, argmin = slack, (int(k[i]), int(k1[i]), int(k2[i]))
+        checked += k.size
+        if tau_trials:
+            tau = draws.take(2 * tau_trials * k.size).reshape(k.size, tau_trials, 2)
+            tau1, tau2 = tau[..., 0], tau[..., 1]
+            s0 = tau1 + tau2 - q0[:, None]
+            s1 = tau1 - q1[:, None]
+            s2 = tau2 - q2[:, None]
+            identity_failures += int(np.count_nonzero(np.abs(s0 - s1 - s2) != res[:, None]))
+            smax = np.maximum(np.maximum(np.abs(s0), np.abs(s1)), np.abs(s2))
+            identity_failures += int(np.count_nonzero(smax < -(-num // (3 * den))[:, None]))
     return {
         "j": j,
-        "Kmax": kmax_box,
+        "Kmax": box,
         "triples_checked": checked,
         "violations": violations,
         "identity_failures": identity_failures,
         "min_slack": min_slack,
         "argmin": list(argmin) if argmin else None,
     }
+
+
+class TauDraws:
+    """The stream of random.Random(seed).randrange(-span, span + 1), in blocks.
+
+    randrange draws getrandbits(b) candidates, b = (2 span + 1).bit_length(),
+    until one is below 2 span + 1.  CPython builds a candidate from
+    ceil(b / 32) Mersenne Twister words, the first word least significant and
+    the last one shifted right to its leftover bits; numpy's MT19937 seeded
+    with random.Random(seed)'s state yields the same words, so the kept
+    candidates, minus span, are exactly the draws, in order.  Draws beyond
+    what take() returns are kept for the next call.
+    """
+
+    def __init__(self, seed, span: int):
+        self.span = span
+        self.width = 2 * span + 1
+        self.bits = self.width.bit_length()
+        self.words = -(-self.bits // 32)
+        self.dtype = np.int64 if self.bits <= 63 else object  # Python ints beyond
+        state = random.Random(seed).getstate()[1]
+        self.mt = np.random.MT19937()
+        self.mt.state = {"bit_generator": "MT19937",
+                         "state": {"key": np.array(state[:624], dtype=np.uint32),
+                                   "pos": state[624]}}
+        self.kept = np.empty(0, dtype=self.dtype)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n draws."""
+        parts, have = [self.kept], self.kept.size
+        accept = self.width / (1 << self.bits)  # in (1/2, 1]; int division never overflows
+        while have < n:
+            m = int((n - have) / accept * 1.05) + 64
+            raw = self.mt.random_raw(m * self.words).reshape(m, self.words)
+            raw[:, -1] >>= 32 * self.words - self.bits
+            raw = raw.astype(self.dtype)
+            cand = raw[:, 0]
+            for w in range(1, self.words):
+                cand = cand | raw[:, w] << 32 * w
+            cand = cand[cand < self.width]
+            parts.append(cand)
+            have += cand.size
+        pool = np.concatenate(parts)
+        self.kept = pool[n:]
+        return pool[:n] - self.span
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def certificate_json(report: dict) -> str:

@@ -1,6 +1,7 @@
 """Exit codes, file formats, determinism, and config merging of the command line."""
 
 import json
+import re
 
 import pytest
 
@@ -44,6 +45,14 @@ class TestSimulate:
         doc = json.loads((tmp_path / "out" / "run.json").read_text())
         assert doc["phase_wrap"] == 0.002 * 16.0**5
 
+    @pytest.mark.parametrize("dt, kmax, ok", [("0.002", "16", False), ("0.0001", "8", True)])
+    def test_phase_wrap_verdict_and_warning(self, tmp_path, capsys, dt, kmax, ok):
+        # 0.002 * 16^5 = 2097 rad and 1e-4 * 8^5 = 3.3 rad against the 50 rad limit
+        assert run(tmp_path, "simulate", "--T", "0.004", "--dt", dt, "--kmax", kmax) == 0
+        doc = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert doc["phase_wrap_ok"] is ok
+        assert ("phase wrap" in capsys.readouterr().err) is not ok
+
     def test_kdv_flag_switches_mode(self, tmp_path):
         assert run(tmp_path, "simulate", "--kdv", "--T", "0.02", "--dt", "0.01",
                    "--kmax", "8") == 0
@@ -58,6 +67,15 @@ class TestVerify:
         assert doc["violations"] == 0
         assert set(doc) == {"j", "Kmax", "triples_checked", "violations",
                             "min_slack", "argmin"}
+
+    def test_resonance_line_reports_wall_time_and_rate(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "resonance", "--kmax-verify", "8") == 0
+        line = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"resonance: \d+ triples, 0 violations, min slack [\d.]+, "
+                            r"[\d.]+ s \([\d.e+]+ triples/s\)", line), line
+
+    def test_resonance_box_below_two_exit_one(self, tmp_path):
+        assert run(tmp_path, "verify", "resonance", "--kmax-verify", "1") == 1
 
     def test_regions_totality(self, tmp_path):
         assert run(tmp_path, "verify", "regions", "--kmax", "8") == 0
@@ -155,6 +173,7 @@ class TestRescaleCheckAndPicard:
         doc = json.loads((tmp_path / "out" / "picard.json").read_text())
         assert doc["diverged"] is False
         assert len(doc["ratios_hs"]) == 3
+        assert doc["ratios_at_floor"] == [False] * 3
 
     def test_picard_report_phase_times(self, tmp_path):
         assert run(tmp_path, "picard", "--kmax", "8", "--nt", "129",

@@ -284,6 +284,26 @@ class TestPicard:
         res = picard_iterate(u0, PicardConfig(iterations=6, nt=257, measure_zs=False))
         assert res.diverged
         assert len(res.ratios_hs) == 5
+        assert not any(res.ratios_at_floor)
+
+    def test_roundoff_floor_ratios_marked(self):
+        # differences 5..8 sit at 3e-14 .. 1e-17 of the iterate's H^s norm
+        p = ModelParams(j=3, lam=2.0, kmax=8.0)
+        u0 = hermitian_spectrum(p, seed=5, scale=0.05)
+        res = picard_iterate(u0, PicardConfig(nt=515), mode="kdv", mu=1.5)
+        assert res.ratios_at_floor == [False, False, False, True, True, True, True]
+        assert len(res.ratios_zs) == len(res.ratios_at_floor)
+        assert all(r < 0.01 for r, floor in zip(res.ratios_hs, res.ratios_at_floor)
+                   if not floor)
+
+    def test_exact_fixed_point_is_not_divergence(self):
+        # the iterates stop changing bit for bit, so the last ratios are 0/0 = inf
+        p = ModelParams(j=2, kmax=8.0)
+        u0 = hermitian_spectrum(p, seed=0, scale=0.05)
+        res = picard_iterate(u0, PicardConfig(iterations=14, nt=129, measure_zs=False))
+        assert res.ratios_hs[-3:] == [math.inf] * 3
+        assert res.ratios_at_floor[-3:] == [True] * 3
+        assert not res.diverged
 
     def test_batch_nonlinearity_matches_scalar_path(self, params16):
         rng = np.random.default_rng(8)

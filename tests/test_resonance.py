@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcl import resonance
 from dcl.resonance import (
     Triple,
     bound_num_den,
@@ -128,20 +129,48 @@ class TestCertificateOracle:
     def test_report_equals_the_triple_walk(self, box, j):
         assert verify_resonance_bound(box, j) == _oracle_certificate(box, j)
 
-    def test_tau_draws_follow_the_seed(self, monkeypatch):
-        draws = {}
-        for name, run in (("table", verify_resonance_bound), ("oracle", _oracle_certificate)):
-            class Recorder(random.Random):
-                def randrange(self, *args):
-                    value = super().randrange(*args)
-                    draws.setdefault(name, []).append(value)
-                    return value
+    @pytest.mark.parametrize("box, j", [(8, 10), (33, 3), (66, 4), (104, 4)])
+    def test_python_int_and_chunked_walks_equal_the_triple_walk(self, box, j):
+        # (8, 10) and (104, 4) overflow int64 (so run on Python ints), 33 spans three
+        # chunks; at (66, 4) float ratios of the tied k1 = -2 k2 triples differ, and
+        # ranking by them alone would pick (-32, -64, 32) over the first, (-33, -66, 33)
+        assert verify_resonance_bound(box, j) == _oracle_certificate(box, j)
 
-            monkeypatch.setattr(random, "Random", Recorder)
-            run(8, 3, tau_trials=2, seed=11)
+    def test_tau_draws_follow_the_seed(self, monkeypatch):
+        box = resonance._CHUNK_ROWS // 2 + 1  # 2 * box nonzero k1 rows: two chunks
+        take = resonance.TauDraws.take
+        for j in (3, 8):  # span 17^17 > 2^69 at j = 8
+            taken = []
+
+            def recording_take(self, n):
+                taken.append(take(self, n))
+                return taken[-1]
+
+            monkeypatch.setattr(resonance.TauDraws, "take", recording_take)
+            checked = verify_resonance_bound(box, j, tau_trials=2, seed=11)["triples_checked"]
             monkeypatch.undo()
-        assert len(draws["table"]) == 2 * 2 * verify_resonance_bound(8, 3)["triples_checked"]
-        assert draws["table"] == draws["oracle"]
+            draws = [int(x) for block in taken for x in block]
+            span = box ** (2 * j + 1)
+            rnd = random.Random(11)
+            assert len(taken) == 2
+            assert len(draws) == 2 * 2 * checked
+            assert draws == [rnd.randrange(-span, span + 1) for _ in draws]
+
+    @pytest.mark.parametrize("span", [1, 2**31 - 1, 2**31, 64**9, 2**64, 3**70])
+    def test_draw_helper_matches_randrange(self, span):
+        draws = resonance.TauDraws(5, span)
+        rnd = random.Random(5)
+        for n in (1, 0, 7, 500, 3, 2000):  # uneven blocks: kept draws carry over
+            assert [int(x) for x in draws.take(n)] == [rnd.randrange(-span, span + 1)
+                                                        for _ in range(n)]
+
+    @pytest.mark.parametrize("kwargs", [{"kmax_box": 8.0}, {"kmax_box": "8"},
+                                        {"kmax_box": True}, {"tau_trials": -1},
+                                        {"tau_trials": 1.5}])
+    def test_bad_input_rejected(self, kwargs):
+        args = {"kmax_box": 8, "j": 2, **kwargs}
+        with pytest.raises(ValueError):
+            verify_resonance_bound(**args)
 
 
 class TestMaxCase:
