@@ -37,6 +37,13 @@ buffer at once, with per-band factors (k symbols, <k> powers, region
 thresholds) computed once per band.  L2(dtau) is realized as
 (sum |a|^2 dtau)^(1/2) and L1(dtau) as sum |a| dtau, with weights evaluated
 at cell centers.
+
+A spectrum that from_time_samples builds from exactly Hermitian samples is
+marked as a real field: its n < 0 bands are the exact conjugate mirrors of
+its n > 0 bands, cell for cell.  Its norms read only the cells of the n > 0
+bands, a contiguous tail of the layout, and count each band sum twice.
+Every other spectrum, including anything derived from a marked one, is
+unmarked and its norms read every cell once.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import ModelParams, NormSpec, SpatialSpectrum, bracket, hs_norm
+from .lattice import ModelParams, NormSpec, SpatialSpectrum, bracket, hs_norm, is_real_block
 from .symbols import dispersion_symbol, nonlocal_multiplier
 
 
@@ -227,6 +234,7 @@ class SpaceTimeSpectrum:
         self.params, self.dtau, self.tau0 = params, dtau, tau0
         self.seg_n, self.seg_m0, self.offsets, self.amps = seg_n, seg_m0, offsets, amps
         self.truncated_mass = truncated_mass
+        self._real = False  # set by from_time_samples only; see _norm_cells
         new_band = np.ones(seg_n.size, dtype=bool)  # the band table: seg_n is sorted
         new_band[1:] = seg_n[1:] != seg_n[:-1]
         self._band_n, self._seg_band = seg_n[new_band], np.cumsum(new_band) - 1
@@ -244,7 +252,8 @@ class SpaceTimeSpectrum:
         """The same cells with new amplitudes; the segment table and cell arrays are shared."""
         out = copy.copy(self)
         out.__dict__.pop("bands", None)
-        out.amps, out.truncated_mass = amps, 0.0
+        out.__dict__.pop("_norm_cells", None)
+        out.amps, out.truncated_mass, out._real = amps, 0.0, False
         return out
 
     @cached_property
@@ -264,6 +273,23 @@ class SpaceTimeSpectrum:
     def _sigma(self) -> np.ndarray:
         """Every cell's modulation, in layout order."""
         return self._segment_sigma(self._band_n, self._seg_band, self.seg_m0, self.offsets)
+
+    @cached_property
+    def _norm_cells(self):
+        """(first, factor, cell bands, sigmas): the cells amps[first:] the norms read.
+
+        A marked real field's n < 0 bands mirror its n > 0 bands cell for
+        cell, with equal |amps|, |k| and |sigma|: the norms read the cells
+        from the first n > 0 segment on, and factor = 2 counts each band
+        sum twice.  Otherwise first = 0 and factor = 1.
+        """
+        if not self._real:
+            return 0, 1.0, self._cell_band, self._sigma
+        seg = int(np.searchsorted(self.seg_n, 0))
+        offsets = self.offsets[seg:] - self.offsets[seg]
+        band = self._seg_band[seg:]
+        return (int(self.offsets[seg]), 2.0, np.repeat(band, np.diff(offsets)),
+                self._segment_sigma(self._band_n, band, self.seg_m0[seg:], offsets))
 
     def _k_symbol(self, fn) -> np.ndarray:
         """fn(k) per cell, fn called once per band with a scalar k."""
@@ -340,8 +366,11 @@ class SpaceTimeSpectrum:
         -m - 2*tau0/dtau, a grid cell when 2*tau0/dtau is an integer, as on
         the grids built here.  One sort of the cells and their mirror points
         puts each mirror point right after the cell it equals, if there is
-        one; a missing mirror cell counts as 0.
+        one; a missing mirror cell counts as 0.  A marked real field (see
+        the module docstring) is Hermitian by construction.
         """
+        if self._real:
+            return True
         scale = float(np.abs(self.amps).max(initial=0.0)) or 1.0
         size = self.amps.size
         length = np.diff(self.offsets)
@@ -429,47 +458,72 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
     """Discrete time Fourier transform of a trajectory of spatial spectra.
 
     block has shape (nt, 2*nmax+1) of spatial-spectrum values on the uniform
-    grid t; returns the space-time spectrum on the tau grid the DFT induces
-    (dtau = 2*pi / (nt*dt)).  Each nonzero mode becomes one band of nt
-    cells, transformed straight into the flat layout.
+    grid t of nt >= 2 samples; returns the space-time spectrum on the tau
+    grid the DFT induces (dtau = 2*pi / (nt*dt)).  Each nonzero mode becomes
+    one band of nt cells, transformed straight into the flat layout.  A
+    block of any other shape, or a t that is not uniform (np.allclose of
+    its steps, rtol 1e-8) and increasing, is a ValueError.
+
+    An exactly Hermitian block (lattice.is_real_block, a trajectory of real
+    fields) with odd nt is transformed on its n > 0 columns only: the tau
+    grid is then symmetric about 0, and each n < 0 band is built as the
+    exact conjugate mirror of its n > 0 band.  The result is marked as a
+    real field, and its norms read only its n > 0 bands.  Other blocks,
+    and every block with even nt, take the full transform, unmarked.
     """
     t = np.asarray(t, dtype=float)
+    block = np.asarray(block)
     nt = t.size
+    if t.ndim != 1 or nt < 2:
+        raise ValueError(f"t must be a 1-d grid of at least 2 samples, got shape {t.shape}")
+    if block.shape != (nt, 2 * params.nmax + 1):
+        raise ValueError(f"block must have shape (nt, 2*nmax+1) = ({nt}, "
+                         f"{2 * params.nmax + 1}), got {block.shape}")
+    steps = np.diff(t)
+    if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-8)):
+        raise ValueError("the time samples must lie on a uniform increasing grid")
     dt = t[1] - t[0]
     span = nt * dt
     dtau_c = 2.0 * math.pi / span
     if dtau is not None and abs(dtau - dtau_c) > 1e-9:
         raise ValueError(f"requested dtau={dtau} inconsistent with grid ({dtau_c})")
-    ns = np.arange(block.shape[1]) - params.nmax
+    real = nt % 2 == 1 and is_real_block(block)
+    ns = np.arange(1 if real else -params.nmax, params.nmax + 1)
     ns = ns[ns != 0]
     fhat = np.fft.fft(block.T[ns + params.nmax], axis=1)  # one row per band
     fhat *= dt / math.sqrt(2.0 * math.pi)
-    ms = np.fft.fftfreq(nt, d=1.0 / nt).astype(int)  # integer tau indices
-    order = np.argsort(ms)
-    fhat = fhat[:, order]
-    fhat *= np.exp(-1j * (ms[order] * dtau_c) * t[0])
+    ms = np.arange(nt) - nt // 2  # integer tau indices, ascending: the FFT's, shifted
+    fhat = np.fft.fftshift(fhat, axes=1)
+    fhat *= np.exp(-1j * (ms * dtau_c) * t[0])
+    if real:  # band -n at tau index -m is the conjugate of band n at m
+        fhat = np.concatenate([np.conj(fhat[::-1, ::-1]), fhat])
+        ns = np.concatenate([-ns[::-1], ns])
     nonzero = fhat.any(axis=1)
     if not nonzero.all():
         ns, fhat = ns[nonzero], fhat[nonzero]
-    return SpaceTimeSpectrum._from_layout(params, dtau_c, 0.0, ns,
-                                          np.full(ns.size, ms[order[0]], dtype=np.int64),
-                                          np.arange(ns.size + 1) * nt, fhat.ravel())
+    out = SpaceTimeSpectrum._from_layout(params, dtau_c, 0.0, ns,
+                                         np.full(ns.size, ms[0], dtype=np.int64),
+                                         np.arange(ns.size + 1) * nt, fhat.ravel())
+    out._real = real
+    return out
 
 
 # -- the five norms --------------------------------------------------------------
 
 def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
     """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}."""
-    cell = bracket(u._sigma) ** (2.0 * b) * np.abs(u.amps) ** 2
-    per_band = np.bincount(u._cell_band, cell, u._band_k.size)
-    total = float(per_band @ bracket(u._band_k) ** (2.0 * s))
+    first, factor, band, sig = u._norm_cells
+    cell = bracket(sig) ** (2.0 * b) * np.abs(u.amps[first:]) ** 2
+    per_band = np.bincount(band, cell, u._band_k.size)
+    total = factor * float(per_band @ bracket(u._band_k) ** (2.0 * s))
     return math.sqrt(total * u.dtau / u.params.lam)
 
 
 def ys_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """||<k>^s F u||_{L2((dk)_lam) L1(dtau)}: L1 in tau first, then L2 in k."""
-    l1 = np.bincount(u._cell_band, np.abs(u.amps), u._band_k.size) * u.dtau
-    total = float(np.sum(bracket(u._band_k) ** (2.0 * s) * l1 * l1))
+    first, factor, band, _ = u._norm_cells
+    l1 = np.bincount(band, np.abs(u.amps[first:]), u._band_k.size) * u.dtau
+    total = factor * float(np.sum(bracket(u._band_k) ** (2.0 * s) * l1 * l1))
     return math.sqrt(total / u.params.lam)
 
 
@@ -489,16 +543,19 @@ def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
 
     One pass: each cell is classified once and weighted by its region's
     <sigma> power; the <k> powers and region thresholds are taken per band.
+    A marked real field is read on its n > 0 bands, each band sum counted
+    twice, as in xsb_norm and ys_norm.
     """
     j = u.params.j
     if j < 2:
         raise ValueError("the Z^s decomposition is specific to j >= 2")
     sk, sb = 2.0 * np.array([*zs_weights(s, j), (0.0, 0.0)]).T
-    k, band, sig = u._band_k, u._cell_band, u._sigma
+    first, factor, band, sig = u._norm_cells
+    k = u._band_k
     term = _ZS_TERM[region_codes(k, np.abs(sig), u.params, band=band)]
-    cell = bracket(sig) ** sb[term] * np.abs(u.amps) ** 2
+    cell = bracket(sig) ** sb[term] * np.abs(u.amps[first:]) ** 2
     per_band = np.bincount(4 * band + term, cell, 4 * k.size).reshape(-1, 4)
-    totals = np.sum(per_band * bracket(k)[:, None] ** sk, axis=0)
+    totals = factor * np.sum(per_band * bracket(k)[:, None] ** sk, axis=0)
     return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + ys_norm(u, s)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bourgain, evolve, illposed, rescale, resonance
+from . import __version__, bourgain, evolve, illposed, rescale, resonance
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -156,8 +156,10 @@ def cmd_simulate(cfg: dict) -> int:
     }
     _write(outdir, "run.json", _dump(report))
     if not traj.phase_wrap_ok:
+        trusted_dt = evolve.PHASE_WRAP_LIMIT * traj.dt / traj.phase_wrap  # LIMIT / max|P(k)|
         print(f"warning: phase wrap dt*max|P(k)| = {traj.phase_wrap:.4g} rad is not below "
-              f"{evolve.PHASE_WRAP_LIMIT:g} rad; refine dt or kmax", file=sys.stderr)
+              f"{evolve.PHASE_WRAP_LIMIT:g} rad; at this kmax a step is trusted only for "
+              f"dt < {trusted_dt:.3g} (or lower kmax)", file=sys.stderr)
     print(f"simulate: {report['steps']} steps, energy drift {report['energy_drift']:.3e}")
     return 2 if traj.blown_up else 0
 
@@ -291,6 +293,22 @@ def cmd_rescale_check(cfg: dict) -> int:
     return 0 if report["pass"] else 2
 
 
+def _versions() -> dict:
+    """The dcl, numpy and scipy versions; scipy's is read from its metadata, None if absent.
+
+    scipy is not imported: the import alone costs ~0.3 s and ~27 MB.
+    importlib.metadata (~20 ms) is imported here, not with the module,
+    because only the picard report needs it.
+    """
+    import importlib.metadata
+
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    return {"dcl": __version__, "numpy": np.__version__, "scipy": scipy_version}
+
+
 def cmd_picard(cfg: dict) -> int:
     params = model_params(cfg)
     u0 = initial_spectrum(cfg, params)
@@ -307,7 +325,7 @@ def cmd_picard(cfg: dict) -> int:
         "ratios_zs": result.ratios_zs,
         "ratios_at_floor": result.ratios_at_floor,
         "diverged": result.diverged,
-        "telemetry": {"phase_s": result.phase_s},
+        "telemetry": {"phase_s": result.phase_s, "versions": _versions()},
     }
     _write(Path(cfg["output_dir"]), "picard.json", _dump(report))
     shown = ", ".join(f"{r:.3g}" for r in result.ratios_hs[:6])

@@ -18,8 +18,9 @@ is a node and the integral starts there.
 The state of a real field is the n > 0 half of its spectrum (see lattice).
 The stepper keeps its phases and mean coupling on that half, and simulate
 carries the half from step to step, building a full SpatialSpectrum only
-at the states it records.  Picard's iterate block stays full-row: it
-mirrors the nonlinearity's output once per iteration.
+at the states it records.  Picard iterates on (nt, nmax) blocks of halves
+too; it mirrors each iterate difference once, for its norms, and the
+iterates once at the end.
 """
 
 from __future__ import annotations
@@ -416,7 +417,14 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     ratios_hs and ratios_zs alike): a ratio of two roundoff-sized
     differences measures noise, not contraction.  Divergence (ratio > 1
     three times in a row, marked ratios skipped) is flagged, not raised.
-    u0 must be a real field, as for simulate: F reads only the n > 0 half.
+
+    u0 must be a real field, as for simulate.  The phases, the free flow, F,
+    the quadrature and the update all act on the (nt, nmax) block of n > 0
+    halves; each iterate difference is mirrored once into full rows for its
+    H^s and Z^s norms, and the iterates once at the end.  So every iterate is
+    exactly Hermitian: for input that is Hermitian only within is_hermitian's
+    tolerance, the input's tiny anti-Hermitian part is dropped from the
+    first iterate on, and the n > 0 halves are those of the full-row loop.
     phase_s holds the wall seconds of the setup (phases and free flow), the
     iterations (F, quadrature and update) and the Z^s measurement.
     """
@@ -430,14 +438,15 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     clock = time.perf_counter()
     phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
     p = u0.params
+    half = slice(p.nmax + 1, None)
     t = cfg.t_grid()
     i0 = nt // 2  # t = 0
     eta = np.asarray(cfg.cutoff()(t))[:, None]
     if abs(eta[i0, 0] - 1.0) > 1e-12 or eta.min() < 0 or eta.max() > 1:
         raise ValueError("cutoff must satisfy eta(0) = 1 and 0 <= eta <= 1")
-    phases = np.exp(1j * np.outer(t, MultiplierSet(p).dispersion))  # S(t) rows
+    phases = np.exp(1j * np.outer(t, MultiplierSet(p).dispersion[half]))  # S(t) rows
     phases_inv = np.conj(phases)
-    free = eta * (phases * u0.amps[None, :])
+    free = eta * (phases * u0.amps[None, half])
     h = float(t[1] - t[0])
     w = free
     saved = [w]
@@ -460,8 +469,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     phase_s["setup"] = time.perf_counter() - clock
     for _ in range(cfg.iterations):
         clock = time.perf_counter()
-        half = w[:, p.nmax + 1:]
-        integrand = hermitian_rows(real_nonlinearity(half, half, p, mu=mu, kdv=mode == "kdv")[0])
+        integrand = real_nonlinearity(w, w, p, mu=mu, kdv=mode == "kdv")[0]
         # S(-t') F(t'); phases come first in both products because numpy's
         # complex a*b and b*a can differ in the last bit
         np.multiply(phases_inv, integrand, out=integrand)
@@ -470,11 +478,11 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         np.multiply(phases, cum, out=cum)
         cum *= eta
         w_next = free - cum
-        d = w_next - w
+        d = hermitian_rows(w_next - w)  # full rows: the norms weigh both mirror halves
         diffs_hs.append(hs_slicewise(d))
         amp += diffs_hs[-1]
         if diffs_hs[-1] <= PICARD_FLOOR * amp:  # near the floor: the exact norm decides
-            amp = hs_slicewise(w_next)
+            amp = hs_slicewise(hermitian_rows(w_next))
         at_floor.append(bool(diffs_hs[-1] <= PICARD_FLOOR * amp))
         phase_s["iterate"] += time.perf_counter() - clock
         if zs_of is not None:
@@ -502,4 +510,5 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         if run >= 3:
             diverged = True
             break
-    return PicardResult(t, np.stack(saved), r_hs, r_zs, r_floor, diverged, p, phase_s)
+    return PicardResult(t, hermitian_rows(np.stack(saved)), r_hs, r_zs, r_floor, diverged, p,
+                        phase_s)

@@ -304,9 +304,14 @@ def dropped_mass(tail, nx: int, lam: float):
 
 
 def is_real_block(amps) -> bool:
-    """True iff every row is exactly Hermitian, amps(-k) == conj(amps(k)): real fields."""
+    """True iff every row is exactly Hermitian, amps(-k) == conj(amps(k)): real fields.
+
+    Each mirror pair is compared once: the first half of a row (with the
+    middle entry) against the conjugate of the mirrored second half.
+    """
     a = np.asarray(amps)
-    return bool(np.array_equal(a[..., ::-1], np.conj(a)))
+    h = (a.shape[-1] + 1) // 2
+    return bool(np.array_equal(a[..., :h], np.conj(a[..., :-h - 1:-1])))
 
 
 def hermitian_parts(amps):

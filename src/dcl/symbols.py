@@ -201,9 +201,8 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     v, v_x) go through one irfft and their products through one rfft.
     tails[..., i, :] is the dropped tail of the i-th product, u v and then
     (unless kdv) u_x v_x, for lattice.dropped_mass on the pad=2 grid.  The
-    stepper, whose state is a half, and Picard, which mirrors the output
-    with lattice.hermitian_rows, call this directly; other callers use
-    nonlinearity_block.
+    stepper and Picard, whose states are halves, call this directly; other
+    callers use nonlinearity_block.
     """
     return _bilinear_F(padded_product, _kernel_symbols(params, mu, kdv), a, b, params)
 

@@ -36,7 +36,7 @@ from dcl.bourgain import (
     ys_norm,
     zs_norm,
 )
-from dcl.lattice import ModelParams, NormSpec, SpatialSpectrum, bracket
+from dcl.lattice import ModelParams, NormSpec, SpatialSpectrum, bracket, hermitian_rows
 from dcl.symbols import dispersion_symbol
 
 from conftest import hermitian_spectrum
@@ -552,6 +552,127 @@ class TestHermitianMirror:
         for tol in (1e-12, 1e-6):
             assert nudged.is_hermitian(tol) == hermitian_by_cells(nudged, tol)
         assert nudged.is_hermitian(1e-6)
+
+
+# -- time samples: the full transform as the oracle ------------------------------------
+
+def full_transform(t, block, params):
+    """(ns, m0, cells) of the transform of every nonzero column, as np.fft gives it.
+
+    Rows of cells are the bands ns in order, each on the ascending tau
+    indices m0, m0 + 1, ...; the n < 0 bands are transformed, not mirrored.
+    """
+    nt, m = t.size, params.nmax
+    dt = t[1] - t[0]
+    dtau = 2.0 * math.pi / (nt * dt)
+    ns = np.array([n for n in range(-m, m + 1) if n != 0 and block[:, n + m].any()])
+    fhat = np.fft.fft(block.T[ns + m], axis=1) * (dt / math.sqrt(2.0 * math.pi))
+    ms = np.fft.fftfreq(nt, d=1.0 / nt).astype(int)
+    order = np.argsort(ms)
+    cells = fhat[:, order] * np.exp(-1j * (ms[order] * dtau) * t[0])
+    return ns, ms[order[0]], cells
+
+
+def real_trajectory(params, nt, seed):
+    """(t, block): nt random real fields on [-2, 2], exactly Hermitian rows."""
+    rng = np.random.default_rng(seed)
+    pos = rng.standard_normal((nt, params.nmax)) + 1j * rng.standard_normal((nt, params.nmax))
+    pos /= bracket(params.k_values()[params.nmax + 1:])
+    return np.linspace(-2.0, 2.0, nt), hermitian_rows(pos)
+
+
+def unmarked(u):
+    """The same layout and amplitudes, not marked as a real field."""
+    return SpaceTimeSpectrum._from_layout(u.params, u.dtau, u.tau0, u.seg_n, u.seg_m0,
+                                          u.offsets, u.amps)
+
+
+class TestTimeSamples:
+    @pytest.mark.parametrize("nt", [65, 257])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_real_block_mirror_equals_the_full_transform(self, j, lam, nt):
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        t, block = real_trajectory(p, nt, seed=10 * j + nt)
+        u = from_time_samples(t, block, p)
+        ns, m0, cells = full_transform(t, block, p)
+        assert u._real
+        assert np.array_equal(u.seg_n, ns) and np.all(u.seg_m0 == m0)
+        assert np.array_equal(u.offsets, np.arange(ns.size + 1) * nt)
+        err = np.abs(u.amps.reshape(ns.size, nt) - cells)
+        assert err.max() <= 1e-13 * np.abs(cells).max()
+
+    def test_marked_spectrum_is_exactly_hermitian(self):
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        u = from_time_samples(*real_trajectory(p, 65, seed=1), p)
+        assert u.is_hermitian(tol=0) and unmarked(u).is_hermitian(tol=0)
+        assert hermitian_by_cells(u, tol=0)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("s", [-0.25, 0.5])
+    def test_norms_of_a_marked_spectrum_equal_the_unmarked_ones(self, lam, s):
+        p = ModelParams(j=2, lam=lam, kmax=8.0)
+        u = from_time_samples(*real_trajectory(p, 257, seed=2), p)
+        plain = unmarked(u)
+        assert u._real and not plain._real
+        for f in (lambda x: xsb_norm(x, s, 0.0), lambda x: xsb_norm(x, s, 0.5),
+                  lambda x: ys_norm(x, s), lambda x: zs_norm(x, s), lambda x: ws_norm(x, s)):
+            assert f(u) == pytest.approx(f(plain), rel=1e-13, abs=0)
+
+    def test_complex_blocks_and_even_nt_take_the_full_transform(self):
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        rng = np.random.default_rng(3)
+        t, block = real_trajectory(p, 65, seed=3)
+        nudged = block.copy()
+        nudged[5, 2] *= 1.0 + 1e-15
+        t64, block64 = real_trajectory(p, 64, seed=4)
+        cplx = block + 1j * rng.standard_normal(block.shape)
+        cplx[:, p.nmax] = 0.0
+        sparse = cplx.copy()
+        sparse[:, [2, p.nmax + 3]] = 0.0  # zero bands are dropped
+        for times, samples in ((t, nudged), (t64, block64), (t, cplx), (t, sparse)):
+            u = from_time_samples(times, samples, p)
+            ns, m0, cells = full_transform(times, samples, p)
+            assert not u._real
+            assert np.array_equal(u.seg_n, ns) and np.all(u.seg_m0 == m0)
+            assert np.array_equal(u.amps, cells.ravel())
+
+    def test_derived_spectra_are_unmarked(self):
+        p = ModelParams(j=2, kmax=4.0)
+        u = from_time_samples(*real_trajectory(p, 33, seed=5), p)
+        derived = (u.scaled(1j), u.apply_k(lambda k: 1j * k), u.apply_sigma(bracket),
+                   u + u, st_convolve(u, u))
+        assert u._real and not any(x._real for x in derived)
+        assert not u.scaled(1j).is_hermitian()
+        assert xsb_norm(derived[2], 0.0, 0.0) == pytest.approx(xsb_norm(u, 0.0, 1.0), rel=1e-13)
+        assert ys_norm(derived[3], -0.25) == pytest.approx(2 * ys_norm(u, -0.25), rel=1e-13)
+        assert u.is_hermitian(tol=0)  # the mark of the source is kept
+
+    def test_extra_columns_rejected(self):
+        p = ModelParams(j=2, kmax=4.0)
+        t, block = real_trajectory(p, 33, seed=6)
+        with pytest.raises(ValueError, match="shape"):
+            from_time_samples(t, np.pad(block, ((0, 0), (1, 1))), p)
+
+    def test_non_uniform_grid_rejected(self):
+        p = ModelParams(j=2, kmax=4.0)
+        t, block = real_trajectory(p, 33, seed=7)
+        t = t.copy()
+        t[10] += 1e-3
+        with pytest.raises(ValueError, match="uniform"):
+            from_time_samples(t, block, p)
+
+    def test_sample_count_mismatch_rejected(self):
+        p = ModelParams(j=2, kmax=4.0)
+        _, block = real_trajectory(p, 33, seed=8)
+        with pytest.raises(ValueError, match="shape"):
+            from_time_samples(np.linspace(-2.0, 2.0, 20), block, p)
+
+    def test_fewer_than_two_samples_rejected(self):
+        p = ModelParams(j=2, kmax=4.0)
+        _, block = real_trajectory(p, 1, seed=9)
+        with pytest.raises(ValueError, match="at least 2"):
+            from_time_samples(np.array([0.0]), block, p)
 
 
 class TestBilinearProbe:

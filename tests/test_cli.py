@@ -1,5 +1,6 @@
 """Exit codes, file formats, determinism, and config merging of the command line."""
 
+import importlib.metadata
 import json
 import re
 
@@ -52,6 +53,11 @@ class TestSimulate:
         doc = json.loads((tmp_path / "out" / "run.json").read_text())
         assert doc["phase_wrap_ok"] is ok
         assert ("phase wrap" in capsys.readouterr().err) is not ok
+
+    def test_phase_wrap_warning_names_the_largest_trusted_step(self, tmp_path, capsys):
+        # 50 rad / max|P(k)| = 50 / 16^5 = 4.77e-05 at j = 2, kmax = 16
+        assert run(tmp_path, "simulate", "--T", "0.004", "--dt", "0.002", "--kmax", "16") == 0
+        assert "dt < 4.77e-05" in capsys.readouterr().err
 
     def test_kdv_flag_switches_mode(self, tmp_path):
         assert run(tmp_path, "simulate", "--kdv", "--T", "0.02", "--dt", "0.01",
@@ -182,6 +188,25 @@ class TestRescaleCheckAndPicard:
         phase_s = doc["telemetry"]["phase_s"]
         assert set(phase_s) == {"setup", "iterate", "zs"}
         assert all(isinstance(v, float) and v >= 0.0 for v in phase_s.values())
+
+    def test_picard_report_versions(self, tmp_path):
+        assert run(tmp_path, "picard", "--kmax", "8", "--nt", "129",
+                   "--iterations", "1", "--u0-amplitude", "0.2") == 0
+        doc = json.loads((tmp_path / "out" / "picard.json").read_text())
+        versions = doc["telemetry"]["versions"]
+        assert set(versions) == {"dcl", "numpy", "scipy"}
+        assert isinstance(versions["dcl"], str) and isinstance(versions["numpy"], str)
+        assert versions["scipy"] is None or isinstance(versions["scipy"], str)
+
+    def test_picard_report_versions_without_scipy(self, tmp_path, monkeypatch):
+        def version(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", version)
+        assert run(tmp_path, "picard", "--kmax", "8", "--nt", "129",
+                   "--iterations", "1", "--u0-amplitude", "0.2") == 0
+        doc = json.loads((tmp_path / "out" / "picard.json").read_text())
+        assert doc["telemetry"]["versions"]["scipy"] is None
 
     def test_picard_even_nt_exit_one(self, tmp_path):
         assert run(tmp_path, "picard", "--kmax", "8", "--nt", "1024",

@@ -340,14 +340,23 @@ class TestPicardParity:
         assert np.array_equal(res.iterates, iterates)
         assert res.ratios_hs == r_hs and res.ratios_zs == r_zs
 
-    def test_nearly_hermitian_input_matches_the_full_row_route(self):
-        # Picard's block stays full-row: only F's output is a mirror, as before
+    def test_nearly_hermitian_input_keeps_its_positive_half(self):
+        # as in simulate: the n > 0 halves follow the full-row loop bit for bit,
+        # and every iterate's n < 0 half is the exact mirror of its n > 0 half
+        # instead of carrying the input's tiny anti-Hermitian part
         p = ModelParams(j=2, kmax=8.0)
+        m = p.nmax
         amps = broadband(p, seed=12, amplitude=0.01).amps.copy()
-        amps[:p.nmax] *= 1.0 + 1e-14
+        amps[:m] *= 1.0 + 1e-14
         u0 = SpatialSpectrum(p, amps)
+        assert u0.is_hermitian() and not lattice.is_real_block(amps)
         cfg = PicardConfig(iterations=2, nt=65, measure_zs=False)
-        assert np.array_equal(picard_iterate(u0, cfg).iterates, oracle_picard(u0, cfg)[0])
+        res = picard_iterate(u0, cfg)
+        iterates = oracle_picard(u0, cfg)[0]
+        assert np.array_equal(res.iterates[..., m + 1:], iterates[..., m + 1:])
+        for it, want in zip(res.iterates, iterates, strict=True):
+            assert lattice.is_real_block(it)
+            assert not np.array_equal(it[:, :m], want[:, :m])
 
 
 def test_hermitian_rows_mirror_and_zero_slot():
