@@ -366,11 +366,8 @@ class SpaceTimeSpectrum:
         -m - 2*tau0/dtau, a grid cell when 2*tau0/dtau is an integer, as on
         the grids built here.  One sort of the cells and their mirror points
         puts each mirror point right after the cell it equals, if there is
-        one; a missing mirror cell counts as 0.  A marked real field (see
-        the module docstring) is Hermitian by construction.
+        one; a missing mirror cell counts as 0.
         """
-        if self._real:
-            return True
         scale = float(np.abs(self.amps).max(initial=0.0)) or 1.0
         size = self.amps.size
         length = np.diff(self.offsets)
@@ -461,8 +458,8 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
     grid t of nt >= 2 samples; returns the space-time spectrum on the tau
     grid the DFT induces (dtau = 2*pi / (nt*dt)).  Each nonzero mode becomes
     one band of nt cells, transformed straight into the flat layout.  A
-    block of any other shape, or a t that is not uniform (np.allclose of
-    its steps, rtol 1e-8) and increasing, is a ValueError.
+    block of any other shape, or a t whose steps are not all positive and
+    equal to the first within a relative 1e-8, is a ValueError.
 
     An exactly Hermitian block (lattice.is_real_block, a trajectory of real
     fields) with odd nt is transformed on its n > 0 columns only: the tau
@@ -480,7 +477,7 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
         raise ValueError(f"block must have shape (nt, 2*nmax+1) = ({nt}, "
                          f"{2 * params.nmax + 1}), got {block.shape}")
     steps = np.diff(t)
-    if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-8)):
+    if not (np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)):
         raise ValueError("the time samples must lie on a uniform increasing grid")
     dt = t[1] - t[0]
     span = nt * dt

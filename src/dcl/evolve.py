@@ -293,7 +293,7 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
             "trajectory too coarse for residual evaluation: need >= 7 samples; "
             "re-run simulate with a smaller stride"
         )
-    if not np.allclose(hs, hs[0], rtol=1e-8):
+    if not (np.all(hs > 0) and np.allclose(hs, hs[0], rtol=1e-8, atol=0.0)):
         raise ValueError("residual evaluation needs uniformly sampled states")
     h = float(hs[0])
     p = states[0].spec.params

@@ -646,7 +646,7 @@ class TestTimeSamples:
         assert not u.scaled(1j).is_hermitian()
         assert xsb_norm(derived[2], 0.0, 0.0) == pytest.approx(xsb_norm(u, 0.0, 1.0), rel=1e-13)
         assert ys_norm(derived[3], -0.25) == pytest.approx(2 * ys_norm(u, -0.25), rel=1e-13)
-        assert u.is_hermitian(tol=0)  # the mark of the source is kept
+        assert u._real  # the source keeps its mark
 
     def test_extra_columns_rejected(self):
         p = ModelParams(j=2, kmax=4.0)
@@ -659,6 +659,20 @@ class TestTimeSamples:
         t, block = real_trajectory(p, 33, seed=7)
         t = t.copy()
         t[10] += 1e-3
+        with pytest.raises(ValueError, match="uniform"):
+            from_time_samples(t, block, p)
+
+    @pytest.mark.parametrize("bad", ["stretched", "backwards"])
+    def test_non_uniform_grid_rejected_at_tiny_steps(self, bad):
+        # the uniformity test is relative to the step, with no absolute slack
+        p = ModelParams(j=2, kmax=4.0)
+        _, block = real_trajectory(p, 33, seed=7)
+        t = np.arange(33) * 1e-10
+        from_time_samples(t, block, p)
+        if bad == "stretched":
+            t[10:] += 1e-14  # one step 1e-4 relative too long
+        else:
+            t[10:] -= 2e-10  # one step of -1e-10
         with pytest.raises(ValueError, match="uniform"):
             from_time_samples(t, block, p)
 

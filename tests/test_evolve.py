@@ -223,6 +223,18 @@ class TestResidual:
             SolverState(s.t, s.spec, 0.0) for s in traj.states])
         assert pde_residual(uncoupled)["max_residual"] > 1e-3
 
+    @pytest.mark.parametrize("shift", [1e-14, -2e-10])
+    def test_non_uniform_states_refused_at_tiny_steps(self, params16, shift):
+        # uniformity is relative to the step: a 1e-4 stretch or a step
+        # backwards at dt = 1e-10 is refused
+        u0 = hermitian_spectrum(params16, seed=7)
+        times = np.arange(9) * 1e-10
+        times[4:] += shift
+        traj = Trajectory(params16, 1e-10, "full",
+                          states=[SolverState(t, u0) for t in times])
+        with pytest.raises(ValueError, match="uniform"):
+            pde_residual(traj)
+
     def test_too_coarse_refused(self, params16):
         traj = simulate(hermitian_spectrum(params16, seed=7), T=0.02, dt=0.01)
         with pytest.raises(ValueError, match="stride|samples"):
