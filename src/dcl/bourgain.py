@@ -307,9 +307,6 @@ class SpaceTimeSpectrum:
             bands.setdefault(n, []).append((int(m), arr))
         return cls(params, dtau, tau0, bands)
 
-    def k_of(self, n: int) -> float:
-        return n / self.params.lam
-
     def grids_match(self, other) -> bool:
         return (
             self.params.lam == other.params.lam
@@ -785,53 +782,40 @@ def _geomspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray
     return out
 
 
-def _sigma_grid(group: str, ranges: dict, n_sigma: int = 48) -> np.ndarray:
-    """The scan sigmas of a region group: one ascending row per k, NaN-padded.
-
-    A row holds the ends of the k's range in the group (the closed ranges
-    of _region_sigma_ranges), n_sigma geometric points from max(lo, 1e-6)
-    and 8 linear points up to min(hi, 4), all kept inside the range; a k
-    whose range is empty gets an all-NaN row.
-    """
-    lo = hi = np.nan
-    for region in _GROUPS[group]:  # one member per k: fmax picks it
-        rlo, rhi = ranges[region]
-        lo, hi = np.fmax(lo, rlo), np.fmax(hi, rhi)
-    base = np.maximum(lo, 1e-6)
-    geo = np.full((lo.size, n_sigma), np.nan)
-    has_geo = hi > base
-    geo[has_geo] = _geomspace_rows(base[has_geo], hi[has_geo], n_sigma)
-    top = np.minimum(hi, 4.0)
-    lin = np.arange(8) * ((top - lo) / 7)[:, None] + lo[:, None]
-    lin[:, -1] = top
-    lo, hi = lo[:, None], hi[:, None]
-    sig = np.concatenate([lo, hi, geo, lin], axis=1)
-    sig[~((sig >= lo) & (sig <= hi) & (hi > lo))] = np.nan
-    sig.sort(axis=1)
-    return sig
-
-
 def _scan_maxima(scans: dict, params: ModelParams, kbound: float) -> dict:
     """Per scan, the max of <k>^alpha <sigma>^beta over its group's cells with |k| <= kbound.
 
-    Returns (group, inequality) -> (max, (k, sigma)), or (-inf, None) for a
-    group with no cells.  Each group's sigma grid is built once and shared
-    by its scans.  Ties go to the smallest k, then the smallest sigma.
+    For a fixed k the ratio is monotone in |sigma|, so its max over the k's
+    closed range (lo, hi) in the group (_region_sigma_ranges) sits at hi
+    when beta > 0 and at lo otherwise; each scan evaluates that one sigma
+    per k.  When beta > 0 on D3+D4, hi is the range's artificial cap, 4x
+    the upper threshold at kbound, so that maximum, and its growth with the
+    box, is set by the cap rather than measured.  Returns (group,
+    inequality) -> (max, (k, sigma)), or (-inf, None) for a group with no
+    cells.  Ties go to the smallest k; with beta = 0 every sigma ties and
+    lo, the smallest, is reported.
     """
     ks, ranges = _region_sigma_ranges(params, kbound)
-    grids = {group: _sigma_grid(group, ranges) for group in _GROUPS}
+    ends = {}
+    for group, members in _GROUPS.items():
+        lo = hi = np.nan
+        for region in members:  # one member per k: fmax picks it
+            rlo, rhi = ranges[region]
+            lo, hi = np.fmax(lo, rlo), np.fmax(hi, rhi)
+        ends[group] = lo, hi
     out = {}
     for (group, ineq), (alpha, beta) in scans.items():
-        sig = grids[group]
+        lo, hi = ends[group]
+        sig = hi if beta > 0 else lo
         # float_power is libm pow, as for a scalar; numpy's SIMD ** can be an ulp off
-        vals = np.float_power(bracket(ks), alpha)[:, None] * bracket(sig) ** beta
-        vals[np.isnan(sig)] = -np.inf
+        vals = np.float_power(bracket(ks), alpha) * bracket(sig) ** beta
+        vals[~(hi > lo)] = -np.inf  # empty range, or the other family's NaN row
         best = vals.max(initial=-np.inf)
         if best == -np.inf:
             out[(group, ineq)] = -math.inf, None
             continue
-        i, c = np.unravel_index(np.argmax(vals), vals.shape)  # first max, row-major
-        out[(group, ineq)] = float(best), (float(ks[i]), float(sig[i, c]))
+        i = np.argmax(vals)  # the first max
+        out[(group, ineq)] = float(best), (float(ks[i]), float(sig[i]))
     return out
 
 
@@ -851,15 +835,20 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     nothing, because the window's ends also come from estimates other than
     these dominances.
 
-    Each box is scanned on one sigma grid per region group (D1+D5, D2,
-    D3+D4, D1), shared by all scans of that group: for every lattice k
-    <= kbound and the k's region in the group, the ends of its |sigma|
-    range, 48 geometric points from max(lo, 1e-6) and 8 linear points up
-    to min(hi, 4).  An end of a range that region_codes puts in another
-    region (D2's ends, D4's lower end, D3's lower end at |k| = 1) is pulled
-    in by a relative 1e-9, so every scanned point lies in its group.  Of
-    equal maxima the smallest k, then the smallest sigma, is reported as
-    argmax.
+    Each box is scanned per region group (D1+D5, D2, D3+D4, D1) at every
+    lattice k <= kbound, over the closed |sigma| range of the k's region in
+    the group; an end of a range that region_codes puts in another region
+    (D2's ends, D4's lower end, D3's lower end at |k| = 1) is pulled in by
+    a relative 1e-9, so every scanned point lies in its group.  For a fixed
+    k a ratio <k>^alpha <sigma>^beta is monotone in |sigma|, so its max
+    over the range is at the upper end when beta > 0 and at the lower end
+    otherwise, and only that end is evaluated.  D3 and D4 are unbounded in
+    sigma and capped at 4x the upper threshold at kbound, so a beta > 0
+    scan on D3+D4 reports its value at the cap, and its growth under box
+    doubling is set by the cap, not measured.  Of equal maxima the smallest
+    k is reported as argmax, at the lower end when beta = 0.  A kbound that
+    is not finite or holds no lattice k (kbound * lam < 1), or doublings
+    that is not an integer >= 0, raises ValueError.
     """
     lo, hi = admissible_window(params)
     in_window = lo <= s <= hi
@@ -868,6 +857,11 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
             f"s={s} outside the admissible window [{lo:.6g}, {hi:.6g}] "
             f"for j={params.j}; pass allow_outside_window=True to scan anyway"
         )
+    if not (math.isfinite(kbound) and kbound * params.lam >= 1):
+        raise ValueError(f"kbound={kbound} must be finite with kbound * lambda >= 1 "
+                         f"(lambda={params.lam}), so the box holds a lattice k")
+    if not (isinstance(doublings, (int, np.integer)) and doublings >= 0):
+        raise ValueError(f"doublings={doublings!r} must be an integer >= 0")
     bounds = [kbound * 2**i for i in range(doublings + 1)]
     scans = _embedding_scans(s, params.j)
     maxima = [_scan_maxima(scans, params, b) for b in bounds]

@@ -83,9 +83,6 @@ class ModelParams:
         """Integer index bound: lattice points are k = n/lam, 0 < |n| <= nmax."""
         return int(round(self.kmax * self.lam))
 
-    def k_of(self, n):
-        return np.asarray(n) / self.lam
-
     def k_values(self) -> np.ndarray:
         """All lattice frequencies, n = -nmax..nmax (index n+nmax); k=0 slot present but excluded."""
         return np.arange(-self.nmax, self.nmax + 1) / self.lam

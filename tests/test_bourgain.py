@@ -11,7 +11,6 @@ from dcl.bourgain import (
     REGION_LABELS,
     _embedding_scans,
     _region_sigma_ranges,
-    _sigma_grid,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -770,6 +769,40 @@ class TestEmbeddingScans:
         rep = verify_embeddings(s, ModelParams(j=2), kbound=32.0, allow_outside_window=True)
         assert rep["pass"] is passes and rep["in_window"] is False
 
+    @pytest.mark.parametrize("kbound", [-5.0, 0.0, 0.2, math.inf, math.nan])
+    def test_box_without_a_lattice_k_rejected(self, kbound):
+        # at lam = 4 the first lattice k is 1/4; 0.2 once scanned k = 1/4 outside the box
+        with pytest.raises(ValueError, match="kbound"):
+            verify_embeddings(-0.25, ModelParams(j=2, lam=4.0, kmax=8.0), kbound=kbound)
+
+    @pytest.mark.parametrize("doublings", [-1, 1.5])
+    def test_bad_doublings_rejected(self, doublings):
+        with pytest.raises(ValueError, match="doublings"):
+            verify_embeddings(-0.25, ModelParams(j=2), kbound=8.0, doublings=doublings)
+
+    def test_certify_box_record(self):
+        # `dcl verify embeddings --s -0.25` at its defaults, as recorded before the
+        # scans read one end per k instead of a 58-point sigma grid
+        rep = verify_embeddings(-0.25, ModelParams(j=2), kbound=256.0)
+        got = {(e["region"], e["inequality"]): (e["trend"], e["argmax"])
+               for e in rep["entries"]}
+        assert rep["kbounds"] == [256.0, 512.0] and rep["pass"]
+        assert got == {
+            ("D1D5", "lower"): ([1.0, 1.0], {"k": 1.0, "sigma": 0.0}),
+            ("D2", "lower"): ([0.07462012775592489, 0.07462012775592489],
+                              {"k": 2.0, "sigma": 3.3333333300000003}),
+            ("D3D4", "lower"): ([1.043569641072875, 1.043569641072875],
+                                {"k": 1.0, "sigma": 0.10416666677083335}),
+            ("D1D5", "upper"): ([1.0, 1.0], {"k": 1.0, "sigma": 0.0}),
+            ("D2", "upper"): ([12.86239387623052, 12.86239387623052],
+                              {"k": 2.0, "sigma": 1.6666666683333335}),
+            ("D3D4", "upper"): ([0.955667485162069, 0.955667485162069],
+                                {"k": 1.0, "sigma": 0.10416666677083335}),
+            ("D1", "half"): ([1.0, 1.0], {"k": 1.0, "sigma": 0.0}),
+            ("D2", "half"): ([0.11485185471211838, 0.11485185471211838],
+                             {"k": 4.0, "sigma": 106.66666656000001}),
+        }
+
     def test_window_formula(self):
         p = ModelParams(j=3, kmax=4.0)
         lo, hi = admissible_window(p)
@@ -877,10 +910,11 @@ _SCAN_CASES = [(j, lam, s) for j in (2, 3, 4) for lam in (1.0, 2.0, 4.0)
 
 
 class TestEmbeddingScanOracle:
+    @pytest.mark.parametrize("kbound", [12.0, 48.0])
     @pytest.mark.parametrize("j, lam, s", _SCAN_CASES)
-    def test_reports_equal_the_per_k_loop(self, j, lam, s):
+    def test_reports_equal_the_per_k_loop(self, j, lam, s, kbound):
         p = ModelParams(j=j, lam=lam, kmax=8.0)
-        rep = verify_embeddings(s, p, kbound=12.0, doublings=1, allow_outside_window=True)
+        rep = verify_embeddings(s, p, kbound=kbound, doublings=1, allow_outside_window=True)
         for entry, ((group, ineq), (alpha, beta)) in zip(
                 rep["entries"], _embedding_scans(s, j).items()):
             got = [_oracle_scan_max(alpha, beta, group, p, b) for b in rep["kbounds"]]
@@ -910,19 +944,21 @@ class TestEmbeddingScanOracle:
 
     @pytest.mark.parametrize("j", [2, 3])
     @pytest.mark.parametrize("lam", [1.0, 2.0])
-    def test_sigma_grid_points_lie_in_their_group(self, j, lam):
-        # (k = 1, sigma = c_j) ends D3's range but is a D1 point; boxes past kmax too
+    def test_range_ends_lie_in_their_region(self, j, lam):
+        # the scans read only these ends; (k = 1, sigma = c_j) ends D3's range but is
+        # a D1 point, and D2's range at |k| = 1 is empty; boxes past kmax too
         p = ModelParams(j=j, lam=lam, kmax=8.0)
         for kbound in (8.0, 16.0):
             ks, ranges = _region_sigma_ranges(p, kbound)
             box = ModelParams(j=j, lam=lam, kmax=kbound)
-            for group, members in _ORACLE_GROUPS.items():
-                sig = _sigma_grid(group, ranges)
-                inside = np.isfinite(sig)
-                codes = region_codes(np.broadcast_to(ks[:, None], sig.shape)[inside],
-                                     sig[inside], box)
-                allowed = [REGION_LABELS.index(RegionLabel(r)) for r in members]
-                assert inside.any() and np.isin(codes, allowed).all(), group
+            for region, (lo, hi) in ranges.items():
+                rows = hi > lo
+                if lam == 1.0 and region in ("D4", "D5"):
+                    continue  # no k below 1
+                code = REGION_LABELS.index(RegionLabel(region))
+                assert rows.any(), region
+                for end in (lo, hi):
+                    assert (region_codes(ks[rows], end[rows], box) == code).all(), region
 
     @pytest.mark.parametrize("j, lam, s", [(2, 1.0, -0.25), (3, 2.0, -1.0), (4, 4.0, -1.5),
                                            (2, 4.0, 0.5)])

@@ -97,6 +97,10 @@ class TestVerify:
         assert run(tmp_path, "verify", "embeddings", "--s", "-2.0",
                    "--kbound", "32", "--kmax", "4") == 1
 
+    @pytest.mark.parametrize("kbound", ["0", "inf"])
+    def test_embeddings_box_without_a_lattice_k_exit_one(self, tmp_path, kbound):
+        assert run(tmp_path, "verify", "embeddings", "--s", "-0.25", "--kbound", kbound) == 1
+
     def test_embeddings_fail_exit_when_forced(self, tmp_path):
         assert run(tmp_path, "verify", "embeddings", "--s", "-2.0", "--kbound", "32",
                    "--kmax", "4", "--allow-outside-window") == 2
