@@ -13,7 +13,6 @@ from .lattice import (
     ModelParams,
     NormSpec,
     SpatialSpectrum,
-    convolve,
     forward_transform,
     hs_norm,
     inverse_transform,
@@ -22,10 +21,8 @@ from .lattice import (
     x_grid,
 )
 from .symbols import (
-    MultiplierSet,
     dispersion_symbol,
     free_evolution,
-    local_form_rhs,
     nonlinearity_F,
     nonlocal_multiplier,
     product_spectrum,

@@ -56,7 +56,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import ModelParams, NormSpec, SpatialSpectrum, bracket, hs_norm, is_real_block
+from .lattice import (
+    ModelParams,
+    NormSpec,
+    SpatialSpectrum,
+    bracket,
+    hs_norm,
+    is_real_block,
+    lattice_ks,
+)
 from .symbols import dispersion_symbol, nonlocal_multiplier
 
 
@@ -201,6 +209,11 @@ def _assemble(n, m0, length, buf, keep=None):
     return n_k[first], _ints(out_m0), offsets, amps[:offsets[-1]]
 
 
+def _check_dtau(dtau: float):
+    if not (math.isfinite(dtau) and dtau > 0):
+        raise ValueError(f"dtau must be finite and positive, got {dtau}")
+
+
 class SpaceTimeSpectrum:
     """Sparse banded amplitudes over (k, tau) cells in one flat layout; see the module docstring.
 
@@ -215,8 +228,7 @@ class SpaceTimeSpectrum:
 
     def __init__(self, params: ModelParams, dtau: float, tau0: float = 0.0,
                  bands: dict | None = None, truncated_mass: float = 0.0):
-        if dtau <= 0:
-            raise ValueError("dtau must be positive")
+        _check_dtau(dtau)
         ns, m0s, rows = [], [], []
         for n, segs in (bands or {}).items():
             if n == 0:
@@ -295,29 +307,12 @@ class SpaceTimeSpectrum:
         """fn(k) per cell, fn called once per band with a scalar k."""
         return np.array([fn(k) for k in self._band_k.tolist()])[self._cell_band]
 
-    # -- construction helpers --
-
-    @classmethod
-    def from_cells(cls, params, dtau, cells, tau0=0.0):
-        """Build from {(k, m): amp} with tau = tau0 + m*dtau."""
-        bands = {}
-        for (k, m), v in cells.items():
-            n = int(round(k * params.lam))
-            arr = np.array([v], dtype=complex)
-            bands.setdefault(n, []).append((int(m), arr))
-        return cls(params, dtau, tau0, bands)
-
     def grids_match(self, other) -> bool:
         return (
             self.params.lam == other.params.lam
             and self.dtau == other.dtau
             and abs(self.tau0 - other.tau0) < 1e-12
         )
-
-    def sigma_of(self, n: int, m0: int, length: int) -> np.ndarray:
-        """Cell-center modulations of the segment of length cells at (n, m0)."""
-        return self._segment_sigma(np.array([n]), np.zeros(1, dtype=np.intp), _ints([m0]),
-                                   np.array([0, length]))
 
     def _segment_sigma(self, band_n, band, seg_m0, offsets) -> np.ndarray:
         """Cell-center modulations of segments, exact integer path when possible.
@@ -346,12 +341,6 @@ class SpaceTimeSpectrum:
         for n, m0, a, b in zip(self.seg_n.tolist(), self.seg_m0.tolist(),
                                self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
             yield n, m0, self.amps[a:b], sig[a:b]
-
-    def value_at(self, n: int, m: int) -> complex:
-        for m0, arr in self.bands.get(n, []):
-            if m0 <= m < m0 + len(arr):
-                return complex(arr[m - m0])
-        return 0j
 
     def n_cells(self) -> int:
         return int(self.amps.size)
@@ -414,6 +403,7 @@ def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
     weighted by profile(sigma) (default: flat).  The default window [-2, 2]
     matches the time-cutoff bandwidth used everywhere else.
     """
+    _check_dtau(dtau)
     p = spec.params
     w = int(round(sigma_halfwidth / dtau))
     q = 1.0 / dtau
@@ -439,8 +429,8 @@ def random_spectrum(params: ModelParams, rng, dtau: float = 0.25,
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amps[params.nmax] = 0.0
     spec = SpatialSpectrum(params, amps)
-    width = 2 * int(round(sigma_halfwidth / dtau)) + 1
     out = from_characteristic(spec, dtau, sigma_halfwidth)
+    width = 2 * int(round(sigma_halfwidth / dtau)) + 1
     # per band: width real parts, then width imaginary parts
     z = rng.standard_normal((out.seg_n.size, 2, width))
     noise = (z[:, 0] + 1j * z[:, 1]).ravel()
@@ -749,7 +739,7 @@ def _region_sigma_ranges(params: ModelParams, kbound: float):
     region; D2's range at |k| = 1 is then empty, lo > hi.  The ends are
     classified as if kmax were kbound, since a scan box may reach past kmax.
     """
-    ks = np.arange(1, int(round(kbound * params.lam)) + 1) / params.lam
+    ks = lattice_ks(kbound, params.lam)
     a, b = region_thresholds(ks, params.j)
     top = np.maximum(4.0 * region_thresholds(kbound, params.j)[1], 2 * b)
     big = ks >= 1.0

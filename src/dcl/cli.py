@@ -24,6 +24,7 @@ from .lattice import (
     ModelParams,
     SpatialSpectrum,
     forward_transform,
+    lattice_ks,
     spectrum_from_json,
     spectrum_to_json,
     x_grid,
@@ -212,8 +213,7 @@ def _region_partition_report(params: ModelParams, kbound: float = 64.0,
         np.linspace(-sigma_bound, sigma_bound, n_sigma),
         np.geomspace(1e-3, sigma_bound, 16),
     ])
-    ks = [sign * n / params.lam
-          for n in range(1, int(round(kbound * params.lam)) + 1) for sign in (1, -1)]
+    ks = [sign * k for k in lattice_ks(kbound, params.lam).tolist() for sign in (1, -1)]
     # P(k) computed as the oracle computes it, so both see the same sigma
     pk = np.array([dispersion_symbol(k, params.j) for k in ks])[:, None]
     taus = pk + sigmas
@@ -259,9 +259,12 @@ def cmd_probe(cfg: dict) -> int:
     if cfg["form"] not in bourgain.BILINEAR_FORMS:
         raise UsageError(f"form must be one of {bourgain.BILINEAR_FORMS}")
     params = model_params(cfg)
-    report = bourgain.batch_bilinear_probe(
-        params, float(cfg["s"]), cfg["form"], cfg["pairs"], cfg["seed"],
-        dtau=float(cfg["tau_step"]))
+    try:
+        report = bourgain.batch_bilinear_probe(
+            params, float(cfg["s"]), cfg["form"], cfg["pairs"], cfg["seed"],
+            dtau=float(cfg["tau_step"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report["config"] = _resolved(cfg)
     _write(Path(cfg["output_dir"]), "probe.json", _dump(report))
     print(f"probe[{cfg['form']}]: max ratio {report['max_ratio']:.4f}, "
@@ -271,10 +274,14 @@ def cmd_probe(cfg: dict) -> int:
 
 def cmd_rescale_check(cfg: dict) -> int:
     params = model_params(cfg)
+    mu = float(cfg["mu"])
+    try:
+        rescale.rescale_params(params, mu)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     u0 = initial_spectrum(cfg, params)
     mode = "kdv" if cfg["kdv"] else "full"
     traj = _simulate(cfg, u0, mode)
-    mu = float(cfg["mu"])
     scaled = rescale.rescale_trajectory(traj, mu)
     detail = evolve.pde_residual(scaled, mode=mode, mu=mu)
     resid = detail["max_residual"]

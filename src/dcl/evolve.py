@@ -41,7 +41,6 @@ from .lattice import (
     sobolev_weights,
 )
 from .symbols import (
-    MultiplierSet,
     dispersion_symbol,
     mean_coupling,
     nonlinearity_block,
@@ -136,8 +135,8 @@ class IntegratingFactorRK4:
         self.dt = dt
         self.mode = mode
         self.mu = mu
-        self.mults = MultiplierSet(params)
-        disp = self.mults.dispersion
+        k = params.k_values()
+        disp = dispersion_symbol(k, params.j)
         self.phase_wrap = float(dt * np.abs(disp).max())
         self.phase_wrap_ok = self.phase_wrap < PHASE_WRAP_LIMIT
         # the n > 0 halves of the full-row multipliers, so they are the same numbers
@@ -146,7 +145,7 @@ class IntegratingFactorRK4:
         self.e_full = self.e_half * self.e_half
         self.e_half_inv = np.conj(self.e_half)
         self.e_full_inv = np.conj(self.e_full)
-        self.mean_mult = mean_coupling(self.mults.k, mu, kdv=mode == "kdv")[half]
+        self.mean_mult = mean_coupling(k, mu, kdv=mode == "kdv")[half]
 
     def _rhs(self, u: np.ndarray, mean: float) -> np.ndarray:
         if self.mode == "linear":
@@ -444,7 +443,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     eta = np.asarray(cfg.cutoff()(t))[:, None]
     if abs(eta[i0, 0] - 1.0) > 1e-12 or eta.min() < 0 or eta.max() > 1:
         raise ValueError("cutoff must satisfy eta(0) = 1 and 0 <= eta <= 1")
-    phases = np.exp(1j * np.outer(t, MultiplierSet(p).dispersion[half]))  # S(t) rows
+    phases = np.exp(1j * np.outer(t, dispersion_symbol(p.k_values(), p.j)[half]))  # S(t) rows
     phases_inv = np.conj(phases)
     free = eta * (phases * u0.amps[None, half])
     h = float(t[1] - t[0])

@@ -1,14 +1,16 @@
 """Frequency lattice, Fourier conventions, and basic spectral arithmetic.
 
 Everything downstream works on the circle T = [0, 2*pi*lam) with the
-frequency lattice Z_lam = {n/lam : n integer, n != 0} truncated at kmax.
+frequency lattice Z_lam = {n/lam : n integer, n != 0} truncated at kmax;
+`lattice_ks` lists its positive ks up to any other bound.
 The transform pair is the symmetric 1/sqrt(2*pi) convention
 
     F f(k) = (2*pi)^(-1/2) * integral_0^{2*pi*lam} exp(-i k x) f(x) dx
     f(x)   = (2*pi)^(-1/2) * (1/lam) * sum_k exp(i k x) F f(k)
 
 and sums over the lattice always carry the normalized counting measure
-(1/lam) * sum.  The zero mode is excluded from every spectrum; the field
+(1/lam) * sum.  Products of fields are taken on the grid (symbols), not by
+lattice convolution.  The zero mode is excluded from every spectrum; the field
 mean is reported (and, in the solver, carried) as a separate scalar.
 
 Fields are real, so a spectrum's rows are Hermitian, amps(-k) =
@@ -30,7 +32,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,6 +97,18 @@ class ModelParams:
         return _next_fast_len(2 * pad * self.nmax + 2)
 
 
+def lattice_ks(kbound: float, lam: float) -> np.ndarray:
+    """The lattice ks n/lam in (0, kbound], n = 1, 2, ..., ascending.
+
+    kbound*lam within 1e-9 of an integer counts as that integer, as
+    kmax*lam does in ModelParams; otherwise it is rounded down, so no k
+    lies past kbound.
+    """
+    top = kbound * lam
+    n = round(top) if abs(top - round(top)) <= 1e-9 else math.floor(top)
+    return np.arange(1, n + 1) / lam
+
+
 @functools.lru_cache(maxsize=64)  # default_grid runs on every nonlinearity evaluation
 def _next_fast_len(n: int) -> int:
     """Smallest m >= n with no prime factor above 11, as scipy.fft.next_fast_len(n)."""
@@ -120,7 +134,7 @@ class SpatialSpectrum:
     all operations return new spectra.
 
     truncation_loss / zero_mode are bookkeeping from operations that had to
-    drop content (convolution tails beyond kmax, product means).
+    drop content (product tails beyond kmax, product means).
     """
 
     params: ModelParams
@@ -392,26 +406,6 @@ def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) ->
     return re + 1j * im + mean
 
 
-def convolve(a: SpatialSpectrum, b: SpatialSpectrum) -> SpatialSpectrum:
-    """Normalized lattice convolution (1/lam) * sum_{k1} a(k-k1) b(k1).
-
-    The output is truncated at kmax; dropped tail mass (L2 with the counting
-    measure) is recorded on the result as truncation_loss, and the k=0 value
-    as zero_mode.  Note the transform of a pointwise product is
-    (2*pi)^(-1/2) times this convolution under the symmetric convention.
-    """
-    a._check_compatible(b)
-    p = a.params
-    m = p.nmax
-    full = np.convolve(a.amps, b.amps) / p.lam  # indices n = -2m .. 2m
-    center = full[m:3 * m + 1]
-    zero = complex(full[2 * m])
-    center = center.copy()
-    tail = np.concatenate([full[:m], full[3 * m + 1:]])
-    loss = math.sqrt(float(np.sum(np.abs(tail) ** 2)) / p.lam)
-    return SpatialSpectrum(p, center, truncation_loss=loss, zero_mode=zero)
-
-
 @functools.lru_cache(maxsize=64)  # hs_norm runs on every diagnostic row
 def sobolev_weights(params: ModelParams, s: float) -> np.ndarray:
     """<k>^(2s) on the lattice, n = -nmax..nmax; read-only."""
@@ -449,11 +443,3 @@ def spectrum_from_json(text: str, kmax: float | None = None, **kwargs) -> Spatia
     return SpatialSpectrum.from_modes(
         params, {mode["k"]: mode["re"] + 1j * mode["im"] for mode in doc["modes"]}
     )
-
-
-def field_to_csv(x: np.ndarray, samples: np.ndarray) -> str:
-    rows = ["x,re,im"]
-    samples = np.asarray(samples, dtype=complex)
-    for xi, fi in zip(x, samples):
-        rows.append(f"{xi!r},{fi.real!r},{fi.imag!r}")
-    return "\n".join(rows) + "\n"

@@ -14,32 +14,28 @@ from the measure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
 
 from .evolve import SolverState, Trajectory, pde_residual
 from .lattice import ModelParams, SpatialSpectrum
 
 
-@dataclass(frozen=True)
-class ScalingTransform:
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 1.0:
-            raise ValueError(f"mu must be >= 1, got {self.mu}")
-
-
 def rescale_params(params: ModelParams, mu: float) -> ModelParams:
+    """params on the circle dilated by mu: lam*mu and kmax/mu, the same lattice indices.
+
+    mu must be finite and >= 1 (a ValueError otherwise), so the dilated
+    circle is at least as large.
+    """
+    if not (math.isfinite(mu) and mu >= 1.0):
+        raise ValueError(f"mu must be finite and >= 1, got {mu}")
     return ModelParams(j=params.j, lam=params.lam * mu, epsilon=params.epsilon,
                        kmax=params.kmax / mu)
 
 
 def rescale_field(u0: SpatialSpectrum, mu: float) -> SpatialSpectrum:
     """Spectrum of mu^(-2j) u0(x/mu) on the dilated circle [0, 2*pi*lam*mu)."""
-    ScalingTransform(mu)
     p = u0.params
-    factor = mu ** (1 - 2 * p.j)
-    return SpatialSpectrum(rescale_params(p, mu), factor * u0.amps)
+    return SpatialSpectrum(rescale_params(p, mu), mu ** (1 - 2 * p.j) * u0.amps)
 
 
 def rescale_state(state: SolverState, mu: float) -> SolverState:

@@ -15,19 +15,21 @@ side: u_t + d_x^(2j+1) u + F(u, u) = 0.
 
 A real field is its n > 0 half (see lattice), and the kernel under every F,
 `real_nonlinearity`, takes and returns halves.  Its callers that hand out
-full rows (`nonlinearity_block`, `product_spectrum`, `nonlinearity_F`, and
-Picard in evolve) mirror its output once, with lattice.hermitian_rows.
+full rows (`nonlinearity_block`, `nonlinearity_F`, and Picard in evolve)
+mirror its output once, with lattice.hermitian_rows; `product_spectrum`
+does the same with the product under it, `padded_product`.  Products and
+F are taken one way, on the alias-free pad=2 grid; the lattice
+convolution that cross-checks them is an oracle of the tests
+(tests/oracles.py), not a route of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .lattice import (
-    TWO_PI_SQRT,
     ModelParams,
     SpatialSpectrum,
     dropped_mass,
@@ -55,47 +57,14 @@ def nonlocal_multiplier(k):
     return 1j * k / (1.0 + k * k)
 
 
-@dataclass(frozen=True)
-class MultiplierSet:
-    """Cached lattice arrays for every multiplier the model needs."""
-
-    params: ModelParams
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        return self.params.k_values()
-
-    @cached_property
-    def dispersion(self) -> np.ndarray:
-        return dispersion_symbol(self.k, self.params.j)
-
-    @cached_property
-    def nonlocal_smoothing(self) -> np.ndarray:
-        out = nonlocal_multiplier(self.k)
-        out[self.params.nmax] = 0.0  # k=0 excluded
-        return out
-
-    def helmholtz(self, mu: float = 1.0) -> np.ndarray:
-        """(1 - mu^2 d_x^2)^(-1) on the lattice: 1/(1 + mu^2 k^2)."""
-        return 1.0 / (1.0 + (mu * self.k) ** 2)
-
-    def semigroup(self, t: float) -> np.ndarray:
-        """Free-flow phases exp(i t P(k))."""
-        return np.exp(1j * t * self.dispersion)
-
-
 def free_evolution(spec: SpatialSpectrum, t: float) -> SpatialSpectrum:
     """Apply the free group S(t): amps(k) -> exp(i t P(k)) amps(k).
 
     Unimodular, so every H^s norm is invariant.
     """
-    phases = MultiplierSet(spec.params).semigroup(t)
+    p = spec.params
+    phases = np.exp(1j * t * dispersion_symbol(p.k_values(), p.j))
     return spec.with_amps(phases * spec.amps)
-
-
-def derivative(spec: SpatialSpectrum, order: int = 1) -> SpatialSpectrum:
-    mult = (1j * spec.params.k_values()) ** order
-    return spec.with_amps(mult * spec.amps)
 
 
 def nonlinearity_multipliers(k, mu: float = 1.0, kdv: bool = False):
@@ -136,36 +105,14 @@ def padded_product(a, b, params: ModelParams):
     return grid_to_lattice(f, params)
 
 
-def _convolved_product(a, b, params: ModelParams):
-    """padded_product via the lattice convolution, row by row, for any complex full rows.
-
-    The reference route: a, b are (..., 2*nmax+1) blocks or sequences of
-    them, and the result's amps are full rows; its tail is the full-width
-    content beyond kmax.
-    """
-    m = params.nmax
-    a, b = (x if isinstance(x, np.ndarray) else np.stack(x, axis=-2) for x in (a, b))
-    rows = zip(np.reshape(a, (-1, 2 * m + 1)), np.reshape(b, (-1, 2 * m + 1)))
-    full = np.array([np.convolve(x, y) for x, y in rows]) / (TWO_PI_SQRT * params.lam)
-    full = full.reshape(np.shape(a)[:-1] + (4 * m + 1,))  # n = -2m .. 2m
-    amps = full[..., m:3 * m + 1].copy()
-    amps[..., m] = 0.0
-    return amps, full[..., 2 * m], np.concatenate([full[..., :m], full[..., 3 * m + 1:]], axis=-1)
-
-
-def _full_tail_mass(tail, lam: float):
-    return np.sqrt(np.sum(np.abs(tail) ** 2, axis=-1) / lam)
-
-
 @lru_cache(maxsize=32)
-def _kernel_symbols(params: ModelParams, mu: float, kdv: bool, half: bool = True):
-    """(ik, m_uv, m_dd) on the lattice, read-only; m_dd is None when kdv.
+def _kernel_symbols(params: ModelParams, mu: float, kdv: bool):
+    """(ik, m_uv, m_dd) on the n > 0 half of the lattice, read-only; m_dd is None when kdv.
 
-    half=True gives the n > 0 halves the real kernel works on, sliced from
-    the full rows so that they are the same numbers.
+    The halves are sliced from the full rows, so they are the same numbers.
     """
     k = params.k_values()
-    cut = slice(params.nmax + 1, None) if half else slice(None)
+    cut = slice(params.nmax + 1, None)
     ik = (1j * k)[cut]
     m_uv, m_dd = (None if x is None else x[cut] for x in nonlinearity_multipliers(k, mu, kdv))
     for arr in (ik, m_uv, m_dd):
@@ -174,37 +121,29 @@ def _kernel_symbols(params: ModelParams, mu: float, kdv: bool, half: bool = True
     return ik, m_uv, m_dd
 
 
-def _bilinear_F(product, symbols, a, b, params: ModelParams):
-    """(F(a, b), tails): F's two products, taken by product, combined by its symbol.
+def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
+    """(F(a, b), tails) for the real fields with n > 0 halves a and b, (..., nmax) blocks.
 
-    The one formula for F: u and u_x (and v, v_x) go to product as one
-    sequence of fields, and F = m_uv (u v)^ + m_dd (u_x v_x)^.  symbols is
-    _kernel_symbols' triple, matching the row layout product works on.
+    The kernel under every F, and the one place F's formula is applied:
+    u and u_x (and v, v_x) go through one irfft as one sequence of fields
+    (padded_product), their products through one rfft, and F = m_uv (u v)^
+    + m_dd (u_x v_x)^.  It takes and returns halves.  tails[..., i, :] is
+    the dropped tail of the i-th product, u v and then (unless kdv) u_x v_x,
+    for lattice.dropped_mass on the pad=2 grid.  The stepper and Picard,
+    whose states are halves, call this directly; other callers use
+    nonlinearity_block.
     """
-    ik, m_uv, m_dd = symbols
+    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv)
 
     def fields(x):
         return (x,) if m_dd is None else (x, ik * x)
 
     sa = fields(a)
-    prods, _, tails = product(sa, sa if b is a else fields(b), params)
+    prods, _, tails = padded_product(sa, sa if b is a else fields(b), params)
     out = m_uv * prods[..., 0, :]
     if m_dd is not None:
         out += m_dd * prods[..., 1, :]
     return out, tails
-
-
-def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
-    """(F(a, b), tails) for the real fields with n > 0 halves a and b, (..., nmax) blocks.
-
-    The kernel under every F; it takes and returns halves.  u and u_x (and
-    v, v_x) go through one irfft and their products through one rfft.
-    tails[..., i, :] is the dropped tail of the i-th product, u v and then
-    (unless kdv) u_x v_x, for lattice.dropped_mass on the pad=2 grid.  The
-    stepper and Picard, whose states are halves, call this directly; other
-    callers use nonlinearity_block.
-    """
-    return _bilinear_F(padded_product, _kernel_symbols(params, mu, kdv), a, b, params)
 
 
 def _on_complex_rows(kernel, a, b, params: ModelParams):
@@ -249,56 +188,28 @@ def nonlinearity_block(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = F
     return _on_complex_rows(partial(real_nonlinearity, mu=mu, kdv=kdv), a, b, params)
 
 
-def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum,
-                     dealias: bool = True) -> SpatialSpectrum:
+def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum) -> SpatialSpectrum:
     """Spectrum of the pointwise product u1*u2, truncated at kmax.
 
-    dealias=False takes the lattice convolution route, the tests' reference.
-    Content beyond kmax is recorded as truncation_loss, the k=0 value as zero_mode.
+    Taken on the pad=2 grid (padded_product), which resolves the whole
+    product: content beyond kmax is recorded as truncation_loss, the k=0
+    value as zero_mode.
     """
     u1._check_compatible(u2)
     p = u1.params
-    if dealias:
-        amps, zero, loss = _on_complex_rows(padded_product, u1.amps, u2.amps, p)
-    else:
-        amps, zero, tail = _convolved_product(u1.amps, u2.amps, p)
-        loss = _full_tail_mass(tail, p.lam)
+    amps, zero, loss = _on_complex_rows(padded_product, u1.amps, u2.amps, p)
     return SpatialSpectrum(p, amps, truncation_loss=float(loss), zero_mode=complex(zero))
 
 
 def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
-                   kdv: bool = False, dealias: bool = True) -> SpatialSpectrum:
+                   kdv: bool = False) -> SpatialSpectrum:
     """The symmetric bilinear nonlinearity; F(u,u) is the model's full nonlinear term.
 
     kdv=True keeps only 1/2 d_x(u1 u2), the local-dispersion comparison mode.
     Every term carries a d_x, so the output is mean-zero by construction and
-    real input yields real output.  dealias is as in product_spectrum.
+    real input yields real output.  truncation_loss is the larger of the
+    two products' losses (one product when kdv).
     """
     u1._check_compatible(u2)
-    p = u1.params
-    if dealias:
-        amps, losses = nonlinearity_block(u1.amps, u2.amps, p, mu=mu, kdv=kdv)
-    else:
-        amps, tails = _bilinear_F(_convolved_product, _kernel_symbols(p, mu, kdv, half=False),
-                                  u1.amps, u2.amps, p)
-        losses = _full_tail_mass(tails, p.lam)
-    return SpatialSpectrum(p, amps, truncation_loss=float(np.max(losses)))
-
-
-def local_form_rhs(u: SpatialSpectrum) -> SpatialSpectrum:
-    """Time derivative of m = u - u_xx from the equivalent local form.
-
-    Applying (1 - d_x^2) to the model turns it into
-        m_t + d_x^(2j+1) m + u m_x + 2 u_x m = 0,
-    so m_t = -d_x^(2j+1) m - u m_x - 2 u_x m.  Used purely as an
-    independent cross-check of nonlinearity_F.
-    """
-    p = u.params
-    k = p.k_values()
-    m_spec = u.with_amps((1.0 + k * k) * u.amps)
-    mx_spec = derivative(m_spec)
-    ux_spec = derivative(u)
-    adv = product_spectrum(u, mx_spec)
-    stretch = product_spectrum(ux_spec, m_spec)
-    lin = dispersion_symbol(k, p.j) * 1j * m_spec.amps  # d_x^(2j+1) m has symbol -i P(k)
-    return SpatialSpectrum(p, lin - adv.amps - 2.0 * stretch.amps)
+    amps, losses = nonlinearity_block(u1.amps, u2.amps, u1.params, mu=mu, kdv=kdv)
+    return SpatialSpectrum(u1.params, amps, truncation_loss=float(np.max(losses)))

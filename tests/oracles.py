@@ -1,0 +1,128 @@
+"""Reference routes the tests check dcl against; the package itself has one route per idea.
+
+- `lattice_convolution` is the normalized lattice convolution
+  (1/lam) * sum_{k1} a(k-k1) b(k1), one np.convolve per row.  `convolve`,
+  `product_spectrum` and `nonlinearity_F` are built on it, with F spelled
+  out from the public symbol `nonlinearity_multipliers`; dcl takes the same
+  products on a padded FFT grid instead.
+- `local_form_rhs` is the model's equivalent local form, an independent
+  check of F.
+- `st_from_cells`, `st_value_at` and `st_sigma_of` build, read and place
+  single cells of a SpaceTimeSpectrum; sigma is computed in exact rationals.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from dcl.bourgain import SpaceTimeSpectrum
+from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum
+from dcl.symbols import dispersion_symbol, nonlinearity_multipliers
+
+
+# -- the lattice convolution and the products on it ------------------------------------
+
+def lattice_convolution(a, b, params, divisor=1.0):
+    """(amps, zero, loss) of (1/(divisor*lam)) * sum_{k1} a(k-k1) b(k1) for full rows a, b.
+
+    a, b are (..., 2*nmax+1) blocks of any complex rows.  amps are the
+    output rows truncated at kmax with the k=0 slot zeroed, zero is the
+    k=0 value and loss the L2 mass (counting measure) of the content
+    beyond kmax, per row.
+    """
+    m = params.nmax
+    a, b = np.asarray(a), np.asarray(b)
+    rows = zip(np.reshape(a, (-1, 2 * m + 1)), np.reshape(b, (-1, 2 * m + 1)))
+    full = np.array([np.convolve(x, y) for x, y in rows]) / (divisor * params.lam)
+    full = full.reshape(a.shape[:-1] + (4 * m + 1,))  # n = -2m .. 2m
+    amps = full[..., m:3 * m + 1].copy()
+    amps[..., m] = 0.0
+    tail = np.concatenate([full[..., :m], full[..., 3 * m + 1:]], axis=-1)
+    loss = np.sqrt(np.sum(np.abs(tail) ** 2, axis=-1) / params.lam)
+    return amps, full[..., 2 * m], loss
+
+
+def convolve(a: SpatialSpectrum, b: SpatialSpectrum) -> SpatialSpectrum:
+    """The lattice convolution of two spectra, with its truncation_loss and zero_mode.
+
+    The transform of a pointwise product is (2*pi)^(-1/2) times this
+    convolution under the symmetric convention.
+    """
+    a._check_compatible(b)
+    amps, zero, loss = lattice_convolution(a.amps, b.amps, a.params)
+    return SpatialSpectrum(a.params, amps, truncation_loss=float(loss), zero_mode=complex(zero))
+
+
+def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum) -> SpatialSpectrum:
+    """dcl.symbols.product_spectrum on the convolution route."""
+    u1._check_compatible(u2)
+    amps, zero, loss = lattice_convolution(u1.amps, u2.amps, u1.params, TWO_PI_SQRT)
+    return SpatialSpectrum(u1.params, amps, truncation_loss=float(loss), zero_mode=complex(zero))
+
+
+def derivative(spec: SpatialSpectrum, order: int = 1) -> SpatialSpectrum:
+    """d_x^order on the lattice: the symbol (ik)^order."""
+    return spec.with_amps((1j * spec.params.k_values()) ** order * spec.amps)
+
+
+def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
+                   kdv: bool = False) -> SpatialSpectrum:
+    """dcl.symbols.nonlinearity_F on the convolution route: m_uv (u v)^ + m_dd (u_x v_x)^.
+
+    truncation_loss is the larger of the two products' losses.
+    """
+    m_uv, m_dd = nonlinearity_multipliers(u1.params.k_values(), mu, kdv)
+    uv = product_spectrum(u1, u2)
+    amps, losses = m_uv * uv.amps, [uv.truncation_loss]
+    if m_dd is not None:
+        dd = product_spectrum(derivative(u1), derivative(u2))
+        amps = amps + m_dd * dd.amps
+        losses.append(dd.truncation_loss)
+    return SpatialSpectrum(u1.params, amps, truncation_loss=max(losses))
+
+
+def local_form_rhs(u: SpatialSpectrum) -> SpatialSpectrum:
+    """Time derivative of m = u - u_xx from the equivalent local form.
+
+    Applying (1 - d_x^2) to the model turns it into
+        m_t + d_x^(2j+1) m + u m_x + 2 u_x m = 0,
+    so m_t = -d_x^(2j+1) m - u m_x - 2 u_x m: no nonlocal operator, so an
+    independent cross-check of nonlinearity_F.
+    """
+    p = u.params
+    k = p.k_values()
+    m_spec = u.with_amps((1.0 + k * k) * u.amps)
+    adv = product_spectrum(u, derivative(m_spec))
+    stretch = product_spectrum(derivative(u), m_spec)
+    lin = dispersion_symbol(k, p.j) * 1j * m_spec.amps  # d_x^(2j+1) m has symbol -i P(k)
+    return SpatialSpectrum(p, lin - adv.amps - 2.0 * stretch.amps)
+
+
+# -- single cells of a space-time spectrum ------------------------------------------
+
+def st_from_cells(params, dtau, cells, tau0=0.0) -> SpaceTimeSpectrum:
+    """A SpaceTimeSpectrum from {(k, m): amp}, one cell each, with tau = tau0 + m*dtau."""
+    bands = {}
+    for (k, m), v in cells.items():
+        bands.setdefault(int(round(k * params.lam)), []).append((int(m), np.array([v], complex)))
+    return SpaceTimeSpectrum(params, dtau, tau0, bands)
+
+
+def st_value_at(u: SpaceTimeSpectrum, n: int, m: int) -> complex:
+    """The amplitude of cell m of band n, 0 where u has no cell."""
+    for m0, arr in u.bands.get(n, []):
+        if m0 <= m < m0 + len(arr):
+            return complex(arr[m - m0])
+    return 0j
+
+
+def st_sigma_of(u: SpaceTimeSpectrum, n: int, m0: int, length: int) -> np.ndarray:
+    """Cell-center modulations tau0 + m*dtau - P(n/lam) of cells m0 .. m0+length-1 of band n.
+
+    Each is computed in exact rationals and rounded once.
+    """
+    j = u.params.j
+    pk = (-1) ** (j + 1) * (Fraction(n) / Fraction(u.params.lam)) ** (2 * j + 1)
+    tau0, dtau = Fraction(u.tau0), Fraction(u.dtau)
+    return np.array([float(tau0 + (m0 + i) * dtau - pk) for i in range(length)])
+

@@ -38,6 +38,7 @@ from dcl.bourgain import (
 from dcl.lattice import ModelParams, NormSpec, SpatialSpectrum, bracket, hermitian_rows
 from dcl.symbols import dispersion_symbol
 
+import oracles
 from conftest import hermitian_spectrum
 
 
@@ -118,7 +119,7 @@ def hermitian_by_cells(u, tol=1e-12):
         for m0, arr in segs:
             for i, v in enumerate(arr):
                 mm = -(m0 + i) - int(round(2 * u.tau0 / u.dtau))
-                if abs(u.value_at(-n, mm) - np.conj(v)) > tol * scale:
+                if abs(oracles.st_value_at(u, -n, mm) - np.conj(v)) > tol * scale:
                     return False
     return True
 
@@ -248,7 +249,7 @@ class TestSpaceTimeSpectrum:
         # one cell at (k=1, sigma=0): xsb = 2^{s/2} A sqrt(dtau), ys = 2^{s/2} A dtau
         A, dtau, s, b = 1.7, 0.25, -0.3, 0.8
         m_at = dispersion_symbol(1, 2) * 4  # sigma = 0 cell
-        u = SpaceTimeSpectrum.from_cells(params16, dtau, {(1, m_at): A})
+        u = oracles.st_from_cells(params16, dtau, {(1, m_at): A})
         assert xsb_norm(u, s, b) == pytest.approx(2.0 ** (s / 2) * A * math.sqrt(dtau))
         assert ys_norm(u, s) == pytest.approx(2.0 ** (s / 2) * A * dtau)
         # the composite two-term norm of a near-characteristic cell is the sum
@@ -259,8 +260,7 @@ class TestSpaceTimeSpectrum:
     def test_two_cells_l1_additivity(self, params16):
         dtau, s = 0.25, -0.5
         m_at = dispersion_symbol(1, 2) * 4
-        u = SpaceTimeSpectrum.from_cells(params16, dtau,
-                                         {(1, m_at): 2.0, (1, m_at + 5): 3.0})
+        u = oracles.st_from_cells(params16, dtau, {(1, m_at): 2.0, (1, m_at + 5): 3.0})
         assert ys_norm(u, s) == pytest.approx(2.0 ** (s / 2) * 5.0 * dtau)
 
     def test_disjoint_pythagoras(self, params16):
@@ -302,7 +302,7 @@ class TestSpaceTimeSpectrum:
         # norm is the D1 term plus the tau-integrability term
         j = params16.j
         m_at = dispersion_symbol(3, 2) * 4
-        u = SpaceTimeSpectrum.from_cells(params16, 0.25, {(3, m_at): 1.0})
+        u = oracles.st_from_cells(params16, 0.25, {(3, m_at): 1.0})
         s = -0.25
         want = xsb_norm(u, s, (2 * j - 1) / (2 * j)) + ys_norm(u, s)
         assert zs_norm(u, s) == pytest.approx(want, rel=1e-13)
@@ -324,7 +324,7 @@ class TestSpaceTimeSpectrum:
             k = n / p.lam
             l1 = 0.0
             for m0, arr in segs:
-                sig = u.sigma_of(n, m0, len(arr))
+                sig = oracles.st_sigma_of(u, n, m0, len(arr))
                 for a, sv in zip(arr, sig):
                     label = classify_region(k, sv + dispersion_symbol(k, j), p)
                     seen.add(label)
@@ -336,9 +336,18 @@ class TestSpaceTimeSpectrum:
         want = sum(math.sqrt(v * u.dtau / p.lam) for v in sums.values()) + math.sqrt(ys / p.lam)
         assert zs_norm(u, s) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("dtau", [0.0, -0.25, math.nan, math.inf])
+    def test_dtau_not_finite_and_positive_rejected(self, params8, dtau):
+        spec = hermitian_spectrum(params8, seed=3)
+        calls = (lambda: SpaceTimeSpectrum(params8, dtau), lambda: from_characteristic(spec, dtau),
+                 lambda: random_spectrum(params8, np.random.default_rng(0), dtau=dtau))
+        for call in calls:
+            with pytest.raises(ValueError, match="dtau must be finite and positive"):
+                call()
+
     def test_zs_rejects_j1(self):
         p = ModelParams(j=1, kmax=8.0)
-        u = SpaceTimeSpectrum.from_cells(p, 0.25, {(1, 0): 1.0})
+        u = oracles.st_from_cells(p, 0.25, {(1, 0): 1.0})
         with pytest.raises(ValueError, match="j >= 2"):
             zs_norm(u, 0.0)
 
@@ -398,7 +407,7 @@ class TestConvolutionOracle:
         v = random_spectrum(params8, rng, dtau=0.25, sigma_halfwidth=1.875)
         fast = st_convolve(u, v)
         slow = brute_convolve(u, v)
-        errs = [abs(fast.value_at(n, m) - a) for (n, m), a in slow.items()]
+        errs = [abs(oracles.st_value_at(fast, n, m) - a) for (n, m), a in slow.items()]
         assert max(errs) < 1e-12
         mass_fast = sum(abs(a) for a in cells_dict(fast).values())
         mass_slow = sum(abs(a) for a in slow.values())
@@ -421,19 +430,19 @@ class TestConvolutionOracle:
                 k = n / params8.lam
                 sig = (u.tau0 + v.tau0 + m * u.dtau) - dispersion_symbol(k, params8.j)
                 want = a * post(k) / bracket(sig)
-                errs.append(abs(out.value_at(n, m) - complex(want)))
+                errs.append(abs(oracles.st_value_at(out, n, m) - complex(want)))
             assert max(errs) < 1e-12
 
     def test_truncation_mass_reported(self):
         p = ModelParams(j=2, kmax=2.0)
-        u = SpaceTimeSpectrum.from_cells(p, 0.25, {(2, 0): 1.0})
+        u = oracles.st_from_cells(p, 0.25, {(2, 0): 1.0})
         out = st_convolve(u, u)  # k=4 output is beyond kmax, k=0 impossible here
         assert out.n_cells() == 0
         assert out.truncated_mass > 0.0
 
     def test_zero_mode_dropped(self, params8):
-        u = SpaceTimeSpectrum.from_cells(params8, 0.25, {(2, 0): 1.0})
-        v = SpaceTimeSpectrum.from_cells(params8, 0.25, {(-2, 0): 1.0})
+        u = oracles.st_from_cells(params8, 0.25, {(2, 0): 1.0})
+        v = oracles.st_from_cells(params8, 0.25, {(-2, 0): 1.0})
         out = st_convolve(u, v)
         assert out.n_cells() == 0 and out.truncated_mass > 0.0
 
@@ -475,7 +484,7 @@ class TestBatchedConvolution:
         assert out.seg_n.size == sum(len(segs) for segs in bands.values())
         assert out.truncated_mass == pytest.approx(mass, rel=1e-12)
         slow = brute_convolve(u, v, pre1=pre, pre2=pre)
-        assert max(abs(out.value_at(n, m) - a) for (n, m), a in slow.items()) < 1e-12
+        assert max(abs(oracles.st_value_at(out, n, m) - a) for (n, m), a in slow.items()) < 1e-12
 
     def test_long_segments_convolve_in_chunks(self, params8):
         # 1100-cell rows: the Toeplitz stack of v is built one row at a time
@@ -504,7 +513,7 @@ class TestBatchedConvolution:
         assert list(u.seg_n) == [-1, 2, 2] and list(u.offsets) == [0, 1, 4, 7]
         for n, m0, arr, sig in u.cells():
             assert np.shares_memory(arr, u.amps)
-            assert np.array_equal(sig, u.sigma_of(n, m0, len(arr)))
+            assert np.array_equal(sig, oracles.st_sigma_of(u, n, m0, len(arr)))
 
     def test_offsets_beyond_int64_stay_exact(self):
         # m0 ~ 8 * 1024^9 ~ 2^93 needs Python ints; sigma is exact before rounding
@@ -513,10 +522,12 @@ class TestBatchedConvolution:
         u = SpaceTimeSpectrum(p, 0.125, 0.0, {1024: [(big - 3, np.ones(7))]})
         v = SpaceTimeSpectrum(p, 0.125, 0.0, {-1023: [(-big + 5, np.ones(2))]})
         assert u.seg_m0.dtype == object and u.seg_m0[0] == big - 3
-        assert list(u.sigma_of(1024, big - 3, 7)) == [-0.375, -0.25, -0.125, 0.0, 0.125, 0.25, 0.375]
+        (_, _, _, sig), = u.cells()
+        want = [-0.375, -0.25, -0.125, 0.0, 0.125, 0.25, 0.375]
+        assert list(sig) == list(oracles.st_sigma_of(u, 1024, big - 3, 7)) == want
         out = st_convolve(u, v)
         assert out.bands[1][0][0] == 2 and out.n_cells() == 8
-        assert out.value_at(1, 3) == pytest.approx(2 * 0.125)
+        assert oracles.st_value_at(out, 1, 3) == pytest.approx(2 * 0.125)
 
 
 class TestHermitianMirror:
@@ -841,9 +852,14 @@ def _oracle_ranges(k, j, sigma_cap):
     return {"D5": (0.0, b), "D4": (b, max(sigma_cap, 2 * b))}
 
 
+def _oracle_top(params, kbound):
+    """The largest lattice index n with n/lam <= kbound (up to a 1e-9 slack in n)."""
+    return math.floor(kbound * params.lam + 1e-9)
+
+
 def _oracle_box(params, kbound):
     """The lattice of params reaching kbound: ends beyond kmax are classified as inside."""
-    return ModelParams(j=params.j, lam=params.lam, kmax=round(kbound * params.lam) / params.lam)
+    return ModelParams(j=params.j, lam=params.lam, kmax=_oracle_top(params, kbound) / params.lam)
 
 
 def _oracle_closed(k, lo, hi, region, box):
@@ -862,7 +878,7 @@ def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
     sigma_cap = 4.0 * region_thresholds(kbound, j)[1]
     box = _oracle_box(params, kbound)
     best, arg = -math.inf, None
-    for n in range(1, int(round(kbound * params.lam)) + 1):
+    for n in range(1, _oracle_top(params, kbound) + 1):
         k = n / params.lam
         for region, (lo, hi) in _oracle_ranges(k, j, sigma_cap).items():
             if region not in _ORACLE_GROUPS[group]:
@@ -889,7 +905,7 @@ def _oracle_scan_csv(s, params, kbound, n_sigma=16):
     rows = ["k,sigma,region,ratio"]
     cap = 4.0 * region_thresholds(kbound, params.j)[1]
     box = _oracle_box(params, kbound)
-    for n in range(1, int(round(kbound * params.lam)) + 1):
+    for n in range(1, _oracle_top(params, kbound) + 1):
         k = n / params.lam
         for region, (lo, hi) in _oracle_ranges(k, params.j, cap).items():
             group = next(g for g, members in _ORACLE_GROUPS.items()
@@ -965,6 +981,19 @@ class TestEmbeddingScanOracle:
     def test_csv_equals_the_per_cell_loop(self, j, lam, s):
         p = ModelParams(j=j, lam=lam, kmax=8.0)
         assert scan_csv(s, p, kbound=12.0) == _oracle_scan_csv(s, p, kbound=12.0)
+
+    @pytest.mark.parametrize("lam, ks", [(1.0, [1.0, 2.0]), (2.0, [0.5, 1.0, 1.5, 2.0, 2.5])])
+    def test_box_stops_at_kbound(self, lam, ks):
+        # 2.6 * lam is no lattice index; the box must not round up past kbound
+        p = ModelParams(j=2, lam=lam, kmax=8.0)
+        assert _region_sigma_ranges(p, 2.6)[0].tolist() == ks
+        text = scan_csv(-0.25, p, kbound=2.6)
+        assert text == _oracle_scan_csv(-0.25, p, kbound=2.6)
+        assert {float(line.split(",")[0]) for line in text.splitlines()[1:]} == set(ks)
+        rep = verify_embeddings(-0.25, p, kbound=2.6, doublings=0)
+        got = {(e["region"], e["inequality"]): e["trend"][0] for e in rep["entries"]}
+        for (group, inequality), (alpha, beta) in _embedding_scans(-0.25, p.j).items():
+            assert got[(group, inequality)] == _oracle_scan_max(alpha, beta, group, p, 2.6)[0]
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])

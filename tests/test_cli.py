@@ -2,12 +2,17 @@
 
 import importlib.metadata
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dcl import evolve, rescale
-from dcl.cli import main
+from dcl.cli import _region_partition_report, main
+from dcl.lattice import ModelParams
 
 
 def run(tmp_path, *args):
@@ -86,6 +91,12 @@ class TestVerify:
     def test_regions_totality(self, tmp_path):
         assert run(tmp_path, "verify", "regions", "--kmax", "8") == 0
 
+    def test_regions_box_stops_at_kbound(self):
+        # 2.6 * lam is no lattice index: the box is k = 1, 2 (both signs), 81 sigmas each
+        for lam, n in ((1.0, 2), (2.0, 5)):
+            report = _region_partition_report(ModelParams(j=2, lam=lam, kmax=8.0), kbound=2.6)
+            assert report["points"] == 2 * n * 81 and report["pass"]
+
     def test_embeddings_pass_and_window_rejection(self, tmp_path):
         assert run(tmp_path, "verify", "embeddings", "--s", "-0.25",
                    "--kbound", "32", "--kmax", "4") == 0
@@ -151,6 +162,12 @@ class TestProbe:
         assert doc["config"]["seed"] == 3
         assert {"lemma", "max_ratio", "median_ratio", "count"} <= set(doc)
 
+    @pytest.mark.parametrize("tau_step", ["0", "-0.25", "nan", "inf"])
+    def test_bad_tau_step_exit_one(self, tmp_path, capsys, tau_step):
+        assert run(tmp_path, "probe", "--pairs", "1", "--seed", "1", "--kmax", "8",
+                   "--tau-step", tau_step) == 1
+        assert "error: dtau must be finite and positive" in capsys.readouterr().err
+
 
 class TestRescaleCheckAndPicard:
     def test_rescale_check_passes(self, tmp_path):
@@ -176,6 +193,13 @@ class TestRescaleCheckAndPicard:
         assert len(calls) == 1
         assert doc["residual"] == calls[0]["max_residual"]
         assert doc["differencing_error"] == calls[0]["differencing_error"]
+
+    @pytest.mark.parametrize("mu", ["0.5", "nan", "inf"])
+    def test_rescale_check_bad_mu_exit_one(self, tmp_path, capsys, mu):
+        assert run(tmp_path, "rescale-check", "--T", "0.02", "--dt", "0.001",
+                   "--kmax", "8", "--mu", mu) == 1
+        assert "error: mu must be finite and >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rescale_check.json").exists()
 
     def test_picard_report(self, tmp_path):
         assert run(tmp_path, "picard", "--kmax", "8", "--nt", "513",
@@ -258,3 +282,24 @@ class TestConfigHandling:
 
     def test_usage_error_exit_one(self):
         assert main(["verify", "nonsense"]) == 1
+
+
+class TestNumpyOnlyRuntime:
+    def test_every_module_and_a_certificate_without_scipy(self, tmp_path):
+        # the runtime needs numpy alone (pyproject.toml); scipy is for the tests' oracles
+        script = f"""
+import importlib, pkgutil, runpy, sys
+sys.modules["scipy"] = None
+import dcl
+for mod in pkgutil.iter_modules(dcl.__path__):
+    if mod.name != "__main__":
+        importlib.import_module("dcl." + mod.name)
+sys.argv = ["dcl", "verify", "regions", "--kmax", "8", "--output-dir", {str(tmp_path)!r}]
+runpy.run_module("dcl", run_name="__main__")
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "region_partition.json").read_text())["pass"] is True

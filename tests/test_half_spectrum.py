@@ -27,7 +27,7 @@ from dcl.lattice import (
     lattice_to_grid,
 )
 from dcl.symbols import (
-    MultiplierSet,
+    dispersion_symbol,
     mean_coupling,
     nonlinearity_block,
     nonlinearity_multipliers,
@@ -78,12 +78,12 @@ class OracleRK4:
 
     def __init__(self, params, dt, mode="full", mu=1.0):
         self.params, self.dt, self.mode, self.mu = params, dt, mode, mu
-        mults = MultiplierSet(params)
-        self.e_half = np.exp(1j * (dt / 2.0) * mults.dispersion)
+        k = params.k_values()
+        self.e_half = np.exp(1j * (dt / 2.0) * dispersion_symbol(k, params.j))
         self.e_full = self.e_half * self.e_half
         self.e_half_inv = np.conj(self.e_half)
         self.e_full_inv = np.conj(self.e_full)
-        self.mean_mult = mean_coupling(mults.k, mu, kdv=mode == "kdv")
+        self.mean_mult = mean_coupling(k, mu, kdv=mode == "kdv")
 
     def rhs(self, u, mean):
         if self.mode == "linear":
@@ -303,7 +303,7 @@ def oracle_picard(u0, cfg, mode="full", mu=1.0):
     t = cfg.t_grid()
     i0 = cfg.nt // 2
     eta = np.asarray(cfg.cutoff()(t))[:, None]
-    phases = np.exp(1j * np.outer(t, MultiplierSet(p).dispersion))
+    phases = np.exp(1j * np.outer(t, dispersion_symbol(p.k_values(), p.j)))
     phases_inv = np.conj(phases)
     free = eta * (phases * u0.amps[None, :])
     h = float(t[1] - t[0])

@@ -1,4 +1,4 @@
-"""Transform conventions, lattice convolution, and Sobolev norms."""
+"""Transform conventions and Sobolev norms; the lattice convolution oracle against them."""
 
 import json
 import math
@@ -14,9 +14,7 @@ from dcl.lattice import (
     SpatialSpectrum,
     TWO_PI_SQRT,
     bracket,
-    convolve,
     dropped_mass,
-    field_to_csv,
     forward_transform,
     grid_to_lattice,
     hermitian_parts,
@@ -24,6 +22,7 @@ from dcl.lattice import (
     hs_norm,
     inverse_transform,
     is_real_block,
+    lattice_ks,
     lattice_to_grid,
     sobolev_weights,
     spectrum_from_json,
@@ -31,6 +30,7 @@ from dcl.lattice import (
     x_grid,
 )
 
+import oracles
 from conftest import hermitian_spectrum
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
@@ -58,6 +58,14 @@ class TestModelParams:
             ModelParams(j=0)
         ModelParams(j=1)  # accepted for the local-dispersion comparison mode
 
+
+    def test_lattice_ks_up_to_kbound(self):
+        # a kbound*lam within 1e-9 of an integer counts as that integer, else it rounds down
+        assert lattice_ks(2.6, 1.0).tolist() == [1.0, 2.0]
+        assert lattice_ks(2.6, 2.0).tolist() == [0.5, 1.0, 1.5, 2.0, 2.5]
+        assert lattice_ks(3.0 - 1e-12, 1.0).tolist() == [1.0, 2.0, 3.0]
+        assert lattice_ks(0.9, 1.0).size == 0
+        assert lattice_ks(0.1 * 3, 10.0).tolist() == [0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
     def test_default_grid_is_scipys_fast_length(self, lam):
@@ -148,13 +156,13 @@ class TestInverseTransform:
 class TestConvolve:
     def test_unit_masses(self, params16):
         a = SpatialSpectrum.from_modes(params16, {1: 1.0})
-        out = convolve(a, a)
+        out = oracles.convolve(a, a)
         assert out.amp(2) == pytest.approx(1.0)
         assert np.count_nonzero(out.amps) == 1
 
     def test_zero_annihilates(self, params16):
         a = hermitian_spectrum(params16, seed=3)
-        out = convolve(a, SpatialSpectrum.zeros(params16))
+        out = oracles.convolve(a, SpatialSpectrum.zeros(params16))
         assert np.abs(out.amps).max() == 0.0
 
     def test_product_identity_with_normalization(self, params16):
@@ -164,13 +172,13 @@ class TestConvolve:
         nx = params16.default_grid(pad=2)
         prod = inverse_transform(f, nx) * inverse_transform(g, nx)
         direct, _ = forward_transform(prod, params16, return_mean=True)
-        via_conv = convolve(f, g).amps / math.sqrt(2 * math.pi)
+        via_conv = oracles.convolve(f, g).amps / math.sqrt(2 * math.pi)
         assert np.abs(direct.amps - via_conv).max() < 1e-10
 
     def test_shift_by_unit_mass(self, params16):
         a = hermitian_spectrum(params16, seed=6, top=8)
         shift = SpatialSpectrum.from_modes(params16, {3: 1.0})
-        out = convolve(a, shift)
+        out = oracles.convolve(a, shift)
         m = params16.nmax
         want = np.zeros_like(a.amps)
         want[3:] = a.amps[:-3]
@@ -181,27 +189,27 @@ class TestConvolve:
         a = hermitian_spectrum(params16, seed=7, top=6)
         b = hermitian_spectrum(params16, seed=8, top=6)
         c = hermitian_spectrum(params16, seed=9, top=6)
-        assert np.allclose(convolve(a, b).amps, convolve(b, a).amps)
-        lhs = convolve(a, b + 2.0 * c).amps
-        rhs = convolve(a, b).amps + 2.0 * convolve(a, c).amps
+        assert np.allclose(oracles.convolve(a, b).amps, oracles.convolve(b, a).amps)
+        lhs = oracles.convolve(a, b + 2.0 * c).amps
+        rhs = oracles.convolve(a, b).amps + 2.0 * oracles.convolve(a, c).amps
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_hermitian_preserved(self, params16):
         a = hermitian_spectrum(params16, seed=10, top=6)
         b = hermitian_spectrum(params16, seed=11, top=6)
-        assert convolve(a, b).is_hermitian()
+        assert oracles.convolve(a, b).is_hermitian()
 
     def test_truncation_loss_reported(self):
         p = ModelParams(j=2, kmax=4.0)
         a = SpatialSpectrum.from_modes(p, {3: 1.0})
-        out = convolve(a, a)  # mass lands at k=6, beyond kmax
+        out = oracles.convolve(a, a)  # mass lands at k=6, beyond kmax
         assert np.abs(out.amps).max() == 0.0
         assert out.truncation_loss == pytest.approx(1.0)
 
     def test_mismatched_lattices_rejected(self, params16):
         other = ModelParams(j=2, lam=2.0, kmax=16.0)
         with pytest.raises(ValueError, match="lattice"):
-            convolve(hermitian_spectrum(params16), SpatialSpectrum.zeros(other))
+            oracles.convolve(hermitian_spectrum(params16), SpatialSpectrum.zeros(other))
 
 
 class TestHsNorm:
@@ -262,12 +270,6 @@ class TestSerialization:
         assert set(doc["modes"][0]) == {"k", "re", "im"}
         back = spectrum_from_json(text, kmax=params16.kmax)
         assert np.abs(back.amps - spec.amps).max() < 1e-15
-
-    def test_field_csv_header(self, params16):
-        x = x_grid(params16, 8)
-        text = field_to_csv(x, np.cos(x))
-        assert text.splitlines()[0] == "x,re,im"
-        assert len(text.splitlines()) == 9
 
 
 class TestZeroModeExclusion:

@@ -8,9 +8,9 @@ import pytest
 from dcl.evolve import pde_residual, simulate
 from dcl.lattice import ModelParams, forward_transform, hs_norm, x_grid
 from dcl.rescale import (
-    ScalingTransform,
     hs_scaling_exponent,
     rescale_field,
+    rescale_params,
     rescale_trajectory,
     rescaled_residual,
 )
@@ -32,9 +32,17 @@ class TestRescaleField:
 
     def test_mu_below_one_rejected(self, params8):
         with pytest.raises(ValueError, match="mu"):
-            ScalingTransform(0.5)
+            rescale_params(params8, 0.5)
         with pytest.raises(ValueError):
             rescale_field(hermitian_spectrum(params8), 0.25)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_mu_not_finite_rejected(self, params8, mu):
+        u = hermitian_spectrum(params8, seed=5)
+        traj = simulate(u, T=0.002, dt=0.001)
+        for call, arg in ((rescale_params, params8), (rescale_field, u), (rescale_trajectory, traj)):
+            with pytest.raises(ValueError, match="mu must be finite and >= 1"):
+                call(arg, mu)
 
     def test_l2_quadrature_oracle(self):
         # mu^{-2j} u0(x/mu) sampled on the dilated circle, transformed there

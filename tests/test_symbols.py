@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dcl.lattice import (
     ModelParams,
     SpatialSpectrum,
+    bracket,
     forward_transform,
     hermitian_rows,
     hs_norm,
@@ -17,19 +18,18 @@ from dcl.lattice import (
     x_grid,
 )
 from dcl.symbols import (
-    MultiplierSet,
-    derivative,
     dispersion_symbol,
     free_evolution,
-    local_form_rhs,
     mean_coupling,
     nonlinearity_block,
     nonlinearity_F,
+    nonlinearity_multipliers,
     nonlocal_multiplier,
     product_spectrum,
     real_nonlinearity,
 )
 
+import oracles
 from conftest import hermitian_spectrum
 
 
@@ -128,11 +128,11 @@ class TestNonlinearity:
         want = 0.5j * params16.k_values() * prod.amps
         assert np.abs(kdv.amps - want).max() < 1e-14
 
-    def test_dealias_routes_agree(self, params16):
+    def test_matches_the_convolution_route(self, params16):
         a = hermitian_spectrum(params16, seed=9)
         b = hermitian_spectrum(params16, seed=10)
-        fast = nonlinearity_F(a, b, dealias=True)
-        slow = nonlinearity_F(a, b, dealias=False)
+        fast = nonlinearity_F(a, b)
+        slow = oracles.nonlinearity_F(a, b)
         assert np.abs(fast.amps - slow.amps).max() < 1e-12
 
 
@@ -156,16 +156,35 @@ class TestNonlinearityKernelProperties:
         for i in range(3):
             # F spelled out on the convolution route: 1/2 d_x(uv) + d_x (1 - mu^2 d_x^2)^(-1)
             # [uv + mu^2/2 u_x v_x]
-            uv = product_spectrum(a[i], b[i], dealias=False).amps
+            uv = oracles.product_spectrum(a[i], b[i]).amps
             ref = 0.5 * ik * uv
             if not kdv:
-                dd = product_spectrum(derivative(a[i]), derivative(b[i]), dealias=False).amps
+                dx_a, dx_b = oracles.derivative(a[i]), oracles.derivative(b[i])
+                dd = oracles.product_spectrum(dx_a, dx_b).amps
                 ref = ref + ik / (1.0 + (mu * k) ** 2) * (uv + 0.5 * mu * mu * dd)
             assert np.abs(ab[i] - ref).max() < 1e-12
             for out in (ab[i], aa[i]):
                 spec = SpatialSpectrum(p, out)
                 assert out[p.nmax] == 0.0
                 assert spec.is_hermitian(tol=1e-12)
+
+
+class TestGalerkinEnergyIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(j=st.sampled_from([2, 3]), lam=st.sampled_from([1.0, 2.0, 4.0]),
+           mu=st.sampled_from([1.0, 1.5, 2.0]), kdv=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_F_does_no_work_on_the_energy(self, j, lam, mu, kdv, seed):
+        # Re sum_k w conj(u) F(u, u) = 0 with w = 1 + mu^2 k^2 (w = 1 for kdv): the
+        # truncated system conserves sum w |u|^2, so energy drift is all time stepping
+        p = ModelParams(j=j, lam=lam, kmax=16.0)
+        k = p.k_values()[p.nmax + 1:]
+        rng = np.random.default_rng(seed)
+        u = (rng.standard_normal(p.nmax) + 1j * rng.standard_normal(p.nmax)) / bracket(k)
+        f = real_nonlinearity(u, u, p, mu=mu, kdv=kdv)[0]
+        w = np.ones_like(k) if kdv else 1.0 + (mu * k) ** 2
+        err = abs(np.sum(w * np.conj(u) * f).real)
+        assert err <= 1e-13 * np.sum(w * np.abs(u) * np.abs(f))
 
 
 class TestMeanCoupling:
@@ -201,12 +220,12 @@ class TestLocalFormOracle:
         k = params16.k_values()
         ut = 1j * dispersion_symbol(k, params16.j) * u.amps - nonlinearity_F(u, u).amps
         lhs = (1.0 + k * k) * ut
-        rhs = local_form_rhs(u).amps
+        rhs = oracles.local_form_rhs(u).amps
         scale = max(np.abs(lhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() < 1e-10 * scale
 
     def test_zero(self, params16):
-        out = local_form_rhs(SpatialSpectrum.zeros(params16))
+        out = oracles.local_form_rhs(SpatialSpectrum.zeros(params16))
         assert np.abs(out.amps).max() == 0.0
 
     def test_single_cosine(self, params16):
@@ -215,23 +234,25 @@ class TestLocalFormOracle:
         k = params16.k_values()
         ut = 1j * dispersion_symbol(k, 2) * u.amps - nonlinearity_F(u, u).amps
         lhs = (1.0 + k * k) * ut
-        assert np.abs(lhs - local_form_rhs(u).amps).max() < 1e-12
+        assert np.abs(lhs - oracles.local_form_rhs(u).amps).max() < 1e-12
 
 
-class TestMultiplierSet:
+class TestLatticeSymbols:
     def test_odd_dispersion_and_excluded_zero(self, params16):
-        m = MultiplierSet(params16)
-        assert np.allclose(m.dispersion + m.dispersion[::-1], 0.0)
-        assert m.nonlocal_smoothing[params16.nmax] == 0.0
+        k = params16.k_values()
+        disp = dispersion_symbol(k, params16.j)
+        assert np.allclose(disp + disp[::-1], 0.0)
+        assert nonlocal_multiplier(k)[params16.nmax] == 0.0
 
     def test_helmholtz_dressing(self, params16):
-        m = MultiplierSet(params16)
-        k = m.k
-        assert np.allclose(m.helmholtz(2.0), 1.0 / (1.0 + 4.0 * k * k))
+        # m_dd = (mu^2/2) ik (1 - mu^2 d_x^2)^(-1): the Helmholtz inverse dressed by mu = 2
+        k = params16.k_values()
+        m_dd = nonlinearity_multipliers(k, 2.0)[1]
+        assert np.allclose(m_dd, 2.0 * 1j * k / (1.0 + 4.0 * k * k))
 
     def test_derivative_spectrum(self, params16):
         u = hermitian_spectrum(params16, seed=14)
-        du = derivative(u)
+        du = oracles.derivative(u)
         assert np.allclose(du.amps, 1j * params16.k_values() * u.amps)
 
 
@@ -261,12 +282,12 @@ class TestRealKernel:
         a = hermitian_spectrum(p, seed=21, decay=0.05)
         b = hermitian_spectrum(p, seed=22, decay=0.05)
         for u, v in ((a, b), (a, a)):
-            slow = product_spectrum(u, v, dealias=False)
+            slow = oracles.product_spectrum(u, v)
             assert slow.truncation_loss > 1e-3 * hs_norm(slow, 0.0)
             assert_matches_convolution(product_spectrum(u, v), slow)
             for kdv in (False, True):
                 assert_matches_convolution(nonlinearity_F(u, v, mu=1.5, kdv=kdv),
-                                           nonlinearity_F(u, v, mu=1.5, kdv=kdv, dealias=False))
+                                           oracles.nonlinearity_F(u, v, mu=1.5, kdv=kdv))
 
     @pytest.mark.parametrize("p", KERNEL_PARAMS, ids=KERNEL_IDS)
     def test_complex_rows_match_convolution_route(self, p):
@@ -275,11 +296,10 @@ class TestRealKernel:
         real = hermitian_spectrum(p, seed=25, decay=0.1)
         assert not c.is_hermitian() and not d.is_hermitian()
         for u, v in ((c, d), (c, c), (c, real), (real, d)):
-            assert_matches_convolution(product_spectrum(u, v),
-                                       product_spectrum(u, v, dealias=False))
+            assert_matches_convolution(product_spectrum(u, v), oracles.product_spectrum(u, v))
             for kdv in (False, True):
                 assert_matches_convolution(nonlinearity_F(u, v, kdv=kdv),
-                                           nonlinearity_F(u, v, kdv=kdv, dealias=False))
+                                           oracles.nonlinearity_F(u, v, kdv=kdv))
 
     def test_real_kernel_output_exactly_hermitian(self, params16):
         blk = np.stack([hermitian_spectrum(params16, seed=s, decay=0.1).amps for s in range(3)])
