@@ -664,6 +664,8 @@ def bilinear_probe(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum, s: float, form: s
 def batch_bilinear_probe(params: ModelParams, s: float, form: str, count: int,
                          seed: int, dtau: float = 0.25, workers: int = 1) -> dict:
     """Seeded batch of random unit-Z^s pairs; reports max/median ratios."""
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if count < 1:
         raise ValueError("need at least one probe pair")
     if workers != 1:

@@ -1,11 +1,13 @@
 """Command-line surface: reproducible, scriptable runs of every capability.
 
 Subcommands: simulate, verify, illposed, probe, rescale-check, picard.
-Flags mirror the config keys; --config FILE merges a JSON document with the
-flags (flags win).  Every command is deterministic given (config, seed) and
-embeds the resolved config in its report.  Exit codes: 0 success/PASS,
-1 usage or validation error, 2 numerical failure or a FAIL verdict where
-the run asserted one.
+Flags mirror the config keys: a key's flag is -- plus the key with _ written
+as - (u0 takes --u0, --u0-amplitude and --u0-mode).  --config FILE merges a
+JSON document with the flags (flags win).  Every command is deterministic
+given (config, seed) and embeds the resolved config in its report.  Exit
+codes: 0 success/PASS, 1 usage or validation error (any ValueError, printed
+as "error: ..."), 2 numerical failure or a FAIL verdict where the run
+asserted one.
 """
 
 from __future__ import annotations
@@ -30,47 +32,40 @@ from .lattice import (
     x_grid,
 )
 
-DEFAULTS = {
-    "j": 2,
-    "lambda": 1.0,
-    "s": -0.25,
-    "epsilon": None,
-    "kmax": None,
-    "dt": 1e-3,
-    "T": 1.0,
-    "tau_step": 0.25,
-    "N_list": [16, 32, 64, 128, 256, 512, 1024],
-    "seed": None,
-    "output_dir": "dcl-out",
-    # extended keys (documented defaults)
-    "u0": {"type": "cosine", "amplitude": 0.01, "mode": 1},
-    "kdv": False,
-    "stride": 1,
-    "mu": 2.0,
-    "iterations": 8,
-    "nt": 1025,
-    "pairs": 16,
-    "form": "dxdx_smoothed",
-    "kbound": 256.0,
-    "kmax_verify": 64,
-    "allow_outside_window": False,
-    "slab_dtau": 0.125,
+# Every config key, declared once: key -> (default, type), in flag order.  In a
+# config file a float key takes an int too, and a key whose default is None
+# takes null.
+_KEYS = {
+    "j": (2, int),
+    "lambda": (1.0, float),
+    "s": (-0.25, float),
+    "epsilon": (None, float),
+    "kmax": (None, float),
+    "dt": (1e-3, float),
+    "T": (1.0, float),
+    "tau_step": (0.25, float),
+    "N_list": ([16, 32, 64, 128, 256, 512, 1024], list),
+    "seed": (None, int),
+    "output_dir": ("dcl-out", str),
+    "kdv": (False, bool),
+    "stride": (1, int),
+    "mu": (2.0, float),
+    "iterations": (8, int),
+    "nt": (1025, int),
+    "pairs": (16, int),
+    "form": ("dxdx_smoothed", str),
+    "kbound": (256.0, float),
+    "kmax_verify": (64, int),
+    "slab_dtau": (0.125, float),
+    "allow_outside_window": (False, bool),
+    "u0": ({"type": "cosine", "amplitude": 0.01, "mode": 1}, dict),
 }
 
-_TYPES = {
-    "j": int, "lambda": (int, float), "s": (int, float),
-    "epsilon": (int, float, type(None)), "kmax": (int, float, type(None)),
-    "dt": (int, float), "T": (int, float),
-    "tau_step": (int, float), "N_list": list, "seed": (int, type(None)),
-    "output_dir": str, "u0": dict, "kdv": bool, "stride": int,
-    "mu": (int, float), "iterations": int, "nt": int, "pairs": int,
-    "form": str, "kbound": (int, float), "kmax_verify": int,
-    "allow_outside_window": bool, "slab_dtau": (int, float),
-}
+DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A fault only the command line can see: a bad flag, config key or u0."""
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -84,17 +79,16 @@ def load_config(path: str | None, overrides: dict) -> dict:
         cfg.update(doc)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     for key, val in cfg.items():
-        if not isinstance(val, _TYPES[key]):
+        default, kind = _KEYS[key]
+        if not (isinstance(val, (int, float) if kind is float else kind)
+                or (val is None and default is None)):
             raise UsageError(f"config key {key!r} has wrong type: {val!r}")
     return cfg
 
 
 def model_params(cfg: dict) -> ModelParams:
-    try:
-        return ModelParams(j=cfg["j"], lam=float(cfg["lambda"]),
-                           epsilon=cfg["epsilon"], kmax=cfg["kmax"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ModelParams(j=cfg["j"], lam=float(cfg["lambda"]),
+                       epsilon=cfg["epsilon"], kmax=cfg["kmax"])
 
 
 def initial_spectrum(cfg: dict, params: ModelParams) -> SpatialSpectrum:
@@ -104,6 +98,8 @@ def initial_spectrum(cfg: dict, params: ModelParams) -> SpatialSpectrum:
         return SpatialSpectrum.zeros(params)
     if kind == "cosine":
         amp = float(u0.get("amplitude", 0.01))
+        if not math.isfinite(amp):
+            raise UsageError(f"u0 amplitude must be finite, got {amp}")
         mode = int(u0.get("mode", 1))
         nx = params.default_grid()
         return forward_transform(amp * np.cos(mode * x_grid(params, nx) / params.lam), params)
@@ -123,16 +119,9 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _resolved(cfg: dict) -> dict:
-    return {k: cfg[k] for k in sorted(cfg)}
-
-
 def _simulate(cfg: dict, u0: SpatialSpectrum, mode: str) -> evolve.Trajectory:
-    try:
-        return evolve.simulate(u0, float(cfg["T"]), float(cfg["dt"]), mode=mode,
-                               stride=cfg["stride"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return evolve.simulate(u0, float(cfg["T"]), float(cfg["dt"]), mode=mode,
+                           stride=cfg["stride"])
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -146,7 +135,7 @@ def cmd_simulate(cfg: dict) -> int:
     _write(outdir, "trajectory.csv", traj.diagnostics_csv())
     _write(outdir, "final_spectrum.json", spectrum_to_json(traj.states[-1].spec) + "\n")
     report = {
-        "config": _resolved(cfg),
+        "config": cfg,
         "mode": mode,
         "steps": len(traj.states) - 1,
         "blown_up": traj.blown_up,
@@ -170,10 +159,7 @@ def cmd_verify(cfg: dict, target: str) -> int:
     outdir = Path(cfg["output_dir"])
     if target == "resonance":
         clock = time.perf_counter()
-        try:
-            report = resonance.verify_resonance_bound(cfg["kmax_verify"], cfg["j"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        report = resonance.verify_resonance_bound(cfg["kmax_verify"], cfg["j"])
         wall = time.perf_counter() - clock
         _write(outdir, "resonance_certificate.json", resonance.certificate_json(report) + "\n")
         ok = report["violations"] == 0 and report["identity_failures"] == 0
@@ -186,20 +172,15 @@ def cmd_verify(cfg: dict, target: str) -> int:
         _write(outdir, "region_partition.json", _dump(report))
         print(f"regions: {report['points']} points, unique labels: {report['pass']}")
         return 0 if report["pass"] else 2
-    if target == "embeddings":
-        try:
-            report = bourgain.verify_embeddings(
-                float(cfg["s"]), params, kbound=float(cfg["kbound"]),
-                allow_outside_window=cfg["allow_outside_window"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        _write(outdir, "embedding_report.json", _dump(report))
-        _write(outdir, "embedding_scan.csv",
-               bourgain.scan_csv(float(cfg["s"]), params, float(cfg["kbound"])))
-        print(f"embeddings: s={cfg['s']} -> {'PASS' if report['pass'] else 'FAIL'}")
-        return 0 if report["pass"] else 2
-    raise UsageError(f"unknown verify target {target!r} "
-                     "(choose resonance, embeddings, or regions)")
+    # target == "embeddings" (argparse allows only the three)
+    report = bourgain.verify_embeddings(
+        float(cfg["s"]), params, kbound=float(cfg["kbound"]),
+        allow_outside_window=cfg["allow_outside_window"])
+    _write(outdir, "embedding_report.json", _dump(report))
+    _write(outdir, "embedding_scan.csv",
+           bourgain.scan_csv(float(cfg["s"]), params, float(cfg["kbound"])))
+    print(f"embeddings: s={cfg['s']} -> {'PASS' if report['pass'] else 'FAIL'}")
+    return 0 if report["pass"] else 2
 
 
 def _region_partition_report(params: ModelParams, kbound: float = 64.0,
@@ -228,19 +209,13 @@ def _region_partition_report(params: ModelParams, kbound: float = 64.0,
 
 
 def cmd_illposed(cfg: dict) -> int:
-    if not cfg["N_list"]:
-        raise UsageError("illposed needs a nonempty N_list")
-    try:
-        ccfg = illposed.CounterexampleConfig(
-            j=cfg["j"], s=float(cfg["s"]), N_list=tuple(cfg["N_list"]),
-            dtau=float(cfg["slab_dtau"]))
-        report = illposed.collision_scan(ccfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = illposed.collision_scan(illposed.CounterexampleConfig(
+        j=cfg["j"], s=float(cfg["s"]), N_list=tuple(cfg["N_list"]),
+        dtau=float(cfg["slab_dtau"])))
     outdir = Path(cfg["output_dir"])
     _write(outdir, "illposed_scan.csv", report.csv())
     doc = report.to_dict()
-    doc["config"] = _resolved(cfg)
+    doc["config"] = cfg
     _write(outdir, "illposed_verdict.json", _dump(doc))
     _write(outdir, "plot_illposed.py", _PLOT_SCRIPT)
     if report.verdict is None:
@@ -254,18 +229,10 @@ def cmd_illposed(cfg: dict) -> int:
 def cmd_probe(cfg: dict) -> int:
     if cfg["seed"] is None:
         raise UsageError("probe runs are randomized: a seed is mandatory")
-    if cfg["pairs"] < 1:
-        raise UsageError("probe needs at least one pair")
-    if cfg["form"] not in bourgain.BILINEAR_FORMS:
-        raise UsageError(f"form must be one of {bourgain.BILINEAR_FORMS}")
-    params = model_params(cfg)
-    try:
-        report = bourgain.batch_bilinear_probe(
-            params, float(cfg["s"]), cfg["form"], cfg["pairs"], cfg["seed"],
-            dtau=float(cfg["tau_step"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    report["config"] = _resolved(cfg)
+    report = bourgain.batch_bilinear_probe(
+        model_params(cfg), float(cfg["s"]), cfg["form"], cfg["pairs"], cfg["seed"],
+        dtau=float(cfg["tau_step"]))
+    report["config"] = cfg
     _write(Path(cfg["output_dir"]), "probe.json", _dump(report))
     print(f"probe[{cfg['form']}]: max ratio {report['max_ratio']:.4f}, "
           f"median {report['median_ratio']:.4f} over {cfg['pairs']} pairs")
@@ -275,10 +242,7 @@ def cmd_probe(cfg: dict) -> int:
 def cmd_rescale_check(cfg: dict) -> int:
     params = model_params(cfg)
     mu = float(cfg["mu"])
-    try:
-        rescale.rescale_params(params, mu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rescale.rescale_params(params, mu)  # a bad mu fails before the simulation runs
     u0 = initial_spectrum(cfg, params)
     mode = "kdv" if cfg["kdv"] else "full"
     traj = _simulate(cfg, u0, mode)
@@ -287,7 +251,7 @@ def cmd_rescale_check(cfg: dict) -> int:
     resid = detail["max_residual"]
     tol = 1e-6
     report = {
-        "config": _resolved(cfg),
+        "config": cfg,
         "mu": mu,
         "residual": resid,
         "differencing_error": detail["differencing_error"],
@@ -320,14 +284,10 @@ def cmd_picard(cfg: dict) -> int:
     params = model_params(cfg)
     u0 = initial_spectrum(cfg, params)
     pcfg = evolve.PicardConfig(iterations=cfg["iterations"], nt=cfg["nt"],
-                               report_s=float(cfg["s"]),
-                               measure_zs=params.j >= 2)
-    try:
-        result = evolve.picard_iterate(u0, pcfg, mode="kdv" if cfg["kdv"] else "full")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+                               report_s=float(cfg["s"]))
+    result = evolve.picard_iterate(u0, pcfg, mode="kdv" if cfg["kdv"] else "full")
     report = {
-        "config": _resolved(cfg),
+        "config": cfg,
         "ratios_hs": result.ratios_hs,
         "ratios_zs": result.ratios_zs,
         "ratios_at_floor": result.ratios_at_floor,
@@ -370,30 +330,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: _Parser):
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--j", type=int, dest="j")
-    p.add_argument("--lambda", type=float, dest="lambda")
-    p.add_argument("--s", type=float, dest="s")
-    p.add_argument("--epsilon", type=float, dest="epsilon")
-    p.add_argument("--kmax", type=float, dest="kmax")
-    p.add_argument("--dt", type=float, dest="dt")
-    p.add_argument("--T", type=float, dest="T")
-    p.add_argument("--tau-step", type=float, dest="tau_step")
-    p.add_argument("--N-list", dest="N_list",
-                   type=lambda s: [int(x) for x in s.split(",") if x])
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--kdv", action="store_const", const=True, dest="kdv")
-    p.add_argument("--stride", type=int, dest="stride")
-    p.add_argument("--mu", type=float, dest="mu")
-    p.add_argument("--iterations", type=int, dest="iterations")
-    p.add_argument("--nt", type=int, dest="nt")
-    p.add_argument("--pairs", type=int, dest="pairs")
-    p.add_argument("--form", dest="form")
-    p.add_argument("--kbound", type=float, dest="kbound")
-    p.add_argument("--kmax-verify", type=int, dest="kmax_verify")
-    p.add_argument("--slab-dtau", type=float, dest="slab_dtau")
-    p.add_argument("--allow-outside-window", action="store_const", const=True,
-                   dest="allow_outside_window")
+    for key, (_, kind) in _KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, action="store_const", const=True, dest=key)
+        elif kind is list:  # N_list: comma-separated ints
+            p.add_argument(flag, dest=key, type=lambda s: [int(x) for x in s.split(",") if x])
+        elif kind is not dict:  # u0 has the three flags below
+            p.add_argument(flag, type=kind, dest=key)
     p.add_argument("--u0-amplitude", type=float, dest="u0_amplitude")
     p.add_argument("--u0-mode", type=int, dest="u0_mode")
     p.add_argument("--u0", dest="u0_kind",
@@ -401,16 +345,15 @@ def _add_common(p: _Parser):
 
 
 def _collect_overrides(ns: argparse.Namespace) -> dict:
-    keys = set(DEFAULTS) - {"u0"}
-    over = {k: getattr(ns, k, None) for k in keys}
+    over = {k: getattr(ns, k) for k in DEFAULTS if k != "u0"}
     u0 = None
-    if getattr(ns, "u0_kind", None):
+    if ns.u0_kind:
         kind = ns.u0_kind
         if kind.startswith("json:"):
             u0 = {"type": "json", "path": kind[5:]}
         else:
             u0 = {"type": kind}
-    if getattr(ns, "u0_amplitude", None) is not None or getattr(ns, "u0_mode", None) is not None:
+    if ns.u0_amplitude is not None or ns.u0_mode is not None:
         u0 = u0 or dict(DEFAULTS["u0"])
         if ns.u0_amplitude is not None:
             u0["amplitude"] = ns.u0_amplitude
@@ -420,33 +363,39 @@ def _collect_overrides(ns: argparse.Namespace) -> dict:
     return over
 
 
-def main(argv=None) -> int:
+# name -> (command, choices of its target argument or None), in --help order
+_COMMANDS = {
+    "simulate": (cmd_simulate, None),
+    "illposed": (cmd_illposed, None),
+    "probe": (cmd_probe, None),
+    "rescale-check": (cmd_rescale_check, None),
+    "picard": (cmd_picard, None),
+    "verify": (cmd_verify, ("resonance", "embeddings", "regions")),
+}
+
+
+def _parser() -> _Parser:
     parser = _Parser(prog="dcl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "illposed", "probe", "rescale-check", "picard"):
-        _add_common(sub.add_parser(name))
-    pv = sub.add_parser("verify")
-    pv.add_argument("target", choices=["resonance", "embeddings", "regions"])
-    _add_common(pv)
+    for name, (_, targets) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        if targets:
+            p.add_argument("target", choices=targets)
+        _add_common(p)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        ns = parser.parse_args(argv)
-        cfg = load_config(getattr(ns, "config", None), _collect_overrides(ns))
-        if ns.command == "simulate":
-            return cmd_simulate(cfg)
-        if ns.command == "verify":
-            return cmd_verify(cfg, ns.target)
-        if ns.command == "illposed":
-            return cmd_illposed(cfg)
-        if ns.command == "probe":
-            return cmd_probe(cfg)
-        if ns.command == "rescale-check":
-            return cmd_rescale_check(cfg)
-        return cmd_picard(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        ns = _parser().parse_args(argv)
+        cfg = load_config(ns.config, _collect_overrides(ns))
+        command, targets = _COMMANDS[ns.command]
+        return command(cfg, ns.target) if targets else command(cfg)
+    except ValueError as err:  # UsageError and every library validation
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    except (FloatingPointError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except ArithmeticError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 
 

@@ -221,6 +221,9 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     for bit.
     """
     _require_real(u0, "u0")
+    for name, value in (("T", T), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
     if stride < 1:
@@ -363,26 +366,21 @@ def bump_eta(t):
 class PicardConfig:
     """Knobs of the fixed-point iteration.
 
-    eta is the smooth time cutoff (1 on [-1,1], supported in [-2,2] for the
-    default bump); the time grid is uniform on [-t_span, t_span] and must
-    cover its support.  nt must be an odd integer >= 3: the composite
-    cumulative Simpson rule then closes its panels and t = 0 is a node, so
-    the Duhamel integral starts at 0 (with even nt it would start at +-h/2).
+    The cutoff is bump_eta, and the time grid is uniform on [-2, 2], its
+    support.  nt must be an odd integer >= 3: the composite cumulative
+    Simpson rule then closes its panels and t = 0 is a node, so the Duhamel
+    integral starts at 0 (with even nt it would start at +-h/2).
+    iterations must be an integer >= 1 and report_s finite.
     """
 
     iterations: int = 8
-    t_span: float = 2.0
     nt: int = 1025
-    eta: object = None  # callable t -> [0, 1]; None = the standard bump
     report_s: float = -0.25
     measure_zs: bool = True
     zs_dtau: float | None = None
 
-    def cutoff(self):
-        return self.eta if self.eta is not None else bump_eta
-
     def t_grid(self) -> np.ndarray:
-        return np.linspace(-self.t_span, self.t_span, self.nt)
+        return np.linspace(-2.0, 2.0, self.nt)
 
 
 @dataclass
@@ -410,7 +408,8 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     The Duhamel integral uses S(t-t') = S(t) S(-t'), so only the cumulative
     integral of S(-t') F(w,w)(t') is quadratured: composite cumulative
     Simpson on the uniform grid (scipy's equal-interval formulas), from the
-    node t = 0.  cfg.nt must be an odd integer >= 3 (ValueError otherwise).
+    node t = 0.  cfg.nt must be an odd integer >= 3, cfg.iterations an
+    integer >= 1 and cfg.report_s finite (ValueError otherwise).
     An iterate difference whose H^s norm is at or below PICARD_FLOOR times
     the new iterate's marks the ratios it enters in ratios_at_floor (for
     ratios_hs and ratios_zs alike): a ratio of two roundoff-sized
@@ -431,18 +430,19 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     if not isinstance(nt, (int, np.integer)) or nt < 3 or nt % 2 == 0:
         raise ValueError(f"nt must be an odd integer >= 3 (whole Simpson panels, "
                          f"t = 0 on the grid), got nt={nt!r}")
+    it = cfg.iterations
+    if not isinstance(it, (int, np.integer)) or it < 1:
+        raise ValueError(f"iterations must be an integer >= 1, got {it!r}")
+    if not math.isfinite(cfg.report_s):
+        raise ValueError(f"report_s must be finite, got {cfg.report_s!r}")
     _require_real(u0, "u0")
-    if cfg.t_span < 2.0:
-        raise ValueError("time grid must cover the support [-2, 2] of the cutoff")
     clock = time.perf_counter()
     phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
     p = u0.params
     half = slice(p.nmax + 1, None)
     t = cfg.t_grid()
     i0 = nt // 2  # t = 0
-    eta = np.asarray(cfg.cutoff()(t))[:, None]
-    if abs(eta[i0, 0] - 1.0) > 1e-12 or eta.min() < 0 or eta.max() > 1:
-        raise ValueError("cutoff must satisfy eta(0) = 1 and 0 <= eta <= 1")
+    eta = bump_eta(t)[:, None]
     phases = np.exp(1j * np.outer(t, dispersion_symbol(p.k_values(), p.j)[half]))  # S(t) rows
     phases_inv = np.conj(phases)
     free = eta * (phases * u0.amps[None, half])

@@ -35,6 +35,8 @@ class CounterexampleConfig:
     dtau: float = 0.125
 
     def __post_init__(self):
+        if not self.N_list:
+            raise ValueError("N_list must hold at least one N")
         if any(N < 2 for N in self.N_list):
             raise ValueError("every N must be >= 2")
         object.__setattr__(self, "N_list", tuple(sorted(self.N_list)))

@@ -50,10 +50,10 @@ class ModelParams:
 
     j       dispersion order (>= 2 for the full norm machinery; j = 1 is
             accepted so the lower-order comparison mode can run)
-    lam     period scale, domain [0, 2*pi*lam), lam >= 1
+    lam     period scale, domain [0, 2*pi*lam), finite and >= 1
     epsilon sharpness margin for the admissible regularity window,
             0 < epsilon < 1/(100 j^5); defaults to half that ceiling
-    kmax    frequency truncation K; kmax*lam must be a positive integer
+    kmax    frequency truncation K, finite; kmax*lam must be a positive integer
     """
 
     j: int
@@ -65,8 +65,8 @@ class ModelParams:
         if int(self.j) != self.j or self.j < 1:
             raise ValueError(f"j must be a positive integer, got {self.j}")
         object.__setattr__(self, "j", int(self.j))
-        if self.lam < 1.0:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError(f"lam must be finite and >= 1, got {self.lam}")
         eps_cap = 1.0 / (100.0 * self.j**5)
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", eps_cap / 2.0)
@@ -76,6 +76,8 @@ class ModelParams:
             )
         if self.kmax is None:
             object.__setattr__(self, "kmax", 256.0 / self.lam)
+        if not math.isfinite(self.kmax):
+            raise ValueError(f"kmax must be finite, got {self.kmax}")
         m = self.kmax * self.lam
         if abs(m - round(m)) > 1e-9 or round(m) < 1:
             raise ValueError(f"kmax*lam must be a positive integer, got {m}")

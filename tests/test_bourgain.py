@@ -745,6 +745,11 @@ class TestBilinearProbe:
         with pytest.raises(ValueError, match="workers"):
             batch_bilinear_probe(params8, -0.25, "product_dx", count=2, seed=1, workers=2)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_batch_non_finite_s_rejected(self, params8, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            batch_bilinear_probe(params8, s, "product_dx", count=1, seed=1)
+
     def test_bad_form_rejected(self, params8):
         u = random_spectrum(params8, np.random.default_rng(15))
         with pytest.raises(ValueError, match="form"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dcl import evolve, rescale
-from dcl.cli import _region_partition_report, main
+from dcl.cli import _KEYS, _parser, _region_partition_report, load_config, main
 from dcl.lattice import ModelParams
 
 
@@ -44,6 +44,16 @@ class TestSimulate:
     def test_stride_below_one_exit_one(self, tmp_path, stride):
         assert run(tmp_path, "simulate", "--T", "0.02", "--dt", "0.01", "--kmax", "8",
                    "--stride", stride) == 1
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--lambda", "lam must be finite"), ("--kmax", "kmax must be finite"),
+        ("--T", "T must be finite"), ("--dt", "dt must be finite")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_model_and_step_exit_one(self, tmp_path, capsys, flag, message, value):
+        args = {"--kmax": "8", "--T": "0.02", "--dt": "0.01", flag: value}
+        assert run(tmp_path, "simulate", *[x for kv in args.items() for x in kv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.endswith(f"got {value}\n")
 
     def test_run_reports_phase_wrap(self, tmp_path):
         # dt * max |P(k)| = dt * kmax^(2j+1) at j = 2
@@ -133,8 +143,9 @@ class TestIllposed:
         doc = json.loads((tmp_path / "out" / "illposed_verdict.json").read_text())
         assert doc["verdict"] == "HOLDS-AT-THIS-PROBE"
 
-    def test_missing_n_list_exit_one(self, tmp_path):
+    def test_missing_n_list_exit_one(self, tmp_path, capsys):
         assert run(tmp_path, "illposed", "--N-list", "") == 1
+        assert "error: N_list must hold at least one N" in capsys.readouterr().err
 
     def test_nonpositive_side_exit_one(self, tmp_path):
         assert run(tmp_path, "illposed", "--s", "-200", "--N-list", "16,32,64") == 1
@@ -144,8 +155,21 @@ class TestProbe:
     def test_seed_mandatory(self, tmp_path):
         assert run(tmp_path, "probe", "--pairs", "2", "--kmax", "8") == 1
 
-    def test_zero_pairs_rejected(self, tmp_path):
+    def test_zero_pairs_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "probe", "--pairs", "0", "--seed", "1", "--kmax", "8") == 1
+        assert "error: need at least one probe pair" in capsys.readouterr().err
+
+    def test_unknown_form_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "probe", "--pairs", "1", "--seed", "1", "--kmax", "8",
+                   "--form", "cubic") == 1
+        assert "error: form must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_s_exit_one(self, tmp_path, capsys, s):
+        assert run(tmp_path, "probe", "--pairs", "1", "--seed", "1", "--kmax", "8",
+                   "--s", s) == 1
+        assert "error: s must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "probe.json").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         args = ("probe", "--pairs", "2", "--seed", "11", "--kmax", "8",
@@ -240,6 +264,15 @@ class TestRescaleCheckAndPicard:
         assert run(tmp_path, "picard", "--kmax", "8", "--nt", "1024",
                    "--iterations", "1") == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--s", "nan"], "report_s must be finite"), (["--s", "inf"], "report_s must be finite"),
+        (["--iterations", "0"], "iterations must be an integer >= 1"),
+        (["--iterations", "-1"], "iterations must be an integer >= 1")])
+    def test_picard_bad_s_or_iterations_exit_one(self, tmp_path, capsys, flags, message):
+        assert run(tmp_path, "picard", "--kmax", "8", "--nt", "129", *flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "picard.json").exists()
+
 
 class TestRealInitialData:
     @pytest.mark.parametrize("command", [["simulate", "--T", "0.02", "--dt", "0.01"],
@@ -253,6 +286,13 @@ class TestRealInitialData:
         doc["modes"][1]["re"], doc["modes"][1]["im"] = 0.01, 0.0  # now the mirror image
         path.write_text(json.dumps(doc))
         assert run(tmp_path, *command, "--kmax", "8", "--u0", f"json:{path}") == 0
+
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_exit_one(self, tmp_path, capsys, amplitude):
+        assert run(tmp_path, "simulate", "--T", "0.02", "--dt", "0.01", "--kmax", "8",
+                   "--u0-amplitude", amplitude) == 1
+        assert f"error: u0 amplitude must be finite, got {amplitude}" in capsys.readouterr().err
 
 
 class TestConfigHandling:
@@ -303,3 +343,106 @@ runpy.run_module("dcl", run_name="__main__")
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "region_partition.json").read_text())["pass"] is True
+
+
+# the option strings of every subcommand, pinned from before the flags were derived from _KEYS
+_OPTIONS = ["-h", "--help", "--config", "--j", "--lambda", "--s", "--epsilon", "--kmax", "--dt",
+            "--T", "--tau-step", "--N-list", "--seed", "--output-dir", "--kdv", "--stride",
+            "--mu", "--iterations", "--nt", "--pairs", "--form", "--kbound", "--kmax-verify",
+            "--slab-dtau", "--allow-outside-window", "--u0-amplitude", "--u0-mode", "--u0"]
+
+# key -> (its flags, the value they give); every value is valid for `illposed`
+_ROUND_TRIP = {
+    "j": (["--j", "3"], 3),
+    "lambda": (["--lambda", "2"], 2.0),
+    "s": (["--s", "0.5"], 0.5),
+    "epsilon": (["--epsilon", "1e-4"], 1e-4),
+    "kmax": (["--kmax", "8"], 8.0),
+    "dt": (["--dt", "0.5"], 0.5),
+    "T": (["--T", "3"], 3.0),
+    "tau_step": (["--tau-step", "0.5"], 0.5),
+    "N_list": (["--N-list", "16,32"], [16, 32]),
+    "seed": (["--seed", "7"], 7),
+    "kdv": (["--kdv"], True),
+    "stride": (["--stride", "3"], 3),
+    "mu": (["--mu", "4"], 4.0),
+    "iterations": (["--iterations", "2"], 2),
+    "nt": (["--nt", "9"], 9),
+    "pairs": (["--pairs", "3"], 3),
+    "form": (["--form", "product_dx"], "product_dx"),
+    "kbound": (["--kbound", "32"], 32.0),
+    "kmax_verify": (["--kmax-verify", "8"], 8),
+    "slab_dtau": (["--slab-dtau", "0.25"], 0.25),
+    "allow_outside_window": (["--allow-outside-window"], True),
+    "u0": (["--u0", "zero"], {"type": "zero"}),
+}
+
+
+def _illposed_config(tmp_path, *args):
+    assert main(["illposed", *args]) == 0
+    return json.loads((tmp_path / "out" / "illposed_verdict.json").read_text())["config"]
+
+
+class TestConfigTable:
+    def test_option_strings_in_order(self):
+        subs = _parser()._subparsers._group_actions[0].choices
+        assert list(subs) == ["simulate", "illposed", "probe", "rescale-check", "picard",
+                              "verify"]
+        for name, sub in subs.items():
+            got = [s for a in sub._actions for s in (a.option_strings or [a.dest])]
+            want = [*_OPTIONS[:2], "target", *_OPTIONS[2:]] if name == "verify" else _OPTIONS
+            assert got == want, name
+
+    def test_every_key_has_a_round_trip_case(self):
+        assert set(_ROUND_TRIP) | {"output_dir"} == set(_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(_ROUND_TRIP))
+    def test_flag_and_config_values_reach_the_report(self, tmp_path, key):
+        flags, value = _ROUND_TRIP[key]
+        out = ["--output-dir", str(tmp_path / "out")]
+        assert _illposed_config(tmp_path, *flags, *out)[key] == value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert _illposed_config(tmp_path, "--config", str(cfg), *out)[key] == value
+
+    def test_output_dir_from_flag_and_config(self, tmp_path):
+        where = str(tmp_path / "out")
+        assert _illposed_config(tmp_path, "--output-dir", where)["output_dir"] == where
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dir": where}))
+        assert _illposed_config(tmp_path, "--config", str(cfg))["output_dir"] == where
+
+    def test_float_keys_take_json_ints(self, tmp_path):
+        floats = [key for key, (_, kind) in _KEYS.items() if kind is float]
+        assert {"lambda", "s", "dt", "T", "kbound"} <= set(floats)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 3 for key in floats}))
+        assert all(load_config(str(cfg), {})[key] == 3 for key in floats)
+
+    def test_keys_defaulting_to_none_take_null(self, tmp_path):
+        nullable = [key for key, (default, _) in _KEYS.items() if default is None]
+        assert nullable == ["epsilon", "kmax", "seed"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None for key in nullable}))
+        assert all(load_config(str(cfg), {})[key] is None for key in nullable)
+        cfg.write_text(json.dumps({"j": None}))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+
+    def test_bool_key_rejects_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kdv": 1}))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "error: config key 'kdv' has wrong type: 1" in capsys.readouterr().err
+
+    def test_malformed_config_json_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"T": 0.02,')
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_string_u0_amplitude_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": {"type": "cosine", "amplitude": "large"}}))
+        assert run(tmp_path, "simulate", "--config", str(cfg), "--kmax", "8",
+                   "--T", "0.02", "--dt", "0.01") == 1
+        assert capsys.readouterr().err.startswith("error: ")

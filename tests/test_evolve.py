@@ -130,6 +130,14 @@ class TestSimulate:
         assert traj.blown_up
         assert len(traj.states) >= 1
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_T_and_dt_rejected(self, params16, bad):
+        u0 = hermitian_spectrum(params16, seed=4)
+        with pytest.raises(ValueError, match="T must be finite"):
+            simulate(u0, T=bad, dt=0.01)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            simulate(u0, T=0.02, dt=bad)
+
     def test_T_not_a_multiple_of_dt_rejected(self, params16):
         with pytest.raises(ValueError, match="whole number of steps"):
             simulate(hermitian_spectrum(params16, seed=4), T=0.105, dt=0.01)
@@ -381,6 +389,18 @@ class TestPicardRecord:
         u0 = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=11)
         with pytest.raises(ValueError, match="nt"):
             picard_iterate(u0, PicardConfig(iterations=1, nt=nt))
+
+    @pytest.mark.parametrize("iterations", [0, -1, 2.0])
+    def test_iterations_not_a_positive_integer_rejected(self, iterations):
+        u0 = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=11)
+        with pytest.raises(ValueError, match="iterations"):
+            picard_iterate(u0, PicardConfig(iterations=iterations, nt=129))
+
+    @pytest.mark.parametrize("report_s", [math.inf, math.nan])
+    def test_non_finite_report_s_rejected(self, report_s):
+        u0 = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=11)
+        with pytest.raises(ValueError, match="report_s must be finite"):
+            picard_iterate(u0, PicardConfig(iterations=2, nt=129, report_s=report_s))
 
     @pytest.mark.parametrize("measure_zs", [True, False])
     def test_phase_times_reported(self, measure_zs):

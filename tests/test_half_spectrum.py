@@ -15,7 +15,14 @@ import pytest
 
 from dcl import evolve, lattice
 from dcl.bourgain import from_time_samples, zs_norm
-from dcl.evolve import IntegratingFactorRK4, PicardConfig, SolverState, picard_iterate, simulate
+from dcl.evolve import (
+    IntegratingFactorRK4,
+    PicardConfig,
+    SolverState,
+    bump_eta,
+    picard_iterate,
+    simulate,
+)
 from dcl.lattice import (
     TWO_PI_SQRT,
     ModelParams,
@@ -302,7 +309,7 @@ def oracle_picard(u0, cfg, mode="full", mu=1.0):
     p = u0.params
     t = cfg.t_grid()
     i0 = cfg.nt // 2
-    eta = np.asarray(cfg.cutoff()(t))[:, None]
+    eta = bump_eta(t)[:, None]
     phases = np.exp(1j * np.outer(t, dispersion_symbol(p.k_values(), p.j)))
     phases_inv = np.conj(phases)
     free = eta * (phases * u0.amps[None, :])

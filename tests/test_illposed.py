@@ -130,6 +130,10 @@ class TestCollisionScan:
         assert rep.verdict is None and rep.slope_L is None
         assert len(rep.rows) == 2
 
+    def test_empty_n_list_rejected(self):
+        with pytest.raises(ValueError, match="N_list must hold at least one N"):
+            CounterexampleConfig(j=2, s=-0.25, N_list=())
+
     def test_nonpositive_side_rejected(self):
         # at s = -200 the weights underflow and R(N) is exactly 0: no log to fit
         with pytest.raises(ValueError, match=r"R\(N=16\)"):

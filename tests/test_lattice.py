@@ -58,6 +58,14 @@ class TestModelParams:
             ModelParams(j=0)
         ModelParams(j=1)  # accepted for the local-dispersion comparison mode
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_lam_and_kmax_rejected(self, bad):
+        # inf used to overflow in round(kmax*lam), and a NaN lam passed lam < 1
+        with pytest.raises(ValueError, match="lam must be finite"):
+            ModelParams(j=2, lam=bad, kmax=8.0)
+        with pytest.raises(ValueError, match="kmax must be finite"):
+            ModelParams(j=2, kmax=bad)
+
 
     def test_lattice_ks_up_to_kbound(self):
         # a kbound*lam within 1e-9 of an integer counts as that integer, else it rounds down
