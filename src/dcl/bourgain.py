@@ -87,9 +87,10 @@ def sigma(k, tau, params: ModelParams):
     return tau - dispersion_symbol(k, params.j)
 
 
-def region_memberships(k: float, tau: float, params: ModelParams) -> dict:
+def region_memberships(k, tau, params: ModelParams) -> dict:
     """Raw membership of (k, tau) in each region, inequalities exactly as defined.
 
+    Floats give a dict of bools, broadcast arrays a dict of bool arrays.
     Boundary points can belong to several regions here; region_codes
     applies the documented tie resolution.  The independent oracle of the
     partition tests and of the region-partition report.
@@ -98,15 +99,21 @@ def region_memberships(k: float, tau: float, params: ModelParams) -> dict:
     c = region_coefficient(j)
     ak = abs(k)
     s = abs(sigma(k, tau, params))
+    # float_power is libm pow, as float ** is, so arrays and floats agree
+    power = np.float_power if isinstance(ak, np.ndarray) else pow
+    lo, hi = c * power(ak, 2 * j), c * power(ak, 2 * j + 1)
     big = ak >= 1.0
-    small = 1.0 / params.lam <= ak <= 1.0
-    return {
-        RegionLabel.D1: big and s <= c * ak ** (2 * j),
-        RegionLabel.D2: big and c * ak ** (2 * j) < s < c * ak ** (2 * j + 1),
-        RegionLabel.D3: big and s >= c * ak ** (2 * j + 1),
-        RegionLabel.D4: small and s > c * ak ** (2 * j + 1),
-        RegionLabel.D5: small and s <= c * ak ** (2 * j + 1),
+    small = (1.0 / params.lam <= ak) & (ak <= 1.0)
+    members = {
+        RegionLabel.D1: big & (s <= lo),
+        RegionLabel.D2: big & (lo < s) & (s < hi),
+        RegionLabel.D3: big & (s >= hi),
+        RegionLabel.D4: small & (s > hi),
+        RegionLabel.D5: small & (s <= hi),
     }
+    if np.ndim(s) == 0:
+        return {label: bool(inside) for label, inside in members.items()}
+    return members
 
 
 def region_thresholds(ak, j: int):
@@ -920,7 +927,8 @@ def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) ->
         cells.append((region, sig.tolist(), ratio.tolist()))
     rows = ["k,sigma,region,ratio"]
     for i, k in enumerate(ks.tolist()):
+        head = f"{k!r},"  # once per k, not once per row
         for region, sig, ratio in cells:
             if not math.isnan(sig[i][0]):
-                rows.extend(f"{k!r},{sv!r},{region},{r!r}" for sv, r in zip(sig[i], ratio[i]))
+                rows.extend(f"{head}{sv!r},{region},{r!r}" for sv, r in zip(sig[i], ratio[i]))
     return "\n".join(rows) + "\n"

@@ -13,6 +13,7 @@ asserted one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from .lattice import (
     spectrum_to_json,
     x_grid,
 )
+from .symbols import dispersion_symbol
 
 # Every config key, declared once: key -> (default, type), in flag order.  In a
 # config file a float key takes an int too, and a key whose default is None
@@ -65,14 +67,20 @@ DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
 
 
 class UsageError(ValueError):
-    """A fault only the command line can see: a bad flag, config key or u0."""
+    """A fault only the command line can see: a bad flag, config key, u0 or input file."""
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as err:
+        raise UsageError(f"cannot read {what} {path!r}: {err.strerror or err}") from err
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULTS)
     if path:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(path, "config file"))
         unknown = set(doc) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -97,14 +105,19 @@ def initial_spectrum(cfg: dict, params: ModelParams) -> SpatialSpectrum:
     if kind == "zero":
         return SpatialSpectrum.zeros(params)
     if kind == "cosine":
-        amp = float(u0.get("amplitude", 0.01))
+        amp, mode = u0.get("amplitude", 0.01), u0.get("mode", 1)
+        if isinstance(amp, bool) or not isinstance(amp, (int, float)):
+            raise UsageError(f"u0 amplitude must be a real number, got {amp!r}")
         if not math.isfinite(amp):
             raise UsageError(f"u0 amplitude must be finite, got {amp}")
-        mode = int(u0.get("mode", 1))
+        if isinstance(mode, bool) or not isinstance(mode, int):
+            raise UsageError(f"u0 mode must be an int, got {mode!r}")
         nx = params.default_grid()
         return forward_transform(amp * np.cos(mode * x_grid(params, nx) / params.lam), params)
     if kind == "json":
-        return spectrum_from_json(Path(u0["path"]).read_text(), kmax=params.kmax)
+        if not isinstance(u0.get("path"), str):
+            raise UsageError(f"u0 type 'json' needs a path, got {u0.get('path')!r}")
+        return spectrum_from_json(_read_text(u0["path"], "u0 file"), kmax=params.kmax)
     raise UsageError(f"unknown u0 type {kind!r}")
 
 
@@ -185,25 +198,23 @@ def cmd_verify(cfg: dict, target: str) -> int:
 
 def _region_partition_report(params: ModelParams, kbound: float = 64.0,
                              sigma_bound: float = 1e4, n_sigma: int = 65) -> dict:
-    """Classify a (k, sigma) grid in one call and check each label against the oracle."""
-    from .bourgain import REGION_LABELS, region_codes, region_memberships
-    from .symbols import dispersion_symbol
-
+    """Classify a (k, sigma) grid in one call and check every label against the oracle in one."""
     kbound = min(kbound, params.kmax)
     sigmas = np.concatenate([
         np.linspace(-sigma_bound, sigma_bound, n_sigma),
         np.geomspace(1e-3, sigma_bound, 16),
     ])
-    ks = [sign * k for k in lattice_ks(kbound, params.lam).tolist() for sign in (1, -1)]
-    # P(k) computed as the oracle computes it, so both see the same sigma
-    pk = np.array([dispersion_symbol(k, params.j) for k in ks])[:, None]
+    ks = lattice_ks(kbound, params.lam)
+    ks = np.stack([ks, -ks], axis=1).reshape(-1, 1)
+    # P(k) computed as the oracle computes it, on the same array, so both see the same sigma
+    pk = dispersion_symbol(ks, params.j)
     taus = pk + sigmas
-    codes = region_codes(np.array(ks)[:, None], np.abs(taus - pk), params)
-    bad = 0
-    for k, row_tau, row_code in zip(ks, taus.tolist(), codes.tolist()):
-        for tau, code in zip(row_tau, row_code):
-            if code == 0 or not region_memberships(k, tau, params)[REGION_LABELS[code]]:
-                bad += 1
+    codes = bourgain.region_codes(ks, np.abs(taus - pk), params)
+    members = bourgain.region_memberships(ks, taus, params)
+    # row c is membership of region code c; code 0 (excluded) is never a valid label
+    table = np.stack([np.zeros(codes.shape, bool),
+                      *(members[label] for label in bourgain.REGION_LABELS[1:])])
+    bad = int(np.count_nonzero(~np.take_along_axis(table, codes[None], axis=0)))
     return {"points": codes.size, "mislabels": bad, "pass": bad == 0,
             "kbound": kbound, "sigma_bound": sigma_bound}
 
@@ -374,6 +385,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parse tree per process: parse_args keeps no state in it
 def _parser() -> _Parser:
     parser = _Parser(prog="dcl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

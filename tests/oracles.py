@@ -9,14 +9,17 @@
   check of F.
 - `st_from_cells`, `st_value_at` and `st_sigma_of` build, read and place
   single cells of a SpaceTimeSpectrum; sigma is computed in exact rationals.
+- `region_partition_report` is dcl's region-partition report with each
+  label checked against `region_memberships` one point at a time.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from dcl.bourgain import SpaceTimeSpectrum
-from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum
+from dcl import bourgain
+from dcl.bourgain import REGION_LABELS, SpaceTimeSpectrum, region_memberships
+from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum, lattice_ks
 from dcl.symbols import dispersion_symbol, nonlinearity_multipliers
 
 
@@ -126,3 +129,30 @@ def st_sigma_of(u: SpaceTimeSpectrum, n: int, m0: int, length: int) -> np.ndarra
     tau0, dtau = Fraction(u.tau0), Fraction(u.dtau)
     return np.array([float(tau0 + (m0 + i) * dtau - pk) for i in range(length)])
 
+
+# -- the region-partition report, point by point ---------------------------------------
+
+def region_partition_report(params, kbound=64.0, sigma_bound=1e4, n_sigma=65) -> dict:
+    """dcl.cli's region-partition report on the same (k, sigma) grid, one scalar check per point.
+
+    The grid is classified by dcl.bourgain.region_codes in one call (looked up
+    at call time, so a patched classifier is seen), and each label is checked
+    with region_memberships on floats; code 0 counts as a mislabel.
+    """
+    kbound = min(kbound, params.kmax)
+    sigmas = np.concatenate([
+        np.linspace(-sigma_bound, sigma_bound, n_sigma),
+        np.geomspace(1e-3, sigma_bound, 16),
+    ])
+    ks = [sign * k for k in lattice_ks(kbound, params.lam).tolist() for sign in (1, -1)]
+    # P(k) computed as the oracle computes it, so both see the same sigma
+    pk = np.array([dispersion_symbol(k, params.j) for k in ks])[:, None]
+    taus = pk + sigmas
+    codes = bourgain.region_codes(np.array(ks)[:, None], np.abs(taus - pk), params)
+    bad = 0
+    for k, row_tau, row_code in zip(ks, taus.tolist(), codes.tolist()):
+        for tau, code in zip(row_tau, row_code):
+            if code == 0 or not region_memberships(k, tau, params)[REGION_LABELS[code]]:
+                bad += 1
+    return {"points": codes.size, "mislabels": bad, "pass": bad == 0,
+            "kbound": kbound, "sigma_bound": sigma_bound}

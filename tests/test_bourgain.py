@@ -243,6 +243,31 @@ class TestSigmaAndRegions:
             assert codes == want
             assert codes == [region_codes(a, s, p) for a, s in zip(ak, thr)]
 
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+    def test_memberships_floats_give_bools_arrays_agree(self, j, lam):
+        # the thresholds, their float neighbours, sigma = 0 and far out, at |k| = 1/lam, 1, 3
+        p = ModelParams(j=j, lam=lam, kmax=64.0)
+        c = region_coefficient(j)
+        ks, taus = [], []
+        for k in (1 / lam, 1.0, 3.0, -1.0, -3.0):
+            pk = float(dispersion_symbol(k, j))
+            for sv in (0.0, 1e9, c * abs(k) ** (2 * j), c * abs(k) ** (2 * j + 1)):
+                for tau in (pk + sv, pk - sv):
+                    for t in (np.nextafter(tau, -np.inf), tau, np.nextafter(tau, np.inf)):
+                        ks.append(k)
+                        taus.append(float(t))
+        table = region_memberships(np.array(ks), np.array(taus), p)
+        assert list(table) == list(REGION_LABELS[1:])
+        for i, (k, tau) in enumerate(zip(ks, taus)):
+            members = region_memberships(k, tau, p)
+            assert list(members) == list(REGION_LABELS[1:])
+            assert all(type(inside) is bool for inside in members.values())
+            assert members == {label: bool(table[label][i]) for label in members}, (k, tau)
+        # the |k| = 1 overlap of the two families stays visible to the oracle
+        at_one = region_memberships(1.0, dispersion_symbol(1, j) + 0.5 * c, p)
+        assert at_one[RegionLabel.D1] and at_one[RegionLabel.D5]
+
 
 class TestSpaceTimeSpectrum:
     def test_single_cell_norms(self, params16):

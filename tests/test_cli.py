@@ -10,9 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from dcl import evolve, rescale
-from dcl.cli import _KEYS, _parser, _region_partition_report, load_config, main
+from dcl import bourgain, evolve, rescale
+from dcl.cli import (
+    _KEYS,
+    UsageError,
+    _parser,
+    _region_partition_report,
+    initial_spectrum,
+    load_config,
+    main,
+)
 from dcl.lattice import ModelParams
+
+import oracles
 
 
 def run(tmp_path, *args):
@@ -106,6 +116,31 @@ class TestVerify:
         for lam, n in ((1.0, 2), (2.0, 5)):
             report = _region_partition_report(ModelParams(j=2, lam=lam, kmax=8.0), kbound=2.6)
             assert report["points"] == 2 * n * 81 and report["pass"]
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0, 4.0])  # 1/3 is not dyadic
+    @pytest.mark.parametrize("kbound", [64.0, 2.6])
+    def test_regions_report_matches_the_point_loop(self, j, lam, kbound):
+        p = ModelParams(j=j, lam=lam, kmax=64.0)
+        assert _region_partition_report(p, kbound) == oracles.region_partition_report(p, kbound)
+
+    def test_regions_planted_mislabels_counted_alike(self, tmp_path, monkeypatch):
+        classify = bourgain.region_codes
+
+        def planted(k, abs_sigma, params, band=None):
+            codes = classify(k, abs_sigma, params, band).copy()
+            codes[:, ::7] = codes[:, ::7] % 5 + 1  # the next region's code
+            codes[1, 3] = 0  # excluded
+            return codes
+
+        monkeypatch.setattr(bourgain, "region_codes", planted)
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        report = _region_partition_report(p)
+        assert report == oracles.region_partition_report(p)
+        assert report["mislabels"] > 0 and not report["pass"]
+        assert run(tmp_path, "verify", "regions", "--kmax", "8") == 2
+        doc = json.loads((tmp_path / "out" / "region_partition.json").read_text())
+        assert doc["mislabels"] > 0 and doc["pass"] is False
 
     def test_embeddings_pass_and_window_rejection(self, tmp_path):
         assert run(tmp_path, "verify", "embeddings", "--s", "-0.25",
@@ -323,6 +358,43 @@ class TestConfigHandling:
     def test_usage_error_exit_one(self):
         assert main(["verify", "nonsense"]) == 1
 
+    def test_missing_config_file_exit_one(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["simulate", "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and str(missing) in err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["picard"], ["rescale-check"]])
+    def test_missing_u0_file_exit_one(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.json"
+        assert run(tmp_path, *command, "--kmax", "8", "--T", "0.02", "--dt", "0.01",
+                   "--u0", f"json:{missing}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read u0 file") and str(missing) in err
+
+    @pytest.mark.parametrize("u0, message", [
+        ({"type": "cosine", "amplitude": [1]}, "u0 amplitude must be a real number, got [1]"),
+        ({"type": "cosine", "amplitude": True}, "u0 amplitude must be a real number, got True"),
+        ({"type": "cosine", "mode": 1.5}, "u0 mode must be an int, got 1.5"),
+        ({"type": "cosine", "mode": "2"}, "u0 mode must be an int, got '2'"),
+        ({"type": "json"}, "u0 type 'json' needs a path, got None"),
+        ({"type": "json", "path": 3}, "u0 type 'json' needs a path, got 3"),
+    ])
+    def test_bad_u0_entry_exit_one(self, tmp_path, capsys, u0, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            initial_spectrum({"u0": u0}, ModelParams(j=2, kmax=8.0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": u0}))
+        assert run(tmp_path, "simulate", "--config", str(cfg), "--kmax", "8",
+                   "--T", "0.02", "--dt", "0.01") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_int_amplitude_is_a_real_number(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": {"type": "cosine", "amplitude": 0, "mode": 2}}))
+        assert run(tmp_path, "simulate", "--config", str(cfg), "--kmax", "8",
+                   "--T", "0.02", "--dt", "0.01") == 0
+
 
 class TestNumpyOnlyRuntime:
     def test_every_module_and_a_certificate_without_scipy(self, tmp_path):
@@ -446,3 +518,35 @@ class TestConfigTable:
         assert run(tmp_path, "simulate", "--config", str(cfg), "--kmax", "8",
                    "--T", "0.02", "--dt", "0.01") == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert _parser() is _parser()
+
+    def test_no_value_leaks_into_the_next_call(self, tmp_path):
+        out = ["--output-dir", str(tmp_path / "out")]
+        first = _illposed_config(tmp_path, "--kdv", "--N-list", "16,32,64",
+                                 "--u0-amplitude", "0.05", *out)
+        assert first["kdv"] is True and first["N_list"] == [16, 32, 64]
+        assert first["u0"]["amplitude"] == 0.05
+        second = _illposed_config(tmp_path, *out)
+        fresh_dir = tmp_path / "fresh"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "dcl", "illposed",
+                               "--output-dir", str(fresh_dir)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads((fresh_dir / "illposed_verdict.json").read_text())["config"]
+        assert {**second, "output_dir": None} == {**fresh, "output_dir": None}
+
+    def test_help_bytes_repeat(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(["simulate", "--help"])
+            assert stop.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: dcl simulate")
