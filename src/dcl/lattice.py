@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,7 @@ class ModelParams:
         if abs(m - round(m)) > 1e-9 or round(m) < 1:
             raise ValueError(f"kmax*lam must be a positive integer, got {m}")
 
-    @property
+    @functools.cached_property  # the kernels read it on every call
     def nmax(self) -> int:
         """Integer index bound: lattice points are k = n/lam, 0 < |n| <= nmax."""
         return int(round(self.kmax * self.lam))
@@ -245,36 +246,66 @@ def x_grid(params: ModelParams, nx: int) -> np.ndarray:
     return np.arange(nx) * (params.period() / nx)
 
 
-def lattice_to_grid(pos, params: ModelParams, nx: int) -> np.ndarray:
+GridWork = namedtuple("GridWork", "half rows grid spectrum parts scales")
+
+
+def grid_work(params: ModelParams, nx: int, nf: int) -> GridWork:
+    """The buffers the packing pair writes for nf fields of one (nmax,) half each, built once.
+
+    rows are the views of half (zero outside bins 1..nmax) that the fields
+    go to, and parts the (pos, zero, tail) views of spectrum.  scales are
+    0-d arrays, as numpy converts a Python float on every call.
+    """
+    m, c = params.nmax, TWO_PI_SQRT * params.lam
+    half = np.zeros((nf, nx // 2 + 1), dtype=complex)
+    spectrum = np.empty_like(half)
+    return GridWork(half, tuple(half[:, 1:m + 1]), np.empty((nf, nx)), spectrum,
+                    (spectrum[:, 1:m + 1], spectrum[:, 0], spectrum[:, m + 1:]),
+                    (np.array(complex(1.0 / c)), np.array(complex(c))))
+
+
+def lattice_to_grid(pos, params: ModelParams, nx: int, work: GridWork | None = None) -> np.ndarray:
     """Real samples on nx >= 2*nmax+1 points of the real fields with n > 0 halves pos.
 
     pos is a (..., nmax) block of halves, one field per row, or a sequence
     of such blocks, whose fields come out stacked along a new axis -2 (the
     nonlinearity's u and u_x) without being stacked first.  Complex fields
-    go through `hermitian_parts` first.
+    go through `hermitian_parts` first.  A caller that transforms nf
+    (nmax,) halves many times passes them as a sequence with work =
+    grid_work(params, nx, nf): the call then writes work.half and returns
+    work.grid.
     """
     m = params.nmax
     scale = 1.0 / (TWO_PI_SQRT * params.lam)
-    if isinstance(pos, np.ndarray):
-        half = np.zeros(pos.shape[:-1] + (nx // 2 + 1,), dtype=complex)
+    if work is not None:
+        half, grid = work.half, work.grid
+        for block, row in zip(pos, work.rows, strict=True):
+            np.multiply(block, work.scales[0], out=row)
+    elif isinstance(pos, np.ndarray):
+        half, grid = np.zeros(pos.shape[:-1] + (nx // 2 + 1,), dtype=complex), None
         np.multiply(pos, scale, out=half[..., 1:m + 1])
     else:
-        half = np.zeros(np.shape(pos[0])[:-1] + (len(pos), nx // 2 + 1), dtype=complex)
+        half, grid = np.zeros(np.shape(pos[0])[:-1] + (len(pos), nx // 2 + 1), dtype=complex), None
         for i, block in enumerate(pos):
             np.multiply(block, scale, out=half[..., i, 1:m + 1])
     fft = _pocketfft()
-    if fft is None:
+    if fft is not None:
+        return fft.irfft(half, 1.0, out=np.empty(half.shape[:-1] + (nx,)) if grid is None else grid)
+    if grid is None:
         return np.fft.irfft(half, n=nx, axis=-1, norm="forward")
-    return fft.irfft(half, 1.0, out=np.empty(half.shape[:-1] + (nx,)))
+    grid[...] = np.fft.irfft(half, n=nx, axis=-1, norm="forward")
+    return grid
 
 
-def grid_to_lattice(samples, params: ModelParams):
+def grid_to_lattice(samples, params: ModelParams, work: GridWork | None = None):
     """Inverse of lattice_to_grid on real samples, returning (pos, zero, tail) per row.
 
     pos is the n > 0 half of the field's spectrum (`hermitian_rows` makes
     it a full row); zero is the k=0 amplitude (sqrt(2*pi)*lam times the
     mean); tail holds the real FFT's bins beyond kmax (n = nmax+1 .. nx//2),
-    which are dropped and whose mass `dropped_mass` gives.
+    which are dropped and whose mass `dropped_mass` gives.  With work (see
+    lattice_to_grid), for float64 samples shaped as work.grid, the result
+    is work.parts.
     """
     m = params.nmax
     f = np.asarray(samples)
@@ -284,7 +315,12 @@ def grid_to_lattice(samples, params: ModelParams):
         fhat = np.fft.rfft(f, axis=-1, norm="forward")
     else:
         rfft = fft.rfft_n_even if nx % 2 == 0 else fft.rfft_n_odd
-        fhat = rfft(f, 1.0 / nx, out=np.empty(f.shape[:-1] + (nx // 2 + 1,), dtype=complex))
+        shape = f.shape[:-1] + (nx // 2 + 1,)
+        out = np.empty(shape, dtype=complex) if work is None else work.spectrum
+        fhat = rfft(f, 1.0 / nx, out=out)
+    if work is not None:
+        np.multiply(fhat, work.scales[1], out=work.spectrum)
+        return work.parts
     fhat *= TWO_PI_SQRT * params.lam
     return fhat[..., 1:m + 1], fhat[..., 0], fhat[..., m + 1:]
 

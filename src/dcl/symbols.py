@@ -25,6 +25,7 @@ convolution that cross-checks them is an oracle of the tests
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache, partial
 
 import numpy as np
@@ -34,6 +35,7 @@ from .lattice import (
     SpatialSpectrum,
     dropped_mass,
     grid_to_lattice,
+    grid_work,
     hermitian_parts,
     hermitian_rows,
     is_real_block,
@@ -86,7 +88,7 @@ def mean_coupling(k, mu: float = 1.0, kdv: bool = False):
     return 2.0 * nonlinearity_multipliers(k, mu, kdv)[0]
 
 
-def padded_product(a, b, params: ModelParams):
+def padded_product(a, b, params: ModelParams, work=None):
     """(pos, zero, tail) of the pointwise products of the real fields with n > 0 halves a and b.
 
     a, b are (..., nmax) blocks of halves, one real field per row, or
@@ -94,15 +96,16 @@ def padded_product(a, b, params: ModelParams):
     lattice.grid_to_lattice returns it, on the pad=2 grid
     nx = params.default_grid(pad=2): that grid resolves |k| <= 2*kmax, so
     the quadratic product is alias-free and tail holds all of it beyond
-    kmax.  One irfft per factor (b = a: a alone), one rfft the products.
+    kmax.  One irfft per factor (b = a: a alone), one rfft the products,
+    into work (lattice.grid_work for a) if given.
     """
-    nx = params.default_grid(pad=2)
-    f = lattice_to_grid(a, params, nx)
+    nx = params.default_grid(pad=2) if work is None else work.grid.shape[-1]
+    f = lattice_to_grid(a, params, nx, work)
     if b is a:
         f *= f
     else:
         f *= lattice_to_grid(b, params, nx)
-    return grid_to_lattice(f, params)
+    return grid_to_lattice(f, params, work)
 
 
 @lru_cache(maxsize=32)
@@ -121,7 +124,17 @@ def _kernel_symbols(params: ModelParams, mu: float, kdv: bool):
     return ik, m_uv, m_dd
 
 
-def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
+KernelWork = namedtuple("KernelWork", "symbols grid prods")
+
+
+def kernel_work(params: ModelParams, mu: float = 1.0, kdv: bool = False) -> KernelWork:
+    """real_nonlinearity's work on one (nmax,) half: symbols, grid buffers, product rows."""
+    grid = grid_work(params, params.default_grid(pad=2), nf=1 if kdv else 2)
+    return KernelWork(_kernel_symbols(params, mu, kdv), grid, tuple(grid.parts[0]))
+
+
+def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False,
+                      out=None, work=None):
     """(F(a, b), tails) for the real fields with n > 0 halves a and b, (..., nmax) blocks.
 
     The kernel under every F, and the one place F's formula is applied:
@@ -132,17 +145,24 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     for lattice.dropped_mass on the pad=2 grid.  The stepper and Picard,
     whose states are halves, call this directly; other callers use
     nonlinearity_block.
+
+    out, if given, is a buffer of a's shape, sharing no memory with a or b,
+    that F is written to (it holds a_x until the transform has read it).
+    With work = kernel_work(params, mu, kdv) too, for one (nmax,) half, the
+    call allocates nothing, and tails views work's spectrum.
     """
-    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv)
+    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv) if work is None else work.symbols
 
-    def fields(x):
-        return (x,) if m_dd is None else (x, ik * x)
+    def fields(x, x_out=None):
+        return (x,) if m_dd is None else (x, np.multiply(ik, x, out=x_out))
 
-    sa = fields(a)
-    prods, _, tails = padded_product(sa, sa if b is a else fields(b), params)
-    out = m_uv * prods[..., 0, :]
+    sa = fields(a, out)
+    prods, _, tails = padded_product(sa, sa if b is a else fields(b), params,
+                                     None if work is None else work.grid)
+    rows = work.prods if work is not None else (prods[..., 0, :], prods[..., -1, :])  # u_x v_x last
+    out = np.multiply(m_uv, rows[0], out=out)
     if m_dd is not None:
-        out += m_dd * prods[..., 1, :]
+        out += np.multiply(m_dd, rows[1], out=rows[1])
     return out, tails
 
 

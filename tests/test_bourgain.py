@@ -268,6 +268,43 @@ class TestSigmaAndRegions:
         at_one = region_memberships(1.0, dispersion_symbol(1, j) + 0.5 * c, p)
         assert at_one[RegionLabel.D1] and at_one[RegionLabel.D5]
 
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_memberships_at_sigma_exactly_on_a_threshold(self, j):
+        # taus whose computed |sigma(k, tau)| lands exactly on c|k|^(2j) or
+        # c|k|^(2j+1), found among the float neighbours of P(k) +- threshold:
+        # D1 and D3 are closed there, D2 open at both ends, D4 open, D5 closed
+        c = region_coefficient(j)
+        hits = {"lo": 0, "hi": 0, "hi_small_k": 0}
+        for lam in (2.0, 4.0):
+            p = ModelParams(j=j, lam=lam, kmax=8.0)
+            for n in [*range(-p.nmax, 0), *range(1, p.nmax + 1)]:
+                k = n / lam
+                ak = abs(k)
+                big, small = ak >= 1.0, 1.0 / lam <= ak <= 1.0
+                pk = float(dispersion_symbol(k, j))
+                lo, hi = c * ak ** (2 * j), c * ak ** (2 * j + 1)
+                for name, thr in (("lo", lo), ("hi", hi)):
+                    taus = set()
+                    for tau in (pk + thr, pk - thr):
+                        down = up = tau
+                        for _ in range(8):
+                            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+                            taus |= {tau, float(down), float(up)}
+                    for tau in sorted(t for t in taus if abs(sigma(k, t, p)) == thr):
+                        m = region_memberships(k, tau, p)
+                        table = region_memberships(np.array([k]), np.array([tau]), p)
+                        assert m == {label: bool(table[label][0]) for label in m}
+                        assert not m[RegionLabel.D2], (k, tau)
+                        if name == "lo":
+                            assert m[RegionLabel.D1] == big, (k, tau)
+                        else:
+                            assert m[RegionLabel.D3] == big, (k, tau)
+                            assert not m[RegionLabel.D4], (k, tau)
+                            assert m[RegionLabel.D5] == small, (k, tau)
+                            hits["hi_small_k"] += small
+                        hits[name] += 1
+        assert all(hits.values()), hits
+
 
 class TestSpaceTimeSpectrum:
     def test_single_cell_norms(self, params16):

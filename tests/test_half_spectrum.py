@@ -171,9 +171,13 @@ class TestStepperParity:
             assert st.mean == mean
         assert traj.diagnostics == diags
 
-    @pytest.mark.parametrize("mean", [0.0, 0.25])
-    def test_benchmark_size_run_equals_the_full_row_loop(self, mean):
-        p = ModelParams(j=2, kmax=128.0)
+    # kmax 128 is the simulate benchmark's size and kmax 256 rescale-check's
+    # default, on the odd grids nx = 525 and 1029; kmax 16 covers the even nx = 66
+    @pytest.mark.parametrize("kmax, mean", [
+        pytest.param(128.0, 0.0, id="0.0"), pytest.param(128.0, 0.25, id="0.25"),
+        pytest.param(256.0, 0.0, id="kmax256-0.0"), pytest.param(256.0, 0.25, id="kmax256-0.25")])
+    def test_benchmark_size_run_equals_the_full_row_loop(self, kmax, mean):
+        p = ModelParams(j=2, kmax=kmax)
         u0 = broadband(p, seed=1, amplitude=0.01)
         traj = simulate(u0, 12e-4, 1e-4, mean=mean, stride=5)
         times, states, diags, _ = oracle_simulate(u0, 12, 1e-4, "full", 1.0, mean, 5)
@@ -231,6 +235,53 @@ class TestStepperParity:
                                                          blowup_factor=10.0)
         assert traj.blown_up and blown_up
         assert [s.t for s in traj.states] == times
+
+    def test_a_step_leaves_earlier_states_alone(self):
+        # the stepper owns its buffers: stepping again writes none of the states it returned
+        p = ModelParams(j=2, kmax=16.0)
+        stepper = IntegratingFactorRK4(p, 1e-4, mu=1.5)
+        s0 = SolverState(0.0, broadband(p, seed=13), 0.25)
+        before = s0.spec.amps.copy()
+        s1 = stepper.step(s0)
+        after_one = s1.spec.amps.copy()
+        s2 = stepper.step(s1)
+        assert np.array_equal(s0.spec.amps, before)
+        assert np.array_equal(s1.spec.amps, after_one)
+        assert not np.shares_memory(s1.spec.amps, s2.spec.amps)
+
+    @pytest.mark.parametrize("mode", ["full", "kdv", "linear"])
+    def test_every_state_of_a_stride_one_run_is_its_own(self, mode):
+        p = ModelParams(j=2, kmax=16.0)
+        u0 = broadband(p, seed=14)
+        traj = simulate(u0, 8e-4, 1e-4, mode=mode, mean=0.25, stride=1)
+        _, states, _, _ = oracle_simulate(u0, 8, 1e-4, mode, 1.0, 0.25, 1)
+        assert len(traj.states) == len(states) == 9
+        for i, (st, want) in enumerate(zip(traj.states, states, strict=True)):
+            assert np.array_equal(st.spec.amps, want)
+            for later in traj.states[i + 1:]:
+                assert not np.shares_memory(st.spec.amps, later.spec.amps)
+                assert not np.array_equal(st.spec.amps, later.spec.amps)
+
+    def test_steppers_stepped_alternately_give_what_each_gives_alone(self):
+        configs = [(ModelParams(j=2, kmax=16.0), "full", 0.0),
+                   (ModelParams(j=3, lam=2.0, kmax=8.0), "kdv", 0.25),
+                   (ModelParams(j=2, kmax=16.0), "linear", 0.25),
+                   (ModelParams(j=2, kmax=16.0), "kdv", 0.0),
+                   (ModelParams(j=3, lam=2.0, kmax=8.0), "full", 0.25)]
+        steppers = [IntegratingFactorRK4(p, 1e-4, mode=mode, mu=1.5) for p, mode, _ in configs]
+        states = [SolverState(0.0, broadband(p, seed=20 + i), mean)
+                  for i, (p, _, mean) in enumerate(configs)]
+        alone = []
+        for (p, mode, mean), s in zip(configs, states, strict=True):
+            stepper = IntegratingFactorRK4(p, 1e-4, mode=mode, mu=1.5)
+            for _ in range(5):
+                s = stepper.step(s)
+            alone.append(s)
+        for _ in range(5):
+            states = [stepper.step(s) for stepper, s in zip(steppers, states, strict=True)]
+        for s, want in zip(states, alone, strict=True):
+            assert np.array_equal(s.spec.amps, want.spec.amps)
+            assert (s.t, s.mean) == (want.t, want.mean)
 
     def test_phase_wrap_carried_by_the_trajectory(self):
         p = ModelParams(j=2, kmax=16.0)

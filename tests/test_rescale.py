@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from dcl.evolve import pde_residual, simulate
-from dcl.lattice import ModelParams, forward_transform, hs_norm, x_grid
+from dcl.lattice import (
+    ModelParams,
+    SpatialSpectrum,
+    bracket,
+    forward_transform,
+    hermitian_rows,
+    hs_norm,
+    x_grid,
+)
 from dcl.rescale import (
     hs_scaling_exponent,
     rescale_field,
@@ -14,6 +22,7 @@ from dcl.rescale import (
     rescale_trajectory,
     rescaled_residual,
 )
+from dcl.symbols import nonlinearity_F
 
 from conftest import hermitian_spectrum
 
@@ -80,6 +89,26 @@ class TestRescaleField:
         assert got == pytest.approx(0.5 - 2 * p.j, abs=1e-6)
         # negative s weakens the decay: the bracket helps small k
         assert hs_scaling_exponent(u, -1.0) > got
+
+
+class TestRescalingIdentityOfF:
+    @pytest.mark.parametrize("kdv", [False, True])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_F_of_the_dilated_field_is_the_dilated_F(self, j, lam, kdv):
+        # F_mu(u_mu, u_mu) = mu^-(2j+1) (F(u, u))_mu for u_mu = rescale_field(u, mu):
+        # each term of F carries one d_x and is quadratic in mu^(-2j) u(x/mu)
+        p = ModelParams(j=j, lam=lam, kmax=16.0)
+        rng = np.random.default_rng(100 * j + 10 * int(lam) + kdv)
+        m = p.nmax
+        k = p.k_values()[m + 1:]
+        for mu in rng.uniform(1.0, 8.0, size=4):
+            pos = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / bracket(k)
+            u = SpatialSpectrum(p, hermitian_rows(0.05 * pos))
+            u_mu = rescale_field(u, mu)
+            got = nonlinearity_F(u_mu, u_mu, mu=mu, kdv=kdv).amps
+            want = mu ** -(2 * j + 1) * rescale_field(nonlinearity_F(u, u, kdv=kdv), mu).amps
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), mu
 
 
 class TestRescaledResidual:
