@@ -18,11 +18,10 @@ is a node and the integral starts there.
 The state of a real field is the n > 0 half of its spectrum (see lattice).
 The stepper keeps its phases and mean coupling on that half, and simulate
 carries the half from step to step, building a full SpatialSpectrum only
-at the states it records.  Each stepper owns the buffers its steps write,
-so a step allocates only the fresh half it returns, and one stepper must
-not be stepped from two threads at once.  Picard iterates on (nt, nmax)
-blocks of halves too; it mirrors each iterate difference once, for its
-norms, and the iterates once at the end.
+at the states it records.  A stepper owns the buffers its steps write (a
+step allocates only the half it returns), so no two threads may step one
+at once.  Picard iterates on (nt, nmax) blocks of halves too; it mirrors
+each iterate difference once, for its norms, and the iterates once at the end.
 """
 
 from __future__ import annotations
@@ -38,13 +37,13 @@ from .lattice import (
     ModelParams,
     SpatialSpectrum,
     bracket,
+    grid_work,
     hermitian_rows,
     hs_norm,
     sobolev_weights,
 )
 from .symbols import (
     dispersion_symbol,
-    kernel_work,
     mean_coupling,
     nonlinearity_block,
     real_nonlinearity,
@@ -125,9 +124,9 @@ class IntegratingFactorRK4:
     The state must be a real field.  The stepper works on the n > 0 half of
     its spectrum: phases, mean coupling and F (symbols.real_nonlinearity)
     are all halves, and step mirrors the result into a full row once.
-    simulate and the one-off step check that their input is real.  The
-    stepper owns every buffer a step writes (built here, once), so it must
-    not be stepped from two threads at once; _advance returns a fresh half.
+    simulate and the one-off step check that their input is real.  Every
+    buffer a step writes is built here, once, so a stepper must not be
+    stepped from two threads at once; _advance returns a fresh half.
     """
 
     def __init__(self, params: ModelParams, dt: float, mode: str = "full",
@@ -151,47 +150,35 @@ class IntegratingFactorRK4:
         self.e_half_inv = np.conj(self.e_half)
         self.e_full_inv = np.conj(self.e_full)
         self.mean_mult = mean_coupling(k, mu, kdv=mode == "kdv")[half]
-        # what a step writes: the kernel's buffers, k1..k4, the stage argument, the
-        # accumulator and c * mean_mult; the scalars are 0-d arrays, as numpy
-        # converts a Python float on every call
-        self._work = kernel_work(params, mu, kdv=mode == "kdv")
-        *self._k, self._y, self._acc, self._coupling = np.empty((7, params.nmax), dtype=complex)
+        # the FFT buffers, k1..k4, stage argument, accumulator; 0-d scalars, faster in a ufunc
+        self._work = grid_work(params, params.default_grid(pad=2), nf=1 if mode == "kdv" else 2)
+        *self._k, self._y, self._acc = np.empty((6, params.nmax), dtype=complex)
         h, f, self._two, self._sixth = (np.array(complex(x)) for x in (dt / 2, dt, 2.0, dt / 6))
-        self._stages = ((h, self.e_half, self.e_half_inv), (h, self.e_half, self.e_half_inv),
-                        (f, self.e_full, self.e_full_inv))
+        self._stages = [(h, self.e_half, self.e_half_inv)] * 2 + [(f, self.e_full, self.e_full_inv)]
 
     def _rhs(self, u: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
-        """-(F(u, u) + c * mean_mult * u) into out; _advance sets _coupling to c * mean_mult."""
+        """-(F(u, u) + (c * mean_mult) * u) for the half u, written to out."""
         if self.mode == "linear":
             out.fill(0.0)
             return out
-        real_nonlinearity(u, u, self.params, mu=self.mu, kdv=self.mode == "kdv", out=out,
-                          work=self._work)
-        if c != 0.0:
-            out += np.multiply(self._coupling, u, out=self._acc)  # _acc is free until the sum
+        real_nonlinearity(u, u, self.params, self.mu, self.mode == "kdv", out, self._work)
+        if c != 0.0:  # _acc is free until the final sum
+            out += np.multiply(np.multiply(c, self.mean_mult, out=self._acc), u, out=self._acc)
         return np.negative(out, out=out)
 
     def _advance(self, u0: np.ndarray, c: float, t: float) -> np.ndarray:
         """The n > 0 half one step dt after the half u0 at time t, for mean c; a fresh array."""
-        # g(tau, v) = S(-tau) rhs(S(tau) v) at the stages around t; every product keeps the
-        # operand order of k2 = e_half_inv * rhs(e_half * (u0 + 0.5*dt*k1)) and
-        # v = u0 + (dt/6) * (k1 + 2*k2 + 2*k3 + k4): complex a*b and b*a can differ in the last bit
-        k1, k2, k3, k4 = self._k
-        y, acc = self._y, self._acc
-        if c != 0.0:
-            np.multiply(c, self.mean_mult, out=self._coupling)
+        # g(tau, v) = S(-tau) rhs(S(tau) v) at the stages, in place, with the operands in the order
+        # e_inv * rhs(e * (u0 + h*k)), u0 + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4): a*b may not be b*a
+        (k1, k2, k3, k4), y, acc = self._k, self._y, self._acc
         self._rhs(u0, c, k1)
         for (k_in, k_out), (scale, e, e_inv) in zip(((k1, k2), (k2, k3), (k3, k4)), self._stages):
-            np.multiply(scale, k_in, out=y)
-            np.add(u0, y, out=y)
-            np.multiply(e, y, out=y)
+            np.multiply(e, np.add(u0, np.multiply(scale, k_in, out=y), out=y), out=y)
             np.multiply(e_inv, self._rhs(y, c, k_out), out=k_out)
         np.add(k1, np.multiply(self._two, k2, out=k2), out=acc)
         acc += np.multiply(self._two, k3, out=k3)
         acc += k4
-        np.multiply(self._sixth, acc, out=acc)
-        np.add(u0, acc, out=acc)
-        u = self.e_full * acc
+        u = self.e_full * np.add(u0, np.multiply(self._sixth, acc, out=acc), out=acc)
         if not np.isfinite(u).all():
             raise FloatingPointError(
                 f"nonfinite amplitude at t={t + self.dt:.6g} "
@@ -429,17 +416,6 @@ class PicardResult:
         return SpatialSpectrum(self.params, self.iterates[-1][i])
 
 
-@functools.lru_cache(maxsize=4)  # the same table for every call on one grid and lattice
-def _picard_phases(params: ModelParams, nt: int):
-    """(S(t), S(-t)) rows on the n > 0 half at PicardConfig(nt=nt).t_grid(), read-only."""
-    disp = dispersion_symbol(params.k_values(), params.j)[params.nmax + 1:]
-    phases = np.exp(1j * np.outer(PicardConfig(nt=nt).t_grid(), disp))
-    phases_inv = np.conj(phases)
-    for arr in (phases, phases_inv):
-        arr.setflags(write=False)
-    return phases, phases_inv
-
-
 def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
                    mu: float = 1.0) -> PicardResult:
     """Run w^0 = eta S(t) u0, w^(n+1) = Phi(w^n) and report contraction ratios.
@@ -482,7 +458,8 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     t = cfg.t_grid()
     i0 = nt // 2  # t = 0
     eta = bump_eta(t)[:, None]
-    phases, phases_inv = _picard_phases(p, nt)
+    phases = np.exp(1j * np.outer(t, dispersion_symbol(p.k_values(), p.j)[half]))  # S(t) rows
+    phases_inv = np.conj(phases)
     free = eta * (phases * u0.amps[None, half])
     h = float(t[1] - t[0])
     w = free

@@ -246,22 +246,22 @@ def x_grid(params: ModelParams, nx: int) -> np.ndarray:
     return np.arange(nx) * (params.period() / nx)
 
 
-GridWork = namedtuple("GridWork", "half rows grid spectrum parts scales")
+GridWork = namedtuple("GridWork", "half rows grid spectrum parts")
 
 
 def grid_work(params: ModelParams, nx: int, nf: int) -> GridWork:
-    """The buffers the packing pair writes for nf fields of one (nmax,) half each, built once.
-
-    rows are the views of half (zero outside bins 1..nmax) that the fields
-    go to, and parts the (pos, zero, tail) views of spectrum.  scales are
-    0-d arrays, as numpy converts a Python float on every call.
-    """
-    m, c = params.nmax, TWO_PI_SQRT * params.lam
-    half = np.zeros((nf, nx // 2 + 1), dtype=complex)
+    """The packing pair's buffers for nf (nmax,) halves, with the views it writes and returns."""
+    m, half = params.nmax, np.zeros((nf, nx // 2 + 1), dtype=complex)
     spectrum = np.empty_like(half)
     return GridWork(half, tuple(half[:, 1:m + 1]), np.empty((nf, nx)), spectrum,
-                    (spectrum[:, 1:m + 1], spectrum[:, 0], spectrum[:, m + 1:]),
-                    (np.array(complex(1.0 / c)), np.array(complex(c))))
+                    (spectrum[:, 1:m + 1], spectrum[:, 0], spectrum[:, m + 1:]))
+
+
+@functools.lru_cache(maxsize=16)
+def _fft_scales(lam: float):
+    """(1/c, c), c = sqrt(2*pi)*lam, read-only 0-d: a ufunc takes them faster than floats."""
+    c = TWO_PI_SQRT * lam
+    return np.broadcast_to(complex(1.0 / c), ()), np.broadcast_to(complex(c), ())
 
 
 def lattice_to_grid(pos, params: ModelParams, nx: int, work: GridWork | None = None) -> np.ndarray:
@@ -270,31 +270,29 @@ def lattice_to_grid(pos, params: ModelParams, nx: int, work: GridWork | None = N
     pos is a (..., nmax) block of halves, one field per row, or a sequence
     of such blocks, whose fields come out stacked along a new axis -2 (the
     nonlinearity's u and u_x) without being stacked first.  Complex fields
-    go through `hermitian_parts` first.  A caller that transforms nf
-    (nmax,) halves many times passes them as a sequence with work =
-    grid_work(params, nx, nf): the call then writes work.half and returns
-    work.grid.
+    go through `hermitian_parts` first.  work = grid_work(params, nx, nf),
+    for a sequence of nf (nmax,) halves, lets a caller that transforms many
+    times allocate nothing: the call writes work.half and returns work.grid.
     """
     m = params.nmax
-    scale = 1.0 / (TWO_PI_SQRT * params.lam)
+    scale = _fft_scales(params.lam)[0]
     if work is not None:
-        half, grid = work.half, work.grid
+        half = work.half
         for block, row in zip(pos, work.rows, strict=True):
-            np.multiply(block, work.scales[0], out=row)
+            np.multiply(block, scale, out=row)
     elif isinstance(pos, np.ndarray):
-        half, grid = np.zeros(pos.shape[:-1] + (nx // 2 + 1,), dtype=complex), None
+        half = np.zeros(pos.shape[:-1] + (nx // 2 + 1,), dtype=complex)
         np.multiply(pos, scale, out=half[..., 1:m + 1])
     else:
-        half, grid = np.zeros(np.shape(pos[0])[:-1] + (len(pos), nx // 2 + 1), dtype=complex), None
+        half = np.zeros(np.shape(pos[0])[:-1] + (len(pos), nx // 2 + 1), dtype=complex)
         for i, block in enumerate(pos):
             np.multiply(block, scale, out=half[..., i, 1:m + 1])
+    grid = np.empty(half.shape[:-1] + (nx,)) if work is None else work.grid
     fft = _pocketfft()
-    if fft is not None:
-        return fft.irfft(half, 1.0, out=np.empty(half.shape[:-1] + (nx,)) if grid is None else grid)
-    if grid is None:
-        return np.fft.irfft(half, n=nx, axis=-1, norm="forward")
-    grid[...] = np.fft.irfft(half, n=nx, axis=-1, norm="forward")
-    return grid
+    if fft is None:
+        grid[...] = np.fft.irfft(half, n=nx, axis=-1, norm="forward")
+        return grid
+    return fft.irfft(half, 1.0, out=grid)
 
 
 def grid_to_lattice(samples, params: ModelParams, work: GridWork | None = None):
@@ -304,8 +302,8 @@ def grid_to_lattice(samples, params: ModelParams, work: GridWork | None = None):
     it a full row); zero is the k=0 amplitude (sqrt(2*pi)*lam times the
     mean); tail holds the real FFT's bins beyond kmax (n = nmax+1 .. nx//2),
     which are dropped and whose mass `dropped_mass` gives.  With work (see
-    lattice_to_grid), for float64 samples shaped as work.grid, the result
-    is work.parts.
+    lattice_to_grid), for samples shaped as work.grid, the result is
+    work.parts, views of work.spectrum.
     """
     m = params.nmax
     f = np.asarray(samples)
@@ -315,14 +313,10 @@ def grid_to_lattice(samples, params: ModelParams, work: GridWork | None = None):
         fhat = np.fft.rfft(f, axis=-1, norm="forward")
     else:
         rfft = fft.rfft_n_even if nx % 2 == 0 else fft.rfft_n_odd
-        shape = f.shape[:-1] + (nx // 2 + 1,)
-        out = np.empty(shape, dtype=complex) if work is None else work.spectrum
+        out = work.spectrum if work else np.empty(f.shape[:-1] + (nx // 2 + 1,), dtype=complex)
         fhat = rfft(f, 1.0 / nx, out=out)
-    if work is not None:
-        np.multiply(fhat, work.scales[1], out=work.spectrum)
-        return work.parts
-    fhat *= TWO_PI_SQRT * params.lam
-    return fhat[..., 1:m + 1], fhat[..., 0], fhat[..., m + 1:]
+    fhat = np.multiply(fhat, _fft_scales(params.lam)[1], out=work.spectrum if work else fhat)
+    return work.parts if work else (fhat[..., 1:m + 1], fhat[..., 0], fhat[..., m + 1:])
 
 
 def hermitian_rows(pos) -> np.ndarray:

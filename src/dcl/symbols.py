@@ -25,7 +25,6 @@ convolution that cross-checks them is an oracle of the tests
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache, partial
 
 import numpy as np
@@ -35,7 +34,6 @@ from .lattice import (
     SpatialSpectrum,
     dropped_mass,
     grid_to_lattice,
-    grid_work,
     hermitian_parts,
     hermitian_rows,
     is_real_block,
@@ -97,7 +95,7 @@ def padded_product(a, b, params: ModelParams, work=None):
     nx = params.default_grid(pad=2): that grid resolves |k| <= 2*kmax, so
     the quadratic product is alias-free and tail holds all of it beyond
     kmax.  One irfft per factor (b = a: a alone), one rfft the products,
-    into work (lattice.grid_work for a) if given.
+    into work (lattice.grid_work for a's fields) if given.
     """
     nx = params.default_grid(pad=2) if work is None else work.grid.shape[-1]
     f = lattice_to_grid(a, params, nx, work)
@@ -124,15 +122,6 @@ def _kernel_symbols(params: ModelParams, mu: float, kdv: bool):
     return ik, m_uv, m_dd
 
 
-KernelWork = namedtuple("KernelWork", "symbols grid prods")
-
-
-def kernel_work(params: ModelParams, mu: float = 1.0, kdv: bool = False) -> KernelWork:
-    """real_nonlinearity's work on one (nmax,) half: symbols, grid buffers, product rows."""
-    grid = grid_work(params, params.default_grid(pad=2), nf=1 if kdv else 2)
-    return KernelWork(_kernel_symbols(params, mu, kdv), grid, tuple(grid.parts[0]))
-
-
 def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False,
                       out=None, work=None):
     """(F(a, b), tails) for the real fields with n > 0 halves a and b, (..., nmax) blocks.
@@ -144,25 +133,21 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     the dropped tail of the i-th product, u v and then (unless kdv) u_x v_x,
     for lattice.dropped_mass on the pad=2 grid.  The stepper and Picard,
     whose states are halves, call this directly; other callers use
-    nonlinearity_block.
-
-    out, if given, is a buffer of a's shape, sharing no memory with a or b,
-    that F is written to (it holds a_x until the transform has read it).
-    With work = kernel_work(params, mu, kdv) too, for one (nmax,) half, the
-    call allocates nothing, and tails views work's spectrum.
+    nonlinearity_block.  F goes to out if given: a's shape, no memory
+    shared with a or b.  With work = lattice.grid_work(params,
+    params.default_grid(pad=2), nf) too, for one (nmax,) half and nf = 1
+    (kdv) or 2, the call allocates nothing.
     """
-    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv) if work is None else work.symbols
+    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv)
 
     def fields(x, x_out=None):
         return (x,) if m_dd is None else (x, np.multiply(ik, x, out=x_out))
 
     sa = fields(a, out)
-    prods, _, tails = padded_product(sa, sa if b is a else fields(b), params,
-                                     None if work is None else work.grid)
-    rows = work.prods if work is not None else (prods[..., 0, :], prods[..., -1, :])  # u_x v_x last
-    out = np.multiply(m_uv, rows[0], out=out)
+    prods, _, tails = padded_product(sa, sa if b is a else fields(b), params, work)
+    out = np.multiply(m_uv, prods[..., 0, :], out=out)
     if m_dd is not None:
-        out += np.multiply(m_dd, rows[1], out=rows[1])
+        out += np.multiply(m_dd, prods[..., 1, :], out=prods[..., 1, :])
     return out, tails
 
 
