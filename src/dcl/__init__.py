@@ -11,7 +11,6 @@ rescaling/contraction experiments.
 
 from .lattice import (
     ModelParams,
-    NormSpec,
     SpatialSpectrum,
     forward_transform,
     hs_norm,
@@ -46,7 +45,6 @@ from .bourgain import (
     classify_region,
     from_characteristic,
     from_time_samples,
-    norm,
     sigma,
     st_convolve,
     verify_embeddings,

@@ -58,7 +58,6 @@ import numpy as np
 
 from .lattice import (
     ModelParams,
-    NormSpec,
     SpatialSpectrum,
     bracket,
     hs_norm,
@@ -552,23 +551,6 @@ def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
 
 def ws_norm(u: SpaceTimeSpectrum, s: float) -> float:
     return xsb_norm(u, s, 0.5) + ys_norm(u, s)
-
-
-def norm(obj, ns: NormSpec) -> float:
-    """Evaluate any NormSpec: Hs on spatial spectra, the rest on space-time spectra."""
-    if ns.kind == "Hs":
-        if not isinstance(obj, SpatialSpectrum):
-            raise TypeError("Hs acts on spatial spectra")
-        return hs_norm(obj, ns.s)
-    if not isinstance(obj, SpaceTimeSpectrum):
-        raise TypeError(f"{ns.kind} acts on space-time spectra")
-    if ns.kind == "Xsb":
-        return xsb_norm(obj, ns.s, ns.b)
-    if ns.kind == "Ys":
-        return ys_norm(obj, ns.s)
-    if ns.kind == "Zs":
-        return zs_norm(obj, ns.s)
-    return ws_norm(obj, ns.s)
 
 
 # -- bilinear machinery -----------------------------------------------------------

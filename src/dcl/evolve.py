@@ -17,11 +17,14 @@ is a node and the integral starts there.
 
 The state of a real field is the n > 0 half of its spectrum (see lattice).
 The stepper keeps its phases and mean coupling on that half, and simulate
-carries the half from step to step, building a full SpatialSpectrum only
-at the states it records.  A stepper owns the buffers its steps write (a
-step allocates only the half it returns), so no two threads may step one
-at once.  Picard iterates on (nt, nmax) blocks of halves too; it mirrors
-each iterate difference once, for its norms, and the iterates once at the end.
+carries the half from step to step.  A Trajectory is one block: simulate
+writes each recorded half into a preallocated (n_rec, nmax) block, mirrors
+it into full rows once at the end and takes the diagnostics of all rows in
+one pass; rescale_trajectory and pde_residual act on the block.  A stepper
+owns the buffers its steps write (a step allocates only the half it
+returns), so no two threads may step one at once.  Picard iterates on
+(nt, nmax) blocks of halves too; it mirrors each iterate difference once,
+for its norms, and the iterates once at the end.
 """
 
 from __future__ import annotations
@@ -64,29 +67,51 @@ class SolverState:
     mean: float = 0.0
 
 
-@dataclass
 class Trajectory:
-    params: ModelParams
-    dt: float
-    mode: str
-    states: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-    blown_up: bool = False
-    phase_wrap: float = 0.0  # dt * max |P(k)|, the stepper's phase-wrap number
+    """A run's recorded states as read-only arrays: row i of amps at times[i], mean means[i].
+
+    diag holds simulate's energy, l2, hs and max_mode columns; it is empty for
+    a trajectory rescaled or built from SolverStates (the states argument).
+    states and diagnostics are derived from the arrays on every read.
+    """
+
+    DIAGNOSTICS = ("t", "energy", "mean", "l2", "hs", "max_mode")
+
+    def __init__(self, params: ModelParams, dt: float, mode: str, states=(), *, amps=None,
+                 times=None, means=None, diag=None, blown_up=False, phase_wrap=0.0):
+        if amps is None:
+            amps = np.array([s.spec.amps for s in states], complex)
+            amps = amps.reshape(len(states), 2 * params.nmax + 1)
+            times = np.array([s.t for s in states], float)
+            means = np.array([s.mean for s in states], float)
+        self.params, self.dt, self.mode, self.diag = params, dt, mode, diag or {}
+        self.amps, self.times, self.means = amps, times, means
+        for a in (amps, times, means):
+            a.setflags(write=False)
+        self.blown_up = blown_up
+        self.phase_wrap = phase_wrap  # dt * max |P(k)|, the stepper's phase-wrap number
 
     @property
     def phase_wrap_ok(self) -> bool:
         return self.phase_wrap < PHASE_WRAP_LIMIT
 
-    def times(self):
-        return np.array([s.t for s in self.states])
+    @property
+    def states(self) -> tuple:
+        """Every recorded SolverState, built anew on each read; loops should read the arrays."""
+        return tuple(SolverState(t, SpatialSpectrum(self.params, a), c) for t, a, c
+                     in zip(self.times.tolist(), self.amps, self.means.tolist()))
+
+    def _rows(self):
+        """The diagnostics of each state as a tuple of floats in DIAGNOSTICS order."""
+        cols = {"t": self.times, "mean": self.means, **self.diag}
+        return zip(*(cols[name].tolist() for name in self.DIAGNOSTICS)) if self.diag else ()
+
+    @property
+    def diagnostics(self) -> list:
+        return [dict(zip(self.DIAGNOSTICS, row)) for row in self._rows()]
 
     def diagnostics_csv(self) -> str:
-        rows = ["t,energy,mean,l2,hs,max_mode"]
-        for d in self.diagnostics:
-            rows.append(
-                f"{d['t']!r},{d['energy']!r},{d['mean']!r},{d['l2']!r},{d['hs']!r},{d['max_mode']!r}"
-            )
+        rows = [",".join(self.DIAGNOSTICS), *(",".join(map(repr, r)) for r in self._rows())]
         return "\n".join(rows) + "\n"
 
 
@@ -199,20 +224,6 @@ def step(state: SolverState, dt: float, mode: str = "full", mu: float = 1.0) -> 
     return IntegratingFactorRK4(state.spec.params, dt, mode=mode, mu=mu).step(state)
 
 
-def _diag_row(state: SolverState, hs_s: float) -> dict:
-    spec = state.spec
-    p = spec.params
-    mean_energy = 2.0 * math.pi * p.lam * state.mean**2
-    return {
-        "t": state.t,
-        "energy": energy(spec) + mean_energy,
-        "mean": state.mean,
-        "l2": hs_norm(spec, 0.0),
-        "hs": hs_norm(spec, hs_s),
-        "max_mode": float(np.abs(spec.amps).max()),
-    }
-
-
 def _require_real(spec: SpatialSpectrum, what: str):
     if not spec.is_hermitian():
         raise ValueError(f"{what} must be a real field (a Hermitian spectrum, "
@@ -248,47 +259,63 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
         raise ValueError(f"T={T!r} is not a whole number of steps dt={dt!r}")
     p = u0.params
     stepper = IntegratingFactorRK4(p, dt, mode=mode, mu=mu)
-    traj = Trajectory(p, dt, mode, phase_wrap=stepper.phase_wrap)
-    state = SolverState(0.0, u0, mean)
-    traj.states.append(state)
-    traj.diagnostics.append(_diag_row(state, hs_s))
-    if T == 0:
-        return traj
+    # row 0 is u0's own amps; the later rows are recorded as halves and mirrored once
+    halves = np.empty((1 + nsteps // stride + (nsteps % stride > 0), p.nmax), dtype=complex)
+    times = np.zeros(len(halves))
+    rec, blown_up = 1, True  # blown_up until the loop reaches T
     # blow-up check: the squared H^1 norm of a real field is (2/lam) sum over n > 0
     h1_weights = sobolev_weights(p, 1.0)[p.nmax + 1:]
     h1_limit = 0.5 * p.lam * (blowup_factor * max(hs_norm(u0, 1.0), 1e-300)) ** 2
+    re2, im2 = np.empty((2, p.nmax))  # |u|^2 = re^2 + im^2, squared into these
     u = u0.amps[p.nmax + 1:]
     for n in range(1, nsteps + 1):
         try:
             u = stepper._advance(u, mean, (n - 1) * dt)
         except FloatingPointError:
-            traj.blown_up = True
             break
         if n % stride == 0 or n == nsteps:
-            state = SolverState(n * dt, SpatialSpectrum(p, hermitian_rows(u)), mean)
-            traj.states.append(state)
-            traj.diagnostics.append(_diag_row(state, hs_s))
-        if h1_weights @ (u.real ** 2 + u.imag ** 2) > h1_limit:
-            traj.blown_up = True
+            halves[rec], times[rec] = u, n * dt
+            rec += 1
+        np.square(u.real, out=re2)
+        np.square(u.imag, out=im2)
+        if h1_weights @ np.add(re2, im2, out=re2) > h1_limit:
             break
-    return traj
+    else:
+        blown_up = False
+    amps = hermitian_rows(halves[:rec])
+    amps[0] = u0.amps
+    return Trajectory(p, dt, mode, amps=amps, times=times[:rec], means=np.full(rec, float(mean)),
+                      diag=_diagnostics(p, amps, mean, hs_s), blown_up=blown_up,
+                      phase_wrap=stepper.phase_wrap)
+
+
+def _diagnostics(p: ModelParams, amps: np.ndarray, mean: float, hs_s: float) -> dict:
+    """energy (with the mean's share), l2, hs and max_mode of each row of amps, in one pass.
+
+    Each row is reduced on its own, so its values are bit for bit those of the one-state formulas.
+    """
+    mod = np.abs(amps)
+    max_mode = mod.max(axis=1)
+    mod2 = np.square(mod, out=mod)
+    weighted = np.empty_like(mod2)
+
+    def weighted_sums(w):
+        return np.sum(np.multiply(w, mod2, out=weighted), axis=1)
+
+    return {"energy": weighted_sums(_energy_weights(p)) / p.lam + 2.0 * math.pi * p.lam * mean**2,
+            "l2": np.sqrt(np.sum(mod2, axis=1) / p.lam),  # the H^0 weights are all 1.0
+            "hs": np.sqrt(weighted_sums(sobolev_weights(p, hs_s)) / p.lam),
+            "max_mode": max_mode}
 
 
 # -- residual of the PDE along a trajectory -----------------------------------
 
 def _time_derivatives(amps: np.ndarray, h: float):
-    """4th-order central u_t on the interior, plus a differencing error estimate."""
-    n = amps.shape[0]
-    if n < 7:
-        raise ValueError(
-            "trajectory too coarse for residual evaluation: need >= 7 equispaced "
-            "samples (reduce the stride or the sampling dt)"
-        )
+    """4th-order central u_t on the interior of >= 7 rows, plus a differencing error estimate."""
     ut = (-amps[4:] + 8 * amps[3:-1] - 8 * amps[1:-3] + amps[:-4]) / (12.0 * h)
     # leading truncation term is h^4 u^(5)/30; estimate u^(5) h^5 by 5th differences
     d5 = np.diff(amps, n=5, axis=0)
-    est = float(np.abs(d5).max() / (30.0 * h)) if d5.size else 0.0
-    return ut, est
+    return ut, float(np.abs(d5).max() / (30.0 * h))
 
 
 def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
@@ -302,10 +329,9 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     """
     if mode is None:
         mode = traj.mode
-    states = traj.states
-    times = np.array([s.t for s in states])
+    times, amps, p = traj.times, traj.amps, traj.params
     hs = np.diff(times)
-    if len(states) < 7:
+    if len(times) < 7:
         raise ValueError(
             "trajectory too coarse for residual evaluation: need >= 7 samples; "
             "re-run simulate with a smaller stride"
@@ -313,8 +339,6 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     if not (np.all(hs > 0) and np.allclose(hs, hs[0], rtol=1e-8, atol=0.0)):
         raise ValueError("residual evaluation needs uniformly sampled states")
     h = float(hs[0])
-    p = states[0].spec.params
-    amps = np.stack([s.spec.amps for s in states])
     ut, diff_err = _time_derivatives(amps, h)
     k = p.k_values()
     inner = amps[2:-2]  # the states ut is known at
@@ -322,14 +346,14 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     if mode != "linear":
         kdv = mode == "kdv"
         coupling = mean_coupling(k, mu, kdv)
-        means = np.array([st.mean for st in states[2:-2]])[:, None]
+        means = traj.means[2:-2, None]
         for lo in range(0, len(res), RESIDUAL_CHUNK):
             hi = lo + RESIDUAL_CHUNK
             u = inner[lo:hi]
             res[lo:hi] += (nonlinearity_block(u, u, p, mu=mu, kdv=kdv)[0]
                            + means[lo:hi] * coupling * u)
     if forcing is not None:
-        res -= np.stack([forcing(st.t).amps for st in states[2:-2]])
+        res -= np.stack([forcing(t).amps for t in times[2:-2].tolist()])
     per_time = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
     return {
         "max_residual": max(per_time),

@@ -227,21 +227,6 @@ def _pocketfft():
     return _pocketfft_umath
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Selects one of the five norms: kind in {Hs, Xsb, Ys, Zs, Ws}."""
-
-    kind: str
-    s: float
-    b: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("Hs", "Xsb", "Ys", "Zs", "Ws"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "Xsb" and (self.b is None or not math.isfinite(self.b)):
-            raise ValueError("Xsb requires a finite b")
-
-
 def x_grid(params: ModelParams, nx: int) -> np.ndarray:
     return np.arange(nx) * (params.period() / nx)
 

@@ -11,15 +11,23 @@
   single cells of a SpaceTimeSpectrum; sigma is computed in exact rationals.
 - `region_partition_report` is dcl's region-partition report with each
   label checked against `region_memberships` one point at a time.
+- `NormSpec` and `norm` select and evaluate one of the five norms by name;
+  dcl calls each norm directly.
+- `rescale_state` is the per-state dilation that dcl.rescale.rescale_trajectory
+  applies to a whole trajectory block at once.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from dcl import bourgain
 from dcl.bourgain import REGION_LABELS, SpaceTimeSpectrum, region_memberships
-from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum, lattice_ks
+from dcl.evolve import SolverState
+from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum, hs_norm, lattice_ks
+from dcl.rescale import rescale_field
 from dcl.symbols import dispersion_symbol, nonlinearity_multipliers
 
 
@@ -156,3 +164,49 @@ def region_partition_report(params, kbound=64.0, sigma_bound=1e4, n_sigma=65) ->
                 bad += 1
     return {"points": codes.size, "mislabels": bad, "pass": bad == 0,
             "kbound": kbound, "sigma_bound": sigma_bound}
+
+
+# -- the norms by name ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NormSpec:
+    """Selects one of the five norms: kind in {Hs, Xsb, Ys, Zs, Ws}."""
+
+    kind: str
+    s: float
+    b: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("Hs", "Xsb", "Ys", "Zs", "Ws"):
+            raise ValueError(f"unknown norm kind {self.kind!r}")
+        if self.kind == "Xsb" and (self.b is None or not math.isfinite(self.b)):
+            raise ValueError("Xsb requires a finite b")
+
+
+def norm(obj, ns: NormSpec) -> float:
+    """Evaluate any NormSpec: Hs on spatial spectra, the rest on space-time spectra."""
+    if ns.kind == "Hs":
+        if not isinstance(obj, SpatialSpectrum):
+            raise TypeError("Hs acts on spatial spectra")
+        return hs_norm(obj, ns.s)
+    if not isinstance(obj, SpaceTimeSpectrum):
+        raise TypeError(f"{ns.kind} acts on space-time spectra")
+    if ns.kind == "Xsb":
+        return bourgain.xsb_norm(obj, ns.s, ns.b)
+    if ns.kind == "Ys":
+        return bourgain.ys_norm(obj, ns.s)
+    if ns.kind == "Zs":
+        return bourgain.zs_norm(obj, ns.s)
+    return bourgain.ws_norm(obj, ns.s)
+
+
+# -- the dilation, one state at a time ----------------------------------------------------
+
+def rescale_state(state: SolverState, mu: float) -> SolverState:
+    """state under u -> mu^(-2j) u(x/mu, t/mu^(2j+1)): t, spectrum and mean each rescaled."""
+    j = state.spec.params.j
+    return SolverState(
+        t=state.t * mu ** (2 * j + 1),
+        spec=rescale_field(state.spec, mu),
+        mean=state.mean * mu ** (-2 * j),
+    )

