@@ -239,7 +239,7 @@ class SpaceTimeSpectrum:
         for n, segs in (bands or {}).items():
             if n == 0:
                 raise ValueError("zero mode is excluded from spectra")
-            for m0, a in [segs] if isinstance(segs, tuple) else segs:
+            for m0, a in segs:
                 ns.append(int(n))
                 m0s.append(int(m0))
                 rows.append(np.asarray(a, dtype=complex))
@@ -310,8 +310,8 @@ class SpaceTimeSpectrum:
                 self._segment_sigma(self._band_n, band, self.seg_m0[seg:], offsets))
 
     def _k_symbol(self, fn) -> np.ndarray:
-        """fn(k) per cell, fn called once per band with a scalar k."""
-        return np.array([fn(k) for k in self._band_k.tolist()])[self._cell_band]
+        """fn(k) per cell: fn is called once, on the array of band ks, mapping it elementwise."""
+        return fn(self._band_k)[self._cell_band]
 
     def grids_match(self, other) -> bool:
         return (
@@ -389,17 +389,6 @@ class SpaceTimeSpectrum:
                            np.concatenate([self.amps, other.amps]))
         return SpaceTimeSpectrum._from_layout(self.params, self.dtau, self.tau0, *layout)
 
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def apply_k(self, fn) -> "SpaceTimeSpectrum":
-        """Multiply each band by the symbol fn(k)."""
-        return self._with_amps(self._k_symbol(fn) * self.amps)
-
-    def apply_sigma(self, fn) -> "SpaceTimeSpectrum":
-        """Multiply each cell by fn(sigma) at the cell center (midpoint rule)."""
-        return self._with_amps(fn(self._sigma) * self.amps)
-
 
 def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
                         sigma_halfwidth: float = 2.0, profile=None) -> SpaceTimeSpectrum:
@@ -407,9 +396,12 @@ def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
 
     Each carried mode k receives the cells with |tau - P(k)| <= sigma_halfwidth,
     weighted by profile(sigma) (default: flat).  The default window [-2, 2]
-    matches the time-cutoff bandwidth used everywhere else.
+    matches the time-cutoff bandwidth used everywhere else.  A halfwidth
+    that is not finite and >= 0 is a ValueError.
     """
     _check_dtau(dtau)
+    if not (math.isfinite(sigma_halfwidth) and sigma_halfwidth >= 0):
+        raise ValueError(f"sigma_halfwidth must be finite and >= 0, got {sigma_halfwidth}")
     p = spec.params
     w = int(round(sigma_halfwidth / dtau))
     q = 1.0 / dtau
@@ -577,7 +569,8 @@ def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
     """Normalized space-time convolution (1/lam) dtau sum_{k1,tau1} u(k-k1,..) v(k1,..).
 
     pre1/pre2 are optional per-k input symbols (e.g. ik for a derivative
-    hitting one factor), each called once per band with a scalar k.  Output
+    hitting one factor), each called once with the array of its input's
+    band ks; a symbol must map that array elementwise.  Output
     beyond kmax, and the excluded k=0 column, are dropped; their L2 mass is
     recorded as truncated_mass.  Segments are grouped by length, each pair
     of groups convolves all its segment pairs at once, and _assemble lays

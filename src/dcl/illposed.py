@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bourgain import SpaceTimeSpectrum, st_convolve, ws_norm
+from .bourgain import SpaceTimeSpectrum, _check_dtau, st_convolve, ws_norm
 from .lattice import ModelParams, bracket
 from .symbols import dispersion_symbol, nonlinearity_multipliers
 
@@ -51,6 +51,7 @@ def build_counterexample(N: int, j: int, dtau: float = 0.125):
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    _check_dtau(dtau)
     if dtau > 2.0:
         raise ValueError(f"slab of width 2 is narrower than dtau={dtau}")
     q = 1.0 / dtau
@@ -78,17 +79,21 @@ def duhamel_weighted_bilinear(u1: SpaceTimeSpectrum, u2: SpaceTimeSpectrum,
     """W^s size of <sigma>^(-1) F(u1, u2), F the model's bilinear symbol.
 
     F's two multipliers (mu = 1) act on the plain convolution and on the
-    convolution of derivatives.
+    convolution of derivatives.  st_convolve's output layout depends only
+    on its inputs' segment tables, never on the amplitudes, so both
+    convolutions share one layout and F is their cellwise sum, written
+    into the plain convolution's cells and then scaled by <sigma>^(-1).
     """
     conv = st_convolve(u1, u2)
-    dconv = st_convolve(u1, u2, pre1=lambda k: 1j * k, pre2=lambda k: 1j * k)
     if conv.n_cells() == 0:
         warnings.warn("slab supports do not interact; returning 0", stacklevel=2)
         return 0.0
-    out = conv.apply_k(lambda k: nonlinearity_multipliers(k)[0]) \
-        + dconv.apply_k(lambda k: nonlinearity_multipliers(k)[1])
-    out = out.apply_sigma(lambda sig: 1.0 / bracket(sig))
-    return ws_norm(out, s)
+    dconv = st_convolve(u1, u2, pre1=lambda k: 1j * k, pre2=lambda k: 1j * k)
+    m_uv, m_dd = nonlinearity_multipliers(conv._band_k)
+    band = conv._cell_band
+    conv.amps = m_uv[band] * conv.amps + m_dd[band] * dconv.amps
+    conv.amps *= 1.0 / bracket(conv._sigma)
+    return ws_norm(conv, s)
 
 
 @dataclass

@@ -406,6 +406,16 @@ class TestSpaceTimeSpectrum:
             with pytest.raises(ValueError, match="dtau must be finite and positive"):
                 call()
 
+    @pytest.mark.parametrize("halfwidth", [-1.0, math.nan, math.inf])
+    def test_sigma_halfwidth_not_finite_and_nonnegative_rejected(self, params8, halfwidth):
+        spec = hermitian_spectrum(params8, seed=3)
+        calls = (lambda: from_characteristic(spec, sigma_halfwidth=halfwidth),
+                 lambda: random_spectrum(params8, np.random.default_rng(0),
+                                         sigma_halfwidth=halfwidth))
+        for call in calls:
+            with pytest.raises(ValueError, match="sigma_halfwidth must be finite and >= 0"):
+                call()
+
     def test_zs_rejects_j1(self):
         p = ModelParams(j=1, kmax=8.0)
         u = oracles.st_from_cells(p, 0.25, {(1, 0): 1.0})
@@ -561,6 +571,36 @@ class TestBatchedConvolution:
             assert m0 == segs[0][0] and np.abs(a - segs[0][1]).max() < 1e-12
         assert out.truncated_mass == mass == 0.0
 
+    @pytest.mark.parametrize("case", sorted(_CONV_CASES))
+    def test_layout_does_not_depend_on_the_symbols(self, case):
+        # the premise of illposed's in-place sum of the two convolutions
+        params, lay_u, lay_v = _CONV_CASES[case]
+        rng = np.random.default_rng(35)
+        u = segmented_spectrum(params, rng, lay_u)
+        v = segmented_spectrum(params, rng, lay_v, tau0=0.125)
+        ik = lambda k: 1j * k
+        plain, deriv = st_convolve(u, v), st_convolve(u, v, ik, ik)
+        assert plain.n_cells() > 0
+        for name in ("seg_n", "seg_m0", "offsets"):
+            assert np.array_equal(getattr(plain, name), getattr(deriv, name))
+
+    def test_symbol_called_once_on_the_band_ks(self):
+        params, lay_u, lay_v = _CONV_CASES["unequal"]
+        rng = np.random.default_rng(36)
+        u = segmented_spectrum(params, rng, lay_u)
+        v = segmented_spectrum(params, rng, lay_v)
+        seen = []
+
+        def counting(k):
+            seen.append(k)
+            return 1j * k
+
+        st_convolve(u, v, counting, None)
+        st_convolve(u, v, None, counting)
+        assert len(seen) == 2 and all(isinstance(k, np.ndarray) for k in seen)
+        assert np.array_equal(seen[0], np.unique(u.seg_n) / params.lam)
+        assert np.array_equal(seen[1], np.unique(v.seg_n) / params.lam)
+
     def test_overlapping_outputs_merge(self):
         params, lay_u, lay_v = _CONV_CASES["overlap"]
         rng = np.random.default_rng(32)
@@ -712,12 +752,10 @@ class TestTimeSamples:
     def test_derived_spectra_are_unmarked(self):
         p = ModelParams(j=2, kmax=4.0)
         u = from_time_samples(*real_trajectory(p, 33, seed=5), p)
-        derived = (u.scaled(1j), u.apply_k(lambda k: 1j * k), u.apply_sigma(bracket),
-                   u + u, st_convolve(u, u))
+        derived = (u.scaled(1j), u + u, st_convolve(u, u))
         assert u._real and not any(x._real for x in derived)
         assert not u.scaled(1j).is_hermitian()
-        assert xsb_norm(derived[2], 0.0, 0.0) == pytest.approx(xsb_norm(u, 0.0, 1.0), rel=1e-13)
-        assert ys_norm(derived[3], -0.25) == pytest.approx(2 * ys_norm(u, -0.25), rel=1e-13)
+        assert ys_norm(derived[1], -0.25) == pytest.approx(2 * ys_norm(u, -0.25), rel=1e-13)
         assert u._real  # the source keeps its mark
 
     def test_extra_columns_rejected(self):

@@ -186,6 +186,11 @@ class TestIllposed:
     def test_nonpositive_side_exit_one(self, tmp_path):
         assert run(tmp_path, "illposed", "--s", "-200", "--N-list", "16,32,64") == 1
 
+    @pytest.mark.parametrize("dtau", ["0", "-0.5", "nan"])
+    def test_bad_slab_dtau_exit_one(self, tmp_path, capsys, dtau):
+        assert run(tmp_path, "illposed", "--N-list", "16,32,64", "--slab-dtau", dtau) == 1
+        assert "error: dtau must be finite and positive" in capsys.readouterr().err
+
 
 class TestProbe:
     def test_seed_mandatory(self, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dcl.bourgain import ws_norm
+from dcl.bourgain import BILINEAR_FORMS, bilinear_output, random_spectrum, ws_norm
 from dcl.illposed import (
     CollisionReport,
     CounterexampleConfig,
@@ -13,7 +13,7 @@ from dcl.illposed import (
     collision_scan,
     duhamel_weighted_bilinear,
 )
-from dcl.lattice import bracket
+from dcl.lattice import ModelParams, bracket
 from dcl.symbols import dispersion_symbol
 
 
@@ -69,6 +69,11 @@ class TestBuildCounterexample:
         with pytest.raises(ValueError):
             build_counterexample(1, 2)
 
+    @pytest.mark.parametrize("dtau", [0.0, -0.5, math.nan, math.inf])
+    def test_dtau_not_finite_and_positive_rejected(self, dtau):
+        with pytest.raises(ValueError, match="dtau must be finite and positive"):
+            build_counterexample(4, 2, dtau=dtau)
+
     def test_ws_scaling_slope(self):
         s, j = -0.25, 2
         Ns = (16, 32, 64, 128, 256)
@@ -92,6 +97,20 @@ class TestDuhamelWeighted:
             got = duhamel_weighted_bilinear(u1, u2, s)
             want = brute_duhamel(u1, u2, s)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("j", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_is_the_sum_of_the_lemma_forms(self, j, lam):
+        # with mu = 1, F = (1/2) d_x(uv) + d_x(1-d_x^2)^(-1) [uv + (1/2) u_x v_x]
+        p = ModelParams(j=j, lam=lam, kmax=6.0)
+        rng = np.random.default_rng(10 * j + int(lam))
+        u, v = random_spectrum(p, rng), random_spectrum(p, rng)
+        forms = {f: bilinear_output(u, v, f) for f in BILINEAR_FORMS}
+        total = (forms["product_dx"].scaled(0.5) + forms["product_smoothed"]
+                 + forms["dxdx_smoothed"].scaled(0.5))
+        for s in (-0.25, 0.25):
+            want = ws_norm(total, s)
+            assert duhamel_weighted_bilinear(u, v, s) == pytest.approx(want, rel=1e-13)
 
     def test_growth_slope_matches_two_minus_j(self):
         for j, s, want in ((2, -0.25, 0.0), (3, -1.0, -1.0)):
