@@ -351,30 +351,6 @@ class SpaceTimeSpectrum:
     def n_cells(self) -> int:
         return int(self.amps.size)
 
-    def is_hermitian(self, tol=1e-12) -> bool:
-        """F u(-k,-tau) == conj(F u(k,tau)): the underlying field is real.
-
-        The cell center tau = tau0 + m*dtau mirrors to -tau, the cell
-        -m - 2*tau0/dtau, a grid cell when 2*tau0/dtau is an integer, as on
-        the grids built here.  One sort of the cells and their mirror points
-        puts each mirror point right after the cell it equals, if there is
-        one; a missing mirror cell counts as 0.
-        """
-        scale = float(np.abs(self.amps).max(initial=0.0)) or 1.0
-        size = self.amps.size
-        length = np.diff(self.offsets)
-        n = np.repeat(self.seg_n, length)
-        m = np.repeat(self.seg_m0, length) + _cell_offsets(self.offsets)
-        key_n = np.concatenate([n, -n])
-        key_m = np.concatenate([m, -m - int(round(2 * self.tau0 / self.dtau))])
-        order = np.lexsort((key_m, key_n))  # stable: a cell sorts before its equal mirror
-        key_n, key_m = key_n[order], key_m[order]
-        found = np.flatnonzero((order[1:] >= size) & (key_n[1:] == key_n[:-1])
-                               & (key_m[1:] == key_m[:-1])) + 1
-        mirror = np.zeros(size, dtype=complex)
-        mirror[order[found] - size] = self.amps[order[found - 1]]
-        return not np.any(np.abs(mirror - np.conj(self.amps)) > tol * scale)
-
     # -- algebra --
 
     def scaled(self, c) -> "SpaceTimeSpectrum":
@@ -741,21 +717,6 @@ def _region_sigma_ranges(params: ModelParams, kbound: float):
                 "D4": rows("D4", ~big, b, top)}
 
 
-def _geomspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """np.geomspace(start[i], stop[i], num) in row i, bit for bit.
-
-    np.geomspace over arrays rounds every row another way as soon as one row
-    has start == stop, so the batch is written out: num points equally
-    spaced in log10, with exact endpoints.
-    """
-    lo, hi = np.log10(start), np.log10(stop)
-    y = np.arange(num) * ((hi - lo) / (num - 1))[:, None] + lo[:, None]
-    y[:, -1] = hi
-    out = np.power(10.0, y)
-    out[:, 0], out[:, -1] = start, stop
-    return out
-
-
 def _scan_maxima(scans: dict, params: ModelParams, kbound: float) -> dict:
     """Per scan, the max of <k>^alpha <sigma>^beta over its group's cells with |k| <= kbound.
 
@@ -895,8 +856,8 @@ def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) ->
         alpha, beta = scans[(group, "lower")]
         rows = hi > lo  # False on the other family's NaN rows
         sig = np.full((ks.size, n_sigma), np.nan)
-        sig[rows] = _geomspace_rows(np.maximum(lo, np.minimum(1e-6, hi / 2))[rows], hi[rows],
-                                    n_sigma)
+        sig[rows] = np.geomspace(np.maximum(lo, np.minimum(1e-6, hi / 2))[rows], hi[rows],
+                                 n_sigma, axis=1)
         # float_power is libm pow, as for scalars; numpy's SIMD ** can be an ulp off
         ratio = np.float_power(bracket(ks), alpha)[:, None] * np.float_power(bracket(sig), beta)
         cells.append((region, sig.tolist(), ratio.tolist()))

@@ -117,7 +117,12 @@ def initial_spectrum(cfg: dict, params: ModelParams) -> SpatialSpectrum:
     if kind == "json":
         if not isinstance(u0.get("path"), str):
             raise UsageError(f"u0 type 'json' needs a path, got {u0.get('path')!r}")
-        return spectrum_from_json(_read_text(u0["path"], "u0 file"), kmax=params.kmax)
+        spec = spectrum_from_json(_read_text(u0["path"], "u0 file"), kmax=params.kmax)
+        for key, theirs, ours in (("j", spec.params.j, params.j),
+                                  ("lambda", spec.params.lam, params.lam)):
+            if theirs != ours:
+                raise UsageError(f"u0 file has {key} = {theirs!r}, the run has {key} = {ours!r}")
+        return SpatialSpectrum(params, spec.amps)
     raise UsageError(f"unknown u0 type {kind!r}")
 
 

@@ -43,14 +43,10 @@ from .lattice import (
     grid_work,
     hermitian_rows,
     hs_norm,
+    real_half,
     sobolev_weights,
 )
-from .symbols import (
-    dispersion_symbol,
-    mean_coupling,
-    nonlinearity_block,
-    real_nonlinearity,
-)
+from .symbols import dispersion_symbol, mean_coupling, real_nonlinearity
 
 MODES = ("full", "kdv", "linear")
 RESIDUAL_CHUNK = 16  # states per F evaluation in pde_residual: bounds its scratch memory
@@ -220,14 +216,8 @@ class IntegratingFactorRK4:
 
 def step(state: SolverState, dt: float, mode: str = "full", mu: float = 1.0) -> SolverState:
     """One integrating-factor RK4 step (one-off API; loops should reuse the class)."""
-    _require_real(state.spec, "the state")
+    real_half(state.spec.amps, "the state")
     return IntegratingFactorRK4(state.spec.params, dt, mode=mode, mu=mu).step(state)
-
-
-def _require_real(spec: SpatialSpectrum, what: str):
-    if not spec.is_hermitian():
-        raise ValueError(f"{what} must be a real field (a Hermitian spectrum, "
-                         "amps(-k) = conj(amps(k)))")
 
 
 def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
@@ -235,7 +225,7 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
              hs_s: float = 1.0, blowup_factor: float = 1e6) -> Trajectory:
     """March the model from u0 to time T, collecting per-stride diagnostics.
 
-    u0 must be a real field (a Hermitian spectrum within is_hermitian's
+    u0 must be a real field (a Hermitian spectrum within lattice.real_half's
     tolerance) and mean-zero (the mean goes in via the `mean` scalar, which
     is conserved exactly), and T a whole number of steps dt.  The stepper
     advances only the n > 0 half of u0; every later state's n < 0 half is
@@ -246,7 +236,7 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     IntegratingFactorRK4.step one call at a time gives the same states bit
     for bit.
     """
-    _require_real(u0, "u0")
+    u = real_half(u0.amps, "u0")
     for name, value in (("T", T), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -267,7 +257,6 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     h1_weights = sobolev_weights(p, 1.0)[p.nmax + 1:]
     h1_limit = 0.5 * p.lam * (blowup_factor * max(hs_norm(u0, 1.0), 1e-300)) ** 2
     re2, im2 = np.empty((2, p.nmax))  # |u|^2 = re^2 + im^2, squared into these
-    u = u0.amps[p.nmax + 1:]
     for n in range(1, nsteps + 1):
         try:
             u = stepper._advance(u, mean, (n - 1) * dt)
@@ -347,11 +336,12 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
         kdv = mode == "kdv"
         coupling = mean_coupling(k, mu, kdv)
         means = traj.means[2:-2, None]
+        halves = real_half(inner, "the trajectory")
         for lo in range(0, len(res), RESIDUAL_CHUNK):
             hi = lo + RESIDUAL_CHUNK
-            u = inner[lo:hi]
-            res[lo:hi] += (nonlinearity_block(u, u, p, mu=mu, kdv=kdv)[0]
-                           + means[lo:hi] * coupling * u)
+            u = halves[lo:hi]
+            res[lo:hi] += (hermitian_rows(real_nonlinearity(u, u, p, mu=mu, kdv=kdv)[0])
+                           + means[lo:hi] * coupling * inner[lo:hi])
     if forcing is not None:
         res -= np.stack([forcing(t).amps for t in times[2:-2].tolist()])
     per_time = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
@@ -459,7 +449,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     the quadrature and the update all act on the (nt, nmax) block of n > 0
     halves; each iterate difference is mirrored once into full rows for its
     H^s and Z^s norms, and the iterates once at the end.  So every iterate is
-    exactly Hermitian: for input that is Hermitian only within is_hermitian's
+    exactly Hermitian: for input that is Hermitian only within real_half's
     tolerance, the input's tiny anti-Hermitian part is dropped from the
     first iterate on, and the n > 0 halves are those of the full-row loop.
     phase_s holds the wall seconds of the setup (phases and free flow), the
@@ -474,7 +464,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         raise ValueError(f"iterations must be an integer >= 1, got {it!r}")
     if not math.isfinite(cfg.report_s):
         raise ValueError(f"report_s must be finite, got {cfg.report_s!r}")
-    _require_real(u0, "u0")
+    pos = real_half(u0.amps, "u0")
     clock = time.perf_counter()
     phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
     p = u0.params
@@ -484,7 +474,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     eta = bump_eta(t)[:, None]
     phases = np.exp(1j * np.outer(t, dispersion_symbol(p.k_values(), p.j)[half]))  # S(t) rows
     phases_inv = np.conj(phases)
-    free = eta * (phases * u0.amps[None, half])
+    free = eta * (phases * pos)
     h = float(t[1] - t[0])
     w = free
     saved = [w]

@@ -19,11 +19,14 @@ row, amps[..., nmax+1:].  The grid transforms are real FFTs (rfft / irfft)
 and the packing pair `lattice_to_grid` / `grid_to_lattice` takes and
 returns such halves; the time engines compute on halves too.  Full
 Hermitian rows are built only where a spectrum leaves them, by
-`hermitian_rows`, the one place that turns halves into rows.  Complex
-data are handled as a real plus an imaginary part (`hermitian_parts`),
-each a real field.  The raw FFT convention differs from the symmetric one
-by a fixed scaling, which is confined to the packing pair; nothing else in
-the package touches an FFT normalization or the FFT index order.
+`hermitian_rows`, the one place that turns halves into rows.  Rows enter
+the half route through `real_half`, the one place the realness rule is
+written: the transforms, products, F and the solvers reject a field that
+is not real (complex samples, a spectrum that is not Hermitian) with a
+ValueError instead of computing on it.  The raw FFT convention differs
+from the symmetric one by a fixed scaling, which is confined to the
+packing pair; nothing else in the package touches an FFT normalization or
+the FFT index order.
 """
 
 from __future__ import annotations
@@ -128,6 +131,17 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
+def _lattice_index(params: ModelParams, k) -> int:
+    """The row index n + nmax of the lattice point k = n/lam, |n| <= nmax, else ValueError."""
+    n = k * params.lam
+    if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9):
+        raise ValueError(f"k={k} is not on the lattice (lam={params.lam})")
+    n = int(round(n))
+    if abs(n) > params.nmax:
+        raise ValueError(f"k={k} beyond truncation kmax={params.kmax}")
+    return n + params.nmax
+
+
 @dataclass(frozen=True)
 class SpatialSpectrum:
     """Complex amplitudes on the truncated lattice; the PDE state in Fourier space.
@@ -161,23 +175,18 @@ class SpatialSpectrum:
 
     @classmethod
     def from_modes(cls, params: ModelParams, modes: dict) -> "SpatialSpectrum":
-        """Build from {k: amplitude}; k must sit on the lattice."""
+        """Build from {k: amplitude}; k must sit on the lattice, 0 < |k| <= kmax."""
         a = np.zeros(2 * params.nmax + 1, dtype=complex)
         for k, v in modes.items():
-            n = k * params.lam
-            if abs(n - round(n)) > 1e-9:
-                raise ValueError(f"k={k} is not on the lattice (lam={params.lam})")
-            n = int(round(n))
-            if n == 0:
+            i = _lattice_index(params, k)
+            if i == params.nmax:
                 raise ValueError("zero mode is excluded from spectra")
-            if abs(n) > params.nmax:
-                raise ValueError(f"k={k} beyond truncation kmax={params.kmax}")
-            a[n + params.nmax] = v
+            a[i] = v
         return cls(params, a)
 
     def amp(self, k) -> complex:
-        n = int(round(k * self.params.lam))
-        return self.amps[n + self.params.nmax]
+        """The amplitude at the lattice point k, |k| <= kmax; amp(0) is the structural zero."""
+        return self.amps[_lattice_index(self.params, k)]
 
     def k_values(self) -> np.ndarray:
         return self.params.k_values()
@@ -186,13 +195,12 @@ class SpatialSpectrum:
         return SpatialSpectrum(self.params, amps, **meta)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """amps(-k) == conj(amps(k)), the signature of a real underlying field.
-
-        tol is relative to the largest amplitude, so small data are judged
-        as strictly as large data; the zero spectrum is Hermitian.
-        """
-        a = self.amps
-        return bool(np.abs(a[::-1] - np.conj(a)).max() <= tol * np.abs(a).max())
+        """amps(-k) == conj(amps(k)) within tol: a real field, by real_half's rule."""
+        try:
+            real_half(self.amps, "amps", tol)
+        except ValueError:
+            return False
+        return True
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -254,8 +262,8 @@ def lattice_to_grid(pos, params: ModelParams, nx: int, work: GridWork | None = N
 
     pos is a (..., nmax) block of halves, one field per row, or a sequence
     of such blocks, whose fields come out stacked along a new axis -2 (the
-    nonlinearity's u and u_x) without being stacked first.  Complex fields
-    go through `hermitian_parts` first.  work = grid_work(params, nx, nf),
+    nonlinearity's u and u_x) without being stacked first.  Full rows go
+    through `real_half` first.  work = grid_work(params, nx, nf),
     for a sequence of nf (nmax,) halves, lets a caller that transforms many
     times allocate nothing: the call writes work.half and returns work.grid.
     """
@@ -336,33 +344,50 @@ def is_real_block(amps) -> bool:
 
     Each mirror pair is compared once: the first half of a row (with the
     middle entry) against the conjugate of the mirrored second half.
+    bourgain.from_time_samples asks it which transform to take; real_half
+    is the rule that admits a field to the half route.
     """
     a = np.asarray(amps)
     h = (a.shape[-1] + 1) // 2
     return bool(np.array_equal(a[..., :h], np.conj(a[..., :-h - 1:-1])))
 
 
-def hermitian_parts(amps):
-    """(h, g): the Hermitian rows of the real and imaginary parts of each field, amps = h + i g."""
+def real_half(amps, what: str, tol: float = 1e-12) -> np.ndarray:
+    """The n > 0 halves, amps[..., nmax+1:], of (..., 2*nmax+1) rows that are real fields.
+
+    A row is a real field when it is Hermitian, amps(-k) == conj(amps(k)),
+    to within tol times its largest amplitude, so small data are judged as
+    strictly as large data and a zero row passes.  Otherwise, or when an
+    amplitude is not finite, ValueError names the argument what.  A row
+    that is Hermitian only within tol is given by its n > 0 half.
+    """
     a = np.asarray(amps)
-    mirror = np.conj(a[..., ::-1])
-    return 0.5 * (a + mirror), -0.5j * (a - mirror)
+    h = (a.shape[-1] + 1) // 2
+    top = np.abs(a).max(axis=-1)
+    if not np.isfinite(top).all():
+        raise ValueError(f"{what} has a non-finite amplitude")
+    gap = np.abs(a[..., :h] - np.conj(a[..., :-h - 1:-1])).max(axis=-1)
+    if not (gap <= tol * top).all():
+        raise ValueError(f"{what} must be a real field (a Hermitian spectrum, "
+                         "amps(-k) = conj(amps(k)))")
+    return a[..., h:]
 
 
 def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = False):
-    """Transform uniform samples on [0, 2*pi*lam) to a truncated spectrum.
+    """Transform uniform real samples on [0, 2*pi*lam) to a truncated Hermitian spectrum.
 
     The trapezoid rule is exact for band-limited periodic data, so this is
     the continuum-convention transform up to machine precision whenever the
-    sample count resolves the content (>= 2*kmax*lam + 1 points).  Real
-    samples give a Hermitian spectrum; complex samples are transformed as a
-    real and an imaginary part.
+    sample count resolves the content (>= 2*kmax*lam + 1 points).  Complex
+    samples are a ValueError: fields are real.
 
     The zero mode (field mean) is dropped from the spectrum; pass
     return_mean=True to receive (spectrum, mean).  A warning diagnostic is
     emitted if the input carries energy above kmax, or an unreported mean.
     """
     f = np.asarray(samples)
+    if not np.isrealobj(f):
+        raise ValueError("samples must be real: fields are real")
     nx = f.shape[-1]
     m = params.nmax
     if nx < 2 * m + 1:
@@ -374,17 +399,9 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
             raise ValueError("sample grid is not uniform")
         if abs(x[0]) > 1e-12 or abs((x[-1] + dx[0]) - params.period()) > 1e-9 * params.period():
             raise ValueError("sample grid does not tile [0, 2*pi*lam)")
-    if np.isrealobj(f):
-        pos, zero, tail = grid_to_lattice(f, params)
-        amps = hermitian_rows(pos)
-        mean = zero.real / (TWO_PI_SQRT * params.lam)
-    else:
-        pos, (zre, zim), (tre, tim) = grid_to_lattice(np.stack([f.real, f.imag]), params)
-        re, im = hermitian_rows(pos)
-        amps = re + 1j * im
-        mean = (zre + 1j * zim) / (TWO_PI_SQRT * params.lam)
-        # the complex tail at +n and at -n
-        tail = np.concatenate([tre + 1j * tim, np.conj(tre) + 1j * np.conj(tim)], axis=-1)
+    pos, zero, tail = grid_to_lattice(f, params)
+    amps = hermitian_rows(pos)
+    mean = zero.real / (TWO_PI_SQRT * params.lam)
     if tail.size:
         top = np.abs(tail).max()
         if top > 1e-10 * max(np.abs(amps).max(), abs(mean), 1e-300):
@@ -405,10 +422,11 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
 
 
 def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) -> np.ndarray:
-    """Samples of the field on the uniform grid; real iff the spectrum is Hermitian.
+    """Real samples of the field on the uniform grid of nx points, plus the real mean.
 
-    A spectrum that is Hermitian within is_hermitian's tolerance gives the
-    samples of its real part.
+    The spectrum must be a real field (real_half) and mean real; otherwise
+    ValueError.  A spectrum that is Hermitian only within real_half's
+    tolerance gives the samples of the field its n > 0 half stands for.
     """
     p = spec.params
     m = p.nmax
@@ -416,11 +434,10 @@ def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) ->
         nx = p.default_grid()
     if nx < 2 * m + 1:
         raise ValueError(f"nx={nx} cannot carry modes up to kmax; need >= {2 * m + 1}")
-    h, g = hermitian_parts(spec.amps)
-    if spec.is_hermitian() and np.isrealobj(np.asarray(mean)):
-        return lattice_to_grid(h[m + 1:], p, nx) + mean
-    re, im = lattice_to_grid((h[m + 1:], g[m + 1:]), p, nx)
-    return re + 1j * im + mean
+    pos = real_half(spec.amps, "the spectrum")
+    if not np.isrealobj(mean):
+        raise ValueError(f"mean must be real, got {mean!r}")
+    return lattice_to_grid(pos, p, nx) + mean
 
 
 @functools.lru_cache(maxsize=64)  # hs_norm runs on every diagnostic row

@@ -14,10 +14,11 @@ the circle).  F(u, u) is the full nonlinearity moved to the right-hand
 side: u_t + d_x^(2j+1) u + F(u, u) = 0.
 
 A real field is its n > 0 half (see lattice), and the kernel under every F,
-`real_nonlinearity`, takes and returns halves.  Its callers that hand out
-full rows (`nonlinearity_block`, `nonlinearity_F`, and Picard in evolve)
-mirror its output once, with lattice.hermitian_rows; `product_spectrum`
-does the same with the product under it, `padded_product`.  Products and
+`real_nonlinearity`, takes and returns halves.  The callers that take full
+rows (`nonlinearity_block`, `nonlinearity_F`) cut them to halves with
+lattice.real_half, which rejects a field that is not real, and mirror the
+kernel's output once, with lattice.hermitian_rows; `product_spectrum` does
+the same with the product under it, `padded_product`.  Products and
 F are taken one way, on the alias-free pad=2 grid; the lattice
 convolution that cross-checks them is an oracle of the tests
 (tests/oracles.py), not a route of the package.
@@ -25,7 +26,7 @@ convolution that cross-checks them is an oracle of the tests
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +35,9 @@ from .lattice import (
     SpatialSpectrum,
     dropped_mass,
     grid_to_lattice,
-    hermitian_parts,
     hermitian_rows,
-    is_real_block,
     lattice_to_grid,
+    real_half,
 )
 
 
@@ -151,59 +151,38 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     return out, tails
 
 
-def _on_complex_rows(kernel, a, b, params: ModelParams):
-    """(out, *extras, losses) of a bilinear kernel of real fields, applied to any full rows a, b.
-
-    kernel(a, b, params) takes n > 0 halves and returns (out, *extras,
-    tails), as padded_product and real_nonlinearity do: out a block of
-    halves, which is mirrored here to full rows, and extras one value per
-    row (padded_product's zero mode); losses are the tails' dropped masses.
-    Rows that are not all exactly Hermitian are split, a = h + i g
-    (lattice.hermitian_parts), and the kernel runs once on the stacked cross
-    terms: by bilinearity a b = (h_a h_b - g_a g_b) + i (h_a g_b + g_a h_b).
-    A complex tail's mass is the root sum of squares of the masses of its
-    real and imaginary parts' tails.
-    """
-    nx = params.default_grid(pad=2)
-    m = params.nmax
-    if is_real_block(a) and (b is a or is_real_block(b)):
-        pa = a[..., m + 1:]
-        out, *extras, tails = kernel(pa, pa if b is a else b[..., m + 1:], params)
-        return (hermitian_rows(out), *extras, dropped_mass(tails, nx, params.lam))
-    ha, ga = hermitian_parts(a)
-    hb, gb = (ha, ga) if b is a else hermitian_parts(b)
-    out, *extras, t = kernel(np.stack([ha, ga, ha, ga])[..., m + 1:],
-                             np.stack([hb, gb, gb, hb])[..., m + 1:], params)
-    re, im = hermitian_rows(np.stack([out[0] - out[1], out[2] + out[3]]))
-    extras = [x[0] - x[1] + 1j * (x[2] + x[3]) for x in extras]
-    loss = np.hypot(dropped_mass(t[0] - t[1], nx, params.lam),
-                    dropped_mass(t[2] + t[3], nx, params.lam))
-    return (re + 1j * im, *extras, loss)
+def _real_halves(a, b, names):
+    """(real_half(a), real_half(b)), named names in errors; one half serves both when b is a."""
+    pa = real_half(a, names[0])
+    return pa, pa if b is a else real_half(b, names[1])
 
 
 def nonlinearity_block(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
-    """(F(a, b), losses) for (..., 2*nmax+1) blocks of any complex rows.
+    """(F(a, b), losses) for (..., 2*nmax+1) blocks of rows that are real fields.
 
-    Exactly Hermitian rows (real fields) go straight to real_nonlinearity
-    as halves; other rows go through it as real and imaginary parts, F
-    being bilinear.  The output rows are full, mirrored once.
-    losses[..., i] is the truncation loss of F's i-th product (u v, then
-    u_x v_x unless kdv) per row.
+    The rows' n > 0 halves (lattice.real_half: a row that is not a real
+    field is a ValueError) go through real_nonlinearity once, and its
+    output is mirrored to full rows once.  losses[..., i] is the truncation
+    loss of F's i-th product (u v, then u_x v_x unless kdv) per row.
     """
-    return _on_complex_rows(partial(real_nonlinearity, mu=mu, kdv=kdv), a, b, params)
+    out, tails = real_nonlinearity(*_real_halves(a, b, ("a", "b")), params, mu=mu, kdv=kdv)
+    return hermitian_rows(out), dropped_mass(tails, params.default_grid(pad=2), params.lam)
 
 
 def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum) -> SpatialSpectrum:
-    """Spectrum of the pointwise product u1*u2, truncated at kmax.
+    """Spectrum of the pointwise product u1*u2 of two real fields, truncated at kmax.
 
     Taken on the pad=2 grid (padded_product), which resolves the whole
     product: content beyond kmax is recorded as truncation_loss, the k=0
-    value as zero_mode.
+    value as zero_mode.  A factor that is not a real field (lattice.real_half)
+    is a ValueError.
     """
     u1._check_compatible(u2)
     p = u1.params
-    amps, zero, loss = _on_complex_rows(padded_product, u1.amps, u2.amps, p)
-    return SpatialSpectrum(p, amps, truncation_loss=float(loss), zero_mode=complex(zero))
+    pos, zero, tail = padded_product(*_real_halves(u1.amps, u2.amps, ("u1", "u2")), p)
+    return SpatialSpectrum(p, hermitian_rows(pos),
+                           truncation_loss=float(dropped_mass(tail, p.default_grid(pad=2), p.lam)),
+                           zero_mode=complex(zero))
 
 
 def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
@@ -211,10 +190,14 @@ def nonlinearity_F(u1: SpatialSpectrum, u2: SpatialSpectrum, mu: float = 1.0,
     """The symmetric bilinear nonlinearity; F(u,u) is the model's full nonlinear term.
 
     kdv=True keeps only 1/2 d_x(u1 u2), the local-dispersion comparison mode.
-    Every term carries a d_x, so the output is mean-zero by construction and
-    real input yields real output.  truncation_loss is the larger of the
-    two products' losses (one product when kdv).
+    Every term carries a d_x, so the output is mean-zero by construction,
+    and it is real, as u1 and u2 must be (lattice.real_half).
+    truncation_loss is the larger of the two products' losses (one product
+    when kdv).
     """
     u1._check_compatible(u2)
-    amps, losses = nonlinearity_block(u1.amps, u2.amps, u1.params, mu=mu, kdv=kdv)
-    return SpatialSpectrum(u1.params, amps, truncation_loss=float(np.max(losses)))
+    p = u1.params
+    out, tails = real_nonlinearity(*_real_halves(u1.amps, u2.amps, ("u1", "u2")), p,
+                                   mu=mu, kdv=kdv)
+    loss = dropped_mass(tails, p.default_grid(pad=2), p.lam)
+    return SpatialSpectrum(p, hermitian_rows(out), truncation_loss=float(np.max(loss)))

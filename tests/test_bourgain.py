@@ -653,17 +653,15 @@ class TestHermitianMirror:
     def test_agrees_with_the_cell_by_cell_definition(self, params8):
         hermitian, perturbed = self._cases(params8)
         for u in hermitian:
-            assert u.is_hermitian() and hermitian_by_cells(u)
+            assert hermitian_by_cells(u)
         for u in perturbed:
-            assert not u.is_hermitian() and not hermitian_by_cells(u)
-        empty = SpaceTimeSpectrum(params8, 0.25)
-        assert empty.is_hermitian() and hermitian_by_cells(empty)
+            assert not hermitian_by_cells(u)
+        assert hermitian_by_cells(SpaceTimeSpectrum(params8, 0.25))
 
     def test_tolerance_is_relative_to_the_largest_amplitude(self, params8):
         _, (nudged, *_) = self._cases(params8)
-        for tol in (1e-12, 1e-6):
-            assert nudged.is_hermitian(tol) == hermitian_by_cells(nudged, tol)
-        assert nudged.is_hermitian(1e-6)
+        assert not hermitian_by_cells(nudged, 1e-12)
+        assert hermitian_by_cells(nudged, 1e-6)
 
 
 # -- time samples: the full transform as the oracle ------------------------------------
@@ -717,8 +715,7 @@ class TestTimeSamples:
     def test_marked_spectrum_is_exactly_hermitian(self):
         p = ModelParams(j=2, lam=2.0, kmax=8.0)
         u = from_time_samples(*real_trajectory(p, 65, seed=1), p)
-        assert u.is_hermitian(tol=0) and unmarked(u).is_hermitian(tol=0)
-        assert hermitian_by_cells(u, tol=0)
+        assert hermitian_by_cells(u, tol=0) and hermitian_by_cells(unmarked(u), tol=0)
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     @pytest.mark.parametrize("s", [-0.25, 0.5])
@@ -754,7 +751,7 @@ class TestTimeSamples:
         u = from_time_samples(*real_trajectory(p, 33, seed=5), p)
         derived = (u.scaled(1j), u + u, st_convolve(u, u))
         assert u._real and not any(x._real for x in derived)
-        assert not u.scaled(1j).is_hermitian()
+        assert not hermitian_by_cells(u.scaled(1j))
         assert ys_norm(derived[1], -0.25) == pytest.approx(2 * ys_norm(u, -0.25), rel=1e-13)
         assert u._real  # the source keeps its mark
 

@@ -347,6 +347,25 @@ class TestRealInitialData:
         path.write_text(json.dumps(doc))
         assert run(tmp_path, *command, "--kmax", "8", "--u0", f"json:{path}") == 0
 
+    @pytest.mark.parametrize("command", [["simulate"], ["rescale-check"],
+                                         ["picard", "--nt", "129", "--iterations", "1"]])
+    @pytest.mark.parametrize("key, value, flag, run_value", [
+        ("j", 2, ["--j", "3"], 3), ("lambda", 2.0, ["--lambda", "1"], 1.0)])
+    def test_json_model_must_match_the_run(self, tmp_path, capsys, command, key, value, flag,
+                                           run_value):
+        # the file's j and lambda would otherwise replace the run's
+        doc = {"lambda": 1.0, "j": 2, "modes": [{"k": 1.0, "re": 0.01, "im": 0.0},
+                                                {"k": -1.0, "re": 0.01, "im": 0.0}]}
+        doc[key] = value
+        path = tmp_path / "u0.json"
+        path.write_text(json.dumps(doc))
+        argv = [*command, *flag, "--kmax", "8", "--T", "0.002", "--dt", "1e-4"]
+        assert run(tmp_path, *argv, "--u0", f"json:{path}") == 1
+        assert (f"error: u0 file has {key} = {value!r}, the run has {key} = {run_value!r}"
+                in capsys.readouterr().err)
+        doc[key] = run_value
+        path.write_text(json.dumps(doc))
+        assert run(tmp_path, *argv, "--u0", f"json:{path}") == 0
 
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_amplitude_exit_one(self, tmp_path, capsys, amplitude):

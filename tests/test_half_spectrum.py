@@ -29,14 +29,12 @@ from dcl.lattice import (
     SpatialSpectrum,
     bracket,
     grid_to_lattice,
-    hermitian_parts,
     hermitian_rows,
     lattice_to_grid,
 )
 from dcl.symbols import (
     dispersion_symbol,
     mean_coupling,
-    nonlinearity_block,
     nonlinearity_multipliers,
     real_nonlinearity,
 )
@@ -310,16 +308,6 @@ class TestKernelParity:
         assert np.array_equal(hermitian_rows(out), oracle_kernel(blk, blk, p, mu=1.5, kdv=kdv))
         out, _ = real_nonlinearity(half, other[:, m + 1:], p, mu=1.5, kdv=kdv)
         assert np.array_equal(hermitian_rows(out), oracle_kernel(blk, other, p, mu=1.5, kdv=kdv))
-
-    @pytest.mark.parametrize("p", KERNEL_PARAMS, ids=KERNEL_IDS)
-    def test_block_on_complex_rows_equals_the_full_row_split(self, p):
-        rng = np.random.default_rng(8)
-        shape = (2, 2 * p.nmax + 1)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        c[:, p.nmax] = 0.0
-        ha, ga = hermitian_parts(c)
-        x = oracle_kernel(np.stack([ha, ga, ha, ga]), np.stack([ha, ga, ga, ha]), p)
-        assert np.array_equal(nonlinearity_block(c, c, p)[0], x[0] - x[1] + 1j * (x[2] + x[3]))
 
     @pytest.mark.parametrize("nx", [34, 35, 66, 67])
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])

@@ -16,7 +16,6 @@ from dcl.lattice import (
     dropped_mass,
     forward_transform,
     grid_to_lattice,
-    hermitian_parts,
     hermitian_rows,
     hs_norm,
     inverse_transform,
@@ -143,13 +142,13 @@ class TestInverseTransform:
         assert np.abs(inverse_transform(SpatialSpectrum.zeros(params16))).max() == 0.0
 
     def test_single_mode_normalization(self):
-        # one unit amplitude at k=1 inverts to (2*pi)^(-1/2) * (1/lam) * e^{ikx}
+        # unit amplitudes at k = +-1/lam invert to 2 (2*pi)^(-1/2) (1/lam) cos(x/lam)
         for lam in (1.0, 2.0):
             p = ModelParams(j=2, lam=lam, kmax=8.0)
-            spec = SpatialSpectrum.from_modes(p, {1.0 / lam: 1.0})
+            spec = SpatialSpectrum.from_modes(p, {1.0 / lam: 1.0, -1.0 / lam: 1.0})
             nx = 128
             f = inverse_transform(spec, nx)
-            want = np.exp(1j * x_grid(p, nx) / lam) / (math.sqrt(2 * math.pi) * lam)
+            want = 2.0 * np.cos(x_grid(p, nx) / lam) / (math.sqrt(2 * math.pi) * lam)
             assert np.abs(f - want).max() < 1e-14
 
     def test_parseval(self, params16):
@@ -284,6 +283,27 @@ class TestZeroModeExclusion:
         with pytest.raises(ValueError, match="zero mode"):
             SpatialSpectrum.from_modes(params16, {0: 1.0})
 
+    @pytest.mark.parametrize("k", [-20, 17, 2.4, 0.25, math.nan, math.inf])
+    def test_k_off_the_lattice_or_beyond_kmax_rejected(self, params16, k):
+        # at kmax 16, -20 would wrap to k = 13 and 2.4 round to k = 2
+        u = hermitian_spectrum(params16, seed=3)
+        with pytest.raises(ValueError, match="not on the lattice|beyond truncation"):
+            u.amp(k)
+        with pytest.raises(ValueError, match="not on the lattice|beyond truncation"):
+            SpatialSpectrum.from_modes(params16, {k: 1.0})
+
+    def test_amp_reads_its_lattice_point(self, params16):
+        u = hermitian_spectrum(params16, seed=3)
+        m = params16.nmax
+        assert u.amp(0) == 0.0  # the structural zero
+        for k in (-16, -1, 2, 16.0):
+            assert u.amp(k) == u.amps[m + int(k)]
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        v = SpatialSpectrum.from_modes(p, {2.5: 1.0, -0.5: 2.0})
+        assert (v.amp(2.5), v.amp(-0.5), v.amp(8.0)) == (1.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="not on the lattice"):
+            v.amp(0.75)
+
     def test_zero_slot_forced(self, params16):
         amps = np.ones(2 * params16.nmax + 1, dtype=complex)
         spec = SpatialSpectrum(params16, amps)
@@ -324,23 +344,6 @@ class TestRealPacking:
         assert np.abs(amps[m + 1:] - full[1:m + 1]).max() < 1e-14
         assert np.abs(amps[:m] - full[nx - m:]).max() < 1e-14
         assert zero == pytest.approx(full[0], abs=1e-14)
-
-    def test_hermitian_parts_recombine(self, params16):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 2 * params16.nmax + 1)) * (1 + 1j)
-        h, g = hermitian_parts(a)
-        assert is_real_block(h) and is_real_block(g)
-        assert np.abs(h + 1j * g - a).max() < 1e-15
-        assert not is_real_block(a)
-
-    def test_complex_field_round_trip(self, params16):
-        x = x_grid(params16, params16.default_grid())
-        f = np.exp(2j * x) + 0.5 * np.cos(3 * x) - 0.25j * np.sin(x)
-        spec = forward_transform(f, params16)
-        assert not spec.is_hermitian()
-        assert spec.amp(2) == pytest.approx(TWO_PI_SQRT)
-        assert abs(spec.amp(-2)) < 1e-15
-        assert np.abs(inverse_transform(spec, len(x)) - f).max() < 1e-14
 
     def test_hermitian_tolerance_relative_to_the_data(self, params16):
         u = hermitian_spectrum(params16, seed=30)

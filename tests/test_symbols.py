@@ -90,14 +90,6 @@ class TestNonlocalMultiplier:
 
 
 class TestNonlinearity:
-    def test_plane_wave_pair(self, params16):
-        # F(e^{ix}, e^{ix}) = (6i/5) e^{2ix}: 1/2*(2i) + (2i/5)*(1 - 1/2)
-        x = x_grid(params16, params16.default_grid())
-        u = forward_transform(np.exp(1j * x), params16)
-        out = nonlinearity_F(u, u)
-        want = forward_transform(1.2j * np.exp(2j * x), params16)
-        assert np.abs(out.amps - want.amps).max() < 1e-12
-
     def test_cosine_pair(self, params16):
         # F(cos, cos) = -(3/5) sin 2x; the k=0 interaction dies with the derivative
         x = x_grid(params16, params16.default_grid())
@@ -262,13 +254,6 @@ KERNEL_PARAMS = [ModelParams(j=2, kmax=8.0), ModelParams(j=2, kmax=16.0),
 KERNEL_IDS = ["nx35", "nx66", "lam2j3", "nx27"]
 
 
-def complex_spectrum(params, seed):
-    """A random complex field: the n < 0 half is not the mirror of the n > 0 half."""
-    a = hermitian_spectrum(params, seed=seed, decay=0.1)
-    b = hermitian_spectrum(params, seed=seed + 50, decay=0.1)
-    return SpatialSpectrum(params, a.amps + 0.7j * b.amps + 0.3 * np.roll(b.amps, 1))
-
-
 def assert_matches_convolution(fast, slow):
     scale = np.abs(slow.amps).max()
     assert np.abs(fast.amps - slow.amps).max() <= 1e-12 * scale
@@ -288,18 +273,6 @@ class TestRealKernel:
             for kdv in (False, True):
                 assert_matches_convolution(nonlinearity_F(u, v, mu=1.5, kdv=kdv),
                                            oracles.nonlinearity_F(u, v, mu=1.5, kdv=kdv))
-
-    @pytest.mark.parametrize("p", KERNEL_PARAMS, ids=KERNEL_IDS)
-    def test_complex_rows_match_convolution_route(self, p):
-        c = complex_spectrum(p, seed=23)
-        d = complex_spectrum(p, seed=24)
-        real = hermitian_spectrum(p, seed=25, decay=0.1)
-        assert not c.is_hermitian() and not d.is_hermitian()
-        for u, v in ((c, d), (c, c), (c, real), (real, d)):
-            assert_matches_convolution(product_spectrum(u, v), oracles.product_spectrum(u, v))
-            for kdv in (False, True):
-                assert_matches_convolution(nonlinearity_F(u, v, kdv=kdv),
-                                           oracles.nonlinearity_F(u, v, kdv=kdv))
 
     def test_real_kernel_output_exactly_hermitian(self, params16):
         blk = np.stack([hermitian_spectrum(params16, seed=s, decay=0.1).amps for s in range(3)])
