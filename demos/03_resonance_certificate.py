@@ -5,8 +5,9 @@ arithmetic certifies
 
     |k^(2j+1) - k1^(2j+1) - k2^(2j+1)| >= (2j+1) 4^(-j) |k_min| |k_max|^(2j),
 
-and random integer tau assignments confirm the modulation identity that
-transfers the bound to 3 * max(|sigma|, |sigma1|, |sigma2|).
+and seeded random integer tau assignments check the walk's integer
+arithmetic on the modulation identity that transfers the bound to
+3 * max(|sigma|, |sigma1|, |sigma2|).
 """
 
 import json

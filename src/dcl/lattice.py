@@ -174,13 +174,21 @@ class SpatialSpectrum:
         return cls(params, np.zeros(2 * params.nmax + 1, dtype=complex))
 
     @classmethod
-    def from_modes(cls, params: ModelParams, modes: dict) -> "SpatialSpectrum":
-        """Build from {k: amplitude}; k must sit on the lattice, 0 < |k| <= kmax."""
+    def from_modes(cls, params: ModelParams, modes) -> "SpatialSpectrum":
+        """Build from {k: amplitude} or (k, amplitude) pairs.
+
+        Each k must sit on the lattice, 0 < |k| <= kmax, and name its own
+        lattice point: a repeated one is a ValueError, not an overwrite.
+        """
         a = np.zeros(2 * params.nmax + 1, dtype=complex)
-        for k, v in modes.items():
+        seen = set()
+        for k, v in modes.items() if isinstance(modes, dict) else modes:
             i = _lattice_index(params, k)
             if i == params.nmax:
                 raise ValueError("zero mode is excluded from spectra")
+            if i in seen:
+                raise ValueError(f"k={k} repeats the mode k={(i - params.nmax) / params.lam}")
+            seen.add(i)
             a[i] = v
         return cls(params, a)
 
@@ -379,7 +387,7 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
     The trapezoid rule is exact for band-limited periodic data, so this is
     the continuum-convention transform up to machine precision whenever the
     sample count resolves the content (>= 2*kmax*lam + 1 points).  Complex
-    samples are a ValueError: fields are real.
+    or non-finite samples are a ValueError: fields are real and finite.
 
     The zero mode (field mean) is dropped from the spectrum; pass
     return_mean=True to receive (spectrum, mean).  A warning diagnostic is
@@ -388,6 +396,8 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
     f = np.asarray(samples)
     if not np.isrealobj(f):
         raise ValueError("samples must be real: fields are real")
+    if not np.isfinite(f).all():
+        raise ValueError("samples must be finite")
     nx = f.shape[-1]
     m = params.nmax
     if nx < 2 * m + 1:
@@ -475,5 +485,5 @@ def spectrum_from_json(text: str, kmax: float | None = None, **kwargs) -> Spatia
         kmax = max(256.0 / lam, math.ceil(top * lam) / lam)
     params = ModelParams(j=doc["j"], lam=lam, kmax=kmax, **kwargs)
     return SpatialSpectrum.from_modes(
-        params, {mode["k"]: mode["re"] + 1j * mode["im"] for mode in doc["modes"]}
+        params, [(mode["k"], mode["re"] + 1j * mode["im"]) for mode in doc["modes"]]
     )

@@ -10,9 +10,11 @@ checked in exact integer arithmetic over a full lattice box.  The
 certificate covers the box only: every triple in it is checked, and
 nothing is claimed beyond it.  With tau = tau1 + tau2, the signed
 modulation identity sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2))
-transfers the bound to 3*max(|sigma|, |sigma1|, |sigma2|); the seeded
-random tau trials check that identity and the transferred bound, they do
-not cover every tau.
+transfers the bound to 3*max(|sigma|, |sigma1|, |sigma2|) for every tau.
+The seeded random tau trials run that identity and the transferred bound
+through the walk's own arithmetic, so a trial fails only on an overflow
+(a wrong dtype rule below) or a bound violation.  No certificate field
+depends on the draws.
 
 verify_resonance_bound walks the triples as arrays, a block of k1 rows at
 a time, over exact tables of P(k) and (2j+1)|k|^(2j).  Exactness is kept
@@ -21,17 +23,12 @@ max(7, 2j+1) * Kmax^(2j+1), shows that no intermediate can overflow, and
 otherwise object arrays of Python ints (never overflowing) running the
 same expressions; for j = 4 the switch is at Kmax = 101.  The bound is
 compared without multiplying by 4^j: res * 4^j < num is res < ceil(num / 4^j).
-The tau draws are the randrange(-Kmax^(2j+1), Kmax^(2j+1) + 1) stream of
-random.Random(seed), rebuilt in blocks from numpy's MT19937 seeded with
-that generator's state (TauDraws), so a certificate is the same as one
-made by a per-triple loop calling randrange.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,18 +80,23 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
 
     Walks every admissible triple in the box (k1, then k2, ascending),
     checking the bound in exact integer arithmetic, and for tau_trials
-    random integer tau-assignments per triple verifies
+    integer tau-assignments per triple, uniform on [-Kmax^(2j+1), Kmax^(2j+1)]
+    from np.random.default_rng(seed), checks
     sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2)) and the resulting
-    3*max(|sigma|.) >= |resonance| >= bound.  Returns the violation count
-    (must be 0), the minimum slack ratio resonance/bound, and the first
-    triple where it is attained.  kmax_box must be an integer >= 2 and
+    3*max(|sigma|.) >= |resonance| >= bound.  The identity holds for every
+    tau, so identity_failures counts only overflows (a wrong dtype rule)
+    and bound violations.  Returns the violation count (must be 0), the
+    minimum slack ratio resonance/bound, and the first triple where it is
+    attained.  kmax_box must be an integer >= 2, j an integer >= 1 and
     tau_trials an integer >= 0 (ValueError otherwise).
     """
     if not _is_integer(kmax_box) or kmax_box < 2:
         raise ValueError(f"kmax_box must be an integer >= 2, got {kmax_box!r}")
+    if not _is_integer(j) or j < 1:
+        raise ValueError(f"j must be an integer >= 1, got {j!r}")
     if not _is_integer(tau_trials) or tau_trials < 0:
         raise ValueError(f"tau_trials must be an integer >= 0, got {tau_trials!r}")
-    box, tau_trials = int(kmax_box), int(tau_trials)
+    box, j, tau_trials = int(kmax_box), int(j), int(tau_trials)
     e = 2 * j + 1
     span = box**e
     den = 4**j
@@ -106,7 +108,7 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
     ks = np.arange(-box, box + 1)
     disp = np.array([dispersion_symbol(int(k), j) for k in ks], dtype=dtype)
     weight = np.array([e * a ** (2 * j) for a in range(box + 1)], dtype=dtype)
-    draws = TauDraws(seed, span)
+    rng = np.random.default_rng(seed)
     rows = ks[ks != 0]
     checked = violations = identity_failures = 0
     min_slack, argmin = math.inf, None
@@ -131,7 +133,7 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
                 min_slack, argmin = slack, (int(k[i]), int(k1[i]), int(k2[i]))
         checked += k.size
         if tau_trials:
-            tau = draws.take(2 * tau_trials * k.size).reshape(k.size, tau_trials, 2)
+            tau = tau_draws(rng, span, 2 * tau_trials * k.size).reshape(k.size, tau_trials, 2)
             tau1, tau2 = tau[..., 0], tau[..., 1]
             s0 = tau1 + tau2 - q0[:, None]
             s1 = tau1 - q1[:, None]
@@ -150,49 +152,22 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
     }
 
 
-class TauDraws:
-    """The stream of random.Random(seed).randrange(-span, span + 1), in blocks.
+def tau_draws(rng: np.random.Generator, span: int, n: int) -> np.ndarray:
+    """n integers uniform on [-span, span], drawn from rng.
 
-    randrange draws getrandbits(b) candidates, b = (2 span + 1).bit_length(),
-    until one is below 2 span + 1.  CPython builds a candidate from
-    ceil(b / 32) Mersenne Twister words, the first word least significant and
-    the last one shifted right to its leftover bits; numpy's MT19937 seeded
-    with random.Random(seed)'s state yields the same words, so the kept
-    candidates, minus span, are exactly the draws, in order.  Draws beyond
-    what take() returns are kept for the next call.
+    Below span = 2^62 they are int64 from rng.integers.  Beyond, each draw is
+    built as a Python int from 62-bit words of rng, with 62 bits to spare
+    over 2 span + 1, and reduced mod 2 span + 1: the bias is below 2^-62.
     """
-
-    def __init__(self, seed, span: int):
-        self.span = span
-        self.width = 2 * span + 1
-        self.bits = self.width.bit_length()
-        self.words = -(-self.bits // 32)
-        self.dtype = np.int64 if self.bits <= 63 else object  # Python ints beyond
-        state = random.Random(seed).getstate()[1]
-        self.mt = np.random.MT19937()
-        self.mt.state = {"bit_generator": "MT19937",
-                         "state": {"key": np.array(state[:624], dtype=np.uint32),
-                                   "pos": state[624]}}
-        self.kept = np.empty(0, dtype=self.dtype)
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n draws."""
-        parts, have = [self.kept], self.kept.size
-        accept = self.width / (1 << self.bits)  # in (1/2, 1]; int division never overflows
-        while have < n:
-            m = int((n - have) / accept * 1.05) + 64
-            raw = self.mt.random_raw(m * self.words).reshape(m, self.words)
-            raw[:, -1] >>= 32 * self.words - self.bits
-            raw = raw.astype(self.dtype)
-            cand = raw[:, 0]
-            for w in range(1, self.words):
-                cand = cand | raw[:, w] << 32 * w
-            cand = cand[cand < self.width]
-            parts.append(cand)
-            have += cand.size
-        pool = np.concatenate(parts)
-        self.kept = pool[n:]
-        return pool[:n] - self.span
+    if span < 1 << 62:
+        return rng.integers(-span, span + 1, size=n)
+    width = 2 * span + 1
+    words = -(-(width.bit_length() + 62) // 62)
+    raw = rng.integers(0, 1 << 62, size=(words, n)).astype(object)
+    draw = raw[0]
+    for w in range(1, words):
+        draw = draw | raw[w] << 62 * w
+    return draw % width - span
 
 
 def _is_integer(x) -> bool:

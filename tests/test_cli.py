@@ -367,6 +367,16 @@ class TestRealInitialData:
         path.write_text(json.dumps(doc))
         assert run(tmp_path, *argv, "--u0", f"json:{path}") == 0
 
+    def test_repeated_json_mode_exit_one(self, tmp_path, capsys):
+        doc = {"lambda": 1.0, "j": 2, "modes": [{"k": 1.0, "re": 0.01, "im": 0.0},
+                                                {"k": -1.0, "re": 0.01, "im": 0.0},
+                                                {"k": 1.0, "re": 0.02, "im": 0.0}]}
+        path = tmp_path / "u0.json"
+        path.write_text(json.dumps(doc))
+        assert run(tmp_path, "simulate", "--T", "0.02", "--dt", "0.01", "--kmax", "8",
+                   "--u0", f"json:{path}") == 1
+        assert "error: k=1.0 repeats the mode k=1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_amplitude_exit_one(self, tmp_path, capsys, amplitude):
         assert run(tmp_path, "simulate", "--T", "0.02", "--dt", "0.01", "--kmax", "8",

@@ -129,6 +129,14 @@ class TestForwardTransform:
         with pytest.raises(ValueError, match="samples"):
             forward_transform(np.zeros(16), params16)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        p = ModelParams(j=2, kmax=8.0)
+        f = np.cos(x_grid(p, 64))
+        f[5] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            forward_transform(f, p)
+
 
 class TestInverseTransform:
     def test_cosine_reconstruction(self, params16):
@@ -282,6 +290,17 @@ class TestZeroModeExclusion:
     def test_from_modes_rejects_zero(self, params16):
         with pytest.raises(ValueError, match="zero mode"):
             SpatialSpectrum.from_modes(params16, {0: 1.0})
+
+    def test_repeated_mode_rejected(self, params16):
+        # 1 + 1e-12 lands on the lattice point of 1; the last entry used to win
+        with pytest.raises(ValueError, match=r"k=1\.000000000001 repeats the mode k=1\.0"):
+            SpatialSpectrum.from_modes(params16, {1.0: 1.0, 1.0 + 1e-12: 5.0})
+        with pytest.raises(ValueError, match="k=-2 repeats"):
+            SpatialSpectrum.from_modes(params16, [(-2, 1.0), (3, 1.0), (-2, 1.0)])
+        doc = {"lambda": 1.0, "j": 2, "modes": [{"k": 1.0, "re": 1.0, "im": 0.0},
+                                                {"k": 1.0, "re": 5.0, "im": 0.0}]}
+        with pytest.raises(ValueError, match="k=1.0 repeats"):
+            spectrum_from_json(json.dumps(doc), kmax=params16.kmax)
 
     @pytest.mark.parametrize("k", [-20, 17, 2.4, 0.25, math.nan, math.inf])
     def test_k_off_the_lattice_or_beyond_kmax_rejected(self, params16, k):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,40 +137,47 @@ class TestCertificateOracle:
         # ranking by them alone would pick (-32, -64, 32) over the first, (-33, -66, 33)
         assert verify_resonance_bound(box, j) == _oracle_certificate(box, j)
 
-    def test_tau_draws_follow_the_seed(self, monkeypatch):
-        box = resonance._CHUNK_ROWS // 2 + 1  # 2 * box nonzero k1 rows: two chunks
-        take = resonance.TauDraws.take
-        for j in (3, 8):  # span 17^17 > 2^69 at j = 8
+    @pytest.mark.parametrize("span", [1, 2**31, 64**9, 2**62 - 1, 2**62, 2**64, 3**70])
+    def test_tau_draws_are_seeded_and_in_range(self, span):
+        def draw(seed):
+            return list(resonance.tau_draws(np.random.default_rng(seed), span, 2000))
+
+        values = draw(5)
+        assert all(-span <= x <= span for x in values)
+        assert min(values) < 0 < max(values)
+        assert values == draw(5) and values != draw(6)
+        if span >= 2**62:
+            assert all(type(x) is int for x in values)
+
+    @pytest.mark.parametrize("j", [3, 8])  # span 17^17 > 2^62 at j = 8: Python-int draws
+    def test_report_is_deterministic_in_the_seed(self, monkeypatch, j):
+        # no report field depends on the draws, so the draws themselves are compared
+        draw = resonance.tau_draws
+
+        def run(seed):
             taken = []
 
-            def recording_take(self, n):
-                taken.append(take(self, n))
+            def recording_draw(rng, span, n):
+                taken.append(draw(rng, span, n))
                 return taken[-1]
 
-            monkeypatch.setattr(resonance.TauDraws, "take", recording_take)
-            checked = verify_resonance_bound(box, j, tau_trials=2, seed=11)["triples_checked"]
+            monkeypatch.setattr(resonance, "tau_draws", recording_draw)
+            report = verify_resonance_bound(17, j, tau_trials=2, seed=seed)
             monkeypatch.undo()
-            draws = [int(x) for block in taken for x in block]
-            span = box ** (2 * j + 1)
-            rnd = random.Random(11)
-            assert len(taken) == 2
-            assert len(draws) == 2 * 2 * checked
-            assert draws == [rnd.randrange(-span, span + 1) for _ in draws]
+            return report, [int(x) for block in taken for x in block]
 
-    @pytest.mark.parametrize("span", [1, 2**31 - 1, 2**31, 64**9, 2**64, 3**70])
-    def test_draw_helper_matches_randrange(self, span):
-        draws = resonance.TauDraws(5, span)
-        rnd = random.Random(5)
-        for n in (1, 0, 7, 500, 3, 2000):  # uneven blocks: kept draws carry over
-            assert [int(x) for x in draws.take(n)] == [rnd.randrange(-span, span + 1)
-                                                        for _ in range(n)]
+        (r1, d1), (r2, d2), (r3, d3) = run(11), run(11), run(12)
+        assert r1 == r2 == r3
+        assert len(d1) == 2 * 2 * r1["triples_checked"]
+        assert d1 == d2 and d1 != d3
 
     @pytest.mark.parametrize("kwargs", [{"kmax_box": 8.0}, {"kmax_box": "8"},
                                         {"kmax_box": True}, {"tau_trials": -1},
-                                        {"tau_trials": 1.5}])
+                                        {"tau_trials": 1.5}, {"j": 1.5}, {"j": True},
+                                        {"j": 0}])
     def test_bad_input_rejected(self, kwargs):
         args = {"kmax_box": 8, "j": 2, **kwargs}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             verify_resonance_bound(**args)
 
 
