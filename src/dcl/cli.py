@@ -157,7 +157,7 @@ def cmd_simulate(cfg: dict) -> int:
     report = {
         "config": cfg,
         "mode": mode,
-        "steps": len(traj.times) - 1,
+        "steps": round(traj.times[-1] / traj.dt),  # to the last recorded state, any stride
         "blown_up": traj.blown_up,
         "phase_wrap": traj.phase_wrap,
         "phase_wrap_ok": traj.phase_wrap_ok,
@@ -309,7 +309,8 @@ def cmd_picard(cfg: dict) -> int:
         "ratios_zs": result.ratios_zs,
         "ratios_at_floor": result.ratios_at_floor,
         "diverged": result.diverged,
-        "telemetry": {"phase_s": result.phase_s, "versions": _versions()},
+        "telemetry": {"phase_s": result.phase_s, "grid_nx": params.default_grid(pad=2),
+                      "versions": _versions()},
     }
     _write(Path(cfg["output_dir"]), "picard.json", _dump(report))
     shown = ", ".join(f"{r:.3g}" for r in result.ratios_hs[:6])

@@ -46,10 +46,9 @@ from .lattice import (
     real_half,
     sobolev_weights,
 )
-from .symbols import dispersion_symbol, mean_coupling, real_nonlinearity
+from .symbols import dispersion_symbol, mean_coupling, nonlinearity_rows, real_nonlinearity
 
 MODES = ("full", "kdv", "linear")
-RESIDUAL_CHUNK = 16  # states per F evaluation in pde_residual: bounds its scratch memory
 PHASE_WRAP_LIMIT = 50.0  # rad: a step is trusted while dt * max |P(k)| stays below this
 PICARD_FLOOR = 1e-12  # an iterate difference at or below this share of the iterate is roundoff
 
@@ -314,10 +313,11 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     u_t comes from 4th-order central differencing of the stored states, so
     the result is only meaningful above the reported differencing_error.
     forcing, if given, is a callable t -> SpatialSpectrum (manufactured
-    solution support).
+    solution support).  mode (default traj.mode) must be one of MODES.
     """
-    if mode is None:
-        mode = traj.mode
+    mode = traj.mode if mode is None else mode
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     times, amps, p = traj.times, traj.amps, traj.params
     hs = np.diff(times)
     if len(times) < 7:
@@ -331,17 +331,12 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     ut, diff_err = _time_derivatives(amps, h)
     k = p.k_values()
     inner = amps[2:-2]  # the states ut is known at
-    res = ut + (-1j * dispersion_symbol(k, p.j)) * inner  # d_x^(2j+1) has symbol -i P(k)
+    res = np.add(ut, (-1j * dispersion_symbol(k, p.j)) * inner, out=ut)  # d_x^(2j+1): -i P(k)
     if mode != "linear":
         kdv = mode == "kdv"
-        coupling = mean_coupling(k, mu, kdv)
-        means = traj.means[2:-2, None]
-        halves = real_half(inner, "the trajectory")
-        for lo in range(0, len(res), RESIDUAL_CHUNK):
-            hi = lo + RESIDUAL_CHUNK
-            u = halves[lo:hi]
-            res[lo:hi] += (hermitian_rows(real_nonlinearity(u, u, p, mu=mu, kdv=kdv)[0])
-                           + means[lo:hi] * coupling * inner[lo:hi])
+        f = hermitian_rows(nonlinearity_rows(real_half(inner, "the trajectory"), p, mu, kdv))
+        c = traj.means[2:-2, None] * mean_coupling(k, mu, kdv)
+        res += np.add(f, np.multiply(c, inner, out=c), out=f)  # F + c u: two scratch blocks
     if forcing is not None:
         res -= np.stack([forcing(t).amps for t in times[2:-2].tolist()])
     per_time = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
@@ -409,7 +404,9 @@ class PicardConfig:
     zs_dtau: float | None = None
 
     def t_grid(self) -> np.ndarray:
-        return np.linspace(-2.0, 2.0, self.nt)
+        """The nodes, odd about t = 0 exactly: t[nt - 1 - i] == -t[i] and t[nt // 2] == 0."""
+        t = np.linspace(0.0, 2.0, self.nt // 2 + 1)
+        return np.concatenate((-t[:0:-1], t))
 
 
 @dataclass
@@ -435,10 +432,10 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     """Run w^0 = eta S(t) u0, w^(n+1) = Phi(w^n) and report contraction ratios.
 
     The Duhamel integral uses S(t-t') = S(t) S(-t'), so only the cumulative
-    integral of S(-t') F(w,w)(t') is quadratured: composite cumulative
-    Simpson on the uniform grid (scipy's equal-interval formulas), from the
-    node t = 0.  cfg.nt must be an odd integer >= 3, cfg.iterations an
-    integer >= 1 and cfg.report_s finite (ValueError otherwise).
+    integral of S(-t') F(w,w)(t') is quadratured: composite cumulative Simpson
+    on the uniform grid (scipy's equal-interval formulas), from the node t = 0.
+    cfg.nt must be an odd integer >= 3, cfg.iterations an integer >= 1,
+    cfg.report_s finite and mode "full" or "kdv" (ValueError otherwise).
     An iterate difference whose H^s norm is at or below PICARD_FLOOR times
     the new iterate's marks the ratios it enters in ratios_at_floor (for
     ratios_hs and ratios_zs alike): a ratio of two roundoff-sized
@@ -464,16 +461,20 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         raise ValueError(f"iterations must be an integer >= 1, got {it!r}")
     if not math.isfinite(cfg.report_s):
         raise ValueError(f"report_s must be finite, got {cfg.report_s!r}")
+    if mode not in ("full", "kdv"):
+        raise ValueError(f"mode must be 'full' or 'kdv', got {mode!r}")
     pos = real_half(u0.amps, "u0")
     clock = time.perf_counter()
     phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
     p = u0.params
-    half = slice(p.nmax + 1, None)
     t = cfg.t_grid()
     i0 = nt // 2  # t = 0
     eta = bump_eta(t)[:, None]
-    phases = np.exp(1j * np.outer(t, dispersion_symbol(p.k_values(), p.j)[half]))  # S(t) rows
-    phases_inv = np.conj(phases)
+    phases = np.empty((nt, p.nmax), dtype=complex)  # S(t) rows; t is odd about t[i0] = 0
+    np.exp(1j * np.outer(t[i0:], dispersion_symbol(p.k_values(), p.j)[p.nmax + 1:]),
+           out=phases[i0:])
+    np.conjugate(phases[:i0:-1], out=phases[:i0])
+    phases_inv = phases[::-1]  # S(-t) = conj(S(t))
     free = eta * (phases * pos)
     h = float(t[1] - t[0])
     w = free
@@ -497,7 +498,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     phase_s["setup"] = time.perf_counter() - clock
     for _ in range(cfg.iterations):
         clock = time.perf_counter()
-        integrand = real_nonlinearity(w, w, p, mu=mu, kdv=mode == "kdv")[0]
+        integrand = nonlinearity_rows(w, p, mu, mode == "kdv")
         # S(-t') F(t'); phases come first in both products because numpy's
         # complex a*b and b*a can differ in the last bit
         np.multiply(phases_inv, integrand, out=integrand)

@@ -117,13 +117,13 @@ def lattice_ks(kbound: float, lam: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)  # default_grid runs on every nonlinearity evaluation
 def _next_fast_len(n: int) -> int:
-    """Smallest m >= n with no prime factor above 11, as scipy.fft.next_fast_len(n)."""
+    """Smallest m >= n with no prime factor above 5: pocketfft's radix-7 and -11 passes are slow."""
     if n < 1:
         raise ValueError(f"FFT length must be positive, got {n}")
     m = n
     while True:
         r = m
-        for p in (2, 3, 5, 7, 11):
+        for p in (2, 3, 5):
             while r % p == 0:
                 r //= p
         if r == 1:
@@ -250,12 +250,13 @@ def x_grid(params: ModelParams, nx: int) -> np.ndarray:
 GridWork = namedtuple("GridWork", "half rows grid spectrum parts")
 
 
-def grid_work(params: ModelParams, nx: int, nf: int) -> GridWork:
-    """The packing pair's buffers for nf (nmax,) halves, with the views it writes and returns."""
-    m, half = params.nmax, np.zeros((nf, nx // 2 + 1), dtype=complex)
+def grid_work(params: ModelParams, nx: int, nf: int, batch: tuple = ()) -> GridWork:
+    """The packing pair's buffers for nf (*batch, nmax) blocks of halves, and views of them."""
+    m, half = params.nmax, np.zeros((*batch, nf, nx // 2 + 1), dtype=complex)
     spectrum = np.empty_like(half)
-    return GridWork(half, tuple(half[:, 1:m + 1]), np.empty((nf, nx)), spectrum,
-                    (spectrum[:, 1:m + 1], spectrum[:, 0], spectrum[:, m + 1:]))
+    rows = tuple(half[..., i, 1:m + 1] for i in range(nf))
+    return GridWork(half, rows, np.empty((*batch, nf, nx)), spectrum,
+                    (spectrum[..., 1:m + 1], spectrum[..., 0], spectrum[..., m + 1:]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -271,9 +272,9 @@ def lattice_to_grid(pos, params: ModelParams, nx: int, work: GridWork | None = N
     pos is a (..., nmax) block of halves, one field per row, or a sequence
     of such blocks, whose fields come out stacked along a new axis -2 (the
     nonlinearity's u and u_x) without being stacked first.  Full rows go
-    through `real_half` first.  work = grid_work(params, nx, nf),
-    for a sequence of nf (nmax,) halves, lets a caller that transforms many
-    times allocate nothing: the call writes work.half and returns work.grid.
+    through `real_half` first.  work = grid_work(params, nx, nf, batch),
+    for a sequence of nf (*batch, nmax) blocks, lets a caller that transforms
+    many times allocate nothing: the call writes work.half and returns work.grid.
     """
     m = params.nmax
     scale = _fft_scales(params.lam)[0]

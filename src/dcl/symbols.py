@@ -35,10 +35,13 @@ from .lattice import (
     SpatialSpectrum,
     dropped_mass,
     grid_to_lattice,
+    grid_work,
     hermitian_rows,
     lattice_to_grid,
     real_half,
 )
+
+F_CHUNK = 32  # rows per F evaluation of a block: the FFT buffers stay cache-sized
 
 
 def dispersion_symbol(k, j: int):
@@ -131,12 +134,12 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     (padded_product), their products through one rfft, and F = m_uv (u v)^
     + m_dd (u_x v_x)^.  It takes and returns halves.  tails[..., i, :] is
     the dropped tail of the i-th product, u v and then (unless kdv) u_x v_x,
-    for lattice.dropped_mass on the pad=2 grid.  The stepper and Picard,
-    whose states are halves, call this directly; other callers use
-    nonlinearity_block.  F goes to out if given: a's shape, no memory
-    shared with a or b.  With work = lattice.grid_work(params,
-    params.default_grid(pad=2), nf) too, for one (nmax,) half and nf = 1
-    (kdv) or 2, the call allocates nothing.
+    for lattice.dropped_mass on the pad=2 grid.  The stepper calls this on
+    its half, Picard and pde_residual through nonlinearity_rows, and callers
+    with full rows use nonlinearity_block.  F goes to out if given: a's
+    shape, no memory shared with a or b.  With work = lattice.grid_work(params,
+    params.default_grid(pad=2), nf, a.shape[:-1]) too, nf = 1 (kdv) or 2,
+    the call allocates nothing, and tails are views into work.
     """
     ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv)
 
@@ -149,6 +152,20 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     if m_dd is not None:
         out += np.multiply(m_dd, prods[..., 1, :], out=prods[..., 1, :])
     return out, tails
+
+
+def nonlinearity_rows(u, params: ModelParams, mu: float = 1.0, kdv: bool = False):
+    """F(u, u) for an (n, nmax) block u of halves, bit for bit real_nonlinearity(u, u, ...)[0].
+
+    F_CHUNK rows at a time share one lattice.grid_work block, so its size does not grow with n.
+    """
+    out, nx, nf = np.empty(u.shape, dtype=complex), params.default_grid(pad=2), 1 if kdv else 2
+    for lo in range(0, len(u), F_CHUNK):
+        part = u[lo:lo + F_CHUNK]
+        if lo == 0 or len(part) < F_CHUNK:  # one block for the whole chunks, one for the last
+            work = grid_work(params, nx, nf, part.shape[:-1])
+        real_nonlinearity(part, part, params, mu, kdv, out[lo:lo + F_CHUNK], work)
+    return out
 
 
 def _real_halves(a, b, names):

@@ -85,6 +85,25 @@ class TestSimulate:
         assert run(tmp_path, "simulate", "--T", "0.004", "--dt", "0.002", "--kmax", "16") == 0
         assert "dt < 4.77e-05" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, steps", [
+        (("--T", "0.02", "--dt", "0.001"), 20),
+        (("--T", "0.02", "--dt", "0.001", "--stride", "5"), 20),
+        (("--T", "0.01", "--dt", "0.001", "--stride", "100"), 10)])
+    def test_run_reports_steps_not_recorded_rows(self, tmp_path, capsys, args, steps):
+        assert run(tmp_path, "simulate", "--kmax", "8", *args) == 0
+        doc = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert doc["steps"] == steps
+        assert capsys.readouterr().out.startswith(f"simulate: {steps} steps,")
+
+    @pytest.mark.parametrize("stride, steps", [("1", 5), ("2", 4)])
+    def test_blown_up_run_reports_steps_to_its_last_state(self, tmp_path, stride, steps):
+        # amplitude 500 blows up at step 5: stride 1 keeps that state, stride 2 step 4's
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(tmp_path, "simulate", "--kmax", "16", "--T", "0.2", "--dt", "1e-3",
+                       "--u0-amplitude", "500", "--stride", stride) == 2
+        doc = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert doc["blown_up"] is True and doc["steps"] == steps
+
     def test_kdv_flag_switches_mode(self, tmp_path):
         assert run(tmp_path, "simulate", "--kdv", "--T", "0.02", "--dt", "0.01",
                    "--kmax", "8") == 0
@@ -300,6 +319,13 @@ class TestRescaleCheckAndPicard:
         phase_s = doc["telemetry"]["phase_s"]
         assert set(phase_s) == {"setup", "iterate", "zs"}
         assert all(isinstance(v, float) and v >= 0.0 for v in phase_s.values())
+
+    def test_picard_report_grid_length(self, tmp_path):
+        # the pad=2 transform length: 2*2*8 + 2 = 34 rounds up to 36 = 2^2 3^2
+        assert run(tmp_path, "picard", "--kmax", "8", "--nt", "65",
+                   "--iterations", "1", "--u0-amplitude", "0.2") == 0
+        doc = json.loads((tmp_path / "out" / "picard.json").read_text())
+        assert doc["telemetry"]["grid_nx"] == 36
 
     def test_picard_report_versions(self, tmp_path):
         assert run(tmp_path, "picard", "--kmax", "8", "--nt", "129",

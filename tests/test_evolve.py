@@ -289,6 +289,11 @@ class TestResidual:
         with pytest.raises(ValueError, match="uniform"):
             pde_residual(traj)
 
+    def test_unknown_mode_refused(self, params16):
+        traj = simulate(hermitian_spectrum(params16, seed=7), T=0.01, dt=0.001)
+        with pytest.raises(ValueError, match="mode must be one of .*'bogus'"):
+            pde_residual(traj, mode="bogus")
+
     def test_too_coarse_refused(self, params16):
         traj = simulate(hermitian_spectrum(params16, seed=7), T=0.02, dt=0.01)
         with pytest.raises(ValueError, match="stride|samples"):
@@ -450,6 +455,22 @@ class TestPicardRecord:
         u0 = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=11)
         with pytest.raises(ValueError, match="report_s must be finite"):
             picard_iterate(u0, PicardConfig(iterations=2, nt=129, report_s=report_s))
+
+    @pytest.mark.parametrize("mode", ["linear", "KdV", "bogus"])
+    def test_unknown_mode_rejected(self, mode):
+        u0 = hermitian_spectrum(ModelParams(j=2, kmax=8.0), seed=11)
+        with pytest.raises(ValueError, match=f"mode must be .*{mode!r}"):
+            picard_iterate(u0, PicardConfig(iterations=1, nt=129), mode=mode)
+
+    @pytest.mark.parametrize("nt", [3, 7, 99, 515, 1025])
+    def test_time_grid_odd_about_zero(self, nt):
+        # linspace(-2, 2, nt) is not odd at nt = 7 and 515, and at nt = 99 its t[49] is -2.2e-16
+        t = PicardConfig(nt=nt).t_grid()
+        assert np.array_equal(t[::-1], -t) and t[nt // 2] == 0.0
+        assert t[0] == -2.0 and t[-1] == 2.0
+        assert np.abs(t - np.linspace(-2.0, 2.0, nt)).max() <= 1e-15
+        if nt in (3, 1025):  # a power-of-two step: the nodes are linspace's exactly
+            assert np.array_equal(t, np.linspace(-2.0, 2.0, nt))
 
     @pytest.mark.parametrize("measure_zs", [True, False])
     def test_phase_times_reported(self, measure_zs):

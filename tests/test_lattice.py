@@ -1,5 +1,6 @@
 """Transform conventions and Sobolev norms; the lattice convolution oracle against them."""
 
+import bisect
 import json
 import math
 
@@ -74,12 +75,14 @@ class TestModelParams:
         assert lattice_ks(0.1 * 3, 10.0).tolist() == [0.1, 0.2, 0.3]
 
     @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
-    def test_default_grid_is_scipys_fast_length(self, lam):
-        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+    def test_default_grid_is_the_next_5_smooth_length(self, lam):
+        # every 2^a 3^b 5^c up to 2^15, past the largest need 2*2*4096 + 2
+        smooth = sorted(2**a * 3**b * 5**c for a in range(16) for b in range(10) for c in range(7))
         for n in range(1, int(1024 * lam) + 1):
             p = ModelParams(j=2, lam=lam, kmax=n / lam)
             for pad in (1, 2):
-                assert p.default_grid(pad) == next_fast_len(2 * pad * n + 2), (n, pad)
+                want = smooth[bisect.bisect_left(smooth, 2 * pad * n + 2)]
+                assert p.default_grid(pad) == want, (n, pad)
 
 
 class TestForwardTransform:

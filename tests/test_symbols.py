@@ -18,12 +18,14 @@ from dcl.lattice import (
     x_grid,
 )
 from dcl.symbols import (
+    F_CHUNK,
     dispersion_symbol,
     free_evolution,
     mean_coupling,
     nonlinearity_block,
     nonlinearity_F,
     nonlinearity_multipliers,
+    nonlinearity_rows,
     nonlocal_multiplier,
     product_spectrum,
     real_nonlinearity,
@@ -282,3 +284,12 @@ class TestRealKernel:
             out = hermitian_rows(out)
             assert np.array_equal(out[..., ::-1], np.conj(out))
             assert tails.shape[:2] == (3, 1 if kdv else 2)
+
+    @pytest.mark.parametrize("kdv", [False, True])
+    @pytest.mark.parametrize("n", [1, F_CHUNK - 1, F_CHUNK, F_CHUNK + 1, 1025])
+    def test_chunk_loop_equals_one_kernel_call(self, n, kdv):
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        rng = np.random.default_rng(n)
+        u = 0.1 * (rng.standard_normal((n, p.nmax)) + 1j * rng.standard_normal((n, p.nmax)))
+        want = real_nonlinearity(u, u, p, mu=1.5, kdv=kdv)[0]
+        assert np.array_equal(nonlinearity_rows(u, p, mu=1.5, kdv=kdv), want)
