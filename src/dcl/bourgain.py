@@ -38,7 +38,7 @@ thresholds) computed once per band.  L2(dtau) is realized as
 (sum |a|^2 dtau)^(1/2) and L1(dtau) as sum |a| dtau, with weights evaluated
 at cell centers.
 
-A spectrum that from_time_samples builds from exactly Hermitian samples is
+A spectrum that from_time_samples builds from samples of real fields is
 marked as a real field: its n < 0 bands are the exact conjugate mirrors of
 its n > 0 bands, cell for cell.  Its norms read only the cells of the n > 0
 bands, a contiguous tail of the layout, and count each band sum twice.
@@ -61,8 +61,9 @@ from .lattice import (
     SpatialSpectrum,
     bracket,
     hs_norm,
-    is_real_block,
+    is_integer,
     lattice_ks,
+    real_half,
 )
 from .symbols import dispersion_symbol, nonlocal_multiplier
 
@@ -413,21 +414,19 @@ def random_spectrum(params: ModelParams, rng, dtau: float = 0.25,
 
 def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
                       dtau: float | None = None) -> SpaceTimeSpectrum:
-    """Discrete time Fourier transform of a trajectory of spatial spectra.
+    """Discrete time Fourier transform of a trajectory of real fields.
 
     block has shape (nt, 2*nmax+1) of spatial-spectrum values on the uniform
-    grid t of nt >= 2 samples; returns the space-time spectrum on the tau
-    grid the DFT induces (dtau = 2*pi / (nt*dt)).  Each nonzero mode becomes
-    one band of nt cells, transformed straight into the flat layout.  A
-    block of any other shape, or a t whose steps are not all positive and
-    equal to the first within a relative 1e-8, is a ValueError.
-
-    An exactly Hermitian block (lattice.is_real_block, a trajectory of real
-    fields) with odd nt is transformed on its n > 0 columns only: the tau
-    grid is then symmetric about 0, and each n < 0 band is built as the
-    exact conjugate mirror of its n > 0 band.  The result is marked as a
-    real field, and its norms read only its n > 0 bands.  Other blocks,
-    and every block with even nt, take the full transform, unmarked.
+    grid t of an odd number nt >= 3 of samples; returns the space-time
+    spectrum on the tau grid the DFT induces (dtau = 2*pi / (nt*dt)), which
+    is symmetric about 0.  Each row must be a real field (lattice.real_half):
+    only the n > 0 columns are transformed, each nonzero one into a band of
+    nt cells in the flat layout, and each n < 0 band is built as the exact
+    conjugate mirror of its n > 0 band.  The result is marked as a real
+    field, and its norms read only its n > 0 bands.  A block of any other
+    shape, a row that is not a real field or not finite, an even nt, or a t
+    whose steps are not all positive and equal to the first within a
+    relative 1e-8, is a ValueError.
     """
     t = np.asarray(t, dtype=float)
     block = np.asarray(block)
@@ -437,32 +436,31 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
     if block.shape != (nt, 2 * params.nmax + 1):
         raise ValueError(f"block must have shape (nt, 2*nmax+1) = ({nt}, "
                          f"{2 * params.nmax + 1}), got {block.shape}")
+    if nt % 2 == 0:
+        raise ValueError(f"nt must be odd (a tau grid symmetric about 0), got nt={nt}")
+    pos = real_half(block, "block")
     steps = np.diff(t)
     if not (np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)):
         raise ValueError("the time samples must lie on a uniform increasing grid")
     dt = t[1] - t[0]
-    span = nt * dt
-    dtau_c = 2.0 * math.pi / span
+    dtau_c = 2.0 * math.pi / (nt * dt)
     if dtau is not None and abs(dtau - dtau_c) > 1e-9:
         raise ValueError(f"requested dtau={dtau} inconsistent with grid ({dtau_c})")
-    real = nt % 2 == 1 and is_real_block(block)
-    ns = np.arange(1 if real else -params.nmax, params.nmax + 1)
-    ns = ns[ns != 0]
-    fhat = np.fft.fft(block.T[ns + params.nmax], axis=1)  # one row per band
+    fhat = np.fft.fft(np.ascontiguousarray(pos.T), axis=1)  # one row per band n > 0
     fhat *= dt / math.sqrt(2.0 * math.pi)
     ms = np.arange(nt) - nt // 2  # integer tau indices, ascending: the FFT's, shifted
     fhat = np.fft.fftshift(fhat, axes=1)
     fhat *= np.exp(-1j * (ms * dtau_c) * t[0])
-    if real:  # band -n at tau index -m is the conjugate of band n at m
-        fhat = np.concatenate([np.conj(fhat[::-1, ::-1]), fhat])
-        ns = np.concatenate([-ns[::-1], ns])
+    # band -n at tau index -m is the conjugate of band n at m
+    fhat = np.concatenate([np.conj(fhat[::-1, ::-1]), fhat])
+    ns = np.delete(np.arange(-params.nmax, params.nmax + 1), params.nmax)
     nonzero = fhat.any(axis=1)
     if not nonzero.all():
         ns, fhat = ns[nonzero], fhat[nonzero]
     out = SpaceTimeSpectrum._from_layout(params, dtau_c, 0.0, ns,
                                          np.full(ns.size, ms[0], dtype=np.int64),
                                          np.arange(ns.size + 1) * nt, fhat.ravel())
-    out._real = real
+    out._real = True
     return out
 
 
@@ -621,11 +619,12 @@ def bilinear_probe(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum, s: float, form: s
 
 def batch_bilinear_probe(params: ModelParams, s: float, form: str, count: int,
                          seed: int, dtau: float = 0.25, workers: int = 1) -> dict:
-    """Seeded batch of random unit-Z^s pairs; reports max/median ratios."""
+    """Seeded batch of count >= 1 random unit-Z^s pairs; reports max/median ratios."""
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    if count < 1:
-        raise ValueError("need at least one probe pair")
+    if not is_integer(count) or count < 1:
+        raise ValueError(f"need at least one probe pair: count must be an integer >= 1, "
+                         f"got {count!r}")
     if workers != 1:
         raise ValueError("workers must be 1: probe pairs run one after another")
     rng = np.random.default_rng(seed)
@@ -795,7 +794,7 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     if not (math.isfinite(kbound) and kbound * params.lam >= 1):
         raise ValueError(f"kbound={kbound} must be finite with kbound * lambda >= 1 "
                          f"(lambda={params.lam}), so the box holds a lattice k")
-    if not (isinstance(doublings, (int, np.integer)) and doublings >= 0):
+    if not (is_integer(doublings) and doublings >= 0):
         raise ValueError(f"doublings={doublings!r} must be an integer >= 0")
     bounds = [kbound * 2**i for i in range(doublings + 1)]
     scans = _embedding_scans(s, params.j)

@@ -35,8 +35,8 @@ from .lattice import (
 from .symbols import dispersion_symbol
 
 # Every config key, declared once: key -> (default, type), in flag order.  In a
-# config file a float key takes an int too, and a key whose default is None
-# takes null.
+# config file a float key takes an int too, only a bool key takes true or
+# false, and a key whose default is None takes null.
 _KEYS = {
     "j": (2, int),
     "lambda": (1.0, float),
@@ -89,6 +89,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, val in cfg.items():
         default, kind = _KEYS[key]
         if not (isinstance(val, (int, float) if kind is float else kind)
+                and isinstance(val, bool) == (kind is bool)
                 or (val is None and default is None)):
             raise UsageError(f"config key {key!r} has wrong type: {val!r}")
     return cfg

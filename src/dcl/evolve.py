@@ -9,11 +9,12 @@ The same free group + Duhamel structure powers the fixed-point iterator:
     Phi(w) = eta(t) S(t) u0 - eta(t) * integral_0^t S(t-t') F(w,w)(t') dt'
 
 whose iterates w^0 = eta S(t) u0, w^(n+1) = Phi(w^n) are reported together
-with their contraction ratios.  eta is the usual smooth bump: 1 on [-1,1],
-supported in [-2,2].  The time integral is a composite cumulative Simpson
-rule on the uniform time grid (scipy's equal-interval formulas, one pass
-over complex rows); the grid has an odd number nt >= 3 of nodes, so t = 0
-is a node and the integral starts there.
+with their contraction ratios.  eta is a C^1 bump, 1 on [-1,1] and
+supported in [-2,2], whose second derivative jumps at |t| = 1.  The time
+integral is a composite cumulative Simpson rule on the uniform time grid
+(scipy's equal-interval formulas, one pass over complex rows); the grid has
+an odd number nt >= 3 of nodes, so t = 0 is a node and the integral starts
+there.
 
 The state of a real field is the n > 0 half of its spectrum (see lattice).
 The stepper keeps its phases and mean coupling on that half, and simulate
@@ -43,6 +44,7 @@ from .lattice import (
     grid_work,
     hermitian_rows,
     hs_norm,
+    is_integer,
     real_half,
     sobolev_weights,
 )
@@ -241,7 +243,7 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
             raise ValueError(f"{name} must be finite, got {value!r}")
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
-    if stride < 1:
+    if not is_integer(stride) or stride < 1:
         raise ValueError(f"stride must be a positive number of steps, got {stride!r}")
     nsteps = int(round(T / dt))
     if abs(T / dt - nsteps) > 1e-9:
@@ -376,7 +378,10 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def bump_eta(t):
-    """Smooth time cutoff: 1 on [-1,1], supported in [-2,2]."""
+    """C^1 time cutoff: 1 on [-1,1], supported in [-2,2]; eta'' jumps by -2 at |t| = 1.
+
+    Past |t| = 1 it is 1 - r^2 + O(r^4), r = |t| - 1, so eta-hat decays like sigma^-3.
+    """
     t = np.abs(np.asarray(t, dtype=float))
     out = np.zeros_like(t)
     out[t <= 1.0] = 1.0
@@ -453,11 +458,11 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     iterations (F, quadrature and update) and the Z^s measurement.
     """
     nt = cfg.nt
-    if not isinstance(nt, (int, np.integer)) or nt < 3 or nt % 2 == 0:
+    if not is_integer(nt) or nt < 3 or nt % 2 == 0:
         raise ValueError(f"nt must be an odd integer >= 3 (whole Simpson panels, "
                          f"t = 0 on the grid), got nt={nt!r}")
     it = cfg.iterations
-    if not isinstance(it, (int, np.integer)) or it < 1:
+    if not is_integer(it) or it < 1:
         raise ValueError(f"iterations must be an integer >= 1, got {it!r}")
     if not math.isfinite(cfg.report_s):
         raise ValueError(f"report_s must be finite, got {cfg.report_s!r}")

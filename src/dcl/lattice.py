@@ -20,13 +20,13 @@ and the packing pair `lattice_to_grid` / `grid_to_lattice` takes and
 returns such halves; the time engines compute on halves too.  Full
 Hermitian rows are built only where a spectrum leaves them, by
 `hermitian_rows`, the one place that turns halves into rows.  Rows enter
-the half route through `real_half`, the one place the realness rule is
-written: the transforms, products, F and the solvers reject a field that
-is not real (complex samples, a spectrum that is not Hermitian) with a
-ValueError instead of computing on it.  The raw FFT convention differs
-from the symmetric one by a fixed scaling, which is confined to the
-packing pair; nothing else in the package touches an FFT normalization or
-the FFT index order.
+the half route through `real_half`, the one realness rule in the package:
+the transforms, products, F, the solvers and the time-sample lift
+(bourgain.from_time_samples) reject a field that is not real (complex
+samples, a spectrum that is not Hermitian) with a ValueError instead of
+computing on it.  The raw FFT convention differs from the symmetric one by
+a fixed scaling, which is confined to the packing pair; nothing else in the
+package touches an FFT normalization or the FFT index order.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 def bracket(x):
     """Japanese bracket <x> = (1 + x^2)^(1/2); <0> = 1."""
     return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer but not a bool: the test of every integer count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -348,19 +353,6 @@ def dropped_mass(tail, nx: int, lam: float):
     return np.sqrt(mass / lam)
 
 
-def is_real_block(amps) -> bool:
-    """True iff every row is exactly Hermitian, amps(-k) == conj(amps(k)): real fields.
-
-    Each mirror pair is compared once: the first half of a row (with the
-    middle entry) against the conjugate of the mirrored second half.
-    bourgain.from_time_samples asks it which transform to take; real_half
-    is the rule that admits a field to the half route.
-    """
-    a = np.asarray(amps)
-    h = (a.shape[-1] + 1) // 2
-    return bool(np.array_equal(a[..., :h], np.conj(a[..., :-h - 1:-1])))
-
-
 def real_half(amps, what: str, tol: float = 1e-12) -> np.ndarray:
     """The n > 0 halves, amps[..., nmax+1:], of (..., 2*nmax+1) rows that are real fields.
 
@@ -368,21 +360,27 @@ def real_half(amps, what: str, tol: float = 1e-12) -> np.ndarray:
     to within tol times its largest amplitude, so small data are judged as
     strictly as large data and a zero row passes.  Otherwise, or when an
     amplitude is not finite, ValueError names the argument what.  A row
-    that is Hermitian only within tol is given by its n > 0 half.
+    that is Hermitian only within tol is given by its n > 0 half.  A row
+    whose mirror difference is exactly zero is finite and Hermitian (NaN
+    or inf leaves a nonzero difference), so only the other rows are measured.
     """
     a = np.asarray(amps)
     h = (a.shape[-1] + 1) // 2
-    top = np.abs(a).max(axis=-1)
-    if not np.isfinite(top).all():
-        raise ValueError(f"{what} has a non-finite amplitude")
-    gap = np.abs(a[..., :h] - np.conj(a[..., :-h - 1:-1])).max(axis=-1)
-    if not (gap <= tol * top).all():
-        raise ValueError(f"{what} must be a real field (a Hermitian spectrum, "
-                         "amps(-k) = conj(amps(k)))")
+    diff = np.conjugate(a[..., :-h - 1:-1])
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, a nonzero difference too
+        np.subtract(a[..., :h], diff, out=diff)
+    inexact = diff.any(axis=-1)
+    if inexact.any():
+        top = np.abs(a[inexact]).max(axis=-1)
+        if not np.isfinite(top).all():
+            raise ValueError(f"{what} has a non-finite amplitude")
+        if not (np.abs(diff[inexact]).max(axis=-1) <= tol * top).all():
+            raise ValueError(f"{what} must be a real field (a Hermitian spectrum, "
+                             "amps(-k) = conj(amps(k)))")
     return a[..., h:]
 
 
-def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = False):
+def forward_transform(samples, params: ModelParams, return_mean: bool = False):
     """Transform uniform real samples on [0, 2*pi*lam) to a truncated Hermitian spectrum.
 
     The trapezoid rule is exact for band-limited periodic data, so this is
@@ -403,13 +401,6 @@ def forward_transform(samples, params: ModelParams, x=None, return_mean: bool = 
     m = params.nmax
     if nx < 2 * m + 1:
         raise ValueError(f"need at least {2 * m + 1} samples to resolve kmax, got {nx}")
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        dx = np.diff(x)
-        if x.shape != (nx,) or not np.allclose(dx, dx[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("sample grid is not uniform")
-        if abs(x[0]) > 1e-12 or abs((x[-1] + dx[0]) - params.period()) > 1e-9 * params.period():
-            raise ValueError("sample grid does not tile [0, 2*pi*lam)")
     pos, zero, tail = grid_to_lattice(f, params)
     amps = hermitian_rows(pos)
     mean = zero.real / (TWO_PI_SQRT * params.lam)

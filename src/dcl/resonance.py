@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import is_integer
 from .symbols import dispersion_symbol
 
 _CHUNK_ROWS = 32  # k1 rows per array step of the walk: bounds its scratch memory
@@ -90,11 +91,11 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
     attained.  kmax_box must be an integer >= 2, j an integer >= 1 and
     tau_trials an integer >= 0 (ValueError otherwise).
     """
-    if not _is_integer(kmax_box) or kmax_box < 2:
+    if not is_integer(kmax_box) or kmax_box < 2:
         raise ValueError(f"kmax_box must be an integer >= 2, got {kmax_box!r}")
-    if not _is_integer(j) or j < 1:
+    if not is_integer(j) or j < 1:
         raise ValueError(f"j must be an integer >= 1, got {j!r}")
-    if not _is_integer(tau_trials) or tau_trials < 0:
+    if not is_integer(tau_trials) or tau_trials < 0:
         raise ValueError(f"tau_trials must be an integer >= 0, got {tau_trials!r}")
     box, j, tau_trials = int(kmax_box), int(j), int(tau_trials)
     e = 2 * j + 1
@@ -170,10 +171,6 @@ def tau_draws(rng: np.random.Generator, span: int, n: int) -> np.ndarray:
     return draw % width - span
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def certificate_json(report: dict) -> str:
     doc = {key: report[key] for key in
            ("j", "Kmax", "triples_checked", "violations", "min_slack", "argmin")}
@@ -196,26 +193,3 @@ def classify_max_case(t: Triple, j: int) -> str:
             f"modulation max {max(mags)} below resonance bound/3 for {t}"
         )
     return case
-
-
-def scaled_triple_check(k: float, k1: float, k2: float, lam: int, j: int) -> dict:
-    """Check the bound for a triple on the 1/lam lattice via integer scaling.
-
-    Frequencies n/lam map to integers by multiplying through by lam; the
-    bound is homogeneous of degree 2j+1, so both sides divide by lam^(2j+1).
-    """
-    ints = []
-    for x in (k, k1, k2):
-        n = x * lam
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError(f"{x} is not on the 1/{lam} lattice")
-        ints.append(int(round(n)))
-    t = Triple(*ints)
-    res = resonance_magnitude(t, j)
-    num, den = bound_num_den(t, j)
-    scale = lam ** (2 * j + 1)
-    return {
-        "resonance": res / scale,
-        "bound": num / (den * scale),
-        "holds": res * den >= num,
-    }

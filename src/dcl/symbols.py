@@ -14,14 +14,14 @@ the circle).  F(u, u) is the full nonlinearity moved to the right-hand
 side: u_t + d_x^(2j+1) u + F(u, u) = 0.
 
 A real field is its n > 0 half (see lattice), and the kernel under every F,
-`real_nonlinearity`, takes and returns halves.  The callers that take full
-rows (`nonlinearity_block`, `nonlinearity_F`) cut them to halves with
-lattice.real_half, which rejects a field that is not real, and mirror the
-kernel's output once, with lattice.hermitian_rows; `product_spectrum` does
-the same with the product under it, `padded_product`.  Products and
-F are taken one way, on the alias-free pad=2 grid; the lattice
-convolution that cross-checks them is an oracle of the tests
-(tests/oracles.py), not a route of the package.
+`real_nonlinearity`, takes and returns halves; `nonlinearity_rows` runs it
+on a block of halves.  Full rows reach it through lattice.real_half, which
+rejects a field that is not real: `nonlinearity_F` cuts its two spectra
+that way and mirrors the kernel's output once, with lattice.hermitian_rows,
+and `product_spectrum` does the same with the product under it,
+`padded_product`.  Products and F are taken one way, on the alias-free
+pad=2 grid; the lattice convolution that cross-checks them is an oracle of
+the tests (tests/oracles.py), not a route of the package.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     + m_dd (u_x v_x)^.  It takes and returns halves.  tails[..., i, :] is
     the dropped tail of the i-th product, u v and then (unless kdv) u_x v_x,
     for lattice.dropped_mass on the pad=2 grid.  The stepper calls this on
-    its half, Picard and pde_residual through nonlinearity_rows, and callers
-    with full rows use nonlinearity_block.  F goes to out if given: a's
+    its half, Picard and pde_residual through nonlinearity_rows, and
+    nonlinearity_F on real_half halves.  F goes to out if given: a's
     shape, no memory shared with a or b.  With work = lattice.grid_work(params,
     params.default_grid(pad=2), nf, a.shape[:-1]) too, nf = 1 (kdv) or 2,
     the call allocates nothing, and tails are views into work.
@@ -172,18 +172,6 @@ def _real_halves(a, b, names):
     """(real_half(a), real_half(b)), named names in errors; one half serves both when b is a."""
     pa = real_half(a, names[0])
     return pa, pa if b is a else real_half(b, names[1])
-
-
-def nonlinearity_block(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False):
-    """(F(a, b), losses) for (..., 2*nmax+1) blocks of rows that are real fields.
-
-    The rows' n > 0 halves (lattice.real_half: a row that is not a real
-    field is a ValueError) go through real_nonlinearity once, and its
-    output is mirrored to full rows once.  losses[..., i] is the truncation
-    loss of F's i-th product (u v, then u_x v_x unless kdv) per row.
-    """
-    out, tails = real_nonlinearity(*_real_halves(a, b, ("a", "b")), params, mu=mu, kdv=kdv)
-    return hermitian_rows(out), dropped_mass(tails, params.default_grid(pad=2), params.lam)
 
 
 def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum) -> SpatialSpectrum:

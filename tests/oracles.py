@@ -15,6 +15,11 @@
   dcl calls each norm directly.
 - `rescale_state` is the per-state dilation that dcl.rescale.rescale_trajectory
   applies to a whole trajectory block at once.
+- `exactly_hermitian` tests rows for exact mirror symmetry, and
+  `real_half_reference` is dcl.lattice.real_half's rule measured on every
+  row, as it was written before the rule skipped exactly Hermitian rows.
+- `scaled_triple_check` checks the resonance bound for a triple on the
+  1/lam lattice by scaling it to integers.
 """
 
 import math
@@ -28,6 +33,7 @@ from dcl.bourgain import REGION_LABELS, SpaceTimeSpectrum, region_memberships
 from dcl.evolve import SolverState
 from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum, hs_norm, lattice_ks
 from dcl.rescale import rescale_field
+from dcl.resonance import Triple, bound_num_den, resonance_magnitude
 from dcl.symbols import dispersion_symbol, nonlinearity_multipliers
 
 
@@ -210,3 +216,50 @@ def rescale_state(state: SolverState, mu: float) -> SolverState:
         spec=rescale_field(state.spec, mu),
         mean=state.mean * mu ** (-2 * j),
     )
+
+
+# -- the realness rule, every row measured ------------------------------------------------
+
+def exactly_hermitian(amps) -> bool:
+    """True iff every (..., 2*nmax+1) row is exactly Hermitian, amps(-k) == conj(amps(k))."""
+    a = np.asarray(amps)
+    return bool(np.array_equal(a, np.conj(a[..., ::-1])))
+
+
+def real_half_reference(amps, what: str, tol: float = 1e-12) -> np.ndarray:
+    """dcl.lattice.real_half's verdict and message, with every row's maximum and gap taken."""
+    a = np.asarray(amps)
+    h = (a.shape[-1] + 1) // 2
+    top = np.abs(a).max(axis=-1)
+    if not np.isfinite(top).all():
+        raise ValueError(f"{what} has a non-finite amplitude")
+    gap = np.abs(a[..., :h] - np.conj(a[..., :-h - 1:-1])).max(axis=-1)
+    if not (gap <= tol * top).all():
+        raise ValueError(f"{what} must be a real field (a Hermitian spectrum, "
+                         "amps(-k) = conj(amps(k)))")
+    return a[..., h:]
+
+
+# -- the resonance bound on a scaled lattice ----------------------------------------------
+
+def scaled_triple_check(k: float, k1: float, k2: float, lam: int, j: int) -> dict:
+    """Check the bound for a triple on the 1/lam lattice via integer scaling.
+
+    Frequencies n/lam map to integers by multiplying through by lam; the
+    bound is homogeneous of degree 2j+1, so both sides divide by lam^(2j+1).
+    """
+    ints = []
+    for x in (k, k1, k2):
+        n = x * lam
+        if abs(n - round(n)) > 1e-9:
+            raise ValueError(f"{x} is not on the 1/{lam} lattice")
+        ints.append(int(round(n)))
+    t = Triple(*ints)
+    res = resonance_magnitude(t, j)
+    num, den = bound_num_den(t, j)
+    scale = lam ** (2 * j + 1)
+    return {
+        "resonance": res / scale,
+        "bound": num / (den * scale),
+        "holds": res * den >= num,
+    }

@@ -728,23 +728,53 @@ class TestTimeSamples:
                   lambda x: ys_norm(x, s), lambda x: zs_norm(x, s), lambda x: ws_norm(x, s)):
             assert f(u) == pytest.approx(f(plain), rel=1e-13, abs=0)
 
-    def test_complex_blocks_and_even_nt_take_the_full_transform(self):
+    def test_zero_bands_are_dropped_in_both_halves(self):
         p = ModelParams(j=2, lam=2.0, kmax=8.0)
-        rng = np.random.default_rng(3)
         t, block = real_trajectory(p, 65, seed=3)
+        for n in (2, 5):
+            block[:, p.nmax + n] = block[:, p.nmax - n] = 0.0
+        u = from_time_samples(t, block, p)
+        ns, m0, cells = full_transform(t, block, p)
+        assert u._real and not set(u.seg_n.tolist()) & {-5, -2, 2, 5}
+        assert np.array_equal(u.seg_n, ns) and np.all(u.seg_m0 == m0)
+        assert np.abs(u.amps.reshape(ns.size, -1) - cells).max() <= 1e-13 * np.abs(cells).max()
+
+    def test_nearly_hermitian_block_is_lifted_from_its_positive_half(self):
+        # Hermitian only within 1e-12: the lift is that of the exact mirror of the n > 0 half
+        p = ModelParams(j=3, lam=2.0, kmax=8.0)
+        m = p.nmax
+        t, block = real_trajectory(p, 65, seed=4)
         nudged = block.copy()
-        nudged[5, 2] *= 1.0 + 1e-15
-        t64, block64 = real_trajectory(p, 64, seed=4)
-        cplx = block + 1j * rng.standard_normal(block.shape)
-        cplx[:, p.nmax] = 0.0
-        sparse = cplx.copy()
-        sparse[:, [2, p.nmax + 3]] = 0.0  # zero bands are dropped
-        for times, samples in ((t, nudged), (t64, block64), (t, cplx), (t, sparse)):
-            u = from_time_samples(times, samples, p)
-            ns, m0, cells = full_transform(times, samples, p)
-            assert not u._real
-            assert np.array_equal(u.seg_n, ns) and np.all(u.seg_m0 == m0)
-            assert np.array_equal(u.amps, cells.ravel())
+        nudged[:, :m] *= 1.0 + 1e-13 * np.exp(2j * np.pi * np.random.default_rng(4).random(m))
+        assert not oracles.exactly_hermitian(nudged)
+        u = from_time_samples(t, nudged, p)
+        want = from_time_samples(t, hermitian_rows(nudged[:, m + 1:]), p)
+        assert u._real and want._real
+        for name in ("seg_n", "seg_m0", "offsets", "amps"):
+            assert np.array_equal(getattr(u, name), getattr(want, name))
+
+    def test_blocks_that_are_not_real_fields_rejected(self):
+        p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        m = p.nmax
+        t, block = real_trajectory(p, 65, seed=5)
+        cplx = block + 1j * np.random.default_rng(5).standard_normal(block.shape)
+        cplx[:, m] = 0.0
+        with pytest.raises(ValueError, match="^block must be a real field"):
+            from_time_samples(t, cplx, p)
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            for cols in ([m + 3, m - 3], [m + 3], [m - 1], [m]):  # a mirrored pair, one side, n = 0
+                samples = block.copy()
+                samples[7, cols] = bad
+                with pytest.raises(ValueError, match="^block has a non-finite amplitude"):
+                    from_time_samples(t, samples, p)
+
+    def test_even_nt_rejected(self):
+        p = ModelParams(j=2, kmax=4.0)
+        t, block = real_trajectory(p, 64, seed=6)
+        with pytest.raises(ValueError, match="nt must be odd"):
+            from_time_samples(t, block, p)
+        with pytest.raises(ValueError, match="nt must be odd"):
+            from_time_samples(t[:2], block[:2], p)
 
     def test_derived_spectra_are_unmarked(self):
         p = ModelParams(j=2, kmax=4.0)

@@ -586,6 +586,24 @@ class TestConfigTable:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "error: config key 'kdv' has wrong type: 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [("simulate", "dt"), ("picard", "iterations"),
+                                              ("simulate", "stride"), ("probe", "pairs")])
+    def test_number_keys_reject_true(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"error: config key '{key}' has wrong type: True" in capsys.readouterr().err
+
+    def test_every_non_bool_key_rejects_true(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for key, (_, kind) in _KEYS.items():
+            cfg.write_text(json.dumps({key: True}))
+            if kind is bool:
+                assert load_config(str(cfg), {})[key] is True
+            else:
+                with pytest.raises(UsageError, match="wrong type"):
+                    load_config(str(cfg), {})
+
     def test_malformed_config_json_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"T": 0.02,')

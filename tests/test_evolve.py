@@ -29,9 +29,10 @@ from dcl.lattice import (
     hermitian_rows,
     hs_norm,
     inverse_transform,
+    real_half,
     x_grid,
 )
-from dcl.symbols import dispersion_symbol, free_evolution, nonlinearity_block, nonlinearity_F
+from dcl.symbols import dispersion_symbol, free_evolution, nonlinearity_F, real_nonlinearity
 
 import oracles
 from conftest import hermitian_spectrum
@@ -310,6 +311,16 @@ class TestBumpEta:
         assert np.all((0.0 <= v) & (v <= 1.0))
         assert np.all(v[np.abs(t) <= 1.0] == 1.0)
 
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    def test_c1_with_a_second_derivative_jump_at_the_plateau_edge(self, edge):
+        # one-sided differences at |t| = 1, h = 1e-3: eta' is continuous (0 on both
+        # sides), eta'' jumps from 0 inside to -2 outside, so eta-hat decays like sigma^-3
+        h = 1e-3 * np.sign(edge)
+        inside, outside = bump_eta(edge - np.arange(3) * h), bump_eta(edge + np.arange(3) * h)
+        assert inside[0] - inside[1] == 0.0 and abs(outside[1] - outside[0]) < 2 * h * h
+        assert inside[0] - 2 * inside[1] + inside[2] == 0.0
+        assert (outside[0] - 2 * outside[1] + outside[2]) / (h * h) == pytest.approx(-2.0, rel=1e-4)
+
 
 class TestPicard:
     def test_zero_data_all_zero(self, params16):
@@ -381,7 +392,8 @@ class TestPicard:
         half = 0.1 * (rng.standard_normal((3, params16.nmax))
                       + 1j * rng.standard_normal((3, params16.nmax)))
         blk = hermitian_rows(half)
-        out = nonlinearity_block(blk, blk, params16, mu=1.5)[0]
+        h = real_half(blk, "blk")
+        out = hermitian_rows(real_nonlinearity(h, h, params16, mu=1.5)[0])
         for i in range(3):
             u = SpatialSpectrum(params16, blk[i])
             ref = nonlinearity_F(u, u, mu=1.5).amps

@@ -39,6 +39,8 @@ from dcl.symbols import (
     real_nonlinearity,
 )
 
+import oracles
+
 
 # -- full-row oracles -----------------------------------------------------------------
 
@@ -215,13 +217,13 @@ class TestStepperParity:
         amps = broadband(p, seed=5).amps.copy()
         amps[:m] *= 1.0 + 1e-14
         u0 = SpatialSpectrum(p, amps)
-        assert u0.is_hermitian() and not lattice.is_real_block(amps)
+        assert u0.is_hermitian() and not oracles.exactly_hermitian(amps)
         traj = simulate(u0, 10e-4, 1e-4, stride=5)
         _, states, _, _ = oracle_simulate(u0, 10, 1e-4, "full", 1.0, 0.0, 5)
         assert np.array_equal(traj.states[0].spec.amps, amps)
         for st, want in zip(traj.states[1:], states[1:], strict=True):
             assert np.array_equal(st.spec.amps[m + 1:], want[m + 1:])
-            assert lattice.is_real_block(st.spec.amps)
+            assert oracles.exactly_hermitian(st.spec.amps)
             assert not np.array_equal(st.spec.amps[:m], want[:m])
 
     def test_blowup_check_matches_the_full_row_norm(self):
@@ -344,7 +346,12 @@ class TestKernelParity:
 # -- Picard -------------------------------------------------------------------------
 
 def oracle_picard(u0, cfg, mode="full", mu=1.0):
-    """(iterates, H^s ratios, Z^s ratios) of the Picard loop with the full-row kernel."""
+    """(iterates, H^s ratios, Z^s ratios) of the Picard loop with the full-row kernel.
+
+    Z^s is measured, as by picard_iterate, only when cfg.measure_zs: a difference
+    of nearly Hermitian iterates need not be a real field within real_half's
+    tolerance, and from_time_samples lifts only real fields.
+    """
     p = u0.params
     t = cfg.t_grid()
     i0 = cfg.nt // 2
@@ -365,7 +372,8 @@ def oracle_picard(u0, cfg, mode="full", mu=1.0):
         w_next = free - cum
         d = w_next - w
         d_hs.append(np.sqrt(np.sum(kw[None, :] * np.abs(d) ** 2, axis=1) / p.lam).max())
-        d_zs.append(zs_norm(from_time_samples(t, d, p, dtau=cfg.zs_dtau), cfg.report_s))
+        if cfg.measure_zs:
+            d_zs.append(zs_norm(from_time_samples(t, d, p, dtau=cfg.zs_dtau), cfg.report_s))
         w = w_next
         saved.append(w)
 
@@ -395,13 +403,13 @@ class TestPicardParity:
         amps = broadband(p, seed=12, amplitude=0.01).amps.copy()
         amps[:m] *= 1.0 + 1e-14
         u0 = SpatialSpectrum(p, amps)
-        assert u0.is_hermitian() and not lattice.is_real_block(amps)
+        assert u0.is_hermitian() and not oracles.exactly_hermitian(amps)
         cfg = PicardConfig(iterations=2, nt=65, measure_zs=False)
         res = picard_iterate(u0, cfg)
         iterates = oracle_picard(u0, cfg)[0]
         assert np.array_equal(res.iterates[..., m + 1:], iterates[..., m + 1:])
         for it, want in zip(res.iterates, iterates, strict=True):
-            assert lattice.is_real_block(it)
+            assert oracles.exactly_hermitian(it)
             assert not np.array_equal(it[:, :m], want[:, :m])
 
 

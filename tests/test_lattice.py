@@ -20,7 +20,7 @@ from dcl.lattice import (
     hermitian_rows,
     hs_norm,
     inverse_transform,
-    is_real_block,
+    is_integer,
     lattice_ks,
     lattice_to_grid,
     sobolev_weights,
@@ -121,12 +121,6 @@ class TestForwardTransform:
         x = x_grid(p, 64)
         with pytest.warns(UserWarning, match="above kmax"):
             forward_transform(np.cos(7 * x), p)
-
-    def test_non_uniform_grid_rejected(self, params16):
-        x = x_grid(params16, 64).copy()
-        x[3] += 1e-3
-        with pytest.raises(ValueError, match="uniform"):
-            forward_transform(np.cos(x), params16, x=x)
 
     def test_too_few_samples_rejected(self, params16):
         with pytest.raises(ValueError, match="samples"):
@@ -348,7 +342,7 @@ class TestRealPacking:
         assert f.shape == (2, 2, nx) and np.isrealobj(f)
         pos, zero, tail = grid_to_lattice(f, p)
         amps = hermitian_rows(pos)
-        assert is_real_block(amps)
+        assert oracles.exactly_hermitian(amps)
         assert np.abs(amps - blk).max() < 1e-15 * np.abs(blk).max() * nx
         assert np.abs(zero).max() < 1e-15 and np.abs(tail).max() < 1e-15
 
@@ -372,3 +366,31 @@ class TestRealPacking:
         assert (1e-11 * u).is_hermitian()
         assert not u.with_amps(u.amps * 1e-11 * np.exp(0.5j)).is_hermitian()
         assert SpatialSpectrum.zeros(params16).is_hermitian()
+
+
+class TestIntegerCounts:
+    def test_is_integer(self):
+        assert all(is_integer(x) for x in (0, -3, np.int64(5), np.uint8(2)))
+        assert not any(is_integer(x) for x in (True, np.True_, 1.0, 1.5, np.float64(2.0), "3", None))
+
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    @pytest.mark.parametrize("name", ["nt", "iterations", "stride", "doublings", "count",
+                                      "kmax_box", "tau_trials"])
+    def test_counts_reject_bools_and_floats(self, name, bad):
+        from dcl.bourgain import batch_bilinear_probe, verify_embeddings
+        from dcl.evolve import PicardConfig, picard_iterate, simulate
+        from dcl.resonance import verify_resonance_bound
+
+        p = ModelParams(j=2, kmax=4.0)
+        u0 = hermitian_spectrum(p, seed=1)
+        calls = {
+            "nt": lambda: picard_iterate(u0, PicardConfig(nt=bad, iterations=1)),
+            "iterations": lambda: picard_iterate(u0, PicardConfig(nt=5, iterations=bad)),
+            "stride": lambda: simulate(u0, 2e-3, 1e-3, stride=bad),
+            "doublings": lambda: verify_embeddings(-0.25, p, kbound=4.0, doublings=bad),
+            "count": lambda: batch_bilinear_probe(p, -0.25, "dxdx_smoothed", count=bad, seed=1),
+            "kmax_box": lambda: verify_resonance_bound(bad, 2),
+            "tau_trials": lambda: verify_resonance_bound(4, 2, tau_trials=bad),
+        }
+        with pytest.raises(ValueError, match=name):
+            calls[name]()

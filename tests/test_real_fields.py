@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcl.bourgain import from_time_samples
 from dcl.evolve import (
     PicardConfig,
     SolverState,
@@ -27,8 +28,9 @@ from dcl.lattice import (
     inverse_transform,
     real_half,
 )
-from dcl.symbols import nonlinearity_block, nonlinearity_F, product_spectrum
+from dcl.symbols import nonlinearity_F, product_spectrum
 
+import oracles
 from conftest import hermitian_spectrum
 
 P8 = ModelParams(j=2, kmax=8.0)
@@ -41,8 +43,6 @@ REAL_ONLY = {
     "step": lambda u, bad: step(SolverState(0.0, bad), 1e-3),
     "pde_residual": lambda u, bad: pde_residual(
         Trajectory(P8, 1e-3, "full", [SolverState(i * 1e-3, bad) for i in range(7)])),
-    "nonlinearity_block a": lambda u, bad: nonlinearity_block(bad.amps, u.amps, P8),
-    "nonlinearity_block b": lambda u, bad: nonlinearity_block(u.amps, bad.amps, P8),
     "nonlinearity_F u1": lambda u, bad: nonlinearity_F(bad, u),
     "nonlinearity_F u2": lambda u, bad: nonlinearity_F(u, bad),
     "product_spectrum u1": lambda u, bad: product_spectrum(bad, u),
@@ -50,6 +50,8 @@ REAL_ONLY = {
     "inverse_transform": lambda u, bad: inverse_transform(bad),
     "inverse_transform mean": lambda u, bad: inverse_transform(u, mean=0.1j),
     "forward_transform": lambda u, bad: forward_transform(inverse_transform(u) + 0j, P8),
+    "from_time_samples": lambda u, bad: from_time_samples(
+        np.linspace(-2.0, 2.0, 5), np.stack([u.amps, bad.amps, u.amps, u.amps, u.amps]), P8),
 }
 
 
@@ -122,3 +124,71 @@ def test_input_past_the_tolerance_rejected(seed, f):
     assert not near.is_hermitian()
     with pytest.raises(ValueError, match="^u1 must be a real field"):
         nonlinearity_F(near, near)
+
+
+def _battery():
+    """name -> (..., 2*nmax+1) block: the cases real_half must judge as its reference does."""
+    m = P8.nmax
+    exact = np.stack([hermitian_spectrum(P8, seed=s, decay=0.2).amps for s in range(4)])
+    near, far = _nudged_rows(exact, 0.5), _nudged_rows(exact, 3.0)
+    cases = {"exact": exact, "exact row": exact[0], "exact 3-d": exact.reshape(2, 2, -1),
+             "within tol": near, "beyond tol": far, "zero rows": np.zeros((3, 2 * m + 1), complex),
+             "mixed within": np.stack([exact[0], near[1], exact[2]]),
+             "mixed beyond": np.stack([exact[0], near[1], far[2]]),
+             "zero and beyond": np.stack([np.zeros(2 * m + 1), far[0]]),
+             "real dtype": exact.real + exact.real[..., ::-1],
+             "complex n = 0": exact + 1e-3j * (np.arange(2 * m + 1) == m)}
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf),
+                      ("inf i", complex(0.0, np.inf))):
+        for where, cols in (("pair", [m + 2, m - 2]), ("n > 0", [m + 2]), ("n < 0", [m - 5]),
+                            ("n = 0", [m])):
+            blk = exact.copy()
+            blk[1, cols] = bad
+            cases[f"{name} {where}"] = blk
+            row = exact[3].copy()
+            row[cols] = bad
+            cases[f"{name} {where} row"] = row
+        mixed = far.copy()  # a non-finite row beside a row beyond the tolerance
+        mixed[3, m + 1] = bad
+        cases[f"{name} beside beyond"] = mixed
+    return cases
+
+
+def _nudged_rows(rows, f):
+    """rows with their n < 0 halves moved by f times 1e-12 of each row's largest amplitude."""
+    m = P8.nmax
+    phase = np.exp(2j * np.pi * np.random.default_rng(7).random(rows.shape[:-1] + (m,)))
+    out = rows.copy()
+    out[..., :m] += f * 1e-12 * np.abs(rows).max(axis=-1, keepdims=True) * phase
+    return out
+
+
+BATTERY = _battery()
+
+
+def _reference_verdict(amps, tol=1e-12):
+    """The reference rule's halves, or its ValueError message."""
+    try:
+        return oracles.real_half_reference(amps, "x", tol)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("case", list(BATTERY))
+@pytest.mark.parametrize("tol", [1e-12, 0.0, 1e-6])
+def test_real_half_judges_as_the_reference_does(case, tol):
+    amps = BATTERY[case]
+    want = _reference_verdict(amps, tol)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            real_half(amps, "x", tol)
+        assert str(err.value) == want
+    else:
+        got = real_half(amps, "x", tol)
+        assert np.array_equal(got, want) and np.shares_memory(got, amps)
+
+
+def test_real_half_battery_covers_every_verdict():
+    verdicts = {v if isinstance(v, str) else "real" for v in map(_reference_verdict, BATTERY.values())}
+    assert verdicts == {"real", "x has a non-finite amplitude",
+                        "x must be a real field (a Hermitian spectrum, amps(-k) = conj(amps(k)))"}

@@ -15,9 +15,10 @@ from dcl.resonance import (
     certificate_json,
     classify_max_case,
     resonance_magnitude,
-    scaled_triple_check,
     verify_resonance_bound,
 )
+
+from oracles import scaled_triple_check
 
 
 class TestResonanceMagnitude:

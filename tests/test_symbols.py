@@ -15,6 +15,7 @@ from dcl.lattice import (
     hermitian_rows,
     hs_norm,
     inverse_transform,
+    real_half,
     x_grid,
 )
 from dcl.symbols import (
@@ -22,7 +23,6 @@ from dcl.symbols import (
     dispersion_symbol,
     free_evolution,
     mean_coupling,
-    nonlinearity_block,
     nonlinearity_F,
     nonlinearity_multipliers,
     nonlinearity_rows,
@@ -141,9 +141,10 @@ class TestNonlinearityKernelProperties:
         b = [hermitian_spectrum(p, seed=seed + 3 + i, decay=0.3 / lam) for i in range(3)]
         blk_a = np.stack([u.amps for u in a])
         blk_b = np.stack([u.amps for u in b])
-        ab = nonlinearity_block(blk_a, blk_b, p, mu=mu, kdv=kdv)[0]
-        ba = nonlinearity_block(blk_b, blk_a, p, mu=mu, kdv=kdv)[0]
-        aa = nonlinearity_block(blk_a, blk_a, p, mu=mu, kdv=kdv)[0]
+        ha, hb = real_half(blk_a, "a"), real_half(blk_b, "b")
+        ab = hermitian_rows(real_nonlinearity(ha, hb, p, mu=mu, kdv=kdv)[0])
+        ba = hermitian_rows(real_nonlinearity(hb, ha, p, mu=mu, kdv=kdv)[0])
+        aa = hermitian_rows(real_nonlinearity(ha, ha, p, mu=mu, kdv=kdv)[0])
         assert np.abs(ab - ba).max() < 1e-15
         k = p.k_values()
         ik = 1j * k
