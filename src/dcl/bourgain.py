@@ -30,13 +30,16 @@ cells (band n with k = n/lam, first index m0, offsets into amps), sorted by
 (n, m0).  The per-k "bands" dict, n -> [(m0, amps)], is a view of that
 table whose arrays are slices of the buffer.  m0 is exact: int64 while it
 is small, Python ints beyond 2^62, so segments may sit at astronomically
-large tau (near P(k) for large k) without losing the exact integer offset;
-sigma is then reconstructed exactly before the single final float
-rounding.  Every operation (convolution, symbols, norms) runs on the whole
+large tau (near P(k) for large k) without losing the exact integer offset.
+sigma has one rule: a table cached per (params, dtau) holds each band's
+exact index M_n = round(P(n/lam)/dtau) and residual r_n = M_n*dtau -
+P(n/lam), rounded once from rationals (dtau as 1/q when 1/dtau is within
+1e-12 of an integer q), and cell m has sigma = dtau*(m - M_n) + (tau0 +
+r_n), precise at any tau and lam; from_characteristic centres its windows
+on M_n.  Every operation (convolution, symbols, norms) runs on the whole
 buffer at once, with per-band factors (k symbols, <k> powers, region
-thresholds) computed once per band.  L2(dtau) is realized as
-(sum |a|^2 dtau)^(1/2) and L1(dtau) as sum |a| dtau, with weights evaluated
-at cell centers.
+thresholds) computed once per band.  L2(dtau) is (sum |a|^2 dtau)^(1/2)
+and L1(dtau) is sum |a| dtau, with weights evaluated at cell centers.
 
 A spectrum that from_time_samples builds from samples of real fields is
 marked as a real field: its n < 0 bands are the exact conjugate mirrors of
@@ -52,7 +55,8 @@ import copy
 import math
 from dataclasses import replace
 from enum import Enum
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,6 +68,7 @@ from .lattice import (
     is_integer,
     lattice_ks,
     real_half,
+    uniform_step,
 )
 from .symbols import dispersion_symbol, nonlocal_multiplier
 
@@ -221,16 +226,34 @@ def _check_dtau(dtau: float):
         raise ValueError(f"dtau must be finite and positive, got {dtau}")
 
 
+@lru_cache(maxsize=64)
+def _characteristic(params: ModelParams, dtau: float):
+    """(M, r, step): the sigma table of the module docstring, rows n + nmax for n = -nmax..nmax.
+
+    step is dtau as the exact fraction the table uses: 1/q when 1/dtau is
+    within 1e-12 of an integer q >= 1, else the float's value.  In integers,
+    P(n/lam)/step = num_n/den; M_n rounds it (halves up), and r_n = (M_n*den
+    - num_n)/out is one correctly rounded quotient.
+    """
+    q, lam, e = round(1.0 / dtau), Fraction(params.lam), 2 * params.j + 1
+    step = Fraction(1, q) if q >= 1 and abs(1.0 / dtau - q) < 1e-12 else Fraction(dtau)
+    scale = (-1) ** (params.j + 1) * lam.denominator ** e * step.denominator
+    den, out = lam.numerator ** e * step.numerator, lam.numerator ** e * step.denominator
+    num = [scale * n ** e for n in range(-params.nmax, params.nmax + 1)]
+    index = [(2 * a + den) // (2 * den) for a in num]
+    return _ints(index), np.array([(m * den - a) / out for m, a in zip(index, num)]), step
+
+
 class SpaceTimeSpectrum:
     """Sparse banded amplitudes over (k, tau) cells in one flat layout; see the module docstring.
 
-    amps holds every cell.  Segment i covers amps[offsets[i]:offsets[i+1]]
-    in band seg_n[i] (k = n/lam, n != 0), with cell centers tau = tau0 +
-    m*dtau for m = seg_m0[i], seg_m0[i] + 1, ...; segments are sorted by
+    amps holds every cell.  Segment i covers amps[offsets[i]:offsets[i+1]] in
+    band seg_n[i] (k = n/lam, 0 < |n| <= nmax), with cell centers tau = tau0
+    + m*dtau for m = seg_m0[i], seg_m0[i] + 1, ...; segments are sorted by
     (n, m0) and neither overlap nor touch.  bands maps n to that band's
     [(m0, view), ...], the views into amps.  The constructor takes such a
     dict, with segments in any order, overlapping or touching, and sums
-    them.  Treated as an immutable value after construction.
+    them; any other band n is a ValueError.  Immutable once built.
     """
 
     def __init__(self, params: ModelParams, dtau: float, tau0: float = 0.0,
@@ -238,8 +261,8 @@ class SpaceTimeSpectrum:
         _check_dtau(dtau)
         ns, m0s, rows = [], [], []
         for n, segs in (bands or {}).items():
-            if n == 0:
-                raise ValueError("zero mode is excluded from spectra")
+            if not 0 < abs(n) <= params.nmax:  # the zero mode is excluded from spectra
+                raise ValueError(f"band n={n} is not in 0 < |n| <= nmax={params.nmax}")
             for m0, a in segs:
                 ns.append(int(n))
                 m0s.append(int(m0))
@@ -314,33 +337,18 @@ class SpaceTimeSpectrum:
         """fn(k) per cell: fn is called once, on the array of band ks, mapping it elementwise."""
         return fn(self._band_k)[self._cell_band]
 
-    def grids_match(self, other) -> bool:
-        return (
-            self.params.lam == other.params.lam
-            and self.dtau == other.dtau
-            and abs(self.tau0 - other.tau0) < 1e-12
-        )
-
     def _segment_sigma(self, band_n, band, seg_m0, offsets) -> np.ndarray:
-        """Cell-center modulations of segments, exact integer path when possible.
+        """Cell-center modulations dtau*((m0 - M_n) + i) + (tau0 + r_n) of segments.
 
-        When P(k) and 1/dtau are integers (lam = 1 lattices with dyadic
-        dtau), sigma = tau0 + dtau*(m0 - P*q + i) is assembled in exact
-        integer arithmetic before the single float conversion, so even
-        segments at tau ~ 1e20 keep full relative precision in sigma.
-        Segment i lies in band band_n[band[i]].
+        Segment i lies in band n = band_n[band[i]]; M_n and r_n are its row
+        of the _characteristic table, and m0 - M_n is exact.
         """
-        p = self.params
+        index, residual, _ = _characteristic(self.params, self.dtau)
+        rows = (band_n + self.params.nmax)[band]
         length = offsets[1:] - offsets[:-1]
-        local = _cell_offsets(offsets)
-        q = 1.0 / self.dtau
-        if p.lam == 1.0 and abs(q - round(q)) < 1e-12:
-            pq = _ints([dispersion_symbol(n, p.j) * int(round(q)) for n in band_n.tolist()])
-            r0 = (seg_m0 - pq[band]).astype(float)  # exact; float conversion only here
-            return self.tau0 + self.dtau * (np.repeat(r0, length) + local)
-        pk = dispersion_symbol(band_n / p.lam, p.j)
-        m = (np.repeat(seg_m0, length) + local).astype(float)
-        return self.tau0 + m * self.dtau - np.repeat(pk[band], length)
+        r0 = (seg_m0 - index[rows]).astype(float)  # exact; float conversion only here
+        return (self.dtau * (np.repeat(r0, length) + _cell_offsets(offsets))
+                + np.repeat(self.tau0 + residual[rows], length))
 
     def cells(self):
         """Yield (n, m0, amps, sigma) per segment."""
@@ -358,7 +366,9 @@ class SpaceTimeSpectrum:
         return self._with_amps(c * self.amps)
 
     def __add__(self, other) -> "SpaceTimeSpectrum":
-        if not self.grids_match(other):
+        p, q = self.params, other.params
+        if ((p.lam, p.nmax, self.dtau) != (q.lam, q.nmax, other.dtau)
+                or not abs(self.tau0 - other.tau0) < 1e-12):
             raise ValueError("space-time grids do not match")
         layout = _assemble(np.concatenate([self.seg_n, other.seg_n]),
                            _ints(np.concatenate([self.seg_m0, other.seg_m0])),
@@ -381,19 +391,13 @@ def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
         raise ValueError(f"sigma_halfwidth must be finite and >= 0, got {sigma_halfwidth}")
     p = spec.params
     w = int(round(sigma_halfwidth / dtau))
-    q = 1.0 / dtau
-    exact = p.lam == 1.0 and abs(q - round(q)) < 1e-12
-    n_all = np.arange(-p.nmax, p.nmax + 1)
-    carried = (n_all != 0) & (spec.amps != 0)
-    ns = n_all[carried]
-    if exact:
-        base = [dispersion_symbol(n, p.j) * int(round(q)) for n in ns.tolist()]
-    else:
-        base = [int(round(dispersion_symbol(n / p.lam, p.j) / dtau)) for n in ns.tolist()]
+    carried = np.flatnonzero(spec.amps)  # the n = 0 slot of a SpatialSpectrum is always 0
+    ns = carried - p.nmax
     offs = np.arange(-w, w + 1)
     weights = np.ones(offs.size) if profile is None else profile(offs * dtau)
     amps = spec.amps[carried][:, None] * weights.astype(complex)
-    return SpaceTimeSpectrum._from_layout(p, dtau, 0.0, ns, _ints([b - w for b in base]),
+    m0 = _ints(_characteristic(p, dtau)[0][carried] - w)
+    return SpaceTimeSpectrum._from_layout(p, dtau, 0.0, ns, m0,
                                           np.arange(ns.size + 1) * offs.size, amps.ravel())
 
 
@@ -425,8 +429,7 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
     conjugate mirror of its n > 0 band.  The result is marked as a real
     field, and its norms read only its n > 0 bands.  A block of any other
     shape, a row that is not a real field or not finite, an even nt, or a t
-    whose steps are not all positive and equal to the first within a
-    relative 1e-8, is a ValueError.
+    that is not a uniform grid (lattice.uniform_step) is a ValueError.
     """
     t = np.asarray(t, dtype=float)
     block = np.asarray(block)
@@ -439,10 +442,7 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
     if nt % 2 == 0:
         raise ValueError(f"nt must be odd (a tau grid symmetric about 0), got nt={nt}")
     pos = real_half(block, "block")
-    steps = np.diff(t)
-    if not (np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)):
-        raise ValueError("the time samples must lie on a uniform increasing grid")
-    dt = t[1] - t[0]
+    dt = uniform_step(t, "the time samples must lie on a uniform increasing grid")
     dtau_c = 2.0 * math.pi / (nt * dt)
     if dtau is not None and abs(dtau - dtau_c) > 1e-9:
         raise ValueError(f"requested dtau={dtau} inconsistent with grid ({dtau_c})")
@@ -780,10 +780,12 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     sigma and capped at 4x the upper threshold at kbound, so a beta > 0
     scan on D3+D4 reports its value at the cap, and its growth under box
     doubling is set by the cap, not measured.  Of equal maxima the smallest
-    k is reported as argmax, at the lower end when beta = 0.  A kbound that
-    is not finite or holds no lattice k (kbound * lam < 1), or doublings
-    that is not an integer >= 0, raises ValueError.
+    k is reported as argmax, at the lower end when beta = 0.  An s or a
+    kbound that is not finite, a kbound with no lattice k (kbound*lam < 1),
+    or doublings that is not an integer >= 0 raises ValueError.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     lo, hi = admissible_window(params)
     in_window = lo <= s <= hi
     if not in_window and not allow_outside_window:

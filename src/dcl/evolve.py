@@ -47,6 +47,7 @@ from .lattice import (
     is_integer,
     real_half,
     sobolev_weights,
+    uniform_step,
 )
 from .symbols import dispersion_symbol, mean_coupling, nonlinearity_rows, real_nonlinearity
 
@@ -155,8 +156,8 @@ class IntegratingFactorRK4:
                  mu: float = 1.0):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
         self.params = params
         self.dt = dt
         self.mode = mode
@@ -238,18 +239,15 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     for bit.
     """
     u = real_half(u0.amps, "u0")
-    for name, value in (("T", T), ("dt", dt)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+    p = u0.params
+    stepper = IntegratingFactorRK4(p, dt, mode=mode, mu=mu)  # it checks dt and mode
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {T!r}")
     if not is_integer(stride) or stride < 1:
         raise ValueError(f"stride must be a positive number of steps, got {stride!r}")
     nsteps = int(round(T / dt))
     if abs(T / dt - nsteps) > 1e-9:
         raise ValueError(f"T={T!r} is not a whole number of steps dt={dt!r}")
-    p = u0.params
-    stepper = IntegratingFactorRK4(p, dt, mode=mode, mu=mu)
     # row 0 is u0's own amps; the later rows are recorded as halves and mirrored once
     halves = np.empty((1 + nsteps // stride + (nsteps % stride > 0), p.nmax), dtype=complex)
     times = np.zeros(len(halves))
@@ -321,15 +319,12 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     times, amps, p = traj.times, traj.amps, traj.params
-    hs = np.diff(times)
     if len(times) < 7:
         raise ValueError(
             "trajectory too coarse for residual evaluation: need >= 7 samples; "
             "re-run simulate with a smaller stride"
         )
-    if not (np.all(hs > 0) and np.allclose(hs, hs[0], rtol=1e-8, atol=0.0)):
-        raise ValueError("residual evaluation needs uniformly sampled states")
-    h = float(hs[0])
+    h = uniform_step(times, "residual evaluation needs uniformly sampled states")
     ut, diff_err = _time_derivatives(amps, h)
     k = p.k_values()
     inner = amps[2:-2]  # the states ut is known at

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bourgain import SpaceTimeSpectrum, _check_dtau, st_convolve, ws_norm
-from .lattice import ModelParams, bracket
-from .symbols import dispersion_symbol, nonlinearity_multipliers
+from .bourgain import SpaceTimeSpectrum, _characteristic, _check_dtau, st_convolve, ws_norm
+from .lattice import ModelParams, bracket, is_integer
+from .symbols import nonlinearity_multipliers
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class CounterexampleConfig:
     def __post_init__(self):
         if not self.N_list:
             raise ValueError("N_list must hold at least one N")
-        if any(N < 2 for N in self.N_list):
-            raise ValueError("every N must be >= 2")
+        if not all(is_integer(N) and N >= 2 for N in self.N_list):
+            raise ValueError(f"N_list entries must be integers >= 2, got {list(self.N_list)!r}")
         object.__setattr__(self, "N_list", tuple(sorted(self.N_list)))
 
 
@@ -54,24 +54,18 @@ def build_counterexample(N: int, j: int, dtau: float = 0.125):
     _check_dtau(dtau)
     if dtau > 2.0:
         raise ValueError(f"slab of width 2 is narrower than dtau={dtau}")
-    q = 1.0 / dtau
-    if abs(q - round(q)) > 1e-12:
-        raise ValueError("1/dtau must be an integer so slab centers share one lattice")
-    q = int(round(q))
     params = ModelParams(j=j, lam=1.0, kmax=float(2 * N))
-    count = 2 * q  # cells tiling [-1, 1]
-    tau0 = dtau / 2.0
+    index, _, step = _characteristic(params, dtau)
+    if step.numerator != 1:
+        raise ValueError("1/dtau must be an integer so slab centers share one lattice")
+    q = step.denominator
 
-    def slab_bands(mode: int) -> dict:
-        bands = {}
-        for n in (mode, -mode):
-            m0 = q * (dispersion_symbol(n, j) - 1)
-            bands[n] = [(m0, np.ones(count, dtype=complex))]
-        return bands
+    def slab(mode: int) -> SpaceTimeSpectrum:  # 2q cells tiling |sigma| <= 1 around M_n
+        cells = np.ones(2 * q, dtype=complex)
+        return SpaceTimeSpectrum(params, dtau, dtau / 2.0,
+                                 {n: [(index[n + params.nmax] - q, cells)] for n in (mode, -mode)})
 
-    u1 = SpaceTimeSpectrum(params, dtau, tau0, slab_bands(N))
-    u2 = SpaceTimeSpectrum(params, dtau, tau0, slab_bands(N - 1))
-    return u1, u2
+    return slab(N), slab(N - 1)
 
 
 def duhamel_weighted_bilinear(u1: SpaceTimeSpectrum, u2: SpaceTimeSpectrum,

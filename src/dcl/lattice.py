@@ -120,6 +120,14 @@ def lattice_ks(kbound: float, lam: float) -> np.ndarray:
     return np.arange(1, n + 1) / lam
 
 
+def uniform_step(t: np.ndarray, message: str) -> float:
+    """t's step when all are > 0 and within a relative 1e-8 of the first; else ValueError."""
+    steps = np.diff(t)
+    if not (np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)):
+        raise ValueError(message)
+    return float(steps[0])
+
+
 @functools.lru_cache(maxsize=64)  # default_grid runs on every nonlinearity evaluation
 def _next_fast_len(n: int) -> int:
     """Smallest m >= n with no prime factor above 5: pocketfft's radix-7 and -11 passes are slow."""

@@ -34,6 +34,7 @@ from dcl.bourgain import (
     ys_norm,
     zs_norm,
 )
+from dcl.evolve import PicardConfig
 from dcl.lattice import ModelParams, SpatialSpectrum, bracket, hermitian_rows
 from dcl.symbols import dispersion_symbol
 
@@ -630,6 +631,33 @@ class TestBatchedConvolution:
         out = st_convolve(u, v)
         assert out.bands[1][0][0] == 2 and out.n_cells() == 8
         assert oracles.st_value_at(out, 1, 3) == pytest.approx(2 * 0.125)
+
+    @pytest.mark.parametrize("case", ["lam2", "picard_grid", "j4_lam2_k1024"])
+    def test_every_sigma_is_the_exact_rational_one(self, case):
+        if case == "lam2":  # |P(k)| ~ 4e12 near k = 64 at j = 3, where a float's ulp is ~1e-3
+            p = ModelParams(j=3, lam=2.0, kmax=64.0)
+            u = random_spectrum(p, np.random.default_rng(4), dtau=0.25)
+            u = SpaceTimeSpectrum(p, u.dtau, 0.1, u.bands)
+        elif case == "picard_grid":  # dtau = 2 pi 32 / 129, not 1/q
+            p = ModelParams(j=2, kmax=16.0)
+            t = PicardConfig(nt=129).t_grid()
+            u = from_time_samples(t, real_trajectory(p, t.size, seed=5)[1], p)
+        else:  # |P(1024)| = 2^90 at j = 4: a float sigma read 0.0 in every cell
+            p = ModelParams(j=4, lam=2.0, kmax=1024.0)
+            spec = SpatialSpectrum.from_modes(p, {1024.0: 1.0, -1024.0: 1.0})
+            u = from_characteristic(spec, dtau=0.25, sigma_halfwidth=0.25)
+            assert [sig.tolist() for *_, sig in u.cells()] == [[-0.25, 0.0, 0.25]] * 2
+        for n, m0, arr, sig in u.cells():
+            want = oracles.st_sigma_of(u, n, m0, len(arr))
+            assert np.all(np.abs(sig - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_band_beyond_kmax_rejected(self, params8):
+        with pytest.raises(ValueError, match="nmax=8"):
+            SpaceTimeSpectrum(params8, 0.25, 0.0, {-9: [(0, np.ones(2))]})
+        u = SpaceTimeSpectrum(params8, 0.25, 0.0, {8: [(0, np.ones(2))]})
+        wider = SpaceTimeSpectrum(ModelParams(j=2, kmax=16.0), 0.25, 0.0, {8: [(0, np.ones(2))]})
+        with pytest.raises(ValueError, match="grids do not match"):
+            u + wider
 
 
 class TestHermitianMirror:

@@ -181,6 +181,13 @@ class TestVerify:
         assert run(tmp_path, "verify", "embeddings", "--s", "-2.0", "--kbound", "32",
                    "--kmax", "4", "--allow-outside-window") == 2
 
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_embeddings_non_finite_s_exit_one(self, tmp_path, capsys, s):
+        assert run(tmp_path, "verify", "embeddings", "--s", s, "--kbound", "32",
+                   "--kmax", "4", "--allow-outside-window") == 1
+        assert "error: s must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "embedding_report.json").exists()
+
 
 class TestIllposed:
     def test_scan_outputs(self, tmp_path):
@@ -204,6 +211,15 @@ class TestIllposed:
 
     def test_nonpositive_side_exit_one(self, tmp_path):
         assert run(tmp_path, "illposed", "--s", "-200", "--N-list", "16,32,64") == 1
+
+    @pytest.mark.parametrize("n_list", [["a"], [16.5, 32, 64], [True, 32, 64]])
+    def test_n_list_entry_not_an_integer_of_two_or_more_exit_one(self, tmp_path, capsys,
+                                                                  n_list):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N_list": n_list}))
+        assert run(tmp_path, "illposed", "--config", str(cfg)) == 1
+        assert "error: N_list entries must be integers >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "illposed_verdict.json").exists()
 
     @pytest.mark.parametrize("dtau", ["0", "-0.5", "nan"])
     def test_bad_slab_dtau_exit_one(self, tmp_path, capsys, dtau):

@@ -82,6 +82,13 @@ class TestStep:
         with pytest.raises(ValueError):
             IntegratingFactorRK4(params16, 0.1, mode="implicit")
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, params16, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            IntegratingFactorRK4(params16, dt)
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            step(SolverState(0.0, hermitian_spectrum(params16, seed=1)), dt)
+
 
 class TestSimulate:
     def test_t_zero_single_state(self, params16):
