@@ -5,8 +5,8 @@ arithmetic certifies
 
     |k^(2j+1) - k1^(2j+1) - k2^(2j+1)| >= (2j+1) 4^(-j) |k_min| |k_max|^(2j),
 
-and seeded random integer tau assignments check the walk's integer
-arithmetic on the modulation identity that transfers the bound to
+and the modulation identity sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2))
+(tau = tau1 + tau2) transfers it, for every tau, to
 3 * max(|sigma|, |sigma1|, |sigma2|).
 """
 

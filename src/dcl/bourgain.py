@@ -70,7 +70,7 @@ from .lattice import (
     real_half,
     uniform_step,
 )
-from .symbols import dispersion_symbol, nonlocal_multiplier
+from .symbols import dispersion_symbol, nonlocal_multiplier, threshold_coefficient
 
 
 class RegionLabel(Enum):
@@ -82,9 +82,10 @@ class RegionLabel(Enum):
     EXCLUDED = "Excluded"
 
 
+@lru_cache(maxsize=None)
 def region_coefficient(j: int) -> float:
-    """The modulation threshold coefficient c_j = (2j+1) 4^(-j) / 3."""
-    return (2 * j + 1) * 4.0 ** (-j) / 3.0
+    """The modulation threshold coefficient c_j = (2j+1) 4^(-j) / 3, correctly rounded."""
+    return float(threshold_coefficient(j))
 
 
 def sigma(k, tau, params: ModelParams):
@@ -104,6 +105,9 @@ def region_memberships(k, tau, params: ModelParams) -> dict:
     c = region_coefficient(j)
     ak = abs(k)
     s = abs(sigma(k, tau, params))
+    scalar = np.ndim(s) == 0
+    if scalar:
+        s = float(s)  # comparisons on numpy scalars cost several times more
     # float_power is libm pow, as float ** is, so arrays and floats agree
     power = np.float_power if isinstance(ak, np.ndarray) else pow
     lo, hi = c * power(ak, 2 * j), c * power(ak, 2 * j + 1)
@@ -116,7 +120,7 @@ def region_memberships(k, tau, params: ModelParams) -> dict:
         RegionLabel.D4: small & (s > hi),
         RegionLabel.D5: small & (s <= hi),
     }
-    if np.ndim(s) == 0:
+    if scalar:
         return {label: bool(inside) for label, inside in members.items()}
     return members
 
@@ -222,8 +226,8 @@ def _assemble(n, m0, length, buf, keep=None):
 
 
 def _check_dtau(dtau: float):
-    if not (math.isfinite(dtau) and dtau > 0):
-        raise ValueError(f"dtau must be finite and positive, got {dtau}")
+    if not (math.isfinite(dtau) and dtau > 0 and math.isfinite(1.0 / dtau)):
+        raise ValueError(f"dtau must be finite and positive with a finite reciprocal, got {dtau}")
 
 
 @lru_cache(maxsize=64)

@@ -40,7 +40,6 @@ import numpy as np
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
-    bracket,
     grid_work,
     hermitian_rows,
     hs_norm,
@@ -480,7 +479,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     w = free
     saved = [w]
     diffs_hs, diffs_zs, at_floor = [], [], []
-    kw = bracket(p.k_values()) ** (2.0 * cfg.report_s)
+    kw = sobolev_weights(p, cfg.report_s)
 
     def hs_slicewise(block):
         return np.sqrt(np.sum(kw[None, :] * np.abs(block) ** 2, axis=1) / p.lam).max()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,11 +98,19 @@ class CollisionReport:
     rows: list
     slope_L: float | None
     slope_R: float | None
-    verdict: str | None
-    critical_s: float = field(init=False)
 
-    def __post_init__(self):
-        self.critical_s = 1.0 - self.j / 2.0
+    @property
+    def critical_s(self) -> float:
+        return 1.0 - self.j / 2.0
+
+    @property
+    def verdict(self) -> str | None:
+        """The collision verdict of collision_scan; None without fitted slopes."""
+        if self.slope_L is None:
+            return None
+        if abs(self.s - self.critical_s) <= 0.05:
+            return "INCONCLUSIVE"
+        return "BREAKS" if self.slope_L - self.slope_R > 0.0 else "HOLDS-AT-THIS-PROBE"
 
     def to_dict(self) -> dict:
         return {
@@ -150,15 +158,8 @@ def collision_scan(cfg: CounterexampleConfig) -> CollisionReport:
             "logN": math.log(N), "logL": math.log(L), "logR": math.log(R),
         })
     if len(rows) < 3:
-        return CollisionReport(cfg.j, cfg.s, cfg.dtau, rows, None, None, None)
+        return CollisionReport(cfg.j, cfg.s, cfg.dtau, rows, None, None)
     logN = np.array([r["logN"] for r in rows])
     slope_L = float(np.polyfit(logN, [r["logL"] for r in rows], 1)[0])
     slope_R = float(np.polyfit(logN, [r["logR"] for r in rows], 1)[0])
-    critical = 1.0 - cfg.j / 2.0
-    if abs(cfg.s - critical) <= 0.05:
-        verdict = "INCONCLUSIVE"
-    elif slope_L - slope_R > 0.0:
-        verdict = "BREAKS"
-    else:
-        verdict = "HOLDS-AT-THIS-PROBE"
-    return CollisionReport(cfg.j, cfg.s, cfg.dtau, rows, slope_L, slope_R, verdict)
+    return CollisionReport(cfg.j, cfg.s, cfg.dtau, rows, slope_L, slope_R)

@@ -8,18 +8,16 @@ from the characteristic surface; the certified bound is
 
 checked in exact integer arithmetic over a full lattice box.  The
 certificate covers the box only: every triple in it is checked, and
-nothing is claimed beyond it.  With tau = tau1 + tau2, the signed
-modulation identity sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2))
-transfers the bound to 3*max(|sigma|, |sigma1|, |sigma2|) for every tau.
-The seeded random tau trials run that identity and the transferred bound
-through the walk's own arithmetic, so a trial fails only on an overflow
-(a wrong dtype rule below) or a bound violation.  No certificate field
-depends on the draws.
+nothing is claimed beyond it.  The bound reaches the modulations
+sigma = tau - P(k) by proof, for every tau: with tau = tau1 + tau2,
+sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2)), so by the triangle
+inequality 3*max(|sigma|, |sigma1|, |sigma2|) is at least the bound, whose
+constant (2j+1) 4^(-j) is 3 c_j (symbols.threshold_coefficient).
 
 verify_resonance_bound walks the triples as arrays, a block of k1 rows at
 a time, over exact tables of P(k) and (2j+1)|k|^(2j).  Exactness is kept
 by the dtype: int64 when a bound computed in Python ints before the walk,
-max(7, 2j+1) * Kmax^(2j+1), shows that no intermediate can overflow, and
+(2j+1) * Kmax^(2j+1), shows that no intermediate can overflow, and
 otherwise object arrays of Python ints (never overflowing) running the
 same expressions; for j = 4 the switch is at Kmax = 101.  The bound is
 compared without multiplying by 4^j: res * 4^j < num is res < ceil(num / 4^j).
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import is_integer
-from .symbols import dispersion_symbol
+from .symbols import dispersion_symbol, threshold_coefficient
 
 _CHUNK_ROWS = 32  # k1 rows per array step of the walk: bounds its scratch memory
 
@@ -73,45 +71,36 @@ def resonance_magnitude(t: Triple, j: int) -> int:
 
 def bound_num_den(t: Triple, j: int) -> tuple[int, int]:
     """The certified lower bound as an exact rational (numerator, denominator)."""
-    return (2 * j + 1) * t.kmin * t.kmax ** (2 * j), 4**j
+    w = 3 * threshold_coefficient(j)
+    return w.numerator * t.kmin * t.kmax ** (2 * j), w.denominator
 
 
-def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int = 7) -> dict:
-    """Exhaustively certify the resonance bound and the modulation identity.
+def verify_resonance_bound(kmax_box: int, j: int) -> dict:
+    """Exhaustively certify the resonance bound on the box |k|, |k1|, |k2| <= kmax_box.
 
-    Walks every admissible triple in the box (k1, then k2, ascending),
-    checking the bound in exact integer arithmetic, and for tau_trials
-    integer tau-assignments per triple, uniform on [-Kmax^(2j+1), Kmax^(2j+1)]
-    from np.random.default_rng(seed), checks
-    sigma - sigma1 - sigma2 = -(P(k) - P(k1) - P(k2)) and the resulting
-    3*max(|sigma|.) >= |resonance| >= bound.  The identity holds for every
-    tau, so identity_failures counts only overflows (a wrong dtype rule)
-    and bound violations.  Returns the violation count (must be 0), the
-    minimum slack ratio resonance/bound, and the first triple where it is
-    attained.  kmax_box must be an integer >= 2, j an integer >= 1 and
-    tau_trials an integer >= 0 (ValueError otherwise).
+    Walks every admissible triple (k1, then k2, ascending), checking the
+    bound in exact integer arithmetic.  Returns the violation count (must
+    be 0), the minimum slack ratio resonance/bound, and the first triple
+    where it is attained.  kmax_box must be an integer >= 2 and j an
+    integer >= 1 (ValueError otherwise).
     """
     if not is_integer(kmax_box) or kmax_box < 2:
         raise ValueError(f"kmax_box must be an integer >= 2, got {kmax_box!r}")
     if not is_integer(j) or j < 1:
         raise ValueError(f"j must be an integer >= 1, got {j!r}")
-    if not is_integer(tau_trials) or tau_trials < 0:
-        raise ValueError(f"tau_trials must be an integer >= 0, got {tau_trials!r}")
-    box, j, tau_trials = int(kmax_box), int(j), int(tau_trials)
-    e = 2 * j + 1
-    span = box**e
-    den = 4**j
-    # every intermediate below is at most max(7, 2j+1) * span in magnitude
-    # (|s0 - s1 - s2| <= 7 span before the abs, num <= (2j+1) span)
-    dtype = np.int64 if max(7, e) * span <= np.iinfo(np.int64).max else object
+    box, j = int(kmax_box), int(j)
+    w = 3 * threshold_coefficient(j)  # (2j+1) / 4^j, in lowest terms
+    den = w.denominator
+    # every intermediate below is at most (2j+1) * Kmax^(2j+1) in magnitude
+    # (|P(k) - P(k1) - P(k2)| <= 3 Kmax^(2j+1), num <= (2j+1) Kmax^(2j+1))
+    dtype = np.int64 if (2 * j + 1) * box ** (2 * j + 1) <= np.iinfo(np.int64).max else object
     # exact tables: P(k), and (2j+1) |k|^(2j), so that the bound
     # (2j+1) |k_min| |k_max|^(2j) is |k_min| * weight[|k_max|]
     ks = np.arange(-box, box + 1)
     disp = np.array([dispersion_symbol(int(k), j) for k in ks], dtype=dtype)
-    weight = np.array([e * a ** (2 * j) for a in range(box + 1)], dtype=dtype)
-    rng = np.random.default_rng(seed)
+    weight = np.array([w.numerator * a ** (2 * j) for a in range(box + 1)], dtype=dtype)
     rows = ks[ks != 0]
-    checked = violations = identity_failures = 0
+    checked = violations = 0
     min_slack, argmin = math.inf, None
     for start in range(0, rows.size, _CHUNK_ROWS):
         k1 = rows[start:start + _CHUNK_ROWS, None]
@@ -119,8 +108,7 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
         keep = (ks != 0) & (k != 0) & (np.abs(k) <= box)
         k1, k2 = np.broadcast_to(k1, keep.shape)[keep], np.broadcast_to(ks, keep.shape)[keep]
         k = k[keep]
-        q0, q1, q2 = disp[k + box], disp[k1 + box], disp[k2 + box]
-        res = np.abs(q0 - q1 - q2)
+        res = np.abs(disp[k + box] - disp[k1 + box] - disp[k2 + box])
         mags = np.abs(np.stack([k, k1, k2]))
         num = mags.min(axis=0).astype(dtype) * weight[mags.max(axis=0)]
         # x * den < num  <=>  x < ceil(num / den) for integers x, den > 0
@@ -133,48 +121,12 @@ def verify_resonance_bound(kmax_box: int, j: int, tau_trials: int = 3, seed: int
             if slack < min_slack:
                 min_slack, argmin = slack, (int(k[i]), int(k1[i]), int(k2[i]))
         checked += k.size
-        if tau_trials:
-            tau = tau_draws(rng, span, 2 * tau_trials * k.size).reshape(k.size, tau_trials, 2)
-            tau1, tau2 = tau[..., 0], tau[..., 1]
-            s0 = tau1 + tau2 - q0[:, None]
-            s1 = tau1 - q1[:, None]
-            s2 = tau2 - q2[:, None]
-            identity_failures += int(np.count_nonzero(np.abs(s0 - s1 - s2) != res[:, None]))
-            smax = np.maximum(np.maximum(np.abs(s0), np.abs(s1)), np.abs(s2))
-            identity_failures += int(np.count_nonzero(smax < -(-num // (3 * den))[:, None]))
-    return {
-        "j": j,
-        "Kmax": box,
-        "triples_checked": checked,
-        "violations": violations,
-        "identity_failures": identity_failures,
-        "min_slack": min_slack,
-        "argmin": list(argmin) if argmin else None,
-    }
-
-
-def tau_draws(rng: np.random.Generator, span: int, n: int) -> np.ndarray:
-    """n integers uniform on [-span, span], drawn from rng.
-
-    Below span = 2^62 they are int64 from rng.integers.  Beyond, each draw is
-    built as a Python int from 62-bit words of rng, with 62 bits to spare
-    over 2 span + 1, and reduced mod 2 span + 1: the bias is below 2^-62.
-    """
-    if span < 1 << 62:
-        return rng.integers(-span, span + 1, size=n)
-    width = 2 * span + 1
-    words = -(-(width.bit_length() + 62) // 62)
-    raw = rng.integers(0, 1 << 62, size=(words, n)).astype(object)
-    draw = raw[0]
-    for w in range(1, words):
-        draw = draw | raw[w] << 62 * w
-    return draw % width - span
+    return {"j": j, "Kmax": box, "triples_checked": checked, "violations": violations,
+            "min_slack": min_slack, "argmin": list(argmin) if argmin else None}
 
 
 def certificate_json(report: dict) -> str:
-    doc = {key: report[key] for key in
-           ("j", "Kmax", "triples_checked", "violations", "min_slack", "argmin")}
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(report, sort_keys=True)
 
 
 def classify_max_case(t: Triple, j: int) -> str:

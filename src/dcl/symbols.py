@@ -26,6 +26,7 @@ the tests (tests/oracles.py), not a route of the package.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +53,12 @@ def dispersion_symbol(k, j: int):
     if isinstance(k, (int, np.integer)):
         return sign * int(k) ** (2 * j + 1)  # Python ints never overflow
     return sign * np.asarray(k, dtype=float) ** (2 * j + 1)
+
+
+def threshold_coefficient(j: int) -> Fraction:
+    """c_j = (2j+1) / (3 4^j), exact: the region thresholds are c_j |k|^(2j) and
+    c_j |k|^(2j+1), and 3 c_j is the constant of the resonance bound."""
+    return Fraction(2 * j + 1, 3 * 4**j)
 
 
 def nonlocal_multiplier(k):

@@ -56,7 +56,6 @@ class TestCriterion1Resonance:
         for j in (2, 3, 4):
             rep = verify_resonance_bound(64, j)
             assert rep["violations"] == 0, f"j={j}: {rep['violations']} violations"
-            assert rep["identity_failures"] == 0
             worst = min(worst, rep["min_slack"])
         elapsed = time.perf_counter() - t0
         report("1 resonance-certificate", elapsed < 10.0,

@@ -398,7 +398,7 @@ class TestSpaceTimeSpectrum:
         want = sum(math.sqrt(v * u.dtau / p.lam) for v in sums.values()) + math.sqrt(ys / p.lam)
         assert zs_norm(u, s) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("dtau", [0.0, -0.25, math.nan, math.inf])
+    @pytest.mark.parametrize("dtau", [0.0, -0.25, math.nan, math.inf, 1e-310, 1e-320])
     def test_dtau_not_finite_and_positive_rejected(self, params8, dtau):
         spec = hermitian_spectrum(params8, seed=3)
         calls = (lambda: SpaceTimeSpectrum(params8, dtau), lambda: from_characteristic(spec, dtau),

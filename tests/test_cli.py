@@ -262,7 +262,7 @@ class TestProbe:
         assert doc["config"]["seed"] == 3
         assert {"lemma", "max_ratio", "median_ratio", "count"} <= set(doc)
 
-    @pytest.mark.parametrize("tau_step", ["0", "-0.25", "nan", "inf"])
+    @pytest.mark.parametrize("tau_step", ["0", "-0.25", "nan", "inf", "1e-320", "1e-309"])
     def test_bad_tau_step_exit_one(self, tmp_path, capsys, tau_step):
         assert run(tmp_path, "probe", "--pairs", "1", "--seed", "1", "--kmax", "8",
                    "--tau-step", tau_step) == 1

@@ -71,7 +71,7 @@ class TestBuildCounterexample:
         with pytest.raises(ValueError):
             build_counterexample(1, 2)
 
-    @pytest.mark.parametrize("dtau", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("dtau", [0.0, -0.5, math.nan, math.inf, 1e-310])
     def test_dtau_not_finite_and_positive_rejected(self, dtau):
         with pytest.raises(ValueError, match="dtau must be finite and positive"):
             build_counterexample(4, 2, dtau=dtau)
@@ -138,6 +138,11 @@ class TestCollisionScan:
 
     def test_inconclusive_band_near_critical(self):
         rep = collision_scan(CounterexampleConfig(j=2, s=0.01, N_list=(16, 32, 64)))
+        assert rep.verdict == "INCONCLUSIVE"
+
+    def test_inconclusive_band_around_the_reported_critical_index(self):
+        rep = collision_scan(CounterexampleConfig(j=3, s=-0.47, N_list=(16, 32, 64)))
+        assert rep.critical_s == rep.to_dict()["critical_s"] == -0.5
         assert rep.verdict == "INCONCLUSIVE"
 
     def test_j3_breaks(self):

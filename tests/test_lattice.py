@@ -375,7 +375,7 @@ class TestIntegerCounts:
 
     @pytest.mark.parametrize("bad", [True, 1.5])
     @pytest.mark.parametrize("name", ["nt", "iterations", "stride", "doublings", "count",
-                                      "kmax_box", "tau_trials"])
+                                      "kmax_box"])
     def test_counts_reject_bools_and_floats(self, name, bad):
         from dcl.bourgain import batch_bilinear_probe, verify_embeddings
         from dcl.evolve import PicardConfig, picard_iterate, simulate
@@ -390,7 +390,6 @@ class TestIntegerCounts:
             "doublings": lambda: verify_embeddings(-0.25, p, kbound=4.0, doublings=bad),
             "count": lambda: batch_bilinear_probe(p, -0.25, "dxdx_smoothed", count=bad, seed=1),
             "kmax_box": lambda: verify_resonance_bound(bad, 2),
-            "tau_trials": lambda: verify_resonance_bound(4, 2, tau_trials=bad),
         }
         with pytest.raises(ValueError, match=name):
             calls[name]()

@@ -1,6 +1,7 @@
 """Dispersion relation, free flow, and the bilinear nonlinearity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dcl.symbols import (
     nonlocal_multiplier,
     product_spectrum,
     real_nonlinearity,
+    threshold_coefficient,
 )
 
 import oracles
@@ -53,6 +55,15 @@ class TestDispersionSymbol:
     def test_vectorized(self):
         k = np.array([1.0, 2.0, -2.0])
         assert np.allclose(dispersion_symbol(k, 2), [-1.0, -32.0, 32.0])
+
+
+class TestThresholdCoefficient:
+    def test_exact_value_and_its_float(self):
+        from dcl.bourgain import region_coefficient
+
+        for j in range(1, 51):
+            assert 3 * threshold_coefficient(j) == Fraction(2 * j + 1, 4**j)
+            assert region_coefficient(j) == (2 * j + 1) * 4.0 ** (-j) / 3.0
 
 
 class TestFreeEvolution:
