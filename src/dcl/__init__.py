@@ -48,6 +48,7 @@ from .bourgain import (
     sigma,
     st_convolve,
     verify_embeddings,
+    verify_regions,
     ws_norm,
     xsb_norm,
     ys_norm,

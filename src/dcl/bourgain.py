@@ -64,7 +64,6 @@ from .lattice import (
     ModelParams,
     SpatialSpectrum,
     bracket,
-    hs_norm,
     is_integer,
     lattice_ks,
     real_half,
@@ -261,7 +260,7 @@ class SpaceTimeSpectrum:
     """
 
     def __init__(self, params: ModelParams, dtau: float, tau0: float = 0.0,
-                 bands: dict | None = None, truncated_mass: float = 0.0):
+                 bands: dict | None = None):
         _check_dtau(dtau)
         ns, m0s, rows = [], [], []
         for n, segs in (bands or {}).items():
@@ -274,7 +273,7 @@ class SpaceTimeSpectrum:
         length = np.array([a.size for a in rows], dtype=np.int64)
         buf = np.concatenate(rows) if rows else np.zeros(0, dtype=complex)
         layout = _assemble(np.array(ns, dtype=np.int64), _ints(m0s), length, buf)
-        self._set_layout(params, dtau, tau0, *layout, truncated_mass)
+        self._set_layout(params, dtau, tau0, *layout, 0.0)
 
     def _set_layout(self, params, dtau, tau0, seg_n, seg_m0, offsets, amps, truncated_mass):
         self.params, self.dtau, self.tau0 = params, dtau, tau0
@@ -837,6 +836,33 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
         "entries": entries,
         "pass": overall,
     }
+
+
+REGION_SIGMA_BOUND, REGION_N_SIGMA = 1e4, 65  # verify_regions' sigma grid
+
+
+def verify_regions(params: ModelParams, kbound: float = 64.0) -> dict:
+    """The region-partition report: region_codes on each lattice k, 0 < |k| <= min(kbound, kmax),
+    both signs, at REGION_N_SIGMA sigmas on [-bound, bound] and 16 geometric ones on [1e-3, bound]
+    (bound = REGION_SIGMA_BOUND), each label checked by region_memberships; code 0 is a mislabel."""
+    kbound = min(kbound, params.kmax)
+    sigmas = np.concatenate([
+        np.linspace(-REGION_SIGMA_BOUND, REGION_SIGMA_BOUND, REGION_N_SIGMA),
+        np.geomspace(1e-3, REGION_SIGMA_BOUND, 16),
+    ])
+    ks = lattice_ks(kbound, params.lam)
+    ks = np.stack([ks, -ks], axis=1).reshape(-1, 1)
+    # P(k) computed as the oracle computes it, on the same array, so both see the same sigma
+    pk = dispersion_symbol(ks, params.j)
+    taus = pk + sigmas
+    codes = region_codes(ks, np.abs(taus - pk), params)
+    members = region_memberships(ks, taus, params)
+    # row c is membership of region code c; code 0 (excluded) is never a valid label
+    table = np.stack([np.zeros(codes.shape, bool),
+                      *(members[label] for label in REGION_LABELS[1:])])
+    bad = int(np.count_nonzero(~np.take_along_axis(table, codes[None], axis=0)))
+    return {"points": codes.size, "mislabels": bad, "pass": bad == 0,
+            "kbound": kbound, "sigma_bound": REGION_SIGMA_BOUND}
 
 
 def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) -> str:

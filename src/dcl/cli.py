@@ -27,12 +27,10 @@ from .lattice import (
     ModelParams,
     SpatialSpectrum,
     forward_transform,
-    lattice_ks,
     spectrum_from_json,
     spectrum_to_json,
     x_grid,
 )
-from .symbols import dispersion_symbol
 
 # Every config key, declared once: key -> (default, type), in flag order.  In a
 # config file a float key takes an int too, only a bool key takes true or
@@ -113,6 +111,9 @@ def initial_spectrum(cfg: dict, params: ModelParams) -> SpatialSpectrum:
             raise UsageError(f"u0 amplitude must be finite, got {amp}")
         if isinstance(mode, bool) or not isinstance(mode, int):
             raise UsageError(f"u0 mode must be an int, got {mode!r}")
+        if not 1 <= abs(mode) <= params.nmax:  # mode 0 is the excluded mean; past nmax aliases
+            raise UsageError(f"u0 mode must satisfy 1 <= |mode| <= nmax = {params.nmax} "
+                             f"(kmax * lambda), got {mode}")
         nx = params.default_grid()
         return forward_transform(amp * np.cos(mode * x_grid(params, nx) / params.lam), params)
     if kind == "json":
@@ -187,7 +188,7 @@ def cmd_verify(cfg: dict, target: str) -> int:
               f"{wall:.3f} s ({report['triples_checked'] / wall:.3g} triples/s)")
         return 0 if report["violations"] == 0 else 2
     if target == "regions":
-        report = _region_partition_report(params)
+        report = bourgain.verify_regions(params)
         _write(outdir, "region_partition.json", _dump(report))
         print(f"regions: {report['points']} points, unique labels: {report['pass']}")
         return 0 if report["pass"] else 2
@@ -200,29 +201,6 @@ def cmd_verify(cfg: dict, target: str) -> int:
            bourgain.scan_csv(float(cfg["s"]), params, float(cfg["kbound"])))
     print(f"embeddings: s={cfg['s']} -> {'PASS' if report['pass'] else 'FAIL'}")
     return 0 if report["pass"] else 2
-
-
-def _region_partition_report(params: ModelParams, kbound: float = 64.0,
-                             sigma_bound: float = 1e4, n_sigma: int = 65) -> dict:
-    """Classify a (k, sigma) grid in one call and check every label against the oracle in one."""
-    kbound = min(kbound, params.kmax)
-    sigmas = np.concatenate([
-        np.linspace(-sigma_bound, sigma_bound, n_sigma),
-        np.geomspace(1e-3, sigma_bound, 16),
-    ])
-    ks = lattice_ks(kbound, params.lam)
-    ks = np.stack([ks, -ks], axis=1).reshape(-1, 1)
-    # P(k) computed as the oracle computes it, on the same array, so both see the same sigma
-    pk = dispersion_symbol(ks, params.j)
-    taus = pk + sigmas
-    codes = bourgain.region_codes(ks, np.abs(taus - pk), params)
-    members = bourgain.region_memberships(ks, taus, params)
-    # row c is membership of region code c; code 0 (excluded) is never a valid label
-    table = np.stack([np.zeros(codes.shape, bool),
-                      *(members[label] for label in bourgain.REGION_LABELS[1:])])
-    bad = int(np.count_nonzero(~np.take_along_axis(table, codes[None], axis=0)))
-    return {"points": codes.size, "mislabels": bad, "pass": bad == 0,
-            "kbound": kbound, "sigma_bound": sigma_bound}
 
 
 def cmd_illposed(cfg: dict) -> int:

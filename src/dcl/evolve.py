@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bourgain import from_time_samples, zs_norm
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -67,7 +68,7 @@ class SolverState:
 class Trajectory:
     """A run's recorded states as read-only arrays: row i of amps at times[i], mean means[i].
 
-    diag holds simulate's energy, l2, hs and max_mode columns; it is empty for
+    diag holds simulate's energy, l2, hs (H^1) and max_mode columns; it is empty for
     a trajectory rescaled or built from SolverStates (the states argument).
     states and diagnostics are derived from the arrays on every read.
     """
@@ -223,7 +224,7 @@ def step(state: SolverState, dt: float, mode: str = "full", mu: float = 1.0) -> 
 
 def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
              mu: float = 1.0, mean: float = 0.0, stride: int = 1,
-             hs_s: float = 1.0, blowup_factor: float = 1e6) -> Trajectory:
+             blowup_factor: float = 1e6) -> Trajectory:
     """March the model from u0 to time T, collecting per-stride diagnostics.
 
     u0 must be a real field (a Hermitian spectrum within lattice.real_half's
@@ -232,10 +233,10 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     advances only the n > 0 half of u0; every later state's n < 0 half is
     its exact mirror, so for input that is Hermitian only within the
     tolerance the input's tiny anti-Hermitian part is dropped after the
-    first step.  Early-stops with blown_up=True if the H^1 norm grows by
-    blowup_factor or amplitudes go nonfinite.  Stepping
-    IntegratingFactorRK4.step one call at a time gives the same states bit
-    for bit.
+    first step.  The hs diagnostic is the H^1 norm, and the run early-stops
+    with blown_up=True if it grows by blowup_factor or amplitudes go
+    nonfinite.  Stepping IntegratingFactorRK4.step one call at a time gives
+    the same states bit for bit.
     """
     u = real_half(u0.amps, "u0")
     p = u0.params
@@ -272,12 +273,12 @@ def simulate(u0: SpatialSpectrum, T: float, dt: float, mode: str = "full",
     amps = hermitian_rows(halves[:rec])
     amps[0] = u0.amps
     return Trajectory(p, dt, mode, amps=amps, times=times[:rec], means=np.full(rec, float(mean)),
-                      diag=_diagnostics(p, amps, mean, hs_s), blown_up=blown_up,
+                      diag=_diagnostics(p, amps, mean), blown_up=blown_up,
                       phase_wrap=stepper.phase_wrap)
 
 
-def _diagnostics(p: ModelParams, amps: np.ndarray, mean: float, hs_s: float) -> dict:
-    """energy (with the mean's share), l2, hs and max_mode of each row of amps, in one pass.
+def _diagnostics(p: ModelParams, amps: np.ndarray, mean: float) -> dict:
+    """energy (with the mean's share), l2, hs (the H^1 norm) and max_mode of each row of amps.
 
     Each row is reduced on its own, so its values are bit for bit those of the one-state formulas.
     """
@@ -291,7 +292,7 @@ def _diagnostics(p: ModelParams, amps: np.ndarray, mean: float, hs_s: float) -> 
 
     return {"energy": weighted_sums(_energy_weights(p)) / p.lam + 2.0 * math.pi * p.lam * mean**2,
             "l2": np.sqrt(np.sum(mod2, axis=1) / p.lam),  # the H^0 weights are all 1.0
-            "hs": np.sqrt(weighted_sums(sobolev_weights(p, hs_s)) / p.lam),
+            "hs": np.sqrt(weighted_sums(sobolev_weights(p, 1.0)) / p.lam),
             "max_mode": max_mode}
 
 
@@ -489,8 +490,6 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     amp = hs_norm(u0, cfg.report_s)
     zs_of = None
     if cfg.measure_zs and p.j >= 2:
-        from .bourgain import from_time_samples, zs_norm
-
         def zs_of(block):
             return zs_norm(from_time_samples(t, block, p, dtau=cfg.zs_dtau), cfg.report_s)
 

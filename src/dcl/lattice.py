@@ -17,16 +17,19 @@ Fields are real, so a spectrum's rows are Hermitian, amps(-k) =
 conj(amps(k)), and a real field is fully given by the n > 0 half of its
 row, amps[..., nmax+1:].  The grid transforms are real FFTs (rfft / irfft)
 and the packing pair `lattice_to_grid` / `grid_to_lattice` takes and
-returns such halves; the time engines compute on halves too.  Full
-Hermitian rows are built only where a spectrum leaves them, by
-`hermitian_rows`, the one place that turns halves into rows.  Rows enter
+returns such halves in the buffers of a `GridWork` and never allocates:
+`grid_work`, the only code that knows where a half sits in an FFT row,
+builds one for the stepper, symbols.nonlinearity_rows,
+symbols.padded_product and the two transforms.  The time engines compute
+on halves too.  Full Hermitian rows are built only where a spectrum leaves
+them, by `hermitian_rows`, the one place that turns halves into rows.  Rows enter
 the half route through `real_half`, the one realness rule in the package:
 the transforms, products, F, the solvers and the time-sample lift
 (bourgain.from_time_samples) reject a field that is not real (complex
 samples, a spectrum that is not Hermitian) with a ValueError instead of
 computing on it.  The raw FFT convention differs from the symmetric one by
 a fixed scaling, which is confined to the packing pair; nothing else in the
-package touches an FFT normalization or the FFT index order.
+package touches an FFT normalization or, apart from grid_work, the FFT index order.
 """
 
 from __future__ import annotations
@@ -209,9 +212,6 @@ class SpatialSpectrum:
         """The amplitude at the lattice point k, |k| <= kmax; amp(0) is the structural zero."""
         return self.amps[_lattice_index(self.params, k)]
 
-    def k_values(self) -> np.ndarray:
-        return self.params.k_values()
-
     def with_amps(self, amps, **meta) -> "SpatialSpectrum":
         return SpatialSpectrum(self.params, amps, **meta)
 
@@ -264,7 +264,11 @@ GridWork = namedtuple("GridWork", "half rows grid spectrum parts")
 
 
 def grid_work(params: ModelParams, nx: int, nf: int, batch: tuple = ()) -> GridWork:
-    """The packing pair's buffers for nf (*batch, nmax) blocks of halves, and views of them."""
+    """The packing pair's buffers for nf (*batch, nmax) blocks of halves on nx points, and views.
+
+    The one place that knows the real FFT row's layout: a half in bins 1..nmax
+    (rows, views of half), the zero mode in bin 0, the tail in bins nmax+1..nx//2.
+    """
     m, half = params.nmax, np.zeros((*batch, nf, nx // 2 + 1), dtype=complex)
     spectrum = np.empty_like(half)
     rows = tuple(half[..., i, 1:m + 1] for i in range(nf))
@@ -279,59 +283,40 @@ def _fft_scales(lam: float):
     return np.broadcast_to(complex(1.0 / c), ()), np.broadcast_to(complex(c), ())
 
 
-def lattice_to_grid(pos, params: ModelParams, nx: int, work: GridWork | None = None) -> np.ndarray:
-    """Real samples on nx >= 2*nmax+1 points of the real fields with n > 0 halves pos.
+def lattice_to_grid(pos, params: ModelParams, work: GridWork) -> np.ndarray:
+    """work.grid, written with the real samples of the fields whose n > 0 halves are pos.
 
-    pos is a (..., nmax) block of halves, one field per row, or a sequence
-    of such blocks, whose fields come out stacked along a new axis -2 (the
-    nonlinearity's u and u_x) without being stacked first.  Full rows go
-    through `real_half` first.  work = grid_work(params, nx, nf, batch),
-    for a sequence of nf (*batch, nmax) blocks, lets a caller that transforms
-    many times allocate nothing: the call writes work.half and returns work.grid.
+    pos is a sequence of the nf (*batch, nmax) blocks that work = grid_work(params, nx, nf,
+    batch) was built for, one field per row; the fields come out along axis -2 of work.grid,
+    not stacked first (the nonlinearity's u and u_x).  Full rows go through `real_half` first.
     """
-    m = params.nmax
     scale = _fft_scales(params.lam)[0]
-    if work is not None:
-        half = work.half
-        for block, row in zip(pos, work.rows, strict=True):
-            np.multiply(block, scale, out=row)
-    elif isinstance(pos, np.ndarray):
-        half = np.zeros(pos.shape[:-1] + (nx // 2 + 1,), dtype=complex)
-        np.multiply(pos, scale, out=half[..., 1:m + 1])
-    else:
-        half = np.zeros(np.shape(pos[0])[:-1] + (len(pos), nx // 2 + 1), dtype=complex)
-        for i, block in enumerate(pos):
-            np.multiply(block, scale, out=half[..., i, 1:m + 1])
-    grid = np.empty(half.shape[:-1] + (nx,)) if work is None else work.grid
+    for block, row in zip(pos, work.rows, strict=True):
+        np.multiply(block, scale, out=row)
     fft = _pocketfft()
     if fft is None:
-        grid[...] = np.fft.irfft(half, n=nx, axis=-1, norm="forward")
-        return grid
-    return fft.irfft(half, 1.0, out=grid)
+        work.grid[...] = np.fft.irfft(work.half, n=work.grid.shape[-1], axis=-1, norm="forward")
+        return work.grid
+    return fft.irfft(work.half, 1.0, out=work.grid)
 
 
-def grid_to_lattice(samples, params: ModelParams, work: GridWork | None = None):
-    """Inverse of lattice_to_grid on real samples, returning (pos, zero, tail) per row.
+def grid_to_lattice(params: ModelParams, work: GridWork):
+    """Inverse of lattice_to_grid: transforms work.grid into work.spectrum, returns work.parts.
 
-    pos is the n > 0 half of the field's spectrum (`hermitian_rows` makes
-    it a full row); zero is the k=0 amplitude (sqrt(2*pi)*lam times the
-    mean); tail holds the real FFT's bins beyond kmax (n = nmax+1 .. nx//2),
-    which are dropped and whose mass `dropped_mass` gives.  With work (see
-    lattice_to_grid), for samples shaped as work.grid, the result is
-    work.parts, views of work.spectrum.
+    The parts are (pos, zero, tail) per row: pos is the n > 0 half of the field's spectrum
+    (`hermitian_rows` makes it a full row); zero is the k=0 amplitude (sqrt(2*pi)*lam times
+    the mean); tail holds the real FFT's bins beyond kmax (n = nmax+1 .. nx//2), which are
+    dropped and whose mass `dropped_mass` gives.
     """
-    m = params.nmax
-    f = np.asarray(samples)
+    f, spectrum = work.grid, work.spectrum
     nx = f.shape[-1]
     fft = _pocketfft()
-    if fft is None or f.dtype != np.float64:
-        fhat = np.fft.rfft(f, axis=-1, norm="forward")
+    if fft is None:
+        spectrum[...] = np.fft.rfft(f, axis=-1, norm="forward")
     else:
-        rfft = fft.rfft_n_even if nx % 2 == 0 else fft.rfft_n_odd
-        out = work.spectrum if work else np.empty(f.shape[:-1] + (nx // 2 + 1,), dtype=complex)
-        fhat = rfft(f, 1.0 / nx, out=out)
-    fhat = np.multiply(fhat, _fft_scales(params.lam)[1], out=work.spectrum if work else fhat)
-    return work.parts if work else (fhat[..., 1:m + 1], fhat[..., 0], fhat[..., m + 1:])
+        (fft.rfft_n_even if nx % 2 == 0 else fft.rfft_n_odd)(f, 1.0 / nx, out=spectrum)
+    np.multiply(spectrum, _fft_scales(params.lam)[1], out=spectrum)
+    return work.parts
 
 
 def hermitian_rows(pos) -> np.ndarray:
@@ -409,9 +394,11 @@ def forward_transform(samples, params: ModelParams, return_mean: bool = False):
     m = params.nmax
     if nx < 2 * m + 1:
         raise ValueError(f"need at least {2 * m + 1} samples to resolve kmax, got {nx}")
-    pos, zero, tail = grid_to_lattice(f, params)
-    amps = hermitian_rows(pos)
-    mean = zero.real / (TWO_PI_SQRT * params.lam)
+    work = grid_work(params, nx, 1, f.shape[:-1])
+    work.grid[..., 0, :] = f  # int and float32 samples become float64 here
+    pos, zero, tail = grid_to_lattice(params, work)
+    amps = hermitian_rows(pos[..., 0, :])
+    mean = zero[..., 0].real / (TWO_PI_SQRT * params.lam)
     if tail.size:
         top = np.abs(tail).max()
         if top > 1e-10 * max(np.abs(amps).max(), abs(mean), 1e-300):
@@ -447,7 +434,7 @@ def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) ->
     pos = real_half(spec.amps, "the spectrum")
     if not np.isrealobj(mean):
         raise ValueError(f"mean must be real, got {mean!r}")
-    return lattice_to_grid(pos, p, nx) + mean
+    return lattice_to_grid((pos,), p, grid_work(p, nx, 1))[0] + mean
 
 
 @functools.lru_cache(maxsize=64)  # hs_norm runs on every diagnostic row

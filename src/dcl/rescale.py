@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .evolve import Trajectory, pde_residual
-from .lattice import ModelParams, SpatialSpectrum
+from .lattice import ModelParams, SpatialSpectrum, hs_norm
 
 
 def rescale_params(params: ModelParams, mu: float) -> ModelParams:
@@ -71,9 +73,5 @@ def hs_scaling_exponent(u0: SpatialSpectrum, s: float, mus=(1.0, 2.0, 4.0, 8.0))
     The exponent depends on s and on the data profile, so it is measured
     rather than asserted.
     """
-    import numpy as np
-
-    from .lattice import hs_norm
-
     norms = [hs_norm(rescale_field(u0, mu), s) for mu in mus]
     return float(np.polyfit(np.log(mus), np.log(norms), 1)[0])

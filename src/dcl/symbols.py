@@ -19,9 +19,11 @@ on a block of halves.  Full rows reach it through lattice.real_half, which
 rejects a field that is not real: `nonlinearity_F` cuts its two spectra
 that way and mirrors the kernel's output once, with lattice.hermitian_rows,
 and `product_spectrum` does the same with the product under it,
-`padded_product`.  Products and F are taken one way, on the alias-free
-pad=2 grid; the lattice convolution that cross-checks them is an oracle of
-the tests (tests/oracles.py), not a route of the package.
+`padded_product`, which builds the packing pair's lattice.grid_work buffers
+unless its caller passes them (the stepper and `nonlinearity_rows` do).
+Products and F are taken one way, on the alias-free pad=2 grid; the lattice
+convolution that cross-checks them is an oracle of the tests
+(tests/oracles.py), not a route of the package.
 """
 
 from __future__ import annotations
@@ -99,21 +101,22 @@ def mean_coupling(k, mu: float = 1.0, kdv: bool = False):
 def padded_product(a, b, params: ModelParams, work=None):
     """(pos, zero, tail) of the pointwise products of the real fields with n > 0 halves a and b.
 
-    a, b are (..., nmax) blocks of halves, one real field per row, or
-    sequences of such blocks (lattice.lattice_to_grid).  The result is as
-    lattice.grid_to_lattice returns it, on the pad=2 grid
-    nx = params.default_grid(pad=2): that grid resolves |k| <= 2*kmax, so
-    the quadratic product is alias-free and tail holds all of it beyond
-    kmax.  One irfft per factor (b = a: a alone), one rfft the products,
-    into work (lattice.grid_work for a's fields) if given.
+    a, b are sequences of (*batch, nmax) blocks of halves, one field per row, and the products
+    pair a's fields with b's.  The result is work.parts (lattice.grid_to_lattice) on the pad=2
+    grid nx = params.default_grid(pad=2): that grid resolves |k| <= 2*kmax, so the quadratic
+    product is alias-free and tail holds all of it beyond kmax.  One irfft per factor (b = a:
+    a alone), one rfft the products.  work = lattice.grid_work(params, nx, len(a), batch) is
+    built here if not given, and one for b when b is not a.
     """
-    nx = params.default_grid(pad=2) if work is None else work.grid.shape[-1]
-    f = lattice_to_grid(a, params, nx, work)
+    nx = params.default_grid(pad=2)
+    if work is None:
+        work = grid_work(params, nx, len(a), np.shape(a[0])[:-1])
+    f = lattice_to_grid(a, params, work)
     if b is a:
         f *= f
     else:
-        f *= lattice_to_grid(b, params, nx)
-    return grid_to_lattice(f, params, work)
+        f *= lattice_to_grid(b, params, grid_work(params, nx, len(b), np.shape(b[0])[:-1]))
+    return grid_to_lattice(params, work)
 
 
 @lru_cache(maxsize=32)
@@ -191,7 +194,9 @@ def product_spectrum(u1: SpatialSpectrum, u2: SpatialSpectrum) -> SpatialSpectru
     """
     u1._check_compatible(u2)
     p = u1.params
-    pos, zero, tail = padded_product(*_real_halves(u1.amps, u2.amps, ("u1", "u2")), p)
+    pa, pb = _real_halves(u1.amps, u2.amps, ("u1", "u2"))
+    a = (pa,)  # one-field sequences; b is a when u2's half is u1's
+    pos, zero, tail = (x[0] for x in padded_product(a, a if pb is pa else (pb,), p))
     return SpatialSpectrum(p, hermitian_rows(pos),
                            truncation_loss=float(dropped_mass(tail, p.default_grid(pad=2), p.lam)),
                            zero_mode=complex(zero))

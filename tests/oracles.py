@@ -9,8 +9,8 @@
   check of F.
 - `st_from_cells`, `st_value_at` and `st_sigma_of` build, read and place
   single cells of a SpaceTimeSpectrum; sigma is computed in exact rationals.
-- `region_partition_report` is dcl's region-partition report with each
-  label checked against `region_memberships` one point at a time.
+- `region_partition_report` is dcl.bourgain.verify_regions' region-partition
+  report with each label checked against `region_memberships` one point at a time.
 - `NormSpec` and `norm` select and evaluate one of the five norms by name;
   dcl calls each norm directly.
 - `rescale_state` is the per-state dilation that dcl.rescale.rescale_trajectory
@@ -147,7 +147,7 @@ def st_sigma_of(u: SpaceTimeSpectrum, n: int, m0: int, length: int) -> np.ndarra
 # -- the region-partition report, point by point ---------------------------------------
 
 def region_partition_report(params, kbound=64.0, sigma_bound=1e4, n_sigma=65) -> dict:
-    """dcl.cli's region-partition report on the same (k, sigma) grid, one scalar check per point.
+    """dcl.bourgain.verify_regions' report on the same (k, sigma) grid, one scalar check per point.
 
     The grid is classified by dcl.bourgain.region_codes in one call (looked up
     at call time, so a patched classifier is seen), and each label is checked

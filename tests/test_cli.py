@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from dcl import bourgain, evolve, rescale
+from dcl.bourgain import verify_regions
 from dcl.cli import (
     _KEYS,
     UsageError,
     _parser,
-    _region_partition_report,
     initial_spectrum,
     load_config,
     main,
@@ -134,7 +134,7 @@ class TestVerify:
     def test_regions_box_stops_at_kbound(self):
         # 2.6 * lam is no lattice index: the box is k = 1, 2 (both signs), 81 sigmas each
         for lam, n in ((1.0, 2), (2.0, 5)):
-            report = _region_partition_report(ModelParams(j=2, lam=lam, kmax=8.0), kbound=2.6)
+            report = verify_regions(ModelParams(j=2, lam=lam, kmax=8.0), kbound=2.6)
             assert report["points"] == 2 * n * 81 and report["pass"]
 
     @pytest.mark.parametrize("j", [2, 3, 4])
@@ -142,7 +142,7 @@ class TestVerify:
     @pytest.mark.parametrize("kbound", [64.0, 2.6])
     def test_regions_report_matches_the_point_loop(self, j, lam, kbound):
         p = ModelParams(j=j, lam=lam, kmax=64.0)
-        assert _region_partition_report(p, kbound) == oracles.region_partition_report(p, kbound)
+        assert verify_regions(p, kbound) == oracles.region_partition_report(p, kbound)
 
     def test_regions_planted_mislabels_counted_alike(self, tmp_path, monkeypatch):
         classify = bourgain.region_codes
@@ -155,7 +155,7 @@ class TestVerify:
 
         monkeypatch.setattr(bourgain, "region_codes", planted)
         p = ModelParams(j=2, lam=2.0, kmax=8.0)
-        report = _region_partition_report(p)
+        report = verify_regions(p)
         assert report == oracles.region_partition_report(p)
         assert report["mislabels"] > 0 and not report["pass"]
         assert run(tmp_path, "verify", "regions", "--kmax", "8") == 2
@@ -418,6 +418,28 @@ class TestRealInitialData:
         assert run(tmp_path, "simulate", "--T", "0.02", "--dt", "0.01", "--kmax", "8",
                    "--u0", f"json:{path}") == 1
         assert "error: k=1.0 repeats the mode k=1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["rescale-check"],
+                                         ["picard", "--nt", "129", "--iterations", "1"]])
+    @pytest.mark.parametrize("kmax, mode", [("8", "0"), ("8", "9"), ("8", "-9"), ("256", "300")])
+    def test_mode_off_the_lattice_exit_one(self, tmp_path, capsys, command, kmax, mode):
+        # cos(300x) would alias on the 540-point grid of kmax 256; mode 0 is the dropped mean
+        assert run(tmp_path, *command, "--kmax", kmax, "--T", "0.002", "--dt", "1e-4",
+                   "--u0-mode", mode) == 1
+        assert (f"error: u0 mode must satisfy 1 <= |mode| <= nmax = {kmax} (kmax * lambda), "
+                f"got {mode}\n") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mode_at_nmax_runs_and_a_negative_mode_is_its_mirror(self, tmp_path):
+        argv = ["simulate", "--kmax", "8", "--lambda", "2", "--T", "0.002", "--dt", "1e-4"]
+        assert main([*argv, "--u0-mode", "16", "--output-dir", str(tmp_path / "top")]) == 0
+        for mode in ("2", "-2"):
+            assert main([*argv, "--u0-mode", mode, "--output-dir", str(tmp_path / mode)]) == 0
+        for name in ("trajectory.csv", "final_spectrum.json"):
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "-2" / name).read_bytes()
+        runs = [{k: v for k, v in json.loads((tmp_path / m / "run.json").read_text()).items()
+                 if k != "config"} for m in ("2", "-2")]  # the config echoes the mode
+        assert runs[0] == runs[1] and runs[0]["steps"] == 20
 
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_amplitude_exit_one(self, tmp_path, capsys, amplitude):

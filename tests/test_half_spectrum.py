@@ -28,7 +28,9 @@ from dcl.lattice import (
     ModelParams,
     SpatialSpectrum,
     bracket,
+    forward_transform,
     grid_to_lattice,
+    grid_work,
     hermitian_rows,
     lattice_to_grid,
 )
@@ -314,33 +316,51 @@ class TestKernelParity:
     @pytest.mark.parametrize("nx", [34, 35, 66, 67])
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
     def test_packing_pair_equals_numpys_fft(self, nx, shape, monkeypatch):
-        # the pair calls numpy's FFT gufuncs directly where it can; np.fft is the reference
+        # the pair calls numpy's FFT gufuncs directly where it can, else np.fft; both equal np.fft
         p = ModelParams(j=2, lam=2.0, kmax=8.0)
+        m, c = p.nmax, TWO_PI_SQRT * p.lam
         rng = np.random.default_rng(nx)
-        pos = rng.standard_normal(shape + (p.nmax,)) + 1j * rng.standard_normal(shape + (p.nmax,))
-        f = rng.standard_normal(shape + (nx,))
-        fast = (lattice_to_grid(pos, p, nx), lattice_to_grid((pos, 2 * pos), p, nx),
-                grid_to_lattice(f, p))
-        monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
-        slow = (lattice_to_grid(pos, p, nx), lattice_to_grid((pos, 2 * pos), p, nx),
-                grid_to_lattice(f, p))
-        assert fast[1].shape == shape + (2, nx)
-        assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
-        for x, y in zip(fast[2], slow[2], strict=True):
-            assert np.array_equal(x, y)
+        pos = rng.standard_normal(shape + (m,)) + 1j * rng.standard_normal(shape + (m,))
+        f = rng.standard_normal(shape + (2, nx))
+        for route in ("gufuncs", "np.fft"):
+            if route == "np.fft":
+                monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
+            for blocks in ((pos,), (pos, 2 * pos)):
+                work = grid_work(p, nx, len(blocks), shape)
+                half = np.zeros(shape + (len(blocks), nx // 2 + 1), dtype=complex)
+                for i, block in enumerate(blocks):
+                    half[..., i, 1:m + 1] = block * (1.0 / c)
+                want = np.fft.irfft(half, n=nx, axis=-1, norm="forward")
+                assert lattice_to_grid(blocks, p, work) is work.grid
+                assert np.array_equal(work.grid, want)
+                for samples in (want, f[..., :len(blocks), :]):  # the round trip, then any samples
+                    work.grid[...] = samples
+                    fhat = np.fft.rfft(samples, axis=-1, norm="forward") * c
+                    parts = grid_to_lattice(p, work)
+                    refs = (fhat[..., 1:m + 1], fhat[..., 0], fhat[..., m + 1:])
+                    for got, ref in zip(parts, refs, strict=True):
+                        assert np.shares_memory(got, work.spectrum) and np.array_equal(got, ref)
 
     def test_single_precision_samples_transform_as_numpy_does(self, monkeypatch):
+        # int and float32 samples transform as the same samples in float64, on both FFT routes;
+        # float32 rounding puts ~5e-10 of the amplitude above kmax, which the transform reports
         p = ModelParams(j=2, kmax=8.0)
-        f = np.random.default_rng(9).standard_normal(35).astype(np.float32)
-        fast = grid_to_lattice(f, p)
-        monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
-        for x, y in zip(fast, grid_to_lattice(f, p), strict=True):
-            assert np.array_equal(x, y)
+        f32 = lattice.inverse_transform(broadband(p, seed=9), 35).astype(np.float32)
+        ints = np.random.default_rng(9).integers(-9, 10, 35)
+        for route in ("gufuncs", "np.fft"):
+            if route == "np.fft":
+                monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
+            for samples in (f32, ints):
+                with pytest.warns(UserWarning, match="energy above kmax"):
+                    (spec, mean), (want, want_mean) = (
+                        forward_transform(x, p, return_mean=True)
+                        for x in (samples, samples.astype(np.float64)))
+                assert np.array_equal(spec.amps, want.amps) and mean == want_mean
 
     def test_full_rows_refused(self):
         p = ModelParams(j=2, kmax=8.0)
         with pytest.raises(ValueError):
-            lattice_to_grid(broadband(p, seed=1).amps, p, p.default_grid(pad=2))
+            lattice_to_grid((broadband(p, seed=1).amps,), p, grid_work(p, p.default_grid(pad=2), 1))
 
 
 # -- Picard -------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dcl.lattice import (
     dropped_mass,
     forward_transform,
     grid_to_lattice,
+    grid_work,
     hermitian_rows,
     hs_norm,
     inverse_transform,
@@ -338,10 +339,11 @@ class TestRealPacking:
         blk = np.stack([hermitian_spectrum(p, seed=s, decay=0.2).amps for s in range(4)])
         blk = blk.reshape(2, 2, -1)
         nx = p.default_grid(pad=pad)
-        f = lattice_to_grid(blk[..., p.nmax + 1:], p, nx)
-        assert f.shape == (2, 2, nx) and np.isrealobj(f)
-        pos, zero, tail = grid_to_lattice(f, p)
-        amps = hermitian_rows(pos)
+        work = grid_work(p, nx, 1, (2, 2))
+        f = lattice_to_grid((blk[..., p.nmax + 1:],), p, work)
+        assert f.shape == (2, 2, 1, nx) and np.isrealobj(f)
+        pos, zero, tail = grid_to_lattice(p, work)
+        amps = hermitian_rows(pos[..., 0, :])
         assert oracles.exactly_hermitian(amps)
         assert np.abs(amps - blk).max() < 1e-15 * np.abs(blk).max() * nx
         assert np.abs(zero).max() < 1e-15 and np.abs(tail).max() < 1e-15
@@ -354,7 +356,9 @@ class TestRealPacking:
         f = np.random.default_rng(nx).standard_normal(nx)
         full = np.fft.fft(f) * (TWO_PI_SQRT * p.lam / nx)
         want = math.sqrt(float(np.sum(np.abs(full[m + 1:nx - m]) ** 2)) / p.lam)
-        pos, zero, tail = grid_to_lattice(f, p)
+        work = grid_work(p, nx, 1)
+        work.grid[0] = f
+        (pos,), (zero,), (tail,) = grid_to_lattice(p, work)
         amps = hermitian_rows(pos)
         assert dropped_mass(tail, nx, p.lam) == pytest.approx(want, rel=1e-13)
         assert np.abs(amps[m + 1:] - full[1:m + 1]).max() < 1e-14
