@@ -69,7 +69,8 @@ from .lattice import (
     real_half,
     uniform_step,
 )
-from .symbols import dispersion_symbol, nonlocal_multiplier, threshold_coefficient
+from .symbols import (dispersion_symbol, nonlinearity_multipliers, nonlocal_multiplier,
+                      threshold_coefficient)
 
 
 class RegionLabel(Enum):
@@ -240,9 +241,9 @@ def _characteristic(params: ModelParams, dtau: float):
     """
     q, lam, e = round(1.0 / dtau), Fraction(params.lam), 2 * params.j + 1
     step = Fraction(1, q) if q >= 1 and abs(1.0 / dtau - q) < 1e-12 else Fraction(dtau)
-    scale = (-1) ** (params.j + 1) * lam.denominator ** e * step.denominator
+    scale = lam.denominator ** e * step.denominator
     den, out = lam.numerator ** e * step.numerator, lam.numerator ** e * step.denominator
-    num = [scale * n ** e for n in range(-params.nmax, params.nmax + 1)]
+    num = [scale * dispersion_symbol(n, params.j) for n in range(-params.nmax, params.nmax + 1)]
     index = [(2 * a + den) // (2 * den) for a in num]
     return _ints(index), np.array([(m * den - a) / out for m, a in zip(index, num)]), step
 
@@ -250,13 +251,13 @@ def _characteristic(params: ModelParams, dtau: float):
 class SpaceTimeSpectrum:
     """Sparse banded amplitudes over (k, tau) cells in one flat layout; see the module docstring.
 
-    amps holds every cell.  Segment i covers amps[offsets[i]:offsets[i+1]] in
-    band seg_n[i] (k = n/lam, 0 < |n| <= nmax), with cell centers tau = tau0
-    + m*dtau for m = seg_m0[i], seg_m0[i] + 1, ...; segments are sorted by
-    (n, m0) and neither overlap nor touch.  bands maps n to that band's
-    [(m0, view), ...], the views into amps.  The constructor takes such a
-    dict, with segments in any order, overlapping or touching, and sums
-    them; any other band n is a ValueError.  Immutable once built.
+    amps holds every cell.  Segment i covers amps[offsets[i]:offsets[i+1]] in band seg_n[i]
+    (k = n/lam, 0 < |n| <= nmax), with cell centers tau = tau0 + m*dtau for m = seg_m0[i],
+    seg_m0[i] + 1, ...; segments are sorted by (n, m0) and neither overlap nor touch.  bands
+    maps n to that band's [(m0, view), ...], the views into amps.  The constructor takes such
+    a dict, with segments in any order, overlapping or touching, and sums them; any other
+    band n is a ValueError.  Immutable once built, except that bilinear_output scales and
+    sums into the amps of its own fresh output.
     """
 
     def __init__(self, params: ModelParams, dtau: float, tau0: float = 0.0,
@@ -586,27 +587,40 @@ def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
                                           math.sqrt(dropped * u.dtau / p.lam))
 
 
-BILINEAR_FORMS = ("dxdx_smoothed", "product_dx", "product_smoothed")
+BILINEAR_FORMS = ("dxdx_smoothed", "product_dx", "product_smoothed")  # the probe's forms
+_ik = lambda k: 1j * k
+# each form's terms (pre, post): pre acts on both inputs before the convolution, post on
+# its output; F at mu = 1 is m_uv (u v)^ + m_dd (u_x v_x)^ (symbols.nonlinearity_multipliers)
+_FORM_TERMS = {
+    "dxdx_smoothed": ((_ik, nonlocal_multiplier),),
+    "product_dx": ((None, _ik),),
+    "product_smoothed": ((None, nonlocal_multiplier),),
+    "F": ((None, lambda k: nonlinearity_multipliers(k)[0]),
+          (_ik, lambda k: nonlinearity_multipliers(k)[1])),
+}
 
 
 def bilinear_output(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum, form: str) -> SpaceTimeSpectrum:
-    """The modulation-smoothed bilinear expressions behind the three estimates.
+    """The modulation-smoothed bilinear expressions behind the three estimates, and F's.
 
     dxdx_smoothed:    <sigma>^(-1) d_x (1-d_x^2)^(-1) [(d_x u)(d_x v)]
     product_dx:       <sigma>^(-1) d_x (u v)
     product_smoothed: <sigma>^(-1) d_x (1-d_x^2)^(-1) (u v)
+    F:                <sigma>^(-1) F(u, v), the model's nonlinearity at mu = 1; it equals
+                      product_dx / 2 + product_smoothed + dxdx_smoothed / 2
 
-    The output symbol and <sigma>^(-1) scale the convolution's cells in
-    place; truncated_mass is the convolution's, taken before them.
+    Each term is one st_convolve, its cells scaled by post(k) / <sigma>.  A layout depends
+    only on the inputs' segment tables, so the terms share the first one's cells and are
+    summed there in place.  truncated_mass is the first (plain) convolution's.
     """
-    if form not in BILINEAR_FORMS:
-        raise ValueError(f"form must be one of {BILINEAR_FORMS}")
-    ik = lambda k: 1j * k
-    pre, post = {"dxdx_smoothed": (ik, nonlocal_multiplier),
-                 "product_dx": (None, ik),
-                 "product_smoothed": (None, nonlocal_multiplier)}[form]
+    if form not in _FORM_TERMS:
+        raise ValueError(f"form must be one of {tuple(_FORM_TERMS)}")
+    (pre, post), *rest = _FORM_TERMS[form]
     out = st_convolve(u, v, pre, pre)
-    out.amps *= out._k_symbol(post) / bracket(out._sigma)
+    br_sigma = bracket(out._sigma)
+    out.amps *= out._k_symbol(post) / br_sigma
+    for pre, post in rest:
+        out.amps += st_convolve(u, v, pre, pre).amps * (out._k_symbol(post) / br_sigma)
     return out
 
 
@@ -630,6 +644,8 @@ def batch_bilinear_probe(params: ModelParams, s: float, form: str, count: int,
                          f"got {count!r}")
     if workers != 1:
         raise ValueError("workers must be 1: probe pairs run one after another")
+    if form not in BILINEAR_FORMS:
+        raise ValueError(f"form must be one of {BILINEAR_FORMS}")
     rng = np.random.default_rng(seed)
     pair_seeds = [int(x) for x in rng.integers(0, 2**63 - 1, size=count)]
 

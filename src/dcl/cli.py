@@ -190,7 +190,7 @@ def cmd_verify(cfg: dict, target: str) -> int:
     if target == "regions":
         report = bourgain.verify_regions(params)
         _write(outdir, "region_partition.json", _dump(report))
-        print(f"regions: {report['points']} points, unique labels: {report['pass']}")
+        print(f"regions: {report['points']} points, {report['mislabels']} mislabels")
         return 0 if report["pass"] else 2
     # target == "embeddings" (argparse allows only the three)
     report = bourgain.verify_embeddings(

@@ -69,19 +69,13 @@ class Trajectory:
     """A run's recorded states as read-only arrays: row i of amps at times[i], mean means[i].
 
     diag holds simulate's energy, l2, hs (H^1) and max_mode columns; it is empty for
-    a trajectory rescaled or built from SolverStates (the states argument).
-    states and diagnostics are derived from the arrays on every read.
+    a rescaled trajectory.  states and diagnostics are derived from the arrays on every read.
     """
 
     DIAGNOSTICS = ("t", "energy", "mean", "l2", "hs", "max_mode")
 
-    def __init__(self, params: ModelParams, dt: float, mode: str, states=(), *, amps=None,
-                 times=None, means=None, diag=None, blown_up=False, phase_wrap=0.0):
-        if amps is None:
-            amps = np.array([s.spec.amps for s in states], complex)
-            amps = amps.reshape(len(states), 2 * params.nmax + 1)
-            times = np.array([s.t for s in states], float)
-            means = np.array([s.mean for s in states], float)
+    def __init__(self, params: ModelParams, dt: float, mode: str, *, amps, times, means,
+                 diag=None, blown_up=False, phase_wrap=0.0):
         self.params, self.dt, self.mode, self.diag = params, dt, mode, diag or {}
         self.amps, self.times, self.means = amps, times, means
         for a in (amps, times, means):

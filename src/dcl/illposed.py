@@ -5,13 +5,13 @@ The probe data are unit-amplitude slabs on the characteristic surface,
     F u1(k, tau) = [k = +-N]     * [|sigma| <= 1]
     F u2(k, tau) = [k = +-(N-1)] * [|sigma| <= 1],
 
-whose W^s size scales like N^s.  Pushing the pair through the
-modulation-weighted Duhamel response <sigma>^(-1) F(u1, u2) produces output
-at k = +-1 and +-(2N-1); the low modes sit at modulation ~ N^(2j) (the
-resonance gap), and their contribution scales like N^(2-j).  A contraction
-estimate would force N^(2-j) <~ N^(2s), so measuring both log-log slopes
-decides whether the family breaks the estimate at a given s: it does
-exactly when s < 1 - j/2.
+whose W^s size scales like N^s.  Pushing the pair through the modulation-weighted
+Duhamel response <sigma>^(-1) F(u1, u2), the form "F" of bourgain.bilinear_output (the
+sum of the lemma forms dcl probe measures one by one), produces output at k = +-1 and
++-(2N-1); the low modes sit at modulation ~ N^(2j) (the resonance gap), and their
+contribution scales like N^(2-j).  A contraction estimate would force N^(2-j) <~ N^(2s),
+so measuring both log-log slopes decides whether the family breaks the estimate at a
+given s: it does exactly when s < 1 - j/2.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bourgain import SpaceTimeSpectrum, _characteristic, _check_dtau, st_convolve, ws_norm
-from .lattice import ModelParams, bracket, is_integer
-from .symbols import nonlinearity_multipliers
+from .bourgain import SpaceTimeSpectrum, _characteristic, _check_dtau, bilinear_output, ws_norm
+from .lattice import ModelParams, is_integer
 
 
 @dataclass(frozen=True)
@@ -70,24 +69,12 @@ def build_counterexample(N: int, j: int, dtau: float = 0.125):
 
 def duhamel_weighted_bilinear(u1: SpaceTimeSpectrum, u2: SpaceTimeSpectrum,
                               s: float) -> float:
-    """W^s size of <sigma>^(-1) F(u1, u2), F the model's bilinear symbol.
-
-    F's two multipliers (mu = 1) act on the plain convolution and on the
-    convolution of derivatives.  st_convolve's output layout depends only
-    on its inputs' segment tables, never on the amplitudes, so both
-    convolutions share one layout and F is their cellwise sum, written
-    into the plain convolution's cells and then scaled by <sigma>^(-1).
-    """
-    conv = st_convolve(u1, u2)
-    if conv.n_cells() == 0:
+    """W^s size of <sigma>^(-1) F(u1, u2), F the model's bilinear symbol (bilinear_output)."""
+    out = bilinear_output(u1, u2, "F")
+    if out.n_cells() == 0:
         warnings.warn("slab supports do not interact; returning 0", stacklevel=2)
         return 0.0
-    dconv = st_convolve(u1, u2, pre1=lambda k: 1j * k, pre2=lambda k: 1j * k)
-    m_uv, m_dd = nonlinearity_multipliers(conv._band_k)
-    band = conv._cell_band
-    conv.amps = m_uv[band] * conv.amps + m_dd[band] * dconv.amps
-    conv.amps *= 1.0 / bracket(conv._sigma)
-    return ws_norm(conv, s)
+    return ws_norm(out, s)
 
 
 @dataclass

@@ -383,7 +383,8 @@ def forward_transform(samples, params: ModelParams, return_mean: bool = False):
 
     The zero mode (field mean) is dropped from the spectrum; pass
     return_mean=True to receive (spectrum, mean).  A warning diagnostic is
-    emitted if the input carries energy above kmax, or an unreported mean.
+    emitted if the input carries energy above kmax, or an unreported mean,
+    of more than 1e-10 relative (eps of the samples' dtype below float64).
     """
     f = np.asarray(samples)
     if not np.isrealobj(f):
@@ -394,6 +395,7 @@ def forward_transform(samples, params: ModelParams, return_mean: bool = False):
     m = params.nmax
     if nx < 2 * m + 1:
         raise ValueError(f"need at least {2 * m + 1} samples to resolve kmax, got {nx}")
+    floor = np.finfo(f.dtype).eps if f.dtype.kind == "f" and f.itemsize < 8 else 1e-10
     work = grid_work(params, nx, 1, f.shape[:-1])
     work.grid[..., 0, :] = f  # int and float32 samples become float64 here
     pos, zero, tail = grid_to_lattice(params, work)
@@ -401,7 +403,7 @@ def forward_transform(samples, params: ModelParams, return_mean: bool = False):
     mean = zero[..., 0].real / (TWO_PI_SQRT * params.lam)
     if tail.size:
         top = np.abs(tail).max()
-        if top > 1e-10 * max(np.abs(amps).max(), abs(mean), 1e-300):
+        if top > floor * max(np.abs(amps).max(), abs(mean), 1e-300):
             warnings.warn(
                 f"input carries energy above kmax={params.kmax} (max aliased amp "
                 f"{top:.3g}); spectrum is truncated",
@@ -410,7 +412,7 @@ def forward_transform(samples, params: ModelParams, return_mean: bool = False):
     spec = SpatialSpectrum(params, amps)
     if return_mean:
         return spec, mean
-    if abs(mean) > 1e-10 * max(np.abs(amps).max(), 1.0):
+    if abs(mean) > floor * max(np.abs(amps).max(), 1.0):
         warnings.warn(
             f"dropping nonzero field mean {mean:.3g}; pass return_mean=True to keep it",
             stacklevel=2,
@@ -463,14 +465,14 @@ def spectrum_to_json(spec: SpatialSpectrum) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def spectrum_from_json(text: str, kmax: float | None = None, **kwargs) -> SpatialSpectrum:
+def spectrum_from_json(text: str, kmax: float | None = None) -> SpatialSpectrum:
     doc = json.loads(text)
     lam = doc["lambda"]
     ks = [mode["k"] for mode in doc["modes"]]
     if kmax is None:
         top = max((abs(k) for k in ks), default=1.0 / lam)
         kmax = max(256.0 / lam, math.ceil(top * lam) / lam)
-    params = ModelParams(j=doc["j"], lam=lam, kmax=kmax, **kwargs)
+    params = ModelParams(j=doc["j"], lam=lam, kmax=kmax)
     return SpatialSpectrum.from_modes(
         params, [(mode["k"], mode["re"] + 1j * mode["im"]) for mode in doc["modes"]]
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcl.evolve import Trajectory
 from dcl.lattice import ModelParams, SpatialSpectrum
 
 
@@ -24,3 +25,11 @@ def hermitian_spectrum(params, seed=0, decay=1.0, scale=0.1, top=None):
         amps[params.nmax + n] = v
         amps[params.nmax - n] = np.conj(v)
     return SpatialSpectrum(params, scale * amps)
+
+
+def trajectory_of(params, dt, mode, states):
+    """The Trajectory of a list of SolverStates: their amps, times and means as three arrays."""
+    amps = np.array([s.spec.amps for s in states], complex)
+    return Trajectory(params, dt, mode, amps=amps.reshape(len(states), 2 * params.nmax + 1),
+                      times=np.array([s.t for s in states], float),
+                      means=np.array([s.mean for s in states], float))

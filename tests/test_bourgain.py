@@ -491,19 +491,22 @@ class TestConvolutionOracle:
         u = random_spectrum(params8, rng)
         v = random_spectrum(params8, rng)
         ik = lambda k: 1j * k
-        for form, pre, post in (
-            ("dxdx_smoothed", ik, lambda k: 1j * k / (1 + k * k)),
-            ("product_dx", None, lambda k: 1j * k),
-            ("product_smoothed", None, lambda k: 1j * k / (1 + k * k)),
+        smoothed = lambda k: 1j * k / (1 + k * k)
+        # (pre, post) per term; F (mu = 1) = (ik/2 + smoothed) (u v) + (smoothed/2) (u_x v_x)
+        for form, terms in (
+            ("dxdx_smoothed", [(ik, smoothed)]),
+            ("product_dx", [(None, ik)]),
+            ("product_smoothed", [(None, smoothed)]),
+            ("F", [(None, lambda k: 0.5j * k + smoothed(k)), (ik, lambda k: 0.5 * smoothed(k))]),
         ):
             out = bilinear_output(u, v, form)
-            slow = brute_convolve(u, v, pre1=pre, pre2=pre)
-            errs = []
-            for (n, m), a in slow.items():
-                k = n / params8.lam
-                sig = (u.tau0 + v.tau0 + m * u.dtau) - dispersion_symbol(k, params8.j)
-                want = a * post(k) / bracket(sig)
-                errs.append(abs(oracles.st_value_at(out, n, m) - complex(want)))
+            want = {}
+            for pre, post in terms:
+                for (n, m), a in brute_convolve(u, v, pre1=pre, pre2=pre).items():
+                    k = n / params8.lam
+                    sig = (u.tau0 + v.tau0 + m * u.dtau) - dispersion_symbol(k, params8.j)
+                    want[n, m] = want.get((n, m), 0.0) + a * post(k) / bracket(sig)
+            errs = [abs(oracles.st_value_at(out, n, m) - complex(w)) for (n, m), w in want.items()]
             assert max(errs) < 1e-12
 
     def test_truncation_mass_reported(self):
@@ -574,7 +577,7 @@ class TestBatchedConvolution:
 
     @pytest.mark.parametrize("case", sorted(_CONV_CASES))
     def test_layout_does_not_depend_on_the_symbols(self, case):
-        # the premise of illposed's in-place sum of the two convolutions
+        # the premise of bilinear_output's in-place sum of its terms' convolutions
         params, lay_u, lay_v = _CONV_CASES[case]
         rng = np.random.default_rng(35)
         u = segmented_spectrum(params, rng, lay_u)

@@ -128,8 +128,10 @@ class TestVerify:
     def test_resonance_box_below_two_exit_one(self, tmp_path):
         assert run(tmp_path, "verify", "resonance", "--kmax-verify", "1") == 1
 
-    def test_regions_totality(self, tmp_path):
+    def test_regions_totality(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "regions", "--kmax", "8") == 0
+        line = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"regions: \d+ points, 0 mislabels", line), line
 
     def test_regions_box_stops_at_kbound(self):
         # 2.6 * lam is no lattice index: the box is k = 1, 2 (both signs), 81 sigmas each
@@ -236,9 +238,10 @@ class TestProbe:
         assert "error: need at least one probe pair" in capsys.readouterr().err
 
     def test_unknown_form_rejected(self, tmp_path, capsys):
-        assert run(tmp_path, "probe", "--pairs", "1", "--seed", "1", "--kmax", "8",
-                   "--form", "cubic") == 1
-        assert "error: form must be one of" in capsys.readouterr().err
+        for form in ("cubic", "F"):  # F is a bilinear_output form, but not a probe form
+            assert run(tmp_path, "probe", "--pairs", "1", "--seed", "1", "--kmax", "8",
+                       "--form", form) == 1
+            assert "error: form must be one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("s", ["nan", "inf"])
     def test_non_finite_s_exit_one(self, tmp_path, capsys, s):

@@ -14,7 +14,6 @@ from dcl.evolve import (
     _cumulative_simpson,
     PicardConfig,
     SolverState,
-    Trajectory,
     bump_eta,
     energy,
     pde_residual,
@@ -35,7 +34,7 @@ from dcl.lattice import (
 from dcl.symbols import dispersion_symbol, free_evolution, nonlinearity_F, real_nonlinearity
 
 import oracles
-from conftest import hermitian_spectrum
+from conftest import hermitian_spectrum, trajectory_of
 
 
 def cosine_data(params, amp=0.01, mode=1):
@@ -249,7 +248,7 @@ class TestResidual:
             return ut + lin + nonlinearity_F(u, u)
 
         states = [SolverState(i * dt, exact(i * dt)) for i in range(41)]
-        traj = Trajectory(p, dt, "full", states=states)
+        traj = trajectory_of(p, dt, "full", states)
         rep = pde_residual(traj, forcing=forcing)
         assert rep["max_residual"] <= 1e-8
 
@@ -269,7 +268,7 @@ class TestResidual:
         u0 = cosine_data(p, amp=0.05)
         traj = simulate(u0, T=0.08, dt=1e-3, mean=0.25, stride=2)
         assert pde_residual(traj)["max_residual"] <= 1e-7
-        uncoupled = Trajectory(p, traj.dt, traj.mode, states=[
+        uncoupled = trajectory_of(p, traj.dt, traj.mode, [
             SolverState(s.t, s.spec, 0.0) for s in traj.states])
         assert pde_residual(uncoupled)["max_residual"] > 1e-3
 
@@ -279,7 +278,7 @@ class TestResidual:
         p = ModelParams(j=2, kmax=16.0)
         traj = simulate(cosine_data(p, amp=0.05), T=0.05, dt=1e-3, mode=mode, mean=mean,
                         stride=2)
-        listed = Trajectory(p, traj.dt, mode, states=[
+        listed = trajectory_of(p, traj.dt, mode, [
             SolverState(s.t, SpatialSpectrum(p, s.spec.amps.copy()), s.mean)
             for s in traj.states])
         assert len(traj.times) == 26
@@ -292,8 +291,7 @@ class TestResidual:
         u0 = hermitian_spectrum(params16, seed=7)
         times = np.arange(9) * 1e-10
         times[4:] += shift
-        traj = Trajectory(params16, 1e-10, "full",
-                          states=[SolverState(t, u0) for t in times])
+        traj = trajectory_of(params16, 1e-10, "full", [SolverState(t, u0) for t in times])
         with pytest.raises(ValueError, match="uniform"):
             pde_residual(traj)
 

@@ -9,6 +9,7 @@ half-spectrum engines must reproduce them bit for bit on real data.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,16 +343,28 @@ class TestKernelParity:
                         assert np.shares_memory(got, work.spectrum) and np.array_equal(got, ref)
 
     def test_single_precision_samples_transform_as_numpy_does(self, monkeypatch):
-        # int and float32 samples transform as the same samples in float64, on both FFT routes;
-        # float32 rounding puts ~5e-10 of the amplitude above kmax, which the transform reports
+        # float32 samples are judged at float32's eps: the rounding of a band-limited field
+        # (~1e-8 of its amplitude above kmax) warns nothing, content at 1e-3 still warns;
+        # int and float32 samples transform as the same samples in float64, on both FFT routes
         p = ModelParams(j=2, kmax=8.0)
-        f32 = lattice.inverse_transform(broadband(p, seed=9), 35).astype(np.float32)
+        exact = lattice.inverse_transform(broadband(p, seed=9), 35)
+        f32 = exact.astype(np.float32)
+        high = exact + 1e-3 * np.abs(exact).max() * np.cos(12 * lattice.x_grid(p, 35))
+        high = high.astype(np.float32)
         ints = np.random.default_rng(9).integers(-9, 10, 35)
         for route in ("gufuncs", "np.fft"):
             if route == "np.fft":
                 monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
-            for samples in (f32, ints):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                forward_transform(f32, p)
+            # at float64 precision the float32 rounding is content above kmax
+            for samples in (high, ints, f32.astype(np.float64)):
                 with pytest.warns(UserWarning, match="energy above kmax"):
+                    forward_transform(samples, p, return_mean=True)
+            for samples in (f32, high, ints):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
                     (spec, mean), (want, want_mean) = (
                         forward_transform(x, p, return_mean=True)
                         for x in (samples, samples.astype(np.float64)))

@@ -14,7 +14,6 @@ from dcl.bourgain import from_time_samples
 from dcl.evolve import (
     PicardConfig,
     SolverState,
-    Trajectory,
     pde_residual,
     picard_iterate,
     simulate,
@@ -31,7 +30,7 @@ from dcl.lattice import (
 from dcl.symbols import nonlinearity_F, product_spectrum
 
 import oracles
-from conftest import hermitian_spectrum
+from conftest import hermitian_spectrum, trajectory_of
 
 P8 = ModelParams(j=2, kmax=8.0)
 
@@ -42,7 +41,7 @@ REAL_ONLY = {
         bad, PicardConfig(iterations=1, nt=5, measure_zs=False)),
     "step": lambda u, bad: step(SolverState(0.0, bad), 1e-3),
     "pde_residual": lambda u, bad: pde_residual(
-        Trajectory(P8, 1e-3, "full", [SolverState(i * 1e-3, bad) for i in range(7)])),
+        trajectory_of(P8, 1e-3, "full", [SolverState(i * 1e-3, bad) for i in range(7)])),
     "nonlinearity_F u1": lambda u, bad: nonlinearity_F(bad, u),
     "nonlinearity_F u2": lambda u, bad: nonlinearity_F(u, bad),
     "product_spectrum u1": lambda u, bad: product_spectrum(bad, u),

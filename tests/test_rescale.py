@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dcl.evolve import Trajectory, pde_residual, simulate
+from dcl.evolve import pde_residual, simulate
 from dcl.lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -25,7 +25,7 @@ from dcl.rescale import (
 from dcl.symbols import nonlinearity_F
 
 import oracles
-from conftest import hermitian_spectrum
+from conftest import hermitian_spectrum, trajectory_of
 
 
 class TestRescaleField:
@@ -106,7 +106,7 @@ class TestRescaleTrajectory:
             assert np.array_equal(got.spec.amps, w.spec.amps)
         assert (scaled.blown_up, scaled.phase_wrap) == (traj.blown_up, traj.phase_wrap)
         assert scaled.diagnostics == []
-        listed = Trajectory(scaled.params, scaled.dt, scaled.mode, states=want)
+        listed = trajectory_of(scaled.params, scaled.dt, scaled.mode, want)
         assert pde_residual(scaled, mu=mu) == pde_residual(listed, mu=mu)
 
 
