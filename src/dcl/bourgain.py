@@ -40,11 +40,15 @@ on M_n.  Every operation (convolution, symbols, norms) runs on the whole
 buffer at once, with per-band factors (k symbols, <k> powers, region
 thresholds) computed once per band.  L2(dtau) is (sum |a|^2 dtau)^(1/2)
 and L1(dtau) is sum |a| dtau, with weights evaluated at cell centers.
+Along a segment sigma is nondecreasing, so Z^s classifies runs, not cells:
+each segment is cut where |sigma| crosses a region threshold, and
+region_codes classifies each run by its first cell.
 
 A spectrum that from_time_samples builds from samples of real fields is
 marked as a real field: its n < 0 bands are the exact conjugate mirrors of
 its n > 0 bands, cell for cell.  Its norms read only the cells of the n > 0
 bands, a contiguous tail of the layout, and count each band sum twice.
+The lift itself is _lift_halves, which takes the n > 0 halves directly.
 Every other spectrum, including anything derived from a marked one, is
 unmarked and its norms read every cell once.
 """
@@ -318,41 +322,45 @@ class SpaceTimeSpectrum:
     @cached_property
     def _sigma(self) -> np.ndarray:
         """Every cell's modulation, in layout order."""
-        return self._segment_sigma(self._band_n, self._seg_band, self.seg_m0, self.offsets)
+        return self._segment_sigma(self._seg_band, self.seg_m0, self.offsets)
 
     @cached_property
     def _norm_cells(self):
-        """(first, factor, cell bands, sigmas): the cells amps[first:] the norms read.
+        """(seg, factor, cell bands, sigmas): the norms read the cells amps[offsets[seg]:].
 
         A marked real field's n < 0 bands mirror its n > 0 bands cell for
         cell, with equal |amps|, |k| and |sigma|: the norms read the cells
-        from the first n > 0 segment on, and factor = 2 counts each band
-        sum twice.  Otherwise first = 0 and factor = 1.
+        from its first n > 0 segment seg on, and factor = 2 counts each band
+        sum twice.  Otherwise seg = 0 and factor = 1.
         """
         if not self._real:
             return 0, 1.0, self._cell_band, self._sigma
         seg = int(np.searchsorted(self.seg_n, 0))
         offsets = self.offsets[seg:] - self.offsets[seg]
         band = self._seg_band[seg:]
-        return (int(self.offsets[seg]), 2.0, np.repeat(band, np.diff(offsets)),
-                self._segment_sigma(self._band_n, band, self.seg_m0[seg:], offsets))
+        return (seg, 2.0, np.repeat(band, np.diff(offsets)),
+                self._segment_sigma(band, self.seg_m0[seg:], offsets))
 
     def _k_symbol(self, fn) -> np.ndarray:
         """fn(k) per cell: fn is called once, on the array of band ks, mapping it elementwise."""
         return fn(self._band_k)[self._cell_band]
 
-    def _segment_sigma(self, band_n, band, seg_m0, offsets) -> np.ndarray:
-        """Cell-center modulations dtau*((m0 - M_n) + i) + (tau0 + r_n) of segments.
+    def _sigma_rule(self, band, seg_m0):
+        """(r0, off) per segment: its cell i has modulation dtau*(r0 + i) + off.
 
-        Segment i lies in band n = band_n[band[i]]; M_n and r_n are its row
-        of the _characteristic table, and m0 - M_n is exact.
+        Segment i lies in band n = _band_n[band[i]]; M_n and r_n are its row
+        of the _characteristic table, r0 = m0 - M_n (exact, made a float only
+        here) and off = tau0 + r_n.
         """
         index, residual, _ = _characteristic(self.params, self.dtau)
-        rows = (band_n + self.params.nmax)[band]
+        rows = (self._band_n + self.params.nmax)[band]
+        return (seg_m0 - index[rows]).astype(float), self.tau0 + residual[rows]
+
+    def _segment_sigma(self, band, seg_m0, offsets) -> np.ndarray:
+        """The cell-center modulations of segments seg_m0 in bands band, cut at offsets."""
+        r0, off = self._sigma_rule(band, seg_m0)
         length = offsets[1:] - offsets[:-1]
-        r0 = (seg_m0 - index[rows]).astype(float)  # exact; float conversion only here
-        return (self.dtau * (np.repeat(r0, length) + _cell_offsets(offsets))
-                + np.repeat(self.tau0 + residual[rows], length))
+        return self.dtau * (np.repeat(r0, length) + _cell_offsets(offsets)) + np.repeat(off, length)
 
     def cells(self):
         """Yield (n, m0, amps, sigma) per segment."""
@@ -446,24 +454,51 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
     if nt % 2 == 0:
         raise ValueError(f"nt must be odd (a tau grid symmetric about 0), got nt={nt}")
     pos = real_half(block, "block")
+    return _lift_halves(pos, float(t[0]), _time_step(t, dtau), params)
+
+
+def _time_step(t: np.ndarray, dtau: float | None) -> float:
+    """The step dt of the uniform time grid t, whose lift has dtau = 2*pi / (t.size*dt).
+
+    A t that is not a uniform grid (lattice.uniform_step), or a dtau given
+    that is not within 1e-9 of that grid's, is a ValueError.
+    """
     dt = uniform_step(t, "the time samples must lie on a uniform increasing grid")
-    dtau_c = 2.0 * math.pi / (nt * dt)
+    dtau_c = 2.0 * math.pi / (t.size * dt)
     if dtau is not None and abs(dtau - dtau_c) > 1e-9:
         raise ValueError(f"requested dtau={dtau} inconsistent with grid ({dtau_c})")
-    fhat = np.fft.fft(np.ascontiguousarray(pos.T), axis=1)  # one row per band n > 0
-    fhat *= dt / math.sqrt(2.0 * math.pi)
-    ms = np.arange(nt) - nt // 2  # integer tau indices, ascending: the FFT's, shifted
-    fhat = np.fft.fftshift(fhat, axes=1)
-    fhat *= np.exp(-1j * (ms * dtau_c) * t[0])
+    return dt
+
+
+def _lift_halves(pos: np.ndarray, t0: float, dt: float, params: ModelParams) -> SpaceTimeSpectrum:
+    """from_time_samples on the (nt, nmax) block pos of n > 0 halves, sampled at t0 + i*dt.
+
+    Unchecked: nt is odd and the grid is from_time_samples' (see _time_step).
+    The bands are written into one (2*nmax, nt) buffer: the FFT lands in its
+    n < 0 rows, is scaled there, and is shifted to ascending tau and phased
+    into the n > 0 rows, which the n < 0 rows then mirror.
+    """
+    nt, m = pos.shape
+    dtau = 2.0 * math.pi / (nt * dt)
+    h = nt // 2
+    ms = np.arange(nt) - h  # integer tau indices, ascending: the FFT's, shifted
+    phase = np.exp(-1j * (ms * dtau) * t0)
+    cells = np.empty((2 * m, nt), dtype=complex)
+    lower, upper = cells[:m], cells[m:]  # bands -nmax..-1 and 1..nmax
+    np.fft.fft(pos, axis=0, out=lower.T)
+    lower *= dt / math.sqrt(2.0 * math.pi)
+    np.multiply(lower[:, h + 1:], phase[:h], out=upper[:, :h])
+    np.multiply(lower[:, :h + 1], phase[h:], out=upper[:, h:])
     # band -n at tau index -m is the conjugate of band n at m
-    fhat = np.concatenate([np.conj(fhat[::-1, ::-1]), fhat])
-    ns = np.delete(np.arange(-params.nmax, params.nmax + 1), params.nmax)
-    nonzero = fhat.any(axis=1)
+    np.conjugate(upper[::-1, ::-1], out=lower)
+    ns = np.delete(np.arange(-m, m + 1), m)
+    nonzero = upper.any(axis=1)
     if not nonzero.all():
-        ns, fhat = ns[nonzero], fhat[nonzero]
-    out = SpaceTimeSpectrum._from_layout(params, dtau_c, 0.0, ns,
+        keep = np.concatenate([nonzero[::-1], nonzero])
+        ns, cells = ns[keep], cells[keep]
+    out = SpaceTimeSpectrum._from_layout(params, dtau, 0.0, ns,
                                          np.full(ns.size, ms[0], dtype=np.int64),
-                                         np.arange(ns.size + 1) * nt, fhat.ravel())
+                                         np.arange(ns.size + 1) * nt, cells.ravel())
     out._real = True
     return out
 
@@ -472,8 +507,8 @@ def from_time_samples(t: np.ndarray, block: np.ndarray, params: ModelParams,
 
 def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
     """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}."""
-    first, factor, band, sig = u._norm_cells
-    cell = bracket(sig) ** (2.0 * b) * np.abs(u.amps[first:]) ** 2
+    seg, factor, band, sig = u._norm_cells
+    cell = bracket(sig) ** (2.0 * b) * np.abs(u.amps[u.offsets[seg]:]) ** 2
     per_band = np.bincount(band, cell, u._band_k.size)
     total = factor * float(per_band @ bracket(u._band_k) ** (2.0 * s))
     return math.sqrt(total * u.dtau / u.params.lam)
@@ -481,8 +516,8 @@ def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
 
 def ys_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """||<k>^s F u||_{L2((dk)_lam) L1(dtau)}: L1 in tau first, then L2 in k."""
-    first, factor, band, _ = u._norm_cells
-    l1 = np.bincount(band, np.abs(u.amps[first:]), u._band_k.size) * u.dtau
+    seg, factor, band, _ = u._norm_cells
+    l1 = np.bincount(band, np.abs(u.amps[u.offsets[seg]:]), u._band_k.size) * u.dtau
     total = factor * float(np.sum(bracket(u._band_k) ** (2.0 * s) * l1 * l1))
     return math.sqrt(total / u.params.lam)
 
@@ -496,25 +531,88 @@ def zs_weights(s: float, j: int):
 
 # region code -> index into zs_weights; excluded cells (code 0) collect in slot 3
 _ZS_TERM = np.array([3, 0, 1, 2, 2, 0])
+# region_codes compares |sigma| with lo (>) and hi (>= for |k| >= 1, > below); along a
+# segment sigma is nondecreasing, so those comparisons can change only at the first cell
+# with sigma > -hi, >= -hi, >= -lo, > lo, >= hi and > hi
+_CUT_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+_CUT_AT_HI = np.array([True, True, False, False, True, True])
+_CUT_STRICT = np.array([True, False, False, True, False, True])
+
+
+def _first_cells(r0, off, length, dtau, theta, strict):
+    """Per row, the first cell c in [0, length] with dtau*(r0 + c) + off > theta (>= theta
+    where not strict), length where there is none.
+
+    The modulation is computed as the layout computes it, so it is nondecreasing in c.  The
+    arithmetic solution brackets c to within a cell of rounding, checked against the
+    modulations of the cells on either side; a bracket that fails the check is widened to the
+    whole segment, and bisection then closes every bracket.
+    """
+    def holds(c):
+        sig = dtau * (r0 + c) + off
+        return np.where(strict, sig > theta, sig >= theta)
+
+    guess = np.floor((theta - off) / dtau - r0)
+    left = np.clip(guess - 1.0, 0, length).astype(np.int64)
+    right = np.clip(guess + 2.0, 0, length).astype(np.int64)
+    wide = ((left > 0) & holds(left - 1)) | ((right < length) & ~holds(right))
+    left[wide] = 0
+    right = np.where(wide, length, right)
+    while (open_ := left < right).any():
+        mid = (left + right) // 2
+        below = holds(mid)
+        right = np.where(open_ & below, mid, right)
+        left = np.where(open_ & ~below, mid + 1, left)
+    return left
+
+
+def _region_runs(u: SpaceTimeSpectrum, seg: int, sig: np.ndarray):
+    """(start, band, code) of the region runs of the segments seg on, in layout order.
+
+    A run is a nonempty stretch of cells of one segment between two of its
+    cuts (_CUT_SIGN, _first_cells): no comparison region_codes makes changes
+    inside it, so region_codes classifies the run by its first cell.  Empty
+    runs are dropped.  start indexes sig, the modulations of the cells from
+    segment seg on.
+    """
+    offsets = u.offsets[seg:] - u.offsets[seg]
+    band = u._seg_band[seg:]
+    length = np.diff(offsets)[:, None]
+    r0, off = u._sigma_rule(band, u.seg_m0[seg:])
+    lo, hi = region_thresholds(np.abs(u._band_k), u.params.j)
+    theta = _CUT_SIGN * np.where(_CUT_AT_HI, hi[band][:, None], lo[band][:, None])
+    cuts = np.sort(_first_cells(r0[:, None], off[:, None], length, u.dtau, theta, _CUT_STRICT),
+                   axis=1)
+    ends = np.concatenate([cuts, length], axis=1)
+    starts = np.concatenate([np.zeros_like(length), cuts], axis=1)
+    nonempty = ends > starts
+    start = (offsets[:-1, None] + starts)[nonempty]
+    run_band = np.broadcast_to(band[:, None], nonempty.shape)[nonempty]
+    return start, run_band, region_codes(u._band_k, np.abs(sig[start]), u.params, band=run_band)
 
 
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """The four-term composite norm; the region decomposition needs j >= 2.
 
-    One pass: each cell is classified once and weighted by its region's
-    <sigma> power; the <k> powers and region thresholds are taken per band.
-    A marked real field is read on its n > 0 bands, each band sum counted
-    twice, as in xsb_norm and ys_norm.
+    One pass over region runs (_region_runs): each segment is cut where
+    |sigma| crosses a region threshold, and region_codes classifies each
+    run once, by its first cell.  Every cell is weighted by its run's
+    <sigma> power and summed into its (band, term) bin in cell order, so
+    the totals are those of classifying every cell, bit for bit; the <k>
+    powers are taken per band.  A marked real field is read on its n > 0
+    bands, each band sum counted twice, as in xsb_norm and ys_norm.
     """
     j = u.params.j
     if j < 2:
         raise ValueError("the Z^s decomposition is specific to j >= 2")
     sk, sb = 2.0 * np.array([*zs_weights(s, j), (0.0, 0.0)]).T
-    first, factor, band, sig = u._norm_cells
+    seg, factor, _, sig = u._norm_cells
+    start, band, code = _region_runs(u, seg, sig)
+    length = np.diff(start, append=sig.size)
+    term = _ZS_TERM[code]
+    cell = bracket(sig) ** np.repeat(sb[term], length) * np.abs(u.amps[u.offsets[seg]:]) ** 2
     k = u._band_k
-    term = _ZS_TERM[region_codes(k, np.abs(sig), u.params, band=band)]
-    cell = bracket(sig) ** sb[term] * np.abs(u.amps[first:]) ** 2
-    per_band = np.bincount(4 * band + term, cell, 4 * k.size).reshape(-1, 4)
+    per_band = np.bincount(np.repeat(4 * band + term, length), cell, 4 * k.size).reshape(-1, 4)
     totals = factor * np.sum(per_band * bracket(k)[:, None] ** sk, axis=0)
     return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + ys_norm(u, s)
 

@@ -288,7 +288,7 @@ def cmd_picard(cfg: dict) -> int:
         "ratios_at_floor": result.ratios_at_floor,
         "diverged": result.diverged,
         "telemetry": {"phase_s": result.phase_s, "grid_nx": params.default_grid(pad=2),
-                      "versions": _versions()},
+                      "quadrature_wrap": result.quadrature_wrap, "versions": _versions()},
     }
     _write(Path(cfg["output_dir"]), "picard.json", _dump(report))
     shown = ", ".join(f"{r:.3g}" for r in result.ratios_hs[:6])

@@ -24,8 +24,9 @@ it into full rows once at the end and takes the diagnostics of all rows in
 one pass; rescale_trajectory and pde_residual act on the block.  A stepper
 owns the buffers its steps write (a step allocates only the half it
 returns), so no two threads may step one at once.  Picard iterates on
-(nt, nmax) blocks of halves too; it mirrors each iterate difference once,
-for its norms, and the iterates once at the end.
+(nt, nmax) blocks of halves too: it writes each iterate's half into its row
+of one preallocated block, mirrors the whole block in place once at the
+end, and measures each iterate difference on its half.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bourgain import from_time_samples, zs_norm
+from .bourgain import _lift_halves, _time_step, zs_norm
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -412,6 +413,7 @@ class PicardResult:
     ratios_at_floor: list  # per ratio (both lists): True if a difference in it is roundoff
     diverged: bool
     params: ModelParams
+    quadrature_wrap: float  # h * max |P(k)| over the modes the last iterate carries
     phase_s: dict = field(default_factory=dict)  # wall seconds: setup, iterate, zs
 
     def state_at(self, t: float) -> SpatialSpectrum:
@@ -438,13 +440,21 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
 
     u0 must be a real field, as for simulate.  The phases, the free flow, F,
     the quadrature and the update all act on the (nt, nmax) block of n > 0
-    halves; each iterate difference is mirrored once into full rows for its
-    H^s and Z^s norms, and the iterates once at the end.  So every iterate is
-    exactly Hermitian: for input that is Hermitian only within real_half's
-    tolerance, the input's tiny anti-Hermitian part is dropped from the
-    first iterate on, and the n > 0 halves are those of the full-row loop.
-    phase_s holds the wall seconds of the setup (phases and free flow), the
-    iterations (F, quadrature and update) and the Z^s measurement.
+    halves.  Each iterate's half is written into its row of the one
+    (iterations+1, nt, 2*nmax+1) block that is returned, and that block is
+    mirrored in place at the end.  So every iterate is exactly Hermitian: for
+    input that is Hermitian only within real_half's tolerance, the input's
+    tiny anti-Hermitian part is dropped from the first iterate on, and the
+    n > 0 halves are those of the full-row loop.  Each difference is measured
+    on its half: its H^s norm sums kw |d|^2 over the mirrored full row, and
+    Z^s lifts the half as from_time_samples lifts the full rows; both are the
+    full-row numbers bit for bit.  With Z^s measured, cfg.zs_dtau is checked
+    against the time grid before any work.  quadrature_wrap is h * max |P(k)|
+    over the modes whose largest amplitude in the last iterate exceeds 1e-12
+    of the block's largest: the phase the quadrature's integrand turns
+    through in one step.  phase_s holds the wall seconds of the setup (phases
+    and free flow), the iterations (F, quadrature and update) and the Z^s
+    measurement.
     """
     nt = cfg.nt
     if not is_integer(nt) or nt < 3 or nt % 2 == 0:
@@ -458,37 +468,44 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     if mode not in ("full", "kdv"):
         raise ValueError(f"mode must be 'full' or 'kdv', got {mode!r}")
     pos = real_half(u0.amps, "u0")
-    clock = time.perf_counter()
-    phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
     p = u0.params
     t = cfg.t_grid()
+    measure_zs = cfg.measure_zs and p.j >= 2
+    if measure_zs:
+        dt = _time_step(t, cfg.zs_dtau)  # the grid is checked before any work
+    clock = time.perf_counter()
+    phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
+    m = p.nmax
     i0 = nt // 2  # t = 0
     eta = bump_eta(t)[:, None]
-    phases = np.empty((nt, p.nmax), dtype=complex)  # S(t) rows; t is odd about t[i0] = 0
-    np.exp(1j * np.outer(t[i0:], dispersion_symbol(p.k_values(), p.j)[p.nmax + 1:]),
-           out=phases[i0:])
+    phases = np.empty((nt, m), dtype=complex)  # S(t) rows; t is odd about t[i0] = 0
+    disp = dispersion_symbol(p.k_values(), p.j)[m + 1:]
+    np.exp(1j * np.outer(t[i0:], disp), out=phases[i0:])
     np.conjugate(phases[:i0:-1], out=phases[:i0])
     phases_inv = phases[::-1]  # S(-t) = conj(S(t))
-    free = eta * (phases * pos)
+    # every iterate's n > 0 half is written into its row of one block, mirrored at the end
+    iterates = np.empty((it + 1, nt, 2 * m + 1), dtype=complex)
+    halves = iterates[..., m + 1:]
+    free = np.multiply(eta, phases * pos, out=halves[0])
     h = float(t[1] - t[0])
     w = free
-    saved = [w]
+    d = np.empty((nt, m), dtype=complex)
     diffs_hs, diffs_zs, at_floor = [], [], []
-    kw = sobolev_weights(p, cfg.report_s)
+    kw_pos = sobolev_weights(p, cfg.report_s)[m + 1:]
+    rows = np.empty((nt, 2 * m + 1))  # kw |.|^2 of full rows: mirrored, with the n = 0 slot 0
+    rows[:, m] = 0.0
 
-    def hs_slicewise(block):
-        return np.sqrt(np.sum(kw[None, :] * np.abs(block) ** 2, axis=1) / p.lam).max()
+    def hs_slicewise(half):
+        # the full-row sum, bit for bit: |conj z|^2 = |z|^2 and kw(-k) = kw(k)
+        np.multiply(kw_pos, np.abs(half) ** 2, out=rows[:, m + 1:])
+        rows[:, :m] = rows[:, :m:-1]
+        return np.sqrt(np.sum(rows, axis=1) / p.lam).max()
 
     # an upper bound on the newest iterate's H^s norm: the free flow's is u0's
     # (|S(t)| = 1, max eta = 1), and each difference adds at most its own norm
     amp = hs_norm(u0, cfg.report_s)
-    zs_of = None
-    if cfg.measure_zs and p.j >= 2:
-        def zs_of(block):
-            return zs_norm(from_time_samples(t, block, p, dtau=cfg.zs_dtau), cfg.report_s)
-
     phase_s["setup"] = time.perf_counter() - clock
-    for _ in range(cfg.iterations):
+    for i in range(1, it + 1):
         clock = time.perf_counter()
         integrand = nonlinearity_rows(w, p, mu, mode == "kdv")
         # S(-t') F(t'); phases come first in both products because numpy's
@@ -498,20 +515,24 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         cum -= cum[i0]  # integral from 0 to t
         np.multiply(phases, cum, out=cum)
         cum *= eta
-        w_next = free - cum
-        d = hermitian_rows(w_next - w)  # full rows: the norms weigh both mirror halves
+        w_next = np.subtract(free, cum, out=halves[i])
+        np.subtract(w_next, w, out=d)
         diffs_hs.append(hs_slicewise(d))
         amp += diffs_hs[-1]
         if diffs_hs[-1] <= PICARD_FLOOR * amp:  # near the floor: the exact norm decides
-            amp = hs_slicewise(hermitian_rows(w_next))
+            amp = hs_slicewise(w_next)
         at_floor.append(bool(diffs_hs[-1] <= PICARD_FLOOR * amp))
         phase_s["iterate"] += time.perf_counter() - clock
-        if zs_of is not None:
+        if measure_zs:
             clock = time.perf_counter()
-            diffs_zs.append(zs_of(d))
+            diffs_zs.append(zs_norm(_lift_halves(d, float(t[0]), dt, p), cfg.report_s))
             phase_s["zs"] += time.perf_counter() - clock
         w = w_next
-        saved.append(w)
+    top = np.abs(w).max(axis=0)
+    carried = top > 1e-12 * top.max(initial=0.0)  # modes above roundoff
+    wrap = h * float(np.abs(disp[carried]).max(initial=0.0))
+    iterates[..., m] = 0.0
+    np.conjugate(iterates[..., :m:-1], out=iterates[..., :m])
 
     def ratios(diffs):
         return [
@@ -531,5 +552,4 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         if run >= 3:
             diverged = True
             break
-    return PicardResult(t, hermitian_rows(np.stack(saved)), r_hs, r_zs, r_floor, diverged, p,
-                        phase_s)
+    return PicardResult(t, iterates, r_hs, r_zs, r_floor, diverged, p, wrap, phase_s)

@@ -12,7 +12,8 @@
 - `region_partition_report` is dcl.bourgain.verify_regions' region-partition
   report with each label checked against `region_memberships` one point at a time.
 - `NormSpec` and `norm` select and evaluate one of the five norms by name;
-  dcl calls each norm directly.
+  dcl calls each norm directly.  `zs_norm_by_cells` is Z^s with every cell
+  classified by region_codes; dcl.bourgain.zs_norm classifies runs of cells.
 - `rescale_state` is the per-state dilation that dcl.rescale.rescale_trajectory
   applies to a whole trajectory block at once.
 - `exactly_hermitian` tests rows for exact mirror symmetry, and
@@ -31,7 +32,7 @@ import numpy as np
 from dcl import bourgain
 from dcl.bourgain import REGION_LABELS, SpaceTimeSpectrum, region_memberships
 from dcl.evolve import SolverState
-from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum, hs_norm, lattice_ks
+from dcl.lattice import TWO_PI_SQRT, SpatialSpectrum, bracket, hs_norm, lattice_ks
 from dcl.rescale import rescale_field
 from dcl.resonance import Triple, bound_num_den, resonance_magnitude
 from dcl.symbols import dispersion_symbol, nonlinearity_multipliers
@@ -204,6 +205,18 @@ def norm(obj, ns: NormSpec) -> float:
     if ns.kind == "Zs":
         return bourgain.zs_norm(obj, ns.s)
     return bourgain.ws_norm(obj, ns.s)
+
+
+def zs_norm_by_cells(u: SpaceTimeSpectrum, s: float) -> float:
+    """dcl.bourgain.zs_norm with a region code per cell and one bincount per (band, term)."""
+    sk, sb = 2.0 * np.array([*bourgain.zs_weights(s, u.params.j), (0.0, 0.0)]).T
+    seg, factor, band, sig = u._norm_cells
+    codes = bourgain.region_codes(u._band_k, np.abs(sig), u.params, band=band)
+    term = np.array([3, 0, 1, 2, 2, 0])[codes]  # D1, D5 -> 0; D2 -> 1; D3, D4 -> 2; excluded -> 3
+    cell = bracket(sig) ** sb[term] * np.abs(u.amps[u.offsets[seg]:]) ** 2
+    per_band = np.bincount(4 * band + term, cell, 4 * u._band_k.size).reshape(-1, 4)
+    totals = factor * np.sum(per_band * bracket(u._band_k)[:, None] ** sk, axis=0)
+    return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + bourgain.ys_norm(u, s)
 
 
 # -- the dilation, one state at a time ----------------------------------------------------

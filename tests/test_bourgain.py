@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from dcl.bourgain import (
     REGION_LABELS,
+    _characteristic,
     _embedding_scans,
+    _lift_halves,
+    _region_runs,
     _region_sigma_ranges,
     RegionLabel,
     SpaceTimeSpectrum,
@@ -855,6 +858,98 @@ class TestTimeSamples:
         _, block = real_trajectory(p, 1, seed=9)
         with pytest.raises(ValueError, match="at least 2"):
             from_time_samples(np.array([0.0]), block, p)
+
+    @pytest.mark.parametrize("j, lam, nt", [(2, 1.0, 3), (2, 2.0, 65), (3, 2.0, 33)])
+    def test_lift_of_halves_equals_the_lift_of_full_rows(self, j, lam, nt):
+        # the core picard_iterate lifts its differences with, against the public route on
+        # the mirrored rows: the same layout, cells and mark bit for bit; bands 2 and 5 are zero
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        t, block = real_trajectory(p, nt, seed=nt + j)
+        halves = np.ascontiguousarray(block[:, p.nmax + 1:])
+        halves[:, [1, 4]] = 0.0
+        got = _lift_halves(halves, float(t[0]), float(t[1] - t[0]), p)
+        want = from_time_samples(t, hermitian_rows(halves), p)
+        assert got._real and want._real and got.dtau == want.dtau
+        for name in ("seg_n", "seg_m0", "offsets", "amps"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert not {-5, -2, 2, 5} & set(got.seg_n.tolist())
+
+
+def threshold_spectrum(p, n, theta, width):
+    """Band n with 2*width+1 cells at sigma = theta + i*dtau, i = -width..width.
+
+    dtau = lam^-(2j+1) makes every residual r_n zero, so cell m has sigma
+    dtau*(m - M_n) + tau0; tau0 = theta - dtau*steps is exact (Sterbenz), and
+    the middle cell, m = M_n + steps, sits on theta exactly while steps < 2^53.
+    """
+    dtau = p.lam ** -(2 * p.j + 1)
+    steps = int(theta / dtau)  # toward zero, so |dtau*steps| <= |theta| (within a rounding)
+    tau0 = theta - dtau * steps
+    m_n = int(_characteristic(p, dtau)[0][n + p.nmax])
+    return SpaceTimeSpectrum(p, dtau, tau0, {n: [(m_n + steps - width, np.ones(2 * width + 1))]})
+
+
+class TestRegionRuns:
+    """_region_runs against region_codes cell by cell, and zs_norm against the per-cell route."""
+
+    def check(self, u, s=-0.25):
+        seg, _, band, sig = u._norm_cells
+        start, run_band, code = _region_runs(u, seg, sig)
+        length = np.diff(start, append=sig.size)
+        assert start.size == 0 or start[0] == 0
+        assert np.all(length > 0)  # nonempty runs tile the cells
+        assert np.array_equal(np.repeat(run_band, length), band)
+        cells = region_codes(u._band_k, np.abs(sig), u.params, band=band)
+        assert np.array_equal(np.repeat(code, length), cells)
+        assert zs_norm(u, s) == oracles.zs_norm_by_cells(u, s)  # the same sums in the same order
+        return code
+
+    @pytest.mark.parametrize("j, lam", [(2, 1.0), (3, 2.0), (4, 3.0)])
+    def test_random_bilinear_and_time_sample_spectra(self, j, lam):
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        u, v = (random_spectrum(p, np.random.default_rng(seed), dtau=1 / 16, sigma_halfwidth=4.0)
+                for seed in (j, j + 10))
+        for x in (u, bilinear_output(u, v, "dxdx_smoothed"),
+                  from_time_samples(*real_trajectory(p, 65, seed=j), p)):
+            self.check(x)
+
+    def test_every_region(self):
+        # lam = 2 puts k = 1/2 in D4/D5; the window +-8 reaches D1, D2 and D3 at k = 2
+        p = ModelParams(j=2, lam=2.0, kmax=4.0)
+        u = random_spectrum(p, np.random.default_rng(21), dtau=1 / 64, sigma_halfwidth=8.0)
+        assert set(self.check(u).tolist()) == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("width", [0, 3])
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0, 4.0])
+    def test_sigma_exactly_on_thresholds(self, j, lam, width):
+        # sigma on the float lo and hi, both signs, with its neighbours a cell away; at
+        # |k| = 1/lam and 1 (the D4/D5 and tie bands) and kmax, whose m0 passes 2^62 at j = 4,
+        # lam >= 2.  A segment's first run is empty above -hi and its last one below hi
+        p = ModelParams(j=j, lam=lam, kmax=64.0)
+        for n in sorted({1, int(lam), int(64 * lam)}):
+            for theta in region_thresholds(np.array([n / lam]), j):
+                for sig in (theta[0], -theta[0]):
+                    u = threshold_spectrum(p, n, sig, width)
+                    if abs(sig / u.dtau) < 2**53:
+                        assert u._sigma[width] == sig
+                    self.check(u)
+
+    def test_python_int_offsets(self):
+        # j = 4 at kmax 1024: tau indices near P(k) pass 2^62, and a segment across +-hi at
+        # k = 1024 has cells whose float sigmas tie
+        p = ModelParams(j=4, kmax=1024.0)
+        spec = SpatialSpectrum.from_modes(p, {1.0: 1.0, 2.0: 1j, 600.0: 0.5, 1024.0: 2.0})
+        u = from_characteristic(spec, dtau=0.25)
+        assert u.seg_m0.dtype == object
+        self.check(u)
+        hi = float(region_thresholds(np.array([1024.0]), 4)[1][0])
+        m_n = int(_characteristic(p, 0.25)[0][1024 + p.nmax])
+        far = round(hi / 0.25)
+        u = SpaceTimeSpectrum(p, 0.25, 0.0, {1024: [(m_n + far - 4, np.ones(9)),
+                                                    (m_n - far - 4, np.ones(9))]})
+        assert np.unique(u._sigma).size < u.n_cells()
+        self.check(u)
 
 
 class TestBilinearProbe:

@@ -346,6 +346,14 @@ class TestRescaleCheckAndPicard:
         doc = json.loads((tmp_path / "out" / "picard.json").read_text())
         assert doc["telemetry"]["grid_nx"] == 36
 
+    def test_picard_report_quadrature_wrap(self, tmp_path):
+        # the default u0 is 0.01 cos x, and mode k enters at order 0.01^k: after 8 iterations
+        # modes 1..4 carry content (mode 4 at ~4e-10 of mode 1, mode 5 at ~1e-13, below the
+        # 1e-12 cut), so the wrap is h |P(4)| = (4/256) * 4^5 = 16
+        assert run(tmp_path, "picard", "--kmax", "16", "--nt", "257") == 0
+        doc = json.loads((tmp_path / "out" / "picard.json").read_text())
+        assert doc["telemetry"]["quadrature_wrap"] == 16.0
+
     def test_picard_report_versions(self, tmp_path):
         assert run(tmp_path, "picard", "--kmax", "8", "--nt", "129",
                    "--iterations", "1", "--u0-amplitude", "0.2") == 0

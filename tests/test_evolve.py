@@ -1,6 +1,7 @@
 """Stepper exactness, conservation, residuals, and the fixed-point iterator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
+from dcl import evolve
 from dcl.evolve import (
     IntegratingFactorRK4,
     _energy_weights,
@@ -372,6 +374,27 @@ class TestPicard:
         assert res.diverged
         assert len(res.ratios_hs) == 5
         assert not any(res.ratios_at_floor)
+
+    def test_divergence_to_overflow_flagged_with_zs(self):
+        # the differences overflow to inf and then nan; Z^s is measured on them all the same
+        p = ModelParams(j=2, kmax=8.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = picard_iterate(cosine_data(p, amp=1e3), PicardConfig(iterations=8, nt=257))
+        assert res.diverged
+        assert len(res.ratios_zs) == 7 and not all(map(math.isfinite, res.ratios_zs))
+
+    def test_zs_dtau_off_the_grid_raises_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("F evaluated before the grid check")
+
+        monkeypatch.setattr(evolve, "nonlinearity_rows", refuse)
+        p = ModelParams(j=2, kmax=16.0)
+        cfg = PicardConfig(iterations=3, nt=129, zs_dtau=0.5)  # the grid's dtau is 2*pi/(129/32)
+        with pytest.raises(ValueError, match="inconsistent with grid"):
+            picard_iterate(cosine_data(p), cfg)
+        # without Z^s the Picard loop does not read zs_dtau
+        with pytest.raises(AssertionError, match="before the grid check"):
+            picard_iterate(cosine_data(p), replace(cfg, measure_zs=False))
 
     def test_roundoff_floor_ratios_marked(self):
         # differences 5..8 sit at 3e-14 .. 1e-17 of the iterate's H^s norm
