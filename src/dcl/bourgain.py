@@ -64,6 +64,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import lattice
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -322,7 +323,7 @@ class SpaceTimeSpectrum:
     @cached_property
     def _sigma(self) -> np.ndarray:
         """Every cell's modulation, in layout order."""
-        return self._segment_sigma(self._seg_band, self.seg_m0, self.offsets)
+        return self._segment_sigma(self._band_n, self._seg_band, self.seg_m0, self.offsets)
 
     @cached_property
     def _norm_cells(self):
@@ -339,28 +340,24 @@ class SpaceTimeSpectrum:
         offsets = self.offsets[seg:] - self.offsets[seg]
         band = self._seg_band[seg:]
         return (seg, 2.0, np.repeat(band, np.diff(offsets)),
-                self._segment_sigma(band, self.seg_m0[seg:], offsets))
+                self._segment_sigma(self._band_n, band, self.seg_m0[seg:], offsets))
 
     def _k_symbol(self, fn) -> np.ndarray:
         """fn(k) per cell: fn is called once, on the array of band ks, mapping it elementwise."""
         return fn(self._band_k)[self._cell_band]
 
-    def _sigma_rule(self, band, seg_m0):
-        """(r0, off) per segment: its cell i has modulation dtau*(r0 + i) + off.
+    def _segment_sigma(self, band_n, band, seg_m0, offsets) -> np.ndarray:
+        """Cell-center modulations dtau*((m0 - M_n) + i) + (tau0 + r_n) of segments.
 
-        Segment i lies in band n = _band_n[band[i]]; M_n and r_n are its row
-        of the _characteristic table, r0 = m0 - M_n (exact, made a float only
-        here) and off = tau0 + r_n.
+        Segment i lies in band n = band_n[band[i]]; M_n and r_n are its row
+        of the _characteristic table, and m0 - M_n is exact.
         """
         index, residual, _ = _characteristic(self.params, self.dtau)
-        rows = (self._band_n + self.params.nmax)[band]
-        return (seg_m0 - index[rows]).astype(float), self.tau0 + residual[rows]
-
-    def _segment_sigma(self, band, seg_m0, offsets) -> np.ndarray:
-        """The cell-center modulations of segments seg_m0 in bands band, cut at offsets."""
-        r0, off = self._sigma_rule(band, seg_m0)
+        rows = (band_n + self.params.nmax)[band]
         length = offsets[1:] - offsets[:-1]
-        return self.dtau * (np.repeat(r0, length) + _cell_offsets(offsets)) + np.repeat(off, length)
+        r0 = (seg_m0 - index[rows]).astype(float)  # exact; float conversion only here
+        return (self.dtau * (np.repeat(r0, length) + _cell_offsets(offsets))
+                + np.repeat(self.tau0 + residual[rows], length))
 
     def cells(self):
         """Yield (n, m0, amps, sigma) per segment."""
@@ -476,7 +473,9 @@ def _lift_halves(pos: np.ndarray, t0: float, dt: float, params: ModelParams) -> 
     Unchecked: nt is odd and the grid is from_time_samples' (see _time_step).
     The bands are written into one (2*nmax, nt) buffer: the FFT lands in its
     n < 0 rows, is scaled there, and is shifted to ascending tau and phased
-    into the n > 0 rows, which the n < 0 rows then mirror.
+    into the n > 0 rows, which the n < 0 rows then mirror.  np.fft.fft takes
+    out= from numpy 2.0 on (where lattice._pocketfft is found); before, its
+    result is copied in, the same numbers.
     """
     nt, m = pos.shape
     dtau = 2.0 * math.pi / (nt * dt)
@@ -485,7 +484,10 @@ def _lift_halves(pos: np.ndarray, t0: float, dt: float, params: ModelParams) -> 
     phase = np.exp(-1j * (ms * dtau) * t0)
     cells = np.empty((2 * m, nt), dtype=complex)
     lower, upper = cells[:m], cells[m:]  # bands -nmax..-1 and 1..nmax
-    np.fft.fft(pos, axis=0, out=lower.T)
+    if lattice._pocketfft() is None:
+        lower.T[...] = np.fft.fft(pos, axis=0)
+    else:
+        np.fft.fft(pos, axis=0, out=lower.T)
     lower *= dt / math.sqrt(2.0 * math.pi)
     np.multiply(lower[:, h + 1:], phase[:h], out=upper[:, :h])
     np.multiply(lower[:, :h + 1], phase[h:], out=upper[:, h:])
@@ -539,31 +541,22 @@ _CUT_AT_HI = np.array([True, True, False, False, True, True])
 _CUT_STRICT = np.array([True, False, False, True, False, True])
 
 
-def _first_cells(r0, off, length, dtau, theta, strict):
-    """Per row, the first cell c in [0, length] with dtau*(r0 + c) + off > theta (>= theta
-    where not strict), length where there is none.
+def _first_cells(sig, start, length, theta, strict):
+    """Per row, the first cell c in [0, length] with sig[start + c] > theta (>= theta where
+    not strict), length where there is none: a bisection over every row at once.
 
-    The modulation is computed as the layout computes it, so it is nondecreasing in c.  The
-    arithmetic solution brackets c to within a cell of rounding, checked against the
-    modulations of the cells on either side; a bracket that fails the check is widened to the
-    whole segment, and bisection then closes every bracket.
+    sig is nondecreasing along each row's cells start .. start + length - 1, so the
+    answer is the count of leading cells below, found a power of two at a time.
     """
-    def holds(c):
-        sig = dtau * (r0 + c) + off
-        return np.where(strict, sig > theta, sig >= theta)
-
-    guess = np.floor((theta - off) / dtau - r0)
-    left = np.clip(guess - 1.0, 0, length).astype(np.int64)
-    right = np.clip(guess + 2.0, 0, length).astype(np.int64)
-    wide = ((left > 0) & holds(left - 1)) | ((right < length) & ~holds(right))
-    left[wide] = 0
-    right = np.where(wide, length, right)
-    while (open_ := left < right).any():
-        mid = (left + right) // 2
-        below = holds(mid)
-        right = np.where(open_ & below, mid, right)
-        left = np.where(open_ & ~below, mid + 1, left)
-    return left
+    bound = np.where(strict, np.nextafter(theta, np.inf), theta)  # x > t iff x >= next(t)
+    count = np.zeros(np.broadcast_shapes(length.shape, bound.shape), dtype=length.dtype)
+    step = (1 << int(length.max(initial=0)).bit_length()) >> 1
+    while step:
+        more = count + step  # do the first `more` cells all lie below?
+        below = sig[np.minimum(start + more, sig.size) - 1] < bound
+        count += step * ((more <= length) & below)
+        step >>= 1
+    return count
 
 
 def _region_runs(u: SpaceTimeSpectrum, seg: int, sig: np.ndarray):
@@ -578,11 +571,9 @@ def _region_runs(u: SpaceTimeSpectrum, seg: int, sig: np.ndarray):
     offsets = u.offsets[seg:] - u.offsets[seg]
     band = u._seg_band[seg:]
     length = np.diff(offsets)[:, None]
-    r0, off = u._sigma_rule(band, u.seg_m0[seg:])
     lo, hi = region_thresholds(np.abs(u._band_k), u.params.j)
     theta = _CUT_SIGN * np.where(_CUT_AT_HI, hi[band][:, None], lo[band][:, None])
-    cuts = np.sort(_first_cells(r0[:, None], off[:, None], length, u.dtau, theta, _CUT_STRICT),
-                   axis=1)
+    cuts = np.sort(_first_cells(sig, offsets[:-1, None], length, theta, _CUT_STRICT), axis=1)
     ends = np.concatenate([cuts, length], axis=1)
     starts = np.concatenate([np.zeros_like(length), cuts], axis=1)
     nonempty = ends > starts

@@ -451,8 +451,8 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     full-row numbers bit for bit.  With Z^s measured, cfg.zs_dtau is checked
     against the time grid before any work.  quadrature_wrap is h * max |P(k)|
     over the modes whose largest amplitude in the last iterate exceeds 1e-12
-    of the block's largest: the phase the quadrature's integrand turns
-    through in one step.  phase_s holds the wall seconds of the setup (phases
+    of the block's largest finite one, or is not finite: the phase the
+    quadrature's integrand turns through in one step.  phase_s holds the wall seconds of the setup (phases
     and free flow), the iterations (F, quadrature and update) and the Z^s
     measurement.
     """
@@ -529,7 +529,9 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
             phase_s["zs"] += time.perf_counter() - clock
         w = w_next
     top = np.abs(w).max(axis=0)
-    carried = top > 1e-12 * top.max(initial=0.0)  # modes above roundoff
+    finite = np.isfinite(top)
+    # modes above roundoff; a mode that overflowed carries content too
+    carried = ~finite | (top > 1e-12 * top[finite].max(initial=0.0))
     wrap = h * float(np.abs(disp[carried]).max(initial=0.0))
     iterates[..., m] = 0.0
     np.conjugate(iterates[..., :m:-1], out=iterates[..., :m])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcl import lattice
 from dcl.bourgain import (
     REGION_LABELS,
     _characteristic,
@@ -873,6 +874,24 @@ class TestTimeSamples:
         for name in ("seg_n", "seg_m0", "offsets", "amps"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert not {-5, -2, 2, 5} & set(got.seg_n.tolist())
+
+    def test_lift_on_numpy_without_fft_out(self, monkeypatch):
+        # numpy 1.x (no lattice._pocketfft) has no out= on np.fft.fft: the copied-in
+        # transform gives the same cells
+        p = ModelParams(j=3, lam=2.0, kmax=8.0)
+        t, block = real_trajectory(p, 33, seed=4)
+        want = from_time_samples(t, block, p)
+        fft = np.fft.fft
+
+        def fft_without_out(a, n=None, axis=-1, norm=None):  # numpy 1.x's signature
+            return fft(a, n, axis, norm)
+
+        monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
+        monkeypatch.setattr(np.fft, "fft", fft_without_out)
+        got = from_time_samples(t, block, p)
+        assert got._real
+        for name in ("seg_n", "seg_m0", "offsets", "amps"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def threshold_spectrum(p, n, theta, width):

@@ -382,6 +382,9 @@ class TestPicard:
             res = picard_iterate(cosine_data(p, amp=1e3), PicardConfig(iterations=8, nt=257))
         assert res.diverged
         assert len(res.ratios_zs) == 7 and not all(map(math.isfinite, res.ratios_zs))
+        # every mode of the last iterate is nan and counts as carried: h |P(kmax)| = 8^5 / 64
+        assert not np.isfinite(res.iterates[-1][:, p.nmax + 1:]).any()
+        assert res.quadrature_wrap == 8.0**5 / 64
 
     def test_zs_dtau_off_the_grid_raises_before_any_work(self, monkeypatch):
         def refuse(*args, **kwargs):
