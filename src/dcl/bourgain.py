@@ -543,19 +543,25 @@ _CUT_STRICT = np.array([True, False, False, True, False, True])
 
 def _first_cells(sig, start, length, theta, strict):
     """Per row, the first cell c in [0, length] with sig[start + c] > theta (>= theta where
-    not strict), length where there is none: a bisection over every row at once.
+    not strict), length where there is none.
 
-    sig is nondecreasing along each row's cells start .. start + length - 1, so the
-    answer is the count of leading cells below, found a power of two at a time.
+    sig is nondecreasing along each row's cells start .. start + length - 1 (length >= 1:
+    a layout has no empty segment), so the answer is the count of leading cells below.
+    A row whose first and last cells lie on one side has its answer at once; the rows
+    that straddle theta are bisected together, a power of two of cells at a time.
     """
     bound = np.where(strict, np.nextafter(theta, np.inf), theta)  # x > t iff x >= next(t)
-    count = np.zeros(np.broadcast_shapes(length.shape, bound.shape), dtype=length.dtype)
-    step = (1 << int(length.max(initial=0)).bit_length()) >> 1
+    below_last = sig[start + length - 1] < bound
+    count = np.where(below_last, length, 0)
+    row, col = np.nonzero((sig[start] < bound) & ~below_last)
+    first, n, b = start[row, 0] - 1, length[row, 0], bound[row, col]
+    c = np.zeros_like(n)
+    step = (1 << int(n.max(initial=0)).bit_length()) >> 1
     while step:
-        more = count + step  # do the first `more` cells all lie below?
-        below = sig[np.minimum(start + more, sig.size) - 1] < bound
-        count += step * ((more <= length) & below)
+        more = c + step  # past the row, cell n - 1 stands in: it is not below
+        c = np.where(sig[first + np.minimum(more, n)] < b, more, c)
         step >>= 1
+    count[row, col] = c
     return count
 
 

@@ -954,6 +954,19 @@ class TestRegionRuns:
                         assert u._sigma[width] == sig
                     self.check(u)
 
+    def test_short_straddling_segment_before_a_low_one(self):
+        # a five-cell segment across +lo at k = 3 is bisected in steps of up to 64 (the
+        # 65-cell segment at k = 2); its bisection must not read on into the next segment,
+        # whose cells at k = 4 all lie far below lo
+        p = ModelParams(j=2, kmax=8.0)
+        m_n = _characteristic(p, 0.25)[0]
+        lo = float(region_thresholds(np.array([3.0]), 2)[0][0])
+        u = SpaceTimeSpectrum(p, 0.25, 0.0, {
+            2: [(int(m_n[2 + p.nmax]) - 32, np.ones(65))],
+            3: [(int(m_n[3 + p.nmax]) + round(lo / 0.25) - 2, np.ones(5))],
+            4: [(int(m_n[4 + p.nmax]) - 1000, np.ones(65))]})
+        assert set(self.check(u).tolist()) == {1, 2, 3}
+
     def test_python_int_offsets(self):
         # j = 4 at kmax 1024: tau indices near P(k) pass 2^62, and a segment across +-hi at
         # k = 1024 has cells whose float sigmas tie
