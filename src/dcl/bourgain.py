@@ -541,16 +541,15 @@ _CUT_AT_HI = np.array([True, True, False, False, True, True])
 _CUT_STRICT = np.array([True, False, False, True, False, True])
 
 
-def _first_cells(sig, start, length, theta, strict):
-    """Per row, the first cell c in [0, length] with sig[start + c] > theta (>= theta where
-    not strict), length where there is none.
+def _first_cells(sig, start, length, bound):
+    """Per row, the first cell c in [0, length] with sig[start + c] >= bound, length where
+    there is none.
 
     sig is nondecreasing along each row's cells start .. start + length - 1 (length >= 1:
     a layout has no empty segment), so the answer is the count of leading cells below.
     A row whose first and last cells lie on one side has its answer at once; the rows
-    that straddle theta are bisected together, a power of two of cells at a time.
+    that straddle bound are bisected together, a power of two of cells at a time.
     """
-    bound = np.where(strict, np.nextafter(theta, np.inf), theta)  # x > t iff x >= next(t)
     below_last = sig[start + length - 1] < bound
     count = np.where(below_last, length, 0)
     row, col = np.nonzero((sig[start] < bound) & ~below_last)
@@ -578,8 +577,10 @@ def _region_runs(u: SpaceTimeSpectrum, seg: int, sig: np.ndarray):
     band = u._seg_band[seg:]
     length = np.diff(offsets)[:, None]
     lo, hi = region_thresholds(np.abs(u._band_k), u.params.j)
-    theta = _CUT_SIGN * np.where(_CUT_AT_HI, hi[band][:, None], lo[band][:, None])
-    cuts = np.sort(_first_cells(sig, offsets[:-1, None], length, theta, _CUT_STRICT), axis=1)
+    theta = _CUT_SIGN * np.where(_CUT_AT_HI, hi[:, None], lo[:, None])
+    # per band: x > t iff x >= nextafter(t, inf), and sorted bounds give sorted cuts
+    bound = np.sort(np.where(_CUT_STRICT, np.nextafter(theta, np.inf), theta), axis=1)
+    cuts = _first_cells(sig, offsets[:-1, None], length, bound[band])
     ends = np.concatenate([cuts, length], axis=1)
     starts = np.concatenate([np.zeros_like(length), cuts], axis=1)
     nonempty = ends > starts

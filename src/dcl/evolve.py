@@ -452,9 +452,9 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     against the time grid before any work.  quadrature_wrap is h * max |P(k)|
     over the modes whose largest amplitude in the last iterate exceeds 1e-12
     of the block's largest finite one, or is not finite: the phase the
-    quadrature's integrand turns through in one step.  phase_s holds the wall seconds of the setup (phases
-    and free flow), the iterations (F, quadrature and update) and the Z^s
-    measurement.
+    quadrature's integrand turns through in one step.  phase_s holds the
+    wall seconds of the setup (phases and free flow), the iterations (F,
+    quadrature and update) and the Z^s measurement.
     """
     nt = cfg.nt
     if not is_integer(nt) or nt < 3 or nt % 2 == 0:
