@@ -40,9 +40,8 @@ on M_n.  Every operation (convolution, symbols, norms) runs on the whole
 buffer at once, with per-band factors (k symbols, <k> powers, region
 thresholds) computed once per band.  L2(dtau) is (sum |a|^2 dtau)^(1/2)
 and L1(dtau) is sum |a| dtau, with weights evaluated at cell centers.
-Along a segment sigma is nondecreasing, so Z^s classifies runs, not cells:
-each segment is cut where |sigma| crosses a region threshold, and
-region_codes classifies each run by its first cell.
+Z^s sorts each cell into its term by two per-band bounds on |sigma|
+(_zs_bounds), region_codes' thresholds and ties in ">=" form.
 
 A spectrum that from_time_samples builds from samples of real fields is
 marked as a real field: its n < 0 bands are the exact conjugate mirrors of
@@ -55,7 +54,6 @@ unmarked and its norms read every cell once.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import replace
 from enum import Enum
@@ -141,23 +139,18 @@ def region_thresholds(ak, j: int):
     return c * power(ak, 2 * j), c * power(ak, 2 * j + 1)
 
 
-def region_codes(k, abs_sigma, params: ModelParams, band=None):
+def region_codes(k, abs_sigma, params: ModelParams):
     """Region code of (k, |sigma|): 0 excluded, 1..5 for D1..D5; floats or broadcast arrays.
 
-    With band, k holds one value per band and band[i] is the band of
-    abs_sigma[i]: the thresholds are then computed once per band.
     Tie rules: k = 0 is excluded, |k| within 1e-12 of 1/lam or kmax is
     inside, and at |k| = 1 the large-k family wins with D1 before D3.
     """
     ak = abs(k)
     lo, hi = region_thresholds(ak, params.j)
     inside = (ak != 0.0) & (ak >= 1.0 / params.lam - 1e-12) & (ak <= params.kmax + 1e-12)
-    big, small_k = ak >= 1.0, ak < 1.0
-    if band is not None:
-        lo, hi, inside, big, small_k = (x[band] for x in (lo, hi, inside, big, small_k))
     above_lo = abs_sigma > lo
-    large = big * (1 + above_lo + (above_lo & (abs_sigma >= hi)))
-    small = small_k * (5 - (abs_sigma > hi))
+    large = (ak >= 1.0) * (1 + above_lo + (above_lo & (abs_sigma >= hi)))
+    small = (ak < 1.0) * (5 - (abs_sigma > hi))
     return inside * (large + small)
 
 
@@ -300,12 +293,9 @@ class SpaceTimeSpectrum:
         return out
 
     def _with_amps(self, amps) -> "SpaceTimeSpectrum":
-        """The same cells with new amplitudes; the segment table and cell arrays are shared."""
-        out = copy.copy(self)
-        out.__dict__.pop("bands", None)
-        out.__dict__.pop("_norm_cells", None)
-        out.amps, out.truncated_mass, out._real = amps, 0.0, False
-        return out
+        """The same cells with new amplitudes, unmarked; the segment table is shared."""
+        return SpaceTimeSpectrum._from_layout(self.params, self.dtau, self.tau0, self.seg_n,
+                                              self.seg_m0, self.offsets, amps)
 
     @cached_property
     def bands(self) -> dict:
@@ -518,8 +508,13 @@ def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
 
 def ys_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """||<k>^s F u||_{L2((dk)_lam) L1(dtau)}: L1 in tau first, then L2 in k."""
-    seg, factor, band, _ = u._norm_cells
-    l1 = np.bincount(band, np.abs(u.amps[u.offsets[seg]:]), u._band_k.size) * u.dtau
+    return _ys_of_abs(u, s, np.abs(u.amps[u.offsets[u._norm_cells[0]]:]))
+
+
+def _ys_of_abs(u: SpaceTimeSpectrum, s: float, abs_amps: np.ndarray) -> float:
+    """ys_norm from abs_amps, the |amps| of the cells the norms read (_norm_cells)."""
+    _, factor, band, _ = u._norm_cells
+    l1 = np.bincount(band, abs_amps, u._band_k.size) * u.dtau
     total = factor * float(np.sum(bracket(u._band_k) ** (2.0 * s) * l1 * l1))
     return math.sqrt(total / u.params.lam)
 
@@ -531,88 +526,47 @@ def zs_weights(s: float, j: int):
             (-(s - 1) / j - 1, (s - 1) / j + 1))
 
 
-# region code -> index into zs_weights; excluded cells (code 0) collect in slot 3
-_ZS_TERM = np.array([3, 0, 1, 2, 2, 0])
-# region_codes compares |sigma| with lo (>) and hi (>= for |k| >= 1, > below); along a
-# segment sigma is nondecreasing, so those comparisons can change only at the first cell
-# with sigma > -hi, >= -hi, >= -lo, > lo, >= hi and > hi
-_CUT_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-_CUT_AT_HI = np.array([True, True, False, False, True, True])
-_CUT_STRICT = np.array([True, False, False, True, False, True])
+def _zs_bounds(k, j: int):
+    """Per band (b0, b1): a cell's index into zs_weights is (|sigma| >= b0) + (|sigma| >= b1).
 
-
-def _first_cells(sig, start, length, bound):
-    """Per row, the first cell c in [0, length] with sig[start + c] >= bound, length where
-    there is none.
-
-    sig is nondecreasing along each row's cells start .. start + length - 1 (length >= 1:
-    a layout has no empty segment), so the answer is the count of leading cells below.
-    A row whose first and last cells lie on one side has its answer at once; the rows
-    that straddle bound are bisected together, a power of two of cells at a time.
+    b0 is the float after lo for |k| >= 1 and after hi below, and b1 = max(hi, b0),
+    so the index is 0 on D1+D5, 1 on D2 and 2 on D3+D4 with region_codes' ties
+    (|sigma| > t iff |sigma| >= nextafter(t, inf)); at |k| = 1, b1 = b0 and D2 is
+    empty.  Every band of a spectrum lies in [1/lam, kmax], so no cell is excluded.
     """
-    below_last = sig[start + length - 1] < bound
-    count = np.where(below_last, length, 0)
-    row, col = np.nonzero((sig[start] < bound) & ~below_last)
-    first, n, b = start[row, 0] - 1, length[row, 0], bound[row, col]
-    c = np.zeros_like(n)
-    step = (1 << int(n.max(initial=0)).bit_length()) >> 1
-    while step:
-        more = c + step  # past the row, cell n - 1 stands in: it is not below
-        c = np.where(sig[first + np.minimum(more, n)] < b, more, c)
-        step >>= 1
-    count[row, col] = c
-    return count
-
-
-def _region_runs(u: SpaceTimeSpectrum, seg: int, sig: np.ndarray):
-    """(start, band, code) of the region runs of the segments seg on, in layout order.
-
-    A run is a nonempty stretch of cells of one segment between two of its
-    cuts (_CUT_SIGN, _first_cells): no comparison region_codes makes changes
-    inside it, so region_codes classifies the run by its first cell.  Empty
-    runs are dropped.  start indexes sig, the modulations of the cells from
-    segment seg on.
-    """
-    offsets = u.offsets[seg:] - u.offsets[seg]
-    band = u._seg_band[seg:]
-    length = np.diff(offsets)[:, None]
-    lo, hi = region_thresholds(np.abs(u._band_k), u.params.j)
-    theta = _CUT_SIGN * np.where(_CUT_AT_HI, hi[:, None], lo[:, None])
-    # per band: x > t iff x >= nextafter(t, inf), and sorted bounds give sorted cuts
-    bound = np.sort(np.where(_CUT_STRICT, np.nextafter(theta, np.inf), theta), axis=1)
-    cuts = _first_cells(sig, offsets[:-1, None], length, bound[band])
-    ends = np.concatenate([cuts, length], axis=1)
-    starts = np.concatenate([np.zeros_like(length), cuts], axis=1)
-    nonempty = ends > starts
-    start = (offsets[:-1, None] + starts)[nonempty]
-    run_band = np.broadcast_to(band[:, None], nonempty.shape)[nonempty]
-    return start, run_band, region_codes(u._band_k, np.abs(sig[start]), u.params, band=run_band)
+    ak = np.abs(k)
+    lo, hi = region_thresholds(ak, j)
+    b0 = np.nextafter(np.where(ak >= 1.0, lo, hi), np.inf)
+    return b0, np.maximum(hi, b0)
 
 
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """The four-term composite norm; the region decomposition needs j >= 2.
 
-    One pass over region runs (_region_runs): each segment is cut where
-    |sigma| crosses a region threshold, and region_codes classifies each
-    run once, by its first cell.  Every cell is weighted by its run's
-    <sigma> power and summed into its (band, term) bin in cell order, so
-    the totals are those of classifying every cell, bit for bit; the <k>
-    powers are taken per band.  A marked real field is read on its n > 0
-    bands, each band sum counted twice, as in xsb_norm and ys_norm.
+    Each cell is weighted by its term's <sigma> power, the term taken from
+    its band's two bounds (_zs_bounds), and summed into its (band, term)
+    bin in cell order, so the totals are those of classifying every cell
+    with region_codes, bit for bit; the <k> powers are taken per band.  A
+    marked real field is read on its n > 0 bands, each band sum counted
+    twice, as in xsb_norm and ys_norm.
     """
     j = u.params.j
     if j < 2:
         raise ValueError("the Z^s decomposition is specific to j >= 2")
-    sk, sb = 2.0 * np.array([*zs_weights(s, j), (0.0, 0.0)]).T
-    seg, factor, _, sig = u._norm_cells
-    start, band, code = _region_runs(u, seg, sig)
-    length = np.diff(start, append=sig.size)
-    term = _ZS_TERM[code]
-    cell = bracket(sig) ** np.repeat(sb[term], length) * np.abs(u.amps[u.offsets[seg]:]) ** 2
+    sk, sb = 2.0 * np.array(zs_weights(s, j)).T
+    seg, factor, band, sig = u._norm_cells
+    length = np.diff(u.offsets[seg:])
+    # int8 terms and in-place weights: few cell-sized temporaries on large spectra
+    term = np.add(*(np.abs(sig) >= np.repeat(b[u._seg_band[seg:]], length)
+                    for b in _zs_bounds(u._band_k, j)), dtype=np.int8)
+    abs_amps = np.abs(u.amps[u.offsets[seg]:])
+    cell = bracket(sig)
+    cell **= sb.take(term)
+    cell *= abs_amps ** 2
     k = u._band_k
-    per_band = np.bincount(np.repeat(4 * band + term, length), cell, 4 * k.size).reshape(-1, 4)
+    per_band = np.bincount(3 * band + term, cell, 3 * k.size).reshape(-1, 3)
     totals = factor * np.sum(per_band * bracket(k)[:, None] ** sk, axis=0)
-    return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + ys_norm(u, s)
+    return float(np.sqrt(totals * u.dtau / u.params.lam).sum()) + _ys_of_abs(u, s, abs_amps)
 
 
 def ws_norm(u: SpaceTimeSpectrum, s: float) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,10 +93,15 @@ class CollisionReport:
 
     @property
     def verdict(self) -> str | None:
-        """The collision verdict of collision_scan; None without fitted slopes."""
+        """The collision verdict of collision_scan; None without fitted slopes.
+
+        INCONCLUSIVE iff |s - (1 - j/2)| <= 1/20, decided in fractions on the
+        shortest decimal of s, so s = -0.55 at j = 3 is on the band's edge
+        like s = 0.05 at j = 2.
+        """
         if self.slope_L is None:
             return None
-        if abs(self.s - self.critical_s) <= 0.05:
+        if abs(Fraction(repr(float(self.s))) - Fraction(self.critical_s)) <= Fraction(1, 20):
             return "INCONCLUSIVE"
         return "BREAKS" if self.slope_L - self.slope_R > 0.0 else "HOLDS-AT-THIS-PROBE"
 
@@ -126,8 +132,10 @@ def collision_scan(cfg: CounterexampleConfig) -> CollisionReport:
     L(N) is the Duhamel-weighted bilinear size, R(N) the product of the two
     input sizes; BREAKS means L grows strictly faster than R, i.e. no
     constant can close the estimate from this family.  Within +-0.05 of the
-    critical index the regression band cannot separate the slopes and the
-    verdict is INCONCLUSIVE.  Fewer than 3 frequencies: raw table only.
+    critical index, edges included and decided exactly on the shortest
+    decimal of s (CollisionReport.verdict), the regression band cannot
+    separate the slopes and the verdict is INCONCLUSIVE.  Fewer than 3
+    frequencies: raw table only.
     A side that is not positive at some N (R underflows to 0 for very
     negative s) has no logarithm to fit and raises ValueError.
     """

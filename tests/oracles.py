@@ -13,7 +13,8 @@
   report with each label checked against `region_memberships` one point at a time.
 - `NormSpec` and `norm` select and evaluate one of the five norms by name;
   dcl calls each norm directly.  `zs_norm_by_cells` is Z^s with every cell
-  classified by region_codes; dcl.bourgain.zs_norm classifies runs of cells.
+  classified by region_codes; dcl.bourgain.zs_norm compares each cell with
+  two per-band bounds instead.
 - `rescale_state` is the per-state dilation that dcl.rescale.rescale_trajectory
   applies to a whole trajectory block at once.
 - `exactly_hermitian` tests rows for exact mirror symmetry, and
@@ -211,7 +212,7 @@ def zs_norm_by_cells(u: SpaceTimeSpectrum, s: float) -> float:
     """dcl.bourgain.zs_norm with a region code per cell and one bincount per (band, term)."""
     sk, sb = 2.0 * np.array([*bourgain.zs_weights(s, u.params.j), (0.0, 0.0)]).T
     seg, factor, band, sig = u._norm_cells
-    codes = bourgain.region_codes(u._band_k, np.abs(sig), u.params, band=band)
+    codes = bourgain.region_codes(u._band_k[band], np.abs(sig), u.params)
     term = np.array([3, 0, 1, 2, 2, 0])[codes]  # D1, D5 -> 0; D2 -> 1; D3, D4 -> 2; excluded -> 3
     cell = bracket(sig) ** sb[term] * np.abs(u.amps[u.offsets[seg]:]) ** 2
     per_band = np.bincount(4 * band + term, cell, 4 * u._band_k.size).reshape(-1, 4)

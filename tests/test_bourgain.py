@@ -13,8 +13,8 @@ from dcl.bourgain import (
     _characteristic,
     _embedding_scans,
     _lift_halves,
-    _region_runs,
     _region_sigma_ranges,
+    _zs_bounds,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -909,19 +909,17 @@ def threshold_spectrum(p, n, theta, width):
 
 
 class TestRegionRuns:
-    """_region_runs against region_codes cell by cell, and zs_norm against the per-cell route."""
+    """zs_norm's two per-band bounds against region_codes cell by cell, and zs_norm against
+    the per-cell route."""
 
     def check(self, u, s=-0.25):
-        seg, _, band, sig = u._norm_cells
-        start, run_band, code = _region_runs(u, seg, sig)
-        length = np.diff(start, append=sig.size)
-        assert start.size == 0 or start[0] == 0
-        assert np.all(length > 0)  # nonempty runs tile the cells
-        assert np.array_equal(np.repeat(run_band, length), band)
-        cells = region_codes(u._band_k, np.abs(sig), u.params, band=band)
-        assert np.array_equal(np.repeat(code, length), cells)
+        _, _, band, sig = u._norm_cells
+        b0, b1 = (b[band] for b in _zs_bounds(u._band_k, u.params.j))
+        term = (np.abs(sig) >= b0).astype(int) + (np.abs(sig) >= b1)
+        codes = region_codes(u._band_k[band], np.abs(sig), u.params)
+        assert np.array_equal(term, np.array([3, 0, 1, 2, 2, 0])[codes])
         assert zs_norm(u, s) == oracles.zs_norm_by_cells(u, s)  # the same sums in the same order
-        return code
+        return codes
 
     @pytest.mark.parametrize("j, lam", [(2, 1.0), (3, 2.0), (4, 3.0)])
     def test_random_bilinear_and_time_sample_spectra(self, j, lam):
@@ -944,7 +942,7 @@ class TestRegionRuns:
     def test_sigma_exactly_on_thresholds(self, j, lam, width):
         # sigma on the float lo and hi, both signs, with its neighbours a cell away; at
         # |k| = 1/lam and 1 (the D4/D5 and tie bands) and kmax, whose m0 passes 2^62 at j = 4,
-        # lam >= 2.  A segment's first run is empty above -hi and its last one below hi
+        # lam >= 2.  Width 0 is a one-cell segment on the threshold itself
         p = ModelParams(j=j, lam=lam, kmax=64.0)
         for n in sorted({1, int(lam), int(64 * lam)}):
             for theta in region_thresholds(np.array([n / lam]), j):
@@ -955,9 +953,9 @@ class TestRegionRuns:
                     self.check(u)
 
     def test_short_straddling_segment_before_a_low_one(self):
-        # a five-cell segment across +lo at k = 3 is bisected in steps of up to 64 (the
-        # 65-cell segment at k = 2); its bisection must not read on into the next segment,
-        # whose cells at k = 4 all lie far below lo
+        # a five-cell segment across +lo at k = 3, between a 65-cell segment at k = 2 and one
+        # at k = 4 whose cells all lie far below lo: each segment's bounds must cover exactly
+        # its own cells
         p = ModelParams(j=2, kmax=8.0)
         m_n = _characteristic(p, 0.25)[0]
         lo = float(region_thresholds(np.array([3.0]), 2)[0][0])

@@ -149,8 +149,8 @@ class TestVerify:
     def test_regions_planted_mislabels_counted_alike(self, tmp_path, monkeypatch):
         classify = bourgain.region_codes
 
-        def planted(k, abs_sigma, params, band=None):
-            codes = classify(k, abs_sigma, params, band).copy()
+        def planted(k, abs_sigma, params):
+            codes = classify(k, abs_sigma, params).copy()
             codes[:, ::7] = codes[:, ::7] % 5 + 1  # the next region's code
             codes[1, 3] = 0  # excluded
             return codes

@@ -145,6 +145,22 @@ class TestCollisionScan:
         assert rep.critical_s == rep.to_dict()["critical_s"] == -0.5
         assert rep.verdict == "INCONCLUSIVE"
 
+    def test_band_edge_decided_exactly(self):
+        # |s - (1 - j/2)| is 0.050000000000000044 in floats at j = 3, s = -0.55 and at
+        # j = 4, s = -0.95 and -1.05; on the shortest decimals it is 1/20, as at j = 2, s = 0.05
+        def verdict(j, s, N_list=(16, 32, 64)):
+            return collision_scan(CounterexampleConfig(j=j, s=s, N_list=N_list)).verdict
+
+        for j, s in ((2, 0.05), (2, -0.05), (3, -0.55), (4, -0.95), (4, -1.05)):
+            assert verdict(j, s) == "INCONCLUSIVE", (j, s)
+        for j in (2, 3, 4):
+            crit = 1.0 - j / 2.0
+            assert verdict(j, crit - 0.050001) == "BREAKS", j
+            assert verdict(j, crit + 0.050001) == "HOLDS-AT-THIS-PROBE", j
+        # certify's scans, at the default N list
+        assert verdict(2, -0.25, CounterexampleConfig.N_list) == "BREAKS"
+        assert verdict(2, 0.25, CounterexampleConfig.N_list) == "HOLDS-AT-THIS-PROBE"
+
     def test_j3_breaks(self):
         rep = collision_scan(CounterexampleConfig(j=3, s=-1.0, N_list=(16, 32, 64)))
         assert rep.verdict == "BREAKS"
