@@ -41,7 +41,9 @@ buffer at once, with per-band factors (k symbols, <k> powers, region
 thresholds) computed once per band.  L2(dtau) is (sum |a|^2 dtau)^(1/2)
 and L1(dtau) is sum |a| dtau, with weights evaluated at cell centers.
 Z^s sorts each cell into its term by two per-band bounds on |sigma|
-(_zs_bounds), region_codes' thresholds and ties in ">=" form.
+(_zs_bounds), region_codes' thresholds and ties in ">=" form.  It is a
+layout part, _zs_table (each cell's bin and <sigma> weight), and an
+amplitude part, _zs_apply, so that spectra on one layout share a table.
 
 A spectrum that from_time_samples builds from samples of real fields is
 marked as a real field: its n < 0 bands are the exact conjugate mirrors of
@@ -457,22 +459,22 @@ def _time_step(t: np.ndarray, dtau: float | None) -> float:
     return dt
 
 
-def _lift_halves(pos: np.ndarray, t0: float, dt: float, params: ModelParams) -> SpaceTimeSpectrum:
+def _lift_halves(pos, t0: float, dt: float, params: ModelParams, cells=None) -> SpaceTimeSpectrum:
     """from_time_samples on the (nt, nmax) block pos of n > 0 halves, sampled at t0 + i*dt.
 
-    Unchecked: nt is odd and the grid is from_time_samples' (see _time_step).
-    The bands are written into one (2*nmax, nt) buffer: the FFT lands in its
-    n < 0 rows, is scaled there, and is shifted to ascending tau and phased
-    into the n > 0 rows, which the n < 0 rows then mirror.  np.fft.fft takes
-    out= from numpy 2.0 on (where lattice._pocketfft is found); before, its
-    result is copied in, the same numbers.
+    Unchecked: nt is odd and the grid is from_time_samples' (see _time_step).  The bands
+    are written into one complex (2*nmax, nt) buffer, cells if given: the FFT lands in its
+    n < 0 rows, is scaled there, and is shifted to ascending tau and phased into the n > 0
+    rows, which the n < 0 rows then mirror.  np.fft.fft takes out= from numpy 2.0 on (where
+    lattice._pocketfft is found); before, its result is copied in, the same numbers.  The
+    result's amps alias cells unless a band is dropped: the next lift into cells overwrites them.
     """
     nt, m = pos.shape
     dtau = 2.0 * math.pi / (nt * dt)
     h = nt // 2
     ms = np.arange(nt) - h  # integer tau indices, ascending: the FFT's, shifted
     phase = np.exp(-1j * (ms * dtau) * t0)
-    cells = np.empty((2 * m, nt), dtype=complex)
+    cells = np.empty((2 * m, nt), dtype=complex) if cells is None else cells
     lower, upper = cells[:m], cells[m:]  # bands -nmax..-1 and 1..nmax
     if lattice._pocketfft() is None:
         lower.T[...] = np.fft.fft(pos, axis=0)
@@ -541,31 +543,41 @@ def _zs_bounds(k, j: int):
 
 
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
-    """The four-term composite norm; the region decomposition needs j >= 2.
+    """The four-term composite norm, _zs_apply(u.amps, _zs_table(u, s)); it needs j >= 2."""
+    return _zs_apply(u.amps, _zs_table(u, s))
 
-    Each cell is weighted by its term's <sigma> power, the term taken from
-    its band's two bounds (_zs_bounds), and summed into its (band, term)
-    bin in cell order, so the totals are those of classifying every cell
-    with region_codes, bit for bit; the <k> powers are taken per band.  A
-    marked real field is read on its n > 0 bands, each band sum counted
-    twice, as in xsb_norm and ys_norm.
+
+def _zs_table(u: SpaceTimeSpectrum, s: float, table: tuple | None = None) -> tuple:
+    """zs_norm's part that reads u's layout, not its amps: (u, s, bins, weight, k_x) for _zs_apply.
+
+    Each cell is weighted by its term's <sigma> power (weight), the term taken from its band's
+    two bounds (_zs_bounds), and summed into its bin 3 band + term (bins) in cell order, so the
+    totals are those of classifying every cell with region_codes, bit for bit; the <k> powers
+    are taken per band (k_x).  A marked real field is read on its n > 0 bands, each band sum
+    counted twice, as in xsb_norm and ys_norm.  A table built for s on the same seg_n is returned
+    as it is: lifts of one time grid (_lift_halves) differ only in the bands they drop.
     """
-    j = u.params.j
-    if j < 2:
+    if table is not None and table[1] == s and np.array_equal(table[0].seg_n, u.seg_n):
+        return table
+    if u.params.j < 2:
         raise ValueError("the Z^s decomposition is specific to j >= 2")
-    sk, sb = 2.0 * np.array(zs_weights(s, j)).T
-    seg, factor, band, sig = u._norm_cells
-    length = np.diff(u.offsets[seg:])
-    # int8 terms and in-place weights: few cell-sized temporaries on large spectra
-    term = np.add(*(np.abs(sig) >= np.repeat(b[u._seg_band[seg:]], length)
-                    for b in _zs_bounds(u._band_k, j)), dtype=np.int8)
-    abs_amps = np.abs(u.amps[u.offsets[seg]:])
-    cell = bracket(sig)
-    cell **= sb.take(term)
-    cell *= abs_amps ** 2
-    k = u._band_k
-    per_band = np.bincount(3 * band + term, cell, 3 * k.size).reshape(-1, 3)
-    totals = factor * np.sum(per_band * bracket(k)[:, None] ** sk, axis=0)
+    sk, sb = 2.0 * np.array(zs_weights(s, u.params.j)).T
+    seg, _, band, sig = u._norm_cells
+    # int8 terms: few cell-sized temporaries on large spectra
+    term = np.add(*(np.abs(sig) >= np.repeat(b[u._seg_band[seg:]], np.diff(u.offsets[seg:]))
+                    for b in _zs_bounds(u._band_k, u.params.j)), dtype=np.int8)
+    weight = bracket(sig) ** sb.take(term)
+    return u, s, 3 * band + term, weight, bracket(u._band_k)[:, None] ** sk
+
+
+def _zs_apply(amps: np.ndarray, table: tuple) -> float:
+    """zs_norm of amps on the layout of table (_zs_table): |a| once, |a|^2 weight, two bincounts."""
+    u, s, bins, weight, k_x = table
+    seg, factor, _, _ = u._norm_cells
+    abs_amps = np.abs(amps[u.offsets[seg]:])
+    cell = abs_amps ** 2
+    cell *= weight  # in place: one cell-sized array fewer at the peak of Picard's memory
+    totals = factor * np.sum(np.bincount(bins, cell, k_x.size).reshape(-1, 3) * k_x, axis=0)
     return float(np.sqrt(totals * u.dtau / u.params.lam).sum()) + _ys_of_abs(u, s, abs_amps)
 
 

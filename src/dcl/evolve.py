@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bourgain import _lift_halves, _time_step, zs_norm
+from .bourgain import _lift_halves, _time_step, _zs_apply, _zs_table
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -342,20 +342,20 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
 
 # -- Picard / Duhamel fixed point ----------------------------------------------
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+def _cumulative_simpson(y: np.ndarray, h: float, out=None, b8=None) -> np.ndarray:
     """Cumulative integral along axis 0 of rows y sampled with step h, 0 at row 0.
 
-    Composite Simpson with scipy.integrate.cumulative_simpson's equal-interval
-    formulas: interval i (rows i..i+1) is h/12 (5 f_i + 8 f_{i+1} - f_{i+2})
-    when i is even and h/12 (-f_{i-1} + 8 f_i + 5 f_{i+1}) when i is odd.
-    y has an odd number >= 3 of rows, so the last interval is odd.  Complex
-    rows are integrated as they are.
+    Composite Simpson with scipy.integrate.cumulative_simpson's equal-interval formulas:
+    interval i (rows i..i+1) is h/12 (5 f_i + 8 f_{i+1} - f_{i+2}) when i is even and
+    h/12 (-f_{i-1} + 8 f_i + 5 f_{i+1}) when i is odd.  y has an odd number >= 3 of rows, so
+    the last interval is odd.  Complex rows are integrated as they are.  out (y's shape) and
+    b8 (8 f_i at the (n - 1) // 2 odd i) are buffers to write into, not y; out is returned.
     """
     n = y.shape[0]
-    sub = np.empty_like(y)
+    sub = np.empty_like(y) if out is None else out
     sub[0] = 0.0
     a, b, c = y[0:n - 2:2], y[1:n - 1:2], y[2::2]
-    b8 = 8.0 * b
+    b8 = np.multiply(8.0, b, out=b8)
     fwd, bwd = sub[1:n - 1:2], sub[2::2]
     np.multiply(a, 5.0, out=fwd)
     fwd += b8
@@ -472,7 +472,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     t = cfg.t_grid()
     measure_zs = cfg.measure_zs and p.j >= 2
     if measure_zs:
-        dt = _time_step(t, cfg.zs_dtau)  # the grid is checked before any work
+        dt, t0 = _time_step(t, cfg.zs_dtau), float(t[0])  # the grid is checked before any work
     clock = time.perf_counter()
     phase_s = {"setup": 0.0, "iterate": 0.0, "zs": 0.0}
     m = p.nmax
@@ -489,8 +489,10 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     free = np.multiply(eta, phases * pos, out=halves[0])
     h = float(t[1] - t[0])
     w = free
-    d = np.empty((nt, m), dtype=complex)
-    diffs_hs, diffs_zs, at_floor = [], [], []
+    # loop buffers: the difference (first Simpson's 8 f_odd rows), F, the quadrature, the lift
+    d, integrand, cum = np.empty((3, nt, m), dtype=complex)
+    b8, lift = d[:nt // 2], np.empty((2 * m, nt), dtype=complex)
+    diffs_hs, diffs_zs, at_floor, table = [], [], [], None  # table: Z^s's, per band set
     kw_pos = sobolev_weights(p, cfg.report_s)[m + 1:]
     rows = np.empty((nt, 2 * m + 1))  # kw |.|^2 of full rows: mirrored, with the n = 0 slot 0
     rows[:, m] = 0.0
@@ -507,11 +509,11 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     phase_s["setup"] = time.perf_counter() - clock
     for i in range(1, it + 1):
         clock = time.perf_counter()
-        integrand = nonlinearity_rows(w, p, mu, mode == "kdv")
+        nonlinearity_rows(w, p, mu, mode == "kdv", integrand)
         # S(-t') F(t'); phases come first in both products because numpy's
         # complex a*b and b*a can differ in the last bit
         np.multiply(phases_inv, integrand, out=integrand)
-        cum = _cumulative_simpson(integrand, h)
+        _cumulative_simpson(integrand, h, cum, b8)
         cum -= cum[i0]  # integral from 0 to t
         np.multiply(phases, cum, out=cum)
         cum *= eta
@@ -525,7 +527,8 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         phase_s["iterate"] += time.perf_counter() - clock
         if measure_zs:
             clock = time.perf_counter()
-            diffs_zs.append(zs_norm(_lift_halves(d, float(t[0]), dt, p), cfg.report_s))
+            table = _zs_table(lifted := _lift_halves(d, t0, dt, p, lift), cfg.report_s, table)
+            diffs_zs.append(_zs_apply(lifted.amps, table))
             phase_s["zs"] += time.perf_counter() - clock
         w = w_next
     top = np.abs(w).max(axis=0)

@@ -164,16 +164,19 @@ def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = Fa
     return out, tails
 
 
-def nonlinearity_rows(u, params: ModelParams, mu: float = 1.0, kdv: bool = False):
+def nonlinearity_rows(u, params: ModelParams, mu: float = 1.0, kdv: bool = False, out=None):
     """F(u, u) for an (n, nmax) block u of halves, bit for bit real_nonlinearity(u, u, ...)[0].
 
     F_CHUNK rows at a time share one lattice.grid_work block, so its size does not grow with n.
+    F goes to out if given, and out is returned: u's shape, sharing no memory with u.
     """
-    out, nx, nf = np.empty(u.shape, dtype=complex), params.default_grid(pad=2), 1 if kdv else 2
+    if out is not None and np.may_share_memory(out, u):
+        raise ValueError("out must not share memory with u")
+    out = np.empty(u.shape, dtype=complex) if out is None else out
     for lo in range(0, len(u), F_CHUNK):
         part = u[lo:lo + F_CHUNK]
         if lo == 0 or len(part) < F_CHUNK:  # one block for the whole chunks, one for the last
-            work = grid_work(params, nx, nf, part.shape[:-1])
+            work = grid_work(params, params.default_grid(pad=2), 1 if kdv else 2, part.shape[:-1])
         real_nonlinearity(part, part, params, mu, kdv, out[lo:lo + F_CHUNK], work)
     return out
 

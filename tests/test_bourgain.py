@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcl import lattice
@@ -14,7 +14,10 @@ from dcl.bourgain import (
     _embedding_scans,
     _lift_halves,
     _region_sigma_ranges,
+    _time_step,
+    _zs_apply,
     _zs_bounds,
+    _zs_table,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -892,6 +895,31 @@ class TestTimeSamples:
         assert got._real
         for name in ("seg_n", "seg_m0", "offsets", "amps"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+        # two different blocks, one after the other, into one reused buffer
+        buf = np.full((2 * p.nmax, 33), np.nan, dtype=complex)
+        for seed in (5, 6):
+            t, block = real_trajectory(p, 33, seed=seed)
+            want = from_time_samples(t, block, p)
+            got = _lift_halves(block[:, p.nmax + 1:], float(t[0]), float(t[1] - t[0]), p, buf)
+            for name in ("seg_n", "seg_m0", "offsets", "amps"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_lift_into_a_buffer_aliases_it(self):
+        # the documented contract: with every band kept the amps are a view of the
+        # buffer, so the next lift overwrites them; a dropped band makes them a copy
+        p = ModelParams(j=2, kmax=4.0)
+        t, dt = np.linspace(-2.0, 2.0, 17), 0.25
+        first, second = (real_trajectory(p, 17, seed=s)[1][:, p.nmax + 1:] for s in (1, 2))
+        buf = np.empty((2 * p.nmax, 17), dtype=complex)
+        got = _lift_halves(first, -2.0, dt, p, buf)
+        assert np.shares_memory(got.amps, buf)
+        want = from_time_samples(t, hermitian_rows(second), p).amps
+        _lift_halves(second, -2.0, dt, p, buf)
+        assert np.array_equal(got.amps, want)
+        second = second.copy()
+        second[:, 2] = 0.0
+        got = _lift_halves(second, -2.0, dt, p, buf)
+        assert not np.shares_memory(got.amps, buf) and got.seg_n.size == 2 * (p.nmax - 1)
 
 
 def threshold_spectrum(p, n, theta, width):
@@ -980,6 +1008,47 @@ class TestRegionRuns:
                                                     (m_n - far - 4, np.ones(9))]})
         assert np.unique(u._sigma).size < u.n_cells()
         self.check(u)
+
+
+class TestZsTable:
+    """zs_norm's layout part and amplitude part, and the table reuse picard_iterate relies on."""
+
+    none, all_ = [False] * 8, [True] * 8
+    masks = st.one_of(st.just(none), st.just(all_), st.lists(st.booleans(), min_size=8, max_size=8))
+
+    @given(masks=st.lists(masks, min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1),
+           case=st.sampled_from([(2, 1.0, -0.25), (3, 2.0, 0.4)]))
+    @example(masks=[none, [True, False] * 4, all_, [False, True] * 4, none], seed=0,
+             case=(2, 1.0, -0.25))
+    @settings(max_examples=40, deadline=None)
+    def test_reused_table_equals_zs_norm_of_each_lift(self, masks, seed, case):
+        # picard_iterate's route: each (nt, nmax) block of halves is lifted into one
+        # buffer and measured against the table of its band set, built only when the
+        # set changes; columns set True in a mask are exactly zero, so their bands drop
+        j, lam, s = case
+        p = ModelParams(j=j, lam=lam, kmax=8.0 / lam)  # nmax = 8
+        cfg = PicardConfig(nt=17)
+        t = cfg.t_grid()
+        dt = _time_step(t, None)
+        rng = np.random.default_rng(seed)
+        buf, table = np.empty((2 * p.nmax, cfg.nt), dtype=complex), None
+        for mask in masks:
+            halves = rng.standard_normal((cfg.nt, 8)) + 1j * rng.standard_normal((cfg.nt, 8))
+            halves[:, mask] = 0.0
+            lifted = _lift_halves(halves, float(t[0]), dt, p, buf)
+            table = _zs_table(lifted, s, table)
+            want = zs_norm(from_time_samples(t, hermitian_rows(halves), p), s)
+            assert _zs_apply(lifted.amps, table) == want
+
+    def test_table_is_kept_for_the_same_band_set_only(self):
+        p = ModelParams(j=2, kmax=4.0)
+        t, block = real_trajectory(p, 17, seed=3)
+        u = from_time_samples(t, block, p)
+        table = _zs_table(u, -0.25)
+        assert _zs_table(from_time_samples(t, 2.0 * block, p), -0.25, table) is table
+        assert _zs_table(u, 0.5, table) is not table
+        block[:, [p.nmax - 1, p.nmax + 1]] = 0.0
+        assert _zs_table(from_time_samples(t, block, p), -0.25, table) is not table
 
 
 class TestBilinearProbe:

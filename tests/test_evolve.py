@@ -418,6 +418,16 @@ class TestPicard:
         assert res.ratios_at_floor[-3:] == [True] * 3
         assert not res.diverged
 
+    def test_zero_data_keeps_infinite_ratios(self):
+        # every difference is exactly zero: each lift drops every band, and Z^s of the
+        # empty lift is 0, as the H^s norm is, so each ratio is 0/0 = inf
+        p = ModelParams(j=2, kmax=8.0)
+        u0 = SpatialSpectrum(p, np.zeros(2 * p.nmax + 1, dtype=complex))
+        res = picard_iterate(u0, PicardConfig(iterations=3, nt=33))
+        assert res.ratios_hs == res.ratios_zs == [math.inf, math.inf]
+        assert res.ratios_at_floor == [True, True] and not res.diverged
+        assert not res.iterates.any()
+
     def test_batch_nonlinearity_matches_scalar_path(self, params16):
         rng = np.random.default_rng(8)
         half = 0.1 * (rng.standard_normal((3, params16.nmax))
@@ -441,6 +451,19 @@ class TestPicardQuadrature:
                + 1j * cumulative_simpson(y.imag, x=t, axis=0, initial=0.0))
         got = _cumulative_simpson(y, float(t[1] - t[0]))
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nt", [3, 5, 129])
+    def test_buffers_give_the_fresh_result(self, nt):
+        # the same buffers serve one call after another, as in picard_iterate's loop
+        rng = np.random.default_rng(nt)
+        out = np.full((nt, 9), np.nan, dtype=complex)
+        b8 = np.full((nt // 2, 9), np.nan, dtype=complex)
+        for _ in range(2):
+            y = rng.standard_normal((nt, 9)) + 1j * rng.standard_normal((nt, 9))
+            want = _cumulative_simpson(y, 0.125)
+            assert _cumulative_simpson(y, 0.125, out, b8) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(b8, 8.0 * y[1:nt - 1:2])
 
     @pytest.mark.parametrize("nt", [3, 5, 129])
     def test_exact_on_cubics_at_panel_ends(self, nt):

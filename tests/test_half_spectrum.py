@@ -427,6 +427,27 @@ class TestPicardParity:
         assert np.array_equal(res.iterates, iterates)
         assert res.ratios_hs == r_hs and res.ratios_zs == r_zs
 
+    @pytest.mark.parametrize("numpy1", [False, True], ids=["fft_out", "numpy1_fft"])
+    @pytest.mark.parametrize("mode", ["full", "kdv"])
+    @pytest.mark.parametrize("j, lam, kmax, nt", [(3, 2.0, 16.0, 129), (2, 1.0, 32.0, 257)])
+    def test_wider_shapes_equal_the_full_row_route(self, j, lam, kmax, nt, mode, numpy1,
+                                                   monkeypatch):
+        # Z^s measured against one table per band set, in reused buffers, against
+        # zs_norm(from_time_samples(...)) of each difference; numpy1 takes the route
+        # without lattice._pocketfft, where np.fft.fft has no out=
+        if numpy1:
+            fft = np.fft.fft
+            monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
+            monkeypatch.setattr(np.fft, "fft", lambda a, n=None, axis=-1, norm=None:
+                                fft(a, n, axis, norm))
+        p = ModelParams(j=j, lam=lam, kmax=kmax)
+        u0 = broadband(p, seed=nt + j, amplitude=0.01)
+        cfg = PicardConfig(iterations=4, nt=nt, report_s=-0.25, measure_zs=True)
+        res = picard_iterate(u0, cfg, mode=mode)
+        iterates, r_hs, r_zs = oracle_picard(u0, cfg, mode=mode)
+        assert np.array_equal(res.iterates, iterates)
+        assert res.ratios_hs == r_hs and res.ratios_zs == r_zs and len(r_zs) == 3
+
     def test_nearly_hermitian_input_keeps_its_positive_half(self):
         # as in simulate: the n > 0 halves follow the full-row loop bit for bit,
         # and every iterate's n < 0 half is the exact mirror of its n > 0 half

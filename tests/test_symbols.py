@@ -305,3 +305,13 @@ class TestRealKernel:
         u = 0.1 * (rng.standard_normal((n, p.nmax)) + 1j * rng.standard_normal((n, p.nmax)))
         want = real_nonlinearity(u, u, p, mu=1.5, kdv=kdv)[0]
         assert np.array_equal(nonlinearity_rows(u, p, mu=1.5, kdv=kdv), want)
+        buf = np.full(u.shape, np.nan, dtype=complex)
+        assert nonlinearity_rows(u, p, mu=1.5, kdv=kdv, out=buf) is buf
+        assert np.array_equal(buf, want)
+
+    def test_rows_out_must_not_share_memory_with_u(self):
+        p = ModelParams(j=2, kmax=8.0)
+        block = np.zeros((41, p.nmax), dtype=complex)
+        for out in (block[:40], block[1:]):  # u itself, and rows that overlap it
+            with pytest.raises(ValueError, match="share memory"):
+                nonlinearity_rows(block[:40], p, out=out)
