@@ -24,13 +24,17 @@ with X_{s,b} = ||<k>^s <sigma>^b F u||_{L2}, Y^s = ||<k>^s F u||_{L2_k L1_tau},
 and W^s = X_{s,1/2} + Y^s.
 
 Discretization: tau lives on a uniform grid tau = tau0 + m*dtau with global
-integer index m.  A spectrum is one flat layout, built once: a contiguous
-buffer amps of all its cells, and a segment table of runs of consecutive
+integer index m.  A spectrum is a contiguous buffer amps of all its cells on
+a shared, read-only layout (_Layout): a segment table of runs of consecutive
 cells (band n with k = n/lam, first index m0, offsets into amps), sorted by
-(n, m0).  The per-k "bands" dict, n -> [(m0, amps)], is a view of that
-table whose arrays are slices of the buffer.  m0 is exact: int64 while it
-is small, Python ints beyond 2^62, so segments may sit at astronomically
-large tau (near P(k) for large k) without losing the exact integer offset.
+(n, m0), and all that is computed from the table alone.  The per-k "bands"
+dict, n -> [(m0, amps)], is a view of that table whose arrays are slices of
+the buffer.  st_convolve's index work on two layouts is a plan; the plans
+and the layouts of from_characteristic and _lift_halves are kept in one LRU
+of _CACHE_SIZE entries, keyed by content (params, dtau, tau0, the tables).
+m0 is exact: int64 while it is small, Python ints beyond 2^62, so segments
+may sit at astronomically large tau (near P(k) for large k) without losing
+the exact integer offset.
 sigma has one rule: a table cached per (params, dtau) holds each band's
 exact index M_n = round(P(n/lam)/dtau) and residual r_n = M_n*dtau -
 P(n/lam), rounded once from rationals (dtau as 1/q when 1/dtau is within
@@ -41,9 +45,8 @@ buffer at once, with per-band factors (k symbols, <k> powers, region
 thresholds) computed once per band.  L2(dtau) is (sum |a|^2 dtau)^(1/2)
 and L1(dtau) is sum |a| dtau, with weights evaluated at cell centers.
 Z^s sorts each cell into its term by two per-band bounds on |sigma|
-(_zs_bounds), region_codes' thresholds and ties in ">=" form.  It is a
-layout part, _zs_table (each cell's bin and <sigma> weight), and an
-amplitude part, _zs_apply, so that spectra on one layout share a table.
+(_zs_bounds), region_codes' thresholds and ties in ">=" form; each cell's
+bin and <sigma> weight are the layout's Z^s table for s.
 
 A spectrum that from_time_samples builds from samples of real fields is
 marked as a real field: its n < 0 bands are the exact conjugate mirrors of
@@ -184,22 +187,28 @@ def _ints(values) -> np.ndarray:
     return arr
 
 
-def _cell_offsets(offsets: np.ndarray) -> np.ndarray:
-    """Each cell's index inside its segment, for segments amps[offsets[i]:offsets[i+1]]."""
-    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], offsets[1:] - offsets[:-1])
+def _frozen(value):
+    """value, each array in it or in its nested tuples made read-only: layouts are shared."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    for item in value if isinstance(value, tuple) else ():
+        _frozen(item)
+    return value
 
 
-def _assemble(n, m0, length, buf, keep=None):
-    """The flat layout of segments that tile buf in order: (n[i], m0[i]) and length[i] cells.
+def _assemble(n, m0, length, keep=None):
+    """The flat layout of segments that tile a buffer in order: (n[i], m0[i]) and length[i] cells.
 
     The kept segments (all by default) are sorted by (n, m0); within a band,
     segments that overlap or touch merge into one, summed where they
-    overlap.  Returns (seg_n, seg_m0, offsets, amps).
+    overlap.  Returns (seg_n, seg_m0, offsets, dst): _scatter sums buffer cell
+    i into layout cell dst[i], and every cell of a dropped segment into one
+    cell past the end.  dst is int32 when the layout fits.
     """
     keep = length > 0 if keep is None else keep & (length > 0)
     kept = np.flatnonzero(keep)[np.lexsort((m0[keep], n[keep]))]
     if not kept.size:
-        return n[:0], m0[:0], np.zeros(1, dtype=np.int64), np.zeros(0, dtype=complex)
+        return n[:0], m0[:0], np.zeros(1, dtype=np.int64), np.zeros(length.sum(), dtype=np.int32)
     n_k, m0_k = n[kept], m0[kept]
     end = m0_k + length[kept]
     band_starts = n_k[1:] != n_k[:-1]
@@ -215,14 +224,21 @@ def _assemble(n, m0, length, buf, keep=None):
     offsets = np.zeros(first.size + 1, dtype=np.int64)
     last = np.append(first[1:], n_k.size) - 1
     np.cumsum((reach[last] - out_m0).astype(np.int64), out=offsets[1:])
-    # where each kept segment's first cell lands; dropped ones land past the end, cut off below
+    # where each kept segment's first cell lands; dropped ones land at or past the end
     at = np.full(n.size, offsets[-1])
     at[kept] = offsets[seg] + (m0_k - out_m0[seg]).astype(np.int64)
     dst = np.repeat(at - (np.cumsum(length) - length), length)
-    dst += np.arange(buf.size)
-    amps = np.zeros(offsets[-1] + length.max(), dtype=complex)
+    dst += np.arange(dst.size)
+    np.minimum(dst, offsets[-1], out=dst)
+    return (n_k[first], _ints(out_m0), offsets,
+            dst.astype(np.int32) if offsets[-1] < 2**31 else dst)
+
+
+def _scatter(dst, buf, size: int) -> np.ndarray:
+    """The amps of _assemble's layout of size cells: buf summed into cells dst, in buffer order."""
+    amps = np.zeros(size + 1, dtype=complex)
     np.add.at(amps, dst, buf)
-    return n_k[first], _ints(out_m0), offsets, amps[:offsets[-1]]
+    return amps[:size]
 
 
 def _check_dtau(dtau: float):
@@ -248,16 +264,104 @@ def _characteristic(params: ModelParams, dtau: float):
     return _ints(index), np.array([(m * den - a) / out for m, a in zip(index, num)]), step
 
 
+_CACHE_SIZE = 8  # layouts and plans kept: a probe's plan holds 2.5 MiB at kmax 32, 40 at 128
+_CACHE = {}  # content key -> _Layout, or ("plan", key, key) -> st_convolve's plan
+
+
+def _cached(cache: dict, key, build):
+    """cache[key], built on a miss; past _CACHE_SIZE entries the least recently used goes."""
+    value = cache[key] = cache.pop(key) if key in cache else _frozen(build())  # now the last
+    if len(cache) > _CACHE_SIZE:
+        del cache[next(iter(cache))]
+    return value
+
+
+class _Layout:
+    """A segment table and everything computed from it alone; see the module docstring.
+
+    Every array it holds or caches is read-only, so the spectra on it can share it.  key is
+    its content: params, dtau, tau0 and the table's values (an object seg_m0 by its ints).
+    """
+
+    def __init__(self, params: ModelParams, dtau: float, tau0: float, seg_n, seg_m0, offsets):
+        self.params, self.dtau, self.tau0 = params, dtau, tau0
+        self.seg_n, self.seg_m0, self.offsets = seg_n, seg_m0, offsets
+        new_band = np.ones(seg_n.size, dtype=bool)  # the band table: seg_n is sorted
+        new_band[1:] = seg_n[1:] != seg_n[:-1]
+        # int32 band indices: the cells' bands and Z^s bins kept per layout are half the size
+        self.band_n, self.seg_band = seg_n[new_band], np.cumsum(new_band, dtype=np.int32) - 1
+        self.band_k = self.band_n / params.lam
+        _frozen((seg_n, seg_m0, offsets, self.band_n, self.seg_band, self.band_k))
+        m0 = tuple(seg_m0.tolist()) if seg_m0.dtype == object else seg_m0.tobytes()
+        self.key = params, np.array([dtau, tau0]).tobytes(), seg_n.tobytes(), m0, offsets.tobytes()
+        self._tables = {}  # norm cells, Z^s tables and post factors
+
+    def norm_cells(self, real: bool):
+        """(seg, factor, cell bands, sigmas): the norms read the cells amps[offsets[seg]:].
+
+        A marked real field's (real) n < 0 bands mirror its n > 0 bands, with equal |amps|,
+        |k| and |sigma|: the norms read from its first n > 0 segment seg on, and factor = 2
+        counts each band sum twice.  Otherwise seg = 0 and factor = 1.
+        """
+        def build():
+            seg = int(np.searchsorted(self.seg_n, 0)) if real else 0
+            offsets = self.offsets[seg:] - self.offsets[seg]
+            length = offsets[1:] - offsets[:-1]
+            # cell i of a segment in band n: sigma = dtau*((m0 - M_n) + i) + (tau0 + r_n), with
+            # M_n and r_n the band's row of the _characteristic table; m0 - M_n is exact
+            index, residual, _ = _characteristic(self.params, self.dtau)
+            rows = (self.band_n + self.params.nmax)[self.seg_band[seg:]]
+            r0 = (self.seg_m0[seg:] - index[rows]).astype(float)  # the only float conversion
+            within = np.arange(offsets[-1]) - np.repeat(offsets[:-1], length)
+            sig = (self.dtau * (np.repeat(r0, length) + within)
+                   + np.repeat(self.tau0 + residual[rows], length))
+            return seg, 2.0 if real else 1.0, np.repeat(self.seg_band[seg:], length), sig
+        return _cached(self._tables, real, build)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Every cell's modulation, in layout order."""
+        return self.norm_cells(False)[3]
+
+    def k_symbol(self, fn) -> np.ndarray:
+        """fn(k) per cell: fn is called once, on the array of band ks, mapping it elementwise."""
+        return fn(self.band_k)[self.norm_cells(False)[2]]
+
+    def zs_table(self, s: float, real: bool) -> tuple:
+        """zs_norm's layout part (bins, weight, k_x), built once per (s, real).
+
+        Each cell is weighted by its term's <sigma> power (weight), the term taken from its band's
+        two bounds (_zs_bounds), and summed into its bin 3 band + term (bins) in cell order, so the
+        totals are those of classifying every cell with region_codes, bit for bit; the <k> powers
+        are taken per band (k_x).
+        """
+        def build():
+            if self.params.j < 2:
+                raise ValueError("the Z^s decomposition is specific to j >= 2")
+            sk, sb = 2.0 * np.array(zs_weights(s, self.params.j)).T
+            _, _, band, sig = self.norm_cells(real)
+            # int8 terms: few cell-sized temporaries on large spectra
+            term = np.add(*(np.abs(sig) >= b[band] for b in _zs_bounds(self.band_k, self.params.j)),
+                          dtype=np.int8)
+            return 3 * band + term, bracket(sig) ** sb.take(term), bracket(self.band_k)[:, None]**sk
+        return _cached(self._tables, (s, real), build)
+
+    def post_factors(self, form: str) -> tuple:
+        """bilinear_output's post(k) / <sigma> per cell for each term of form, built once."""
+        return _cached(self._tables, form, lambda: tuple(
+            self.k_symbol(post) / bracket(self.sigma) for _, post in _FORM_TERMS[form]))
+
+
 class SpaceTimeSpectrum:
-    """Sparse banded amplitudes over (k, tau) cells in one flat layout; see the module docstring.
+    """Sparse banded amplitudes over (k, tau) cells on a layout; see the module docstring.
 
     amps holds every cell.  Segment i covers amps[offsets[i]:offsets[i+1]] in band seg_n[i]
     (k = n/lam, 0 < |n| <= nmax), with cell centers tau = tau0 + m*dtau for m = seg_m0[i],
     seg_m0[i] + 1, ...; segments are sorted by (n, m0) and neither overlap nor touch.  bands
     maps n to that band's [(m0, view), ...], the views into amps.  The constructor takes such
     a dict, with segments in any order, overlapping or touching, and sums them; any other
-    band n is a ValueError.  Immutable once built, except that bilinear_output scales and
-    sums into the amps of its own fresh output.
+    band n is a ValueError.  The layout is shared and read-only; amps is the spectrum's own,
+    and bilinear_output scales and sums into the amps of its fresh output.
     """
 
     def __init__(self, params: ModelParams, dtau: float, tau0: float = 0.0,
@@ -273,31 +377,26 @@ class SpaceTimeSpectrum:
                 rows.append(np.asarray(a, dtype=complex))
         length = np.array([a.size for a in rows], dtype=np.int64)
         buf = np.concatenate(rows) if rows else np.zeros(0, dtype=complex)
-        layout = _assemble(np.array(ns, dtype=np.int64), _ints(m0s), length, buf)
-        self._set_layout(params, dtau, tau0, *layout, 0.0)
+        seg_n, seg_m0, offsets, dst = _assemble(np.array(ns, dtype=np.int64), _ints(m0s), length)
+        self._set_layout(_Layout(params, dtau, tau0, seg_n, seg_m0, offsets),
+                         _scatter(dst, buf, offsets[-1]), 0.0)
 
-    def _set_layout(self, params, dtau, tau0, seg_n, seg_m0, offsets, amps, truncated_mass):
-        self.params, self.dtau, self.tau0 = params, dtau, tau0
-        self.seg_n, self.seg_m0, self.offsets, self.amps = seg_n, seg_m0, offsets, amps
-        self.truncated_mass = truncated_mass
-        self._real = False  # set by from_time_samples only; see _norm_cells
-        new_band = np.ones(seg_n.size, dtype=bool)  # the band table: seg_n is sorted
-        new_band[1:] = seg_n[1:] != seg_n[:-1]
-        self._band_n, self._seg_band = seg_n[new_band], np.cumsum(new_band) - 1
-        self._band_k = self._band_n / params.lam
+    def _set_layout(self, layout: _Layout, amps, truncated_mass):
+        self.layout, self.amps, self.truncated_mass = layout, amps, truncated_mass
+        self.params, self.dtau, self.tau0 = layout.params, layout.dtau, layout.tau0
+        self.seg_n, self.seg_m0, self.offsets = layout.seg_n, layout.seg_m0, layout.offsets
+        self._real = False  # set by from_time_samples only; see _Layout.norm_cells
 
     @classmethod
-    def _from_layout(cls, params, dtau, tau0, seg_n, seg_m0, offsets, amps,
-                     truncated_mass=0.0) -> "SpaceTimeSpectrum":
-        """Wrap a layout that is already sorted and disjoint, without copying it."""
+    def _from_layout(cls, layout: _Layout, amps, truncated_mass=0.0) -> "SpaceTimeSpectrum":
+        """amps on layout, both without copying."""
         out = cls.__new__(cls)
-        out._set_layout(params, dtau, tau0, seg_n, seg_m0, offsets, amps, truncated_mass)
+        out._set_layout(layout, amps, truncated_mass)
         return out
 
     def _with_amps(self, amps) -> "SpaceTimeSpectrum":
-        """The same cells with new amplitudes, unmarked; the segment table is shared."""
-        return SpaceTimeSpectrum._from_layout(self.params, self.dtau, self.tau0, self.seg_n,
-                                              self.seg_m0, self.offsets, amps)
+        """The same cells with new amplitudes, unmarked; the layout is shared."""
+        return SpaceTimeSpectrum._from_layout(self.layout, amps)
 
     @cached_property
     def bands(self) -> dict:
@@ -307,53 +406,9 @@ class SpaceTimeSpectrum:
             bands.setdefault(n, []).append((m0, self.amps[a:b]))
         return bands
 
-    @cached_property
-    def _cell_band(self) -> np.ndarray:
-        """Each cell's index into the band table _band_n."""
-        return np.repeat(self._seg_band, self.offsets[1:] - self.offsets[:-1])
-
-    @cached_property
-    def _sigma(self) -> np.ndarray:
-        """Every cell's modulation, in layout order."""
-        return self._segment_sigma(self._band_n, self._seg_band, self.seg_m0, self.offsets)
-
-    @cached_property
-    def _norm_cells(self):
-        """(seg, factor, cell bands, sigmas): the norms read the cells amps[offsets[seg]:].
-
-        A marked real field's n < 0 bands mirror its n > 0 bands cell for
-        cell, with equal |amps|, |k| and |sigma|: the norms read the cells
-        from its first n > 0 segment seg on, and factor = 2 counts each band
-        sum twice.  Otherwise seg = 0 and factor = 1.
-        """
-        if not self._real:
-            return 0, 1.0, self._cell_band, self._sigma
-        seg = int(np.searchsorted(self.seg_n, 0))
-        offsets = self.offsets[seg:] - self.offsets[seg]
-        band = self._seg_band[seg:]
-        return (seg, 2.0, np.repeat(band, np.diff(offsets)),
-                self._segment_sigma(self._band_n, band, self.seg_m0[seg:], offsets))
-
-    def _k_symbol(self, fn) -> np.ndarray:
-        """fn(k) per cell: fn is called once, on the array of band ks, mapping it elementwise."""
-        return fn(self._band_k)[self._cell_band]
-
-    def _segment_sigma(self, band_n, band, seg_m0, offsets) -> np.ndarray:
-        """Cell-center modulations dtau*((m0 - M_n) + i) + (tau0 + r_n) of segments.
-
-        Segment i lies in band n = band_n[band[i]]; M_n and r_n are its row
-        of the _characteristic table, and m0 - M_n is exact.
-        """
-        index, residual, _ = _characteristic(self.params, self.dtau)
-        rows = (band_n + self.params.nmax)[band]
-        length = offsets[1:] - offsets[:-1]
-        r0 = (seg_m0 - index[rows]).astype(float)  # exact; float conversion only here
-        return (self.dtau * (np.repeat(r0, length) + _cell_offsets(offsets))
-                + np.repeat(self.tau0 + residual[rows], length))
-
     def cells(self):
         """Yield (n, m0, amps, sigma) per segment."""
-        sig = self._sigma
+        sig = self.layout.sigma
         for n, m0, a, b in zip(self.seg_n.tolist(), self.seg_m0.tolist(),
                                self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
             yield n, m0, self.amps[a:b], sig[a:b]
@@ -368,14 +423,12 @@ class SpaceTimeSpectrum:
 
     def __add__(self, other) -> "SpaceTimeSpectrum":
         p, q = self.params, other.params
-        if ((p.lam, p.nmax, self.dtau) != (q.lam, q.nmax, other.dtau)
+        if ((p.j, p.lam, p.nmax, self.dtau) != (q.j, q.lam, q.nmax, other.dtau)
                 or not abs(self.tau0 - other.tau0) < 1e-12):
             raise ValueError("space-time grids do not match")
-        layout = _assemble(np.concatenate([self.seg_n, other.seg_n]),
-                           _ints(np.concatenate([self.seg_m0, other.seg_m0])),
-                           np.concatenate([np.diff(self.offsets), np.diff(other.offsets)]),
-                           np.concatenate([self.amps, other.amps]))
-        return SpaceTimeSpectrum._from_layout(self.params, self.dtau, self.tau0, *layout)
+        a, b = self.bands, other.bands
+        return SpaceTimeSpectrum(p, self.dtau, self.tau0,
+                                 {n: a.get(n, []) + b.get(n, []) for n in {**a, **b}})
 
 
 def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
@@ -398,8 +451,8 @@ def from_characteristic(spec: SpatialSpectrum, dtau: float = 0.25,
     weights = np.ones(offs.size) if profile is None else profile(offs * dtau)
     amps = spec.amps[carried][:, None] * weights.astype(complex)
     m0 = _ints(_characteristic(p, dtau)[0][carried] - w)
-    return SpaceTimeSpectrum._from_layout(p, dtau, 0.0, ns, m0,
-                                          np.arange(ns.size + 1) * offs.size, amps.ravel())
+    layout = _Layout(p, dtau, 0.0, ns, m0, np.arange(ns.size + 1) * offs.size)
+    return SpaceTimeSpectrum._from_layout(_cached(_CACHE, layout.key, lambda: layout), amps.ravel())
 
 
 def random_spectrum(params: ModelParams, rng, dtau: float = 0.25,
@@ -490,9 +543,9 @@ def _lift_halves(pos, t0: float, dt: float, params: ModelParams, cells=None) -> 
     if not nonzero.all():
         keep = np.concatenate([nonzero[::-1], nonzero])
         ns, cells = ns[keep], cells[keep]
-    out = SpaceTimeSpectrum._from_layout(params, dtau, 0.0, ns,
-                                         np.full(ns.size, ms[0], dtype=np.int64),
-                                         np.arange(ns.size + 1) * nt, cells.ravel())
+    layout = _Layout(params, dtau, 0.0, ns, np.full(ns.size, ms[0], dtype=np.int64),
+                     np.arange(ns.size + 1) * nt)
+    out = SpaceTimeSpectrum._from_layout(_cached(_CACHE, layout.key, lambda: layout), cells.ravel())
     out._real = True
     return out
 
@@ -501,23 +554,23 @@ def _lift_halves(pos, t0: float, dt: float, params: ModelParams, cells=None) -> 
 
 def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
     """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}."""
-    seg, factor, band, sig = u._norm_cells
+    seg, factor, band, sig = u.layout.norm_cells(u._real)
     cell = bracket(sig) ** (2.0 * b) * np.abs(u.amps[u.offsets[seg]:]) ** 2
-    per_band = np.bincount(band, cell, u._band_k.size)
-    total = factor * float(per_band @ bracket(u._band_k) ** (2.0 * s))
+    per_band = np.bincount(band, cell, u.layout.band_k.size)
+    total = factor * float(per_band @ bracket(u.layout.band_k) ** (2.0 * s))
     return math.sqrt(total * u.dtau / u.params.lam)
 
 
 def ys_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """||<k>^s F u||_{L2((dk)_lam) L1(dtau)}: L1 in tau first, then L2 in k."""
-    return _ys_of_abs(u, s, np.abs(u.amps[u.offsets[u._norm_cells[0]]:]))
+    return _ys_of_abs(u, s, np.abs(u.amps[u.offsets[u.layout.norm_cells(u._real)[0]]:]))
 
 
 def _ys_of_abs(u: SpaceTimeSpectrum, s: float, abs_amps: np.ndarray) -> float:
-    """ys_norm from abs_amps, the |amps| of the cells the norms read (_norm_cells)."""
-    _, factor, band, _ = u._norm_cells
-    l1 = np.bincount(band, abs_amps, u._band_k.size) * u.dtau
-    total = factor * float(np.sum(bracket(u._band_k) ** (2.0 * s) * l1 * l1))
+    """ys_norm from abs_amps, the |amps| of the cells the norms read (_Layout.norm_cells)."""
+    _, factor, band, _ = u.layout.norm_cells(u._real)
+    l1 = np.bincount(band, abs_amps, u.layout.band_k.size) * u.dtau
+    total = factor * float(np.sum(bracket(u.layout.band_k) ** (2.0 * s) * l1 * l1))
     return math.sqrt(total / u.params.lam)
 
 
@@ -543,38 +596,11 @@ def _zs_bounds(k, j: int):
 
 
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
-    """The four-term composite norm, _zs_apply(u.amps, _zs_table(u, s)); it needs j >= 2."""
-    return _zs_apply(u.amps, _zs_table(u, s))
-
-
-def _zs_table(u: SpaceTimeSpectrum, s: float, table: tuple | None = None) -> tuple:
-    """zs_norm's part that reads u's layout, not its amps: (u, s, bins, weight, k_x) for _zs_apply.
-
-    Each cell is weighted by its term's <sigma> power (weight), the term taken from its band's
-    two bounds (_zs_bounds), and summed into its bin 3 band + term (bins) in cell order, so the
-    totals are those of classifying every cell with region_codes, bit for bit; the <k> powers
-    are taken per band (k_x).  A marked real field is read on its n > 0 bands, each band sum
-    counted twice, as in xsb_norm and ys_norm.  A table built for s on the same seg_n is returned
-    as it is: lifts of one time grid (_lift_halves) differ only in the bands they drop.
-    """
-    if table is not None and table[1] == s and np.array_equal(table[0].seg_n, u.seg_n):
-        return table
-    if u.params.j < 2:
-        raise ValueError("the Z^s decomposition is specific to j >= 2")
-    sk, sb = 2.0 * np.array(zs_weights(s, u.params.j)).T
-    seg, _, band, sig = u._norm_cells
-    # int8 terms: few cell-sized temporaries on large spectra
-    term = np.add(*(np.abs(sig) >= np.repeat(b[u._seg_band[seg:]], np.diff(u.offsets[seg:]))
-                    for b in _zs_bounds(u._band_k, u.params.j)), dtype=np.int8)
-    weight = bracket(sig) ** sb.take(term)
-    return u, s, 3 * band + term, weight, bracket(u._band_k)[:, None] ** sk
-
-
-def _zs_apply(amps: np.ndarray, table: tuple) -> float:
-    """zs_norm of amps on the layout of table (_zs_table): |a| once, |a|^2 weight, two bincounts."""
-    u, s, bins, weight, k_x = table
-    seg, factor, _, _ = u._norm_cells
-    abs_amps = np.abs(amps[u.offsets[seg]:])
+    """The four-term composite norm, needing j >= 2: |a| once, |a|^2 times the weights of the
+    layout's Z^s table (_Layout.zs_table), and two bincounts for the X terms and Y^s."""
+    seg, factor, _, _ = u.layout.norm_cells(u._real)
+    bins, weight, k_x = u.layout.zs_table(s, u._real)
+    abs_amps = np.abs(u.amps[u.offsets[seg]:])
     cell = abs_amps ** 2
     cell *= weight  # in place: one cell-sized array fewer at the peak of Picard's memory
     totals = factor * np.sum(np.bincount(bins, cell, k_x.size).reshape(-1, 3) * k_x, axis=0)
@@ -604,6 +630,31 @@ def _pair_convolutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)).reshape(na * nb, lout)
 
 
+def _convolution_plan(x: _Layout, y: _Layout) -> tuple:
+    """st_convolve's index work on the input layouts x and y: (pairs, dst, out).
+
+    Segments are grouped by length.  Per pair of groups, pairs holds the gathers of x's and
+    y's segments as rows, and the rows of their pair convolutions whose band n1 + n2 is 0 or
+    beyond nmax; all rows, pair by pair, sum by dst into the output layout out (_scatter).
+    """
+    groups = [[(l, np.flatnonzero(lens == l)) for l in sorted(set(lens.tolist()))]
+              for lens in (np.diff(x.offsets), np.diff(y.offsets))]
+    pairs, ns, m0s, lengths, kept = [], [], [], [], []
+    for l1, i in groups[0]:
+        for l2, j in groups[1]:
+            n = (x.seg_n[i][:, None] + y.seg_n[j]).ravel()
+            inside = (n != 0) & (np.abs(n) <= x.params.nmax)
+            pairs.append((x.offsets[i][:, None] + np.arange(l1),
+                          y.offsets[j][:, None] + np.arange(l2), np.flatnonzero(~inside)))
+            ns.append(n)
+            m0s.append((x.seg_m0[i][:, None] + y.seg_m0[j]).ravel())
+            lengths.append(np.full(n.size, l1 + l2 - 1))
+            kept.append(inside)
+    seg_n, seg_m0, offsets, dst = _assemble(np.concatenate(ns), _ints(np.concatenate(m0s)),
+                                            np.concatenate(lengths), np.concatenate(kept))
+    return tuple(pairs), dst, _Layout(x.params, x.dtau, x.tau0 + y.tau0, seg_n, seg_m0, offsets)
+
+
 def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
                 pre1=None, pre2=None) -> SpaceTimeSpectrum:
     """Normalized space-time convolution (1/lam) dtau sum_{k1,tau1} u(k-k1,..) v(k1,..).
@@ -612,40 +663,28 @@ def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
     hitting one factor), each called once with the array of its input's
     band ks; a symbol must map that array elementwise.  Output
     beyond kmax, and the excluded k=0 column, are dropped; their L2 mass is
-    recorded as truncated_mass.  Segments are grouped by length, each pair
-    of groups convolves all its segment pairs at once, and _assemble lays
-    the kept rows out in one pass, summing rows that land on the same cells.
+    recorded as truncated_mass.  Each pair of segment groups (_convolution_plan,
+    built once per pair of layouts) convolves all its segment pairs at once,
+    and the rows scatter into the output layout in one pass.  Inputs whose j,
+    lam, nmax or dtau differ are a ValueError.
     """
-    if not (u.params.lam == v.params.lam and u.dtau == v.dtau):
+    p, q = u.params, v.params
+    if (p.j, p.lam, p.nmax, u.dtau) != (q.j, q.lam, q.nmax, v.dtau):
         raise ValueError("space-time grids do not match")
-    p = u.params
+    if not (u.seg_n.size and v.seg_n.size):
+        return SpaceTimeSpectrum(p, u.dtau, u.tau0 + v.tau0)
+    pairs, dst, out = _cached(_CACHE, ("plan", u.layout.key, v.layout.key),
+                              lambda: _convolution_plan(u.layout, v.layout))
     scale = u.dtau / p.lam
-    fu = u.amps if pre1 is None else u._k_symbol(pre1) * u.amps
-    fv = v.amps if pre2 is None else v._k_symbol(pre2) * v.amps
-    len_u, len_v = np.diff(u.offsets), np.diff(v.offsets)
-    rows, ns, m0s, lengths, kept = [], [], [], [], []
-    dropped = 0.0
-    for l1 in sorted(set(len_u.tolist())):
-        i = np.flatnonzero(len_u == l1)
-        a = fu[u.offsets[i][:, None] + np.arange(l1)] * scale
-        for l2 in sorted(set(len_v.tolist())):
-            j = np.flatnonzero(len_v == l2)
-            conv = _pair_convolutions(a, fv[v.offsets[j][:, None] + np.arange(l2)])
-            n = (u.seg_n[i][:, None] + v.seg_n[j]).ravel()
-            inside = (n != 0) & (np.abs(n) <= p.nmax)
-            dropped += float(np.sum(np.abs(conv[~inside]) ** 2))
-            rows.append(conv.ravel())
-            ns.append(n)
-            m0s.append((u.seg_m0[i][:, None] + v.seg_m0[j]).ravel())
-            lengths.append(np.full(n.size, l1 + l2 - 1))
-            kept.append(inside)
-    tau0 = u.tau0 + v.tau0
-    if not rows:
-        return SpaceTimeSpectrum(p, u.dtau, tau0)
+    fu = u.amps if pre1 is None else u.layout.k_symbol(pre1) * u.amps
+    fv = v.amps if pre2 is None else v.layout.k_symbol(pre2) * v.amps
+    rows, dropped = [], 0.0
+    for a, b, drop in pairs:
+        conv = _pair_convolutions(fu[a] * scale, fv[b])
+        dropped += float(np.sum(np.abs(conv[drop]) ** 2))
+        rows.append(conv.ravel())
     buf = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    layout = _assemble(np.concatenate(ns), _ints(np.concatenate(m0s)),
-                       np.concatenate(lengths), buf, np.concatenate(kept))
-    return SpaceTimeSpectrum._from_layout(p, u.dtau, tau0, *layout,
+    return SpaceTimeSpectrum._from_layout(out, _scatter(dst, buf, out.offsets[-1]),
                                           math.sqrt(dropped * u.dtau / p.lam))
 
 
@@ -671,18 +710,18 @@ def bilinear_output(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum, form: str) -> Sp
     F:                <sigma>^(-1) F(u, v), the model's nonlinearity at mu = 1; it equals
                       product_dx / 2 + product_smoothed + dxdx_smoothed / 2
 
-    Each term is one st_convolve, its cells scaled by post(k) / <sigma>.  A layout depends
-    only on the inputs' segment tables, so the terms share the first one's cells and are
+    Each term is one st_convolve, its cells scaled by post(k) / <sigma> (the output layout's
+    post_factors).  The terms share one plan, so they share the first one's cells and are
     summed there in place.  truncated_mass is the first (plain) convolution's.
     """
     if form not in _FORM_TERMS:
         raise ValueError(f"form must be one of {tuple(_FORM_TERMS)}")
-    (pre, post), *rest = _FORM_TERMS[form]
+    (pre, _), *rest = _FORM_TERMS[form]
     out = st_convolve(u, v, pre, pre)
-    br_sigma = bracket(out._sigma)
-    out.amps *= out._k_symbol(post) / br_sigma
-    for pre, post in rest:
-        out.amps += st_convolve(u, v, pre, pre).amps * (out._k_symbol(post) / br_sigma)
+    first, *factors = out.layout.post_factors(form)
+    out.amps *= first
+    for (pre, _), factor in zip(rest, factors):
+        out.amps += st_convolve(u, v, pre, pre).amps * factor
     return out
 
 

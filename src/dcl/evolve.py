@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bourgain import _lift_halves, _time_step, _zs_apply, _zs_table
+from .bourgain import _lift_halves, _time_step, zs_norm
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -492,7 +492,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     # loop buffers: the difference (first Simpson's 8 f_odd rows), F, the quadrature, the lift
     d, integrand, cum = np.empty((3, nt, m), dtype=complex)
     b8, lift = d[:nt // 2], np.empty((2 * m, nt), dtype=complex)
-    diffs_hs, diffs_zs, at_floor, table = [], [], [], None  # table: Z^s's, per band set
+    diffs_hs, diffs_zs, at_floor = [], [], []
     kw_pos = sobolev_weights(p, cfg.report_s)[m + 1:]
     rows = np.empty((nt, 2 * m + 1))  # kw |.|^2 of full rows: mirrored, with the n = 0 slot 0
     rows[:, m] = 0.0
@@ -527,8 +527,7 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         phase_s["iterate"] += time.perf_counter() - clock
         if measure_zs:
             clock = time.perf_counter()
-            table = _zs_table(lifted := _lift_halves(d, t0, dt, p, lift), cfg.report_s, table)
-            diffs_zs.append(_zs_apply(lifted.amps, table))
+            diffs_zs.append(zs_norm(_lift_halves(d, t0, dt, p, lift), cfg.report_s))
             phase_s["zs"] += time.perf_counter() - clock
         w = w_next
     top = np.abs(w).max(axis=0)

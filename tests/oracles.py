@@ -211,12 +211,12 @@ def norm(obj, ns: NormSpec) -> float:
 def zs_norm_by_cells(u: SpaceTimeSpectrum, s: float) -> float:
     """dcl.bourgain.zs_norm with a region code per cell and one bincount per (band, term)."""
     sk, sb = 2.0 * np.array([*bourgain.zs_weights(s, u.params.j), (0.0, 0.0)]).T
-    seg, factor, band, sig = u._norm_cells
-    codes = bourgain.region_codes(u._band_k[band], np.abs(sig), u.params)
+    seg, factor, band, sig = u.layout.norm_cells(u._real)
+    codes = bourgain.region_codes(u.layout.band_k[band], np.abs(sig), u.params)
     term = np.array([3, 0, 1, 2, 2, 0])[codes]  # D1, D5 -> 0; D2 -> 1; D3, D4 -> 2; excluded -> 3
     cell = bracket(sig) ** sb[term] * np.abs(u.amps[u.offsets[seg]:]) ** 2
-    per_band = np.bincount(4 * band + term, cell, 4 * u._band_k.size).reshape(-1, 4)
-    totals = factor * np.sum(per_band * bracket(u._band_k)[:, None] ** sk, axis=0)
+    per_band = np.bincount(4 * band + term, cell, 4 * u.layout.band_k.size).reshape(-1, 4)
+    totals = factor * np.sum(per_band * bracket(u.layout.band_k)[:, None] ** sk, axis=0)
     return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + bourgain.ys_norm(u, s)
 
 

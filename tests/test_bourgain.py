@@ -1,5 +1,6 @@
 """Region decomposition, restriction norms, convolution oracle, scans, probes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,17 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcl import lattice
+from dcl import bourgain, lattice
 from dcl.bourgain import (
     REGION_LABELS,
     _characteristic,
     _embedding_scans,
     _lift_halves,
     _region_sigma_ranges,
+    _Layout,
     _time_step,
-    _zs_apply,
     _zs_bounds,
-    _zs_table,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -42,6 +42,7 @@ from dcl.bourgain import (
     zs_norm,
 )
 from dcl.evolve import PicardConfig
+from dcl.illposed import build_counterexample
 from dcl.lattice import ModelParams, SpatialSpectrum, bracket, hermitian_rows
 from dcl.symbols import dispersion_symbol
 
@@ -545,6 +546,25 @@ _CONV_CASES = {
 }
 
 
+def assert_matches_pairwise(u, v, pre=None):
+    """st_convolve(u, v, pre, pre) against pairwise_convolve and brute_convolve; returns it."""
+    out = st_convolve(u, v, pre1=pre, pre2=pre)
+    bands, mass = pairwise_convolve(u, v, pre, pre)
+    assert out.tau0 == u.tau0 + v.tau0
+    assert sorted(out.bands) == sorted(bands)
+    for n, segs in bands.items():
+        got = out.bands[n]
+        assert [(m0, len(a)) for m0, a in got] == [(m0, len(a)) for m0, a in segs]
+        for (_, a), (_, b) in zip(got, segs):
+            assert np.abs(a - b).max() < 1e-12
+    assert out.n_cells() == sum(len(a) for segs in bands.values() for _, a in segs)
+    assert out.seg_n.size == sum(len(segs) for segs in bands.values())
+    assert out.truncated_mass == pytest.approx(mass, rel=1e-12)
+    slow = brute_convolve(u, v, pre1=pre, pre2=pre)
+    assert max(abs(oracles.st_value_at(out, n, m) - a) for (n, m), a in slow.items()) < 1e-12
+    return out
+
+
 class TestBatchedConvolution:
     @pytest.mark.parametrize("case", sorted(_CONV_CASES))
     @pytest.mark.parametrize("derivative", [False, True])
@@ -553,21 +573,7 @@ class TestBatchedConvolution:
         rng = np.random.default_rng(31)
         u = segmented_spectrum(params, rng, lay_u)
         v = segmented_spectrum(params, rng, lay_v, tau0=0.125)
-        pre = (lambda k: 1j * k) if derivative else None
-        out = st_convolve(u, v, pre1=pre, pre2=pre)
-        bands, mass = pairwise_convolve(u, v, pre, pre)
-        assert out.tau0 == u.tau0 + v.tau0
-        assert sorted(out.bands) == sorted(bands)
-        for n, segs in bands.items():
-            got = out.bands[n]
-            assert [(m0, len(a)) for m0, a in got] == [(m0, len(a)) for m0, a in segs]
-            for (_, a), (_, b) in zip(got, segs):
-                assert np.abs(a - b).max() < 1e-12
-        assert out.n_cells() == sum(len(a) for segs in bands.values() for _, a in segs)
-        assert out.seg_n.size == sum(len(segs) for segs in bands.values())
-        assert out.truncated_mass == pytest.approx(mass, rel=1e-12)
-        slow = brute_convolve(u, v, pre1=pre, pre2=pre)
-        assert max(abs(oracles.st_value_at(out, n, m) - a) for (n, m), a in slow.items()) < 1e-12
+        assert_matches_pairwise(u, v, (lambda k: 1j * k) if derivative else None)
 
     def test_long_segments_convolve_in_chunks(self, params8):
         # 1100-cell rows: the Toeplitz stack of v is built one row at a time
@@ -731,8 +737,7 @@ def real_trajectory(params, nt, seed):
 
 def unmarked(u):
     """The same layout and amplitudes, not marked as a real field."""
-    return SpaceTimeSpectrum._from_layout(u.params, u.dtau, u.tau0, u.seg_n, u.seg_m0,
-                                          u.offsets, u.amps)
+    return SpaceTimeSpectrum._from_layout(u.layout, u.amps)
 
 
 class TestTimeSamples:
@@ -941,10 +946,10 @@ class TestRegionRuns:
     the per-cell route."""
 
     def check(self, u, s=-0.25):
-        _, _, band, sig = u._norm_cells
-        b0, b1 = (b[band] for b in _zs_bounds(u._band_k, u.params.j))
+        _, _, band, sig = u.layout.norm_cells(u._real)
+        b0, b1 = (b[band] for b in _zs_bounds(u.layout.band_k, u.params.j))
         term = (np.abs(sig) >= b0).astype(int) + (np.abs(sig) >= b1)
-        codes = region_codes(u._band_k[band], np.abs(sig), u.params)
+        codes = region_codes(u.layout.band_k[band], np.abs(sig), u.params)
         assert np.array_equal(term, np.array([3, 0, 1, 2, 2, 0])[codes])
         assert zs_norm(u, s) == oracles.zs_norm_by_cells(u, s)  # the same sums in the same order
         return codes
@@ -977,7 +982,7 @@ class TestRegionRuns:
                 for sig in (theta[0], -theta[0]):
                     u = threshold_spectrum(p, n, sig, width)
                     if abs(sig / u.dtau) < 2**53:
-                        assert u._sigma[width] == sig
+                        assert u.layout.sigma[width] == sig
                     self.check(u)
 
     def test_short_straddling_segment_before_a_low_one(self):
@@ -1006,12 +1011,12 @@ class TestRegionRuns:
         far = round(hi / 0.25)
         u = SpaceTimeSpectrum(p, 0.25, 0.0, {1024: [(m_n + far - 4, np.ones(9)),
                                                     (m_n - far - 4, np.ones(9))]})
-        assert np.unique(u._sigma).size < u.n_cells()
+        assert np.unique(u.layout.sigma).size < u.n_cells()
         self.check(u)
 
 
 class TestZsTable:
-    """zs_norm's layout part and amplitude part, and the table reuse picard_iterate relies on."""
+    """The layout's Z^s table per s, and the layouts picard_iterate's lifts share."""
 
     none, all_ = [False] * 8, [True] * 8
     masks = st.one_of(st.just(none), st.just(all_), st.lists(st.booleans(), min_size=8, max_size=8))
@@ -1020,35 +1025,210 @@ class TestZsTable:
            case=st.sampled_from([(2, 1.0, -0.25), (3, 2.0, 0.4)]))
     @example(masks=[none, [True, False] * 4, all_, [False, True] * 4, none], seed=0,
              case=(2, 1.0, -0.25))
+    @example(masks=[none, none, [True, False] * 4, [False, True] * 4], seed=1,
+             case=(3, 2.0, 0.4))
     @settings(max_examples=40, deadline=None)
     def test_reused_table_equals_zs_norm_of_each_lift(self, masks, seed, case):
         # picard_iterate's route: each (nt, nmax) block of halves is lifted into one
-        # buffer and measured against the table of its band set, built only when the
-        # set changes; columns set True in a mask are exactly zero, so their bands drop
+        # buffer and measured against the table of its shared layout, which changes only
+        # when the band set does; columns set True in a mask are exactly zero, so their
+        # bands drop.  The reference's layout is built anew from its own bands
         j, lam, s = case
         p = ModelParams(j=j, lam=lam, kmax=8.0 / lam)  # nmax = 8
         cfg = PicardConfig(nt=17)
         t = cfg.t_grid()
         dt = _time_step(t, None)
         rng = np.random.default_rng(seed)
-        buf, table = np.empty((2 * p.nmax, cfg.nt), dtype=complex), None
+        buf = np.empty((2 * p.nmax, cfg.nt), dtype=complex)
         for mask in masks:
             halves = rng.standard_normal((cfg.nt, 8)) + 1j * rng.standard_normal((cfg.nt, 8))
             halves[:, mask] = 0.0
-            lifted = _lift_halves(halves, float(t[0]), dt, p, buf)
-            table = _zs_table(lifted, s, table)
-            want = zs_norm(from_time_samples(t, hermitian_rows(halves), p), s)
-            assert _zs_apply(lifted.amps, table) == want
+            got = zs_norm(_lift_halves(halves, float(t[0]), dt, p, buf), s)
+            bourgain._CACHE.clear()
+            assert got == zs_norm(from_time_samples(t, hermitian_rows(halves), p), s)
 
     def test_table_is_kept_for_the_same_band_set_only(self):
         p = ModelParams(j=2, kmax=4.0)
         t, block = real_trajectory(p, 17, seed=3)
         u = from_time_samples(t, block, p)
-        table = _zs_table(u, -0.25)
-        assert _zs_table(from_time_samples(t, 2.0 * block, p), -0.25, table) is table
-        assert _zs_table(u, 0.5, table) is not table
+        table = u.layout.zs_table(-0.25, True)
+        w = from_time_samples(t, 2.0 * block, p)
+        assert w.layout is u.layout and w.layout.zs_table(-0.25, True) is table
+        assert u.layout.zs_table(0.5, True) is not table
+        assert u.layout.zs_table(-0.25, False) is not table  # an unmarked spectrum reads every cell
         block[:, [p.nmax - 1, p.nmax + 1]] = 0.0
-        assert _zs_table(from_time_samples(t, block, p), -0.25, table) is not table
+        dropped = from_time_samples(t, block, p)
+        assert dropped.layout is not u.layout
+        assert dropped.layout.zs_table(-0.25, True) is not table
+
+
+def layout_and_plan_arrays(u):
+    """Every array u's layout holds or caches, and every array of each plan in the cache."""
+    found = []
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            walk(list(value.values()))
+        elif isinstance(value, _Layout):
+            walk(list(vars(value).values()))
+
+    walk(u.layout)
+    walk([plan for key, plan in bourgain._CACHE.items() if key[0] == "plan"])
+    return found
+
+
+class TestLayoutCache:
+    """Layouts and st_convolve plans: shared, read-only, and kept in one LRU keyed by content."""
+
+    @pytest.mark.parametrize("other", [(3, 1.0, 16.0), (3, 1.0, 8.0), (2, 2.0, 4.0)])
+    def test_mismatched_grids_rejected(self, other):
+        j, lam, kmax = other
+        u = random_spectrum(ModelParams(j=2, kmax=8.0), np.random.default_rng(1))
+        v = random_spectrum(ModelParams(j=j, lam=lam, kmax=kmax), np.random.default_rng(2))
+        for x, y in ((u, v), (v, u)):
+            with pytest.raises(ValueError, match="space-time grids do not match"):
+                st_convolve(x, y)
+            with pytest.raises(ValueError, match="space-time grids do not match"):
+                bilinear_output(x, y, "F")
+            with pytest.raises(ValueError, match="space-time grids do not match"):
+                x + y
+
+    def test_cached_arrays_are_read_only(self, params8):
+        rng = np.random.default_rng(3)
+        u, v = random_spectrum(params8, rng), random_spectrum(params8, rng)
+        lifted = from_time_samples(*real_trajectory(params8, 17, seed=3), params8)
+        for x in (u, bilinear_output(u, v, "F"), lifted):
+            zs_norm(x, -0.25)
+            x.layout.sigma
+            arrays = layout_and_plan_arrays(x)
+            assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
+        assert u.amps.flags.writeable  # the amplitudes are the spectrum's own
+        with pytest.raises(ValueError, match="read-only"):
+            u.layout.seg_m0[0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            u.layout.zs_table(-0.25, False)[1][:] = 0.0
+
+    @pytest.mark.parametrize("form", ["dxdx_smoothed", "F"])
+    def test_an_output_keeps_its_amps_across_later_calls(self, params8, form):
+        rng = np.random.default_rng(4)
+        pairs = [(random_spectrum(params8, rng), random_spectrum(params8, rng)) for _ in range(3)]
+        first = bilinear_output(*pairs[0], form)
+        amps, mass = first.amps.copy(), first.truncated_mass
+        later = [bilinear_output(*pair, form) for pair in pairs[1:]]
+        assert all(out.layout is first.layout for out in later)  # one plan, one output layout
+        assert not np.array_equal(later[0].amps, amps)
+        assert np.array_equal(first.amps, amps) and first.truncated_mass == mass
+
+    def test_key_separates_what_the_plan_depends_on(self):
+        # the base pair, then one variant per part of the key; each gets its own plan, and
+        # every convolution matches the pairwise oracle
+        base = ModelParams(j=2, kmax=4.0)
+        lay_u = {1: [(0, 3), (10, 5)], -2: [(4, 2)], 3: [(-7, 6), (0, 1)]}
+        lay_v = {2: [(1, 4), (20, 2)], -1: [(0, 5)], -3: [(3, 3), (9, 1)]}
+        moved = {**lay_v, -3: [(4, 3), (9, 1)]}  # the same seg_n, one m0 moved
+        resized = {**lay_v, -3: [(3, 2), (9, 1)]}  # the same seg_n and m0, other offsets
+        cases = [  # (params, dtau, tau0 of v, layout of v)
+            (base, 0.25, 0.125, lay_v), (base, 0.25, 0.25, lay_v), (base, 0.125, 0.125, lay_v),
+            (ModelParams(j=3, kmax=4.0), 0.25, 0.125, lay_v),
+            (ModelParams(j=2, lam=2.0, kmax=2.0), 0.25, 0.125, lay_v),
+            (base, 0.25, 0.125, moved), (base, 0.25, 0.125, resized)]
+        bourgain._CACHE.clear()
+        layouts = []
+        for params, dtau, tau0, lay in cases:
+            rng = np.random.default_rng(37)
+            u = segmented_spectrum(params, rng, lay_u, dtau=dtau)
+            v = segmented_spectrum(params, rng, lay, dtau=dtau, tau0=tau0)
+            out = assert_matches_pairwise(u, v)
+            assert bourgain._CACHE["plan", u.layout.key, v.layout.key][-1] is out.layout
+            layouts.append(out.layout)
+        assert len(set(map(id, layouts))) == len(cases)
+        assert sum(key[0] == "plan" for key in bourgain._CACHE) == len(cases)
+
+    def test_equal_tables_share_one_layout(self):
+        p = ModelParams(j=4, lam=2.0, kmax=1024.0)  # seg_m0 of Python ints, keyed by value
+        spec = SpatialSpectrum.from_modes(p, {1024.0: 1.0, -1023.5: 2j, 0.5: 1.0})
+        u = from_characteristic(spec)
+        assert u.seg_m0.dtype == object
+        assert from_characteristic(spec.__class__(p, 3.0 * spec.amps)).layout is u.layout
+        assert u.scaled(2.0).layout is u.layout
+        assert from_characteristic(spec, dtau=0.125).layout is not u.layout
+        assert from_characteristic(spec, sigma_halfwidth=1.0).layout is not u.layout
+
+    def test_cache_keeps_its_size(self, params8):
+        spec = hermitian_spectrum(params8, seed=5)
+        oldest = from_characteristic(spec, dtau=1.0).layout
+        for i in range(1, 2 * bourgain._CACHE_SIZE + 3):
+            u = from_characteristic(spec, dtau=1.0 / (i + 1))
+            assert len(bourgain._CACHE) <= bourgain._CACHE_SIZE
+        assert len(bourgain._CACHE) == bourgain._CACHE_SIZE
+        assert from_characteristic(spec, dtau=1.0 / (i + 1)).layout is u.layout  # still kept
+        assert from_characteristic(spec, dtau=1.0).layout is not oldest  # evicted, rebuilt
+
+
+# Recorded before layouts and plans were cached: the outputs must stay equal bit for bit
+GOLDEN_RATIOS = {
+    (2, 1.0, 16.0, -0.25): {
+        "dxdx_smoothed": [0.000764291574154106, 0.0010960090078374891, 0.0007445744119965961],
+        "product_dx": [0.000611818347932764, 0.0011466453078505933, 0.0005358149966027416],
+        "product_smoothed": [0.00020391920410115747, 0.0002690282067973173,
+                             0.00019273174368208875]},
+    (3, 2.0, 8.0, -1.0): {
+        "dxdx_smoothed": [4.82660434861402e-05, 0.00013696894360907378, 7.751724641916771e-05],
+        "product_dx": [0.00013769714437525916, 0.0006602650192723186, 0.0001842489281347334],
+        "product_smoothed": [8.805614257809196e-05, 0.0003484542223975461,
+                             0.00012767024040039762]},
+}
+
+
+def digest(*arrays):
+    """sha256 prefix of the arrays' bytes; an object array's by the repr of its ints."""
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(repr(a.tolist()).encode() if a.dtype == object else a.tobytes())
+    return h.hexdigest()[:32]
+
+
+class TestPlanParity:
+    @pytest.fixture(params=["cold", "warm"])
+    def cache(self, request):
+        bourgain._CACHE.clear()
+        if request.param == "warm":
+            self.run_all()
+        return request.param
+
+    def run_all(self):
+        for (j, lam, kmax, s), forms in GOLDEN_RATIOS.items():
+            for form, want in forms.items():
+                got = batch_bilinear_probe(ModelParams(j=j, lam=lam, kmax=kmax), s, form, 3, 7)
+                assert got["ratios"] == want
+        out = bilinear_output(*build_counterexample(16, 2), "F")
+        assert digest(out.amps) == "ea5e379b13f6ef7c16e959ee7a81b73b"
+        assert digest(out.seg_n, out.seg_m0, out.offsets) == "34b8657a46b36c608603273af31dfb26"
+        assert out.truncated_mass == 0.0 and out.n_cells() == 124
+        p = ModelParams(j=4, lam=2.0, kmax=1024.0)
+        u = from_characteristic(SpatialSpectrum.from_modes(p, {1024.0: 1.0, 1023.5: 0.5j,
+                                                               0.5: 2.0}))
+        v = from_characteristic(SpatialSpectrum.from_modes(p, {-1023.5: 1.0, 1.0: -1.0,
+                                                               600.0: 0.25}))
+        assert u.seg_m0.dtype == v.seg_m0.dtype == object
+        assert (zs_norm(u, -2.0), zs_norm(v, -2.0)) == (7.944949881227255, 3.1222279418496255)
+        for form, amps, mass, zs in (
+                ("F", "a19bfe102fe64d627a0b8dfaea52ea6e", 3.180085778189108, 0.4319630782296253),
+                ("dxdx_smoothed", "1c05d4eab3a3230bd93c55a3ffda9fa1", 1395346.802370395,
+                 0.09093958855586845)):
+            out = bilinear_output(u, v, form)
+            assert out.seg_m0.dtype == object and out.n_cells() == 132
+            assert digest(out.seg_n, out.seg_m0, out.offsets) == "bcc3c20d3b4c964b1188b95117c32c25"
+            assert digest(out.amps) == amps
+            assert out.truncated_mass == mass and zs_norm(out, -2.0) == zs
+
+    def test_outputs_equal_the_recorded_ones(self, cache):
+        self.run_all()
 
 
 class TestBilinearProbe:
