@@ -42,7 +42,6 @@ from .bourgain import _lift_halves, _time_step, zs_norm
 from .lattice import (
     ModelParams,
     SpatialSpectrum,
-    grid_work,
     hermitian_rows,
     hs_norm,
     is_integer,
@@ -50,7 +49,7 @@ from .lattice import (
     sobolev_weights,
     uniform_step,
 )
-from .symbols import dispersion_symbol, mean_coupling, nonlinearity_rows, real_nonlinearity
+from .symbols import FKernel, dispersion_symbol, mean_coupling, nonlinearity_rows
 
 MODES = ("full", "kdv", "linear")
 PHASE_WRAP_LIMIT = 50.0  # rad: a step is trusted while dt * max |P(k)| stays below this
@@ -140,11 +139,15 @@ class IntegratingFactorRK4:
     never changes.
 
     The state must be a real field.  The stepper works on the n > 0 half of
-    its spectrum: phases, mean coupling and F (symbols.real_nonlinearity)
-    are all halves, and step mirrors the result into a full row once.
-    simulate and the one-off step check that their input is real.  Every
-    buffer a step writes is built here, once, so a stepper must not be
-    stepped from two threads at once; _advance returns a fresh half.
+    its spectrum: phases, mean coupling and F (a symbols.FKernel) are all
+    halves, and step mirrors the result into a full row once.  simulate and
+    the one-off step check that their input is real.  Every buffer a step
+    writes is built here, once, so a stepper must not be stepped from two
+    threads at once; _advance returns a fresh half.
+
+    The stages carry K = F(u, u) + c*mean_coupling*u, minus the right-hand side,
+    so no pass flips a sign: a stage argument is u0 - h*K, the step u0 - (dt/6)*acc.
+    Rounding to nearest is odd, fl(-x) = -fl(x), so that is bit for bit u0 + h*(-K).
     """
 
     def __init__(self, params: ModelParams, dt: float, mode: str = "full",
@@ -168,35 +171,36 @@ class IntegratingFactorRK4:
         self.e_half_inv = np.conj(self.e_half)
         self.e_full_inv = np.conj(self.e_full)
         self.mean_mult = mean_coupling(k, mu, kdv=mode == "kdv")[half]
-        # the FFT buffers, k1..k4, stage argument, accumulator; 0-d scalars, faster in a ufunc
-        self._work = grid_work(params, params.default_grid(pad=2), nf=1 if mode == "kdv" else 2)
+        # F's kernel (none when linear), k1..k4, stage argument, accumulator; 0-d scalars
+        self._F = None if mode == "linear" else FKernel(params, mu, mode == "kdv")
         *self._k, self._y, self._acc = np.empty((6, params.nmax), dtype=complex)
         h, f, self._two, self._sixth = (np.array(complex(x)) for x in (dt / 2, dt, 2.0, dt / 6))
-        self._stages = [(h, self.e_half, self.e_half_inv)] * 2 + [(f, self.e_full, self.e_full_inv)]
+        e, e_inv = (self.e_half,) * 2 + (self.e_full,), (self.e_half_inv,) * 2 + (self.e_full_inv,)
+        self._stages = tuple(zip(self._k[:3], self._k[1:], (h, h, f), e, e_inv))  # stages 2..4
 
     def _rhs(self, u: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
-        """-(F(u, u) + (c * mean_mult) * u) for the half u, written to out."""
-        if self.mode == "linear":
+        """The stage value K = F(u, u) + (c * mean_mult) * u for the half u, written to out."""
+        if self._F is None:
             out.fill(0.0)
             return out
-        real_nonlinearity(u, u, self.params, self.mu, self.mode == "kdv", out, self._work)
+        self._F(u, u, out)
         if c != 0.0:  # _acc is free until the final sum
             out += np.multiply(np.multiply(c, self.mean_mult, out=self._acc), u, out=self._acc)
-        return np.negative(out, out=out)
+        return out
 
     def _advance(self, u0: np.ndarray, c: float, t: float) -> np.ndarray:
         """The n > 0 half one step dt after the half u0 at time t, for mean c; a fresh array."""
         # g(tau, v) = S(-tau) rhs(S(tau) v) at the stages, in place, with the operands in the order
-        # e_inv * rhs(e * (u0 + h*k)), u0 + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4): a*b may not be b*a
+        # e_inv * rhs(e * (u0 - h*k)), u0 - (dt/6)*(((k1 + 2*k2) + 2*k3) + k4): a*b may not be b*a
         (k1, k2, k3, k4), y, acc = self._k, self._y, self._acc
         self._rhs(u0, c, k1)
-        for (k_in, k_out), (scale, e, e_inv) in zip(((k1, k2), (k2, k3), (k3, k4)), self._stages):
-            np.multiply(e, np.add(u0, np.multiply(scale, k_in, out=y), out=y), out=y)
+        for k_in, k_out, scale, e, e_inv in self._stages:
+            np.multiply(e, np.subtract(u0, np.multiply(scale, k_in, out=y), out=y), out=y)
             np.multiply(e_inv, self._rhs(y, c, k_out), out=k_out)
         np.add(k1, np.multiply(self._two, k2, out=k2), out=acc)
         acc += np.multiply(self._two, k3, out=k3)
         acc += k4
-        u = self.e_full * np.add(u0, np.multiply(self._sixth, acc, out=acc), out=acc)
+        u = self.e_full * np.subtract(u0, np.multiply(self._sixth, acc, out=acc), out=acc)
         if not np.isfinite(u).all():
             raise FloatingPointError(
                 f"nonfinite amplitude at t={t + self.dt:.6g} "

@@ -245,9 +245,9 @@ class SpatialSpectrum:
 def _pocketfft():
     """numpy's gufuncs behind np.fft.irfft / rfft (numpy >= 2), else None; loaded on first use.
 
-    Called directly they give the same numbers without ~4 us of argument
-    handling per call, about a third of a transform at kmax = 128.
-    Without them the packing pair calls np.fft.
+    Called directly they give the same numbers without ~4-5 us of argument
+    handling and copying per call: a 2-row transform at kmax = 128 takes
+    ~5.6 us instead of 10-11 us.  Without them the packing pair calls np.fft.
     """
     try:
         from numpy.fft import _pocketfft_umath
@@ -260,27 +260,41 @@ def x_grid(params: ModelParams, nx: int) -> np.ndarray:
     return np.arange(nx) * (params.period() / nx)
 
 
-GridWork = namedtuple("GridWork", "half rows grid spectrum parts")
+GridWork = namedtuple("GridWork", "half rows grid spectrum parts scales inverse forward")
 
 
 def grid_work(params: ModelParams, nx: int, nf: int, batch: tuple = ()) -> GridWork:
     """The packing pair's buffers for nf (*batch, nmax) blocks of halves on nx points, and views.
 
     The one place that knows the real FFT row's layout: a half in bins 1..nmax
-    (rows, views of half), the zero mode in bin 0, the tail in bins nmax+1..nx//2.
+    (rows, views of half), the zero mode in bin 0, the tail in bins nmax+1..nx//2.  It
+    fixes all the pair reads: the scales (1/c, c), c = sqrt(2*pi)*lam, and the transforms
+    inverse() (half -> grid) and forward() (grid -> spectrum) on the buffers, their route
+    taken here, once: _pocketfft's gufuncs (the rfft for nx's parity) if found, else np.fft.
     """
     m, half = params.nmax, np.zeros((*batch, nf, nx // 2 + 1), dtype=complex)
-    spectrum = np.empty_like(half)
-    rows = tuple(half[..., i, 1:m + 1] for i in range(nf))
-    return GridWork(half, rows, np.empty((*batch, nf, nx)), spectrum,
-                    (spectrum[..., 1:m + 1], spectrum[..., 0], spectrum[..., m + 1:]))
+    spectrum, grid = np.empty_like(half), np.empty((*batch, nf, nx))
+    scales, (one, inv_nx) = _fft_constants(params.lam, nx)
+    fft = _pocketfft()
+    if fft is None:
+        inverse = lambda: np.copyto(grid, np.fft.irfft(half, n=nx, axis=-1, norm="forward"))
+        forward = lambda: np.copyto(spectrum, np.fft.rfft(grid, axis=-1, norm="forward"))
+    else:  # out passed by position: the call is faster
+        rfft = fft.rfft_n_odd if nx % 2 else fft.rfft_n_even
+        inverse, forward = (functools.partial(fft.irfft, half, one, grid),
+                            functools.partial(rfft, grid, inv_nx, spectrum))
+    return GridWork(half, tuple([half[..., i, 1:m + 1] for i in range(nf)]), grid, spectrum,
+                    (spectrum[..., 1:m + 1], spectrum[..., 0], spectrum[..., m + 1:]),
+                    scales, inverse, forward)
 
 
 @functools.lru_cache(maxsize=16)
-def _fft_scales(lam: float):
-    """(1/c, c), c = sqrt(2*pi)*lam, read-only 0-d: a ufunc takes them faster than floats."""
+def _fft_constants(lam: float, nx: int):
+    """((1/c, c), (1, 1/nx)), c = sqrt(2*pi)*lam: the pair's scales and the irfft and rfft
+    norms, read-only 0-d arrays, which a ufunc takes faster than floats."""
     c = TWO_PI_SQRT * lam
-    return np.broadcast_to(complex(1.0 / c), ()), np.broadcast_to(complex(c), ())
+    pairs = ((complex(1.0 / c), complex(c)), (1.0, 1.0 / nx))
+    return tuple(tuple(np.broadcast_to(x, ()) for x in pair) for pair in pairs)
 
 
 def lattice_to_grid(pos, params: ModelParams, work: GridWork) -> np.ndarray:
@@ -289,15 +303,15 @@ def lattice_to_grid(pos, params: ModelParams, work: GridWork) -> np.ndarray:
     pos is a sequence of the nf (*batch, nmax) blocks that work = grid_work(params, nx, nf,
     batch) was built for, one field per row; the fields come out along axis -2 of work.grid,
     not stacked first (the nonlinearity's u and u_x).  Full rows go through `real_half` first.
+    Everything the pair reads comes from work; params names the lattice it was built for.
     """
-    scale = _fft_scales(params.lam)[0]
-    for block, row in zip(pos, work.rows, strict=True):
+    scale, rows = work.scales[0], work.rows
+    if len(pos) != len(rows):  # what zip(strict=True) checks, ~0.3 us a call cheaper
+        raise ValueError(f"{len(pos)} blocks of halves for a work of {len(rows)}")
+    for block, row in zip(pos, rows):
         np.multiply(block, scale, out=row)
-    fft = _pocketfft()
-    if fft is None:
-        work.grid[...] = np.fft.irfft(work.half, n=work.grid.shape[-1], axis=-1, norm="forward")
-        return work.grid
-    return fft.irfft(work.half, 1.0, out=work.grid)
+    work.inverse()
+    return work.grid
 
 
 def grid_to_lattice(params: ModelParams, work: GridWork):
@@ -308,14 +322,8 @@ def grid_to_lattice(params: ModelParams, work: GridWork):
     the mean); tail holds the real FFT's bins beyond kmax (n = nmax+1 .. nx//2), which are
     dropped and whose mass `dropped_mass` gives.
     """
-    f, spectrum = work.grid, work.spectrum
-    nx = f.shape[-1]
-    fft = _pocketfft()
-    if fft is None:
-        spectrum[...] = np.fft.rfft(f, axis=-1, norm="forward")
-    else:
-        (fft.rfft_n_even if nx % 2 == 0 else fft.rfft_n_odd)(f, 1.0 / nx, out=spectrum)
-    np.multiply(spectrum, _fft_scales(params.lam)[1], out=spectrum)
+    work.forward()
+    np.multiply(work.spectrum, work.scales[1], out=work.spectrum)
     return work.parts
 
 

@@ -14,13 +14,14 @@ the circle).  F(u, u) is the full nonlinearity moved to the right-hand
 side: u_t + d_x^(2j+1) u + F(u, u) = 0.
 
 A real field is its n > 0 half (see lattice), and the kernel under every F,
-`real_nonlinearity`, takes and returns halves; `nonlinearity_rows` runs it
-on a block of halves.  Full rows reach it through lattice.real_half, which
-rejects a field that is not real: `nonlinearity_F` cuts its two spectra
-that way and mirrors the kernel's output once, with lattice.hermitian_rows,
-and `product_spectrum` does the same with the product under it,
-`padded_product`, which builds the packing pair's lattice.grid_work buffers
-unless its caller passes them (the stepper and `nonlinearity_rows` do).
+`FKernel`, takes and returns halves: built once per block shape, it holds
+F's symbols and the packing pair's lattice.grid_work buffers.  The stepper
+keeps one, `nonlinearity_rows` runs one on a block of halves, and
+`real_nonlinearity` builds one per call.  Full rows reach it through
+lattice.real_half, which rejects a field that is not real: `nonlinearity_F`
+cuts its two spectra that way and mirrors the kernel's output once, with
+lattice.hermitian_rows, and `product_spectrum` does the same with the
+product under it, `padded_product`.
 Products and F are taken one way, on the alias-free pad=2 grid; the lattice
 convolution that cross-checks them is an oracle of the tests
 (tests/oracles.py), not a route of the package.
@@ -108,14 +109,13 @@ def padded_product(a, b, params: ModelParams, work=None):
     a alone), one rfft the products.  work = lattice.grid_work(params, nx, len(a), batch) is
     built here if not given, and one for b when b is not a.
     """
-    nx = params.default_grid(pad=2)
     if work is None:
-        work = grid_work(params, nx, len(a), np.shape(a[0])[:-1])
+        work = grid_work(params, params.default_grid(pad=2), len(a), np.shape(a[0])[:-1])
     f = lattice_to_grid(a, params, work)
     if b is a:
         f *= f
     else:
-        f *= lattice_to_grid(b, params, grid_work(params, nx, len(b), np.shape(b[0])[:-1]))
+        f *= lattice_to_grid(b, params, grid_work(params, f.shape[-1], len(b), np.shape(b[0])[:-1]))
     return grid_to_lattice(params, work)
 
 
@@ -135,39 +135,47 @@ def _kernel_symbols(params: ModelParams, mu: float, kdv: bool):
     return ik, m_uv, m_dd
 
 
-def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False,
-                      out=None, work=None):
-    """(F(a, b), tails) for the real fields with n > 0 halves a and b, (..., nmax) blocks.
+class FKernel:
+    """F on (*batch, nmax) blocks of halves, the one place F's formula is applied: the symbols
+    and pad=2 packing buffers of one (params, mu, kdv, batch), built once.
 
-    The kernel under every F, and the one place F's formula is applied:
-    u and u_x (and v, v_x) go through one irfft as one sequence of fields
-    (padded_product), their products through one rfft, and F = m_uv (u v)^
-    + m_dd (u_x v_x)^.  It takes and returns halves.  tails[..., i, :] is
-    the dropped tail of the i-th product, u v and then (unless kdv) u_x v_x,
-    for lattice.dropped_mass on the pad=2 grid.  The stepper calls this on
-    its half, Picard and pde_residual through nonlinearity_rows, and
-    nonlinearity_F on real_half halves.  F goes to out if given: a's
-    shape, no memory shared with a or b.  With work = lattice.grid_work(params,
-    params.default_grid(pad=2), nf, a.shape[:-1]) too, nf = 1 (kdv) or 2,
-    the call allocates nothing, and tails are views into work.
+    kernel(a, b, out=None) is (F(a, b), tails) for the real fields with n > 0 halves a and b
+    (a of the kernel's shape): u and u_x (and v, v_x) go through one irfft as one sequence of
+    fields (padded_product), their products through one rfft, and F = m_uv (u v)^ + m_dd
+    (u_x v_x)^.  tails[..., i, :] is the dropped tail of the i-th product, u v and then
+    (unless kdv) u_x v_x, for lattice.dropped_mass on the pad=2 grid: views the next call
+    overwrites, so no two threads may call one kernel at once.  F goes to out if given (a's
+    shape, no memory shared with a or b), and then a call with b = a allocates nothing.
     """
-    ik, m_uv, m_dd = _kernel_symbols(params, mu, kdv)
 
-    def fields(x, x_out=None):
-        return (x,) if m_dd is None else (x, np.multiply(ik, x, out=x_out))
+    def __init__(self, params: ModelParams, mu: float = 1.0, kdv: bool = False, batch=()):
+        self.params = params
+        self.ik, self.m_uv, self.m_dd = _kernel_symbols(params, mu, kdv)
+        self.work = grid_work(params, params.default_grid(pad=2), 1 if kdv else 2, batch)
+        prods, _, self.tails = self.work.parts
+        self._uv, self._dd = prods[..., 0, :], prods[..., -1, :]  # the products' halves
 
-    sa = fields(a, out)
-    prods, _, tails = padded_product(sa, sa if b is a else fields(b), params, work)
-    out = np.multiply(m_uv, prods[..., 0, :], out=out)
-    if m_dd is not None:
-        out += np.multiply(m_dd, prods[..., 1, :], out=prods[..., 1, :])
-    return out, tails
+    def __call__(self, a, b, out=None):
+        ik, m_dd = self.ik, self.m_dd
+        sa = (a,) if m_dd is None else (a, np.multiply(ik, a, out=out))
+        sb = sa if b is a else (b,) if m_dd is None else (b, ik * b)
+        padded_product(sa, sb, self.params, self.work)
+        out = np.multiply(self.m_uv, self._uv, out=out)
+        if m_dd is not None:
+            out += np.multiply(m_dd, self._dd, out=self._dd)
+        return out, self.tails
+
+
+def real_nonlinearity(a, b, params: ModelParams, mu: float = 1.0, kdv: bool = False, out=None):
+    """(F(a, b), tails) for the real fields with n > 0 halves a and b, (..., nmax) blocks:
+    one call of an FKernel built for a's shape, as nonlinearity_F makes it on real_half halves."""
+    return FKernel(params, mu, kdv, np.shape(a)[:-1])(a, b, out)
 
 
 def nonlinearity_rows(u, params: ModelParams, mu: float = 1.0, kdv: bool = False, out=None):
     """F(u, u) for an (n, nmax) block u of halves, bit for bit real_nonlinearity(u, u, ...)[0].
 
-    F_CHUNK rows at a time share one lattice.grid_work block, so its size does not grow with n.
+    F_CHUNK rows at a time share one FKernel, so its buffers do not grow with n.
     F goes to out if given, and out is returned: u's shape, sharing no memory with u.
     """
     if out is not None and np.may_share_memory(out, u):
@@ -175,9 +183,9 @@ def nonlinearity_rows(u, params: ModelParams, mu: float = 1.0, kdv: bool = False
     out = np.empty(u.shape, dtype=complex) if out is None else out
     for lo in range(0, len(u), F_CHUNK):
         part = u[lo:lo + F_CHUNK]
-        if lo == 0 or len(part) < F_CHUNK:  # one block for the whole chunks, one for the last
-            work = grid_work(params, params.default_grid(pad=2), 1 if kdv else 2, part.shape[:-1])
-        real_nonlinearity(part, part, params, mu, kdv, out[lo:lo + F_CHUNK], work)
+        if lo == 0 or len(part) < F_CHUNK:  # one kernel for the whole chunks, one for the last
+            kernel = FKernel(params, mu, kdv, part.shape[:-1])
+        kernel(part, part, out[lo:lo + F_CHUNK])
     return out
 
 

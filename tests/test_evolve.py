@@ -1,6 +1,7 @@
 """Stepper exactness, conservation, residuals, and the fixed-point iterator."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,13 @@ from dcl.lattice import (
     real_half,
     x_grid,
 )
-from dcl.symbols import dispersion_symbol, free_evolution, nonlinearity_F, real_nonlinearity
+from dcl.symbols import (
+    dispersion_symbol,
+    free_evolution,
+    mean_coupling,
+    nonlinearity_F,
+    real_nonlinearity,
+)
 
 import oracles
 from conftest import hermitian_spectrum, trajectory_of
@@ -89,6 +96,41 @@ class TestStep:
             IntegratingFactorRK4(params16, dt)
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             step(SolverState(0.0, hermitian_spectrum(params16, seed=1)), dt)
+
+    @pytest.mark.parametrize("mean", [0.0, 0.25])
+    @pytest.mark.parametrize("mode", ["full", "kdv", "linear"])
+    def test_stage_value_is_F_plus_the_mean_coupling(self, mode, mean):
+        # the stages carry K = F(u, u) + c * mean_coupling * u, not its negative
+        p = ModelParams(j=3, lam=2.0, kmax=16.0)
+        u = hermitian_spectrum(p, seed=3).amps[p.nmax + 1:]
+        stepper = IntegratingFactorRK4(p, 1e-4, mode=mode, mu=1.5)
+        out = np.full(p.nmax, np.nan, dtype=complex)
+        assert stepper._rhs(u, mean, out) is out
+        if mode == "linear":
+            assert not out.any()
+            return
+        kdv = mode == "kdv"
+        want = real_nonlinearity(u, u, p, mu=1.5, kdv=kdv)[0]
+        if mean != 0.0:
+            want += (mean * mean_coupling(p.k_values(), 1.5, kdv)[p.nmax + 1:]) * u
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("mean", [0.0, 0.25])
+    @pytest.mark.parametrize("mode", ["full", "kdv", "linear"])
+    def test_a_warmed_step_allocates_only_its_half(self, mode, mean):
+        # every buffer a stage writes is the stepper's: past the fresh half it returns, a step
+        # allocates only small change (the finiteness mask, Python objects)
+        p = ModelParams(j=2, kmax=128.0)
+        u = hermitian_spectrum(p, seed=4, decay=0.02).amps[p.nmax + 1:].copy()
+        stepper = IntegratingFactorRK4(p, 1e-4, mode=mode)
+        stepper._advance(u, mean, 0.0)
+        tracemalloc.start()
+        try:
+            out = stepper._advance(u, mean, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 16 * p.nmax and peak < 2 * out.nbytes
 
 
 class TestSimulate:

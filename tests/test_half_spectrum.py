@@ -175,10 +175,12 @@ class TestStepperParity:
         assert traj.diagnostics == diags
 
     # kmax 128 is the simulate benchmark's size and kmax 256 rescale-check's
-    # default, on the odd grids nx = 525 and 1029; kmax 16 covers the even nx = 66
+    # default, on the even grids nx = 540 and 1080; kmax 32 runs on the odd
+    # nx = 135 (rfft_n_odd), as lam = 2 does above
     @pytest.mark.parametrize("kmax, mean", [
         pytest.param(128.0, 0.0, id="0.0"), pytest.param(128.0, 0.25, id="0.25"),
-        pytest.param(256.0, 0.0, id="kmax256-0.0"), pytest.param(256.0, 0.25, id="kmax256-0.25")])
+        pytest.param(256.0, 0.0, id="kmax256-0.0"), pytest.param(256.0, 0.25, id="kmax256-0.25"),
+        pytest.param(32.0, 0.0, id="kmax32-0.0"), pytest.param(32.0, 0.25, id="kmax32-0.25")])
     def test_benchmark_size_run_equals_the_full_row_loop(self, kmax, mean):
         p = ModelParams(j=2, kmax=kmax)
         u0 = broadband(p, seed=1, amplitude=0.01)
@@ -188,6 +190,20 @@ class TestStepperParity:
         for st, want in zip(traj.states, states, strict=True):
             assert np.array_equal(st.spec.amps, want)
         assert traj.diagnostics == diags
+
+    @pytest.mark.parametrize("kmax", [16.0, 32.0])
+    def test_numpy_fft_route_equals_the_full_row_loop(self, kmax, monkeypatch):
+        # without lattice._pocketfft the kernel's work takes np.fft when the stepper builds it
+        monkeypatch.setattr(lattice, "_pocketfft", lambda: None)
+        p = ModelParams(j=2, kmax=kmax)
+        u0 = broadband(p, seed=8, amplitude=0.01)
+        for mode, mean in (("full", 0.0), ("full", 0.25), ("kdv", 0.25)):
+            traj = simulate(u0, 12e-4, 1e-4, mode=mode, mu=1.5, mean=mean, stride=5)
+            times, states, diags, _ = oracle_simulate(u0, 12, 1e-4, mode, 1.5, mean, 5)
+            assert [s.t for s in traj.states] == times
+            for st, want in zip(traj.states, states, strict=True):
+                assert np.array_equal(st.spec.amps, want)
+            assert traj.diagnostics == diags
 
     @pytest.mark.parametrize("mean", [0.0, 0.25])
     def test_one_step_at_a_time_equals_simulate(self, mean):
@@ -297,7 +313,7 @@ class TestStepperParity:
 
 KERNEL_PARAMS = [ModelParams(j=2, kmax=8.0), ModelParams(j=2, kmax=16.0),
                  ModelParams(j=3, lam=2.0, kmax=8.0), ModelParams(j=3, kmax=6.0)]
-KERNEL_IDS = ["nx35", "nx66", "lam2j3", "nx27"]
+KERNEL_IDS = ["nx36", "nx72", "lam2j3", "nx27"]  # pad=2 grids; lam2j3 is on nx = 72
 
 
 class TestKernelParity:

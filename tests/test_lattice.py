@@ -327,13 +327,14 @@ class TestZeroModeExclusion:
         assert spec.amps[params16.nmax] == 0.0
 
 
-# odd and even grids: params 8 has nx = 35, params 16 has nx = 66 at pad=2
+# nx at pad 1 and 2: 18 and 36 (kmax 8), 36 and 72 (kmax 16 and lam2j3), 72 and
+# the odd 135 (kmax 32)
 PACKING_PARAMS = [ModelParams(j=2, kmax=8.0), ModelParams(j=2, kmax=16.0),
-                  ModelParams(j=3, lam=2.0, kmax=8.0)]
+                  ModelParams(j=3, lam=2.0, kmax=8.0), ModelParams(j=2, kmax=32.0)]
 
 
 class TestRealPacking:
-    @pytest.mark.parametrize("p", PACKING_PARAMS, ids=["nx35", "nx66", "lam2j3"])
+    @pytest.mark.parametrize("p", PACKING_PARAMS, ids=["kmax8", "kmax16", "lam2j3", "kmax32"])
     @pytest.mark.parametrize("pad", [1, 2])
     def test_round_trip_hermitian_block(self, p, pad):
         blk = np.stack([hermitian_spectrum(p, seed=s, decay=0.2).amps for s in range(4)])

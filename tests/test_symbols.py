@@ -262,10 +262,10 @@ class TestLatticeSymbols:
         assert np.allclose(du.amps, 1j * params16.k_values() * u.amps)
 
 
-# pad=2 grids: nx = 35 (odd), 66 (even, a Nyquist bin), 66 at lam=2, j=3, 27 (odd)
+# pad=2 grids: nx = 36 and 72 (even, a Nyquist bin), 72 at lam=2, j=3, 27 (odd)
 KERNEL_PARAMS = [ModelParams(j=2, kmax=8.0), ModelParams(j=2, kmax=16.0),
                  ModelParams(j=3, lam=2.0, kmax=8.0), ModelParams(j=3, kmax=6.0)]
-KERNEL_IDS = ["nx35", "nx66", "lam2j3", "nx27"]
+KERNEL_IDS = ["nx36", "nx72", "lam2j3", "nx27"]
 
 
 def assert_matches_convolution(fast, slow):
