@@ -13,7 +13,8 @@ flow.  With c_j = (2j+1) 4^(-j) / 3, the lattice splits into
 Boundary ties: the inequalities are closed/open exactly as written; where
 that leaves an overlap (|k| = 1, and sigma = c_j|k|^(2j) = c_j|k|^(2j+1)
 when |k| = 1), the large-k family D1/D2/D3 wins and D1 takes precedence
-over D3.  These rules live only in region_codes, the one classifier;
+over D3.  These rules live only in region_codes, the one classifier, and
+its cuts on |sigma| (_region_cuts), which zs_norm shares;
 region_memberships keeps the raw inequalities as its oracle.  The composite
 norm, with its exponent pairs in zs_weights, is
 
@@ -44,9 +45,9 @@ on M_n.  Every operation (convolution, symbols, norms) runs on the whole
 buffer at once, with per-band factors (k symbols, <k> powers, region
 thresholds) computed once per band.  L2(dtau) is (sum |a|^2 dtau)^(1/2)
 and L1(dtau) is sum |a| dtau, with weights evaluated at cell centers.
-Z^s sorts each cell into its term by two per-band bounds on |sigma|
-(_zs_bounds), region_codes' thresholds and ties in ">=" form; each cell's
-bin and <sigma> weight are the layout's Z^s table for s.
+Z^s sorts each cell into its term by the two per-band cuts on |sigma| that
+region_codes classifies by (_region_cuts, the D1..D5 ties in ">=" form);
+each cell's bin and <sigma> weight are the layout's Z^s table for s.
 
 A spectrum that from_time_samples builds from samples of real fields is
 marked as a real field: its n < 0 bands are the exact conjugate mirrors of
@@ -144,18 +145,43 @@ def region_thresholds(ak, j: int):
     return c * power(ak, 2 * j), c * power(ak, 2 * j + 1)
 
 
+def _region_cuts(k, j: int):
+    """The D1..D5 ties at k as two cuts (b0, b1) on |sigma|, each region a ">=" test.
+
+    b0 is the float after lo for |k| >= 1 and after hi below (|sigma| > t iff |sigma| >=
+    nextafter(t, inf)), and b1 = max(hi, b0).  So (|sigma| >= b0) + (|sigma| >= b1) is 0 on
+    D1, 1 on D2 and 2 on D3 for |k| >= 1, and |sigma| >= b0 is D4 below; at |k| = 1, b1 = b0
+    and D2 is empty.  A float k takes _float_cuts.
+    """
+    ak = abs(k)
+    if not isinstance(ak, np.ndarray):
+        return _float_cuts(ak, j)
+    lo, hi = region_thresholds(ak, j)
+    b0 = np.nextafter(np.where(ak >= 1.0, lo, hi), np.inf)
+    return b0, np.maximum(hi, b0)
+
+
+@lru_cache(maxsize=4096)  # classify_region runs once per point, on few distinct k
+def _float_cuts(ak: float, j: int):
+    """_region_cuts at a float |k| = ak: math.nextafter, as region_thresholds takes pow."""
+    lo, hi = region_thresholds(ak, j)
+    b0 = math.nextafter(lo if ak >= 1.0 else hi, math.inf)
+    return b0, max(hi, b0)
+
+
 def region_codes(k, abs_sigma, params: ModelParams):
     """Region code of (k, |sigma|): 0 excluded, 1..5 for D1..D5; floats or broadcast arrays.
 
     Tie rules: k = 0 is excluded, |k| within 1e-12 of 1/lam or kmax is
-    inside, and at |k| = 1 the large-k family wins with D1 before D3.
+    inside, and at |k| = 1 the large-k family wins with D1 before D3; the
+    ties between regions are _region_cuts'.
     """
     ak = abs(k)
-    lo, hi = region_thresholds(ak, params.j)
+    b0, b1 = _region_cuts(ak, params.j)
     inside = (ak != 0.0) & (ak >= 1.0 / params.lam - 1e-12) & (ak <= params.kmax + 1e-12)
-    above_lo = abs_sigma > lo
-    large = (ak >= 1.0) * (1 + above_lo + (above_lo & (abs_sigma >= hi)))
-    small = (ak < 1.0) * (5 - (abs_sigma > hi))
+    above = abs_sigma >= b0
+    large = (ak >= 1.0) * (1 + above + (abs_sigma >= b1))
+    small = (ak < 1.0) * (5 - above)
     return inside * (large + small)
 
 
@@ -331,7 +357,7 @@ class _Layout:
         """zs_norm's layout part (bins, weight, k_x), built once per (s, real).
 
         Each cell is weighted by its term's <sigma> power (weight), the term taken from its band's
-        two bounds (_zs_bounds), and summed into its bin 3 band + term (bins) in cell order, so the
+        two cuts (_region_cuts), and summed into its bin 3 band + term (bins) in cell order, so the
         totals are those of classifying every cell with region_codes, bit for bit; the <k> powers
         are taken per band (k_x).
         """
@@ -341,8 +367,8 @@ class _Layout:
             sk, sb = 2.0 * np.array(zs_weights(s, self.params.j)).T
             _, _, band, sig = self.norm_cells(real)
             # int8 terms: few cell-sized temporaries on large spectra
-            term = np.add(*(np.abs(sig) >= b[band] for b in _zs_bounds(self.band_k, self.params.j)),
-                          dtype=np.int8)
+            cuts = _region_cuts(self.band_k, self.params.j)
+            term = np.add(*(np.abs(sig) >= b[band] for b in cuts), dtype=np.int8)
             return 3 * band + term, bracket(sig) ** sb.take(term), bracket(self.band_k)[:, None]**sk
         return _cached(self._tables, (s, real), build)
 
@@ -579,20 +605,6 @@ def zs_weights(s: float, j: int):
     return ((s, (2 * j - 1) / (2 * j)),
             ((1 - 2 * j) * (s - 1), s),
             (-(s - 1) / j - 1, (s - 1) / j + 1))
-
-
-def _zs_bounds(k, j: int):
-    """Per band (b0, b1): a cell's index into zs_weights is (|sigma| >= b0) + (|sigma| >= b1).
-
-    b0 is the float after lo for |k| >= 1 and after hi below, and b1 = max(hi, b0),
-    so the index is 0 on D1+D5, 1 on D2 and 2 on D3+D4 with region_codes' ties
-    (|sigma| > t iff |sigma| >= nextafter(t, inf)); at |k| = 1, b1 = b0 and D2 is
-    empty.  Every band of a spectrum lies in [1/lam, kmax], so no cell is excluded.
-    """
-    ak = np.abs(k)
-    lo, hi = region_thresholds(ak, j)
-    b0 = np.nextafter(np.where(ak >= 1.0, lo, hi), np.inf)
-    return b0, np.maximum(hi, b0)
 
 
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:

@@ -5,6 +5,13 @@ operator is the unimodular multiplier exp(i t P(k)) with
 
     P(k) = (-1)^(j+1) k^(2j+1).
 
+That phase has one rule, free_phases: exp(i t P(n/lam)) on the n > 0 half,
+n = 1..nmax, from one cached table of P there (half_dispersion).  The
+stepper's integrating factors, Picard's S(t) table and free_evolution all
+take it from there, and free_evolution mirrors it onto n < 0 as conjugates:
+numpy's float power is not odd bit for bit on every lattice, so a P formed on
+the full row would not keep a real field exactly real.
+
 The nonlinearity enters through the symmetric bilinear map
 
     F(u, v) = 1/2 d_x(u v) + d_x (1 - mu^2 d_x^2)^(-1) [u v + mu^2/2 u_x v_x]
@@ -70,13 +77,34 @@ def nonlocal_multiplier(k):
     return 1j * k / (1.0 + k * k)
 
 
+@lru_cache(maxsize=32)
+def half_dispersion(params: ModelParams) -> np.ndarray:
+    """P(n/lam) for n = 1..nmax, read-only; sliced from the full row, as _kernel_symbols' halves
+    are, so the same numbers as P on the full row."""
+    disp = dispersion_symbol(params.k_values(), params.j)[params.nmax + 1:]
+    disp.setflags(write=False)
+    return disp
+
+
+def free_phases(params: ModelParams, t, out=None) -> np.ndarray:
+    """exp(i t P(n/lam)) for n = 1..nmax, the one place a free-flow phase is formed.
+
+    t is a float, giving an (nmax,) row, or a 1-d array of times, giving one row per time;
+    the result goes to out if given.  t*P is rounded once, so the phase is off by up to
+    ulp(t |P|)/2: nothing where t*P fits in 53 bits, a whole radian from t |P| = 2^53 on.
+    """
+    return np.exp(1j * np.multiply.outer(t, half_dispersion(params)), out=out)
+
+
 def free_evolution(spec: SpatialSpectrum, t: float) -> SpatialSpectrum:
     """Apply the free group S(t): amps(k) -> exp(i t P(k)) amps(k).
 
-    Unimodular, so every H^s norm is invariant.
+    Unimodular, so every H^s norm is invariant.  The n < 0 phases are the conjugates of
+    free_phases' n > 0 half, so a real field stays exactly real.
     """
     p = spec.params
-    phases = np.exp(1j * t * dispersion_symbol(p.k_values(), p.j))
+    phases = hermitian_rows(free_phases(p, t))
+    phases[p.nmax] = 1.0  # P(0) = 0
     return spec.with_amps(phases * spec.amps)
 
 

@@ -7,6 +7,9 @@
   products on a padded FFT grid instead.
 - `local_form_rhs` is the model's equivalent local form, an independent
   check of F.
+- `exact_free_phases` is exp(i t P(n/lam)) with t P reduced mod 2 pi from
+  exact numbers, against a pi of its own (Machin's formula in integers);
+  dcl.symbols.free_phases rounds t P to a float first.
 - `st_from_cells`, `st_value_at` and `st_sigma_of` build, read and place
   single cells of a SpaceTimeSpectrum; sigma is computed in exact rationals.
 - `region_partition_report` is dcl.bourgain.verify_regions' region-partition
@@ -14,7 +17,7 @@
 - `NormSpec` and `norm` select and evaluate one of the five norms by name;
   dcl calls each norm directly.  `zs_norm_by_cells` is Z^s with every cell
   classified by region_codes; dcl.bourgain.zs_norm compares each cell with
-  two per-band bounds instead.
+  the two per-band cuts under region_codes instead.
 - `rescale_state` is the per-state dilation that dcl.rescale.rescale_trajectory
   applies to a whole trajectory block at once.
 - `exactly_hermitian` tests rows for exact mirror symmetry, and
@@ -26,6 +29,7 @@
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +119,60 @@ def local_form_rhs(u: SpatialSpectrum) -> SpatialSpectrum:
     stretch = product_spectrum(derivative(u), m_spec)
     lin = dispersion_symbol(k, p.j) * 1j * m_spec.amps  # d_x^(2j+1) m has symbol -i P(k)
     return SpatialSpectrum(p, lin - adv.amps - 2.0 * stretch.amps)
+
+
+# -- the free phase, reduced exactly ----------------------------------------------------
+
+def _machin_pi(digits: int) -> Fraction:
+    """pi within 10^-digits: Machin's pi = 16 atan(1/5) - 4 atan(1/239), summed in integers
+    scaled by 10^(digits + 10); each of the ~digits truncated terms is off by < 1 unit."""
+    scale = 10 ** (digits + 10)
+
+    def atan_inv(x):  # scale * atan(1/x)
+        total, power, n = 0, scale // x, 1
+        while power:
+            total += (power // n) if n % 4 == 1 else -(power // n)
+            power //= x * x
+            n += 2
+        return total
+
+    return Fraction(16 * atan_inv(5) - 4 * atan_inv(239), scale)
+
+
+PI = _machin_pi(100)
+
+
+def _cos_sin(r: Fraction, digits: int = 40):
+    """(cos r, sin r) as floats for |r| <= pi, by their Taylor series in Decimal."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        x = Decimal(r.numerator) / Decimal(r.denominator)
+        cos, sin, term, n = Decimal(0), Decimal(0), Decimal(1), 0
+        while n < 3 or abs(term) >= Decimal(10) ** -(digits + 2):
+            if n % 2 == 0:
+                cos += term if n % 4 == 0 else -term
+            else:
+                sin += term if n % 4 == 1 else -term
+            n += 1
+            term = term * x / n
+        return float(cos), float(sin)
+
+
+def exact_free_phases(params, t: float, ns) -> np.ndarray:
+    """exp(i theta), theta = t P(n/lam) for each n in ns, reduced mod 2 pi from exact numbers.
+
+    t and lam are taken at their floats' exact values and P(n/lam) as a Fraction; theta
+    minus the nearest multiple of 2 pi is off by < 10^-90 (PI), and its cosine and sine
+    are summed to 40 digits before they are rounded.  So each entry is within an ulp of
+    the true phase, whatever the size of t P.
+    """
+    sign = 1 if params.j % 2 == 1 else -1
+    out = []
+    for n in ns:
+        theta = Fraction(t) * sign * (Fraction(n) / Fraction(params.lam)) ** (2 * params.j + 1)
+        r = theta - 2 * PI * round(theta / (2 * PI))
+        out.append(complex(*_cos_sin(r)))
+    return np.array(out)
 
 
 # -- single cells of a space-time spectrum ------------------------------------------

@@ -17,7 +17,7 @@ from dcl.bourgain import (
     _region_sigma_ranges,
     _Layout,
     _time_step,
-    _zs_bounds,
+    _region_cuts as _zs_bounds,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
-from dcl import evolve
 from dcl.evolve import (
     IntegratingFactorRK4,
     _energy_weights,
@@ -105,7 +103,7 @@ class TestStep:
         u = hermitian_spectrum(p, seed=3).amps[p.nmax + 1:]
         stepper = IntegratingFactorRK4(p, 1e-4, mode=mode, mu=1.5)
         out = np.full(p.nmax, np.nan, dtype=complex)
-        assert stepper._rhs(u, mean, out) is out
+        assert stepper._rhs(u, stepper._coupling(mean), out) is out
         if mode == "linear":
             assert not out.any()
             return
@@ -427,19 +425,6 @@ class TestPicard:
         # every mode of the last iterate is nan and counts as carried: h |P(kmax)| = 8^5 / 64
         assert not np.isfinite(res.iterates[-1][:, p.nmax + 1:]).any()
         assert res.quadrature_wrap == 8.0**5 / 64
-
-    def test_zs_dtau_off_the_grid_raises_before_any_work(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("F evaluated before the grid check")
-
-        monkeypatch.setattr(evolve, "nonlinearity_rows", refuse)
-        p = ModelParams(j=2, kmax=16.0)
-        cfg = PicardConfig(iterations=3, nt=129, zs_dtau=0.5)  # the grid's dtau is 2*pi/(129/32)
-        with pytest.raises(ValueError, match="inconsistent with grid"):
-            picard_iterate(cosine_data(p), cfg)
-        # without Z^s the Picard loop does not read zs_dtau
-        with pytest.raises(AssertionError, match="before the grid check"):
-            picard_iterate(cosine_data(p), replace(cfg, measure_zs=False))
 
     def test_roundoff_floor_ratios_marked(self):
         # differences 5..8 sit at 3e-14 .. 1e-17 of the iterate's H^s norm

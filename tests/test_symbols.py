@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcl.evolve import IntegratingFactorRK4, PicardConfig, picard_iterate
 from dcl.lattice import (
     ModelParams,
     SpatialSpectrum,
@@ -23,6 +24,8 @@ from dcl.symbols import (
     F_CHUNK,
     dispersion_symbol,
     free_evolution,
+    free_phases,
+    half_dispersion,
     mean_coupling,
     nonlinearity_F,
     nonlinearity_multipliers,
@@ -85,6 +88,74 @@ class TestFreeEvolution:
             t, s = rng.uniform(-3, 3), rng.uniform(-2, 2)
             moved = free_evolution(spec, t)
             assert abs(hs_norm(moved, s) - hs_norm(spec, s)) < 1e-14 * hs_norm(spec, s)
+
+
+    @pytest.mark.parametrize("j, lam", [(2, 3.0), (4, 1.0)])
+    def test_a_real_field_stays_exactly_real(self, j, lam):
+        # on these lattices numpy's float power is not odd bit for bit, P(-k) != -P(k) in a
+        # few bands, so phases formed on the full row would break the mirror
+        p = ModelParams(j=j, lam=lam, kmax=64.0)
+        spec = hermitian_spectrum(p, seed=j, decay=0.02)
+        for t in (0.7, -1.3, 2.0 / 3.0):
+            assert oracles.exactly_hermitian(free_evolution(spec, t).amps)
+
+
+def bits(z):
+    return np.asarray(z).view(np.int64)
+
+
+class TestFreePhases:
+    """free_phases, the one phase rule, against the formulas each caller had before it."""
+
+    @pytest.mark.parametrize("kmax", [8.0, 64.0, 128.0])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_bit_for_bit_the_formulas_it_replaces(self, j, lam, kmax):
+        p = ModelParams(j=j, lam=lam, kmax=kmax)
+        m = p.nmax
+        full = dispersion_symbol(p.k_values(), j)
+        disp = full[m + 1:]
+        assert np.array_equal(bits(half_dispersion(p)), bits(disp))
+        for dt in (1e-4, 3e-3, 0.1):  # the stepper's integrating factor at dt/2
+            stepper = IntegratingFactorRK4(p, dt, mode="linear")
+            assert np.array_equal(bits(stepper.e_half), bits(np.exp(1j * (dt / 2.0) * full)[m + 1:]))
+            assert stepper.phase_wrap == float(dt * np.abs(full).max())
+        cfg = PicardConfig(iterations=1, nt=257, measure_zs=False)
+        t = cfg.t_grid()[cfg.nt // 2:]  # Picard's t >= 0 nodes
+        assert np.array_equal(bits(free_phases(p, t)), bits(np.exp(1j * np.outer(t, disp))))
+        for t in (-0.37, -2.0):  # free_evolution's formula, on the n > 0 half
+            assert np.array_equal(bits(free_phases(p, t)), bits(np.exp(1j * t * full)[m + 1:]))
+        # Picard's quadrature_wrap, h max |P| over the modes the last iterate carries
+        res = picard_iterate(hermitian_spectrum(p, seed=j, decay=0.5, scale=1e-3),
+                             PicardConfig(iterations=1, nt=5, measure_zs=False))
+        top = np.abs(res.iterates[-1][:, m + 1:]).max(axis=0)
+        carried = top > 1e-12 * top.max()
+        h = float(res.t_grid[1] - res.t_grid[0])
+        assert res.quadrature_wrap == h * float(np.abs(disp[carried]).max(initial=0.0))
+
+    def test_within_an_ulp_where_t_P_is_exact(self):
+        # j = 2, kmax 128: P(n) = -n^5 < 2^35 and Picard's nodes i/256, so t P fits in 53 bits
+        assert float(2 * oracles.PI) == math.tau
+        p = ModelParams(j=2, kmax=128.0)
+        cfg = PicardConfig(nt=1025)
+        t = cfg.t_grid()
+        ns = range(1, p.nmax + 1)
+        for i in (1, 75, 232, 511, 512, 1023):
+            assert all(Fraction(t[i] * pn) == Fraction(t[i]) * Fraction(pn)
+                       for pn in half_dispersion(p).tolist())
+            want = oracles.exact_free_phases(p, float(t[i]), ns)
+            assert np.abs(free_phases(p, t[i]) - want).max() <= 5e-16
+
+    @pytest.mark.parametrize("j, kmax, node, loss", [(4, 32.0, 469, 3.9e-3),
+                                                     (3, 128.0, 400, 6.2e-2)])
+    def test_rounding_t_P_loses_phase(self, j, kmax, node, loss):
+        # today's loss where t P needs more than 53 bits, at the Picard node (nt 1025, t >= 0)
+        # where it is largest: a measured lower bound.  Once free_phases reduces t P exactly
+        # (ROADMAP, "Exact linear phases"), this becomes the 5e-16 bound above
+        p = ModelParams(j=j, kmax=kmax)
+        t = PicardConfig(nt=1025).t_grid()[512 + node]
+        want = oracles.exact_free_phases(p, float(t), range(1, p.nmax + 1))
+        assert np.abs(free_phases(p, t) - want).max() >= loss
 
 
 class TestNonlocalMultiplier:
