@@ -33,6 +33,9 @@ dict, n -> [(m0, amps)], is a view of that table whose arrays are slices of
 the buffer.  st_convolve's index work on two layouts is a plan; the plans
 and the layouts of from_characteristic and _lift_halves are kept in one LRU
 of _CACHE_SIZE entries, keyed by content (params, dtau, tau0, the tables).
+st_convolve and the constructor sum segments into a layout by one placement
+(_assemble): row gathers, and np.add.at only where segments overlap, which
+non-resonance rules out on characteristic windows.
 m0 is exact: int64 while it is small, Python ints beyond 2^62, so segments
 may sit at astronomically large tau (near P(k) for large k) without losing
 the exact integer offset.
@@ -226,17 +229,29 @@ def _assemble(n, m0, length, keep=None):
     """The flat layout of segments that tile a buffer in order: (n[i], m0[i]) and length[i] cells.
 
     The kept segments (all by default) are sorted by (n, m0); within a band,
-    segments that overlap or touch merge into one, summed where they
-    overlap.  Returns (seg_n, seg_m0, offsets, dst): _scatter sums buffer cell
-    i into layout cell dst[i], and every cell of a dropped segment into one
-    cell past the end.  dst is int32 when the layout fits.
+    segments that overlap or touch merge into one, summed where they overlap.
+    Returns (seg_n, seg_m0, offsets, placement); _place(placement, buf) is the
+    layout's amps.  Sorted, identical segments (equal n, m0, length) are adjacent
+    and reach is the band's furthest end so far: a group of one or two identical
+    segments that no other one reaches into, and that ends where the next starts
+    or before, is gathered (buf[first] + buf[second], or a lone one's own cells).
+    The cells of every other kept segment go through np.add.at in buffer order.
+    So each cell is one np.add.at's sum, up to the sign of a zero.
+
+    placement is (size, runs, (cells, src)): per length, runs holds (length, step,
+    at, first, second, lone), rows of _rows(buf, length, step) (second empty if no
+    segment has a twin, lone the rows without one) that land in rows at of
+    _rows(amps, length, 1), or tile the layout in order if at is None; np.add.at
+    sums buf[src] into cells, int32 where they fit.
     """
+    none = np.zeros(0, dtype=np.intp)
     keep = length > 0 if keep is None else keep & (length > 0)
     kept = np.flatnonzero(keep)[np.lexsort((m0[keep], n[keep]))]
     if not kept.size:
-        return n[:0], m0[:0], np.zeros(1, dtype=np.int64), np.zeros(length.sum(), dtype=np.int32)
-    n_k, m0_k = n[kept], m0[kept]
-    end = m0_k + length[kept]
+        return n[:0], m0[:0], np.zeros(1, dtype=np.int64), (0, (), (none, none))
+    n_k, m0_k, len_k = n[kept], m0[kept], length[kept]
+    start = (np.cumsum(length) - length)[kept]  # each kept segment's first buffer cell
+    end = m0_k + len_k
     band_starts = n_k[1:] != n_k[:-1]
     cuts = [0, *(np.flatnonzero(band_starts) + 1).tolist(), n_k.size]
     reach = end.copy()  # the furthest end of the band so far
@@ -250,21 +265,84 @@ def _assemble(n, m0, length, keep=None):
     offsets = np.zeros(first.size + 1, dtype=np.int64)
     last = np.append(first[1:], n_k.size) - 1
     np.cumsum((reach[last] - out_m0).astype(np.int64), out=offsets[1:])
-    # where each kept segment's first cell lands; dropped ones land at or past the end
-    at = np.full(n.size, offsets[-1])
-    at[kept] = offsets[seg] + (m0_k - out_m0[seg]).astype(np.int64)
-    dst = np.repeat(at - (np.cumsum(length) - length), length)
-    dst += np.arange(dst.size)
-    np.minimum(dst, offsets[-1], out=dst)
-    return (n_k[first], _ints(out_m0), offsets,
-            dst.astype(np.int32) if offsets[-1] < 2**31 else dst)
+    at = offsets[seg] + (m0_k - out_m0[seg]).astype(np.int64)  # each one's first layout cell
+    # clear[i]: no segment before i in its band reaches past its start; clear[-1] closes
+    clear = np.ones(n_k.size + 1, dtype=bool)
+    clear[1:-1] = band_starts | (m0_k[1:] >= reach[:-1])
+    if clear.all():  # nothing overlaps: every segment is gathered alone
+        gathered, twin, rest = np.arange(n_k.size), np.zeros(n_k.size, dtype=bool), none
+    else:
+        same = ~band_starts & (m0_k[1:] == m0_k[:-1]) & (len_k[1:] == len_k[:-1])
+        lead = np.flatnonzero(np.append(True, ~same))  # the first of each identical group
+        count = np.diff(np.append(lead, n_k.size))
+        clean = clear[lead] & clear[lead + count] & (count <= 2)
+        gathered, twin = lead[clean], count[clean] == 2
+        rest = np.ones(n_k.size, dtype=bool)
+        rest[gathered] = rest[gathered[twin] + 1] = False
+        rest = np.flatnonzero(rest)
+        rest = rest[np.argsort(start[rest], kind="stable")]  # buffer order: add.at's order
+    lens, runs = len_k[gathered], []
+    several = lens.size and lens.min() < lens.max()
+    for l in np.unique(lens).tolist() if several else lens[:1].tolist():
+        i = lens == l
+        g, t = gathered[i], twin[i]
+        first_rows = start[g]
+        second_rows = start[g + t] if t.any() else none  # a lone segment is its own second
+        step = 1 if (first_rows % l).any() or (second_rows % l).any() else l  # rows tile buf
+        twins = (second_rows // step, np.flatnonzero(~t)) if t.any() else (none, none)
+        runs.append((l, step, at[g], first_rows // step, *twins))
+    cells = src = none
+    if rest.size:
+        ln = len_k[rest]
+        src = np.repeat(start[rest] - (np.cumsum(ln) - ln), ln) + np.arange(ln.sum())
+        cells = src + np.repeat(at[rest] - start[rest], ln)
+        index = np.int32 if max(offsets[-1], length.sum()) < 2**31 else np.intp
+        cells, src = cells.astype(index), src.astype(index)
+    elif len(runs) == 1:  # the gathered runs tile the layout in order
+        runs[0] = (*runs[0][:2], None, *runs[0][3:])
+    return n_k[first], _ints(out_m0), offsets, (int(offsets[-1]), tuple(runs), (cells, src))
 
 
-def _scatter(dst, buf, size: int) -> np.ndarray:
-    """The amps of _assemble's layout of size cells: buf summed into cells dst, in buffer order."""
-    amps = np.zeros(size + 1, dtype=complex)
-    np.add.at(amps, dst, buf)
-    return amps[:size]
+_BLOCK = 1 << 14  # cells per block of second rows in _summed_rows: a temporary kept in cache
+
+
+def _rows(a: np.ndarray, length: int, step: int) -> np.ndarray:
+    """Row i is a[i*step:i*step + length], a view."""
+    count = (a.size - length) // step + 1
+    if step == length:
+        return a[:count * length].reshape(count, length)
+    return np.lib.stride_tricks.as_strided(a, (count, length), (step * a.itemsize, a.itemsize))
+
+
+def _gather(view: np.ndarray, index) -> np.ndarray:
+    """view[index] for a _rows view: take where the rows tile the buffer, which copies only
+    the rows it takes (take on overlapping rows would copy every one of them first)."""
+    return view.take(index, axis=0) if view.flags.c_contiguous else view[index]
+
+
+def _summed_rows(buf, length: int, step: int, first, second, lone) -> np.ndarray:
+    """Rows first (plus rows second) of _rows(buf, length, step), a fresh array; see _assemble."""
+    view = _rows(buf, length, step)
+    rows = _gather(view, first)
+    block = max(1, _BLOCK // length)
+    for i in range(0, second.size, block):
+        rows[i:i + block] += _gather(view, second[i:i + block])
+    if lone.size:
+        rows[lone] = _gather(view, first[lone])  # a lone row was added to itself
+    return rows
+
+
+def _place(placement, buf) -> np.ndarray:
+    """The amps of an _assemble layout from its buffer buf; see _assemble."""
+    size, runs, (cells, src) = placement
+    if runs and runs[0][2] is None:  # the rows are the amps
+        length, step, _, *rows = runs[0]
+        return _summed_rows(buf, length, step, *rows).reshape(-1)
+    amps = np.zeros(size, dtype=complex)
+    for length, step, at, *rows in runs:
+        _rows(amps, length, 1)[at] = _summed_rows(buf, length, step, *rows)
+    np.add.at(amps, cells, buf[src])
+    return amps
 
 
 def _check_dtau(dtau: float):
@@ -403,9 +481,10 @@ class SpaceTimeSpectrum:
                 rows.append(np.asarray(a, dtype=complex))
         length = np.array([a.size for a in rows], dtype=np.int64)
         buf = np.concatenate(rows) if rows else np.zeros(0, dtype=complex)
-        seg_n, seg_m0, offsets, dst = _assemble(np.array(ns, dtype=np.int64), _ints(m0s), length)
+        seg_n, seg_m0, offsets, placement = _assemble(np.array(ns, dtype=np.int64), _ints(m0s),
+                                                      length)
         self._set_layout(_Layout(params, dtau, tau0, seg_n, seg_m0, offsets),
-                         _scatter(dst, buf, offsets[-1]), 0.0)
+                         _place(placement, buf), 0.0)
 
     def _set_layout(self, layout: _Layout, amps, truncated_mass):
         self.layout, self.amps, self.truncated_mass = layout, amps, truncated_mass
@@ -643,11 +722,12 @@ def _pair_convolutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _convolution_plan(x: _Layout, y: _Layout) -> tuple:
-    """st_convolve's index work on the input layouts x and y: (pairs, dst, out).
+    """st_convolve's index work on the input layouts x and y: (pairs, placement, out).
 
     Segments are grouped by length.  Per pair of groups, pairs holds the gathers of x's and
     y's segments as rows, and the rows of their pair convolutions whose band n1 + n2 is 0 or
-    beyond nmax; all rows, pair by pair, sum by dst into the output layout out (_scatter).
+    beyond nmax; all rows, pair by pair, are the buffer that placement (_assemble) puts into
+    the output layout out.
     """
     groups = [[(l, np.flatnonzero(lens == l)) for l in sorted(set(lens.tolist()))]
               for lens in (np.diff(x.offsets), np.diff(y.offsets))]
@@ -662,9 +742,11 @@ def _convolution_plan(x: _Layout, y: _Layout) -> tuple:
             m0s.append((x.seg_m0[i][:, None] + y.seg_m0[j]).ravel())
             lengths.append(np.full(n.size, l1 + l2 - 1))
             kept.append(inside)
-    seg_n, seg_m0, offsets, dst = _assemble(np.concatenate(ns), _ints(np.concatenate(m0s)),
-                                            np.concatenate(lengths), np.concatenate(kept))
-    return tuple(pairs), dst, _Layout(x.params, x.dtau, x.tau0 + y.tau0, seg_n, seg_m0, offsets)
+    seg_n, seg_m0, offsets, placement = _assemble(
+        np.concatenate(ns), _ints(np.concatenate(m0s)), np.concatenate(lengths),
+        np.concatenate(kept))
+    out = _Layout(x.params, x.dtau, x.tau0 + y.tau0, seg_n, seg_m0, offsets)
+    return tuple(pairs), placement, out
 
 
 def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
@@ -677,16 +759,18 @@ def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
     beyond kmax, and the excluded k=0 column, are dropped; their L2 mass is
     recorded as truncated_mass.  Each pair of segment groups (_convolution_plan,
     built once per pair of layouts) convolves all its segment pairs at once,
-    and the rows scatter into the output layout in one pass.  Inputs whose j,
-    lam, nmax or dtau differ are a ValueError.
+    and _place puts the rows into the output layout: on characteristic windows
+    every output segment is an (n1, n2) row plus its identical (n2, n1) row, or
+    one (n, n) row, and the sums are two row gathers.  Inputs whose j, lam, nmax
+    or dtau differ are a ValueError.
     """
     p, q = u.params, v.params
     if (p.j, p.lam, p.nmax, u.dtau) != (q.j, q.lam, q.nmax, v.dtau):
         raise ValueError("space-time grids do not match")
     if not (u.seg_n.size and v.seg_n.size):
         return SpaceTimeSpectrum(p, u.dtau, u.tau0 + v.tau0)
-    pairs, dst, out = _cached(_CACHE, ("plan", u.layout.key, v.layout.key),
-                              lambda: _convolution_plan(u.layout, v.layout))
+    pairs, placement, out = _cached(_CACHE, ("plan", u.layout.key, v.layout.key),
+                                    lambda: _convolution_plan(u.layout, v.layout))
     scale = u.dtau / p.lam
     fu = u.amps if pre1 is None else u.layout.k_symbol(pre1) * u.amps
     fv = v.amps if pre2 is None else v.layout.k_symbol(pre2) * v.amps
@@ -696,7 +780,7 @@ def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
         dropped += float(np.sum(np.abs(conv[drop]) ** 2))
         rows.append(conv.ravel())
     buf = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    return SpaceTimeSpectrum._from_layout(out, _scatter(dst, buf, out.offsets[-1]),
+    return SpaceTimeSpectrum._from_layout(out, _place(placement, buf),
                                           math.sqrt(dropped * u.dtau / p.lam))
 
 

@@ -50,7 +50,7 @@ from .lattice import (
     sobolev_weights,
     uniform_step,
 )
-from .symbols import (FKernel, dispersion_symbol, free_phases, half_dispersion, mean_coupling,
+from .symbols import (FKernel, dispersion_row, free_phases, half_dispersion, mean_coupling,
                       nonlinearity_rows)
 
 MODES = ("full", "kdv", "linear")
@@ -340,7 +340,7 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     ut, diff_err = _time_derivatives(amps, h)
     k = p.k_values()
     inner = amps[2:-2]  # the states ut is known at
-    res = np.add(ut, (-1j * dispersion_symbol(k, p.j)) * inner, out=ut)  # d_x^(2j+1): -i P(k)
+    res = np.add(ut, (-1j * dispersion_row(p)) * inner, out=ut)  # d_x^(2j+1): -i P(k), odd
     if mode != "linear":
         kdv = mode == "kdv"
         f = hermitian_rows(nonlinearity_rows(real_half(inner, "the trajectory"), p, mu, kdv))

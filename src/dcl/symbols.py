@@ -10,7 +10,9 @@ n = 1..nmax, from one cached table of P there (half_dispersion).  The
 stepper's integrating factors, Picard's S(t) table and free_evolution all
 take it from there, and free_evolution mirrors it onto n < 0 as conjugates:
 numpy's float power is not odd bit for bit on every lattice, so a P formed on
-the full row would not keep a real field exactly real.
+the full row would not keep a real field exactly real.  Where P itself is
+needed on the full row (pde_residual's generator -i P(k)), dispersion_row
+mirrors the same half oddly.
 
 The nonlinearity enters through the symmetric bilinear map
 
@@ -84,6 +86,13 @@ def half_dispersion(params: ModelParams) -> np.ndarray:
     disp = dispersion_symbol(params.k_values(), params.j)[params.nmax + 1:]
     disp.setflags(write=False)
     return disp
+
+
+def dispersion_row(params: ModelParams) -> np.ndarray:
+    """P(k) on the full row k = n/lam, n = -nmax..nmax: the odd mirror of half_dispersion, so
+    P(-k) = -P(k) bit for bit, which numpy's power on the whole row does not always give."""
+    half = half_dispersion(params)
+    return np.concatenate([-half[::-1], [0.0], half])
 
 
 def free_phases(params: ModelParams, t, out=None) -> np.ndarray:

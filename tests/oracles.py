@@ -12,6 +12,9 @@
   dcl.symbols.free_phases rounds t P to a float first.
 - `st_from_cells`, `st_value_at` and `st_sigma_of` build, read and place
   single cells of a SpaceTimeSpectrum; sigma is computed in exact rationals.
+- `add_at_layout` merges a buffer's segments into a layout and sums every
+  buffer cell into its layout cell with one np.add.at, in buffer order;
+  dcl gathers the cells of segments that nothing else overlaps instead.
 - `region_partition_report` is dcl.bourgain.verify_regions' region-partition
   report with each label checked against `region_memberships` one point at a time.
 - `NormSpec` and `norm` select and evaluate one of the five norms by name;
@@ -191,6 +194,33 @@ def st_value_at(u: SpaceTimeSpectrum, n: int, m: int) -> complex:
         if m0 <= m < m0 + len(arr):
             return complex(arr[m - m0])
     return 0j
+
+
+def add_at_layout(n, m0, length, buf, keep=None):
+    """(seg_n, seg_m0, offsets, amps): segment i holds buf's next length[i] cells, band n[i],
+    first tau index m0[i]; the kept ones (all by default) with cells, sorted by (n, m0), merge per
+    band where they overlap or touch, and each of their cells is summed by np.add.at, in buffer
+    order, into its layout cell."""
+    keep = [True] * len(n) if keep is None else keep
+    merged = []  # [n, m0, end] per layout segment
+    for ni, mi, li in sorted((int(a), int(b), int(c)) for a, b, c, k in zip(n, m0, length, keep)
+                             if k and c > 0):
+        if merged and merged[-1][0] == ni and mi <= merged[-1][2]:
+            merged[-1][2] = max(merged[-1][2], mi + li)
+        else:
+            merged.append([ni, mi, mi + li])
+    offsets = np.cumsum([0] + [end - mi for _, mi, end in merged])
+    cell = {(ni, m): off + m - mi for (ni, mi, end), off in zip(merged, offsets)
+            for m in range(mi, end)}
+    dst, src, start = [], [], 0
+    for ni, mi, li, k in zip(n, m0, length, keep):
+        if k:
+            dst.extend(cell[int(ni), int(mi) + i] for i in range(li))
+            src.extend(range(start, start + li))
+        start += int(li)
+    amps = np.zeros(int(offsets[-1]), dtype=complex)
+    np.add.at(amps, np.array(dst, dtype=np.intp), np.asarray(buf)[np.array(src, dtype=np.intp)])
+    return ([s[0] for s in merged], [s[1] for s in merged], offsets.tolist(), amps)
 
 
 def st_sigma_of(u: SpaceTimeSpectrum, n: int, m0: int, length: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -674,6 +675,155 @@ class TestBatchedConvolution:
         wider = SpaceTimeSpectrum(ModelParams(j=2, kmax=16.0), 0.25, 0.0, {8: [(0, np.ones(2))]})
         with pytest.raises(ValueError, match="grids do not match"):
             u + wider
+
+
+@st.composite
+def segment_tables(draw, bands=(-3, -2, -1, 1, 2, 3)):
+    """Segments (n, m0, length) drawn with repeats from a few distinct ones, so that identical
+    (twice, three times or more), touching, nested and partly overlapping segments are common."""
+    pool = draw(st.lists(st.tuples(st.sampled_from(bands), st.integers(-2, 6), st.integers(0, 4)),
+                         min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=16))
+
+
+# one segment of each kind: band 1 a twin and a segment touching it, band 2 three identical
+# ones, band 3 a nested pair, band -1 a partly overlapping pair, band -2 a lone and an empty one
+EVERY_KIND = [(1, 0, 3), (2, 0, 2), (3, 0, 4), (-1, 0, 3), (1, 0, 3), (2, 0, 2), (3, 1, 2),
+              (1, 3, 2), (-1, 2, 3), (2, 0, 2), (-2, 5, 1), (-2, 9, 0)]
+
+
+def random_buffer(seed, size):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def convolution_rows(u, v):
+    """st_convolve(u, v)'s buffer of segment-pair convolutions, computed as it computes it,
+    with each row's (n, m0, length, kept), in the order of its cached plan."""
+    pairs = bourgain._CACHE["plan", u.layout.key, v.layout.key][0]
+    bufs, ns, m0s, lengths, kept = [], [], [], [], []
+    for a, b, drop in pairs:
+        i, j = np.searchsorted(u.offsets, a[:, 0]), np.searchsorted(v.offsets, b[:, 0])
+        n = (u.seg_n[i][:, None] + v.seg_n[j]).ravel()
+        bufs.append(bourgain._pair_convolutions(u.amps[a] * (u.dtau / u.params.lam),
+                                                v.amps[b]).ravel())
+        ns += n.tolist()
+        m0s += (u.seg_m0[i][:, None] + v.seg_m0[j]).ravel().tolist()
+        lengths += [a.shape[1] + b.shape[1] - 1] * n.size
+        keep = np.ones(n.size, dtype=bool)
+        keep[drop] = False
+        assert np.array_equal(keep, (n != 0) & (np.abs(n) <= u.params.nmax))
+        kept += keep.tolist()
+    return ns, m0s, lengths, np.concatenate(bufs), kept
+
+
+def assert_layout_is(u, want):
+    seg_n, seg_m0, offsets, amps = want
+    assert (u.seg_n.tolist(), u.seg_m0.tolist(), u.offsets.tolist()) == (seg_n, seg_m0, offsets)
+    assert np.array_equal(u.amps, amps)
+
+
+class TestPlacement:
+    """Gathered segments and the np.add.at rest: equal to one np.add.at over every cell."""
+
+    @given(table=segment_tables(), seed=st.integers(0, 2**32 - 1))
+    @example(table=EVERY_KIND, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_assemble_places_as_one_add_at(self, table, seed):
+        rng = np.random.default_rng(seed)
+        n, m0, length = np.array(table, dtype=np.int64).reshape(-1, 3).T
+        keep = rng.random(n.size) < 0.8
+        buf = random_buffer(seed, int(length.sum()))
+        seg_n, seg_m0, offsets, placement = bourgain._assemble(n, bourgain._ints(m0), length, keep)
+        got = bourgain._place(placement, buf)
+        want = oracles.add_at_layout(n, m0, length, buf, keep)
+        assert (seg_n.tolist(), seg_m0.tolist(), offsets.tolist()) == want[:3]
+        assert np.array_equal(got, want[3])
+
+    def test_each_kind_of_segment_takes_its_route(self):
+        n, m0, length = (np.array(col, dtype=np.int64) for col in zip(*EVERY_KIND))
+        *_, (size, runs, (cells, src)) = bourgain._assemble(n, bourgain._ints(m0), length)
+        # gathered: band 1's twin and its touching neighbour, band -2's lone segment
+        assert sorted((l, first.size, second.size) for l, _, _, first, second, _ in runs) == [
+            (1, 1, 0), (2, 1, 0), (3, 1, 1)]
+        # to np.add.at: band 2's three identical, band 3's nested and band -1's overlapping
+        assert cells.size == src.size == 3 * 2 + 4 + 2 + 3 + 3
+        assert np.all(np.diff(src) > 0)  # in buffer order
+
+    @given(table=segment_tables(), seed=st.integers(0, 2**32 - 1))
+    @example(table=EVERY_KIND, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_constructor_equals_the_add_at_oracle(self, table, seed):
+        buf = iter(random_buffer(seed, sum(l for _, _, l in table)))
+        bands = {}
+        for n, m0, l in table:
+            bands.setdefault(n, []).append((m0, np.array([next(buf) for _ in range(l)])))
+        flat = [(n, m0, a) for n, segs in bands.items() for m0, a in segs]  # buffer order
+        u = SpaceTimeSpectrum(ModelParams(j=2, kmax=3.0), 0.25, 0.0, bands)
+        assert_layout_is(u, oracles.add_at_layout(
+            [f[0] for f in flat], [f[1] for f in flat], [f[2].size for f in flat],
+            np.concatenate([f[2] for f in flat] + [np.zeros(0, complex)])))
+
+    @given(first=segment_tables(bands=(-2, -1, 1, 2)), second=segment_tables(bands=(-2, -1, 1, 2)),
+           twins=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_st_convolve_equals_the_add_at_oracle(self, first, second, twins, seed):
+        # nmax 2: output bands 0 and |n| > 2 are dropped; on one layout (twins) every (n1, n2)
+        # row has an identical (n2, n1) row
+        p = ModelParams(j=2, kmax=2.0)
+        rng = np.random.default_rng(seed)
+        lay = [{n: [(m0, l) for n2, m0, l in table if n2 == n and l]
+                for n, _, _ in table} for table in (first, second)]
+        u = segmented_spectrum(p, rng, lay[0])
+        v = u.scaled(1j + rng.standard_normal()) if twins else segmented_spectrum(p, rng, lay[1])
+        out = st_convolve(u, v)
+        if not (u.seg_n.size and v.seg_n.size):
+            assert out.n_cells() == 0
+            return
+        ns, m0s, lengths, buf, kept = convolution_rows(u, v)
+        assert_layout_is(out, oracles.add_at_layout(ns, m0s, lengths, buf, kept))
+
+    @pytest.mark.parametrize("j, lam, kmax", [(2, 1.0, 32.0), (3, 2.0, 16.0), (4, 1.0, 16.0)])
+    @pytest.mark.parametrize("dtau", [0.25, 1 / 16, 1 / 64])
+    def test_characteristic_layouts_leave_nothing_to_add_at(self, j, lam, kmax, dtau):
+        # each output segment of two characteristic-window layouts is one (n1, n2) / (n2, n1)
+        # twin or one lone row, by non-resonance: every cell is gathered, and the gathered rows
+        # tile the output in order.  A fallback to np.add.at fails here.
+        p = ModelParams(j=j, lam=lam, kmax=kmax)
+        rng = np.random.default_rng(9)
+        u = random_spectrum(p, rng, dtau=dtau)
+        amps = rng.standard_normal(2 * p.nmax + 1) * (rng.random(2 * p.nmax + 1) < 0.5)
+        amps[p.nmax] = 0.0
+        sparse = from_characteristic(SpatialSpectrum(p, amps), dtau)  # fewer bands: fewer twins
+        for x, y in ((u, u), (u, sparse), (sparse, u)):
+            _, (size, runs, (cells, src)), out = bourgain._convolution_plan(x.layout, y.layout)
+            assert cells.size == src.size == 0
+            (length, step, at, first, second, lone), = runs
+            assert at is None and step == length and first.size * length == size
+            assert second.size in (0, first.size) and lone.size < first.size
+            assert size == out.offsets[-1]
+            if x is y:  # one layout: each (n1, n2) row has its (n2, n1) twin, (n, n) is lone
+                assert second.size == first.size and lone.size > 0
+
+    def test_a_warm_convolution_allocates_its_buffer_and_output_only(self):
+        # the probe's pair at kmax 32: past the buffer of segment-pair convolutions and the
+        # output, one cell-sized temporary at most; per-call casts of cell indices would not fit
+        p = ModelParams(j=2, kmax=32.0)
+        rng = np.random.default_rng(8)
+        u, v = random_spectrum(p, rng), random_spectrum(p, rng)
+        ik = lambda k: 1j * k
+        st_convolve(u, v, ik, ik)
+        pairs = bourgain._CACHE["plan", u.layout.key, v.layout.key][0]
+        buffer = 16 * sum(a.shape[0] * b.shape[0] * (a.shape[1] + b.shape[1] - 1)
+                          for a, b, _ in pairs)
+        tracemalloc.start()
+        try:
+            out = st_convolve(u, v, ik, ik)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.amps.nbytes == 16 * 49632 and buffer == 16 * 4096 * 33
+        assert peak < buffer + 2 * out.amps.nbytes
 
 
 class TestHermitianMirror:

@@ -13,6 +13,7 @@ from dcl.evolve import (
     IntegratingFactorRK4,
     _energy_weights,
     _cumulative_simpson,
+    _time_derivatives,
     PicardConfig,
     SolverState,
     bump_eta,
@@ -33,6 +34,7 @@ from dcl.lattice import (
     x_grid,
 )
 from dcl.symbols import (
+    dispersion_row,
     dispersion_symbol,
     free_evolution,
     mean_coupling,
@@ -325,6 +327,18 @@ class TestResidual:
             for s in traj.states])
         assert len(traj.times) == 26
         assert pde_residual(traj) == pde_residual(listed)
+
+    def test_unchanged_where_P_is_odd(self):
+        # at j = 2, lam = 1, kmax 32 numpy's power on the whole row is odd bit for bit, so the
+        # odd mirror of the half is that row, and the residual is its formula's, number for number
+        p = ModelParams(j=2, kmax=32.0)
+        power = dispersion_symbol(p.k_values(), p.j)
+        assert np.array_equal(dispersion_row(p), power)
+        traj = simulate(hermitian_spectrum(p, seed=8), T=2e-5, dt=1e-6, mode="linear", stride=2)
+        ut, _ = _time_derivatives(traj.amps, traj.times[1] - traj.times[0])
+        res = ut + (-1j * power) * traj.amps[2:-2]
+        want = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
+        assert pde_residual(traj)["per_time"] == want
 
     @pytest.mark.parametrize("shift", [1e-14, -2e-10])
     def test_non_uniform_states_refused_at_tiny_steps(self, params16, shift):

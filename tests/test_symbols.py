@@ -22,6 +22,7 @@ from dcl.lattice import (
 )
 from dcl.symbols import (
     F_CHUNK,
+    dispersion_row,
     dispersion_symbol,
     free_evolution,
     free_phases,
@@ -58,6 +59,15 @@ class TestDispersionSymbol:
     def test_vectorized(self):
         k = np.array([1.0, 2.0, -2.0])
         assert np.allclose(dispersion_symbol(k, 2), [-1.0, -32.0, 32.0])
+
+    @pytest.mark.parametrize("j, lam, kmax", [(4, 1.0, 64.0), (2, 3.0, 64.0), (1, 3.0, 8.0)])
+    def test_full_row_is_exactly_odd(self, j, lam, kmax):
+        # numpy's power on the whole row of k is not odd here (numpy 2.4.6: in 1 of 64 bands,
+        # 7 of 192 and 3 of 24); the row pde_residual takes mirrors the n > 0 half
+        p = ModelParams(j=j, lam=lam, kmax=kmax)
+        m, row = p.nmax, dispersion_row(p)
+        assert np.array_equal(row[:m][::-1], -row[m + 1:]) and row[m] == 0.0
+        assert np.array_equal(row[m + 1:], half_dispersion(p))
 
 
 class TestThresholdCoefficient:
