@@ -232,65 +232,60 @@ def _assemble(n, m0, length, keep=None):
     segments that overlap or touch merge into one, summed where they overlap.
     Returns (seg_n, seg_m0, offsets, placement); _place(placement, buf) is the
     layout's amps.  Sorted, identical segments (equal n, m0, length) are adjacent
-    and reach is the band's furthest end so far: a group of one or two identical
-    segments that no other one reaches into, and that ends where the next starts
-    or before, is gathered (buf[first] + buf[second], or a lone one's own cells).
-    The cells of every other kept segment go through np.add.at in buffer order.
-    So each cell is one np.add.at's sum, up to the sign of a zero.
+    and reach is the band's furthest end so far: a segment, or two identical ones,
+    that no other one reaches into and that ends where the next starts or before
+    is gathered (buf[first] + buf[second], or a lone one's own cells).  The cells
+    of every other kept segment go through np.add.at in buffer order.  So each
+    cell is one np.add.at's sum, up to the sign of a zero.
 
-    placement is (size, runs, (cells, src)): per length, runs holds (length, step,
-    at, first, second, lone), rows of _rows(buf, length, step) (second empty if no
-    segment has a twin, lone the rows without one) that land in rows at of
-    _rows(amps, length, 1), or tile the layout in order if at is None; np.add.at
-    sums buf[src] into cells, int32 where they fit.
+    placement is (size, runs, (cells, src)).  Per length, runs holds (length, at,
+    first, second, lone): first and second are the buffer cells where each gathered
+    segment and its twin start (second is empty if no segment has a twin, and a lone
+    segment is its own second), lone indexes the rows without a twin, and at the
+    layout cells where the rows land, or None if they tile the layout in order.
+    np.add.at sums buf[src] into cells, int32 where they fit.
     """
     none = np.zeros(0, dtype=np.intp)
     keep = length > 0 if keep is None else keep & (length > 0)
-    kept = np.flatnonzero(keep)[np.lexsort((m0[keep], n[keep]))]
+    kept = keep.nonzero()[0][np.lexsort((m0[keep], n[keep]))]
     if not kept.size:
         return n[:0], m0[:0], np.zeros(1, dtype=np.int64), (0, (), (none, none))
     n_k, m0_k, len_k = n[kept], m0[kept], length[kept]
-    start = (np.cumsum(length) - length)[kept]  # each kept segment's first buffer cell
+    start = (length.cumsum() - length)[kept]  # each kept segment's first buffer cell
     end = m0_k + len_k
     band_starts = n_k[1:] != n_k[:-1]
-    cuts = [0, *(np.flatnonzero(band_starts) + 1).tolist(), n_k.size]
+    cuts = [0, *(band_starts.nonzero()[0] + 1).tolist(), n_k.size]
     reach = end.copy()  # the furthest end of the band so far
     for a, b in zip(cuts, cuts[1:]):
         reach[a:b] = np.maximum.accumulate(end[a:b])
     new = np.ones(n_k.size, dtype=bool)
     new[1:] = band_starts | (m0_k[1:] > reach[:-1])
-    first = np.flatnonzero(new)
-    seg = np.cumsum(new) - 1  # output segment of each kept segment
+    first = new.nonzero()[0]
+    seg = new.cumsum() - 1  # output segment of each kept segment
     out_m0 = m0_k[first]
     offsets = np.zeros(first.size + 1, dtype=np.int64)
-    last = np.append(first[1:], n_k.size) - 1
+    last = np.concatenate((first[1:], [n_k.size])) - 1
     np.cumsum((reach[last] - out_m0).astype(np.int64), out=offsets[1:])
     at = offsets[seg] + (m0_k - out_m0[seg]).astype(np.int64)  # each one's first layout cell
-    # clear[i]: no segment before i in its band reaches past its start; clear[-1] closes
+    # clear[i]: no segment before i in its band reaches past its start; clear[-1] closes.
+    # A segment is gathered if it is clear and the one after it, or after its twin, is too.
     clear = np.ones(n_k.size + 1, dtype=bool)
     clear[1:-1] = band_starts | (m0_k[1:] >= reach[:-1])
-    if clear.all():  # nothing overlaps: every segment is gathered alone
-        gathered, twin, rest = np.arange(n_k.size), np.zeros(n_k.size, dtype=bool), none
-    else:
-        same = ~band_starts & (m0_k[1:] == m0_k[:-1]) & (len_k[1:] == len_k[:-1])
-        lead = np.flatnonzero(np.append(True, ~same))  # the first of each identical group
-        count = np.diff(np.append(lead, n_k.size))
-        clean = clear[lead] & clear[lead + count] & (count <= 2)
-        gathered, twin = lead[clean], count[clean] == 2
-        rest = np.ones(n_k.size, dtype=bool)
-        rest[gathered] = rest[gathered[twin] + 1] = False
-        rest = np.flatnonzero(rest)
-        rest = rest[np.argsort(start[rest], kind="stable")]  # buffer order: add.at's order
+    twin = np.zeros(n_k.size, dtype=bool)  # the first of two identical clean segments
+    twin[:-1] = (clear[:-2] & clear[2:] & ~band_starts & (m0_k[1:] == m0_k[:-1])
+                 & (len_k[1:] == len_k[:-1]))
+    clean = twin | (clear[:-1] & clear[1:])
+    rest = ~clean
+    rest[1:] &= ~twin[:-1]  # the second of twins is gathered with the first
+    gathered, rest = clean.nonzero()[0], rest.nonzero()[0]
+    twin = twin[gathered]
+    rest = rest[start[rest].argsort(kind="stable")]  # buffer order: add.at's order
     lens, runs = len_k[gathered], []
-    several = lens.size and lens.min() < lens.max()
-    for l in np.unique(lens).tolist() if several else lens[:1].tolist():
+    for l in sorted(set(lens.tolist())):
         i = lens == l
         g, t = gathered[i], twin[i]
-        first_rows = start[g]
-        second_rows = start[g + t] if t.any() else none  # a lone segment is its own second
-        step = 1 if (first_rows % l).any() or (second_rows % l).any() else l  # rows tile buf
-        twins = (second_rows // step, np.flatnonzero(~t)) if t.any() else (none, none)
-        runs.append((l, step, at[g], first_rows // step, *twins))
+        twins = (start[g + t], (~t).nonzero()[0]) if t.any() else (none, none)
+        runs.append((l, at[g], start[g], *twins))  # a lone segment is its own second
     cells = src = none
     if rest.size:
         ln = len_k[rest]
@@ -299,48 +294,40 @@ def _assemble(n, m0, length, keep=None):
         index = np.int32 if max(offsets[-1], length.sum()) < 2**31 else np.intp
         cells, src = cells.astype(index), src.astype(index)
     elif len(runs) == 1:  # the gathered runs tile the layout in order
-        runs[0] = (*runs[0][:2], None, *runs[0][3:])
+        runs[0] = (runs[0][0], None, *runs[0][2:])
     return n_k[first], _ints(out_m0), offsets, (int(offsets[-1]), tuple(runs), (cells, src))
 
 
 _BLOCK = 1 << 14  # cells per block of second rows in _summed_rows: a temporary kept in cache
 
 
-def _rows(a: np.ndarray, length: int, step: int) -> np.ndarray:
-    """Row i is a[i*step:i*step + length], a view."""
-    count = (a.size - length) // step + 1
-    if step == length:
-        return a[:count * length].reshape(count, length)
-    return np.lib.stride_tricks.as_strided(a, (count, length), (step * a.itemsize, a.itemsize))
+def _rows(a: np.ndarray, length: int) -> np.ndarray:
+    """Row i is a[i:i + length] of a contiguous a, a view; a fancy index on it copies only the
+    rows it takes."""
+    return np.ndarray((a.size - length + 1, length), a.dtype, a, 0, (a.itemsize,) * 2)
 
 
-def _gather(view: np.ndarray, index) -> np.ndarray:
-    """view[index] for a _rows view: take where the rows tile the buffer, which copies only
-    the rows it takes (take on overlapping rows would copy every one of them first)."""
-    return view.take(index, axis=0) if view.flags.c_contiguous else view[index]
-
-
-def _summed_rows(buf, length: int, step: int, first, second, lone) -> np.ndarray:
-    """Rows first (plus rows second) of _rows(buf, length, step), a fresh array; see _assemble."""
-    view = _rows(buf, length, step)
-    rows = _gather(view, first)
+def _summed_rows(buf, length: int, first, second, lone) -> np.ndarray:
+    """Rows first (plus rows second) of _rows(buf, length), a fresh array; see _assemble."""
+    view = _rows(buf, length)
+    rows = view[first]
     block = max(1, _BLOCK // length)
     for i in range(0, second.size, block):
-        rows[i:i + block] += _gather(view, second[i:i + block])
+        rows[i:i + block] += view[second[i:i + block]]
     if lone.size:
-        rows[lone] = _gather(view, first[lone])  # a lone row was added to itself
+        rows[lone] = view[first[lone]]  # a lone row was added to itself
     return rows
 
 
 def _place(placement, buf) -> np.ndarray:
     """The amps of an _assemble layout from its buffer buf; see _assemble."""
     size, runs, (cells, src) = placement
-    if runs and runs[0][2] is None:  # the rows are the amps
-        length, step, _, *rows = runs[0]
-        return _summed_rows(buf, length, step, *rows).reshape(-1)
+    if runs and runs[0][1] is None:  # the rows are the amps
+        length, _, *rows = runs[0]
+        return _summed_rows(buf, length, *rows).reshape(-1)
     amps = np.zeros(size, dtype=complex)
-    for length, step, at, *rows in runs:
-        _rows(amps, length, 1)[at] = _summed_rows(buf, length, step, *rows)
+    for length, at, *rows in runs:
+        _rows(amps, length)[at] = _summed_rows(buf, length, *rows)
     np.add.at(amps, cells, buf[src])
     return amps
 

@@ -744,7 +744,7 @@ class TestPlacement:
         n, m0, length = (np.array(col, dtype=np.int64) for col in zip(*EVERY_KIND))
         *_, (size, runs, (cells, src)) = bourgain._assemble(n, bourgain._ints(m0), length)
         # gathered: band 1's twin and its touching neighbour, band -2's lone segment
-        assert sorted((l, first.size, second.size) for l, _, _, first, second, _ in runs) == [
+        assert sorted((l, first.size, second.size) for l, _, first, second, _ in runs) == [
             (1, 1, 0), (2, 1, 0), (3, 1, 1)]
         # to np.add.at: band 2's three identical, band 3's nested and band -1's overlapping
         assert cells.size == src.size == 3 * 2 + 4 + 2 + 3 + 3
@@ -798,8 +798,8 @@ class TestPlacement:
         for x, y in ((u, u), (u, sparse), (sparse, u)):
             _, (size, runs, (cells, src)), out = bourgain._convolution_plan(x.layout, y.layout)
             assert cells.size == src.size == 0
-            (length, step, at, first, second, lone), = runs
-            assert at is None and step == length and first.size * length == size
+            (length, at, first, second, lone), = runs
+            assert at is None and first.size * length == size
             assert second.size in (0, first.size) and lone.size < first.size
             assert size == out.offsets[-1]
             if x is y:  # one layout: each (n1, n2) row has its (n2, n1) twin, (n, n) is lone
