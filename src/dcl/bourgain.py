@@ -355,7 +355,7 @@ def _characteristic(params: ModelParams, dtau: float):
     return _ints(index), np.array([(m * den - a) / out for m, a in zip(index, num)]), step
 
 
-_CACHE_SIZE = 8  # layouts and plans kept: a probe's plan holds 2.5 MiB at kmax 32, 40 at 128
+_CACHE_SIZE = 8  # layouts and plans kept: a probe's, with its tables, 2.2 MiB at kmax 32, 35 at 128
 _CACHE = {}  # content key -> _Layout, or ("plan", key, key) -> st_convolve's plan
 
 
@@ -388,11 +388,14 @@ class _Layout:
         self._tables = {}  # norm cells, Z^s tables and post factors
 
     def norm_cells(self, real: bool):
-        """(seg, factor, cell bands, sigmas): the norms read the cells amps[offsets[seg]:].
+        """(seg, factor, sigmas, order, bands): the norms read the cells amps[offsets[seg]:].
 
         A marked real field's (real) n < 0 bands mirror its n > 0 bands, with equal |amps|,
         |k| and |sigma|: the norms read from its first n > 0 segment seg on, and factor = 2
-        counts each band sum twice.  Otherwise seg = 0 and factor = 1.
+        counts each band sum twice.  Otherwise seg = 0 and factor = 1.  sigmas are in layout
+        order.  The norms add cell order[i], of band bands[i], at step i: cell r of each band
+        of more than r cells, longest first, for r = 0, 1, ...  A band keeps its cells' order,
+        so its sum is the layout-order one bit for bit; consecutive adds hit different bins.
         """
         def build():
             seg = int(np.searchsorted(self.seg_n, 0)) if real else 0
@@ -401,36 +404,50 @@ class _Layout:
             # cell i of a segment in band n: sigma = dtau*((m0 - M_n) + i) + (tau0 + r_n), with
             # M_n and r_n the band's row of the _characteristic table; m0 - M_n is exact
             index, residual, _ = _characteristic(self.params, self.dtau)
-            rows = (self.band_n + self.params.nmax)[self.seg_band[seg:]]
+            band = self.seg_band[seg:]
+            rows = (self.band_n + self.params.nmax)[band]
             r0 = (self.seg_m0[seg:] - index[rows]).astype(float)  # the only float conversion
             within = np.arange(offsets[-1]) - np.repeat(offsets[:-1], length)
             sig = (self.dtau * (np.repeat(r0, length) + within)
                    + np.repeat(self.tau0 + residual[rows], length))
-            return seg, 2.0 if real else 1.0, np.repeat(self.seg_band[seg:], length), sig
+            first = np.flatnonzero(np.diff(band, prepend=-1))  # each band's first segment
+            count = np.diff(offsets[np.append(first, band.size)])  # and cells
+            longest = np.argsort(-count, kind="stable")
+            start, count, ids = offsets[first][longest], count[longest], band[first][longest]
+            order, bands = np.empty((2, offsets[-1]), np.int32 if offsets[-1] < 2**31 else np.intp)
+            at = lo = 0
+            for w in np.flatnonzero(np.diff(count, append=0))[::-1] + 1:  # count[w] < count[w - 1]
+                hi = count[w - 1]
+                block = slice(at, at + (hi - lo) * w)  # cells lo .. hi - 1 of the w longest bands
+                np.add.outer(np.arange(lo, hi), start[:w], out=order[block].reshape(-1, w))
+                bands[block].reshape(-1, w)[:] = ids[:w]
+                at, lo = block.stop, hi
+            return seg, 2.0 if real else 1.0, sig, order, bands
         return _cached(self._tables, real, build)
 
     @property
     def sigma(self) -> np.ndarray:
         """Every cell's modulation, in layout order."""
-        return self.norm_cells(False)[3]
+        return self.norm_cells(False)[2]
 
     def k_symbol(self, fn) -> np.ndarray:
         """fn(k) per cell: fn is called once, on the array of band ks, mapping it elementwise."""
-        return fn(self.band_k)[self.norm_cells(False)[2]]
+        return np.repeat(fn(self.band_k)[self.seg_band], self.offsets[1:] - self.offsets[:-1])
 
     def zs_table(self, s: float, real: bool) -> tuple:
         """zs_norm's layout part (bins, weight, k_x), built once per (s, real).
 
         Each cell is weighted by its term's <sigma> power (weight), the term taken from its band's
-        two cuts (_region_cuts), and summed into its bin 3 band + term (bins) in cell order, so the
-        totals are those of classifying every cell with region_codes, bit for bit; the <k> powers
-        are taken per band (k_x).
+        two cuts (_region_cuts), and summed into its bin 3 band + term (bins); both are in the sum
+        order of norm_cells, and the totals are those of classifying every cell with region_codes,
+        bit for bit.  The <k> powers are taken per band (k_x).
         """
         def build():
             if self.params.j < 2:
                 raise ValueError("the Z^s decomposition is specific to j >= 2")
             sk, sb = 2.0 * np.array(zs_weights(s, self.params.j)).T
-            _, _, band, sig = self.norm_cells(real)
+            _, _, sig, order, band = self.norm_cells(real)
+            sig = sig.take(order)
             # int8 terms: few cell-sized temporaries on large spectra
             cuts = _region_cuts(self.band_k, self.params.j)
             term = np.add(*(np.abs(sig) >= b[band] for b in cuts), dtype=np.int8)
@@ -471,20 +488,28 @@ class SpaceTimeSpectrum:
         seg_n, seg_m0, offsets, placement = _assemble(np.array(ns, dtype=np.int64), _ints(m0s),
                                                       length)
         self._set_layout(_Layout(params, dtau, tau0, seg_n, seg_m0, offsets),
-                         _place(placement, buf), 0.0)
+                         _place(placement, buf))
 
-    def _set_layout(self, layout: _Layout, amps, truncated_mass):
-        self.layout, self.amps, self.truncated_mass = layout, amps, truncated_mass
+    def _set_layout(self, layout: _Layout, amps, dropped=()):
+        self.layout, self.amps, self._dropped = layout, amps, dropped
         self.params, self.dtau, self.tau0 = layout.params, layout.dtau, layout.tau0
         self.seg_n, self.seg_m0, self.offsets = layout.seg_n, layout.seg_m0, layout.offsets
         self._real = False  # set by from_time_samples only; see _Layout.norm_cells
 
     @classmethod
-    def _from_layout(cls, layout: _Layout, amps, truncated_mass=0.0) -> "SpaceTimeSpectrum":
-        """amps on layout, both without copying."""
+    def _from_layout(cls, layout: _Layout, amps, dropped=()) -> "SpaceTimeSpectrum":
+        """amps on layout, both without copying; dropped: st_convolve's (x, y, drop) operands."""
         out = cls.__new__(cls)
-        out._set_layout(layout, amps, truncated_mass)
+        out._set_layout(layout, amps, dropped)
         return out
+
+    @cached_property
+    def truncated_mass(self) -> float:
+        """st_convolve's dropped L2 mass (beyond kmax, k = 0), taken on first read; else 0.0."""
+        dropped = 0.0
+        for x, y, drop in self._dropped:
+            dropped += float(np.sum(np.abs(_pair_convolutions(x, y)[drop]) ** 2))
+        return math.sqrt(dropped * self.dtau / self.params.lam)
 
     def _with_amps(self, amps) -> "SpaceTimeSpectrum":
         """The same cells with new amplitudes, unmarked; the layout is shared."""
@@ -646,21 +671,22 @@ def _lift_halves(pos, t0: float, dt: float, params: ModelParams, cells=None) -> 
 
 def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
     """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}."""
-    seg, factor, band, sig = u.layout.norm_cells(u._real)
+    seg, factor, sig, order, band = u.layout.norm_cells(u._real)
     cell = bracket(sig) ** (2.0 * b) * np.abs(u.amps[u.offsets[seg]:]) ** 2
-    per_band = np.bincount(band, cell, u.layout.band_k.size)
+    per_band = np.bincount(band, cell.take(order), u.layout.band_k.size)
     total = factor * float(per_band @ bracket(u.layout.band_k) ** (2.0 * s))
     return math.sqrt(total * u.dtau / u.params.lam)
 
 
 def ys_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """||<k>^s F u||_{L2((dk)_lam) L1(dtau)}: L1 in tau first, then L2 in k."""
-    return _ys_of_abs(u, s, np.abs(u.amps[u.offsets[u.layout.norm_cells(u._real)[0]]:]))
+    seg, _, _, order, _ = u.layout.norm_cells(u._real)
+    return _ys_of_abs(u, s, np.abs(u.amps[u.offsets[seg]:]).take(order))
 
 
 def _ys_of_abs(u: SpaceTimeSpectrum, s: float, abs_amps: np.ndarray) -> float:
-    """ys_norm from abs_amps, the |amps| of the cells the norms read (_Layout.norm_cells)."""
-    _, factor, band, _ = u.layout.norm_cells(u._real)
+    """ys_norm from abs_amps, the |amps| the norms read, in their sum order (_Layout.norm_cells)."""
+    _, factor, _, _, band = u.layout.norm_cells(u._real)
     l1 = np.bincount(band, abs_amps, u.layout.band_k.size) * u.dtau
     total = factor * float(np.sum(bracket(u.layout.band_k) ** (2.0 * s) * l1 * l1))
     return math.sqrt(total / u.params.lam)
@@ -676,13 +702,13 @@ def zs_weights(s: float, j: int):
 def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
     """The four-term composite norm, needing j >= 2: |a| once, |a|^2 times the weights of the
     layout's Z^s table (_Layout.zs_table), and two bincounts for the X terms and Y^s."""
-    seg, factor, _, _ = u.layout.norm_cells(u._real)
+    seg, factor, _, order, _ = u.layout.norm_cells(u._real)
     bins, weight, k_x = u.layout.zs_table(s, u._real)
-    abs_amps = np.abs(u.amps[u.offsets[seg]:])
-    cell = abs_amps ** 2
-    cell *= weight  # in place: one cell-sized array fewer at the peak of Picard's memory
+    abs_amps = np.abs(u.amps[u.offsets[seg]:]).take(order)  # in the sum order
+    ys = _ys_of_abs(u, s, abs_amps)  # first: |a|^2 and its weights then overwrite |a|
+    cell = np.multiply(np.square(abs_amps, out=abs_amps), weight, out=abs_amps)
     totals = factor * np.sum(np.bincount(bins, cell, k_x.size).reshape(-1, 3) * k_x, axis=0)
-    return float(np.sqrt(totals * u.dtau / u.params.lam).sum()) + _ys_of_abs(u, s, abs_amps)
+    return float(np.sqrt(totals * u.dtau / u.params.lam).sum()) + ys
 
 
 def ws_norm(u: SpaceTimeSpectrum, s: float) -> float:
@@ -694,17 +720,19 @@ def ws_norm(u: SpaceTimeSpectrum, s: float) -> float:
 def _pair_convolutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i*len(b) + j is np.convolve(a[i], b[j]): matrix products against b's Toeplitz rows.
 
-    The Toeplitz stack of b is len(a[0]) times b's size, so b is taken in
-    chunks that keep it near 2^22 cells.
+    b's Toeplitz matrices, (t, i) -> b[j, t - i] or 0, are a strided view of its zero-padded rows,
+    copied contiguous (one row's too) in chunks of b that keep the stack near 2^22 cells.
     """
     (na, l1), (nb, l2) = a.shape, b.shape
     lout = l1 + l2 - 1
-    lag = np.arange(lout)[:, None] - np.arange(l1)
-    lag = np.where((lag >= 0) & (lag < l2), lag, l2)  # column l2 of the padded rows is 0
-    padded = np.concatenate([b, np.zeros((nb, 1))], axis=1)
+    padded = np.zeros((nb, l2 + 2 * (l1 - 1)), dtype=complex)
+    padded[:, l1 - 1:l1 - 1 + l2] = b
+    row, item = padded.strides
+    toeplitz = np.ndarray((nb, lout, l1), complex, padded, (l1 - 1) * item, (row, item, -item))
     step = max(1, 2**22 // (lout * l1))
     # column j*lout + t of a chunk's product is lag t of the chunk's row j
-    parts = [a @ padded[j:j + step, lag].reshape(-1, l1).T for j in range(0, nb, step)]
+    parts = [a @ np.ascontiguousarray(toeplitz[j:j + step]).reshape(-1, l1).T
+             for j in range(0, nb, step)]
     return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)).reshape(na * nb, lout)
 
 
@@ -740,16 +768,15 @@ def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
                 pre1=None, pre2=None) -> SpaceTimeSpectrum:
     """Normalized space-time convolution (1/lam) dtau sum_{k1,tau1} u(k-k1,..) v(k1,..).
 
-    pre1/pre2 are optional per-k input symbols (e.g. ik for a derivative
-    hitting one factor), each called once with the array of its input's
-    band ks; a symbol must map that array elementwise.  Output
-    beyond kmax, and the excluded k=0 column, are dropped; their L2 mass is
-    recorded as truncated_mass.  Each pair of segment groups (_convolution_plan,
-    built once per pair of layouts) convolves all its segment pairs at once,
-    and _place puts the rows into the output layout: on characteristic windows
-    every output segment is an (n1, n2) row plus its identical (n2, n1) row, or
-    one (n, n) row, and the sums are two row gathers.  Inputs whose j, lam, nmax
-    or dtau differ are a ValueError.
+    pre1/pre2 are optional per-k input symbols (e.g. ik for a derivative hitting one
+    factor), each called once with the array of its input's band ks; a symbol must map that
+    array elementwise.  Output beyond kmax, and the excluded k=0 column, are dropped; their L2
+    mass, truncated_mass, is taken on its first read, by redoing the products that drop rows
+    from copies of their operands that the call keeps.  Each pair of segment groups
+    (_convolution_plan, built once per pair of layouts) convolves all its segment pairs at
+    once, and _place puts the rows into the output layout: on characteristic windows every
+    output segment is an (n1, n2) row plus its identical (n2, n1) row, or one (n, n) row, and
+    the sums are two row gathers.  Inputs whose j, lam, nmax or dtau differ are a ValueError.
     """
     p, q = u.params, v.params
     if (p.j, p.lam, p.nmax, u.dtau) != (q.j, q.lam, q.nmax, v.dtau):
@@ -761,14 +788,14 @@ def st_convolve(u: SpaceTimeSpectrum, v: SpaceTimeSpectrum,
     scale = u.dtau / p.lam
     fu = u.amps if pre1 is None else u.layout.k_symbol(pre1) * u.amps
     fv = v.amps if pre2 is None else v.layout.k_symbol(pre2) * v.amps
-    rows, dropped = [], 0.0
+    rows, operands = [], []
     for a, b, drop in pairs:
-        conv = _pair_convolutions(fu[a] * scale, fv[b])
-        dropped += float(np.sum(np.abs(conv[drop]) ** 2))
-        rows.append(conv.ravel())
+        x, y = fu[a] * scale, fv[b]
+        rows.append(_pair_convolutions(x, y).ravel())
+        if drop.size:
+            operands.append((x, y, drop))
     buf = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    return SpaceTimeSpectrum._from_layout(out, _place(placement, buf),
-                                          math.sqrt(dropped * u.dtau / p.lam))
+    return SpaceTimeSpectrum._from_layout(out, _place(placement, buf), operands)
 
 
 BILINEAR_FORMS = ("dxdx_smoothed", "product_dx", "product_smoothed")  # the probe's forms

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bourgain import SpaceTimeSpectrum, _characteristic, _check_dtau, bilinear_output, ws_norm
+from .bourgain import (SpaceTimeSpectrum, _characteristic, _check_dtau, _ints, _Layout,
+                       bilinear_output, ws_norm)
 from .lattice import ModelParams, is_integer
 
 
@@ -61,9 +62,10 @@ def build_counterexample(N: int, j: int, dtau: float = 0.125):
     q = step.denominator
 
     def slab(mode: int) -> SpaceTimeSpectrum:  # 2q cells tiling |sigma| <= 1 around M_n
-        cells = np.ones(2 * q, dtype=complex)
-        return SpaceTimeSpectrum(params, dtau, dtau / 2.0,
-                                 {n: [(index[n + params.nmax] - q, cells)] for n in (mode, -mode)})
+        ns = np.array([-mode, mode], dtype=np.int64)
+        layout = _Layout(params, dtau, dtau / 2.0, ns, _ints(index[ns + params.nmax] - q),
+                         np.arange(3, dtype=np.int64) * (2 * q))
+        return SpaceTimeSpectrum._from_layout(layout, np.ones(4 * q, dtype=complex))
 
     return slab(N), slab(N - 1)
 

@@ -15,12 +15,19 @@
 - `add_at_layout` merges a buffer's segments into a layout and sums every
   buffer cell into its layout cell with one np.add.at, in buffer order;
   dcl gathers the cells of segments that nothing else overlaps instead.
+- `lag_gather_pair_convolutions` gathers each Toeplitz matrix by a lag
+  index; dcl takes it as a strided view of the zero-padded rows.
+  `eager_truncated_mass` is st_convolve's dropped mass formed in the call,
+  as it once was; dcl forms it when truncated_mass is first read.
 - `region_partition_report` is dcl.bourgain.verify_regions' region-partition
   report with each label checked against `region_memberships` one point at a time.
 - `NormSpec` and `norm` select and evaluate one of the five norms by name;
   dcl calls each norm directly.  `zs_norm_by_cells` is Z^s with every cell
   classified by region_codes; dcl.bourgain.zs_norm compares each cell with
-  the two per-band cuts under region_codes instead.
+  the two per-band cuts under region_codes instead.  It, `xsb_norm_in_layout_order`
+  and `ys_norm_in_layout_order` sum the cells in layout order, with each
+  cell's band and sigma taken one segment at a time (`layout_order_cells`);
+  dcl sums them band-interleaved, from tables built once per layout.
 - `rescale_state` is the per-state dilation that dcl.rescale.rescale_trajectory
   applies to a whole trajectory block at once.
 - `exactly_hermitian` tests rows for exact mirror symmetry, and
@@ -234,6 +241,34 @@ def st_sigma_of(u: SpaceTimeSpectrum, n: int, m0: int, length: int) -> np.ndarra
     return np.array([float(tau0 + (m0 + i) * dtau - pk) for i in range(length)])
 
 
+# -- the pair convolutions and their dropped mass, as st_convolve once formed them ---------
+
+def lag_gather_pair_convolutions(a, b):
+    """dcl.bourgain._pair_convolutions with b's Toeplitz stack gathered by a (t, i) -> t - i
+    lag index from b's rows padded with one zero column, in the same chunks of b's rows."""
+    (na, l1), (nb, l2) = a.shape, b.shape
+    lout = l1 + l2 - 1
+    lag = np.arange(lout)[:, None] - np.arange(l1)
+    lag = np.where((lag >= 0) & (lag < l2), lag, l2)  # column l2 of the padded rows is 0
+    padded = np.concatenate([b, np.zeros((nb, 1))], axis=1)
+    step = max(1, 2**22 // (lout * l1))
+    parts = [a @ padded[j:j + step, lag].reshape(-1, l1).T for j in range(0, nb, step)]
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)).reshape(na * nb, lout)
+
+
+def eager_truncated_mass(u, v, pre1=None, pre2=None) -> float:
+    """st_convolve(u, v, pre1, pre2).truncated_mass formed in the call: the dropped rows of every
+    pair of segment groups of the cached plan, squared and summed pair by pair."""
+    pairs = bourgain._CACHE["plan", u.layout.key, v.layout.key][0]
+    fu = u.amps if pre1 is None else u.layout.k_symbol(pre1) * u.amps
+    fv = v.amps if pre2 is None else v.layout.k_symbol(pre2) * v.amps
+    dropped = 0.0
+    for a, b, drop in pairs:
+        conv = lag_gather_pair_convolutions(fu[a] * (u.dtau / u.params.lam), fv[b])
+        dropped += float(np.sum(np.abs(conv[drop]) ** 2))
+    return math.sqrt(dropped * u.dtau / u.params.lam)
+
+
 # -- the region-partition report, point by point ---------------------------------------
 
 def region_partition_report(params, kbound=64.0, sigma_bound=1e4, n_sigma=65) -> dict:
@@ -296,16 +331,53 @@ def norm(obj, ns: NormSpec) -> float:
     return bourgain.ws_norm(obj, ns.s)
 
 
+def layout_order_cells(u: SpaceTimeSpectrum):
+    """(cells, factor, band, sigma) of the cells u's norms read, in layout order, one segment
+    at a time: amps[offsets[seg]:], from the first n > 0 segment of a marked real field (whose
+    band sums count twice, factor) and from the first segment otherwise; each cell's index
+    into the band table, and its sigma by the module's rule dtau*((m0 - M_n) + i) + (tau0 +
+    r_n) with M_n and r_n from the _characteristic table."""
+    seg = int(np.searchsorted(u.seg_n, 0)) if u._real else 0
+    index, residual, _ = bourgain._characteristic(u.params, u.dtau)
+    band, sig = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for i in range(seg, u.seg_n.size):
+        n, length = int(u.seg_n[i]), int(u.offsets[i + 1] - u.offsets[i])
+        row = n + u.params.nmax
+        r0 = float(int(u.seg_m0[i]) - int(index[row]))
+        band.append(np.full(length, np.searchsorted(u.layout.band_n, n)))
+        sig.append(u.dtau * (r0 + np.arange(length)) + (u.tau0 + residual[row]))
+    return (u.amps[u.offsets[seg]:], 2.0 if u._real else 1.0, np.concatenate(band),
+            np.concatenate(sig))
+
+
+def xsb_norm_in_layout_order(u: SpaceTimeSpectrum, s: float, b: float) -> float:
+    """dcl.bourgain.xsb_norm with its per-band sums one bincount over the cells in layout order."""
+    amps, factor, band, sig = layout_order_cells(u)
+    cell = bracket(sig) ** (2.0 * b) * np.abs(amps) ** 2
+    per_band = np.bincount(band, cell, u.layout.band_k.size)
+    total = factor * float(per_band @ bracket(u.layout.band_k) ** (2.0 * s))
+    return math.sqrt(total * u.dtau / u.params.lam)
+
+
+def ys_norm_in_layout_order(u: SpaceTimeSpectrum, s: float) -> float:
+    """dcl.bourgain.ys_norm with its per-band sums one bincount over the cells in layout order."""
+    amps, factor, band, _ = layout_order_cells(u)
+    l1 = np.bincount(band, np.abs(amps), u.layout.band_k.size) * u.dtau
+    total = factor * float(np.sum(bracket(u.layout.band_k) ** (2.0 * s) * l1 * l1))
+    return math.sqrt(total / u.params.lam)
+
+
 def zs_norm_by_cells(u: SpaceTimeSpectrum, s: float) -> float:
-    """dcl.bourgain.zs_norm with a region code per cell and one bincount per (band, term)."""
+    """dcl.bourgain.zs_norm with a region code per cell and one bincount per (band, term), over
+    the cells in layout order."""
     sk, sb = 2.0 * np.array([*bourgain.zs_weights(s, u.params.j), (0.0, 0.0)]).T
-    seg, factor, band, sig = u.layout.norm_cells(u._real)
+    amps, factor, band, sig = layout_order_cells(u)
     codes = bourgain.region_codes(u.layout.band_k[band], np.abs(sig), u.params)
     term = np.array([3, 0, 1, 2, 2, 0])[codes]  # D1, D5 -> 0; D2 -> 1; D3, D4 -> 2; excluded -> 3
-    cell = bracket(sig) ** sb[term] * np.abs(u.amps[u.offsets[seg]:]) ** 2
+    cell = bracket(sig) ** sb[term] * np.abs(amps) ** 2
     per_band = np.bincount(4 * band + term, cell, 4 * u.layout.band_k.size).reshape(-1, 4)
     totals = factor * np.sum(per_band * bracket(u.layout.band_k)[:, None] ** sk, axis=0)
-    return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + bourgain.ys_norm(u, s)
+    return float(np.sqrt(totals[:3] * u.dtau / u.params.lam).sum()) + ys_norm_in_layout_order(u, s)
 
 
 # -- the dilation, one state at a time ----------------------------------------------------

@@ -825,6 +825,26 @@ class TestPlacement:
         assert out.amps.nbytes == 16 * 49632 and buffer == 16 * 4096 * 33
         assert peak < buffer + 2 * out.amps.nbytes
 
+    def test_a_warm_zs_norm_allocates_three_float_arrays(self):
+        # zs_norm of the same warm pair's output: |a| in layout order, numpy's intp copy of the
+        # int32 order inside take, and |a| in the sum order (squared and weighted in place), each
+        # one float per cell, plus the per-band sums; a complex-sized temporary beside the sums,
+        # or a fourth float one, would not fit
+        p = ModelParams(j=2, kmax=32.0)
+        rng = np.random.default_rng(8)
+        u, v = random_spectrum(p, rng), random_spectrum(p, rng)
+        ik = lambda k: 1j * k
+        out = st_convolve(u, v, ik, ik)
+        zs_norm(out, -0.25)
+        tracemalloc.start()
+        try:
+            zs_norm(out, -0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floats = 8 * out.n_cells()
+        assert floats == 8 * 49632 and peak < 3 * floats + 8 * 1024
+
 
 class TestHermitianMirror:
     def _cases(self, params8):
@@ -1096,7 +1116,7 @@ class TestRegionRuns:
     the per-cell route."""
 
     def check(self, u, s=-0.25):
-        _, _, band, sig = u.layout.norm_cells(u._real)
+        _, _, band, sig = oracles.layout_order_cells(u)
         b0, b1 = (b[band] for b in _zs_bounds(u.layout.band_k, u.params.j))
         term = (np.abs(sig) >= b0).astype(int) + (np.abs(sig) >= b1)
         codes = region_codes(u.layout.band_k[band], np.abs(sig), u.params)
@@ -1163,6 +1183,123 @@ class TestRegionRuns:
                                                     (m_n - far - 4, np.ones(9))]})
         assert np.unique(u.layout.sigma).size < u.n_cells()
         self.check(u)
+
+
+def sum_order_cases():
+    """(name, spectrum) pairs whose norms the layout-order oracle checks."""
+    p = ModelParams(j=2, kmax=8.0)
+    yield "random", random_spectrum(p, np.random.default_rng(50))
+    # ragged bands of several segments, and segments that overlap, touch or nest and are summed
+    rng = np.random.default_rng(51)
+    for case in sorted(_CONV_CASES):
+        params, lay_u, lay_v = _CONV_CASES[case]
+        yield case, segmented_spectrum(params, rng, lay_u)
+        yield case + " out", st_convolve(segmented_spectrum(params, rng, lay_u),
+                                         segmented_spectrum(params, rng, lay_v))
+    yield "every kind", segmented_spectrum(ModelParams(j=3, kmax=3.0), rng, {
+        n: [(m0, l) for n2, m0, l in EVERY_KIND if n2 == n] for n, _, _ in EVERY_KIND})
+    # a real-marked lift with a zero band dropped in both halves
+    t, block = real_trajectory(p, 17, seed=52)
+    block[:, [p.nmax - 3, p.nmax + 3]] = 0.0
+    lifted = from_time_samples(t, block, p)
+    assert lifted._real and 3 not in lifted.bands and -3 not in lifted.bands
+    yield "lift", lifted
+    q = ModelParams(j=4, kmax=1024.0)
+    big = from_characteristic(SpatialSpectrum.from_modes(q, {1.0: 1.0, 2.0: 1j, 600.0: 0.5,
+                                                             1024.0: 2.0}))
+    assert big.seg_m0.dtype == object
+    yield "object m0", big
+    yield "empty", SpaceTimeSpectrum(p, 0.25)
+
+
+SUM_ORDER_NAMES = [name for name, _ in sum_order_cases()]
+
+
+class TestSumOrder:
+    """The norms sum band-interleaved; each per-band sum is the layout-order one, bit for bit."""
+
+    @pytest.mark.parametrize("name", SUM_ORDER_NAMES)
+    def test_norms_equal_the_layout_order_oracle(self, name):
+        u = dict(sum_order_cases())[name]
+        for s in (-0.25, 0.5):
+            assert ys_norm(u, s) == oracles.ys_norm_in_layout_order(u, s)
+            assert zs_norm(u, s) == oracles.zs_norm_by_cells(u, s)
+            for b in (0.5, -0.3):
+                assert xsb_norm(u, s, b) == oracles.xsb_norm_in_layout_order(u, s, b)
+        if u.n_cells():
+            assert zs_norm(u, -0.25) > 0.0
+
+    @pytest.mark.parametrize("name", SUM_ORDER_NAMES)
+    def test_order_takes_each_band_in_turn(self, name):
+        u = dict(sum_order_cases())[name]
+        seg, _, sig, order, band = u.layout.norm_cells(u._real)
+        cells = u.n_cells() - int(u.offsets[seg])
+        assert order.dtype == band.dtype == np.int32 and sig.size == cells
+        assert np.array_equal(np.sort(order), np.arange(cells))
+        _, _, want, _ = oracles.layout_order_cells(u)
+        assert np.array_equal(band, want[order])
+        for b in np.unique(band):  # a band's cells in their own order, one per layer
+            assert np.all(np.diff(order[band == b]) > 0)
+        # each cell's rank in its band never falls: layer r holds cell r of every band of more
+        # than r cells
+        rank = np.arange(cells) - np.searchsorted(want, want)
+        assert np.all(np.diff(rank[order]) >= 0)
+
+
+class TestLazyMass:
+    """truncated_mass on first read, and the Toeplitz stack as a strided view."""
+
+    @pytest.mark.parametrize("case", sorted(_CONV_CASES))
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_equals_the_eager_mass(self, case, derivative):
+        params, lay_u, lay_v = _CONV_CASES[case]
+        rng = np.random.default_rng(53)
+        u = segmented_spectrum(params, rng, lay_u)
+        v = segmented_spectrum(params, rng, lay_v, tau0=0.125)
+        pre = (lambda k: 1j * k) if derivative else None
+        out = st_convolve(u, v, pre, pre)
+        assert out.truncated_mass == oracles.eager_truncated_mass(u, v, pre, pre) > 0.0
+
+    def test_kept_when_the_inputs_change(self, params8, monkeypatch):
+        rng = np.random.default_rng(54)
+        u, v = random_spectrum(params8, rng), random_spectrum(params8, rng)
+        ik = lambda k: 1j * k
+        calls = []
+        real = bourgain._pair_convolutions
+        monkeypatch.setattr(bourgain, "_pair_convolutions",
+                            lambda a, b: calls.append(a.shape) or real(a, b))
+        out = st_convolve(u, v, ik, ik)
+        products = len(calls)
+        want = oracles.eager_truncated_mass(u, v, ik, ik)
+        u.amps[:], v.amps[:] = 0.0, 1.0
+        calls.clear()
+        assert out.truncated_mass == want > 0.0  # from the operands the call kept
+        assert 0 < len(calls) <= products
+        calls.clear()
+        assert out.truncated_mass == want and not calls  # read once, then kept
+
+    def test_of_form_f_is_the_first_terms(self, params8):
+        rng = np.random.default_rng(55)
+        u, v = random_spectrum(params8, rng), random_spectrum(params8, rng)
+        out = bilinear_output(u, v, "F")
+        assert out.truncated_mass == st_convolve(u, v).truncated_mass
+        assert out.truncated_mass == oracles.eager_truncated_mass(u, v) > 0.0
+        assert SpaceTimeSpectrum(params8, 0.25).truncated_mass == u.truncated_mass == 0.0
+
+    @pytest.mark.parametrize("shapes", [((5, 3), (4, 7)), ((3, 1), (6, 5)), ((4, 6), (2, 1)),
+                                        ((1, 2), (1, 4)), ((3, 4), (1, 5)), ((2, 300), (50, 40))])
+    def test_toeplitz_view_equals_the_lag_gather(self, shapes):
+        # one row of b: its stack must still be a contiguous copy.  The last shape takes b's
+        # rows in two chunks: step = 2^22 // (339 * 300) = 41 < 50
+        (na, l1), (nb, l2) = shapes
+        assert (nb > 2**22 // ((l1 + l2 - 1) * l1)) == (l1 == 300)
+        rng = np.random.default_rng(56)
+        a = rng.standard_normal((na, l1)) + 1j * rng.standard_normal((na, l1))
+        b = rng.standard_normal((nb, l2)) + 1j * rng.standard_normal((nb, l2))
+        got = bourgain._pair_convolutions(a, b)
+        assert np.array_equal(got, oracles.lag_gather_pair_convolutions(a, b))
+        want = np.array([np.convolve(x, y) for x in a for y in b])
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 class TestZsTable:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dcl.bourgain import BILINEAR_FORMS, bilinear_output, random_spectrum, ws_norm
+from dcl.bourgain import (BILINEAR_FORMS, SpaceTimeSpectrum, _characteristic, bilinear_output,
+                          random_spectrum, ws_norm)
 from dcl.illposed import (
     CollisionReport,
     CounterexampleConfig,
@@ -52,6 +53,23 @@ class TestBuildCounterexample:
         u1, u2 = build_counterexample(2, 2)
         assert sorted(u1.bands) == [-2, 2]
         assert sorted(u2.bands) == [-1, 1]
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_slabs_equal_the_constructor_route(self, j):
+        # each slab's layout is written down in closed form; the general constructor, which
+        # sorts, merges and places the same two segments, must give the same spectrum bit for bit
+        for N in CounterexampleConfig(j=j, s=0.0).N_list:
+            params = ModelParams(j=j, lam=1.0, kmax=float(2 * N))
+            index = _characteristic(params, 0.125)[0]
+            for mode, u in zip((N, N - 1), build_counterexample(N, j)):
+                want = SpaceTimeSpectrum(params, 0.125, 0.0625, {
+                    n: [(index[n + params.nmax] - 8, np.ones(16))] for n in (mode, -mode)})
+                assert u.seg_m0.dtype == want.seg_m0.dtype
+                assert (u.seg_n.tolist(), u.seg_m0.tolist(), u.offsets.tolist()) == (
+                    want.seg_n.tolist(), want.seg_m0.tolist(), want.offsets.tolist())
+                assert u.layout.key == want.layout.key and u.tau0 == want.tau0
+                assert np.array_equal(u.amps, want.amps) and u.amps.dtype == want.amps.dtype
+                assert ws_norm(u, -0.25) == ws_norm(want, -0.25)
 
     def test_unit_amplitudes_on_slab(self):
         u1, _ = build_counterexample(4, 2, dtau=0.125)
