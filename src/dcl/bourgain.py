@@ -34,8 +34,9 @@ the buffer.  st_convolve's index work on two layouts is a plan; the plans
 and the layouts of from_characteristic and _lift_halves are kept in one LRU
 of _CACHE_SIZE entries, keyed by content (params, dtau, tau0, the tables).
 st_convolve and the constructor sum segments into a layout by one placement
-(_assemble): row gathers, and np.add.at only where segments overlap, which
-non-resonance rules out on characteristic windows.
+(_assemble): whole-row gathers when every output segment is one row or two
+identical rows of one length, as non-resonance makes it on characteristic
+windows, and otherwise one np.add.at over every cell.
 m0 is exact: int64 while it is small, Python ints beyond 2^62, so segments
 may sit at astronomically large tau (near P(k) for large k) without losing
 the exact integer offset.
@@ -113,16 +114,12 @@ def region_memberships(k, tau, params: ModelParams) -> dict:
     applies the documented tie resolution.  The independent oracle of the
     partition tests and of the region-partition report.
     """
-    j = params.j
-    c = region_coefficient(j)
     ak = abs(k)
     s = abs(sigma(k, tau, params))
     scalar = np.ndim(s) == 0
     if scalar:
         s = float(s)  # comparisons on numpy scalars cost several times more
-    # float_power is libm pow, as float ** is, so arrays and floats agree
-    power = np.float_power if isinstance(ak, np.ndarray) else pow
-    lo, hi = c * power(ak, 2 * j), c * power(ak, 2 * j + 1)
+    lo, hi = region_thresholds(ak, params.j)
     big = ak >= 1.0
     small = (1.0 / params.lam <= ak) & (ak <= 1.0)
     members = {
@@ -231,25 +228,23 @@ def _assemble(n, m0, length, keep=None):
     The kept segments (all by default) are sorted by (n, m0); within a band,
     segments that overlap or touch merge into one, summed where they overlap.
     Returns (seg_n, seg_m0, offsets, placement); _place(placement, buf) is the
-    layout's amps.  Sorted, identical segments (equal n, m0, length) are adjacent
-    and reach is the band's furthest end so far: a segment, or two identical ones,
-    that no other one reaches into and that ends where the next starts or before
-    is gathered (buf[first] + buf[second], or a lone one's own cells).  The cells
-    of every other kept segment go through np.add.at in buffer order.  So each
-    cell is one np.add.at's sum, up to the sign of a zero.
+    layout's amps.  Sorted, identical segments (equal n, m0, length) are adjacent.
 
-    placement is (size, runs, (cells, src)).  Per length, runs holds (length, at,
-    first, second, lone): first and second are the buffer cells where each gathered
-    segment and its twin start (second is empty if no segment has a twin, and a lone
-    segment is its own second), lone indexes the rows without a twin, and at the
-    layout cells where the rows land, or None if they tile the layout in order.
-    np.add.at sums buf[src] into cells, int32 where they fit.
+    If every kept segment has one length and each output segment is one of them
+    or two identical ones, placement is (length, first, second, lone) and the
+    gathered rows, buf[first] + buf[second] or a lone row's own cells, tile the
+    layout in order.  first and second are the buffer cells where each output
+    segment's rows start, a lone row is its own second, and lone indexes the lone
+    rows; second and lone are empty if no segment has a twin.  Otherwise placement
+    is (size, cells, src), and one np.add.at sums buf[src] into cells, every kept
+    cell in buffer order.  So each cell is one np.add.at's sum, up to the sign of
+    a zero.
     """
     none = np.zeros(0, dtype=np.intp)
     keep = length > 0 if keep is None else keep & (length > 0)
     kept = keep.nonzero()[0][np.lexsort((m0[keep], n[keep]))]
     if not kept.size:
-        return n[:0], m0[:0], np.zeros(1, dtype=np.int64), (0, (), (none, none))
+        return n[:0], m0[:0], np.zeros(1, dtype=np.int64), (0, none, none)
     n_k, m0_k, len_k = n[kept], m0[kept], length[kept]
     start = (length.cumsum() - length)[kept]  # each kept segment's first buffer cell
     end = m0_k + len_k
@@ -261,56 +256,34 @@ def _assemble(n, m0, length, keep=None):
     new = np.ones(n_k.size, dtype=bool)
     new[1:] = band_starts | (m0_k[1:] > reach[:-1])
     first = new.nonzero()[0]
-    seg = new.cumsum() - 1  # output segment of each kept segment
+    count = np.diff(first, append=n_k.size)  # kept segments per output segment
     out_m0 = m0_k[first]
     offsets = np.zeros(first.size + 1, dtype=np.int64)
-    last = np.concatenate((first[1:], [n_k.size])) - 1
-    np.cumsum((reach[last] - out_m0).astype(np.int64), out=offsets[1:])
+    np.cumsum((reach[first + count - 1] - out_m0).astype(np.int64), out=offsets[1:])
+    layout = n_k[first], _ints(out_m0), offsets
+    row = int(len_k[0])
+    # one length, and no output segment longer than a row: each is one row or two identical
+    if count.max() <= 2 and offsets[-1] == row * first.size and (len_k == row).all():
+        second = lone = none
+        if count.max() == 2:  # a lone row is its own second
+            second, lone = start[first + count - 1], (count == 1).nonzero()[0]
+        return (*layout, (row, start[first], second, lone))
+    seg = new.cumsum() - 1  # output segment of each kept segment
     at = offsets[seg] + (m0_k - out_m0[seg]).astype(np.int64)  # each one's first layout cell
-    # clear[i]: no segment before i in its band reaches past its start; clear[-1] closes.
-    # A segment is gathered if it is clear and the one after it, or after its twin, is too.
-    clear = np.ones(n_k.size + 1, dtype=bool)
-    clear[1:-1] = band_starts | (m0_k[1:] >= reach[:-1])
-    twin = np.zeros(n_k.size, dtype=bool)  # the first of two identical clean segments
-    twin[:-1] = (clear[:-2] & clear[2:] & ~band_starts & (m0_k[1:] == m0_k[:-1])
-                 & (len_k[1:] == len_k[:-1]))
-    clean = twin | (clear[:-1] & clear[1:])
-    rest = ~clean
-    rest[1:] &= ~twin[:-1]  # the second of twins is gathered with the first
-    gathered, rest = clean.nonzero()[0], rest.nonzero()[0]
-    twin = twin[gathered]
-    rest = rest[start[rest].argsort(kind="stable")]  # buffer order: add.at's order
-    lens, runs = len_k[gathered], []
-    for l in sorted(set(lens.tolist())):
-        i = lens == l
-        g, t = gathered[i], twin[i]
-        twins = (start[g + t], (~t).nonzero()[0]) if t.any() else (none, none)
-        runs.append((l, at[g], start[g], *twins))  # a lone segment is its own second
-    cells = src = none
-    if rest.size:
-        ln = len_k[rest]
-        src = np.repeat(start[rest] - (np.cumsum(ln) - ln), ln) + np.arange(ln.sum())
-        cells = src + np.repeat(at[rest] - start[rest], ln)
-        index = np.int32 if max(offsets[-1], length.sum()) < 2**31 else np.intp
-        cells, src = cells.astype(index), src.astype(index)
-    elif len(runs) == 1:  # the gathered runs tile the layout in order
-        runs[0] = (runs[0][0], None, *runs[0][2:])
-    return n_k[first], _ints(out_m0), offsets, (int(offsets[-1]), tuple(runs), (cells, src))
+    order = kept.argsort()  # buffer order: add.at's order
+    ln, start, at = len_k[order], start[order], at[order]
+    src = np.repeat(start - (np.cumsum(ln) - ln), ln) + np.arange(ln.sum())
+    return (*layout, (int(offsets[-1]), src + np.repeat(at - start, ln), src))
 
 
 _BLOCK = 1 << 14  # cells per block of second rows in _summed_rows: a temporary kept in cache
 
 
-def _rows(a: np.ndarray, length: int) -> np.ndarray:
-    """Row i is a[i:i + length] of a contiguous a, a view; a fancy index on it copies only the
-    rows it takes."""
-    return np.ndarray((a.size - length + 1, length), a.dtype, a, 0, (a.itemsize,) * 2)
-
-
 def _summed_rows(buf, length: int, first, second, lone) -> np.ndarray:
-    """Rows first (plus rows second) of _rows(buf, length), a fresh array; see _assemble."""
-    view = _rows(buf, length)
-    rows = view[first]
+    """Rows buf[first[i]:][:length] (plus buf[second[i]:][:length]) of a contiguous buf, a fresh
+    array; see _assemble."""
+    view = np.ndarray((buf.size - length + 1, length), buf.dtype, buf, 0, (buf.itemsize,) * 2)
+    rows = view[first]  # the fancy index copies only the rows it takes
     block = max(1, _BLOCK // length)
     for i in range(0, second.size, block):
         rows[i:i + block] += view[second[i:i + block]]
@@ -320,14 +293,11 @@ def _summed_rows(buf, length: int, first, second, lone) -> np.ndarray:
 
 
 def _place(placement, buf) -> np.ndarray:
-    """The amps of an _assemble layout from its buffer buf; see _assemble."""
-    size, runs, (cells, src) = placement
-    if runs and runs[0][1] is None:  # the rows are the amps
-        length, _, *rows = runs[0]
-        return _summed_rows(buf, length, *rows).reshape(-1)
+    """The amps of an _assemble layout from its buffer buf: gathered rows, or one np.add.at."""
+    if len(placement) == 4:  # (length, first, second, lone): the rows are the amps
+        return _summed_rows(buf, *placement).reshape(-1)
+    size, cells, src = placement
     amps = np.zeros(size, dtype=complex)
-    for length, at, *rows in runs:
-        _rows(amps, length)[at] = _summed_rows(buf, length, *rows)
     np.add.at(amps, cells, buf[src])
     return amps
 
@@ -580,7 +550,7 @@ def random_spectrum(params: ModelParams, rng, dtau: float = 0.25,
     amps[params.nmax] = 0.0
     spec = SpatialSpectrum(params, amps)
     out = from_characteristic(spec, dtau, sigma_halfwidth)
-    width = 2 * int(round(sigma_halfwidth / dtau)) + 1
+    width = int(out.offsets[1])  # every band's window, as from_characteristic laid them out
     # per band: width real parts, then width imaginary parts
     z = rng.standard_normal((out.seg_n.size, 2, width))
     noise = (z[:, 0] + 1j * z[:, 1]).ravel()

@@ -297,13 +297,13 @@ def _fft_constants(lam: float, nx: int):
     return tuple(tuple(np.broadcast_to(x, ()) for x in pair) for pair in pairs)
 
 
-def lattice_to_grid(pos, params: ModelParams, work: GridWork) -> np.ndarray:
+def lattice_to_grid(pos, work: GridWork) -> np.ndarray:
     """work.grid, written with the real samples of the fields whose n > 0 halves are pos.
 
     pos is a sequence of the nf (*batch, nmax) blocks that work = grid_work(params, nx, nf,
     batch) was built for, one field per row; the fields come out along axis -2 of work.grid,
     not stacked first (the nonlinearity's u and u_x).  Full rows go through `real_half` first.
-    Everything the pair reads comes from work; params names the lattice it was built for.
+    Everything the pair reads comes from work.
     """
     scale, rows = work.scales[0], work.rows
     if len(pos) != len(rows):  # what zip(strict=True) checks, ~0.3 us a call cheaper
@@ -314,7 +314,7 @@ def lattice_to_grid(pos, params: ModelParams, work: GridWork) -> np.ndarray:
     return work.grid
 
 
-def grid_to_lattice(params: ModelParams, work: GridWork):
+def grid_to_lattice(work: GridWork):
     """Inverse of lattice_to_grid: transforms work.grid into work.spectrum, returns work.parts.
 
     The parts are (pos, zero, tail) per row: pos is the n > 0 half of the field's spectrum
@@ -406,7 +406,7 @@ def forward_transform(samples, params: ModelParams, return_mean: bool = False):
     floor = np.finfo(f.dtype).eps if f.dtype.kind == "f" and f.itemsize < 8 else 1e-10
     work = grid_work(params, nx, 1, f.shape[:-1])
     work.grid[..., 0, :] = f  # int and float32 samples become float64 here
-    pos, zero, tail = grid_to_lattice(params, work)
+    pos, zero, tail = grid_to_lattice(work)
     amps = hermitian_rows(pos[..., 0, :])
     mean = zero[..., 0].real / (TWO_PI_SQRT * params.lam)
     if tail.size:
@@ -444,7 +444,7 @@ def inverse_transform(spec: SpatialSpectrum, nx: int | None = None, mean=0.0) ->
     pos = real_half(spec.amps, "the spectrum")
     if not np.isrealobj(mean):
         raise ValueError(f"mean must be real, got {mean!r}")
-    return lattice_to_grid((pos,), p, grid_work(p, nx, 1))[0] + mean
+    return lattice_to_grid((pos,), grid_work(p, nx, 1))[0] + mean
 
 
 @functools.lru_cache(maxsize=64)  # hs_norm runs on every diagnostic row

@@ -148,12 +148,12 @@ def padded_product(a, b, params: ModelParams, work=None):
     """
     if work is None:
         work = grid_work(params, params.default_grid(pad=2), len(a), np.shape(a[0])[:-1])
-    f = lattice_to_grid(a, params, work)
+    f = lattice_to_grid(a, work)
     if b is a:
         f *= f
     else:
-        f *= lattice_to_grid(b, params, grid_work(params, f.shape[-1], len(b), np.shape(b[0])[:-1]))
-    return grid_to_lattice(params, work)
+        f *= lattice_to_grid(b, grid_work(params, f.shape[-1], len(b), np.shape(b[0])[:-1]))
+    return grid_to_lattice(work)
 
 
 @lru_cache(maxsize=32)

@@ -14,7 +14,8 @@
   single cells of a SpaceTimeSpectrum; sigma is computed in exact rationals.
 - `add_at_layout` merges a buffer's segments into a layout and sums every
   buffer cell into its layout cell with one np.add.at, in buffer order;
-  dcl gathers the cells of segments that nothing else overlaps instead.
+  dcl does the same, except that it gathers whole rows when each output
+  segment is one row or two identical rows of one length.
 - `lag_gather_pair_convolutions` gathers each Toeplitz matrix by a lag
   index; dcl takes it as a strided view of the zero-padded rows.
   `eager_truncated_mass` is st_convolve's dropped mass formed in the call,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dcl import bourgain, lattice
 from dcl.bourgain import (
+    BILINEAR_FORMS,
     REGION_LABELS,
     _characteristic,
     _embedding_scans,
@@ -43,7 +44,7 @@ from dcl.bourgain import (
     zs_norm,
 )
 from dcl.evolve import PicardConfig
-from dcl.illposed import build_counterexample
+from dcl.illposed import CounterexampleConfig, build_counterexample
 from dcl.lattice import ModelParams, SpatialSpectrum, bracket, hermitian_rows
 from dcl.symbols import dispersion_symbol
 
@@ -724,7 +725,7 @@ def assert_layout_is(u, want):
 
 
 class TestPlacement:
-    """Gathered segments and the np.add.at rest: equal to one np.add.at over every cell."""
+    """Gathered rows, or one np.add.at over every kept cell: equal to the np.add.at oracle."""
 
     @given(table=segment_tables(), seed=st.integers(0, 2**32 - 1))
     @example(table=EVERY_KIND, seed=0)
@@ -740,15 +741,43 @@ class TestPlacement:
         assert (seg_n.tolist(), seg_m0.tolist(), offsets.tolist()) == want[:3]
         assert np.array_equal(got, want[3])
 
+    @staticmethod
+    def placed(table, kind):
+        """_assemble's placement of table (n, m0, length), of the kind named, and the one
+        np.add.at's layout and amps on a random buffer, which _place must give."""
+        n, m0, length = (np.array(col, dtype=np.int64) for col in zip(*table))
+        buf = random_buffer(3, int(length.sum()))
+        *layout, placement = bourgain._assemble(n, bourgain._ints(m0), length)
+        assert len(placement) == {"gather": 4, "add_at": 3}[kind]
+        want = oracles.add_at_layout(n, m0, length, buf)
+        assert [a.tolist() for a in layout] == list(want[:3])
+        assert np.array_equal(bourgain._place(placement, buf), want[3])
+        return placement
+
     def test_each_kind_of_segment_takes_its_route(self):
-        n, m0, length = (np.array(col, dtype=np.int64) for col in zip(*EVERY_KIND))
-        *_, (size, runs, (cells, src)) = bourgain._assemble(n, bourgain._ints(m0), length)
-        # gathered: band 1's twin and its touching neighbour, band -2's lone segment
-        assert sorted((l, first.size, second.size) for l, _, first, second, _ in runs) == [
-            (1, 1, 0), (2, 1, 0), (3, 1, 1)]
-        # to np.add.at: band 2's three identical, band 3's nested and band -1's overlapping
-        assert cells.size == src.size == 3 * 2 + 4 + 2 + 3 + 3
-        assert np.all(np.diff(src) > 0)  # in buffer order
+        # rows of mixed lengths, some overlapping: every kept cell to np.add.at, in buffer order
+        size, cells, src = self.placed(EVERY_KIND, "add_at")
+        assert size == 5 + 2 + 4 + 5 + 1  # bands 1, 2, 3, -1, -2, merged
+        assert np.array_equal(src, np.arange(27)) and cells.size == 27
+
+    @pytest.mark.parametrize("table", [
+        [(1, 0, 2), (1, 2, 2), (2, 0, 2)],  # touching rows of one length
+        [(1, 0, 2), (1, 5, 3), (-1, 0, 3)],  # rows apart, of two lengths
+        [(1, 0, 2), (1, 0, 2), (1, 0, 2)],  # three identical rows
+    ])
+    def test_other_layouts_go_to_add_at(self, table):
+        _, cells, src = self.placed(table, "add_at")
+        assert np.array_equal(src, np.arange(sum(l for *_, l in table))) and cells.size == src.size
+
+    @pytest.mark.parametrize("table, first, second, lone", [
+        ([(1, 0, 2), (2, 5, 2), (-1, 3, 2)], [4, 0, 2], [], []),  # lone rows
+        ([(1, 0, 2), (2, 5, 2), (1, 0, 2), (-1, 3, 2), (1, 3, 0)], [6, 0, 2], [6, 4, 2], [0, 2]),
+        ([(2, 1, 3), (2, 1, 3), (1, 0, 3), (1, 0, 3)], [6, 0], [9, 3], []),  # identical pairs
+    ])
+    def test_lone_rows_and_identical_pairs_gather(self, table, first, second, lone):
+        length, *rows = self.placed(table, "gather")
+        assert length == table[0][2]
+        assert [r.tolist() for r in rows] == [first, second, lone]
 
     @given(table=segment_tables(), seed=st.integers(0, 2**32 - 1))
     @example(table=EVERY_KIND, seed=1)
@@ -783,6 +812,14 @@ class TestPlacement:
         ns, m0s, lengths, buf, kept = convolution_rows(u, v)
         assert_layout_is(out, oracles.add_at_layout(ns, m0s, lengths, buf, kept))
 
+    @staticmethod
+    def assert_gathers(placement, out):
+        """placement gathers whole rows that tile out; (size, cells, src) would be np.add.at."""
+        assert len(placement) == 4
+        length, first, second, lone = placement
+        assert first.size * length == out.offsets[-1]
+        assert second.size in (0, first.size) and lone.size < first.size
+
     @pytest.mark.parametrize("j, lam, kmax", [(2, 1.0, 32.0), (3, 2.0, 16.0), (4, 1.0, 16.0)])
     @pytest.mark.parametrize("dtau", [0.25, 1 / 16, 1 / 64])
     def test_characteristic_layouts_leave_nothing_to_add_at(self, j, lam, kmax, dtau):
@@ -796,14 +833,33 @@ class TestPlacement:
         amps[p.nmax] = 0.0
         sparse = from_characteristic(SpatialSpectrum(p, amps), dtau)  # fewer bands: fewer twins
         for x, y in ((u, u), (u, sparse), (sparse, u)):
-            _, (size, runs, (cells, src)), out = bourgain._convolution_plan(x.layout, y.layout)
-            assert cells.size == src.size == 0
-            (length, at, first, second, lone), = runs
-            assert at is None and first.size * length == size
-            assert second.size in (0, first.size) and lone.size < first.size
-            assert size == out.offsets[-1]
+            _, placement, out = bourgain._convolution_plan(x.layout, y.layout)
+            self.assert_gathers(placement, out)
             if x is y:  # one layout: each (n1, n2) row has its (n2, n1) twin, (n, n) is lone
+                _, first, second, lone = placement
                 assert second.size == first.size and lone.size > 0
+
+    @pytest.mark.parametrize("form", [*BILINEAR_FORMS, "F"])
+    def test_the_probe_plan_gathers_in_every_form(self, form):
+        # the probe's pair (j = 2, kmax 32, dtau 1/4) as bilinear_output runs it
+        p = ModelParams(j=2, kmax=32.0)
+        rng = np.random.default_rng(10)
+        u, v = random_spectrum(p, rng), random_spectrum(p, rng)
+        out = bilinear_output(u, v, form)
+        _, placement, plan_out = bourgain._CACHE["plan", u.layout.key, v.layout.key]
+        assert plan_out is out.layout
+        self.assert_gathers(placement, out)
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_the_collision_scan_plans_gather(self, j):
+        # every slab pair of a collision scan over the default N list, through the "F" form as
+        # duhamel_weighted_bilinear runs it: the plans certify's illposed commands build
+        for N in CounterexampleConfig(j=j, s=-0.25).N_list:
+            u1, u2 = build_counterexample(N, j)
+            out = bilinear_output(u1, u2, "F")
+            _, placement, plan_out = bourgain._CACHE["plan", u1.layout.key, u2.layout.key]
+            assert plan_out is out.layout
+            self.assert_gathers(placement, out)
 
     def test_a_warm_convolution_allocates_its_buffer_and_output_only(self):
         # the probe's pair at kmax 32: past the buffer of segment-pair convolutions and the

@@ -348,12 +348,12 @@ class TestKernelParity:
                 for i, block in enumerate(blocks):
                     half[..., i, 1:m + 1] = block * (1.0 / c)
                 want = np.fft.irfft(half, n=nx, axis=-1, norm="forward")
-                assert lattice_to_grid(blocks, p, work) is work.grid
+                assert lattice_to_grid(blocks, work) is work.grid
                 assert np.array_equal(work.grid, want)
                 for samples in (want, f[..., :len(blocks), :]):  # the round trip, then any samples
                     work.grid[...] = samples
                     fhat = np.fft.rfft(samples, axis=-1, norm="forward") * c
-                    parts = grid_to_lattice(p, work)
+                    parts = grid_to_lattice(work)
                     refs = (fhat[..., 1:m + 1], fhat[..., 0], fhat[..., m + 1:])
                     for got, ref in zip(parts, refs, strict=True):
                         assert np.shares_memory(got, work.spectrum) and np.array_equal(got, ref)
@@ -389,7 +389,7 @@ class TestKernelParity:
     def test_full_rows_refused(self):
         p = ModelParams(j=2, kmax=8.0)
         with pytest.raises(ValueError):
-            lattice_to_grid((broadband(p, seed=1).amps,), p, grid_work(p, p.default_grid(pad=2), 1))
+            lattice_to_grid((broadband(p, seed=1).amps,), grid_work(p, p.default_grid(pad=2), 1))
 
 
 # -- Picard -------------------------------------------------------------------------

@@ -341,9 +341,9 @@ class TestRealPacking:
         blk = blk.reshape(2, 2, -1)
         nx = p.default_grid(pad=pad)
         work = grid_work(p, nx, 1, (2, 2))
-        f = lattice_to_grid((blk[..., p.nmax + 1:],), p, work)
+        f = lattice_to_grid((blk[..., p.nmax + 1:],), work)
         assert f.shape == (2, 2, 1, nx) and np.isrealobj(f)
-        pos, zero, tail = grid_to_lattice(p, work)
+        pos, zero, tail = grid_to_lattice(work)
         amps = hermitian_rows(pos[..., 0, :])
         assert oracles.exactly_hermitian(amps)
         assert np.abs(amps - blk).max() < 1e-15 * np.abs(blk).max() * nx
@@ -359,7 +359,7 @@ class TestRealPacking:
         want = math.sqrt(float(np.sum(np.abs(full[m + 1:nx - m]) ** 2)) / p.lam)
         work = grid_work(p, nx, 1)
         work.grid[0] = f
-        (pos,), (zero,), (tail,) = grid_to_lattice(p, work)
+        (pos,), (zero,), (tail,) = grid_to_lattice(work)
         amps = hermitian_rows(pos)
         assert dropped_mass(tail, nx, p.lam) == pytest.approx(want, rel=1e-13)
         assert np.abs(amps[m + 1:] - full[1:m + 1]).max() < 1e-14
