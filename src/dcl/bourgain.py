@@ -14,9 +14,9 @@ Boundary ties: the inequalities are closed/open exactly as written; where
 that leaves an overlap (|k| = 1, and sigma = c_j|k|^(2j) = c_j|k|^(2j+1)
 when |k| = 1), the large-k family D1/D2/D3 wins and D1 takes precedence
 over D3.  These rules live only in region_codes, the one classifier, and
-its cuts on |sigma| (_region_cuts), which zs_norm shares;
-region_memberships keeps the raw inequalities as its oracle.  The composite
-norm, with its exponent pairs in zs_weights, is
+its cuts on |sigma| (_region_cuts), which zs_norm and the embedding
+scans share; region_memberships keeps the raw inequalities as its
+oracle.  The composite norm, with its exponent pairs in zs_weights, is
 
     Z^s = X_{s,(2j-1)/(2j)} on D1+D5  +  X_{(1-2j)(s-1),s} on D2
         + X_{-(s-1)/j-1,(s-1)/j+1} on D3+D4  +  Y^s (unrestricted),
@@ -65,7 +65,6 @@ unmarked and its norms read every cell once.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -883,67 +882,51 @@ def _embedding_scans(s: float, j: int):
     }
 
 
-_GROUPS = {"D1D5": ("D1", "D5"), "D2": ("D2",), "D3D4": ("D3", "D4"), "D1": ("D1",)}
+def _term_ranges(params: ModelParams, kbound: float):
+    """The lattice ks in (0, kbound], and each Z^s term's closed |sigma| range (lo, hi) at every k.
 
-
-def _region_sigma_ranges(params: ModelParams, kbound: float):
-    """The lattice ks in (0, kbound], and each region's |sigma| range (lo, hi) at every k.
-
-    D1, D2, D3 hold the rows with k >= 1 and D5, D4 the rows with k < 1; a
-    region's rows of the other family are NaN.  D3 and D4 reach up to 4x
-    the upper threshold at kbound, and at least twice their own.  An end
-    that region_codes puts in another region (D2's ends, D4's lower end,
-    and D3's lower end at |k| = 1, a D1 point) is pulled in by a relative
-    1e-9, so every range is closed and every point of it lies in its
-    region; D2's range at |k| = 1 is then empty, lo > hi.  The ends are
-    classified as if kmax were kbound, since a scan box may reach past kmax.
+    The ranges come from the cuts (b0, b1) that region_codes classifies by
+    (_region_cuts); with x- the float below x, D1+D5 is [0, b0-], D2 is
+    [b0, b1-] and D3+D4 is [b1, top], so each end is the last float of its
+    region.  D3 and D4 are unbounded in sigma: top caps them at 4x the
+    upper threshold at kbound.  D2 is empty, lo > hi, where b1 = b0, that
+    is at |k| <= 1.
     """
     ks = lattice_ks(kbound, params.lam)
-    a, b = region_thresholds(ks, params.j)
-    top = np.maximum(4.0 * region_thresholds(kbound, params.j)[1], 2 * b)
-    big = ks >= 1.0
-    box = replace(params, kmax=max(ks.size, 1) / params.lam)
+    b0, b1 = _region_cuts(ks, params.j)
+    top = np.full(ks.shape, 4.0 * region_thresholds(kbound, params.j)[1])
+    return ks, {"D1D5": (np.zeros(ks.shape), np.nextafter(b0, -np.inf)),
+                "D2": (b0, np.nextafter(b1, -np.inf)), "D3D4": (b1, top)}
 
-    def rows(region, family, lo, hi):
-        lo, hi = np.where(family, lo, np.nan), np.where(family, hi, np.nan)
-        code = REGION_LABELS.index(RegionLabel(region))
-        lo = np.where(region_codes(ks, lo, box) == code, lo, lo * (1 + 1e-9))
-        hi = np.where(region_codes(ks, hi, box) == code, hi, hi * (1 - 1e-9))
-        return lo, hi
 
-    return ks, {"D1": rows("D1", big, 0.0, a), "D2": rows("D2", big, a, b),
-                "D3": rows("D3", big, b, top), "D5": rows("D5", ~big, 0.0, b),
-                "D4": rows("D4", ~big, b, top)}
+def _weight_ratio(k, sig, alpha: float, beta: float):
+    """<k>^alpha <sigma>^beta, both powers by np.float_power: libm pow, as for a scalar (numpy's
+    SIMD ** can be an ulp off it), so the report and its CSV agree bit for bit."""
+    return np.float_power(bracket(k), alpha) * np.float_power(bracket(sig), beta)
 
 
 def _scan_maxima(scans: dict, params: ModelParams, kbound: float) -> dict:
     """Per scan, the max of <k>^alpha <sigma>^beta over its group's cells with |k| <= kbound.
 
     For a fixed k the ratio is monotone in |sigma|, so its max over the k's
-    closed range (lo, hi) in the group (_region_sigma_ranges) sits at hi
+    closed range (lo, hi) of the group's Z^s term (_term_ranges) sits at hi
     when beta > 0 and at lo otherwise; each scan evaluates that one sigma
-    per k.  When beta > 0 on D3+D4, hi is the range's artificial cap, 4x
-    the upper threshold at kbound, so that maximum, and its growth with the
-    box, is set by the cap rather than measured.  Returns (group,
-    inequality) -> (max, (k, sigma)), or (-inf, None) for a group with no
-    cells.  Ties go to the smallest k; with beta = 0 every sigma ties and
-    lo, the smallest, is reported.
+    per k.  The "half" group "D1" is D1+D5 on the rows k >= 1.  When
+    beta > 0 on D3+D4, hi is the range's artificial cap, 4x the upper
+    threshold at kbound, so that maximum, and its growth with the box, is
+    set by the cap rather than measured.  Returns (group, inequality) ->
+    (max, (k, sigma)), or (-inf, None) for a group with no cells.  Ties go
+    to the smallest k; with beta = 0 every sigma ties and lo, the
+    smallest, is reported.
     """
-    ks, ranges = _region_sigma_ranges(params, kbound)
-    ends = {}
-    for group, members in _GROUPS.items():
-        lo = hi = np.nan
-        for region in members:  # one member per k: fmax picks it
-            rlo, rhi = ranges[region]
-            lo, hi = np.fmax(lo, rlo), np.fmax(hi, rhi)
-        ends[group] = lo, hi
+    ks, terms = _term_ranges(params, kbound)
     out = {}
     for (group, ineq), (alpha, beta) in scans.items():
-        lo, hi = ends[group]
+        half = group == "D1"  # the "half" scans' D1: D1+D5 on the rows k >= 1
+        lo, hi = terms["D1D5" if half else group]
         sig = hi if beta > 0 else lo
-        # float_power is libm pow, as for a scalar; numpy's SIMD ** can be an ulp off
-        vals = np.float_power(bracket(ks), alpha) * bracket(sig) ** beta
-        vals[~(hi > lo)] = -np.inf  # empty range, or the other family's NaN row
+        vals = _weight_ratio(ks, sig, alpha, beta)
+        vals[(lo > hi) | (half & (ks < 1.0))] = -np.inf  # no cell of the group at k
         best = vals.max(initial=-np.inf)
         if best == -np.inf:
             out[(group, ineq)] = -math.inf, None
@@ -969,20 +952,20 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     nothing, because the window's ends also come from estimates other than
     these dominances.
 
-    Each box is scanned per region group (D1+D5, D2, D3+D4, D1) at every
-    lattice k <= kbound, over the closed |sigma| range of the k's region in
-    the group; an end of a range that region_codes puts in another region
-    (D2's ends, D4's lower end, D3's lower end at |k| = 1) is pulled in by
-    a relative 1e-9, so every scanned point lies in its group.  For a fixed
-    k a ratio <k>^alpha <sigma>^beta is monotone in |sigma|, so its max
-    over the range is at the upper end when beta > 0 and at the lower end
-    otherwise, and only that end is evaluated.  D3 and D4 are unbounded in
-    sigma and capped at 4x the upper threshold at kbound, so a beta > 0
-    scan on D3+D4 reports its value at the cap, and its growth under box
-    doubling is set by the cap, not measured.  Of equal maxima the smallest
-    k is reported as argmax, at the lower end when beta = 0.  An s or a
-    kbound that is not finite, a kbound with no lattice k (kbound*lam < 1),
-    or doublings that is not an integer >= 0 raises ValueError.
+    Each box is scanned per region group (D1+D5, D2, D3+D4, and D1, which
+    is D1+D5 at k >= 1) at every lattice k <= kbound, over the closed
+    |sigma| range of the group's Z^s term at k: its ends are the last
+    floats of the term under region_codes' cuts, so every scanned point
+    lies in its group.  For a fixed k a ratio <k>^alpha <sigma>^beta is
+    monotone in |sigma|, so its max over the range is at the upper end
+    when beta > 0 and at the lower end otherwise, and only that end is
+    evaluated.  D3 and D4 are unbounded in sigma and capped at 4x the
+    upper threshold at kbound, so a beta > 0 scan on D3+D4 reports its
+    value at the cap, and its growth under box doubling is set by the cap,
+    not measured.  Of equal maxima the smallest k is reported as argmax,
+    at the lower end when beta = 0.  An s or a kbound that is not finite,
+    a kbound with no lattice k (kbound*lam < 1), or doublings that is not
+    an integer >= 0 raises ValueError.
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
@@ -1065,34 +1048,31 @@ def verify_regions(params: ModelParams, kbound: float = 64.0) -> dict:
 def scan_csv(s: float, params: ModelParams, kbound: float, n_sigma: int = 16) -> str:
     """Raw per-cell dump of the lower-chain weight ratios: k, sigma, region, ratio.
 
-    Every lattice k <= kbound and each of its regions (D1, D2, D3 for
-    k >= 1, D5, D4 below) get n_sigma geometric sigmas over the region's
-    |sigma| range, the ranges the verify_embeddings grid uses, from
-    max(lo, 1e-6) (from max(lo, hi/2) when hi < 2e-6) up to hi.  The
-    ranges are closed as _region_sigma_ranges says, and a range left empty
-    (D2 at |k| = 1) gets no rows, so every row's region is
-    region_codes(k, sigma).  Rows run by k, then region, then ascending
-    sigma; the ratios of all cells are computed at once, and every column
-    but region is a plain number.
+    Every lattice k <= kbound and each Z^s term's |sigma| range at k, the
+    ranges verify_embeddings scans (_term_ranges), get n_sigma geometric
+    sigmas from max(lo, 1e-6) (from max(lo, hi/2) when hi < 2e-6) up to
+    hi, with the ratio of the term's "lower" scan.  A row's region is its
+    term's region in the k's family (D1 or D5, D2, D3 or D4 by k >= 1), so
+    it is region_codes(k, sigma); an empty range (D2 at |k| <= 1) gets no
+    rows.  Rows run by k, then term, then ascending sigma; the ratios of
+    all cells are computed at once, and every column but region is a
+    plain number.
     """
     scans = _embedding_scans(s, params.j)
-    ks, ranges = _region_sigma_ranges(params, kbound)
+    ks, terms = _term_ranges(params, kbound)
     cells = []
-    for region, (lo, hi) in ranges.items():
-        group = next(g for g, members in _GROUPS.items()
-                     if region in members and (g, "lower") in scans)
-        alpha, beta = scans[(group, "lower")]
-        rows = hi > lo  # False on the other family's NaN rows
+    for group, (lo, hi) in terms.items():
+        rows = lo <= hi
         sig = np.full((ks.size, n_sigma), np.nan)
         sig[rows] = np.geomspace(np.maximum(lo, np.minimum(1e-6, hi / 2))[rows], hi[rows],
                                  n_sigma, axis=1)
-        # float_power is libm pow, as for scalars; numpy's SIMD ** can be an ulp off
-        ratio = np.float_power(bracket(ks), alpha)[:, None] * np.float_power(bracket(sig), beta)
-        cells.append((region, sig.tolist(), ratio.tolist()))
+        ratio = _weight_ratio(ks[:, None], sig, *scans[(group, "lower")])
+        cells.append((group, sig.tolist(), ratio.tolist()))
     rows = ["k,sigma,region,ratio"]
     for i, k in enumerate(ks.tolist()):
         head = f"{k!r},"  # once per k, not once per row
-        for region, sig, ratio in cells:
+        for group, sig, ratio in cells:
             if not math.isnan(sig[i][0]):
+                region = group[:2] if k >= 1.0 else group[-2:]  # D1D5: D1 or D5, D2: D2
                 rows.extend(f"{head}{sv!r},{region},{r!r}" for sv, r in zip(sig[i], ratio[i]))
     return "\n".join(rows) + "\n"

@@ -182,6 +182,7 @@ def cmd_verify(cfg: dict, target: str) -> int:
         clock = time.perf_counter()
         report = resonance.verify_resonance_bound(cfg["kmax_verify"], cfg["j"])
         wall = time.perf_counter() - clock
+        report["config"] = cfg
         _write(outdir, "resonance_certificate.json", resonance.certificate_json(report) + "\n")
         print(f"resonance: {report['triples_checked']} triples, "
               f"{report['violations']} violations, min slack {report['min_slack']:.4f}, "
@@ -189,6 +190,7 @@ def cmd_verify(cfg: dict, target: str) -> int:
         return 0 if report["violations"] == 0 else 2
     if target == "regions":
         report = bourgain.verify_regions(params)
+        report["config"] = cfg
         _write(outdir, "region_partition.json", _dump(report))
         print(f"regions: {report['points']} points, {report['mislabels']} mislabels")
         return 0 if report["pass"] else 2
@@ -196,6 +198,7 @@ def cmd_verify(cfg: dict, target: str) -> int:
     report = bourgain.verify_embeddings(
         float(cfg["s"]), params, kbound=float(cfg["kbound"]),
         allow_outside_window=cfg["allow_outside_window"])
+    report["config"] = cfg
     _write(outdir, "embedding_report.json", _dump(report))
     _write(outdir, "embedding_scan.csv",
            bourgain.scan_csv(float(cfg["s"]), params, float(cfg["kbound"])))

@@ -16,10 +16,10 @@ from dcl.bourgain import (
     _characteristic,
     _embedding_scans,
     _lift_halves,
-    _region_sigma_ranges,
     _Layout,
     _time_step,
     _region_cuts as _zs_bounds,
+    _term_ranges,
     RegionLabel,
     SpaceTimeSpectrum,
     admissible_window,
@@ -1672,26 +1672,26 @@ class TestEmbeddingScans:
             verify_embeddings(-0.25, ModelParams(j=2), kbound=8.0, doublings=doublings)
 
     def test_certify_box_record(self):
-        # `dcl verify embeddings --s -0.25` at its defaults, as recorded before the
-        # scans read one end per k instead of a 58-point sigma grid
+        # `dcl verify embeddings --s -0.25` at its defaults, recorded when each range
+        # end became the last float of its region
         rep = verify_embeddings(-0.25, ModelParams(j=2), kbound=256.0)
         got = {(e["region"], e["inequality"]): (e["trend"], e["argmax"])
                for e in rep["entries"]}
         assert rep["kbounds"] == [256.0, 512.0] and rep["pass"]
         assert got == {
             ("D1D5", "lower"): ([1.0, 1.0], {"k": 1.0, "sigma": 0.0}),
-            ("D2", "lower"): ([0.07462012775592489, 0.07462012775592489],
-                              {"k": 2.0, "sigma": 3.3333333300000003}),
-            ("D3D4", "lower"): ([1.043569641072875, 1.043569641072875],
-                                {"k": 1.0, "sigma": 0.10416666677083335}),
+            ("D2", "lower"): ([0.0746201277901543, 0.0746201277901543],
+                              {"k": 2.0, "sigma": 3.333333333333333}),
+            ("D3D4", "lower"): ([1.0435696410742752, 1.0435696410742752],
+                                {"k": 1.0, "sigma": 0.10416666666666669}),
             ("D1D5", "upper"): ([1.0, 1.0], {"k": 1.0, "sigma": 0.0}),
-            ("D2", "upper"): ([12.86239387623052, 12.86239387623052],
-                              {"k": 2.0, "sigma": 1.6666666683333335}),
-            ("D3D4", "upper"): ([0.955667485162069, 0.955667485162069],
-                                {"k": 1.0, "sigma": 0.10416666677083335}),
+            ("D2", "upper"): ([12.862393885688164, 12.862393885688164],
+                              {"k": 2.0, "sigma": 1.666666666666667}),
+            ("D3D4", "upper"): ([0.9556674851659158, 0.9556674851659158],
+                                {"k": 1.0, "sigma": 0.10416666666666669}),
             ("D1", "half"): ([1.0, 1.0], {"k": 1.0, "sigma": 0.0}),
-            ("D2", "half"): ([0.11485185471211838, 0.11485185471211838],
-                             {"k": 4.0, "sigma": 106.66666656000001}),
+            ("D2", "half"): ([0.11485185479824968, 0.11485185479824968],
+                             {"k": 4.0, "sigma": 106.66666666666666}),
         }
 
     def test_window_formula(self):
@@ -1743,13 +1743,19 @@ def _oracle_box(params, kbound):
 
 
 def _oracle_closed(k, lo, hi, region, box):
-    """The range's ends, each pulled in by 1e-9 when region_codes puts it in another region."""
+    """The range's float thresholds stepped in by math.nextafter until region_codes puts them
+    in the region: each end is then the region's last float on its side (lo > hi if none)."""
     label = RegionLabel(region)
-    if REGION_LABELS[region_codes(k, lo, box)] is not label:
-        lo *= 1 + 1e-9
-    if REGION_LABELS[region_codes(k, hi, box)] is not label:
-        hi *= 1 - 1e-9
+    while lo <= hi and REGION_LABELS[region_codes(k, lo, box)] is not label:
+        lo = math.nextafter(lo, math.inf)
+    while lo <= hi and REGION_LABELS[region_codes(k, hi, box)] is not label:
+        hi = math.nextafter(hi, -math.inf)
     return lo, hi
+
+
+def _oracle_ratio(k, sv, alpha, beta):
+    """<k>^alpha <sigma>^beta by scalar libm pow."""
+    return math.pow(float(bracket(k)), alpha) * math.pow(float(bracket(sv)), beta)
 
 
 def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
@@ -1764,7 +1770,7 @@ def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
             if region not in _ORACLE_GROUPS[group]:
                 continue
             lo_in, hi_in = _oracle_closed(k, lo, hi, region, box)
-            if hi_in <= lo_in:
+            if hi_in < lo_in:
                 continue
             base = max(lo_in, 1e-6)
             sig = np.unique(np.concatenate([
@@ -1773,7 +1779,7 @@ def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
                 np.linspace(lo_in, min(hi_in, 4.0), 8),
             ]))
             sig = sig[(sig >= lo_in) & (sig <= hi_in)]
-            vals = bracket(k) ** alpha * bracket(sig) ** beta
+            vals = np.array([_oracle_ratio(k, sv, alpha, beta) for sv in sig])
             i = int(np.argmax(vals))
             if vals[i] > best:
                 best, arg = float(vals[i]), (k, float(sig[i]))
@@ -1792,10 +1798,10 @@ def _oracle_scan_csv(s, params, kbound, n_sigma=16):
                          if region in members and (g, "lower") in scans)
             alpha, beta = scans[(group, "lower")]
             lo, hi = _oracle_closed(k, lo, hi, region, box)
-            if hi <= lo:
+            if hi < lo:
                 continue
             for sv in np.geomspace(max(lo, min(1e-6, hi / 2)), hi, n_sigma):
-                ratio = float(bracket(k) ** alpha * bracket(sv) ** beta)
+                ratio = _oracle_ratio(k, sv, alpha, beta)
                 rows.append(f"{k!r},{float(sv)!r},{region},{ratio!r}")
     return "\n".join(rows) + "\n"
 
@@ -1819,6 +1825,22 @@ class TestEmbeddingScanOracle:
             k, sv = got[-1][1]
             assert entry["argmax"] == {"k": k, "sigma": sv}
 
+    @pytest.mark.parametrize("kbound", [12.0, 48.0])
+    @pytest.mark.parametrize("j, lam, s", _SCAN_CASES)
+    def test_report_equals_its_csv(self, j, lam, s, kbound):
+        # a "lower" maximum read at a CSV row is that row's ratio, bit for bit
+        p = ModelParams(j=j, lam=lam, kmax=8.0)
+        rep = verify_embeddings(s, p, kbound=kbound, allow_outside_window=True)
+        rows = {}
+        for line in scan_csv(s, p, kbound).splitlines()[1:]:
+            k, sv, _, ratio = line.split(",")
+            rows[(float(k), float(sv))] = float(ratio)
+        for e in rep["entries"]:
+            if e["inequality"] == "lower" and e["argmax"]:
+                point = (e["argmax"]["k"], e["argmax"]["sigma"])
+                if point in rows:
+                    assert e["max_ratio"] == rows[point], (e["region"], point)
+
     @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
     def test_flat_ratio_ties_go_to_the_first_k_and_smallest_sigma(self, lam):
         # D1D5 "upper" divides a weight by itself: beta = 0, every cell ties at 1
@@ -1841,20 +1863,26 @@ class TestEmbeddingScanOracle:
     @pytest.mark.parametrize("j", [2, 3])
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_range_ends_lie_in_their_region(self, j, lam):
-        # the scans read only these ends; (k = 1, sigma = c_j) ends D3's range but is
-        # a D1 point, and D2's range at |k| = 1 is empty; boxes past kmax too
+        # the scans read only these ends, and each range is maximal: the float beyond an
+        # end (but 0 and the D3+D4 cap) lies in another region; (k = 1, sigma = c_j) is a
+        # D1 point, D2's range is empty at |k| <= 1, and the boxes reach past kmax
         p = ModelParams(j=j, lam=lam, kmax=8.0)
+        codes = {"D1D5": (1, 5), "D2": (2, 2), "D3D4": (3, 4)}  # at k >= 1, below
         for kbound in (8.0, 16.0):
-            ks, ranges = _region_sigma_ranges(p, kbound)
+            ks, terms = _term_ranges(p, kbound)
             box = ModelParams(j=j, lam=lam, kmax=kbound)
-            for region, (lo, hi) in ranges.items():
-                rows = hi > lo
-                if lam == 1.0 and region in ("D4", "D5"):
-                    continue  # no k below 1
-                code = REGION_LABELS.index(RegionLabel(region))
-                assert rows.any(), region
+            for group, (lo, hi) in terms.items():
+                rows = lo <= hi
+                if group == "D2":
+                    assert (rows == (ks > 1.0)).all()
+                code = np.where(ks >= 1.0, *codes[group])[rows]
+                k, lo, hi = ks[rows], lo[rows], hi[rows]
                 for end in (lo, hi):
-                    assert (region_codes(ks[rows], end[rows], box) == code).all(), region
+                    assert (region_codes(k, end, box) == code).all(), group
+                beyond = region_codes(k, np.nextafter(lo, -np.inf), box)
+                assert (beyond != code)[lo > 0].all(), group
+                if group != "D3D4":
+                    assert (region_codes(k, np.nextafter(hi, np.inf), box) != code).all(), group
 
     @pytest.mark.parametrize("j, lam, s", [(2, 1.0, -0.25), (3, 2.0, -1.0), (4, 4.0, -1.5),
                                            (2, 4.0, 0.5)])
@@ -1866,7 +1894,7 @@ class TestEmbeddingScanOracle:
     def test_box_stops_at_kbound(self, lam, ks):
         # 2.6 * lam is no lattice index; the box must not round up past kbound
         p = ModelParams(j=2, lam=lam, kmax=8.0)
-        assert _region_sigma_ranges(p, 2.6)[0].tolist() == ks
+        assert lattice.lattice_ks(2.6, lam).tolist() == ks
         text = scan_csv(-0.25, p, kbound=2.6)
         assert text == _oracle_scan_csv(-0.25, p, kbound=2.6)
         assert {float(line.split(",")[0]) for line in text.splitlines()[1:]} == set(ks)

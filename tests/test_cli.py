@@ -117,7 +117,17 @@ class TestVerify:
         doc = json.loads((tmp_path / "out" / "resonance_certificate.json").read_text())
         assert doc["violations"] == 0
         assert set(doc) == {"j", "Kmax", "triples_checked", "violations",
-                            "min_slack", "argmin"}
+                            "min_slack", "argmin", "config"}
+
+    @pytest.mark.parametrize("target, name", [
+        ("resonance", "resonance_certificate.json"), ("regions", "region_partition.json"),
+        ("embeddings", "embedding_report.json")])
+    def test_reports_embed_the_resolved_config(self, tmp_path, target, name):
+        assert run(tmp_path, "verify", target, "--j", "3", "--lambda", "2", "--kmax", "8",
+                   "--kmax-verify", "6", "--s", "-1.0", "--kbound", "8") == 0
+        config = json.loads((tmp_path / "out" / name).read_text())["config"]
+        assert set(config) == set(_KEYS)
+        assert (config["j"], config["lambda"], config["kmax"]) == (3, 2.0, 8.0)
 
     def test_resonance_line_reports_wall_time_and_rate(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "resonance", "--kmax-verify", "8") == 0
@@ -174,6 +184,18 @@ class TestVerify:
             <= set(doc["entries"][0])
         assert run(tmp_path, "verify", "embeddings", "--s", "-2.0",
                    "--kbound", "32", "--kmax", "4") == 1
+
+    def test_embeddings_certify_command(self, tmp_path):
+        # perfbench's certify round runs this argv; it must keep its shape
+        assert run(tmp_path, "verify", "embeddings", "--s", "-0.25") == 0
+        doc = json.loads((tmp_path / "out" / "embedding_report.json").read_text())
+        assert len(doc["entries"]) == 8 and all(e["pass"] for e in doc["entries"])
+        rows = (tmp_path / "out" / "embedding_scan.csv").read_text().splitlines()[1:]
+        assert len(rows) == 12272
+        k, sv, region = zip(*(row.split(",")[:3] for row in rows))
+        codes = bourgain.region_codes(np.array(k, float), np.array(sv, float),
+                                      ModelParams(j=2, kmax=256.0))
+        assert [bourgain.REGION_LABELS[c].value for c in codes] == list(region)
 
     @pytest.mark.parametrize("kbound", ["0", "inf"])
     def test_embeddings_box_without_a_lattice_k_exit_one(self, tmp_path, kbound):
