@@ -25,9 +25,9 @@ it into full rows once at the end and takes the diagnostics of all rows in
 one pass; rescale_trajectory and pde_residual act on the block.  A stepper
 owns the buffers its steps write (a step allocates only the half it
 returns), so no two threads may step one at once.  Picard iterates on
-(nt, nmax) blocks of halves too: it writes each iterate's half into its row
-of one preallocated block, mirrors the whole block in place once at the
-end, and measures each iterate difference on its half.
+(nt, nmax) blocks of halves too, row block by row block: it writes each
+iterate's half into its row of one preallocated block, mirrors the whole
+block once at the end, and measures each iterate difference on its half.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .lattice import (
     sobolev_weights,
     uniform_step,
 )
-from .symbols import (FKernel, dispersion_row, free_phases, half_dispersion, mean_coupling,
-                      nonlinearity_rows)
+from .symbols import (F_CHUNK, FKernel, dispersion_row, free_phases, half_dispersion,
+                      mean_coupling, nonlinearity_rows)
 
 MODES = ("full", "kdv", "linear")
 PHASE_WRAP_LIMIT = 50.0  # rad: a step is trusted while dt * max |P(k)| stays below this
@@ -359,29 +359,36 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
 
 # -- Picard / Duhamel fixed point ----------------------------------------------
 
-def _cumulative_simpson(y: np.ndarray, h: float, out=None, b8=None) -> np.ndarray:
-    """Cumulative integral along axis 0 of rows y sampled with step h, 0 at row 0.
+def _cumulative_simpson(y: np.ndarray, h: float, out=None, b8=None, lo=0, hi=None) -> np.ndarray:
+    """Cumulative integral along axis 0 of rows y sampled with step h, 0 at row 0, in its
+    rows lo..hi-1 (default all; 0 <= lo <= hi <= n, hi > 0), carried on from out's row lo - 1.
 
     Composite Simpson with scipy.integrate.cumulative_simpson's equal-interval formulas:
     interval i (rows i..i+1) is h/12 (5 f_i + 8 f_{i+1} - f_{i+2}) when i is even and
-    h/12 (-f_{i-1} + 8 f_i + 5 f_{i+1}) when i is odd.  y has an odd number >= 3 of rows, so
-    the last interval is odd.  Complex rows are integrated as they are.  out (y's shape) and
-    b8 (8 f_i at the (n - 1) // 2 odd i) are buffers to write into, not y; out is returned.
+    h/12 (-f_{i-1} + 8 f_i + 5 f_{i+1}) when i is odd.  y has an odd number n >= 3 of rows, so
+    the last interval is odd; rows lo - 2..hi of y are read.  Complex rows are integrated as
+    they are.  out (y's shape) and b8 (8 f_i at the odd i of the panels the range meets, at
+    most (hi - lo) // 2 + 1) are buffers to write into, not y; out is returned.  np.cumsum
+    adds row after row, so ranges that tile 0..n in order give the whole call bit for bit.
     """
-    n = y.shape[0]
+    hi = y.shape[0] if hi is None else hi
     sub = np.empty_like(y) if out is None else out
-    sub[0] = 0.0
-    a, b, c = y[0:n - 2:2], y[1:n - 1:2], y[2::2]
-    b8 = np.multiply(8.0, b, out=b8)
-    fwd, bwd = sub[1:n - 1:2], sub[2::2]
-    np.multiply(a, 5.0, out=fwd)
-    fwd += b8
-    fwd -= c
-    np.multiply(c, 5.0, out=bwd)
-    bwd += b8
-    bwd -= a
-    sub[1:] *= h / 12.0
-    return np.cumsum(sub, axis=0, out=sub)
+    if lo == 0:
+        sub[0] = 0.0
+    q0, q1 = max(lo - 1, 0) // 2, hi // 2  # the panels (rows 2q + 1, 2q + 2) the range meets
+    a, b, c = y[2 * q0:2 * q1:2], y[2 * q0 + 1:2 * q1:2], y[2 * q0 + 2:2 * q1 + 1:2]
+    b8 = np.multiply(8.0, b, out=None if b8 is None else b8[:q1 - q0])
+    f0, nb = int(2 * q0 + 1 < lo), q1 - q0 - (hi % 2 == 0)  # skip row lo - 1, and row hi
+    fwd, bwd = sub[2 * (q0 + f0) + 1:2 * q1:2], sub[2 * q0 + 2:2 * (q0 + nb) + 1:2]
+    np.multiply(a[f0:], 5.0, out=fwd)
+    fwd += b8[f0:]
+    fwd -= c[f0:]
+    np.multiply(c[:nb], 5.0, out=bwd)
+    bwd += b8[:nb]
+    bwd -= a[:nb]
+    sub[max(lo, 1):hi] *= h / 12.0
+    np.cumsum(sub[max(lo - 1, 0):hi], axis=0, out=sub[max(lo - 1, 0):hi])
+    return sub
 
 
 def bump_eta(t):
@@ -462,12 +469,16 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
 
     u0 must be a real field, as for simulate.  The phases, the free flow, F,
     the quadrature and the update all act on the (nt, nmax) block of n > 0
-    halves.  Each iterate's half is written into its row of the one
-    (iterations+1, nt, 2*nmax+1) block that is returned, and that block is
-    mirrored in place at the end.  So every iterate is exactly Hermitian: for
-    input that is Hermitian only within real_half's tolerance, the input's
-    tiny anti-Hermitian part is dropped from the first iterate on, and the
-    n > 0 halves are those of the full-row loop.  Each difference is measured
+    halves, each iteration in two sweeps over F_CHUNK-row blocks (F, S(-t') and
+    Simpson; the update and its difference's H^s), bit for bit whole-block passes.
+    A call holds the S(t) table, the quadrature, the difference (F until the
+    update) and, when Z^s is measured, its lift.  Each iterate's half is
+    written into its row of the one (iterations+1, nt, 2*nmax+1) block that is
+    returned, and that block is mirrored in place at the end.  So every
+    iterate is exactly Hermitian: for input that is Hermitian only within
+    real_half's tolerance, the input's tiny anti-Hermitian part is dropped
+    from the first iterate on, and the n > 0 halves are those of the full-row
+    loop.  Each difference is measured
     on its half: its H^s norm sums kw |d|^2 over the mirrored full row, and
     Z^s lifts the half as from_time_samples lifts the full rows; both are the
     full-row numbers bit for bit.  quadrature_wrap is h * max |P(k)|
@@ -505,21 +516,26 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     # every iterate's n > 0 half is written into its row of one block, mirrored at the end
     iterates = np.empty((it + 1, nt, 2 * m + 1), dtype=complex)
     halves = iterates[..., m + 1:]
-    free = np.multiply(eta, phases * pos, out=halves[0])
+    free = np.multiply(eta, np.multiply(phases, pos, out=halves[0]), out=halves[0])
     w = free
-    # loop buffers: the difference (first Simpson's 8 f_odd rows), F, the quadrature, the lift
-    d, integrand, cum = np.empty((3, nt, m), dtype=complex)
-    b8, lift = d[:nt // 2], np.empty((2 * m, nt), dtype=complex)
+    # loop buffers: the difference (F until sweep B), the quadrature and its t = 0 row, a block's
+    # Simpson 8 f_odd rows and kw |.|^2 of full rows (mirrored, n = 0 slot 0), H^s norms, lift
+    blocks = [(lo, min(lo + F_CHUNK, nt)) for lo in range(0, nt, F_CHUNK)]
+    kernels = {n: FKernel(p, mu, mode == "kdv", (n,)) for n in {hi - lo for lo, hi in blocks}}
+    d, cum = np.empty((2, nt, m), dtype=complex)
+    cum0, b8 = np.empty(m, dtype=complex), np.empty(((F_CHUNK + 1) // 2 + 1, m), dtype=complex)
+    rows, norms = np.empty((F_CHUNK, 2 * m + 1)), np.empty(nt)
+    rows[:, m] = 0.0
+    lift = np.empty((2 * m, nt), dtype=complex) if measure_zs else None
     diffs_hs, diffs_zs, at_floor = [], [], []
     kw_pos = sobolev_weights(p, cfg.report_s)[m + 1:]
-    rows = np.empty((nt, 2 * m + 1))  # kw |.|^2 of full rows: mirrored, with the n = 0 slot 0
-    rows[:, m] = 0.0
 
-    def hs_slicewise(half):
-        # the full-row sum, bit for bit: |conj z|^2 = |z|^2 and kw(-k) = kw(k)
-        np.multiply(kw_pos, np.abs(half) ** 2, out=rows[:, m + 1:])
-        rows[:, :m] = rows[:, :m:-1]
-        return np.sqrt(np.sum(rows, axis=1) / p.lam).max()
+    def hs_rows(half, lo, hi):
+        # norms[lo:hi], the full-row sums bit for bit: |conj z|^2 = |z|^2 and kw(-k) = kw(k)
+        r = rows[:hi - lo]
+        np.multiply(kw_pos, np.abs(half[lo:hi]) ** 2, out=r[:, m + 1:])
+        r[:, :m] = r[:, :m:-1]
+        norms[lo:hi] = np.sqrt(np.sum(r, axis=1) / p.lam)
 
     # an upper bound on the newest iterate's H^s norm: the free flow's is u0's
     # (|S(t)| = 1, max eta = 1), and each difference adds at most its own norm
@@ -527,20 +543,32 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     phase_s["setup"] = time.perf_counter() - clock
     for i in range(1, it + 1):
         clock = time.perf_counter()
-        nonlinearity_rows(w, p, mu, mode == "kdv", integrand)
-        # S(-t') F(t'); phases come first in both products because numpy's
-        # complex a*b and b*a can differ in the last bit
-        np.multiply(phases_inv, integrand, out=integrand)
-        _cumulative_simpson(integrand, h, cum, b8)
-        cum -= cum[i0]  # integral from 0 to t
-        np.multiply(phases, cum, out=cum)
-        cum *= eta
-        w_next = np.subtract(free, cum, out=halves[i])
-        np.subtract(w_next, w, out=d)
-        diffs_hs.append(hs_slicewise(d))
+        # sweep A, block by block: F, S(-t') F and the quadrature's rows up to the block's
+        # last, which waits for the next block if odd; phases come first in the products
+        # because numpy's complex a*b and b*a can differ in the last bit
+        done = 0
+        for lo, hi in blocks:
+            part, upto = w[lo:hi], hi - 1 + hi % 2
+            kernels[hi - lo](part, part, d[lo:hi])
+            np.multiply(phases_inv[lo:hi], d[lo:hi], out=d[lo:hi])
+            _cumulative_simpson(d, h, cum, b8, done, upto)
+            done = upto
+        # sweep B: the integral from 0 to t, S(t) and eta, the update and its difference
+        np.copyto(cum0, cum[i0])
+        w_next = halves[i]
+        for lo, hi in blocks:
+            c = np.subtract(cum[lo:hi], cum0, out=cum[lo:hi])
+            np.multiply(phases[lo:hi], c, out=c)
+            c *= eta[lo:hi]
+            np.subtract(free[lo:hi], c, out=w_next[lo:hi])
+            np.subtract(w_next[lo:hi], w[lo:hi], out=d[lo:hi])
+            hs_rows(d, lo, hi)
+        diffs_hs.append(np.max(norms))  # NaN stays NaN
         amp += diffs_hs[-1]
         if diffs_hs[-1] <= PICARD_FLOOR * amp:  # near the floor: the exact norm decides
-            amp = hs_slicewise(w_next)
+            for lo, hi in blocks:
+                hs_rows(w_next, lo, hi)
+            amp = np.max(norms)
         at_floor.append(bool(diffs_hs[-1] <= PICARD_FLOOR * amp))
         phase_s["iterate"] += time.perf_counter() - clock
         if measure_zs:

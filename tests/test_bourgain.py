@@ -1285,6 +1285,19 @@ class TestSumOrder:
         if u.n_cells():
             assert zs_norm(u, -0.25) > 0.0
 
+    @pytest.mark.parametrize("name", ["random", "random kmax 32", "lift", "lift nt 1025",
+                                      "slab u1", "slab u2"])
+    def test_ws_norm_is_its_two_terms_bit_for_bit(self, name):
+        # ws_norm takes |amps| once, and its <sigma> power still runs in layout order
+        p = ModelParams(j=2, kmax=32.0)
+        cases = dict(sum_order_cases())
+        cases["random kmax 32"] = random_spectrum(p, np.random.default_rng(53))
+        cases["lift nt 1025"] = from_time_samples(*real_trajectory(p, 1025, seed=54), p)
+        cases["slab u1"], cases["slab u2"] = build_counterexample(64, 2)
+        u = cases[name]
+        for s in (-0.25, 0.5):
+            assert ws_norm(u, s) == xsb_norm(u, s, 0.5) + ys_norm(u, s)
+
     @pytest.mark.parametrize("name", SUM_ORDER_NAMES)
     def test_order_takes_each_band_in_turn(self, name):
         u = dict(sum_order_cases())[name]

@@ -464,6 +464,37 @@ class TestPicardParity:
         assert np.array_equal(res.iterates, iterates)
         assert res.ratios_hs == r_hs and res.ratios_zs == r_zs and len(r_zs) == 3
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 32])
+    @pytest.mark.parametrize("mode", ["full", "kdv"])
+    @pytest.mark.parametrize("nt", [3, 31, 33, 63, 65, 67])
+    def test_block_edges_equal_the_full_row_route(self, nt, mode, chunk, monkeypatch):
+        # F_CHUNK-row blocks with edges on odd and even rows, one-row blocks, a short last
+        # block and a grid inside one block
+        monkeypatch.setattr(evolve, "F_CHUNK", chunk)
+        p = ModelParams(j=2, kmax=8.0)
+        u0 = broadband(p, seed=nt, amplitude=0.01)
+        cfg = PicardConfig(iterations=3, nt=nt, report_s=-0.25, measure_zs=True)
+        res = picard_iterate(u0, cfg, mode=mode, mu=1.5)
+        iterates, r_hs, r_zs = oracle_picard(u0, cfg, mode=mode, mu=1.5)
+        assert np.array_equal(res.iterates, iterates)
+        assert res.ratios_hs == r_hs and res.ratios_zs == r_zs
+
+    def test_overflow_keeps_its_nan(self):
+        # the iterates overflow to inf and then NaN: a NaN difference norm must give a NaN
+        # ratio, as the whole-block max gives, not a finite one
+        p = ModelParams(j=2, kmax=16.0)
+        u0 = broadband(p, seed=11, amplitude=1e6)
+        cfg = PicardConfig(iterations=6, nt=129, measure_zs=False)
+        with np.errstate(all="ignore"):
+            res = picard_iterate(u0, cfg)
+            iterates, r_hs, _ = oracle_picard(u0, cfg)
+        assert np.array_equal(res.iterates, iterates, equal_nan=True)
+        assert len(res.ratios_hs) == len(r_hs) == 5
+        for got, want in zip(res.ratios_hs, r_hs, strict=True):
+            assert got == want or (math.isnan(got) and math.isnan(want))
+        assert res.ratios_hs[-2] == math.inf and math.isnan(res.ratios_hs[-1])
+        assert res.ratios_at_floor == [False, False, False, True, True] and res.diverged
+
     def test_nearly_hermitian_input_keeps_its_positive_half(self):
         # as in simulate: the n > 0 halves follow the full-row loop bit for bit,
         # and every iterate's n < 0 half is the exact mirror of its n > 0 half
