@@ -26,8 +26,8 @@ one pass; rescale_trajectory and pde_residual act on the block.  A stepper
 owns the buffers its steps write (a step allocates only the half it
 returns), so no two threads may step one at once.  Picard iterates on
 (nt, nmax) blocks of halves too, row block by row block: it writes each
-iterate's half into its row of one preallocated block, mirrors the whole
-block once at the end, and measures each iterate difference on its half.
+iterate's half into its row of one preallocated block, mirrors it there as
+it is written, and measures each iterate difference on its half.
 """
 
 from __future__ import annotations
@@ -474,19 +474,18 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     A call holds the S(t) table, the quadrature, the difference (F until the
     update) and, when Z^s is measured, its lift.  Each iterate's half is
     written into its row of the one (iterations+1, nt, 2*nmax+1) block that is
-    returned, and that block is mirrored in place at the end.  So every
+    returned, and mirrored there block by block as it is written.  So every
     iterate is exactly Hermitian: for input that is Hermitian only within
     real_half's tolerance, the input's tiny anti-Hermitian part is dropped
     from the first iterate on, and the n > 0 halves are those of the full-row
-    loop.  Each difference is measured
-    on its half: its H^s norm sums kw |d|^2 over the mirrored full row, and
-    Z^s lifts the half as from_time_samples lifts the full rows; both are the
-    full-row numbers bit for bit.  quadrature_wrap is h * max |P(k)|
-    over the modes whose largest amplitude in the last iterate exceeds 1e-12
-    of the block's largest finite one, or is not finite: the phase the
-    quadrature's integrand turns through in one step.  phase_s holds the
-    wall seconds of the setup (phases and free flow), the iterations (F,
-    quadrature and update) and the Z^s measurement.
+    loop.  Each difference is measured on its half: its H^s norm sums kw |d|^2
+    over the mirrored full row, and Z^s lifts the half as from_time_samples
+    lifts the full rows; both are the full-row numbers bit for bit.
+    quadrature_wrap is h * max |P(k)| over the modes whose largest amplitude
+    in the last iterate exceeds 1e-12 of the block's largest finite one, or is
+    not finite: the phase the quadrature's integrand turns through in one
+    step.  phase_s holds the wall seconds of the setup (phases and free flow),
+    the iterations (F, quadrature and update) and the Z^s measurement.
     """
     nt = cfg.nt
     if not is_integer(nt) or nt < 3 or nt % 2 == 0:
@@ -513,29 +512,30 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     free_phases(p, t[i0:], out=phases[i0:])
     np.conjugate(phases[:i0:-1], out=phases[:i0])
     phases_inv = phases[::-1]  # S(-t) = conj(S(t))
-    # every iterate's n > 0 half is written into its row of one block, mirrored at the end
+    # every iterate's n > 0 half is written into its row of one block and mirrored there
     iterates = np.empty((it + 1, nt, 2 * m + 1), dtype=complex)
     halves = iterates[..., m + 1:]
     free = np.multiply(eta, np.multiply(phases, pos, out=halves[0]), out=halves[0])
     w = free
+    np.conjugate(free[:, ::-1], out=iterates[0, :, :m])
     # loop buffers: the difference (F until sweep B), the quadrature and its t = 0 row, a block's
-    # Simpson 8 f_odd rows and kw |.|^2 of full rows (mirrored, n = 0 slot 0), H^s norms, lift
+    # Simpson 8 f_odd rows and kw |.|^2 of full rows (mirrored, n = 0 slot 0), H^s sums, lift
     blocks = [(lo, min(lo + F_CHUNK, nt)) for lo in range(0, nt, F_CHUNK)]
     kernels = {n: FKernel(p, mu, mode == "kdv", (n,)) for n in {hi - lo for lo, hi in blocks}}
     d, cum = np.empty((2, nt, m), dtype=complex)
     cum0, b8 = np.empty(m, dtype=complex), np.empty(((F_CHUNK + 1) // 2 + 1, m), dtype=complex)
-    rows, norms = np.empty((F_CHUNK, 2 * m + 1)), np.empty(nt)
+    rows, sums = np.empty((F_CHUNK, 2 * m + 1)), np.empty(nt)
     rows[:, m] = 0.0
     lift = np.empty((2 * m, nt), dtype=complex) if measure_zs else None
     diffs_hs, diffs_zs, at_floor = [], [], []
     kw_pos = sobolev_weights(p, cfg.report_s)[m + 1:]
 
     def hs_rows(half, lo, hi):
-        # norms[lo:hi], the full-row sums bit for bit: |conj z|^2 = |z|^2 and kw(-k) = kw(k)
+        # sums[lo:hi], the full-row kw |.|^2 sums bit for bit: |conj z|^2 = |z|^2, kw(-k) = kw(k)
         r = rows[:hi - lo]
         np.multiply(kw_pos, np.abs(half[lo:hi]) ** 2, out=r[:, m + 1:])
         r[:, :m] = r[:, :m:-1]
-        norms[lo:hi] = np.sqrt(np.sum(r, axis=1) / p.lam)
+        sums[lo:hi] = np.sum(r, axis=1)
 
     # an upper bound on the newest iterate's H^s norm: the free flow's is u0's
     # (|S(t)| = 1, max eta = 1), and each difference adds at most its own norm
@@ -561,14 +561,15 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
             np.multiply(phases[lo:hi], c, out=c)
             c *= eta[lo:hi]
             np.subtract(free[lo:hi], c, out=w_next[lo:hi])
+            np.conjugate(w_next[lo:hi, ::-1], out=iterates[i, lo:hi, :m])
             np.subtract(w_next[lo:hi], w[lo:hi], out=d[lo:hi])
             hs_rows(d, lo, hi)
-        diffs_hs.append(np.max(norms))  # NaN stays NaN
+        diffs_hs.append(np.sqrt(np.max(sums) / p.lam))  # monotone in the sum; NaN stays NaN
         amp += diffs_hs[-1]
         if diffs_hs[-1] <= PICARD_FLOOR * amp:  # near the floor: the exact norm decides
             for lo, hi in blocks:
                 hs_rows(w_next, lo, hi)
-            amp = np.max(norms)
+            amp = np.sqrt(np.max(sums) / p.lam)
         at_floor.append(bool(diffs_hs[-1] <= PICARD_FLOOR * amp))
         phase_s["iterate"] += time.perf_counter() - clock
         if measure_zs:
@@ -582,7 +583,6 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     carried = ~finite | (top > 1e-12 * top[finite].max(initial=0.0))
     wrap = h * float(np.abs(half_dispersion(p)[carried]).max(initial=0.0))
     iterates[..., m] = 0.0
-    np.conjugate(iterates[..., :m:-1], out=iterates[..., :m])
 
     def ratios(diffs):
         return [
