@@ -640,14 +640,8 @@ def _lift_halves(pos, t0: float, dt: float, params: ModelParams, cells=None) -> 
 
 def xsb_norm(u: SpaceTimeSpectrum, s: float, b: float) -> float:
     """||<k>^s <sigma>^b F u||_{L2((dk)_lam dtau)}."""
-    seg = u.layout.norm_cells(u._real)[0]
-    return _xsb_of_abs(u, s, b, np.abs(u.amps[u.offsets[seg]:]))
-
-
-def _xsb_of_abs(u: SpaceTimeSpectrum, s: float, b: float, abs_amps: np.ndarray) -> float:
-    """xsb_norm from abs_amps, the |amps| the norms read, in layout order."""
-    _, factor, sig, order, band = u.layout.norm_cells(u._real)
-    cell = bracket(sig) ** (2.0 * b) * abs_amps ** 2
+    seg, factor, sig, order, band = u.layout.norm_cells(u._real)
+    cell = bracket(sig) ** (2.0 * b) * np.abs(u.amps[u.offsets[seg]:]) ** 2
     per_band = np.bincount(band, cell.take(order), u.layout.band_k.size)
     total = factor * float(per_band @ bracket(u.layout.band_k) ** (2.0 * s))
     return math.sqrt(total * u.dtau / u.params.lam)
@@ -687,11 +681,7 @@ def zs_norm(u: SpaceTimeSpectrum, s: float) -> float:
 
 
 def ws_norm(u: SpaceTimeSpectrum, s: float) -> float:
-    """xsb_norm(u, s, 1/2) + ys_norm(u, s) bit for bit, from one |amps|: the X term's power
-    runs in layout order, as numpy's SIMD ** may round the tail of a permuted array apart."""
-    seg, _, _, order, _ = u.layout.norm_cells(u._real)
-    abs_amps = np.abs(u.amps[u.offsets[seg]:])
-    return _xsb_of_abs(u, s, 0.5, abs_amps) + _ys_of_abs(u, s, abs_amps.take(order))
+    return xsb_norm(u, s, 0.5) + ys_norm(u, s)
 
 
 # -- bilinear machinery -----------------------------------------------------------

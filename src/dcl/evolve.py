@@ -50,7 +50,7 @@ from .lattice import (
     sobolev_weights,
     uniform_step,
 )
-from .symbols import (F_CHUNK, FKernel, dispersion_row, free_phases, half_dispersion,
+from .symbols import (FKernel, chunk_kernels, dispersion_row, free_phases, half_dispersion,
                       mean_coupling, nonlinearity_rows)
 
 MODES = ("full", "kdv", "linear")
@@ -359,36 +359,29 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
 
 # -- Picard / Duhamel fixed point ----------------------------------------------
 
-def _cumulative_simpson(y: np.ndarray, h: float, out=None, b8=None, lo=0, hi=None) -> np.ndarray:
-    """Cumulative integral along axis 0 of rows y sampled with step h, 0 at row 0, in its
-    rows lo..hi-1 (default all; 0 <= lo <= hi <= n, hi > 0), carried on from out's row lo - 1.
+def _cumulative_simpson(y: np.ndarray, h: float, out=None, b8=None) -> np.ndarray:
+    """Cumulative integral along axis 0 of rows y sampled with step h, 0 at row 0.
 
     Composite Simpson with scipy.integrate.cumulative_simpson's equal-interval formulas:
     interval i (rows i..i+1) is h/12 (5 f_i + 8 f_{i+1} - f_{i+2}) when i is even and
-    h/12 (-f_{i-1} + 8 f_i + 5 f_{i+1}) when i is odd.  y has an odd number n >= 3 of rows, so
-    the last interval is odd; rows lo - 2..hi of y are read.  Complex rows are integrated as
-    they are.  out (y's shape) and b8 (8 f_i at the odd i of the panels the range meets, at
-    most (hi - lo) // 2 + 1) are buffers to write into, not y; out is returned.  np.cumsum
-    adds row after row, so ranges that tile 0..n in order give the whole call bit for bit.
+    h/12 (-f_{i-1} + 8 f_i + 5 f_{i+1}) when i is odd.  y has an odd number >= 3 of rows, so
+    the last interval is odd.  Complex rows are integrated as they are.  out (y's shape) and
+    b8 (8 f_i at the (n - 1) // 2 odd i) are buffers to write into, not y; out is returned.
     """
-    hi = y.shape[0] if hi is None else hi
+    n = y.shape[0]
     sub = np.empty_like(y) if out is None else out
-    if lo == 0:
-        sub[0] = 0.0
-    q0, q1 = max(lo - 1, 0) // 2, hi // 2  # the panels (rows 2q + 1, 2q + 2) the range meets
-    a, b, c = y[2 * q0:2 * q1:2], y[2 * q0 + 1:2 * q1:2], y[2 * q0 + 2:2 * q1 + 1:2]
-    b8 = np.multiply(8.0, b, out=None if b8 is None else b8[:q1 - q0])
-    f0, nb = int(2 * q0 + 1 < lo), q1 - q0 - (hi % 2 == 0)  # skip row lo - 1, and row hi
-    fwd, bwd = sub[2 * (q0 + f0) + 1:2 * q1:2], sub[2 * q0 + 2:2 * (q0 + nb) + 1:2]
-    np.multiply(a[f0:], 5.0, out=fwd)
-    fwd += b8[f0:]
-    fwd -= c[f0:]
-    np.multiply(c[:nb], 5.0, out=bwd)
-    bwd += b8[:nb]
-    bwd -= a[:nb]
-    sub[max(lo, 1):hi] *= h / 12.0
-    np.cumsum(sub[max(lo - 1, 0):hi], axis=0, out=sub[max(lo - 1, 0):hi])
-    return sub
+    sub[0] = 0.0
+    a, b, c = y[0:n - 2:2], y[1:n - 1:2], y[2::2]
+    b8 = np.multiply(8.0, b, out=b8)
+    fwd, bwd = sub[1:n - 1:2], sub[2::2]
+    np.multiply(a, 5.0, out=fwd)
+    fwd += b8
+    fwd -= c
+    np.multiply(c, 5.0, out=bwd)
+    bwd += b8
+    bwd -= a
+    sub[1:] *= h / 12.0
+    return np.cumsum(sub, axis=0, out=sub)
 
 
 def bump_eta(t):
@@ -469,8 +462,9 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
 
     u0 must be a real field, as for simulate.  The phases, the free flow, F,
     the quadrature and the update all act on the (nt, nmax) block of n > 0
-    halves, each iteration in two sweeps over F_CHUNK-row blocks (F, S(-t') and
-    Simpson; the update and its difference's H^s), bit for bit whole-block passes.
+    halves, each iteration in two sweeps over F_CHUNK-row blocks (F and S(-t'),
+    then one Simpson pass; the update and its difference's H^s), bit for bit
+    whole-block passes.
     A call holds the S(t) table, the quadrature, the difference (F until the
     update) and, when Z^s is measured, its lift.  Each iterate's half is
     written into its row of the one (iterations+1, nt, 2*nmax+1) block that is
@@ -518,13 +512,12 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
     free = np.multiply(eta, np.multiply(phases, pos, out=halves[0]), out=halves[0])
     w = free
     np.conjugate(free[:, ::-1], out=iterates[0, :, :m])
-    # loop buffers: the difference (F until sweep B), the quadrature and its t = 0 row, a block's
-    # Simpson 8 f_odd rows and kw |.|^2 of full rows (mirrored, n = 0 slot 0), H^s sums, lift
-    blocks = [(lo, min(lo + F_CHUNK, nt)) for lo in range(0, nt, F_CHUNK)]
-    kernels = {n: FKernel(p, mu, mode == "kdv", (n,)) for n in {hi - lo for lo, hi in blocks}}
+    # loop buffers: the difference (F until sweep B), the quadrature and its t = 0 row, a
+    # block's kw |.|^2 of full rows (mirrored, n = 0 slot 0), the H^s row sums, the lift
+    blocks = chunk_kernels(p, mu, mode == "kdv", nt)
     d, cum = np.empty((2, nt, m), dtype=complex)
-    cum0, b8 = np.empty(m, dtype=complex), np.empty(((F_CHUNK + 1) // 2 + 1, m), dtype=complex)
-    rows, sums = np.empty((F_CHUNK, 2 * m + 1)), np.empty(nt)
+    cum0, sums = np.empty(m, dtype=complex), np.empty(nt)
+    rows = np.empty((blocks[0][1], 2 * m + 1))
     rows[:, m] = 0.0
     lift = np.empty((2 * m, nt), dtype=complex) if measure_zs else None
     diffs_hs, diffs_zs, at_floor = [], [], []
@@ -537,26 +530,27 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
         r[:, :m] = r[:, :m:-1]
         sums[lo:hi] = np.sum(r, axis=1)
 
+    def hs_max():
+        return np.sqrt(np.max(sums) / p.lam)  # monotone in the sum; NaN stays NaN
+
     # an upper bound on the newest iterate's H^s norm: the free flow's is u0's
     # (|S(t)| = 1, max eta = 1), and each difference adds at most its own norm
     amp = hs_norm(u0, cfg.report_s)
     phase_s["setup"] = time.perf_counter() - clock
     for i in range(1, it + 1):
         clock = time.perf_counter()
-        # sweep A, block by block: F, S(-t') F and the quadrature's rows up to the block's
-        # last, which waits for the next block if odd; phases come first in the products
-        # because numpy's complex a*b and b*a can differ in the last bit
-        done = 0
-        for lo, hi in blocks:
-            part, upto = w[lo:hi], hi - 1 + hi % 2
-            kernels[hi - lo](part, part, d[lo:hi])
+        # sweep A, block by block: F and S(-t') F, then the quadrature of the whole block
+        # (its 8 f_odd rows in this iterate's row, written only in sweep B); phases come
+        # first in the products because numpy's complex a*b and b*a can differ in the last bit
+        w_next = halves[i]
+        for lo, hi, kernel in blocks:
+            part = w[lo:hi]
+            kernel(part, part, d[lo:hi])
             np.multiply(phases_inv[lo:hi], d[lo:hi], out=d[lo:hi])
-            _cumulative_simpson(d, h, cum, b8, done, upto)
-            done = upto
+        _cumulative_simpson(d, h, cum, w_next[:nt // 2])
         # sweep B: the integral from 0 to t, S(t) and eta, the update and its difference
         np.copyto(cum0, cum[i0])
-        w_next = halves[i]
-        for lo, hi in blocks:
+        for lo, hi, _ in blocks:
             c = np.subtract(cum[lo:hi], cum0, out=cum[lo:hi])
             np.multiply(phases[lo:hi], c, out=c)
             c *= eta[lo:hi]
@@ -564,12 +558,12 @@ def picard_iterate(u0: SpatialSpectrum, cfg: PicardConfig, mode: str = "full",
             np.conjugate(w_next[lo:hi, ::-1], out=iterates[i, lo:hi, :m])
             np.subtract(w_next[lo:hi], w[lo:hi], out=d[lo:hi])
             hs_rows(d, lo, hi)
-        diffs_hs.append(np.sqrt(np.max(sums) / p.lam))  # monotone in the sum; NaN stays NaN
+        diffs_hs.append(hs_max())
         amp += diffs_hs[-1]
         if diffs_hs[-1] <= PICARD_FLOOR * amp:  # near the floor: the exact norm decides
-            for lo, hi in blocks:
+            for lo, hi, _ in blocks:
                 hs_rows(w_next, lo, hi)
-            amp = np.sqrt(np.max(sums) / p.lam)
+            amp = hs_max()
         at_floor.append(bool(diffs_hs[-1] <= PICARD_FLOOR * amp))
         phase_s["iterate"] += time.perf_counter() - clock
         if measure_zs:

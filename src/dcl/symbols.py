@@ -218,12 +218,18 @@ def nonlinearity_rows(u, params: ModelParams, mu: float = 1.0, kdv: bool = False
     if out is not None and np.may_share_memory(out, u):
         raise ValueError("out must not share memory with u")
     out = np.empty(u.shape, dtype=complex) if out is None else out
-    for lo in range(0, len(u), F_CHUNK):
-        part = u[lo:lo + F_CHUNK]
-        if lo == 0 or len(part) < F_CHUNK:  # one kernel for the whole chunks, one for the last
-            kernel = FKernel(params, mu, kdv, part.shape[:-1])
-        kernel(part, part, out[lo:lo + F_CHUNK])
+    for lo, hi, kernel in chunk_kernels(params, mu, kdv, len(u)):
+        part = u[lo:hi]
+        kernel(part, part, out[lo:hi])
     return out
+
+
+def chunk_kernels(params: ModelParams, mu: float, kdv: bool, n: int) -> list:
+    """(lo, hi, kernel) for the F_CHUNK-row blocks of n rows of halves, in order; one
+    FKernel serves the whole blocks and one the shorter last block."""
+    blocks = [(lo, min(lo + F_CHUNK, n)) for lo in range(0, n, F_CHUNK)]
+    kernels = {size: FKernel(params, mu, kdv, (size,)) for size in {hi - lo for lo, hi in blocks}}
+    return [(lo, hi, kernels[hi - lo]) for lo, hi in blocks]
 
 
 def _real_halves(a, b, names):

@@ -1288,7 +1288,7 @@ class TestSumOrder:
     @pytest.mark.parametrize("name", ["random", "random kmax 32", "lift", "lift nt 1025",
                                       "slab u1", "slab u2"])
     def test_ws_norm_is_its_two_terms_bit_for_bit(self, name):
-        # ws_norm takes |amps| once, and its <sigma> power still runs in layout order
+        # ws_norm is its X^{s,1/2} and Y^s terms, summed in that order
         p = ModelParams(j=2, kmax=32.0)
         cases = dict(sum_order_cases())
         cases["random kmax 32"] = random_spectrum(p, np.random.default_rng(53))

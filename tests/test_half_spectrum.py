@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcl import evolve, lattice
+from dcl import evolve, lattice, symbols
 from dcl.bourgain import from_time_samples, zs_norm
 from dcl.evolve import (
     IntegratingFactorRK4,
@@ -470,7 +470,7 @@ class TestPicardParity:
     def test_block_edges_equal_the_full_row_route(self, nt, mode, chunk, monkeypatch):
         # F_CHUNK-row blocks with edges on odd and even rows, one-row blocks, a short last
         # block and a grid inside one block
-        monkeypatch.setattr(evolve, "F_CHUNK", chunk)
+        monkeypatch.setattr(symbols, "F_CHUNK", chunk)
         p = ModelParams(j=2, kmax=8.0)
         u0 = broadband(p, seed=nt, amplitude=0.01)
         cfg = PicardConfig(iterations=3, nt=nt, report_s=-0.25, measure_zs=True)
