@@ -963,7 +963,11 @@ def verify_embeddings(s: float, params: ModelParams, kbound: float = 512.0,
     upper threshold at kbound, so a beta > 0 scan on D3+D4 reports its
     value at the cap, and its growth under box doubling is set by the cap,
     not measured.  Of equal maxima the smallest k is reported as argmax,
-    at the lower end when beta = 0.  An s or a kbound that is not finite,
+    at the lower end when beta = 0.  max_ratio and argmax are those of
+    the last box, kbound * 2**doublings (2*kbound in `dcl verify
+    embeddings`, which runs doublings=1), while the embedding_scan.csv that
+    command writes (scan_csv) covers kbound only, with sigma >= 1e-6: so an
+    argmax need not be a CSV row.  An s or a kbound that is not finite,
     a kbound with no lattice k (kbound*lam < 1), or doublings that is not
     an integer >= 0 raises ValueError.
     """

@@ -79,6 +79,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULTS)
     if path:
         doc = json.loads(_read_text(path, "config file"))
+        if not isinstance(doc, dict):
+            raise UsageError(f"config file {path!r} must hold a JSON object, "
+                             f"got {json.dumps(doc)[:40]}")
         unknown = set(doc) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -345,19 +348,13 @@ def _add_common(p: _Parser):
 
 def _collect_overrides(ns: argparse.Namespace) -> dict:
     over = {k: getattr(ns, k) for k in DEFAULTS if k != "u0"}
-    u0 = None
-    if ns.u0_kind:
-        kind = ns.u0_kind
-        if kind.startswith("json:"):
-            u0 = {"type": "json", "path": kind[5:]}
-        else:
-            u0 = {"type": kind}
-    if ns.u0_amplitude is not None or ns.u0_mode is not None:
-        u0 = u0 or dict(DEFAULTS["u0"])
-        if ns.u0_amplitude is not None:
-            u0["amplitude"] = ns.u0_amplitude
-        if ns.u0_mode is not None:
-            u0["mode"] = ns.u0_mode
+    kind, u0 = ns.u0_kind, None
+    if kind:
+        u0 = {"type": "json", "path": kind[5:]} if kind.startswith("json:") else {"type": kind}
+    given = {k: v for k, v in (("amplitude", ns.u0_amplitude), ("mode", ns.u0_mode))
+             if v is not None}
+    if given:  # on the default cosine unless --u0 names a kind
+        u0 = {**(u0 or DEFAULTS["u0"]), **given}
     over["u0"] = u0
     return over
 

@@ -22,7 +22,7 @@ The stepper keeps its phases and mean coupling on that half, and simulate
 carries the half from step to step.  A Trajectory is one block: simulate
 writes each recorded half into a preallocated (n_rec, nmax) block, mirrors
 it into full rows once at the end and takes the diagnostics of all rows in
-one pass; rescale_trajectory and pde_residual act on the block.  A stepper
+one pass; rescale_trajectory acts on the block, pde_residual on its halves.  A stepper
 owns the buffers its steps write (a step allocates only the half it
 returns), so no two threads may step one at once.  Picard iterates on
 (nt, nmax) blocks of halves too, row block by row block: it writes each
@@ -40,18 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bourgain import _lift_halves, zs_norm
-from .lattice import (
-    ModelParams,
-    SpatialSpectrum,
-    hermitian_rows,
-    hs_norm,
-    is_integer,
-    real_half,
-    sobolev_weights,
-    uniform_step,
-)
-from .symbols import (FKernel, chunk_kernels, dispersion_row, free_phases, half_dispersion,
-                      mean_coupling, nonlinearity_rows)
+from .lattice import (ModelParams, SpatialSpectrum, hermitian_rows, hs_norm, is_integer,
+                      real_half, sobolev_weights, uniform_step)
+from .symbols import (FKernel, chunk_kernels, free_phases, half_dispersion, mean_coupling,
+                      nonlinearity_rows)
 
 MODES = ("full", "kdv", "linear")
 PHASE_WRAP_LIMIT = 50.0  # rad: a step is trusted while dt * max |P(k)| stays below this
@@ -326,35 +318,32 @@ def pde_residual(traj: Trajectory, mode: str | None = None, mu: float = 1.0,
     the result is only meaningful above the reported differencing_error.
     forcing, if given, is a callable t -> SpatialSpectrum (manufactured
     solution support).  mode (default traj.mode) must be one of MODES.
+    In every mode the states and the forcing must be real fields: real_half
+    cuts them into n > 0 halves once, the residual is formed on those, and
+    each time's norm is the full row's, sqrt(2 sum_{n>0} |r_n|^2 / lam).
     """
     mode = traj.mode if mode is None else mode
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    times, amps, p = traj.times, traj.amps, traj.params
+    times, p = traj.times, traj.params
     if len(times) < 7:
-        raise ValueError(
-            "trajectory too coarse for residual evaluation: need >= 7 samples; "
-            "re-run simulate with a smaller stride"
-        )
+        raise ValueError("trajectory too coarse for residual evaluation: need >= 7 samples; "
+                         "re-run simulate with a smaller stride")
     h = uniform_step(times, "residual evaluation needs uniformly sampled states")
-    ut, diff_err = _time_derivatives(amps, h)
-    k = p.k_values()
-    inner = amps[2:-2]  # the states ut is known at
-    res = np.add(ut, (-1j * dispersion_row(p)) * inner, out=ut)  # d_x^(2j+1): -i P(k), odd
+    u = real_half(traj.amps, "the trajectory")
+    ut, diff_err = _time_derivatives(u, h)
+    inner = u[2:-2]  # the states ut is known at
+    res = np.add(ut, (-1j * half_dispersion(p)) * inner, out=ut)  # d_x^(2j+1): -i P(k)
     if mode != "linear":
         kdv = mode == "kdv"
-        f = hermitian_rows(nonlinearity_rows(real_half(inner, "the trajectory"), p, mu, kdv))
-        c = traj.means[2:-2, None] * mean_coupling(k, mu, kdv)
+        f = nonlinearity_rows(inner, p, mu, kdv)
+        c = traj.means[2:-2, None] * mean_coupling(p.k_values(), mu, kdv)[p.nmax + 1:]
         res += np.add(f, np.multiply(c, inner, out=c), out=f)  # F + c u: two scratch blocks
     if forcing is not None:
-        res -= np.stack([forcing(t).amps for t in times[2:-2].tolist()])
-    per_time = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
-    return {
-        "max_residual": max(per_time),
-        "differencing_error": diff_err,
-        "times": times[2:-2].tolist(),
-        "per_time": per_time,
-    }
+        res -= real_half(np.stack([forcing(t).amps for t in times[2:-2].tolist()]), "the forcing")
+    per_time = np.sqrt(2.0 * np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
+    return {"max_residual": max(per_time), "differencing_error": diff_err,
+            "times": times[2:-2].tolist(), "per_time": per_time}
 
 
 # -- Picard / Duhamel fixed point ----------------------------------------------

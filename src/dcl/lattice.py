@@ -20,11 +20,12 @@ and the packing pair `lattice_to_grid` / `grid_to_lattice` takes and
 returns such halves in the buffers of a `GridWork` and never allocates:
 `grid_work`, the only code that knows where a half sits in an FFT row,
 builds one for the stepper, symbols.nonlinearity_rows,
-symbols.padded_product and the two transforms.  The time engines compute
-on halves too.  Full Hermitian rows are built only where a spectrum leaves
-them, by `hermitian_rows`, the one place that turns halves into rows.  Rows enter
-the half route through `real_half`, the one realness rule in the package:
-the transforms, products, F, the solvers and the time-sample lift
+symbols.padded_product and the two transforms.  The time engines (stepper,
+Picard, PDE residual) compute on halves too.  Full Hermitian rows are built
+only where a spectrum leaves them, by `hermitian_rows`, the one place that
+turns halves into rows.  Rows enter the half route through `real_half`, the
+one realness rule in the package: the transforms, products, F, the solvers,
+the residual and the time-sample lift
 (bourgain.from_time_samples) reject a field that is not real (complex
 samples, a spectrum that is not Hermitian) with a ValueError instead of
 computing on it.  The raw FFT convention differs from the symmetric one by
@@ -473,14 +474,26 @@ def spectrum_to_json(spec: SpatialSpectrum) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_field(obj, key: str, what: str, kind=(int, float)):
+    """obj[key] of a parsed spectrum document, of kind (a number by default, not a bool)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(obj)[:40]}")
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r}")
+    if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+        raise ValueError(f"{what} has {key} = {json.dumps(obj[key])[:40]}, "
+                         f"not a {'list' if kind is list else 'number'}")
+    return obj[key]
+
+
 def spectrum_from_json(text: str, kmax: float | None = None) -> SpatialSpectrum:
+    """spectrum_to_json's spectrum; a missing key or a bad value is a ValueError naming it."""
     doc = json.loads(text)
-    lam = doc["lambda"]
-    ks = [mode["k"] for mode in doc["modes"]]
+    lam, j = (_json_field(doc, key, "the spectrum") for key in ("lambda", "j"))
+    modes = [(_json_field(m, "k", f"mode {i}"),
+              _json_field(m, "re", f"mode {i}") + 1j * _json_field(m, "im", f"mode {i}"))
+             for i, m in enumerate(_json_field(doc, "modes", "the spectrum", list))]
     if kmax is None:
-        top = max((abs(k) for k in ks), default=1.0 / lam)
+        top = max((abs(k) for k, _ in modes), default=1.0 / lam)
         kmax = max(256.0 / lam, math.ceil(top * lam) / lam)
-    params = ModelParams(j=doc["j"], lam=lam, kmax=kmax)
-    return SpatialSpectrum.from_modes(
-        params, [(mode["k"], mode["re"] + 1j * mode["im"]) for mode in doc["modes"]]
-    )
+    return SpatialSpectrum.from_modes(ModelParams(j=j, lam=lam, kmax=kmax), modes)

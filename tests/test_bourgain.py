@@ -1766,9 +1766,15 @@ def _oracle_closed(k, lo, hi, region, box):
     return lo, hi
 
 
+def _oracle_weight(x, a):
+    """<x>^a by scalar libm pow; <x> is lattice.bracket's sqrt(1 + x*x), the same IEEE
+    operations on a float."""
+    return math.pow(math.sqrt(1.0 + x * x), a)
+
+
 def _oracle_ratio(k, sv, alpha, beta):
-    """<k>^alpha <sigma>^beta by scalar libm pow."""
-    return math.pow(float(bracket(k)), alpha) * math.pow(float(bracket(sv)), beta)
+    """<k>^alpha <sigma>^beta."""
+    return _oracle_weight(k, alpha) * _oracle_weight(sv, beta)
 
 
 def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
@@ -1792,7 +1798,8 @@ def _oracle_scan_max(alpha, beta, group, params, kbound, n_sigma=48):
                 np.linspace(lo_in, min(hi_in, 4.0), 8),
             ]))
             sig = sig[(sig >= lo_in) & (sig <= hi_in)]
-            vals = np.array([_oracle_ratio(k, sv, alpha, beta) for sv in sig])
+            kw = _oracle_weight(k, alpha)  # once per (k, region)
+            vals = np.array([kw * _oracle_weight(sv, beta) for sv in sig.tolist()])
             i = int(np.argmax(vals))
             if vals[i] > best:
                 best, arg = float(vals[i]), (k, float(sig[i]))

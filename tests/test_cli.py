@@ -540,6 +540,26 @@ class TestConfigHandling:
                    "--T", "0.02", "--dt", "0.01") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"lambda": 1.0, "j": 2}, "the spectrum has no 'modes'"),
+        ({"lambda": 1.0, "j": 2, "modes": [{"k": 1.0, "re": 0.01}]}, "mode 0 has no 'im'"),
+        ({"lambda": "one", "j": 2, "modes": []}, 'the spectrum has lambda = "one", not a number'),
+    ], ids=["no modes", "no im", "lambda not a number"])
+    def test_malformed_u0_file_exit_one(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "u0.json"
+        path.write_text(json.dumps(doc))
+        assert run(tmp_path, "simulate", "--kmax", "8", "--T", "0.02", "--dt", "0.01",
+                   "--u0", f"json:{path}") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text", ["5", "null"])
+    def test_config_not_an_object_exit_one(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (f"error: config file {str(cfg)!r} must hold a JSON "
+                                           f"object, got {text}\n")
+
     def test_int_amplitude_is_a_real_number(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"u0": {"type": "cosine", "amplitude": 0, "mode": 2}}))

@@ -34,7 +34,6 @@ from dcl.lattice import (
     x_grid,
 )
 from dcl.symbols import (
-    dispersion_row,
     dispersion_symbol,
     free_evolution,
     mean_coupling,
@@ -329,16 +328,47 @@ class TestResidual:
         assert pde_residual(traj) == pde_residual(listed)
 
     def test_unchanged_where_P_is_odd(self):
-        # at j = 2, lam = 1, kmax 32 numpy's power on the whole row is odd bit for bit, so the
-        # odd mirror of the half is that row, and the residual is its formula's, number for number
+        # at j = 2, lam = 1, kmax 32 numpy's power on the whole row is odd bit for bit, so its
+        # n > 0 half carries the whole row, and the residual is the half formula's, number for
+        # number
         p = ModelParams(j=2, kmax=32.0)
-        power = dispersion_symbol(p.k_values(), p.j)
-        assert np.array_equal(dispersion_row(p), power)
+        m, power = p.nmax, dispersion_symbol(p.k_values(), p.j)
+        assert np.array_equal(power[:m][::-1], -power[m + 1:])
         traj = simulate(hermitian_spectrum(p, seed=8), T=2e-5, dt=1e-6, mode="linear", stride=2)
-        ut, _ = _time_derivatives(traj.amps, traj.times[1] - traj.times[0])
-        res = ut + (-1j * power) * traj.amps[2:-2]
-        want = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
+        half = traj.amps[:, m + 1:]
+        ut, _ = _time_derivatives(half, traj.times[1] - traj.times[0])
+        res = ut + (-1j * power[m + 1:]) * half[2:-2]
+        want = np.sqrt(2.0 * np.sum(np.abs(res) ** 2, axis=1) / p.lam).tolist()
         assert pde_residual(traj)["per_time"] == want
+
+    @pytest.mark.parametrize("mode", ["full", "kdv", "linear"])
+    @pytest.mark.parametrize("j, lam, kmax", [(2, 1.0, 32.0), (3, 2.0, 16.0), (4, 1.0, 16.0)])
+    def test_halves_equal_a_full_row_oracle(self, j, lam, kmax, mode):
+        # the residual on full Hermitian rows, with P mirrored oddly from its n > 0 half (numpy's
+        # power on the whole row is not odd on every lattice) and F per state; only the order
+        # of each time's sum differs from the halves'
+        p = ModelParams(j=j, lam=lam, kmax=kmax)
+        mu, k, m = 2.0, p.k_values(), p.nmax
+        power = dispersion_symbol(k[m + 1:], j)
+        row = np.concatenate([-power[::-1], [0.0], power])
+        push = hermitian_spectrum(p, seed=3)
+        for mean in (0.0, 0.25):
+            traj = simulate(hermitian_spectrum(p, seed=2, top=4), T=1e-6, dt=1e-7, mode=mode,
+                            mu=mu, mean=mean)  # resolved: the residual is ~1e-10 unforced
+            for forcing in (None, lambda t: push * math.cos(1e5 * t)):
+                amps, h = traj.amps, traj.times[1] - traj.times[0]
+                res = (-amps[4:] + 8 * amps[3:-1] - 8 * amps[1:-3] + amps[:-4]) / (12.0 * h)
+                res += (-1j * row) * amps[2:-2]
+                for i, t in enumerate(traj.times[2:-2].tolist()):
+                    if mode != "linear":  # F + c u, then added
+                        u = SpatialSpectrum(p, amps[i + 2])
+                        c = mean * mean_coupling(k, mu, mode == "kdv")
+                        res[i] += nonlinearity_F(u, u, mu, mode == "kdv").amps + c * u.amps
+                    if forcing is not None:
+                        res[i] -= forcing(t).amps
+                want = np.sqrt(np.sum(np.abs(res) ** 2, axis=1) / p.lam)
+                got = np.array(pde_residual(traj, mu=mu, forcing=forcing)["per_time"])
+                assert (np.abs(got - want) <= 1e-15 * want).all(), (mean, forcing)
 
     @pytest.mark.parametrize("shift", [1e-14, -2e-10])
     def test_non_uniform_states_refused_at_tiny_steps(self, params16, shift):

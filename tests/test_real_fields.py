@@ -42,6 +42,11 @@ REAL_ONLY = {
     "step": lambda u, bad: step(SolverState(0.0, bad), 1e-3),
     "pde_residual": lambda u, bad: pde_residual(
         trajectory_of(P8, 1e-3, "full", [SolverState(i * 1e-3, bad) for i in range(7)])),
+    "pde_residual linear": lambda u, bad: pde_residual(
+        trajectory_of(P8, 1e-3, "linear", [SolverState(i * 1e-3, bad) for i in range(7)])),
+    "pde_residual forcing": lambda u, bad: pde_residual(
+        trajectory_of(P8, 1e-3, "full", [SolverState(i * 1e-3, u) for i in range(7)]),
+        forcing=lambda t: bad),
     "nonlinearity_F u1": lambda u, bad: nonlinearity_F(bad, u),
     "nonlinearity_F u2": lambda u, bad: nonlinearity_F(u, bad),
     "product_spectrum u1": lambda u, bad: product_spectrum(bad, u),
